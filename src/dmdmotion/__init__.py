@@ -41,6 +41,7 @@ from .evaluation import (
     recall,
     roc_curve,
     specificity,
+    sweep_counts,
 )
 from .linalg import (
     SketchConfig,
@@ -97,6 +98,7 @@ __all__ = [
     "f_measure_from_rates",
     "roc_curve",
     "best_f_over_thresholds",
+    "sweep_counts",
     "MovingRect",
     "SyntheticSpec",
     "generate_synthetic",

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.ndimage
 
-from .background import (
-    ForegroundMaskSequence,
-    ResidualSequence,
-    filter_masks,
-    threshold_mask,
-)
+from .background import ForegroundMaskSequence, ResidualSequence
 
 __all__ = [
     "ConfusionCounts",
@@ -33,7 +29,10 @@ __all__ = [
     "f_measure_from_rates",
     "evaluate_masks",
     "metrics_row",
+    "tau_grid",
     "default_taus",
+    "sweep_counts",
+    "best_f_from_counts",
     "roc_curve",
     "best_f_over_thresholds",
     "write_roc_csv",
@@ -88,6 +87,30 @@ class RocCurve:
             raise ValueError("ROC points must be ordered by descending tau")
         if not -1e-12 <= self.auc <= 1.0 + 1e-12:
             raise ValueError(f"auc {self.auc} outside [0, 1]")
+
+    @classmethod
+    def from_counts(cls, taus: Sequence[float], counts: np.ndarray) -> "RocCurve":
+        """Curve through the rows of sweep_counts, one point per distinct tau.
+
+        Points are ordered by descending tau, which makes both coordinates
+        nondecreasing along the curve; (0, 0) and (1, 1) are appended as
+        virtual endpoints for the infinite and zero-threshold extremes. The
+        area comes from the trapezoidal rule.
+        """
+        unique, rows = _unique_rows(taus, counts)
+        if rows and rows[0].tp + rows[0].fn == 0:
+            raise ValueError("truth contains no foreground pixels")
+        if rows and rows[0].tn + rows[0].fp == 0:
+            raise ValueError("truth contains no background pixels")
+        if unique.size < 2:
+            raise ValueError(f"need at least 2 distinct thresholds, got {unique.size}")
+        points = [RocPoint(0.0, 0.0, np.inf)]
+        for tau, c in zip(unique[::-1], rows[::-1]):
+            points.append(RocPoint(1.0 - specificity(c), recall(c), float(tau)))
+        points.append(RocPoint(1.0, 1.0, -np.inf))
+        fpr = np.array([p.one_minus_specificity for p in points])
+        tpr = np.array([p.recall for p in points])
+        return cls(tuple(points), float(np.trapezoid(tpr, fpr)))
 
     @property
     def fpr(self) -> np.ndarray:
@@ -176,14 +199,18 @@ def metrics_row(tau: float, c: ConfusionCounts) -> dict[str, object]:
     }
 
 
-def default_taus(S: ResidualSequence, n: int = 51) -> np.ndarray:
-    """n thresholds evenly spaced over [0, max residual]."""
+def tau_grid(top: float, n: int = 51) -> np.ndarray:
+    """n thresholds evenly spaced over [0, top]; a zero top spans [0, 1] instead."""
     if n < 2:
         raise ValueError(f"need at least 2 thresholds, got {n}")
-    top = float(S.values.max())
     if top == 0.0:
         top = 1.0
     return np.linspace(0.0, top, n)
+
+
+def default_taus(S: ResidualSequence, n: int = 51) -> np.ndarray:
+    """n thresholds evenly spaced over [0, max residual]."""
+    return tau_grid(float(S.values.max()), n)
 
 
 def _tau_sweep(S: ResidualSequence, taus: Iterable[float] | None) -> np.ndarray:
@@ -195,6 +222,68 @@ def _tau_sweep(S: ResidualSequence, taus: Iterable[float] | None) -> np.ndarray:
     return arr
 
 
+def sweep_counts(
+    S: ResidualSequence,
+    truth: ForegroundMaskSequence,
+    taus: Sequence[float],
+    kernel: int = 1,
+) -> np.ndarray:
+    """Confusion counts of the masks [S > tau] at every tau, in one pass.
+
+    Returns an int64 array of shape (len(taus), 4) with columns tp, fp, tn,
+    fn, one row per tau in the order given. Each residual is ranked by how
+    many thresholds lie strictly below it; one histogram over (rank, truth)
+    and a reverse cumulative sum give the counts at every threshold.
+
+    kernel > 1 scores the median-filtered masks of filter_masks instead. The
+    majority of [S > tau] over a window is [window median of S > tau]
+    (threshold decomposition), so one grey median filter of the residual
+    serves every threshold.
+    """
+    if kernel < 1 or kernel % 2 == 0:
+        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
+    shape = (S.n_frames, S.frame_height, S.frame_width)
+    if truth.masks.shape != shape:
+        raise ValueError(f"mask shapes differ: {shape} vs {truth.masks.shape}")
+    taus = np.asarray(taus, dtype=np.float64)
+    order = np.argsort(taus, kind="stable")
+    values = S.values.T.reshape(shape)
+    if kernel > 1:
+        values = scipy.ndimage.median_filter(values, size=(1, kernel, kernel), mode="nearest")
+    key = np.searchsorted(taus[order], values, side="left")
+    key *= 2
+    key += truth.masks
+    hist = np.bincount(key.ravel(), minlength=2 * (taus.size + 1)).reshape(-1, 2)
+    # above[r] = pixels of rank >= r, split by truth bit: (false, true). A
+    # pixel of rank r exceeds the r smallest taus, so the j-th smallest tau
+    # (from 0) marks foreground exactly the pixels of rank >= j + 1.
+    above = np.cumsum(hist[::-1], axis=0)[::-1].astype(np.int64)
+    fp, tp = above[1:, 0], above[1:, 1]
+    negatives, positives = above[0]
+    sorted_counts = np.column_stack([tp, fp, negatives - fp, positives - tp])
+    counts = np.empty_like(sorted_counts)
+    counts[order] = sorted_counts
+    return counts
+
+
+def _unique_rows(
+    taus: Sequence[float], counts: np.ndarray
+) -> tuple[np.ndarray, list[ConfusionCounts]]:
+    """Distinct taus ascending, each with its row of counts as ConfusionCounts."""
+    unique, first = np.unique(np.asarray(taus, dtype=np.float64), return_index=True)
+    return unique, [ConfusionCounts(*row) for row in counts[first].tolist()]
+
+
+def best_f_from_counts(taus: Sequence[float], counts: np.ndarray) -> tuple[float, float]:
+    """(tau, F) maximizing F over the rows of sweep_counts; ties keep the smallest tau."""
+    best_tau, best_f = 0.0, -1.0
+    for tau, c in zip(*_unique_rows(taus, counts)):
+        f = f_measure(c)
+        if f > best_f:
+            best_tau, best_f = float(tau), f
+    return best_tau, best_f
+
+
 def roc_curve(
     S: ResidualSequence,
     truth: ForegroundMaskSequence,
@@ -202,27 +291,10 @@ def roc_curve(
 ) -> RocCurve:
     """Sweep thresholds over the residual and trace (1 - specificity, recall).
 
-    Points are ordered by descending tau, which makes both coordinates
-    nondecreasing along the curve; (0, 0) and (1, 1) are appended as virtual
-    endpoints for the infinite and zero-threshold extremes. The area comes
-    from the trapezoidal rule.
+    See RocCurve.from_counts for the point order and the area.
     """
-    if not truth.masks.any():
-        raise ValueError("truth contains no foreground pixels")
-    if truth.masks.all():
-        raise ValueError("truth contains no background pixels")
-    tau_arr = np.unique(_tau_sweep(S, taus))[::-1]
-    if tau_arr.size < 2:
-        raise ValueError(f"need at least 2 distinct thresholds, got {tau_arr.size}")
-    points = [RocPoint(0.0, 0.0, np.inf)]
-    for tau in tau_arr:
-        c = confusion(threshold_mask(S, float(tau)), truth)
-        points.append(RocPoint(1.0 - specificity(c), recall(c), float(tau)))
-    points.append(RocPoint(1.0, 1.0, -np.inf))
-    fpr = np.array([p.one_minus_specificity for p in points])
-    tpr = np.array([p.recall for p in points])
-    area = float(np.trapezoid(tpr, fpr))
-    return RocCurve(tuple(points), area)
+    tau_arr = _tau_sweep(S, taus)
+    return RocCurve.from_counts(tau_arr, sweep_counts(S, truth, tau_arr))
 
 
 def best_f_over_thresholds(
@@ -235,15 +307,8 @@ def best_f_over_thresholds(
 
     Ties keep the smallest tau.
     """
-    best_tau, best_f = 0.0, -1.0
-    for tau in np.unique(_tau_sweep(S, taus)):
-        masks = threshold_mask(S, float(tau))
-        if kernel > 1:
-            masks = filter_masks(masks, kernel)
-        f = f_measure(confusion(masks, truth))
-        if f > best_f:
-            best_tau, best_f = float(tau), f
-    return best_tau, best_f
+    tau_arr = _tau_sweep(S, taus)
+    return best_f_from_counts(tau_arr, sweep_counts(S, truth, tau_arr, kernel))
 
 
 def write_roc_csv(path: str, curve: RocCurve) -> None:

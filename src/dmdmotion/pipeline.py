@@ -173,6 +173,14 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     """Decompose, model, threshold and evaluate; see the module docstring."""
     t_run = time.perf_counter()
     D, truth = _load_input(cfg)
+    if cfg.tau is None and truth is None:
+        raise ValueError("threshold sweep needs ground truth; pass a fixed tau instead")
+    if truth is not None and truth.masks.shape != (D.n_frames, D.frame_height, D.frame_width):
+        n, h, w = truth.masks.shape
+        raise ValueError(
+            f"truth has {n} masks of {h}x{w} for {D.n_frames} frames of "
+            f"{D.frame_height}x{D.frame_width}"
+        )
     bounds = chunk_bounds(D.n_frames, cfg.chunk_length, cfg.min_chunk_frames)
 
     chunks: list[ChunkResult] = []
@@ -211,44 +219,41 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             )
         )
 
-    ok_indices = [i for i in residuals]
     summary: dict[str, float] | None = None
     tau = cfg.tau
+    if tau is None and not residuals:
+        raise DegenerateDataError("every chunk failed; there is no residual to sweep")
 
-    pooled = None
-    truth_pool = None
-    if ok_indices:
-        pooled = bg.ResidualSequence(
-            np.concatenate([residuals[i].values for i in ok_indices], axis=1),
-            D.frame_height,
-            D.frame_width,
-        )
-        if truth is not None:
-            frame_idx = np.concatenate(
-                [np.arange(chunks[i].start, chunks[i].stop) for i in ok_indices]
-            )
-            truth_pool = bg.ForegroundMaskSequence(truth.masks[frame_idx], tau=None)
+    # Confusion counts at every grid tau, summed over the chunks that ran, of
+    # the raw masks and, when sweeping with a filter, of the filtered ones
+    # (with kernel 1 the two sweeps are one).
+    taus = raw = filtered = None
+    if truth is not None and residuals and (tau is None or cfg.output_dir is not None):
+        taus = ev.tau_grid(max(float(S.values.max()) for S in residuals.values()),
+                           cfg.sweep_size)
+        sweep_filtered = tau is None and cfg.median_kernel > 1
+        raw = np.zeros((taus.size, 4), dtype=np.int64)
+        filtered = np.zeros_like(raw) if sweep_filtered else raw
+        for i, S in residuals.items():
+            c = chunks[i]
+            chunk_truth = bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
+            raw += ev.sweep_counts(S, chunk_truth, taus)
+            if sweep_filtered:
+                filtered += ev.sweep_counts(S, chunk_truth, taus, cfg.median_kernel)
 
     if tau is None:
-        if pooled is None or truth_pool is None:
-            raise ValueError("threshold sweep needs ground truth; pass a fixed tau instead")
-        taus = ev.default_taus(pooled, cfg.sweep_size)
-        best_tau, best_f = ev.best_f_over_thresholds(pooled, truth_pool, taus)
-        filt_tau, filt_f = ev.best_f_over_thresholds(
-            pooled, truth_pool, taus, kernel=cfg.median_kernel
-        )
-        curve = ev.roc_curve(pooled, truth_pool, taus)
-        tau = filt_tau if cfg.median_kernel > 1 else best_tau
+        best_tau, best_f = ev.best_f_from_counts(taus, raw)
+        tau, filt_f = ev.best_f_from_counts(taus, filtered)
         summary = {
             "best_tau_raw": best_tau,
             "best_f_raw": best_f,
-            "best_tau_filtered": filt_tau,
+            "best_tau_filtered": tau,
             "best_f_filtered": filt_f,
-            "auc": curve.auc,
+            "auc": ev.RocCurve.from_counts(taus, raw).auc,
         }
 
     masks = None
-    if pooled is not None:
+    if residuals:
         mask_frames = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
         timed: list[ChunkResult] = []
         for c in chunks:
@@ -263,15 +268,11 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             timed.append(replace(c, mask_seconds=time.perf_counter() - t0))
         chunks = timed
         masks = bg.ForegroundMaskSequence(mask_frames, tau=tau)
-        if truth is not None and truth_pool is not None:
+        if truth is not None:
+            ok_frames = np.concatenate([np.arange(c.start, c.stop) for c in chunks if c.ok])
             rates = ev.evaluate_masks(
-                bg.ForegroundMaskSequence(
-                    masks.masks[np.concatenate(
-                        [np.arange(c.start, c.stop) for c in chunks if c.ok]
-                    )],
-                    tau=tau,
-                ),
-                truth_pool,
+                bg.ForegroundMaskSequence(masks.masks[ok_frames]),
+                bg.ForegroundMaskSequence(truth.masks[ok_frames]),
             )
             summary = dict(summary or {})
             summary.update(
@@ -295,11 +296,11 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         total_seconds=time.perf_counter() - t_run,
     )
     if cfg.output_dir is not None:
-        _write_outputs(cfg, report, truth_pool, pooled, decomposition_store)
+        _write_outputs(cfg, report, residuals, decomposition_store, taus, raw)
     return report
 
 
-def _write_outputs(cfg, report, truth_pool, pooled, decomposition_store) -> None:
+def _write_outputs(cfg, report, residuals, decomposition_store, taus, raw) -> None:
     import glob as globmod
     import os
 
@@ -327,29 +328,17 @@ def _write_outputs(cfg, report, truth_pool, pooled, decomposition_store) -> None
         save_decomposition(os.path.join(out, f"chunk_{i:03d}"), dec)
         if cfg.save_residuals:
             save_matrix(os.path.join(out, f"chunk_{i:03d}", "residual.mat"),
-                        _residual_for(report, i, pooled))
-    if pooled is not None and truth_pool is not None:
-        taus = ev.default_taus(pooled, cfg.sweep_size)
+                        residuals[i].values)
+    if raw is not None:
         rows = [
-            ev.metrics_row(float(t), ev.confusion(bg.threshold_mask(pooled, float(t)), truth_pool))
-            for t in taus
+            ev.metrics_row(float(t), ev.ConfusionCounts(*row))
+            for t, row in zip(taus, raw.tolist())
         ]
         ev.write_metrics_csv(os.path.join(out, "metrics.csv"), rows)
+        tp, fp, tn, fn = raw[0]
         # A curve needs both truth classes; metrics rows alone cover the rest.
-        if truth_pool.masks.any() and not truth_pool.masks.all():
-            ev.write_roc_csv(os.path.join(out, "roc.csv"), ev.roc_curve(pooled, truth_pool, taus))
-
-
-def _residual_for(report: RunReport, index: int, pooled) -> np.ndarray:
-    offset = 0
-    for c in report.chunks:
-        if not c.ok:
-            continue
-        width = c.stop - c.start
-        if c.index == index:
-            return pooled.values[:, offset : offset + width]
-        offset += width
-    raise KeyError(index)
+        if tp + fn > 0 and tn + fp > 0:
+            ev.write_roc_csv(os.path.join(out, "roc.csv"), ev.RocCurve.from_counts(taus, raw))
 
 
 def render_report(report: RunReport) -> str:

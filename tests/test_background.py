@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmdmotion.background import (
     ForegroundMaskSequence,
@@ -312,6 +313,27 @@ def test_filter_masks_applies_per_frame():
     assert not seq.masks[0].any()
     assert seq.masks[1, 3, 3]
     assert seq.tau == 0.5
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    masks=st.tuples(st.integers(1, 3), st.integers(1, 20), st.integers(1, 20)).flatmap(
+        lambda shape: arrays(np.bool_, shape)
+    ),
+    kernel=st.sampled_from([1, 3, 5, 17]),
+)
+# 289 of 289 votes: an 8-bit count would wrap to 33 and lose the majority.
+@example(masks=np.ones((1, 20, 20), dtype=bool), kernel=17)
+def test_filter_masks_equals_per_frame_median_filter(masks, kernel):
+    seq = filter_masks(ForegroundMaskSequence(masks, tau=0.5), kernel)
+    reference = np.stack([median_filter(frame, kernel) for frame in masks])
+    assert np.array_equal(seq.masks, reference)
+    assert seq.tau == 0.5
+
+
+def test_filter_masks_rejects_even_kernel():
+    with pytest.raises(ValueError, match="odd"):
+        filter_masks(ForegroundMaskSequence(np.zeros((1, 4, 4), dtype=bool)), 2)
 
 
 # ---------------------------------------------------------------- determinism

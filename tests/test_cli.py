@@ -2,6 +2,7 @@
 
 import csv
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -108,6 +109,49 @@ def test_bgsub_degenerate_video_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_bgsub_sweep_all_chunks_failed_exits_3(tmp_path, capsys):
+    for sub in ("zeros", "truth"):
+        os.makedirs(tmp_path / sub)
+    for t in range(12):
+        save_pgm(str(tmp_path / "zeros" / f"z_{t:03d}.pgm"), np.zeros((8, 8), dtype=np.uint8))
+        truth = np.zeros((8, 8), dtype=np.uint8)
+        truth[2:4, t % 8] = 255
+        save_pgm(str(tmp_path / "truth" / f"t_{t:03d}.pgm"), truth)
+    code = main([
+        "bgsub", "--frames", str(tmp_path / "zeros" / "*.pgm"),
+        "--truth", str(tmp_path / "truth" / "*.pgm"),
+        "--out", str(tmp_path / "out"), "--chunk-length", "12",
+        "--k", "3", "--p", "2", "--q", "1", "--seed", "0",
+    ])
+    assert code == 3
+    assert "degenerate" in capsys.readouterr().err
+
+
+def first_files(src, dst, n):
+    os.makedirs(dst)
+    for name in sorted(os.listdir(src))[:n]:
+        shutil.copy(src / name, dst / name)
+    return str(dst / "*.pgm")
+
+
+@pytest.mark.parametrize("n_frames, n_masks", [(60, 30), (30, 60)])
+def test_bgsub_truth_count_mismatch_exits_2(tmp_path, capsys, n_frames, n_masks):
+    main(synth_args(tmp_path / "vid", frames=60))
+    capsys.readouterr()
+    code = main([
+        "bgsub",
+        "--frames", first_files(tmp_path / "vid" / "frames", tmp_path / "f", n_frames),
+        "--truth", first_files(tmp_path / "vid" / "truth", tmp_path / "t", n_masks),
+        "--out", str(tmp_path / "out"), "--chunk-length", "30",
+        "--k", "4", "--p", "2", "--q", "1", "--seed", "5",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"truth has {n_masks} masks of 16x16 for {n_frames} frames" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_sketch_configuration_exits_2(tmp_path, capsys):

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dmdmotion.background import ForegroundMaskSequence, ResidualSequence
+from dmdmotion.background import (
+    ForegroundMaskSequence,
+    ResidualSequence,
+    median_filter,
+    threshold_mask,
+)
 from dmdmotion.evaluation import (
     ConfusionCounts,
     best_f_over_thresholds,
@@ -21,6 +27,7 @@ from dmdmotion.evaluation import (
     recall,
     roc_curve,
     specificity,
+    sweep_counts,
     write_metrics_csv,
     write_roc_csv,
 )
@@ -211,6 +218,69 @@ def test_best_f_tie_takes_smallest_tau():
     tau, f = best_f_over_thresholds(S, truth, [0.2, 0.5, 0.8])
     assert f == pytest.approx(1.0)
     assert tau == 0.2
+
+
+# ---------------------------------------------------------------- sweep counts
+
+def loop_counts(S, truth, taus, kernel):
+    """Reference: threshold, median-filter frame by frame, count, per tau."""
+    rows = []
+    for tau in taus:
+        masks = threshold_mask(S, float(tau)).masks
+        if kernel > 1:
+            masks = np.stack([median_filter(frame, kernel) for frame in masks])
+        c = confusion(masks_of(masks), truth)
+        rows.append((c.tp, c.fp, c.tn, c.fn))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+
+
+# Few distinct levels, shared by residuals and thresholds, so values equal to
+# a threshold and duplicate thresholds are common.
+LEVELS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def sweep_instances(draw):
+    t, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    values = draw(arrays(np.float64, (h * w, t), elements=LEVELS))
+    fill = draw(st.sampled_from(["random", "all", "none"]))
+    if fill == "random":
+        truth = draw(arrays(np.bool_, (t, h, w)))
+    else:
+        truth = np.full((t, h, w), fill == "all")
+    taus = draw(st.lists(LEVELS | st.floats(0.0, 1.5), max_size=8))
+    kernel = draw(st.sampled_from([1, 3, 5]))
+    return ResidualSequence(values, h, w), masks_of(truth), taus, kernel
+
+
+@settings(deadline=None, max_examples=300)
+@given(sweep_instances())
+def test_sweep_counts_equal_per_threshold_loop(instance):
+    S, truth, taus, kernel = instance
+    counts = sweep_counts(S, truth, taus, kernel)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, loop_counts(S, truth, taus, kernel))
+
+
+@settings(deadline=None, max_examples=100)
+@given(sweep_instances())
+def test_best_f_equals_per_threshold_loop(instance):
+    S, truth, taus, kernel = instance
+    best_tau, best_f = 0.0, -1.0
+    unique = np.unique(taus)
+    for tau, row in zip(unique, loop_counts(S, truth, unique, kernel).tolist()):
+        f = f_measure(ConfusionCounts(*row))
+        if f > best_f:
+            best_tau, best_f = float(tau), f
+    assert best_f_over_thresholds(S, truth, taus, kernel) == (best_tau, best_f)
+
+
+def test_sweep_counts_rejects_mismatched_truth_and_even_kernel():
+    S = ResidualSequence(np.zeros((4, 2)), 2, 2)
+    with pytest.raises(ValueError, match="shapes differ"):
+        sweep_counts(S, masks_of(np.zeros((2, 2, 3))), [0.5])
+    with pytest.raises(ValueError, match="odd"):
+        sweep_counts(S, masks_of(np.zeros((2, 2, 2))), [0.5], kernel=2)
 
 
 # ---------------------------------------------------------------- csv + sweep

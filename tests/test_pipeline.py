@@ -6,8 +6,15 @@ import os
 import numpy as np
 import pytest
 
+from dmdmotion import evaluation as ev
+from dmdmotion.background import (
+    ForegroundMaskSequence,
+    ResidualSequence,
+    median_filter,
+    threshold_mask,
+)
 from dmdmotion.dmd import SnapshotMatrix, rdmd
-from dmdmotion.io_formats import save_frames, save_pgm
+from dmdmotion.io_formats import load_matrix, save_frames, save_pgm
 from dmdmotion.linalg import SketchConfig
 from dmdmotion.pipeline import (
     RunConfig,
@@ -111,6 +118,45 @@ def test_sweep_summary_and_final_metrics():
     assert s["auc"] > 0.9
     # the reported final-F matches the filtered sweep optimum
     assert s["f_measure"] == pytest.approx(s["best_f_filtered"], abs=1e-12)
+
+
+def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
+    # The summary and metrics.csv of a two-chunk run equal the per-threshold
+    # mask loop over the pooled residuals read back from residual.mat.
+    cfg = RunConfig(synthetic=SQUARE, k=5, p=2, q=1, chunk_length=30,
+                    output_dir=str(tmp_path / "run"), save_residuals=True)
+    s = run_bgsub(cfg).summary
+    _, truth = generate_synthetic(SQUARE)
+    S = ResidualSequence(
+        np.concatenate([load_matrix(str(tmp_path / "run" / f"chunk_{i:03d}" / "residual.mat"))
+                        for i in range(2)], axis=1),
+        SQUARE.frame_height, SQUARE.frame_width,
+    )
+    taus = ev.default_taus(S, cfg.sweep_size)
+
+    def counts(tau, kernel):
+        masks = threshold_mask(S, float(tau)).masks
+        if kernel > 1:
+            masks = np.stack([median_filter(frame, kernel) for frame in masks])
+        return ev.confusion(ForegroundMaskSequence(masks), truth)
+
+    def best(kernel):
+        best_tau, best_f = 0.0, -1.0
+        for tau in np.unique(taus):
+            f = ev.f_measure(counts(tau, kernel))
+            if f > best_f:
+                best_tau, best_f = float(tau), f
+        return best_tau, best_f
+
+    fpr = [0.0] + [1.0 - ev.specificity(counts(t, 1)) for t in taus[::-1]] + [1.0]
+    tpr = [0.0] + [ev.recall(counts(t, 1)) for t in taus[::-1]] + [1.0]
+    assert (s["best_tau_raw"], s["best_f_raw"]) == best(1)
+    assert (s["best_tau_filtered"], s["best_f_filtered"]) == best(cfg.median_kernel)
+    assert s["auc"] == float(np.trapezoid(tpr, fpr))
+    ev.write_metrics_csv(str(tmp_path / "loop.csv"),
+                         [ev.metrics_row(float(t), counts(t, 1)) for t in taus])
+    assert (tmp_path / "run" / "metrics.csv").read_bytes() == (
+        tmp_path / "loop.csv").read_bytes()
 
 
 def test_rerun_is_bit_identical(tmp_path):
