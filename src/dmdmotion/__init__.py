@@ -16,7 +16,6 @@ from .background import (
     fourier_modes,
     median_filter,
     partition_modes,
-    partition_modes_by_threshold,
     residual,
     threshold_mask,
 )
@@ -33,7 +32,6 @@ from .errors import DegenerateDataError
 from .evaluation import (
     ConfusionCounts,
     RocCurve,
-    best_f_over_thresholds,
     confusion,
     f_measure,
     f_measure_from_rates,
@@ -50,7 +48,7 @@ from .linalg import (
     rsvd,
     rsvd_error_bound,
 )
-from .pipeline import RunConfig, RunReport, benchmark_svd, run_bgsub
+from .pipeline import RunConfig, RunReport, run_bgsub
 from .synthetic import (
     MovingRect,
     PlantedSystem,
@@ -82,7 +80,6 @@ __all__ = [
     "ForegroundMaskSequence",
     "fourier_modes",
     "partition_modes",
-    "partition_modes_by_threshold",
     "background_model",
     "residual",
     "threshold_mask",
@@ -97,7 +94,6 @@ __all__ = [
     "f_measure",
     "f_measure_from_rates",
     "roc_curve",
-    "best_f_over_thresholds",
     "sweep_counts",
     "MovingRect",
     "SyntheticSpec",
@@ -108,6 +104,5 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "run_bgsub",
-    "benchmark_svd",
     "__version__",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "ForegroundMaskSequence",
     "fourier_modes",
     "partition_modes",
-    "partition_modes_by_threshold",
     "background_model",
     "residual",
     "threshold_mask",
@@ -133,13 +132,6 @@ def fourier_modes(dec: DmdDecomposition) -> FourierModes:
     return FourierModes(omega=omega, excluded=excluded)
 
 
-def _split_by_background(fm: FourierModes, background: np.ndarray) -> ModePartition:
-    usable = fm.usable_indices
-    bg = set(int(i) for i in background)
-    fg = tuple(int(i) for i in usable if int(i) not in bg)
-    return ModePartition(tuple(sorted(bg)), fg)
-
-
 def partition_modes(fm: FourierModes, n_background: int) -> ModePartition:
     """Background = the n_background usable modes of smallest frequency modulus.
 
@@ -163,18 +155,9 @@ def partition_modes(fm: FourierModes, n_background: int) -> ModePartition:
         ranked_mod[cut], ranked_mod[cut - 1], rtol=_TIE_RTOL, atol=0.0
     ):
         cut += 1
-    return _split_by_background(fm, ranked[:cut])
-
-
-def partition_modes_by_threshold(fm: FourierModes, omega_max: float) -> ModePartition:
-    """Background = every usable mode with frequency modulus below omega_max."""
-    usable = fm.usable_indices
-    if usable.size == 0:
-        raise DegenerateDataError("no usable modes: every eigenvalue is near zero")
-    if omega_max < 0:
-        raise ValueError(f"omega_max must be nonnegative, got {omega_max}")
-    background = usable[np.abs(fm.omega[usable]) < omega_max]
-    return _split_by_background(fm, background)
+    bg = set(int(i) for i in ranked[:cut])
+    fg = tuple(int(i) for i in usable if int(i) not in bg)
+    return ModePartition(tuple(sorted(bg)), fg)
 
 
 def background_model(dec: DmdDecomposition, part: ModePartition) -> np.ndarray:

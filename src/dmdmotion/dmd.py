@@ -25,10 +25,7 @@ __all__ = [
     "effective_rank",
     "reduced_operator",
     "dmd_modes",
-    "projected_dmd_modes",
     "dmd_amplitudes",
-    "amplitudes_per_span",
-    "vandermonde",
     "rdmd",
     "deterministic_dmd",
     "reconstruct",
@@ -98,8 +95,6 @@ class DmdDecomposition:
     modes: (m, k) complex spatial modes, one column per eigenvalue.
     eigenvalues: (k,) complex, ordered background-first (ascending |log|).
     amplitudes: (k,) complex weights fitted to the anchor frame.
-    amplitude_spans: optional ((start, stop, b), ...) when amplitudes were
-        refitted per sub-span of the sequence; span-local time starts at 0.
     """
 
     modes: np.ndarray
@@ -111,7 +106,6 @@ class DmdDecomposition:
     frame_width: int
     anchor: str | int = MEDIAN_FRAME
     seed: int = 0
-    amplitude_spans: tuple[tuple[int, int, np.ndarray], ...] | None = None
 
     def __post_init__(self) -> None:
         k = self.eigenvalues.shape[0]
@@ -176,13 +170,6 @@ def dmd_modes(Y: np.ndarray, V: np.ndarray, singular_values: np.ndarray, W: np.n
     return (Y @ V / singular_values) @ W
 
 
-def projected_dmd_modes(U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Projected-mode variant U W; cheaper, confined to the sketch subspace."""
-    if U.shape[1] != W.shape[0]:
-        raise ValueError("U and W shapes are inconsistent")
-    return U.astype(np.complex128) @ W
-
-
 def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
     X = D.data[:, :-1]
     if anchor == FIRST_FRAME:
@@ -209,47 +196,6 @@ def dmd_amplitudes(Phi: np.ndarray, D: SnapshotMatrix, anchor: str | int = MEDIA
     return least_squares(Phi, _anchor_frame(D, anchor).astype(np.complex128))
 
 
-def amplitudes_per_span(
-    Phi: np.ndarray,
-    D: SnapshotMatrix,
-    anchor: str | int,
-    span_length: int,
-) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Refit amplitudes on fixed-length sub-spans of the sequence.
-
-    Each span is treated with its own time origin, so within [start, stop)
-    the frame at global time t is modeled as Phi (b * lam**(t - start)).
-    Helps with sudden illumination changes; the default pipeline fits one
-    amplitude vector for the whole sequence instead.
-    """
-    if span_length < 2:
-        raise ValueError(f"span_length must be >= 2, got {span_length}")
-    n = D.n_frames
-    spans = []
-    for start in range(0, n, span_length):
-        stop = min(start + span_length, n)
-        if stop - start < 2 and spans:
-            prev_start, _, _ = spans.pop()
-            start = prev_start
-        sub = SnapshotMatrix(
-            D.data[:, start:stop],
-            frame_height=D.frame_height,
-            frame_width=D.frame_width,
-            dt=D.dt,
-        )
-        b = dmd_amplitudes(Phi, sub, anchor)
-        spans.append((start, stop, b))
-    return tuple(spans)
-
-
-def vandermonde(eigenvalues: np.ndarray, n: int) -> np.ndarray:
-    """(k, n) matrix of eigenvalue powers: entry (i, t) = lam_i ** t."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lam = np.asarray(eigenvalues, dtype=np.complex128)
-    return np.vander(lam, n, increasing=True)
-
-
 def _background_first_order(lam: np.ndarray) -> np.ndarray:
     # Sort ascending by |log lam| so quasi-static modes come first; zero
     # eigenvalues (log undefined) sort last. Ties, conjugate pairs included,
@@ -265,7 +211,6 @@ def _decompose(
     factors: SvdFactors,
     anchor: str | int,
     seed: int,
-    amplitude_span: int | None,
 ) -> DmdDecomposition:
     _, Y = split_snapshots(D)
     r = effective_rank(factors.singular_values)
@@ -277,9 +222,6 @@ def _decompose(
     W = W[:, order]
     Phi = dmd_modes(Y, factors.V, factors.singular_values, W)
     b = dmd_amplitudes(Phi, D, anchor)
-    spans = None
-    if amplitude_span is not None:
-        spans = amplitudes_per_span(Phi, D, anchor, amplitude_span)
     return DmdDecomposition(
         modes=Phi,
         eigenvalues=lam,
@@ -290,7 +232,6 @@ def _decompose(
         frame_width=D.frame_width,
         anchor=anchor,
         seed=seed,
-        amplitude_spans=spans,
     )
 
 
@@ -298,7 +239,6 @@ def rdmd(
     D: SnapshotMatrix,
     cfg: SketchConfig,
     anchor: str | int = MEDIAN_FRAME,
-    amplitude_span: int | None = None,
 ) -> DmdDecomposition:
     """Randomized decomposition: sketched SVD of the left sequence feeds the fit.
 
@@ -308,19 +248,18 @@ def rdmd(
     X, _ = split_snapshots(D)
     cfg.validate_for_shape(*X.shape)
     factors = rsvd(X, cfg)
-    return _decompose(D, factors, anchor, cfg.seed, amplitude_span)
+    return _decompose(D, factors, anchor, cfg.seed)
 
 
 def deterministic_dmd(
     D: SnapshotMatrix,
     rank: int,
     anchor: str | int = MEDIAN_FRAME,
-    amplitude_span: int | None = None,
 ) -> DmdDecomposition:
     """Reference decomposition using the deterministic SVD; the rdmd oracle."""
     X, _ = split_snapshots(D)
     factors = deterministic_svd(X, rank)
-    return _decompose(D, factors, anchor, seed=0, amplitude_span=amplitude_span)
+    return _decompose(D, factors, anchor, seed=0)
 
 
 def reconstruct(
@@ -345,17 +284,7 @@ def reconstruct(
     times = np.asarray(list(t_range), dtype=np.int64)
     if times.size and (times.min() < 0 or times.max() >= dec.n_frames):
         raise ValueError(f"time indices outside [0, {dec.n_frames})")
-    out = np.zeros((dec.n_pixels, times.size), dtype=np.complex128)
     if idx.size == 0 or times.size == 0:
-        return out
-    if dec.amplitude_spans is None:
-        temporal = dec.amplitudes[idx, None] * dec.eigenvalues[idx, None] ** times[None, :]
-        return dec.modes[:, idx] @ temporal
-    for start, stop, b in dec.amplitude_spans:
-        cols = np.nonzero((times >= start) & (times < stop))[0]
-        if cols.size == 0:
-            continue
-        local_t = times[cols] - start
-        temporal = b[idx, None] * dec.eigenvalues[idx, None] ** local_t[None, :]
-        out[:, cols] = dec.modes[:, idx] @ temporal
-    return out
+        return np.zeros((dec.n_pixels, times.size), dtype=np.complex128)
+    temporal = dec.amplitudes[idx, None] * dec.eigenvalues[idx, None] ** times[None, :]
+    return dec.modes[:, idx] @ temporal

@@ -30,11 +30,9 @@ __all__ = [
     "evaluate_masks",
     "metrics_row",
     "tau_grid",
-    "default_taus",
     "sweep_counts",
     "best_f_from_counts",
     "roc_curve",
-    "best_f_over_thresholds",
     "write_roc_csv",
     "write_metrics_csv",
 ]
@@ -208,20 +206,6 @@ def tau_grid(top: float, n: int = 51) -> np.ndarray:
     return np.linspace(0.0, top, n)
 
 
-def default_taus(S: ResidualSequence, n: int = 51) -> np.ndarray:
-    """n thresholds evenly spaced over [0, max residual]."""
-    return tau_grid(float(S.values.max()), n)
-
-
-def _tau_sweep(S: ResidualSequence, taus: Iterable[float] | None) -> np.ndarray:
-    if taus is None:
-        return default_taus(S)
-    arr = np.asarray(list(taus), dtype=np.float64)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("thresholds must be finite and nonnegative")
-    return arr
-
-
 def sweep_counts(
     S: ResidualSequence,
     truth: ForegroundMaskSequence,
@@ -291,24 +275,16 @@ def roc_curve(
 ) -> RocCurve:
     """Sweep thresholds over the residual and trace (1 - specificity, recall).
 
-    See RocCurve.from_counts for the point order and the area.
+    taus None sweeps tau_grid over [0, max residual]. See RocCurve.from_counts
+    for the point order and the area.
     """
-    tau_arr = _tau_sweep(S, taus)
+    if taus is None:
+        tau_arr = tau_grid(float(S.values.max()))
+    else:
+        tau_arr = np.asarray(list(taus), dtype=np.float64)
+        if np.any(tau_arr < 0) or not np.all(np.isfinite(tau_arr)):
+            raise ValueError("thresholds must be finite and nonnegative")
     return RocCurve.from_counts(tau_arr, sweep_counts(S, truth, tau_arr))
-
-
-def best_f_over_thresholds(
-    S: ResidualSequence,
-    truth: ForegroundMaskSequence,
-    taus: Iterable[float] | None = None,
-    kernel: int = 1,
-) -> tuple[float, float]:
-    """(tau, F) maximizing F over a sweep, optionally median-filtered masks.
-
-    Ties keep the smallest tau.
-    """
-    tau_arr = _tau_sweep(S, taus)
-    return best_f_from_counts(tau_arr, sweep_counts(S, truth, tau_arr, kernel))
 
 
 def write_roc_csv(path: str, curve: RocCurve) -> None:

@@ -230,11 +230,6 @@ def save_decomposition(directory: str, dec: DmdDecomposition) -> None:
         f"anchor {dec.anchor}",
         f"seed {dec.seed}",
     ]
-    if dec.amplitude_spans is not None:
-        bounds = ",".join(f"{start}:{stop}" for start, stop, _ in dec.amplitude_spans)
-        lines.append(f"spans {bounds}")
-        span_b = np.stack([b for _, _, b in dec.amplitude_spans], axis=1)
-        save_matrix(os.path.join(directory, "span_amplitudes.cpx"), span_b)
     with open(os.path.join(directory, _MANIFEST), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     save_matrix(os.path.join(directory, "modes.cpx"), dec.modes)
@@ -252,16 +247,13 @@ def load_decomposition(directory: str) -> DmdDecomposition:
                 fields[key] = value
     if fields.get("format") != "rdmd-decomposition-1":
         raise ValueError(f"{directory}: unrecognized manifest format {fields.get('format')!r}")
+    if "spans" in fields:
+        # Loading only the whole-sequence amplitudes would silently change what
+        # a decomposition with per-span amplitudes reconstructs.
+        raise ValueError(f"{directory}: per-span amplitudes are not supported")
     modes = load_matrix(os.path.join(directory, "modes.cpx"))
     eigenvalues = load_matrix(os.path.join(directory, "eigenvalues.cpx")).ravel()
     amplitudes = load_matrix(os.path.join(directory, "amplitudes.cpx")).ravel()
-    spans = None
-    if "spans" in fields:
-        span_b = load_matrix(os.path.join(directory, "span_amplitudes.cpx"))
-        bounds = [tuple(int(v) for v in part.split(":")) for part in fields["spans"].split(",")]
-        spans = tuple(
-            (start, stop, span_b[:, i]) for i, (start, stop) in enumerate(bounds)
-        )
     anchor: str | int = fields["anchor"]
     try:
         anchor = int(anchor)
@@ -277,5 +269,4 @@ def load_decomposition(directory: str) -> DmdDecomposition:
         frame_width=int(fields["frame_width"]),
         anchor=anchor,
         seed=int(fields["seed"]),
-        amplitude_spans=spans,
     )

@@ -1,4 +1,4 @@
-"""End-to-end background subtraction runs and the SVD benchmark harness.
+"""End-to-end background subtraction runs.
 
 A run splits the input video into chunks, decomposes each chunk on its own
 (seeded independently, so chunk results do not depend on processing order),
@@ -18,8 +18,8 @@ from . import background as bg
 from . import evaluation as ev
 from .dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
 from .errors import DegenerateDataError
-from .linalg import SketchConfig, deterministic_svd, rsvd
-from .synthetic import SyntheticSpec, decaying_spectrum_matrix, generate_synthetic
+from .linalg import SketchConfig
+from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = [
     "RunConfig",
@@ -28,9 +28,6 @@ __all__ = [
     "chunk_bounds",
     "run_bgsub",
     "render_report",
-    "BenchmarkRow",
-    "benchmark_svd",
-    "write_benchmark_csv",
 ]
 
 
@@ -141,32 +138,59 @@ def _load_input(cfg: RunConfig) -> tuple[SnapshotMatrix, bg.ForegroundMaskSequen
     return D, truth
 
 
-def _chunk_decomposition(
+def _run_chunk(
     D: SnapshotMatrix, cfg: RunConfig, index: int, start: int, stop: int
-) -> tuple[DmdDecomposition, bg.ModePartition, bg.ResidualSequence]:
-    sub = SnapshotMatrix(
-        D.data[:, start:stop],
-        frame_height=D.frame_height,
-        frame_width=D.frame_width,
-        dt=D.dt,
-    )
-    sketch = SketchConfig(
-        rank=cfg.k,
-        oversampling=cfg.p,
-        subspace_iters=cfg.q,
+) -> tuple[ChunkResult, bg.ResidualSequence | None, DmdDecomposition | None]:
+    """Decompose one chunk and model its background.
+
+    Returns the chunk's record with its residual and decomposition, or with
+    None for both when the chunk failed on its data.
+    """
+    t0 = time.perf_counter()
+    try:
+        sub = SnapshotMatrix(
+            D.data[:, start:stop],
+            frame_height=D.frame_height,
+            frame_width=D.frame_width,
+            dt=D.dt,
+        )
+        sketch = SketchConfig(
+            rank=cfg.k,
+            oversampling=cfg.p,
+            subspace_iters=cfg.q,
+            seed=cfg.seed + index,
+        )
+        dec = rdmd(sub, sketch, anchor=cfg.anchor)
+        fm = bg.fourier_modes(dec)
+        # A near-static chunk can retain fewer usable modes than requested; take
+        # what is there rather than failing the chunk.
+        n_bg = min(cfg.n_background, fm.usable_indices.size)
+        if n_bg == 0:
+            raise DegenerateDataError("chunk has no usable modes")
+        part = bg.partition_modes(fm, n_bg)
+        S = bg.residual(sub, bg.background_model(dec, part))
+    except (ValueError, DegenerateDataError, np.linalg.LinAlgError) as exc:
+        failed = ChunkResult(
+            index=index,
+            start=start,
+            stop=stop,
+            seed=cfg.seed + index,
+            error=f"{type(exc).__name__}: {exc}",
+            decompose_seconds=time.perf_counter() - t0,
+        )
+        return failed, None, None
+    result = ChunkResult(
+        index=index,
+        start=start,
+        stop=stop,
         seed=cfg.seed + index,
+        retained_rank=dec.rank,
+        eigenvalues=dec.eigenvalues,
+        omega=fm.omega,
+        background_indices=part.background_indices,
+        decompose_seconds=time.perf_counter() - t0,
     )
-    dec = rdmd(sub, sketch, anchor=cfg.anchor)
-    fm = bg.fourier_modes(dec)
-    # A near-static chunk can retain fewer usable modes than requested; take
-    # what is there rather than failing the chunk.
-    n_bg = min(cfg.n_background, fm.usable_indices.size)
-    if n_bg == 0:
-        raise DegenerateDataError("chunk has no usable modes")
-    part = bg.partition_modes(fm, n_bg)
-    L = bg.background_model(dec, part)
-    S = bg.residual(sub, L)
-    return dec, part, S
+    return result, S, dec
 
 
 def run_bgsub(cfg: RunConfig) -> RunReport:
@@ -182,65 +206,39 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             f"{D.frame_height}x{D.frame_width}"
         )
     bounds = chunk_bounds(D.n_frames, cfg.chunk_length, cfg.min_chunk_frames)
-
-    chunks: list[ChunkResult] = []
-    residuals: dict[int, bg.ResidualSequence] = {}
-    decomposition_store: dict[int, DmdDecomposition] = {}
-    for i, (start, stop) in enumerate(bounds):
-        t0 = time.perf_counter()
-        try:
-            dec, part, S = _chunk_decomposition(D, cfg, i, start, stop)
-        except (ValueError, DegenerateDataError, np.linalg.LinAlgError) as exc:
-            chunks.append(
-                ChunkResult(
-                    index=i,
-                    start=start,
-                    stop=stop,
-                    seed=cfg.seed + i,
-                    error=f"{type(exc).__name__}: {exc}",
-                    decompose_seconds=time.perf_counter() - t0,
-                )
-            )
-            continue
-        residuals[i] = S
-        decomposition_store[i] = dec
-        fm = bg.fourier_modes(dec)
-        chunks.append(
-            ChunkResult(
-                index=i,
-                start=start,
-                stop=stop,
-                seed=cfg.seed + i,
-                retained_rank=dec.rank,
-                eigenvalues=dec.eigenvalues,
-                omega=fm.omega,
-                background_indices=part.background_indices,
-                decompose_seconds=time.perf_counter() - t0,
-            )
+    # An integer anchor addresses a frame of each chunk's left sequence, which
+    # is one frame shorter than the chunk.
+    shortest = min(stop - start for start, stop in bounds)
+    if isinstance(cfg.anchor, (int, np.integer)) and not 0 <= cfg.anchor < shortest - 1:
+        raise ValueError(
+            f"anchor frame {cfg.anchor} outside [0, {shortest - 1}) of the "
+            f"shortest chunk ({shortest} frames)"
         )
 
-    summary: dict[str, float] | None = None
+    runs = [_run_chunk(D, cfg, i, start, stop) for i, (start, stop) in enumerate(bounds)]
+    ran = [(c, S) for c, S, _ in runs if S is not None]
     tau = cfg.tau
-    if tau is None and not residuals:
+    if tau is None and not ran:
         raise DegenerateDataError("every chunk failed; there is no residual to sweep")
+
+    def truth_of(c: ChunkResult) -> bg.ForegroundMaskSequence:
+        return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
 
     # Confusion counts at every grid tau, summed over the chunks that ran, of
     # the raw masks and, when sweeping with a filter, of the filtered ones
     # (with kernel 1 the two sweeps are one).
     taus = raw = filtered = None
-    if truth is not None and residuals and (tau is None or cfg.output_dir is not None):
-        taus = ev.tau_grid(max(float(S.values.max()) for S in residuals.values()),
-                           cfg.sweep_size)
+    if truth is not None and ran and (tau is None or cfg.output_dir is not None):
+        taus = ev.tau_grid(max(float(S.values.max()) for _, S in ran), cfg.sweep_size)
         sweep_filtered = tau is None and cfg.median_kernel > 1
         raw = np.zeros((taus.size, 4), dtype=np.int64)
         filtered = np.zeros_like(raw) if sweep_filtered else raw
-        for i, S in residuals.items():
-            c = chunks[i]
-            chunk_truth = bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
-            raw += ev.sweep_counts(S, chunk_truth, taus)
+        for c, S in ran:
+            raw += ev.sweep_counts(S, truth_of(c), taus)
             if sweep_filtered:
-                filtered += ev.sweep_counts(S, chunk_truth, taus, cfg.median_kernel)
+                filtered += ev.sweep_counts(S, truth_of(c), taus, cfg.median_kernel)
 
+    summary: dict[str, float] | None = None
     if tau is None:
         best_tau, best_f = ev.best_f_from_counts(taus, raw)
         tau, filt_f = ev.best_f_from_counts(taus, filtered)
@@ -252,37 +250,29 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             "auc": ev.RocCurve.from_counts(taus, raw).auc,
         }
 
-    masks = None
-    if residuals:
-        mask_frames = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
-        timed: list[ChunkResult] = []
-        for c in chunks:
-            if not c.ok:
-                timed.append(c)
-                continue
+    chunks: list[ChunkResult] = []
+    mask_frames = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
+    final_counts = ev.ConfusionCounts(0, 0, 0, 0)
+    for c, S, _ in runs:
+        if S is not None:
             t0 = time.perf_counter()
-            chunk_masks = bg.filter_masks(
-                bg.threshold_mask(residuals[c.index], tau), cfg.median_kernel
-            )
+            chunk_masks = bg.filter_masks(bg.threshold_mask(S, tau), cfg.median_kernel)
             mask_frames[c.start : c.stop] = chunk_masks.masks
-            timed.append(replace(c, mask_seconds=time.perf_counter() - t0))
-        chunks = timed
-        masks = bg.ForegroundMaskSequence(mask_frames, tau=tau)
-        if truth is not None:
-            ok_frames = np.concatenate([np.arange(c.start, c.stop) for c in chunks if c.ok])
-            rates = ev.evaluate_masks(
-                bg.ForegroundMaskSequence(masks.masks[ok_frames]),
-                bg.ForegroundMaskSequence(truth.masks[ok_frames]),
-            )
-            summary = dict(summary or {})
-            summary.update(
-                {
-                    "recall": float(rates["recall"]),
-                    "precision": float(rates["precision"]),
-                    "specificity": float(rates["specificity"]),
-                    "f_measure": float(rates["f_measure"]),
-                }
-            )
+            c = replace(c, mask_seconds=time.perf_counter() - t0)
+            if truth is not None:
+                final_counts += ev.confusion(chunk_masks, truth_of(c))
+        chunks.append(c)
+    masks = bg.ForegroundMaskSequence(mask_frames, tau=tau) if ran else None
+    if ran and truth is not None:
+        summary = dict(summary or {})
+        summary.update(
+            {
+                "recall": ev.recall(final_counts),
+                "precision": ev.precision(final_counts),
+                "specificity": ev.specificity(final_counts),
+                "f_measure": ev.f_measure(final_counts),
+            }
+        )
 
     report = RunReport(
         config=cfg,
@@ -296,11 +286,11 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         total_seconds=time.perf_counter() - t_run,
     )
     if cfg.output_dir is not None:
-        _write_outputs(cfg, report, residuals, decomposition_store, taus, raw)
+        _write_outputs(cfg, report, runs, taus, raw)
     return report
 
 
-def _write_outputs(cfg, report, residuals, decomposition_store, taus, raw) -> None:
+def _write_outputs(cfg, report, runs, taus, raw) -> None:
     import glob as globmod
     import os
 
@@ -324,11 +314,12 @@ def _write_outputs(cfg, report, residuals, decomposition_store, taus, raw) -> No
                     os.path.splitext(os.path.basename(p))[0] + "_mask" for p in names
                 ]
         save_masks(os.path.join(out, "masks"), report.masks, stems)
-    for i, dec in decomposition_store.items():
-        save_decomposition(os.path.join(out, f"chunk_{i:03d}"), dec)
+    for c, S, dec in runs:
+        if dec is None:
+            continue
+        save_decomposition(os.path.join(out, f"chunk_{c.index:03d}"), dec)
         if cfg.save_residuals:
-            save_matrix(os.path.join(out, f"chunk_{i:03d}", "residual.mat"),
-                        residuals[i].values)
+            save_matrix(os.path.join(out, f"chunk_{c.index:03d}", "residual.mat"), S.values)
     if raw is not None:
         rows = [
             ev.metrics_row(float(t), ev.ConfusionCounts(*row))
@@ -380,76 +371,3 @@ def render_report(report: RunReport) -> str:
         lines.append("summary: " + " ".join(parts))
         lines.append("")
     return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class BenchmarkRow:
-    rows: int
-    cols: int
-    k: int
-    q: int
-    deterministic_seconds: float
-    randomized_seconds: float
-    deterministic_error: float
-    randomized_error: float
-
-
-def _median_time(fn, repeats: int = 5) -> tuple[float, object]:
-    fn()  # warm-up
-    times = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)), result
-
-
-def benchmark_svd(
-    shapes: list[tuple[int, int]],
-    ranks: list[int],
-    seeds: list[int],
-    qs: list[int] = (0, 1, 2),
-    repeats: int = 5,
-) -> list[BenchmarkRow]:
-    """Wall-clock and accuracy comparison of the two SVD paths.
-
-    Test matrices have a polynomially decaying spectrum so the error columns
-    respond to the power-iteration count. Times are medians of `repeats` runs
-    after one warm-up. No speed relation is asserted when k is not small
-    against min(m, n); that regime gains nothing from sketching.
-    """
-    rows = []
-    for m, n in shapes:
-        spectrum = 1.0 / np.arange(1, min(m, n) + 1) ** 2
-        for seed in seeds:
-            A, _ = decaying_spectrum_matrix(m, n, spectrum, seed)
-            norm = np.linalg.norm(A)
-            for k in ranks:
-                t_det, det = _median_time(lambda: deterministic_svd(A, k), repeats)
-                err_det = np.linalg.norm(A - det.reconstruct()) / norm
-                for q in qs:
-                    sketch = SketchConfig(rank=k, oversampling=2, subspace_iters=q, seed=seed)
-                    t_rnd, rnd = _median_time(lambda: rsvd(A, sketch), repeats)
-                    err_rnd = np.linalg.norm(A - rnd.reconstruct()) / norm
-                    rows.append(
-                        BenchmarkRow(m, n, k, q, t_det, t_rnd, float(err_det), float(err_rnd))
-                    )
-    return rows
-
-
-def write_benchmark_csv(path: str, rows: list[BenchmarkRow]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rows", "cols", "k", "q", "deterministic_seconds", "randomized_seconds",
-             "deterministic_error", "randomized_error"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.rows, r.cols, r.k, r.q, repr(r.deterministic_seconds),
-                 repr(r.randomized_seconds), repr(r.deterministic_error),
-                 repr(r.randomized_error)]
-            )

@@ -14,7 +14,6 @@ from dmdmotion.background import (
     fourier_modes,
     median_filter,
     partition_modes,
-    partition_modes_by_threshold,
     residual,
     threshold_mask,
 )
@@ -115,16 +114,6 @@ def test_partition_no_usable_modes():
     fm = fourier_modes(make_decomposition([0.0, 0.0]))
     with pytest.raises(DegenerateDataError):
         partition_modes(fm, 1)
-
-
-def test_partition_by_threshold():
-    lam = np.exp(np.array([0.0, 0.5, 2.0]))
-    fm = fourier_modes(make_decomposition(lam))
-    part = partition_modes_by_threshold(fm, 1.0)
-    assert part.background_indices == (0, 1)
-    assert part.foreground_indices == (2,)
-    with pytest.raises(ValueError):
-        partition_modes_by_threshold(fm, -0.1)
 
 
 # ---------------------------------------------------------------- background model

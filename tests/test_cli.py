@@ -154,6 +154,26 @@ def test_bgsub_truth_count_mismatch_exits_2(tmp_path, capsys, n_frames, n_masks)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n_frames, anchor, shortest", [(60, 500, 30), (75, 20, 15)])
+def test_bgsub_anchor_outside_a_chunk_exits_2(tmp_path, capsys, n_frames, anchor, shortest):
+    # 75 frames make chunks of 30, 30 and 15: anchor 20 fits the first two only.
+    main(synth_args(tmp_path / "vid", frames=n_frames))
+    capsys.readouterr()
+    for tau in (["--tau", "0.2"], []):
+        code = main([
+            "bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+            "--truth", str(tmp_path / "vid" / "truth" / "*.pgm"),
+            "--out", str(tmp_path / "out"), "--chunk-length", "30",
+            "--k", "5", "--p", "2", "--q", "1", "--anchor", str(anchor),
+            "--seed", "0", *tau,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"anchor frame {anchor} outside [0, {shortest - 1})" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
 def test_bad_sketch_configuration_exits_2(tmp_path, capsys):
     main(synth_args(tmp_path / "vid", frames=20))
     code = main([
@@ -207,7 +227,7 @@ def test_eval_disjoint_masks_warns_on_zero_denominator(tmp_path, capsys):
 def test_svd_benchmark_csv(tmp_path, capsys):
     path = str(tmp_path / "bench.csv")
     code = main([
-        "svd", "--shapes", "80x40", "--ranks", "5", "--qs", "0,1",
+        "svd", "--shapes", "80x40", "--ranks", "5", "--qs", "0,2",
         "--repeats", "1", "--seeds", "0", "--out", path,
     ])
     assert code == 0
@@ -215,4 +235,18 @@ def test_svd_benchmark_csv(tmp_path, capsys):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    assert {r["q"] for r in rows} == {"0", "1"}
+    assert list(rows[0]) == ["rows", "cols", "k", "q", "deterministic_seconds",
+                             "randomized_seconds", "deterministic_error", "randomized_error"]
+    assert [(r["rows"], r["cols"], r["k"], r["q"]) for r in rows] == [
+        ("80", "40", "5", "0"), ("80", "40", "5", "2")
+    ]
+    err = {r["q"]: float(r["randomized_error"]) for r in rows}
+    assert err["2"] <= err["0"] + 1e-12
+    for r in rows:
+        det = float(r["deterministic_error"])
+        assert det >= 0.0
+        assert float(r["randomized_error"]) >= det - 1e-12
+        # floats are written with repr, so they read back exactly
+        for col in ("deterministic_seconds", "randomized_seconds",
+                    "deterministic_error", "randomized_error"):
+            assert repr(float(r[col])) == r[col]

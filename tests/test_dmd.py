@@ -2,23 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dmdmotion.dmd import (
     FIRST_FRAME,
     MEDIAN_FRAME,
     SnapshotMatrix,
-    amplitudes_per_span,
     deterministic_dmd,
     dmd_amplitudes,
     dmd_modes,
-    projected_dmd_modes,
     rdmd,
     reconstruct,
     reduced_operator,
     split_snapshots,
-    vandermonde,
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.linalg import SketchConfig, deterministic_svd, eig
@@ -131,16 +126,6 @@ def test_modes_match_planted_directions(planted_three_mode):
         assert principal_angle_cos(Phi[:, i], sys.modes[:, j]) >= 1 - 1e-6
 
 
-def test_projected_modes_agree_on_exact_rank_data(planted_three_mode):
-    X, Y = split_snapshots(planted_three_mode.snapshots)
-    f = deterministic_svd(X, 3)
-    W, _ = eig(reduced_operator(f, Y))
-    exact = dmd_modes(Y, f.V, f.singular_values, W)
-    projected = projected_dmd_modes(f.U, W)
-    for i in range(3):
-        assert principal_angle_cos(exact[:, i], projected[:, i]) >= 1 - 1e-6
-
-
 def test_modes_shape_validation():
     with pytest.raises(ValueError):
         dmd_modes(np.ones((4, 3)), np.ones((3, 2)), np.ones(1), np.eye(2))
@@ -184,15 +169,6 @@ def test_amplitudes_anchor_bounds():
         dmd_amplitudes(Phi, D, anchor=19)  # left sequence has 19 frames: 0..18
     with pytest.raises(ValueError):
         dmd_amplitudes(Phi, D, anchor="nonsense")
-
-
-# ---------------------------------------------------------------- vandermonde
-
-def test_vandermonde_values():
-    assert np.array_equal(vandermonde(np.array([1.0]), 4), np.ones((1, 4)))
-    assert np.array_equal(vandermonde(np.array([2.0]), 3), [[1.0, 2.0, 4.0]])
-    row = vandermonde(np.array([1j]), 5)[0]
-    assert np.allclose(row, [1, 1j, -1, -1j, 1])
 
 
 # ---------------------------------------------------------------- rdmd end to end
@@ -312,41 +288,3 @@ def test_reconstruction_error_bounded_by_svd_tail(planted_three_mode):
     fit_residual = np.linalg.norm(dec.modes @ dec.amplitudes - X[:, 0])
     gap = np.linalg.norm(X - reconstruct(dec, t_range=range(noisy.n_frames - 1)).real)
     assert gap <= 1.1 * (svd_tail + fit_residual) + 1e-9
-
-
-# ---------------------------------------------------------------- span amplitudes
-
-def test_span_amplitudes_tile_sequence(planted_three_mode):
-    D = planted_three_mode.snapshots
-    dec = deterministic_dmd(D, rank=3, amplitude_span=25)
-    spans = dec.amplitude_spans
-    assert spans[0][0] == 0 and spans[-1][1] == D.n_frames
-    for (a, b, _), (c, _d, _e) in zip(spans, spans[1:]):
-        assert b == c
-
-
-def test_span_amplitudes_short_tail_merges():
-    D = static_video(0.5, pixels=100, frames=21)
-    Phi = D.data[:, :1].astype(np.complex128)
-    spans = amplitudes_per_span(Phi, D, FIRST_FRAME, span_length=20)
-    # a 1-frame tail cannot be fit on its own
-    assert spans[-1][1] - spans[-1][0] >= 2
-    assert spans[-1][1] == 21
-
-
-def test_span_reconstruction_tracks_piecewise_scene(planted_three_mode):
-    D = planted_three_mode.snapshots
-    whole = deterministic_dmd(D, rank=3, anchor=FIRST_FRAME)
-    spanned = deterministic_dmd(D, rank=3, anchor=FIRST_FRAME, amplitude_span=20)
-    err_whole = np.linalg.norm(D.data - reconstruct(whole).real)
-    err_span = np.linalg.norm(D.data - reconstruct(spanned).real)
-    assert err_span <= err_whole + 1e-6
-
-
-@settings(deadline=None, max_examples=15)
-@given(n=st.integers(2, 12))
-def test_vandermonde_shape_property(n):
-    lam = np.array([0.5, 1.0, -0.25 + 0.1j])
-    V = vandermonde(lam, n)
-    assert V.shape == (3, n)
-    assert np.allclose(V[:, 0], 1.0)

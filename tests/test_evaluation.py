@@ -16,9 +16,8 @@ from dmdmotion.background import (
 )
 from dmdmotion.evaluation import (
     ConfusionCounts,
-    best_f_over_thresholds,
+    best_f_from_counts,
     confusion,
-    default_taus,
     evaluate_masks,
     f_measure,
     f_measure_from_rates,
@@ -28,6 +27,7 @@ from dmdmotion.evaluation import (
     roc_curve,
     specificity,
     sweep_counts,
+    tau_grid,
     write_metrics_csv,
     write_roc_csv,
 )
@@ -195,16 +195,20 @@ def test_roc_needs_two_thresholds():
 
 # ---------------------------------------------------------------- best F
 
+def sweep_best_f(S, truth, taus, kernel=1):
+    return best_f_from_counts(taus, sweep_counts(S, truth, taus, kernel))
+
+
 def test_best_f_single_tau():
     S, truth = separable_instance(seed=4)
-    tau, f = best_f_over_thresholds(S, truth, [0.5])
+    tau, f = sweep_best_f(S, truth, [0.5])
     assert tau == 0.5
     assert f == pytest.approx(1.0)
 
 
 def test_best_f_perfect_instance():
     S, truth = separable_instance(seed=6)
-    tau, f = best_f_over_thresholds(S, truth)
+    tau, f = sweep_best_f(S, truth, tau_grid(float(S.values.max())))
     assert f == pytest.approx(1.0)
     assert 0.35 <= tau <= 0.6
 
@@ -215,7 +219,7 @@ def test_best_f_tie_takes_smallest_tau():
     truth = ForegroundMaskSequence(
         np.array([[[True], [False]], [[True], [False]]]), tau=None
     )
-    tau, f = best_f_over_thresholds(S, truth, [0.2, 0.5, 0.8])
+    tau, f = sweep_best_f(S, truth, [0.2, 0.5, 0.8])
     assert f == pytest.approx(1.0)
     assert tau == 0.2
 
@@ -272,7 +276,7 @@ def test_best_f_equals_per_threshold_loop(instance):
         f = f_measure(ConfusionCounts(*row))
         if f > best_f:
             best_tau, best_f = float(tau), f
-    assert best_f_over_thresholds(S, truth, taus, kernel) == (best_tau, best_f)
+    assert sweep_best_f(S, truth, taus, kernel) == (best_tau, best_f)
 
 
 def test_sweep_counts_rejects_mismatched_truth_and_even_kernel():
@@ -287,10 +291,12 @@ def test_sweep_counts_rejects_mismatched_truth_and_even_kernel():
 
 def test_default_taus_span_residual_range():
     S = ResidualSequence(np.linspace(0, 0.8, 8).reshape(4, 2), 2, 2)
-    taus = default_taus(S, 5)
+    taus = tau_grid(float(S.values.max()), 5)
     assert taus[0] == 0.0
     assert taus[-1] == pytest.approx(0.8)
     assert len(taus) == 5
+    # an all-zero residual still gets a grid of distinct thresholds
+    assert np.array_equal(tau_grid(0.0, 5), np.linspace(0.0, 1.0, 5))
 
 
 def test_csv_round_trips(tmp_path):

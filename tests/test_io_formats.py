@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dmdmotion.background import ForegroundMaskSequence
 from dmdmotion.dmd import MEDIAN_FRAME, SnapshotMatrix, rdmd
@@ -129,6 +131,50 @@ def test_pgm_rejects_out_of_range_pixels():
         save_pgm("/dev/null", np.array([[300]]), maxval=255)
 
 
+# Arbitrary header tokens, including ones that join or comment out their
+# neighbours, and separators that the header grammar allows.
+PGM_TOKENS = st.one_of(
+    st.sampled_from([b"", b"#x", b"1_0", b"0x10", b"1e2", b"+3", b"\xff", b"P2"]),
+    st.binary(min_size=1, max_size=4),
+)
+PGM_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" #note\n"])
+
+
+@st.composite
+def pgm_files(draw):
+    """P5 files whose width, height and maxval are numbers or arbitrary tokens."""
+
+    def field(numbers):
+        if draw(st.integers(0, 3)) == 0:
+            return draw(PGM_TOKENS)
+        return str(draw(st.sampled_from(numbers))).encode()
+
+    fields = [field([-1, 0, 1, 2, 3, 10**20]), field([-1, 0, 1, 2, 3, 10**20]),
+              field([0, 1, 255, 256, 65535, 65536])]
+    seps = [draw(PGM_SEPARATORS) for _ in range(4)]
+    header = b"P5" + b"".join(sep + f for sep, f in zip(seps, fields)) + seps[3]
+    # Half the rasters hold enough 0/1 bytes for 3x3 16-bit pixels.
+    small_pixels = st.binary(min_size=18, max_size=18).map(lambda b: bytes(v % 2 for v in b))
+    return header + draw(st.one_of(st.binary(max_size=40), small_pixels))
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=pgm_files())
+@example(data=b"P5 2 1\n255\n\x00\x07")
+@example(data=b"P5\n1 1\n300\n\x01\x2d")
+def test_pgm_fuzzed_header_loads_or_raises_value_error(tmp_path, data):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        img, maxval = load_pgm(str(path))
+    except ValueError:
+        return
+    assert img.ndim == 2 and img.size >= 1
+    assert 1 <= maxval <= 65535
+    assert img.max() <= maxval
+
+
 # ------------------------------------------------------------------ frames
 
 def test_frames_round_trip_is_exact(tmp_path):
@@ -204,13 +250,13 @@ def test_masks_custom_stems(tmp_path):
 
 # ------------------------------------------------------------------ decompositions
 
-def fitted_decomposition(spans=None):
+def fitted_decomposition():
     spec = SyntheticSpec(frame_height=8, frame_width=8, n_frames=24,
                          objects=(MovingRect(2.0, 1.0, 3, 3, 1.0, (0.0, 0.2)),),
                          noise_sigma=0.02, seed=5)
     D, _ = generate_synthetic(spec)
     return rdmd(D, SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=6),
-                anchor=MEDIAN_FRAME, amplitude_span=spans)
+                anchor=MEDIAN_FRAME)
 
 
 def test_decomposition_round_trip(tmp_path):
@@ -225,18 +271,15 @@ def test_decomposition_round_trip(tmp_path):
     assert (back.frame_height, back.frame_width) == (8, 8)
     assert back.anchor == dec.anchor
     assert back.seed == dec.seed
-    assert back.amplitude_spans is None
 
 
-def test_decomposition_round_trip_with_spans(tmp_path):
-    dec = fitted_decomposition(spans=8)
-    assert dec.amplitude_spans is not None
-    save_decomposition(str(tmp_path), dec)
-    back = load_decomposition(str(tmp_path))
-    assert len(back.amplitude_spans) == len(dec.amplitude_spans)
-    for (s0, e0, b0), (s1, e1, b1) in zip(back.amplitude_spans, dec.amplitude_spans):
-        assert (s0, e0) == (s1, e1)
-        assert np.array_equal(b0, b1)
+def test_decomposition_rejects_spans_manifest(tmp_path):
+    # A manifest with per-span amplitudes must not load as whole-sequence ones.
+    save_decomposition(str(tmp_path), fitted_decomposition())
+    with open(tmp_path / "manifest.txt", "a") as fh:
+        fh.write("spans 0:8,8:16,16:24\n")
+    with pytest.raises(ValueError, match="per-span amplitudes"):
+        load_decomposition(str(tmp_path))
 
 
 def test_decomposition_rejects_foreign_manifest(tmp_path):

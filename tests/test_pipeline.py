@@ -1,6 +1,5 @@
-"""End-to-end pipeline: chunking, sweeps, outputs, benchmark harness."""
+"""End-to-end pipeline: chunking, sweeps, outputs."""
 
-import csv
 import os
 
 import numpy as np
@@ -14,16 +13,9 @@ from dmdmotion.background import (
     threshold_mask,
 )
 from dmdmotion.dmd import SnapshotMatrix, rdmd
-from dmdmotion.io_formats import load_matrix, save_frames, save_pgm
+from dmdmotion.io_formats import load_matrix, save_frames, save_masks, save_pgm
 from dmdmotion.linalg import SketchConfig
-from dmdmotion.pipeline import (
-    RunConfig,
-    benchmark_svd,
-    chunk_bounds,
-    render_report,
-    run_bgsub,
-    write_benchmark_csv,
-)
+from dmdmotion.pipeline import RunConfig, chunk_bounds, render_report, run_bgsub
 from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
 
 SQUARE = SyntheticSpec(
@@ -132,7 +124,7 @@ def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
                         for i in range(2)], axis=1),
         SQUARE.frame_height, SQUARE.frame_width,
     )
-    taus = ev.default_taus(S, cfg.sweep_size)
+    taus = ev.tau_grid(float(S.values.max()), cfg.sweep_size)
 
     def counts(tau, kernel):
         masks = threshold_mask(S, float(tau)).masks
@@ -199,11 +191,16 @@ def test_failed_chunk_is_contained(tmp_path):
     spec = SyntheticSpec(frame_height=10, frame_width=10, n_frames=30,
                          objects=(MovingRect(3.0, 1.0, 3, 3, 1.0, (0.0, 0.25)),),
                          seed=2)
-    D, _ = generate_synthetic(spec)
+    D, truth = generate_synthetic(spec)
     frames = np.concatenate([np.zeros_like(D.data), D.data], axis=1)
     stacked = SnapshotMatrix(frames, 10, 10, 1.0)
     save_frames(str(tmp_path / "frames"), stacked)
+    # truth marks the object in both halves, so scoring the failed chunk's
+    # empty masks would add false negatives
+    save_masks(str(tmp_path / "truth"), ForegroundMaskSequence(
+        np.concatenate([truth.masks, truth.masks])))
     cfg = RunConfig(frames=str(tmp_path / "frames" / "frame_*.pgm"),
+                    truth=str(tmp_path / "truth" / "*.pgm"),
                     k=4, p=2, q=1, chunk_length=30, tau=0.3,
                     output_dir=str(tmp_path / "out"))
     report = run_bgsub(cfg)
@@ -216,6 +213,10 @@ def test_failed_chunk_is_contained(tmp_path):
     assert report.masks.masks[30:].any()
     text = (tmp_path / "out" / "report.txt").read_text()
     assert "FAILED" in text
+    # the final rates score only the frames of the chunks that ran
+    rates = ev.evaluate_masks(ForegroundMaskSequence(report.masks.masks[30:]), truth)
+    for key in ("recall", "precision", "specificity", "f_measure"):
+        assert report.summary[key] == rates[key]
 
 
 def test_mask_files_named_after_input_frames(tmp_path):
@@ -254,23 +255,3 @@ def test_outputs_include_decomposition_dirs(tmp_path):
     # synthetic input carries its own truth, so the sweep files appear too
     assert (tmp_path / "roc.csv").exists()
     assert (tmp_path / "metrics.csv").exists()
-
-
-# ------------------------------------------------------------------ benchmark
-
-def test_benchmark_rows_and_csv(tmp_path):
-    rows = benchmark_svd(shapes=[(60, 40)], ranks=[5], seeds=[0],
-                         qs=[0, 2], repeats=1)
-    assert len(rows) == 2
-    by_q = {r.q: r for r in rows}
-    assert by_q[2].randomized_error <= by_q[0].randomized_error + 1e-12
-    for r in rows:
-        assert r.deterministic_error >= 0.0
-        assert r.randomized_error >= r.deterministic_error - 1e-12
-    path = str(tmp_path / "bench.csv")
-    write_benchmark_csv(path, rows)
-    with open(path) as fh:
-        parsed = list(csv.DictReader(fh))
-    assert len(parsed) == 2
-    assert parsed[0]["rows"] == "60"
-    assert float(parsed[0]["randomized_error"]) == rows[0].randomized_error
