@@ -1,5 +1,6 @@
 """End-to-end pipeline: chunking, sweeps, outputs."""
 
+import csv
 import os
 
 import numpy as np
@@ -12,6 +13,7 @@ from dmdmotion.background import (
     median_filter,
     threshold_mask,
 )
+from dmdmotion.cli import _time_svds, main
 from dmdmotion.dmd import SnapshotMatrix, rdmd
 from dmdmotion.io_formats import load_matrix, save_frames, save_masks, save_pgm
 from dmdmotion.linalg import SketchConfig
@@ -255,3 +257,27 @@ def test_outputs_include_decomposition_dirs(tmp_path):
     # synthetic input carries its own truth, so the sweep files appear too
     assert (tmp_path / "roc.csv").exists()
     assert (tmp_path / "metrics.csv").exists()
+
+
+def test_benchmark_rows_and_csv(tmp_path):
+    rows = _time_svds(shapes=[(60, 40)], ranks=[5], seeds=[0], qs=[0, 2], repeats=1)
+    assert len(rows) == 2
+    by_q = {r.q: r for r in rows}
+    assert by_q[2].randomized_error <= by_q[0].randomized_error + 1e-12
+    for r in rows:
+        assert r.deterministic_error >= 0.0
+        assert r.randomized_error >= r.deterministic_error - 1e-12
+    path = str(tmp_path / "bench.csv")
+    assert main(["svd", "--shapes", "60x40", "--ranks", "5", "--qs", "0,2",
+                 "--repeats", "1", "--seeds", "0", "--out", path]) == 0
+    with open(path) as fh:
+        parsed = list(csv.DictReader(fh))
+    assert len(parsed) == 2
+    assert parsed[0]["rows"] == "60"
+    # errors are seeded, and floats are written with repr, so they read back exactly
+    for row, text in zip(rows, parsed):
+        assert float(text["randomized_error"]) == row.randomized_error
+        assert float(text["deterministic_error"]) == row.deterministic_error
+        for col in ("deterministic_seconds", "randomized_seconds",
+                    "deterministic_error", "randomized_error"):
+            assert repr(float(text[col])) == text[col]
