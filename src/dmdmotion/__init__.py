@@ -33,12 +33,9 @@ from .evaluation import (
     ConfusionCounts,
     RocCurve,
     confusion,
-    f_measure,
     f_measure_from_rates,
-    precision,
-    recall,
+    rates,
     roc_curve,
-    specificity,
     sweep_counts,
 )
 from .linalg import (
@@ -88,11 +85,8 @@ __all__ = [
     "ConfusionCounts",
     "RocCurve",
     "confusion",
-    "recall",
-    "precision",
-    "specificity",
-    "f_measure",
     "f_measure_from_rates",
+    "rates",
     "roc_curve",
     "sweep_counts",
     "MovingRect",

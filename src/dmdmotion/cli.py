@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluation as ev
 from .background import fourier_modes
-from .dmd import rdmd
+from .dmd import FIRST_FRAME, MEDIAN_FRAME, rdmd
 from .errors import DegenerateDataError
 from .io_formats import (
     load_frames,
@@ -43,13 +43,13 @@ EXIT_NUMERIC = 5
 
 
 def _parse_anchor(value: str):
-    if value in ("first", "median"):
+    if value in (FIRST_FRAME, MEDIAN_FRAME):
         return value
     try:
         return int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"anchor must be 'first', 'median' or a frame index, got {value!r}"
+            f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index, got {value!r}"
         )
 
 
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--k", type=int, default=11)
     dec.add_argument("--p", type=int, default=2)
     dec.add_argument("--q", type=int, default=1)
-    dec.add_argument("--anchor", type=_parse_anchor, default="median")
+    dec.add_argument("--anchor", type=_parse_anchor, default=MEDIAN_FRAME)
     dec.add_argument("--seed", type=int, required=True)
     dec.set_defaults(func=_cmd_decompose)
 
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bgsub.add_argument("--p", type=int, default=2)
     bgsub.add_argument("--q", type=int, default=1)
     bgsub.add_argument("--n-background", type=int, default=3)
-    bgsub.add_argument("--anchor", type=_parse_anchor, default="median")
+    bgsub.add_argument("--anchor", type=_parse_anchor, default=MEDIAN_FRAME)
     bgsub.add_argument("--tau", type=float, help="fixed threshold; omit to sweep (needs --truth)")
     bgsub.add_argument("--sweep-size", type=int, default=51)
     bgsub.add_argument("--median-kernel", type=int, default=3)
@@ -173,7 +173,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    D = load_frames(args.frames)
+    D, _ = load_frames(args.frames)
     cfg = SketchConfig(rank=args.k, oversampling=args.p, subspace_iters=args.q, seed=args.seed)
     dec = rdmd(D, cfg, anchor=args.anchor)
     save_decomposition(args.out, dec)
@@ -212,16 +212,14 @@ def _cmd_bgsub(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    predicted = load_masks(args.masks)
-    truth = load_masks(args.truth)
-    c = ev.confusion(predicted, truth)
-    rates = ev.evaluate_masks(predicted, truth)
+    c = ev.confusion(load_masks(args.masks), load_masks(args.truth))
+    rates = ev.rates(c)
     print(
         f"tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn} "
         f"recall={rates['recall']:.6f} precision={rates['precision']:.6f} "
         f"specificity={rates['specificity']:.6f} f_measure={rates['f_measure']:.6f}"
     )
-    if rates["undefined_rates"]:
+    if c.undefined_rates:
         print("note: at least one rate had a zero denominator and was reported as 0")
     if args.out:
         ev.write_metrics_csv(args.out, [ev.metrics_row(float("nan"), c)])

@@ -19,14 +19,10 @@ from .background import ForegroundMaskSequence, ResidualSequence
 
 __all__ = [
     "ConfusionCounts",
-    "RocPoint",
     "RocCurve",
     "confusion",
-    "recall",
-    "precision",
-    "specificity",
-    "f_measure",
     "f_measure_from_rates",
+    "rates",
     "evaluate_masks",
     "metrics_row",
     "tau_grid",
@@ -50,8 +46,9 @@ class ConfusionCounts:
             raise ValueError("confusion counts must be nonnegative")
 
     @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+    def undefined_rates(self) -> bool:
+        """True when a rate has a zero denominator, which rates reports as 0."""
+        return 0 in (self.tp + self.fn, self.tp + self.fp, self.tn + self.fp)
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
@@ -63,25 +60,23 @@ class ConfusionCounts:
 
 
 @dataclass(frozen=True)
-class RocPoint:
-    one_minus_specificity: float
-    recall: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class RocCurve:
-    """Operating points ordered by descending tau, (0,0) and (1,1) appended."""
+    """Operating points ordered by descending tau, (0,0) and (1,1) appended.
 
-    points: tuple[RocPoint, ...]
+    taus, fpr (1 - specificity) and tpr (recall) are parallel arrays; the
+    virtual endpoints sit at tau = +inf and -inf.
+    """
+
+    taus: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
     auc: float
 
     def __post_init__(self) -> None:
-        for p in self.points:
-            if not (0.0 <= p.one_minus_specificity <= 1.0 and 0.0 <= p.recall <= 1.0):
+        for coords in (self.fpr, self.tpr):
+            if not np.all((coords >= 0.0) & (coords <= 1.0)):
                 raise ValueError("ROC coordinates must lie in [0, 1]")
-        taus = [p.tau for p in self.points]
-        if any(a < b for a, b in zip(taus, taus[1:])):
+        if np.any(np.diff(self.taus) > 0):
             raise ValueError("ROC points must be ordered by descending tau")
         if not -1e-12 <= self.auc <= 1.0 + 1e-12:
             raise ValueError(f"auc {self.auc} outside [0, 1]")
@@ -95,28 +90,18 @@ class RocCurve:
         virtual endpoints for the infinite and zero-threshold extremes. The
         area comes from the trapezoidal rule.
         """
-        unique, rows = _unique_rows(taus, counts)
-        if rows and rows[0].tp + rows[0].fn == 0:
+        unique, first = np.unique(np.asarray(taus, dtype=np.float64), return_index=True)
+        tp, fp, tn, fn = counts[first[::-1]].T
+        if unique.size and tp[0] + fn[0] == 0:
             raise ValueError("truth contains no foreground pixels")
-        if rows and rows[0].tn + rows[0].fp == 0:
+        if unique.size and tn[0] + fp[0] == 0:
             raise ValueError("truth contains no background pixels")
         if unique.size < 2:
             raise ValueError(f"need at least 2 distinct thresholds, got {unique.size}")
-        points = [RocPoint(0.0, 0.0, np.inf)]
-        for tau, c in zip(unique[::-1], rows[::-1]):
-            points.append(RocPoint(1.0 - specificity(c), recall(c), float(tau)))
-        points.append(RocPoint(1.0, 1.0, -np.inf))
-        fpr = np.array([p.one_minus_specificity for p in points])
-        tpr = np.array([p.recall for p in points])
-        return cls(tuple(points), float(np.trapezoid(tpr, fpr)))
-
-    @property
-    def fpr(self) -> np.ndarray:
-        return np.array([p.one_minus_specificity for p in self.points])
-
-    @property
-    def tpr(self) -> np.ndarray:
-        return np.array([p.recall for p in self.points])
+        fpr = np.concatenate([[0.0], 1.0 - tn / (tn + fp), [1.0]])
+        tpr = np.concatenate([[0.0], tp / (tp + fn), [1.0]])
+        taus = np.concatenate([[np.inf], unique[::-1], [-np.inf]])
+        return cls(taus, fpr, tpr, float(np.trapezoid(tpr, fpr)))
 
 
 def confusion(
@@ -136,22 +121,8 @@ def confusion(
     return ConfusionCounts(tp, fp, tn, fn)
 
 
-def _rate(num: int, den: int) -> tuple[float, bool]:
-    if den == 0:
-        return 0.0, True
-    return num / den, False
-
-
-def recall(c: ConfusionCounts) -> float:
-    return _rate(c.tp, c.tp + c.fn)[0]
-
-
-def precision(c: ConfusionCounts) -> float:
-    return _rate(c.tp, c.tp + c.fp)[0]
-
-
-def specificity(c: ConfusionCounts) -> float:
-    return _rate(c.tn, c.tn + c.fp)[0]
+def _rate(num: int, den: int) -> float:
+    return num / den if den else 0.0
 
 
 def f_measure_from_rates(r: float, p: float) -> float:
@@ -161,8 +132,16 @@ def f_measure_from_rates(r: float, p: float) -> float:
     return 2.0 * r * p / (r + p)
 
 
-def f_measure(c: ConfusionCounts) -> float:
-    return f_measure_from_rates(recall(c), precision(c))
+def rates(c: ConfusionCounts) -> dict[str, float]:
+    """Recall, precision, specificity and F; a zero-denominator rate is 0."""
+    r = _rate(c.tp, c.tp + c.fn)
+    p = _rate(c.tp, c.tp + c.fp)
+    return {
+        "recall": r,
+        "precision": p,
+        "specificity": _rate(c.tn, c.tn + c.fp),
+        "f_measure": f_measure_from_rates(r, p),
+    }
 
 
 def evaluate_masks(
@@ -170,31 +149,12 @@ def evaluate_masks(
 ) -> dict[str, float | bool]:
     """All four rates plus a flag recording any zero-denominator fallback."""
     c = confusion(predicted, truth)
-    r, r_undef = _rate(c.tp, c.tp + c.fn)
-    p, p_undef = _rate(c.tp, c.tp + c.fp)
-    s, s_undef = _rate(c.tn, c.tn + c.fp)
-    return {
-        "recall": r,
-        "precision": p,
-        "specificity": s,
-        "f_measure": f_measure_from_rates(r, p),
-        "undefined_rates": r_undef or p_undef or s_undef,
-    }
+    return {**rates(c), "undefined_rates": c.undefined_rates}
 
 
 def metrics_row(tau: float, c: ConfusionCounts) -> dict[str, object]:
     """One CSV row: raw counts plus the derived rates at a threshold."""
-    return {
-        "tau": tau,
-        "tp": c.tp,
-        "fp": c.fp,
-        "tn": c.tn,
-        "fn": c.fn,
-        "recall": recall(c),
-        "precision": precision(c),
-        "specificity": specificity(c),
-        "f_measure": f_measure(c),
-    }
+    return {"tau": tau, "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn, **rates(c)}
 
 
 def tau_grid(top: float, n: int = 51) -> np.ndarray:
@@ -250,21 +210,14 @@ def sweep_counts(
     return counts
 
 
-def _unique_rows(
-    taus: Sequence[float], counts: np.ndarray
-) -> tuple[np.ndarray, list[ConfusionCounts]]:
-    """Distinct taus ascending, each with its row of counts as ConfusionCounts."""
-    unique, first = np.unique(np.asarray(taus, dtype=np.float64), return_index=True)
-    return unique, [ConfusionCounts(*row) for row in counts[first].tolist()]
-
-
 def best_f_from_counts(taus: Sequence[float], counts: np.ndarray) -> tuple[float, float]:
     """(tau, F) maximizing F over the rows of sweep_counts; ties keep the smallest tau."""
     best_tau, best_f = 0.0, -1.0
-    for tau, c in zip(*_unique_rows(taus, counts)):
-        f = f_measure(c)
+    unique, first = np.unique(np.asarray(taus, dtype=np.float64), return_index=True)
+    for tau, row in zip(unique.tolist(), counts[first].tolist()):
+        f = rates(ConfusionCounts(*row))["f_measure"]
         if f > best_f:
-            best_tau, best_f = float(tau), f
+            best_tau, best_f = tau, f
     return best_tau, best_f
 
 
@@ -292,8 +245,8 @@ def write_roc_csv(path: str, curve: RocCurve) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "one_minus_specificity", "recall"])
-        for p in curve.points:
-            writer.writerow([repr(p.tau), repr(p.one_minus_specificity), repr(p.recall)])
+        for row in zip(curve.taus.tolist(), curve.fpr.tolist(), curve.tpr.tolist()):
+            writer.writerow([repr(v) for v in row])
         fh.write(f"# auc={curve.auc!r}\n")
 
 

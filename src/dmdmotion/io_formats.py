@@ -37,6 +37,8 @@ __all__ = [
 
 MAGIC_REAL = b"RDMDMAT1"
 MAGIC_COMPLEX = b"RDMDCPX1"
+# Entry type per container; "<c16" is the (real, imag) float64 pair.
+_ENTRY = {MAGIC_REAL: np.dtype("<f8"), MAGIC_COMPLEX: np.dtype("<c16")}
 
 _MANIFEST = "manifest.txt"
 
@@ -47,33 +49,24 @@ def save_matrix(path: str, A: np.ndarray) -> None:
     if A.ndim != 2:
         raise ValueError(f"matrix container stores 2-d arrays, got shape {A.shape}")
     rows, cols = A.shape
-    complex_data = np.iscomplexobj(A)
+    magic = MAGIC_COMPLEX if np.iscomplexobj(A) else MAGIC_REAL
     with open(path, "wb") as fh:
-        fh.write(MAGIC_COMPLEX if complex_data else MAGIC_REAL)
+        fh.write(magic)
         fh.write(struct.pack("<QQ", rows, cols))
-        if complex_data:
-            interleaved = np.empty((rows, 2 * cols), dtype="<f8")
-            interleaved[:, 0::2] = A.real
-            interleaved[:, 1::2] = A.imag
-            fh.write(interleaved.tobytes())
-        else:
-            fh.write(np.ascontiguousarray(A, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(A, dtype=_ENTRY[magic]).tobytes())
 
 
 def load_matrix(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(8)
-        if magic not in (MAGIC_REAL, MAGIC_COMPLEX):
+        if magic not in _ENTRY:
             raise ValueError(f"{path}: unrecognized matrix container magic {magic!r}")
         rows, cols = struct.unpack("<QQ", fh.read(16))
-        per_entry = 16 if magic == MAGIC_COMPLEX else 8
-        body = fh.read(rows * cols * per_entry)
-    if len(body) != rows * cols * per_entry:
+        entry = _ENTRY[magic]
+        body = fh.read(rows * cols * entry.itemsize)
+    if len(body) != rows * cols * entry.itemsize:
         raise ValueError(f"{path}: truncated matrix body")
-    flat = np.frombuffer(body, dtype="<f8")
-    if magic == MAGIC_COMPLEX:
-        return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)
-    return flat.reshape(rows, cols).copy()
+    return np.frombuffer(body, dtype=entry).reshape(rows, cols).copy()
 
 
 def _parse_pgm_header(data: bytes, path: str) -> tuple[int, int, int, int]:
@@ -138,11 +131,12 @@ def save_pgm(path: str, img: np.ndarray, maxval: int = 255) -> None:
         fh.write(img.astype(dtype).tobytes())
 
 
-def load_frames(pattern: str, dt: float = 1.0) -> SnapshotMatrix:
+def load_frames(pattern: str, dt: float = 1.0) -> tuple[SnapshotMatrix, list[str]]:
     """Assemble a snapshot matrix from the PGM files matching a glob pattern.
 
     Files are taken in lexicographic order; each becomes one column, flattened
-    row-major and normalized to [0, 1] by its maxval.
+    row-major and normalized to [0, 1] by its maxval. Returns the matrix and
+    the file paths in column order.
     """
     paths = sorted(glob.glob(pattern))
     if len(paths) < 2:
@@ -159,12 +153,13 @@ def load_frames(pattern: str, dt: float = 1.0) -> SnapshotMatrix:
             )
         columns.append(img.reshape(-1).astype(np.float64) / maxval)
     height, width = geometry
-    return SnapshotMatrix(
+    D = SnapshotMatrix(
         data=np.stack(columns, axis=1),
         frame_height=height,
         frame_width=width,
         dt=dt,
     )
+    return D, paths
 
 
 def save_frames(

@@ -9,6 +9,7 @@ masks; the other chunks proceed.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import background as bg
 from . import evaluation as ev
-from .dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
+from .dmd import FIRST_FRAME, MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
 from .errors import DegenerateDataError
 from .linalg import SketchConfig
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -75,6 +76,13 @@ class RunConfig:
             raise ValueError("sweep_size must be >= 2")
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 1")
+        if self.anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (
+            isinstance(self.anchor, (int, np.integer)) and self.anchor >= 0
+        ):
+            raise ValueError(
+                f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index "
+                f">= 0, got {self.anchor!r}"
+            )
 
     @property
     def min_chunk_frames(self) -> int:
@@ -128,14 +136,18 @@ def chunk_bounds(n_frames: int, chunk_length: int, min_frames: int) -> list[tupl
     return bounds
 
 
-def _load_input(cfg: RunConfig) -> tuple[SnapshotMatrix, bg.ForegroundMaskSequence | None]:
+def _load_input(
+    cfg: RunConfig,
+) -> tuple[SnapshotMatrix, bg.ForegroundMaskSequence | None, list[str] | None]:
+    """Frames, truth if given, and mask file stems named after the frame files."""
     if cfg.synthetic is not None:
-        return generate_synthetic(cfg.synthetic)
+        return *generate_synthetic(cfg.synthetic), None
     from .io_formats import load_frames, load_masks
 
-    D = load_frames(cfg.frames)
+    D, paths = load_frames(cfg.frames)
     truth = load_masks(cfg.truth) if cfg.truth is not None else None
-    return D, truth
+    stems = [os.path.splitext(os.path.basename(p))[0] + "_mask" for p in paths]
+    return D, truth, stems
 
 
 def _run_chunk(
@@ -196,7 +208,7 @@ def _run_chunk(
 def run_bgsub(cfg: RunConfig) -> RunReport:
     """Decompose, model, threshold and evaluate; see the module docstring."""
     t_run = time.perf_counter()
-    D, truth = _load_input(cfg)
+    D, truth, stems = _load_input(cfg)
     if cfg.tau is None and truth is None:
         raise ValueError("threshold sweep needs ground truth; pass a fixed tau instead")
     if truth is not None and truth.masks.shape != (D.n_frames, D.frame_height, D.frame_width):
@@ -205,11 +217,14 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             f"truth has {n} masks of {h}x{w} for {D.n_frames} frames of "
             f"{D.frame_height}x{D.frame_width}"
         )
+    n_pixels = D.frame_height * D.frame_width
+    if cfg.k + cfg.p > n_pixels:
+        raise ValueError(f"k+p = {cfg.k + cfg.p} exceeds the {n_pixels} pixels of a frame")
     bounds = chunk_bounds(D.n_frames, cfg.chunk_length, cfg.min_chunk_frames)
     # An integer anchor addresses a frame of each chunk's left sequence, which
     # is one frame shorter than the chunk.
     shortest = min(stop - start for start, stop in bounds)
-    if isinstance(cfg.anchor, (int, np.integer)) and not 0 <= cfg.anchor < shortest - 1:
+    if isinstance(cfg.anchor, (int, np.integer)) and cfg.anchor >= shortest - 1:
         raise ValueError(
             f"anchor frame {cfg.anchor} outside [0, {shortest - 1}) of the "
             f"shortest chunk ({shortest} frames)"
@@ -238,6 +253,14 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             if sweep_filtered:
                 filtered += ev.sweep_counts(S, truth_of(c), taus, cfg.median_kernel)
 
+    # A curve needs both truth classes. Without one, a sweep fails in
+    # from_counts and a fixed-tau run writes no roc.csv.
+    roc = None
+    if raw is not None:
+        tp, fp, tn, fn = raw[0].tolist()
+        if tau is None or (tp + fn > 0 and tn + fp > 0):
+            roc = ev.RocCurve.from_counts(taus, raw)
+
     summary: dict[str, float] | None = None
     if tau is None:
         best_tau, best_f = ev.best_f_from_counts(taus, raw)
@@ -247,7 +270,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             "best_f_raw": best_f,
             "best_tau_filtered": tau,
             "best_f_filtered": filt_f,
-            "auc": ev.RocCurve.from_counts(taus, raw).auc,
+            "auc": roc.auc,
         }
 
     chunks: list[ChunkResult] = []
@@ -264,15 +287,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         chunks.append(c)
     masks = bg.ForegroundMaskSequence(mask_frames, tau=tau) if ran else None
     if ran and truth is not None:
-        summary = dict(summary or {})
-        summary.update(
-            {
-                "recall": ev.recall(final_counts),
-                "precision": ev.precision(final_counts),
-                "specificity": ev.specificity(final_counts),
-                "f_measure": ev.f_measure(final_counts),
-            }
-        )
+        summary = {**(summary or {}), **ev.rates(final_counts)}
 
     report = RunReport(
         config=cfg,
@@ -286,14 +301,11 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         total_seconds=time.perf_counter() - t_run,
     )
     if cfg.output_dir is not None:
-        _write_outputs(cfg, report, runs, taus, raw)
+        _write_outputs(cfg, report, runs, stems, taus, raw, roc)
     return report
 
 
-def _write_outputs(cfg, report, runs, taus, raw) -> None:
-    import glob as globmod
-    import os
-
+def _write_outputs(cfg, report, runs, stems, taus, raw, roc) -> None:
     from .io_formats import save_decomposition, save_masks, save_matrix
 
     out = cfg.output_dir
@@ -306,13 +318,6 @@ def _write_outputs(cfg, report, runs, taus, raw) -> None:
             fh.write(f"{c.index},{c.decompose_seconds!r},{c.mask_seconds!r}\n")
         fh.write(f"total,{report.total_seconds!r},0.0\n")
     if report.masks is not None:
-        stems = None
-        if cfg.frames is not None:
-            names = sorted(globmod.glob(cfg.frames))
-            if len(names) == report.masks.n_frames:
-                stems = [
-                    os.path.splitext(os.path.basename(p))[0] + "_mask" for p in names
-                ]
         save_masks(os.path.join(out, "masks"), report.masks, stems)
     for c, S, dec in runs:
         if dec is None:
@@ -326,10 +331,8 @@ def _write_outputs(cfg, report, runs, taus, raw) -> None:
             for t, row in zip(taus, raw.tolist())
         ]
         ev.write_metrics_csv(os.path.join(out, "metrics.csv"), rows)
-        tp, fp, tn, fn = raw[0]
-        # A curve needs both truth classes; metrics rows alone cover the rest.
-        if tp + fn > 0 and tn + fp > 0:
-            ev.write_roc_csv(os.path.join(out, "roc.csv"), ev.RocCurve.from_counts(taus, raw))
+    if roc is not None:
+        ev.write_roc_csv(os.path.join(out, "roc.csv"), roc)
 
 
 def render_report(report: RunReport) -> str:

@@ -3,9 +3,12 @@
 import csv
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdmotion.cli import main
 from dmdmotion.io_formats import load_decomposition, load_masks, save_pgm
@@ -185,6 +188,24 @@ def test_bad_sketch_configuration_exits_2(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_bgsub_sketch_larger_than_a_frame_exits_2(tmp_path, capsys):
+    # 3x3 frames hold 9 pixels, fewer than the default k+p = 13.
+    main(["synth", "--out", str(tmp_path / "vid"), "--height", "3", "--width", "3",
+          "--frames", "30", "--seed", "7"])
+    capsys.readouterr()
+    for tau in (["--tau", "0.2"], []):
+        code = main([
+            "bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+            "--truth", str(tmp_path / "vid" / "truth" / "*.pgm"),
+            "--out", str(tmp_path / "out"), "--chunk-length", "30", "--seed", "0", *tau,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "k+p = 13 exceeds the 9 pixels of a frame" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
 def test_blocked_output_path_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
@@ -240,3 +261,46 @@ def test_svd_benchmark_csv(tmp_path, capsys):
     assert [(r["rows"], r["cols"], r["k"], r["q"]) for r in rows] == [
         ("80", "40", "5", "0"), ("80", "40", "5", "2")
     ]
+
+
+@st.composite
+def tiny_runs(draw):
+    """synth and bgsub arguments for a few tiny frames with random settings."""
+    h, w, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    coord, speed = st.integers(-2, 6), st.sampled_from([-0.5, 0.0, 0.25, 1.0])
+    rects = [
+        f"{draw(coord)},{draw(coord)},{draw(st.integers(1, 4))},{draw(st.integers(1, 4))},"
+        f"{draw(st.sampled_from([0.0, 0.3, 1.0]))},{draw(speed)},{draw(speed)}"
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    synth = ["--height", str(h), "--width", str(w), "--frames", str(n),
+             "--noise", draw(st.sampled_from(["0", "0.05"])),
+             "--seed", str(draw(st.integers(0, 3)))]
+    # "--rect=" keeps a negative first coordinate from reading as an option.
+    synth += [f"--rect={r}" for r in rects]
+    bgsub = ["--chunk-length", str(draw(st.integers(2, 40))),
+             "--k", str(draw(st.integers(1, 6))), "--p", str(draw(st.integers(0, 2))),
+             "--q", str(draw(st.integers(0, 2))),
+             "--n-background", str(draw(st.integers(1, 3))),
+             "--anchor", draw(st.sampled_from(["first", "median", "0", "4"])),
+             "--median-kernel", draw(st.sampled_from(["1", "3"])),
+             "--seed", str(draw(st.integers(0, 3)))]
+    tau = draw(st.sampled_from([None, "0", "0.1"]))
+    if tau is not None:
+        bgsub += ["--tau", tau]
+    return (n, h, w), synth, bgsub
+
+
+@settings(deadline=None, max_examples=50)
+@given(tiny_runs())
+def test_fuzzed_tiny_runs_exit_cleanly_with_one_mask_per_frame(run):
+    shape, synth, bgsub = run
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["synth", "--out", tmp, *synth]) == 0
+        code = main(["bgsub", "--frames", os.path.join(tmp, "frames", "*.pgm"),
+                     "--truth", os.path.join(tmp, "truth", "*.pgm"),
+                     "--out", os.path.join(tmp, "out"), *bgsub])
+        assert code in (0, 2, 3)
+        if code == 0:
+            masks = load_masks(os.path.join(tmp, "out", "masks", "*.pgm"))
+            assert masks.masks.shape == shape

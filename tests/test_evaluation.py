@@ -19,13 +19,10 @@ from dmdmotion.evaluation import (
     best_f_from_counts,
     confusion,
     evaluate_masks,
-    f_measure,
     f_measure_from_rates,
     metrics_row,
-    precision,
-    recall,
+    rates,
     roc_curve,
-    specificity,
     sweep_counts,
     tau_grid,
     write_metrics_csv,
@@ -70,19 +67,18 @@ def test_confusion_counts_validation():
         ConfusionCounts(1, -1, 0, 0)
     total = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(5, 0, 0, 1)
     assert (total.tp, total.fp, total.tn, total.fn) == (6, 2, 3, 5)
-    assert total.total == 16
 
 
 # ---------------------------------------------------------------- rates
 
 def test_recall_simple():
-    assert recall(ConfusionCounts(tp=9, fp=0, tn=0, fn=1)) == pytest.approx(0.9)
+    assert rates(ConfusionCounts(tp=9, fp=0, tn=0, fn=1))["recall"] == pytest.approx(0.9)
 
 
 def test_f_measure_of_equal_rates():
-    c = ConfusionCounts(tp=8, fp=2, tn=0, fn=2)
-    assert recall(c) == precision(c) == pytest.approx(0.8)
-    assert f_measure(c) == pytest.approx(0.8)
+    r = rates(ConfusionCounts(tp=8, fp=2, tn=0, fn=2))
+    assert r["recall"] == r["precision"] == pytest.approx(0.8)
+    assert r["f_measure"] == pytest.approx(0.8)
 
 
 def test_f_measure_published_value():
@@ -106,12 +102,11 @@ def test_zero_denominators_flagged():
     fn=st.integers(0, 50),
 )
 def test_rates_bounded(tp, fp, tn, fn):
-    c = ConfusionCounts(tp, fp, tn, fn)
-    r, p = recall(c), precision(c)
+    rs = rates(ConfusionCounts(tp, fp, tn, fn))
+    r, p, f = rs["recall"], rs["precision"], rs["f_measure"]
     assert 0.0 <= r <= 1.0
     assert 0.0 <= p <= 1.0
-    assert 0.0 <= specificity(c) <= 1.0
-    f = f_measure(c)
+    assert 0.0 <= rs["specificity"] <= 1.0
     assert 0.0 <= f <= 1.0
     assert f <= (r + p) / 2 + 1e-12  # harmonic mean never beats arithmetic
 
@@ -157,12 +152,12 @@ def test_roc_inverted_residual_flips_auc():
 def test_roc_points_ordered_and_monotone():
     S, truth = separable_instance(seed=5)
     curve = roc_curve(S, truth)
-    taus = [p.tau for p in curve.points]
-    assert all(a >= b for a, b in zip(taus, taus[1:]))
+    assert curve.taus.shape == curve.fpr.shape == curve.tpr.shape
+    assert all(a >= b for a, b in zip(curve.taus, curve.taus[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(curve.fpr, curve.fpr[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(curve.tpr, curve.tpr[1:]))
-    assert curve.points[0].one_minus_specificity == 0.0
-    assert curve.points[-1].recall == 1.0
+    assert curve.fpr[0] == 0.0
+    assert curve.tpr[-1] == 1.0
 
 
 def test_roc_auc_invariant_under_monotone_transform():
@@ -273,7 +268,7 @@ def test_best_f_equals_per_threshold_loop(instance):
     best_tau, best_f = 0.0, -1.0
     unique = np.unique(taus)
     for tau, row in zip(unique, loop_counts(S, truth, unique, kernel).tolist()):
-        f = f_measure(ConfusionCounts(*row))
+        f = rates(ConfusionCounts(*row))["f_measure"]
         if f > best_f:
             best_tau, best_f = float(tau), f
     assert sweep_best_f(S, truth, taus, kernel) == (best_tau, best_f)

@@ -51,6 +51,19 @@ def test_complex_matrix_round_trip(tmp_path):
         assert fh.read(8) == MAGIC_COMPLEX
 
 
+def test_complex_matrix_round_trip_is_bit_exact(tmp_path):
+    # Signed zeros and infinities survive only if the entries are read back as
+    # (real, imag) pairs, not rebuilt by arithmetic.
+    A = np.array([[complex(-0.0, 1.0), complex(1.0, np.inf)],
+                  [complex(np.inf, -0.0), complex(-np.inf, np.nan)]])
+    path = str(tmp_path / "a.cpx")
+    save_matrix(path, A)
+    with open(path, "rb") as fh:
+        body = fh.read()[24:]
+    assert body == np.ascontiguousarray(A.view("<f8")).tobytes()
+    assert load_matrix(path).tobytes() == A.tobytes()
+
+
 def test_matrix_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -182,7 +195,7 @@ def test_frames_round_trip_is_exact(tmp_path):
                          noise_sigma=0.03, seed=3)
     D, _ = generate_synthetic(spec)
     save_frames(str(tmp_path), D, maxval=255)
-    loaded = load_frames(str(tmp_path / "frame_*.pgm"))
+    loaded, _ = load_frames(str(tmp_path / "frame_*.pgm"))
     assert loaded.frame_height == 6 and loaded.frame_width == 8
     assert loaded.n_frames == 5
     # one quantization error of at most half a gray level per pixel
@@ -199,8 +212,9 @@ def test_frames_lexicographic_order(tmp_path):
     for t in (2, 0, 1):
         save_pgm(str(tmp_path / f"frame_{t:05d}.pgm"),
                  np.full((2, 2), t * 10, dtype=np.uint8))
-    D = load_frames(str(tmp_path / "frame_*.pgm"))
+    D, paths = load_frames(str(tmp_path / "frame_*.pgm"))
     assert np.allclose(D.data[0], np.array([0.0, 10.0, 20.0]) / 255)
+    assert paths == [str(tmp_path / f"frame_{t:05d}.pgm") for t in range(3)]
 
 
 def test_frames_require_consistent_geometry(tmp_path):
@@ -220,7 +234,7 @@ def test_frames_maxval_normalization(tmp_path):
     img = np.array([[0, 50], [100, 100]], dtype=np.uint8)
     save_pgm(str(tmp_path / "n_0.pgm"), img, maxval=100)
     save_pgm(str(tmp_path / "n_1.pgm"), img, maxval=100)
-    D = load_frames(str(tmp_path / "n_*.pgm"))
+    D, _ = load_frames(str(tmp_path / "n_*.pgm"))
     assert D.data.max() == 1.0
     assert D.data[1, 0] == 0.5
 

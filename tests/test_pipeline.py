@@ -15,7 +15,7 @@ from dmdmotion.background import (
 )
 from dmdmotion.cli import _time_svds, main
 from dmdmotion.dmd import SnapshotMatrix, rdmd
-from dmdmotion.io_formats import load_matrix, save_frames, save_masks, save_pgm
+from dmdmotion.io_formats import load_matrix, load_pgm, save_frames, save_masks, save_pgm
 from dmdmotion.linalg import SketchConfig
 from dmdmotion.pipeline import RunConfig, chunk_bounds, render_report, run_bgsub
 from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
@@ -47,6 +47,14 @@ def test_config_validates_sketch_against_chunk():
 def test_config_rejects_even_kernel():
     with pytest.raises(ValueError, match="odd"):
         RunConfig(synthetic=SQUARE, median_kernel=4)
+
+
+def test_config_rejects_unknown_anchor():
+    for anchor in ("middle", "", -1, 2.0):
+        with pytest.raises(ValueError, match="anchor must be"):
+            RunConfig(synthetic=SQUARE, anchor=anchor)
+    for anchor in ("first", "median", 0, np.int64(3)):
+        assert RunConfig(synthetic=SQUARE, anchor=anchor).anchor == anchor
 
 
 # ------------------------------------------------------------------ chunking
@@ -88,6 +96,17 @@ def test_static_video_fixed_tau_gives_empty_masks(tmp_path):
     # truth has no foreground at all, so metrics exist but no curve does
     assert (tmp_path / "metrics.csv").exists()
     assert not (tmp_path / "roc.csv").exists()
+
+
+def test_sweep_with_single_class_truth_rejected(tmp_path):
+    # A static video's truth has no foreground, so there is no ROC to sweep.
+    cfg = RunConfig(
+        synthetic=SyntheticSpec(frame_height=12, frame_width=12, n_frames=40, seed=0),
+        k=3, p=2, q=1, chunk_length=40, output_dir=str(tmp_path / "out"),
+    )
+    with pytest.raises(ValueError, match="truth contains no foreground pixels"):
+        run_bgsub(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_without_truth_rejected(tmp_path):
@@ -137,13 +156,13 @@ def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
     def best(kernel):
         best_tau, best_f = 0.0, -1.0
         for tau in np.unique(taus):
-            f = ev.f_measure(counts(tau, kernel))
+            f = ev.rates(counts(tau, kernel))["f_measure"]
             if f > best_f:
                 best_tau, best_f = float(tau), f
         return best_tau, best_f
 
-    fpr = [0.0] + [1.0 - ev.specificity(counts(t, 1)) for t in taus[::-1]] + [1.0]
-    tpr = [0.0] + [ev.recall(counts(t, 1)) for t in taus[::-1]] + [1.0]
+    fpr = [0.0] + [1.0 - ev.rates(counts(t, 1))["specificity"] for t in taus[::-1]] + [1.0]
+    tpr = [0.0] + [ev.rates(counts(t, 1))["recall"] for t in taus[::-1]] + [1.0]
     assert (s["best_tau_raw"], s["best_f_raw"]) == best(1)
     assert (s["best_tau_filtered"], s["best_f_filtered"]) == best(cfg.median_kernel)
     assert s["auc"] == float(np.trapezoid(tpr, fpr))
@@ -227,13 +246,18 @@ def test_mask_files_named_after_input_frames(tmp_path):
                          seed=4)
     D, _ = generate_synthetic(spec)
     save_frames(str(tmp_path / "in"), D, stem="cam")
+    # tau 0.2 without a filter gives masks that differ between frames
     cfg = RunConfig(frames=str(tmp_path / "in" / "cam_*.pgm"),
-                    k=4, p=2, q=1, chunk_length=12, tau=0.3,
+                    k=4, p=2, q=1, chunk_length=12, tau=0.2, median_kernel=1,
                     output_dir=str(tmp_path / "out"))
-    run_bgsub(cfg)
+    report = run_bgsub(cfg)
     produced = sorted(os.listdir(tmp_path / "out" / "masks"))
     assert produced[0] == "cam_00000_mask.pgm"
     assert len(produced) == 12
+    # each file holds the mask of the frame it is named after
+    for t in range(12):
+        img, _ = load_pgm(str(tmp_path / "out" / "masks" / f"cam_{t:05d}_mask.pgm"))
+        assert np.array_equal(img > 0, report.masks.masks[t])
 
 
 def test_report_renders_deterministically():
