@@ -93,9 +93,6 @@ class ResidualSequence:
     def n_frames(self) -> int:
         return self.values.shape[1]
 
-    def frame(self, t: int) -> np.ndarray:
-        return self.values[:, t].reshape(self.frame_height, self.frame_width)
-
 
 @dataclass(frozen=True)
 class ForegroundMaskSequence:
@@ -116,10 +113,6 @@ class ForegroundMaskSequence:
     @property
     def n_frames(self) -> int:
         return self.masks.shape[0]
-
-    @property
-    def frame_shape(self) -> tuple[int, int]:
-        return self.masks.shape[1], self.masks.shape[2]
 
 
 def fourier_modes(dec: DmdDecomposition) -> FourierModes:
@@ -171,7 +164,8 @@ def residual(D: SnapshotMatrix, L: np.ndarray) -> ResidualSequence:
     """Per-pixel distance |d - Re(l)|; the imaginary part of L is discarded."""
     if L.shape != D.data.shape:
         raise ValueError(f"background shape {L.shape} does not match video {D.data.shape}")
-    values = np.abs(D.data - L.real)
+    values = np.subtract(D.data, L.real)
+    np.abs(values, out=values)
     return ResidualSequence(values, D.frame_height, D.frame_width)
 
 

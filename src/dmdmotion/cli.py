@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 import time
 from typing import NamedTuple
@@ -119,19 +120,22 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--seed", type=int, required=True)
     dec.set_defaults(func=_cmd_decompose)
 
-    bgsub = sub.add_parser("bgsub", help="full background-subtraction pipeline")
+    # Options left out are absent from the parsed namespace, so RunConfig
+    # supplies their defaults.
+    bgsub = sub.add_parser(
+        "bgsub", help="full background-subtraction pipeline", argument_default=argparse.SUPPRESS
+    )
     bgsub.add_argument("--frames", required=True, help="glob of PGM frames")
     bgsub.add_argument("--truth", help="glob of ground-truth mask PGMs")
     bgsub.add_argument("--out", required=True, help="output directory")
-    bgsub.add_argument("--chunk-length", type=int, default=200)
-    bgsub.add_argument("--k", type=int, default=11)
-    bgsub.add_argument("--p", type=int, default=2)
-    bgsub.add_argument("--q", type=int, default=1)
-    bgsub.add_argument("--n-background", type=int, default=3)
-    bgsub.add_argument("--anchor", type=_parse_anchor, default=MEDIAN_FRAME)
+    bgsub.add_argument("--chunk-length", type=int)
+    bgsub.add_argument("--k", type=int)
+    bgsub.add_argument("--p", type=int)
+    bgsub.add_argument("--q", type=int)
+    bgsub.add_argument("--n-background", type=int)
+    bgsub.add_argument("--anchor", type=_parse_anchor)
     bgsub.add_argument("--tau", type=float, help="fixed threshold; omit to sweep (needs --truth)")
-    bgsub.add_argument("--sweep-size", type=int, default=51)
-    bgsub.add_argument("--median-kernel", type=int, default=3)
+    bgsub.add_argument("--median-kernel", type=int)
     bgsub.add_argument("--save-residuals", action="store_true")
     bgsub.add_argument("--seed", type=int, required=True)
     bgsub.set_defaults(func=_cmd_bgsub)
@@ -187,22 +191,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bgsub(args) -> int:
-    cfg = RunConfig(
-        frames=args.frames,
-        truth=args.truth,
-        chunk_length=args.chunk_length,
-        k=args.k,
-        p=args.p,
-        q=args.q,
-        seed=args.seed,
-        n_background=args.n_background,
-        anchor=args.anchor,
-        tau=args.tau,
-        sweep_size=args.sweep_size,
-        median_kernel=args.median_kernel,
-        output_dir=args.out,
-        save_residuals=args.save_residuals,
-    )
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    cfg = RunConfig(output_dir=args.out, **opts)
     report = run_bgsub(cfg)
     sys.stdout.write(render_report(report))
     failed = [c for c in report.chunks if not c.ok]
@@ -294,6 +284,11 @@ def _cmd_svd(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads the "-1,..." of "--rect -1,..." as an option; pass "--rect=-1,...".
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--rect" and re.match(r"-\.?\d", argv[i + 1]):
+            argv[i : i + 2] = [f"--rect={argv[i + 1]}"]
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -262,16 +262,11 @@ def deterministic_dmd(
     return _decompose(D, factors, anchor, seed=0)
 
 
-def reconstruct(
-    dec: DmdDecomposition,
-    mode_indices=None,
-    t_range=None,
-) -> np.ndarray:
-    """Sum of b_i phi_i lam_i**t over the selected modes and times.
+def reconstruct(dec: DmdDecomposition, mode_indices=None) -> np.ndarray:
+    """Sum of b_i phi_i lam_i**t over the selected modes, one column per frame.
 
-    mode_indices None means all modes; an empty selection returns zeros.
-    t_range defaults to every frame of the source sequence. The full index
-    set over all frames reproduces the retained-rank approximation of D.
+    mode_indices None means all modes; an empty selection returns zeros. The
+    full index set reproduces the retained-rank approximation of D.
     """
     if mode_indices is None:
         idx = np.arange(dec.rank)
@@ -279,12 +274,8 @@ def reconstruct(
         idx = np.unique(np.asarray(list(mode_indices), dtype=np.intp))
         if idx.size and (idx.min() < 0 or idx.max() >= dec.rank):
             raise ValueError(f"mode indices outside [0, {dec.rank})")
-    if t_range is None:
-        t_range = range(dec.n_frames)
-    times = np.asarray(list(t_range), dtype=np.int64)
-    if times.size and (times.min() < 0 or times.max() >= dec.n_frames):
-        raise ValueError(f"time indices outside [0, {dec.n_frames})")
-    if idx.size == 0 or times.size == 0:
-        return np.zeros((dec.n_pixels, times.size), dtype=np.complex128)
+    if idx.size == 0:
+        return np.zeros((dec.n_pixels, dec.n_frames), dtype=np.complex128)
+    times = np.arange(dec.n_frames, dtype=np.int64)
     temporal = dec.amplitudes[idx, None] * dec.eigenvalues[idx, None] ** times[None, :]
     return dec.modes[:, idx] @ temporal

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import background as bg
 from . import evaluation as ev
-from .dmd import FIRST_FRAME, MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
+from .dmd import FIRST_FRAME, MEDIAN_FRAME, SnapshotMatrix, rdmd
 from .errors import DegenerateDataError
 from .linalg import SketchConfig
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -37,8 +37,8 @@ class RunConfig:
     """Everything a background-subtraction run needs.
 
     Exactly one of frames (a PGM glob pattern) and synthetic must be set.
-    tau fixes the threshold; leaving it None sweeps sweep_size thresholds,
-    which requires ground truth to pick the best one.
+    tau fixes the threshold; leaving it None sweeps the thresholds of
+    evaluation.tau_grid, which requires ground truth to pick the best one.
     """
 
     frames: str | None = None
@@ -52,7 +52,6 @@ class RunConfig:
     n_background: int = 3
     anchor: str | int = MEDIAN_FRAME
     tau: float | None = None
-    sweep_size: int = 51
     median_kernel: int = 3
     output_dir: str | None = None
     save_residuals: bool = False
@@ -72,8 +71,6 @@ class RunConfig:
             raise ValueError("n_background must be >= 1")
         if self.tau is not None and self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        if self.sweep_size < 2:
-            raise ValueError("sweep_size must be >= 2")
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 1")
         if self.anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (
@@ -152,11 +149,13 @@ def _load_input(
 
 def _run_chunk(
     D: SnapshotMatrix, cfg: RunConfig, index: int, start: int, stop: int
-) -> tuple[ChunkResult, bg.ResidualSequence | None, DmdDecomposition | None]:
-    """Decompose one chunk and model its background.
+) -> tuple[ChunkResult, bg.ResidualSequence | None]:
+    """Decompose one chunk, model its background and write its outputs.
 
-    Returns the chunk's record with its residual and decomposition, or with
-    None for both when the chunk failed on its data.
+    Returns the chunk's record with its residual, or with None when the chunk
+    failed on its data. With an output directory, the decomposition (and,
+    under save_residuals, the residual) goes to chunk_NNN/ here, so no
+    decomposition outlives its chunk.
     """
     t0 = time.perf_counter()
     try:
@@ -190,7 +189,7 @@ def _run_chunk(
             error=f"{type(exc).__name__}: {exc}",
             decompose_seconds=time.perf_counter() - t0,
         )
-        return failed, None, None
+        return failed, None
     result = ChunkResult(
         index=index,
         start=start,
@@ -202,7 +201,14 @@ def _run_chunk(
         background_indices=part.background_indices,
         decompose_seconds=time.perf_counter() - t0,
     )
-    return result, S, dec
+    if cfg.output_dir is not None:
+        from .io_formats import save_decomposition, save_matrix
+
+        chunk_dir = os.path.join(cfg.output_dir, f"chunk_{index:03d}")
+        save_decomposition(chunk_dir, dec)
+        if cfg.save_residuals:
+            save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
+    return result, S
 
 
 def run_bgsub(cfg: RunConfig) -> RunReport:
@@ -229,9 +235,15 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             f"anchor frame {cfg.anchor} outside [0, {shortest - 1}) of the "
             f"shortest chunk ({shortest} frames)"
         )
+    # A sweep's curve needs both truth classes. Chunk outputs are written as
+    # each chunk runs, so this is checked before the first one.
+    if cfg.tau is None and not truth.masks.any():
+        raise ValueError("truth contains no foreground pixels")
+    if cfg.tau is None and truth.masks.all():
+        raise ValueError("truth contains no background pixels")
 
     runs = [_run_chunk(D, cfg, i, start, stop) for i, (start, stop) in enumerate(bounds)]
-    ran = [(c, S) for c, S, _ in runs if S is not None]
+    ran = [(c, S) for c, S in runs if S is not None]
     tau = cfg.tau
     if tau is None and not ran:
         raise DegenerateDataError("every chunk failed; there is no residual to sweep")
@@ -244,7 +256,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     # (with kernel 1 the two sweeps are one).
     taus = raw = filtered = None
     if truth is not None and ran and (tau is None or cfg.output_dir is not None):
-        taus = ev.tau_grid(max(float(S.values.max()) for _, S in ran), cfg.sweep_size)
+        taus = ev.tau_grid(max(float(S.values.max()) for _, S in ran))
         sweep_filtered = tau is None and cfg.median_kernel > 1
         raw = np.zeros((taus.size, 4), dtype=np.int64)
         filtered = np.zeros_like(raw) if sweep_filtered else raw
@@ -253,8 +265,8 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             if sweep_filtered:
                 filtered += ev.sweep_counts(S, truth_of(c), taus, cfg.median_kernel)
 
-    # A curve needs both truth classes. Without one, a sweep fails in
-    # from_counts and a fixed-tau run writes no roc.csv.
+    # A curve needs both truth classes in the chunks that ran. Without one, a
+    # sweep fails in from_counts and a fixed-tau run writes no roc.csv.
     roc = None
     if raw is not None:
         tp, fp, tn, fn = raw[0].tolist()
@@ -276,7 +288,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     chunks: list[ChunkResult] = []
     mask_frames = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
     final_counts = ev.ConfusionCounts(0, 0, 0, 0)
-    for c, S, _ in runs:
+    for c, S in runs:
         if S is not None:
             t0 = time.perf_counter()
             chunk_masks = bg.filter_masks(bg.threshold_mask(S, tau), cfg.median_kernel)
@@ -301,12 +313,13 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         total_seconds=time.perf_counter() - t_run,
     )
     if cfg.output_dir is not None:
-        _write_outputs(cfg, report, runs, stems, taus, raw, roc)
+        _write_outputs(cfg, report, stems, taus, raw, roc)
     return report
 
 
-def _write_outputs(cfg, report, runs, stems, taus, raw, roc) -> None:
-    from .io_formats import save_decomposition, save_masks, save_matrix
+def _write_outputs(cfg, report, stems, taus, raw, roc) -> None:
+    """Run-level files; each chunk_NNN/ was written by its chunk step."""
+    from .io_formats import save_masks
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -319,12 +332,6 @@ def _write_outputs(cfg, report, runs, stems, taus, raw, roc) -> None:
         fh.write(f"total,{report.total_seconds!r},0.0\n")
     if report.masks is not None:
         save_masks(os.path.join(out, "masks"), report.masks, stems)
-    for c, S, dec in runs:
-        if dec is None:
-            continue
-        save_decomposition(os.path.join(out, f"chunk_{c.index:03d}"), dec)
-        if cfg.save_residuals:
-            save_matrix(os.path.join(out, f"chunk_{c.index:03d}", "residual.mat"), S.values)
     if raw is not None:
         rows = [
             ev.metrics_row(float(t), ev.ConfusionCounts(*row))

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmdmotion import cli
 from dmdmotion.cli import main
 from dmdmotion.io_formats import load_decomposition, load_masks, save_pgm
+from dmdmotion.pipeline import RunConfig, run_bgsub
 
 
 def synth_args(out, frames=24, extra=()):
@@ -40,6 +42,19 @@ def test_synth_deterministic(tmp_path):
             a = (tmp_path / "a" / sub / name).read_bytes()
             b = (tmp_path / "b" / sub / name).read_bytes()
             assert a == b
+
+
+def test_synth_rect_with_negative_corner(tmp_path):
+    # "--rect -1,..." is a rectangle, not an option; it equals the "--rect=" form.
+    base = ["synth", "--height", "8", "--width", "8", "--frames", "4", "--seed", "1"]
+    assert main([*base, "--out", str(tmp_path / "a"), "--rect", "-1,0,3,3,1.0,0,0.5"]) == 0
+    assert main([*base, "--out", str(tmp_path / "b"), "--rect=-1,0,3,3,1.0,0,0.5"]) == 0
+    truth = load_masks(str(tmp_path / "a" / "truth" / "*.pgm")).masks
+    assert truth[0, :2, :3].all() and truth[0].sum() == 6
+    for sub in ("frames", "truth"):
+        for name in sorted(os.listdir(tmp_path / "a" / sub)):
+            assert (tmp_path / "a" / sub / name).read_bytes() == (
+                tmp_path / "b" / sub / name).read_bytes()
 
 
 def test_decompose_writes_manifest_and_table(tmp_path, capsys):
@@ -87,6 +102,29 @@ def test_bgsub_sweep_with_truth(tmp_path):
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "threshold: sweep -> tau=" in report
     assert "f_measure=" in report
+
+
+def test_bgsub_options_reach_run_config(tmp_path, monkeypatch):
+    # Each flag given sets its RunConfig field; each flag left out takes the
+    # RunConfig default.
+    configs = []
+    monkeypatch.setattr(cli, "run_bgsub", lambda cfg: configs.append(cfg) or run_bgsub(cfg))
+    main(synth_args(tmp_path / "vid", frames=30))
+    frames = str(tmp_path / "vid" / "frames" / "*.pgm")
+    truth = str(tmp_path / "vid" / "truth" / "*.pgm")
+    assert main(["bgsub", "--frames", frames, "--tau", "0.3",
+                 "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
+    assert main(["bgsub", "--frames", frames, "--truth", truth, "--out", str(tmp_path / "b"),
+                 "--chunk-length", "15", "--k", "4", "--p", "1", "--q", "2",
+                 "--n-background", "2", "--anchor", "first", "--median-kernel", "5",
+                 "--save-residuals", "--seed", "6"]) == 0
+    assert configs == [
+        RunConfig(frames=frames, tau=0.3, output_dir=str(tmp_path / "a"), seed=5),
+        RunConfig(frames=frames, truth=truth, output_dir=str(tmp_path / "b"),
+                  chunk_length=15, k=4, p=1, q=2, n_background=2, anchor="first",
+                  median_kernel=5, save_residuals=True, seed=6),
+    ]
+    assert (tmp_path / "b" / "chunk_001" / "residual.mat").exists()
 
 
 def test_bgsub_sweep_without_truth_exits_2(tmp_path, capsys):
@@ -276,8 +314,8 @@ def tiny_runs(draw):
     synth = ["--height", str(h), "--width", str(w), "--frames", str(n),
              "--noise", draw(st.sampled_from(["0", "0.05"])),
              "--seed", str(draw(st.integers(0, 3)))]
-    # "--rect=" keeps a negative first coordinate from reading as an option.
-    synth += [f"--rect={r}" for r in rects]
+    for r in rects:
+        synth += ["--rect", r]
     bgsub = ["--chunk-length", str(draw(st.integers(2, 40))),
              "--k", str(draw(st.integers(1, 6))), "--p", str(draw(st.integers(0, 2))),
              "--q", str(draw(st.integers(0, 2))),

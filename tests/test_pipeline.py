@@ -2,11 +2,13 @@
 
 import csv
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from dmdmotion import evaluation as ev
+from dmdmotion import pipeline
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
@@ -98,13 +100,27 @@ def test_static_video_fixed_tau_gives_empty_masks(tmp_path):
     assert not (tmp_path / "roc.csv").exists()
 
 
-def test_sweep_with_single_class_truth_rejected(tmp_path):
-    # A static video's truth has no foreground, so there is no ROC to sweep.
+def test_sweep_with_single_class_truth_rejected(tmp_path, monkeypatch):
+    # Truth of one class gives no ROC to sweep. The run is rejected before any
+    # chunk is decomposed, so it writes nothing.
+    def no_rdmd(*args, **kwargs):
+        raise AssertionError("a chunk was decomposed")
+
+    monkeypatch.setattr(pipeline, "rdmd", no_rdmd)
+    # A static video's truth has no foreground.
     cfg = RunConfig(
         synthetic=SyntheticSpec(frame_height=12, frame_width=12, n_frames=40, seed=0),
         k=3, p=2, q=1, chunk_length=40, output_dir=str(tmp_path / "out"),
     )
     with pytest.raises(ValueError, match="truth contains no foreground pixels"):
+        run_bgsub(cfg)
+    D, _ = generate_synthetic(SQUARE)
+    save_frames(str(tmp_path / "frames"), D)
+    save_masks(str(tmp_path / "truth"), ForegroundMaskSequence(np.ones((60, 24, 24))))
+    cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                    truth=str(tmp_path / "truth" / "*.pgm"),
+                    k=5, p=2, q=1, chunk_length=30, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="truth contains no background pixels"):
         run_bgsub(cfg)
     assert not (tmp_path / "out").exists()
 
@@ -145,7 +161,7 @@ def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
                         for i in range(2)], axis=1),
         SQUARE.frame_height, SQUARE.frame_width,
     )
-    taus = ev.tau_grid(float(S.values.max()), cfg.sweep_size)
+    taus = ev.tau_grid(float(S.values.max()))
 
     def counts(tau, kernel):
         masks = threshold_mask(S, float(tau)).masks
@@ -188,6 +204,26 @@ def test_rerun_is_bit_identical(tmp_path):
         assert (a / "masks" / name).read_bytes() == (b / "masks" / name).read_bytes()
     assert (a / "roc.csv").read_bytes() == (b / "roc.csv").read_bytes()
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+
+def test_each_decomposition_is_freed_before_the_next_chunk(tmp_path, monkeypatch):
+    # Chunk outputs are written in the chunk step, so no chunk's decomposition
+    # is alive when the next chunk is decomposed or when the run returns.
+    refs = []
+
+    def tracked_rdmd(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        dec = rdmd(*args, **kwargs)
+        refs.append(weakref.ref(dec))
+        return dec
+
+    monkeypatch.setattr(pipeline, "rdmd", tracked_rdmd)
+    cfg = RunConfig(synthetic=SQUARE, k=5, p=2, q=1, chunk_length=20,
+                    output_dir=str(tmp_path), save_residuals=True)
+    report = run_bgsub(cfg)
+    assert len(refs) == 3 and all(c.ok for c in report.chunks)
+    assert all(ref() is None for ref in refs)
+    assert (tmp_path / "chunk_002" / "residual.mat").exists()
 
 
 def test_chunks_match_standalone_decompositions():
