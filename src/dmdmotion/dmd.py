@@ -87,6 +87,15 @@ class SnapshotMatrix:
         """Frame t as a (height, width) image."""
         return self.data[:, t].reshape(self.frame_height, self.frame_width)
 
+    def columns(self, start: int, stop: int) -> "SnapshotMatrix":
+        """Frames [start, stop) as a view of this matrix; its checks still hold."""
+        data = self.data[:, start:stop]
+        if data.shape[1] < 2:
+            raise ValueError(f"need at least 2 frames, got {data.shape[1]}")
+        view = object.__new__(SnapshotMatrix)
+        view.__dict__.update(vars(self), data=data)
+        return view
+
 
 @dataclass(frozen=True)
 class DmdDecomposition:
@@ -246,7 +255,6 @@ def rdmd(
     cfg.rank when trailing singular values are negligible (static scenes).
     """
     X, _ = split_snapshots(D)
-    cfg.validate_for_shape(*X.shape)
     factors = rsvd(X, cfg)
     return _decompose(D, factors, anchor, cfg.seed)
 

@@ -131,7 +131,7 @@ def save_pgm(path: str, img: np.ndarray, maxval: int = 255) -> None:
         fh.write(img.astype(dtype).tobytes())
 
 
-def load_frames(pattern: str, dt: float = 1.0) -> tuple[SnapshotMatrix, list[str]]:
+def load_frames(pattern: str) -> tuple[SnapshotMatrix, list[str]]:
     """Assemble a snapshot matrix from the PGM files matching a glob pattern.
 
     Files are taken in lexicographic order; each becomes one column, flattened
@@ -141,25 +141,18 @@ def load_frames(pattern: str, dt: float = 1.0) -> tuple[SnapshotMatrix, list[str
     paths = sorted(glob.glob(pattern))
     if len(paths) < 2:
         raise ValueError(f"need at least 2 frames, pattern {pattern!r} matched {len(paths)}")
-    columns = []
-    geometry: tuple[int, int] | None = None
-    for p in paths:
+    data = None
+    for j, p in enumerate(paths):
         img, maxval = load_pgm(p)
-        if geometry is None:
+        if data is None:
             geometry = img.shape
+            data = np.empty((img.size, len(paths)))
         elif img.shape != geometry:
             raise ValueError(
                 f"{p}: frame geometry {img.shape} differs from first frame {geometry}"
             )
-        columns.append(img.reshape(-1).astype(np.float64) / maxval)
-    height, width = geometry
-    D = SnapshotMatrix(
-        data=np.stack(columns, axis=1),
-        frame_height=height,
-        frame_width=width,
-        dt=dt,
-    )
-    return D, paths
+        np.divide(img.reshape(-1), maxval, out=data[:, j], dtype=np.float64)
+    return SnapshotMatrix(data=data, frame_height=geometry[0], frame_width=geometry[1]), paths
 
 
 def save_frames(
@@ -204,11 +197,16 @@ def load_masks(pattern: str) -> ForegroundMaskSequence:
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise ValueError(f"mask pattern {pattern!r} matched no files")
-    frames = []
-    for p in paths:
+    masks = None
+    for t, p in enumerate(paths):
         img, maxval = load_pgm(p)
-        frames.append(img > maxval // 2)
-    masks = np.stack(frames)
+        if masks is None:
+            masks = np.empty((len(paths), *img.shape), dtype=bool)
+        elif img.shape != masks.shape[1:]:
+            raise ValueError(
+                f"{p}: mask geometry {img.shape} differs from first mask {masks.shape[1:]}"
+            )
+        np.greater(img, maxval // 2, out=masks[t])
     return ForegroundMaskSequence(masks=masks, tau=None)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "SketchConfig",
     "deterministic_svd",
     "random_gaussian",
-    "randomized_range_finder",
     "rsvd",
     "rsvd_error_bound",
     "eig",
@@ -96,6 +95,8 @@ class SketchConfig:
             raise ValueError(f"oversampling must be >= 0, got {self.oversampling}")
         if self.subspace_iters < 0:
             raise ValueError(f"subspace_iters must be >= 0, got {self.subspace_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def sketch_size(self) -> int:
@@ -141,20 +142,15 @@ def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
     return rng.standard_normal((rows, cols))
 
 
-def randomized_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
+def _range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
     """Orthonormal (m, l) basis Q approximately spanning the range of A.
 
     Starts from a Gaussian sketch A @ Omega. Each of the q iterations applies
     A^T then A with a thin QR after every application (subspace iteration;
     plain power iteration loses the small singular directions to roundoff).
+    A must be finite with 1 <= l <= min(A.shape) and q >= 0, as rsvd ensures.
     """
-    A = _as_matrix(A)
-    m, n = A.shape
-    if not 1 <= l <= min(m, n):
-        raise ValueError(f"l={l} outside [1, min(m, n)={min(m, n)}]")
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    omega = random_gaussian(n, l, seed)
+    omega = random_gaussian(A.shape[1], l, seed)
     Q, _ = np.linalg.qr(A @ omega)
     for _ in range(q):
         Z, _ = np.linalg.qr(A.T @ Q)
@@ -171,7 +167,7 @@ def rsvd(A: np.ndarray, cfg: SketchConfig) -> SvdFactors:
     A = _as_matrix(A)
     m, n = A.shape
     cfg.validate_for_shape(m, n)
-    Q = randomized_range_finder(A, cfg.sketch_size, cfg.subspace_iters, cfg.seed)
+    Q = _range_finder(A, cfg.sketch_size, cfg.subspace_iters, cfg.seed)
     B = Q.T @ A
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     k = cfg.rank

@@ -69,8 +69,10 @@ class RunConfig:
             )
         if self.n_background < 1:
             raise ValueError("n_background must be >= 1")
-        if self.tau is not None and self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.tau is not None and not (np.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 1")
         if self.anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (
@@ -159,12 +161,7 @@ def _run_chunk(
     """
     t0 = time.perf_counter()
     try:
-        sub = SnapshotMatrix(
-            D.data[:, start:stop],
-            frame_height=D.frame_height,
-            frame_width=D.frame_width,
-            dt=D.dt,
-        )
+        sub = D.columns(start, stop)
         sketch = SketchConfig(
             rank=cfg.k,
             oversampling=cfg.p,

@@ -170,6 +170,26 @@ def test_bgsub_sweep_all_chunks_failed_exits_3(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, reason", [
+    (["--seed", "-1", "--tau", "0.2"], "seed must be >= 0, got -1"),
+    (["--seed", "-5"], "seed must be >= 0, got -5"),
+    (["--seed", "5", "--tau", "nan"], "tau must be finite and nonnegative, got nan"),
+    (["--seed", "5", "--tau", "inf"], "tau must be finite and nonnegative, got inf"),
+])
+def test_bgsub_bad_seed_or_tau_exits_2(tmp_path, capsys, extra, reason):
+    main(synth_args(tmp_path / "vid", frames=30))
+    capsys.readouterr()
+    code = main([
+        "bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+        "--truth", str(tmp_path / "vid" / "truth" / "*.pgm"),
+        "--out", str(tmp_path / "out"), "--chunk-length", "30", "--k", "4", *extra,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error (invalid input): {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def first_files(src, dst, n):
     os.makedirs(dst)
     for name in sorted(os.listdir(src))[:n]:

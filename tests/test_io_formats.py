@@ -1,5 +1,7 @@
 """Binary matrix container, PGM codec and decomposition persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -239,6 +241,33 @@ def test_frames_maxval_normalization(tmp_path):
     assert D.data[1, 0] == 0.5
 
 
+@pytest.mark.parametrize("maxval", [100, 255, 1000, 65535])
+def test_frames_fill_matches_stacked_columns(tmp_path, maxval):
+    # 8-bit and 16-bit rasters; each column is the frame over its maxval.
+    rng = np.random.default_rng(maxval)
+    imgs = [rng.integers(0, maxval + 1, size=(5, 7)) for _ in range(4)]
+    for t, img in enumerate(imgs):
+        save_pgm(str(tmp_path / f"f_{t}.pgm"), img, maxval)
+    D, _ = load_frames(str(tmp_path / "f_*.pgm"))
+    stacked = np.stack([img.reshape(-1).astype(np.float64) / maxval for img in imgs], axis=1)
+    assert D.data.flags.c_contiguous and D.dt == 1.0
+    assert D.data.shape == stacked.shape and D.data.tobytes() == stacked.tobytes()
+
+
+def test_frames_hold_one_copy_of_the_video(tmp_path):
+    rng = np.random.default_rng(5)
+    for t in range(40):
+        save_pgm(str(tmp_path / f"f_{t:02d}.pgm"),
+                 rng.integers(0, 256, size=(48, 64)).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        D, _ = load_frames(str(tmp_path / "f_*.pgm"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * D.data.nbytes
+
+
 # ------------------------------------------------------------------ masks
 
 def test_masks_round_trip(tmp_path):
@@ -250,6 +279,14 @@ def test_masks_round_trip(tmp_path):
     assert np.array_equal(loaded.masks, masks.masks)
     img, maxval = load_pgm(paths[0])
     assert set(np.unique(img)) <= {0, 255}
+
+
+def test_masks_require_consistent_geometry(tmp_path):
+    save_pgm(str(tmp_path / "m_0.pgm"), np.zeros((2, 2), dtype=np.uint8))
+    save_pgm(str(tmp_path / "m_1.pgm"), np.zeros((3, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"m_1\.pgm: mask geometry \(3, 2\) differs "
+                                         r"from first mask \(2, 2\)"):
+        load_masks(str(tmp_path / "m_*.pgm"))
 
 
 def test_masks_custom_stems(tmp_path):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from dmdmotion.linalg import (
     SketchConfig,
     SvdFactors,
+    _range_finder,
     deterministic_svd,
     eig,
     least_squares,
     random_gaussian,
-    randomized_range_finder,
     rsvd,
     rsvd_error_bound,
 )
@@ -75,16 +75,17 @@ def test_gaussian_seed_sensitivity():
 
 
 # ---------------------------------------------------------------- range finder
+# rsvd's private sketch step; SketchConfig and rsvd check its preconditions.
 
 def test_range_finder_captures_exact_rank():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 15))
-    Q = randomized_range_finder(A, l=2, q=0, seed=0)
+    Q = _range_finder(A, l=2, q=0, seed=0)
     assert np.linalg.norm(A - Q @ (Q.T @ A)) <= 1e-8
 
 
 def test_range_finder_identity_full_range():
-    Q = randomized_range_finder(np.eye(4), l=4, q=0, seed=5)
+    Q = _range_finder(np.eye(4), l=4, q=0, seed=5)
     assert np.max(np.abs(Q @ Q.T - np.eye(4))) <= 1e-10
 
 
@@ -92,7 +93,7 @@ def test_range_finder_noisy_low_rank_vs_oracle():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40))
     A = A + 1e-3 * rng.standard_normal(A.shape)
-    Q = randomized_range_finder(A, l=10, q=2, seed=1)
+    Q = _range_finder(A, l=10, q=2, seed=1)
     err = np.linalg.norm(A - Q @ (Q.T @ A))
     s = np.linalg.svd(A, compute_uv=False)
     optimal_tail = np.sqrt((s[10:] ** 2).sum())
@@ -100,8 +101,10 @@ def test_range_finder_noisy_low_rank_vs_oracle():
 
 
 def test_range_finder_rejects_large_l():
-    with pytest.raises(ValueError):
-        randomized_range_finder(np.eye(4), l=5, q=0, seed=0)
+    # The sketch size l = rank + oversampling may reach min(m, n), not pass it.
+    assert rsvd(np.eye(4), SketchConfig(rank=3, oversampling=1, subspace_iters=0)).rank == 3
+    with pytest.raises(ValueError, match="exceeds min"):
+        rsvd(np.eye(4), SketchConfig(rank=4, oversampling=1, subspace_iters=0))
 
 
 # ---------------------------------------------------------------- rsvd
@@ -290,6 +293,8 @@ def test_sketch_config_validation():
         SketchConfig(rank=0)
     with pytest.raises(ValueError):
         SketchConfig(rank=2, oversampling=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SketchConfig(rank=2, seed=-1)
     cfg = SketchConfig(rank=3, oversampling=2)
     with pytest.raises(ValueError):
         cfg.validate_for_shape(4, 4)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmdmotion import evaluation as ev
-from dmdmotion import pipeline
+from dmdmotion import linalg, pipeline
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
@@ -57,6 +57,14 @@ def test_config_rejects_unknown_anchor():
             RunConfig(synthetic=SQUARE, anchor=anchor)
     for anchor in ("first", "median", 0, np.int64(3)):
         assert RunConfig(synthetic=SQUARE, anchor=anchor).anchor == anchor
+
+
+def test_config_rejects_negative_seed_and_bad_tau():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig(synthetic=SQUARE, seed=-1)
+    for tau in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            RunConfig(synthetic=SQUARE, tau=tau)
 
 
 # ------------------------------------------------------------------ chunking
@@ -240,6 +248,56 @@ def test_chunks_match_standalone_decompositions():
         dec = rdmd(sub, SketchConfig(rank=5, oversampling=2, subspace_iters=1,
                                      seed=100 + c.index))
         assert np.array_equal(dec.eigenvalues, c.eigenvalues)
+
+
+def test_pgm_run_checks_the_video_once_and_chunks_are_views(tmp_path, monkeypatch):
+    D, _ = generate_synthetic(SQUARE)
+    save_frames(str(tmp_path / "frames"), D)
+    checked, videos, chunks, scans = [], [], [], []
+    post_init, load_input, decompose = (
+        SnapshotMatrix.__post_init__, pipeline._load_input, pipeline.rdmd)
+    as_matrix = linalg._as_matrix
+
+    def counted_post_init(self):
+        checked.append(self.data.shape)
+        post_init(self)
+
+    def recorded_load_input(cfg):
+        out = load_input(cfg)
+        videos.append(out[0])
+        return out
+
+    def recorded_rdmd(sub, *args, **kwargs):
+        chunks.append(sub)
+        return decompose(sub, *args, **kwargs)
+
+    def counted_as_matrix(A, name="A"):
+        scans.append(np.shape(A))
+        return as_matrix(A, name)
+
+    monkeypatch.setattr(SnapshotMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(pipeline, "_load_input", recorded_load_input)
+    monkeypatch.setattr(pipeline, "rdmd", recorded_rdmd)
+    monkeypatch.setattr(linalg, "_as_matrix", counted_as_matrix)
+    report = run_bgsub(RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                                 k=5, chunk_length=20, tau=0.3))
+    assert len(report.chunks) == 3 and all(c.ok for c in report.chunks)
+    # The video is checked once, at load; each chunk is a view of it whose
+    # left sequence is scanned for finiteness once, in rsvd.
+    (video,) = videos
+    assert checked == [(576, 60)]
+    for c, sub in zip(report.chunks, chunks):
+        assert np.shares_memory(sub.data, video.data)
+        assert np.array_equal(sub.data, video.data[:, c.start:c.stop])
+        assert (sub.frame_height, sub.frame_width, sub.dt) == (24, 24, 1.0)
+    assert [shape for shape in scans if shape[0] == 576] == [(576, 19)] * 3
+
+
+def test_snapshot_columns_rejects_a_single_frame():
+    D, _ = generate_synthetic(SQUARE)
+    assert D.columns(10, 12).n_frames == 2
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        D.columns(10, 11)
 
 
 def test_failed_chunk_is_contained(tmp_path):
