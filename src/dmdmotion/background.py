@@ -1,6 +1,6 @@
 """Background model, residuals and foreground masks from a decomposition.
 
-Each eigenvalue maps to a continuous-time frequency via the principal complex
+Each eigenvalue maps to a per-frame frequency via the principal complex
 logarithm; modes whose frequency modulus is near zero evolve slowly and model
 the background. The background video is the mode-subset reconstruction, the
 residual is the per-pixel distance to it, and masks come from thresholding
@@ -43,7 +43,7 @@ _TIE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class FourierModes:
-    """Continuous-time frequencies of each mode, units 1/dt.
+    """Frequency of each mode, per frame (frames are one time step apart).
 
     excluded marks modes with near-zero eigenvalues, whose frequency is
     undefined; they belong to neither background nor foreground.
@@ -116,11 +116,11 @@ class ForegroundMaskSequence:
 
 
 def fourier_modes(dec: DmdDecomposition) -> FourierModes:
-    """Principal-branch frequencies log(lam)/dt, with zero-eigenvalue modes excluded."""
+    """Principal-branch frequencies log(lam), with zero-eigenvalue modes excluded."""
     lam = dec.eigenvalues
     excluded = np.abs(lam) < ZERO_EIGENVALUE_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega = np.log(lam) / dec.dt
+        omega = np.log(lam)
     omega = np.where(excluded, np.inf + 0j, omega)
     return FourierModes(omega=omega, excluded=excluded)
 

@@ -268,6 +268,8 @@ def _time_svds(shapes, ranks, seeds, qs, repeats) -> list[_SvdTiming]:
 
 
 def _cmd_svd(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {args.repeats}")
     rows = _time_svds(args.shapes, args.ranks, args.seeds, args.qs, args.repeats)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

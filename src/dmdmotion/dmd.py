@@ -21,8 +21,6 @@ __all__ = [
     "DmdDecomposition",
     "FIRST_FRAME",
     "MEDIAN_FRAME",
-    "split_snapshots",
-    "effective_rank",
     "reduced_operator",
     "dmd_modes",
     "dmd_amplitudes",
@@ -47,13 +45,12 @@ class SnapshotMatrix:
     """m x n matrix of n consecutive frames, each flattened row-major.
 
     Intensities are normalized to [0, 1] at ingestion so tolerances are
-    scale-free. dt is the frame spacing in seconds (1.0 for standard video).
+    scale-free. Consecutive frames are one time step apart.
     """
 
     data: np.ndarray
     frame_height: int
     frame_width: int
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
@@ -68,12 +65,12 @@ class SnapshotMatrix:
                 f"frame geometry {self.frame_height}x{self.frame_width} "
                 f"does not match {m} pixels"
             )
-        if not np.all(np.isfinite(data)):
+        # min and max propagate NaN, so two reductions check finiteness too.
+        lo, hi = data.min(), data.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("snapshot data contains non-finite entries")
-        if data.min() < 0.0 or data.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("snapshot intensities must lie in [0, 1]")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
     @property
     def n_pixels(self) -> int:
@@ -110,7 +107,6 @@ class DmdDecomposition:
     eigenvalues: np.ndarray
     amplitudes: np.ndarray
     n_frames: int
-    dt: float
     frame_height: int
     frame_width: int
     anchor: str | int = MEDIAN_FRAME
@@ -134,37 +130,25 @@ class DmdDecomposition:
         return self.modes.shape[0]
 
 
-def split_snapshots(D: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right snapshot sequences: columns 0..n-2 and 1..n-1 of D."""
-    X = D.data[:, :-1]
-    Y = D.data[:, 1:]
-    return X, Y
-
-
-def effective_rank(singular_values: np.ndarray, rcond: float = PINV_RCOND) -> int:
-    """Number of singular values kept by the pseudo-inverse cutoff."""
-    s = np.asarray(singular_values, dtype=np.float64)
-    if s.size == 0 or s[0] <= 0.0:
-        raise DegenerateDataError("all singular values are zero; data has no signal")
-    return int(np.count_nonzero(s > rcond * s[0]))
-
-
-def reduced_operator(factors: SvdFactors, Y: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def reduced_operator(factors: SvdFactors, Y: np.ndarray) -> np.ndarray:
     """One-step operator projected onto the retained left singular subspace.
 
-    Computes U^T Y V diag(s)^-1, truncating the factors to the effective rank
-    first so near-zero singular values never enter the inversion.
+    Computes U^T Y V diag(s)^-1 over the singular values above PINV_RCOND
+    times the largest, so near-zero ones never enter the inversion. The
+    operator's size is the retained rank.
     """
-    r = effective_rank(factors.singular_values, rcond)
+    s = factors.singular_values
+    if s.size == 0 or s[0] <= 0.0:
+        raise DegenerateDataError("all singular values are zero; data has no signal")
+    r = int(np.count_nonzero(s > PINV_RCOND * s[0]))
     U = factors.U[:, :r]
     V = factors.V[:, :r]
-    s = factors.singular_values[:r]
     if Y.shape[0] != U.shape[0] or Y.shape[1] != V.shape[0]:
         raise ValueError(
             f"Y shape {Y.shape} inconsistent with factors "
             f"({U.shape[0]} pixels, {V.shape[0]} frames)"
         )
-    return (U.T @ Y @ V) / s
+    return (U.T @ Y @ V) / s[:r]
 
 
 def dmd_modes(Y: np.ndarray, V: np.ndarray, singular_values: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -221,22 +205,20 @@ def _decompose(
     anchor: str | int,
     seed: int,
 ) -> DmdDecomposition:
-    _, Y = split_snapshots(D)
-    r = effective_rank(factors.singular_values)
-    factors = factors.truncate(r)
+    Y = D.data[:, 1:]
     M_tilde = reduced_operator(factors, Y)
+    r = M_tilde.shape[0]
     W, lam = eig(M_tilde)
     order = _background_first_order(lam)
     lam = lam[order]
     W = W[:, order]
-    Phi = dmd_modes(Y, factors.V, factors.singular_values, W)
+    Phi = dmd_modes(Y, factors.V[:, :r], factors.singular_values[:r], W)
     b = dmd_amplitudes(Phi, D, anchor)
     return DmdDecomposition(
         modes=Phi,
         eigenvalues=lam,
         amplitudes=b,
         n_frames=D.n_frames,
-        dt=D.dt,
         frame_height=D.frame_height,
         frame_width=D.frame_width,
         anchor=anchor,
@@ -254,8 +236,7 @@ def rdmd(
     Deterministic for a fixed cfg.seed. The retained rank can fall below
     cfg.rank when trailing singular values are negligible (static scenes).
     """
-    X, _ = split_snapshots(D)
-    factors = rsvd(X, cfg)
+    factors = rsvd(D.data[:, :-1], cfg)
     return _decompose(D, factors, anchor, cfg.seed)
 
 
@@ -265,8 +246,7 @@ def deterministic_dmd(
     anchor: str | int = MEDIAN_FRAME,
 ) -> DmdDecomposition:
     """Reference decomposition using the deterministic SVD; the rdmd oracle."""
-    X, _ = split_snapshots(D)
-    factors = deterministic_svd(X, rank)
+    factors = deterministic_svd(D.data[:, :-1], rank)
     return _decompose(D, factors, anchor, seed=0)
 
 

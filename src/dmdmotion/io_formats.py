@@ -217,7 +217,7 @@ def save_decomposition(directory: str, dec: DmdDecomposition) -> None:
         "format rdmd-decomposition-1",
         f"rank {dec.rank}",
         f"n_frames {dec.n_frames}",
-        f"dt {dec.dt!r}",
+        "dt 1.0",
         f"frame_height {dec.frame_height}",
         f"frame_width {dec.frame_width}",
         f"anchor {dec.anchor}",
@@ -244,6 +244,8 @@ def load_decomposition(directory: str) -> DmdDecomposition:
         # Loading only the whole-sequence amplitudes would silently change what
         # a decomposition with per-span amplitudes reconstructs.
         raise ValueError(f"{directory}: per-span amplitudes are not supported")
+    if fields.get("dt") != "1.0":
+        raise ValueError(f"{directory}: frames must be one step apart, got dt {fields.get('dt')}")
     modes = load_matrix(os.path.join(directory, "modes.cpx"))
     eigenvalues = load_matrix(os.path.join(directory, "eigenvalues.cpx")).ravel()
     amplitudes = load_matrix(os.path.join(directory, "amplitudes.cpx")).ravel()
@@ -257,7 +259,6 @@ def load_decomposition(directory: str) -> DmdDecomposition:
         eigenvalues=eigenvalues,
         amplitudes=amplitudes,
         n_frames=int(fields["n_frames"]),
-        dt=float(fields["dt"]),
         frame_height=int(fields["frame_height"]),
         frame_width=int(fields["frame_width"]),
         anchor=anchor,

@@ -66,11 +66,6 @@ class SvdFactors:
         """Dense rank-k approximation U diag(s) V^T."""
         return (self.U * self.singular_values) @ self.V.T
 
-    def truncate(self, k: int) -> "SvdFactors":
-        if not 1 <= k <= self.rank:
-            raise ValueError(f"cannot truncate rank-{self.rank} factors to k={k}")
-        return SvdFactors(self.U[:, :k], self.singular_values[:k], self.V[:, :k])
-
 
 @dataclass(frozen=True)
 class SketchConfig:

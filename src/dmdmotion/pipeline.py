@@ -242,8 +242,6 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     runs = [_run_chunk(D, cfg, i, start, stop) for i, (start, stop) in enumerate(bounds)]
     ran = [(c, S) for c, S in runs if S is not None]
     tau = cfg.tau
-    if tau is None and not ran:
-        raise DegenerateDataError("every chunk failed; there is no residual to sweep")
 
     def truth_of(c: ChunkResult) -> bg.ForegroundMaskSequence:
         return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
@@ -270,8 +268,10 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         if tau is None or (tp + fn > 0 and tn + fp > 0):
             roc = ev.RocCurve.from_counts(taus, raw)
 
+    # A sweep in which every chunk failed has no counts; its report keeps
+    # tau, masks and summary None and still lists each chunk's reason.
     summary: dict[str, float] | None = None
-    if tau is None:
+    if tau is None and raw is not None:
         best_tau, best_f = ev.best_f_from_counts(taus, raw)
         tau, filt_f = ev.best_f_from_counts(taus, filtered)
         summary = {

@@ -29,7 +29,7 @@ from dmdmotion.errors import DegenerateDataError
 from dmdmotion.linalg import SketchConfig
 
 
-def make_decomposition(eigenvalues, dt=1.0):
+def make_decomposition(eigenvalues):
     """Minimal decomposition carrying the given spectrum; modes are axes."""
     lam = np.asarray(eigenvalues, dtype=np.complex128)
     k = lam.size
@@ -39,7 +39,6 @@ def make_decomposition(eigenvalues, dt=1.0):
         eigenvalues=lam,
         amplitudes=np.ones(k, dtype=np.complex128),
         n_frames=5,
-        dt=dt,
         frame_height=1,
         frame_width=max(k, 2),
     )
@@ -57,13 +56,6 @@ def test_omega_inverts_exponential():
     lam = np.exp(0.1 + 0.2j)
     fm = fourier_modes(make_decomposition([lam]))
     assert abs(fm.omega[0] - (0.1 + 0.2j)) <= 1e-12
-
-
-def test_omega_scales_with_dt():
-    lam = np.exp(0.1 + 0.2j)
-    full = fourier_modes(make_decomposition([lam], dt=1.0)).omega[0]
-    half = fourier_modes(make_decomposition([lam], dt=0.5)).omega[0]
-    assert abs(half - 2.0 * full) <= 1e-12
 
 
 def test_zero_eigenvalue_excluded():

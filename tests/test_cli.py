@@ -167,7 +167,14 @@ def test_bgsub_sweep_all_chunks_failed_exits_3(tmp_path, capsys):
         "--k", "3", "--p", "2", "--q", "1", "--seed", "0",
     ])
     assert code == 3
-    assert "degenerate" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err == "error (degenerate data): every chunk failed; see the report for diagnostics\n"
+    # The report and timings are written, and the report names the reason.
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report == out
+    assert "chunk 0: frames [0, 12) FAILED DegenerateDataError" in report
+    assert (tmp_path / "out" / "timings.csv").exists()
+    assert not (tmp_path / "out" / "masks").exists()
 
 
 @pytest.mark.parametrize("extra, reason", [
@@ -319,6 +326,19 @@ def test_svd_benchmark_csv(tmp_path, capsys):
     assert [(r["rows"], r["cols"], r["k"], r["q"]) for r in rows] == [
         ("80", "40", "5", "0"), ("80", "40", "5", "2")
     ]
+
+
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_svd_without_repeats_exits_2(tmp_path, capsys, repeats):
+    path = tmp_path / "bench.csv"
+    code = main([
+        "svd", "--shapes", "80x40", "--ranks", "5", "--qs", "0",
+        "--repeats", repeats, "--seeds", "0", "--out", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error (invalid input): repeats must be >= 1, got {repeats}\n"
+    assert not path.exists()
 
 
 @st.composite

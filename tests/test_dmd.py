@@ -1,8 +1,11 @@
 """Decomposition against planted linear systems and its own algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dmdmotion import dmd, linalg
 from dmdmotion.dmd import (
     FIRST_FRAME,
     MEDIAN_FRAME,
@@ -13,7 +16,6 @@ from dmdmotion.dmd import (
     rdmd,
     reconstruct,
     reduced_operator,
-    split_snapshots,
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.linalg import SketchConfig, deterministic_svd, eig
@@ -34,10 +36,31 @@ def test_snapshot_matrix_validation():
         SnapshotMatrix(np.ones((4, 1)), 2, 2)  # one frame
     with pytest.raises(ValueError):
         SnapshotMatrix(np.ones((4, 3)), 3, 2)  # geometry mismatch
-    with pytest.raises(ValueError):
-        SnapshotMatrix(np.full((4, 3), 1.5), 2, 2)  # out of [0, 1]
-    with pytest.raises(ValueError):
-        SnapshotMatrix(np.ones((4, 3)), 2, 2, dt=0.0)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (np.nan, "non-finite entries"),
+    (np.inf, "non-finite entries"),
+    (-np.inf, "non-finite entries"),
+    (1.5, r"must lie in \[0, 1\]"),
+    (-0.25, r"must lie in \[0, 1\]"),
+])
+def test_snapshot_matrix_value_checks(bad, reason):
+    data = np.full((4, 3), 0.5)
+    data[2, 1] = bad
+    with pytest.raises(ValueError, match=reason):
+        SnapshotMatrix(data, 2, 2)
+
+
+def test_snapshot_matrix_check_allocates_no_per_pixel_array():
+    data = np.random.default_rng(0).uniform(size=(2000, 500))
+    tracemalloc.start()
+    try:
+        SnapshotMatrix(data, 40, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.shape[0] * data.shape[1]
 
 
 def test_snapshot_frame_view():
@@ -46,32 +69,42 @@ def test_snapshot_frame_view():
     assert np.array_equal(D.frame(1), data[:, 1].reshape(2, 3))
 
 
-# ---------------------------------------------------------------- split
+# ---------------------------------------------------------------- left and right sequences
 
-def test_split_basic():
-    data = np.column_stack([np.full(4, 0.1), np.full(4, 0.2), np.full(4, 0.3)])
-    X, Y = split_snapshots(SnapshotMatrix(data, 2, 2))
-    assert np.array_equal(X, data[:, :2])
-    assert np.array_equal(Y, data[:, 1:])
-
-
-def test_split_two_frames():
-    X, Y = split_snapshots(SnapshotMatrix(np.ones((4, 2)) * 0.5, 2, 2))
-    assert X.shape == (4, 1) and Y.shape == (4, 1)
-
-
-def test_split_overlap_identity():
+def test_rdmd_sketches_a_view_of_the_left_sequence(monkeypatch):
     rng = np.random.default_rng(1)
-    D = SnapshotMatrix(rng.uniform(size=(6, 5)), 2, 3)
-    X, Y = split_snapshots(D)
-    assert np.array_equal(X[:, 1:], Y[:, :-1])
+    D = SnapshotMatrix(rng.uniform(size=(30, 12)), 5, 6)
+    seen = []
+
+    def recorded_rsvd(A, cfg):
+        seen.append(A)
+        return linalg.rsvd(A, cfg)
+
+    monkeypatch.setattr(dmd, "rsvd", recorded_rsvd)
+    rdmd(D, SketchConfig(rank=3, oversampling=2, subspace_iters=1, seed=0))
+    (X,) = seen
+    assert np.shares_memory(X, D.data)
+    assert np.array_equal(X, D.data[:, :-1])
+
+
+def test_rdmd_checks_its_svd_factors_once(planted_three_mode, monkeypatch):
+    checks = []
+    post_init = linalg.SvdFactors.__post_init__
+
+    def counted_post_init(self):
+        checks.append(self.rank)
+        post_init(self)
+
+    monkeypatch.setattr(linalg.SvdFactors, "__post_init__", counted_post_init)
+    rdmd(planted_three_mode.snapshots, SketchConfig(rank=3, oversampling=2, seed=0))
+    assert checks == [3]
 
 
 # ---------------------------------------------------------------- reduced operator
 
 def test_reduced_operator_static_is_identity():
     D = static_video()
-    X, Y = split_snapshots(D)
+    X, Y = D.data[:, :-1], D.data[:, 1:]
     factors = deterministic_svd(X, 1)
     M = reduced_operator(factors, Y)
     assert M.shape == (1, 1)
@@ -79,14 +112,16 @@ def test_reduced_operator_static_is_identity():
 
 
 def test_reduced_operator_recovers_planted_spectrum(planted_three_mode):
-    X, Y = split_snapshots(planted_three_mode.snapshots)
+    D = planted_three_mode.snapshots
+    X, Y = D.data[:, :-1], D.data[:, 1:]
     factors = deterministic_svd(X, 3)
     _, lam = eig(reduced_operator(factors, Y))
     assert hausdorff_distance(lam, planted_three_mode.eigenvalues) <= 1e-8
 
 
 def test_reduced_operator_scale_invariant(planted_three_mode):
-    X, Y = split_snapshots(planted_three_mode.snapshots)
+    D = planted_three_mode.snapshots
+    X, Y = D.data[:, :-1], D.data[:, 1:]
     M1 = reduced_operator(deterministic_svd(X, 3), Y)
     c = 0.37
     M2 = reduced_operator(deterministic_svd(c * X, 3), c * Y)
@@ -107,7 +142,7 @@ def test_reduced_operator_degenerate_zero_data():
 
 def test_modes_static_video_proportional_to_frame():
     D = static_video(0.4)
-    X, Y = split_snapshots(D)
+    X, Y = D.data[:, :-1], D.data[:, 1:]
     f = deterministic_svd(X, 1)
     W, _ = eig(reduced_operator(f, Y))
     Phi = dmd_modes(Y, f.V, f.singular_values, W)
@@ -117,7 +152,7 @@ def test_modes_static_video_proportional_to_frame():
 
 def test_modes_match_planted_directions(planted_three_mode):
     sys = planted_three_mode
-    X, Y = split_snapshots(sys.snapshots)
+    X, Y = sys.snapshots.data[:, :-1], sys.snapshots.data[:, 1:]
     f = deterministic_svd(X, 3)
     W, lam = eig(reduced_operator(f, Y))
     Phi = dmd_modes(Y, f.V, f.singular_values, W)
@@ -280,7 +315,7 @@ def test_reconstruction_error_bounded_by_svd_tail(planted_three_mode):
         base.frame_width,
     )
     dec = deterministic_dmd(noisy, rank=3, anchor=FIRST_FRAME)
-    X, _ = split_snapshots(noisy)
+    X = noisy.data[:, :-1]
     factors = deterministic_svd(X, 3)
     svd_tail = np.linalg.norm(X - factors.reconstruct())
     fit_residual = np.linalg.norm(dec.modes @ dec.amplitudes - X[:, 0])

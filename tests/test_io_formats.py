@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dmdmotion.background import ForegroundMaskSequence
-from dmdmotion.dmd import MEDIAN_FRAME, SnapshotMatrix, rdmd
+from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
 from dmdmotion.io_formats import (
     MAGIC_COMPLEX,
     MAGIC_REAL,
@@ -250,7 +250,7 @@ def test_frames_fill_matches_stacked_columns(tmp_path, maxval):
         save_pgm(str(tmp_path / f"f_{t}.pgm"), img, maxval)
     D, _ = load_frames(str(tmp_path / "f_*.pgm"))
     stacked = np.stack([img.reshape(-1).astype(np.float64) / maxval for img in imgs], axis=1)
-    assert D.data.flags.c_contiguous and D.dt == 1.0
+    assert D.data.flags.c_contiguous
     assert D.data.shape == stacked.shape and D.data.tobytes() == stacked.tobytes()
 
 
@@ -318,7 +318,6 @@ def test_decomposition_round_trip(tmp_path):
     assert np.array_equal(back.eigenvalues, dec.eigenvalues)
     assert np.array_equal(back.amplitudes, dec.amplitudes)
     assert back.n_frames == dec.n_frames
-    assert back.dt == dec.dt
     assert (back.frame_height, back.frame_width) == (8, 8)
     assert back.anchor == dec.anchor
     assert back.seed == dec.seed
@@ -330,6 +329,27 @@ def test_decomposition_rejects_spans_manifest(tmp_path):
     with open(tmp_path / "manifest.txt", "a") as fh:
         fh.write("spans 0:8,8:16,16:24\n")
     with pytest.raises(ValueError, match="per-span amplitudes"):
+        load_decomposition(str(tmp_path))
+
+
+def test_decomposition_manifest_keeps_unit_frame_spacing(tmp_path):
+    # A decomposition has no frame spacing: frames are one step apart, and the
+    # manifest still carries that spacing so its bytes stay the same.
+    dec = DmdDecomposition(modes=np.eye(4, 2, dtype=np.complex128),
+                           eigenvalues=np.array([1.0, 0.5j]), amplitudes=np.ones(2, complex),
+                           n_frames=6, frame_height=2, frame_width=2)
+    save_decomposition(str(tmp_path), dec)
+    assert (tmp_path / "manifest.txt").read_text() == (
+        "format rdmd-decomposition-1\nrank 2\nn_frames 6\ndt 1.0\n"
+        "frame_height 2\nframe_width 2\nanchor median\nseed 0\n"
+    )
+
+
+def test_decomposition_rejects_other_frame_spacing(tmp_path):
+    save_decomposition(str(tmp_path), fitted_decomposition())
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("dt 1.0", "dt 0.5"))
+    with pytest.raises(ValueError, match="one step apart, got dt 0.5"):
         load_decomposition(str(tmp_path))
 
 

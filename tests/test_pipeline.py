@@ -1,12 +1,16 @@
 """End-to-end pipeline: chunking, sweeps, outputs."""
 
 import csv
+import json
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import dmdmotion
 from dmdmotion import evaluation as ev
 from dmdmotion import linalg, pipeline
 from dmdmotion.background import (
@@ -214,6 +218,38 @@ def test_rerun_is_bit_identical(tmp_path):
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
+# One sweep at the default settings, run in a fresh interpreter so the BLAS
+# thread count set in its environment takes effect.
+_SWEEP_RUN = """
+import hashlib, json
+from dmdmotion.pipeline import RunConfig, run_bgsub
+from dmdmotion.synthetic import MovingRect, SyntheticSpec
+spec = SyntheticSpec(frame_height=64, frame_width=64, n_frames=200, noise_sigma=0.1,
+                     objects=(MovingRect(24.0, 2.0, 8, 8, 0.8, (0.0, 0.3)),), seed=3)
+r = run_bgsub(RunConfig(synthetic=spec))
+print(json.dumps({"tau": r.tau, "f": r.summary["f_measure"], "auc": r.summary["auc"],
+                  "masks": hashlib.sha256(r.masks.masks.tobytes()).hexdigest()}))
+"""
+
+
+def test_masks_do_not_depend_on_the_blas_thread_count():
+    # Floats are reproducible at one thread count only: the BLAS may sum in a
+    # different order with more threads. Masks must not change.
+    src = os.path.dirname(os.path.dirname(dmdmotion.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", _SWEEP_RUN], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        runs.append(json.loads(out))
+    one, two = runs
+    assert one["masks"] == two["masks"]
+    assert abs(one["tau"] - two["tau"]) <= 1e-12 * one["tau"]
+    assert abs(one["f"] - two["f"]) <= 1e-12
+    assert abs(one["auc"] - two["auc"]) <= 1e-12
+
+
 def test_each_decomposition_is_freed_before_the_next_chunk(tmp_path, monkeypatch):
     # Chunk outputs are written in the chunk step, so no chunk's decomposition
     # is alive when the next chunk is decomposed or when the run returns.
@@ -244,7 +280,7 @@ def test_chunks_match_standalone_decompositions():
     assert len(report.chunks) == 2
     D, _ = generate_synthetic(spec)
     for c in report.chunks:
-        sub = SnapshotMatrix(D.data[:, c.start:c.stop], 16, 16, D.dt)
+        sub = SnapshotMatrix(D.data[:, c.start:c.stop], 16, 16)
         dec = rdmd(sub, SketchConfig(rank=5, oversampling=2, subspace_iters=1,
                                      seed=100 + c.index))
         assert np.array_equal(dec.eigenvalues, c.eigenvalues)
@@ -289,7 +325,7 @@ def test_pgm_run_checks_the_video_once_and_chunks_are_views(tmp_path, monkeypatc
     for c, sub in zip(report.chunks, chunks):
         assert np.shares_memory(sub.data, video.data)
         assert np.array_equal(sub.data, video.data[:, c.start:c.stop])
-        assert (sub.frame_height, sub.frame_width, sub.dt) == (24, 24, 1.0)
+        assert (sub.frame_height, sub.frame_width) == (24, 24)
     assert [shape for shape in scans if shape[0] == 576] == [(576, 19)] * 3
 
 
@@ -308,7 +344,7 @@ def test_failed_chunk_is_contained(tmp_path):
                          seed=2)
     D, truth = generate_synthetic(spec)
     frames = np.concatenate([np.zeros_like(D.data), D.data], axis=1)
-    stacked = SnapshotMatrix(frames, 10, 10, 1.0)
+    stacked = SnapshotMatrix(frames, 10, 10)
     save_frames(str(tmp_path / "frames"), stacked)
     # truth marks the object in both halves, so scoring the failed chunk's
     # empty masks would add false negatives
@@ -332,6 +368,27 @@ def test_failed_chunk_is_contained(tmp_path):
     rates = ev.evaluate_masks(ForegroundMaskSequence(report.masks.masks[30:]), truth)
     for key in ("recall", "precision", "specificity", "f_measure"):
         assert report.summary[key] == rates[key]
+
+
+def test_sweep_with_every_chunk_failed_returns_its_report(tmp_path):
+    # An all-black video cannot be decomposed; the sweep still reports why.
+    frames = SnapshotMatrix(np.zeros((100, 24)), 10, 10)
+    save_frames(str(tmp_path / "frames"), frames)
+    truth = np.zeros((24, 10, 10), dtype=bool)
+    truth[:, 2:4, 3] = True
+    save_masks(str(tmp_path / "truth"), ForegroundMaskSequence(truth))
+    cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                    truth=str(tmp_path / "truth" / "*.pgm"),
+                    k=3, p=2, q=1, chunk_length=12, output_dir=str(tmp_path / "out"))
+    report = run_bgsub(cfg)
+    assert len(report.chunks) == 2 and not any(c.ok for c in report.chunks)
+    assert report.tau is None and report.masks is None and report.summary is None
+    text = (tmp_path / "out" / "report.txt").read_text()
+    assert text == render_report(report)
+    assert text.count("FAILED DegenerateDataError") == 2
+    with open(tmp_path / "out" / "timings.csv") as fh:
+        assert [row["chunk"] for row in csv.DictReader(fh)] == ["0", "1", "total"]
+    assert sorted(os.listdir(tmp_path / "out")) == ["report.txt", "timings.csv"]
 
 
 def test_mask_files_named_after_input_frames(tmp_path):
