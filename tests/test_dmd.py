@@ -87,6 +87,49 @@ def test_rdmd_sketches_a_view_of_the_left_sequence(monkeypatch):
     assert np.array_equal(X, D.data[:, :-1])
 
 
+def _left_and_right_sequences(D, monkeypatch):
+    """Record the (X, Y) pair that rdmd and deterministic_dmd each fit."""
+    pairs = []
+
+    def recorded(svd):
+        def run(A, *args):
+            pairs.append([A])
+            return svd(A, *args)
+        return run
+
+    def recorded_reduced_operator(factors, Y):
+        pairs[-1].append(Y)
+        return reduced_operator(factors, Y)
+
+    monkeypatch.setattr(dmd, "rsvd", recorded(linalg.rsvd))
+    monkeypatch.setattr(dmd, "deterministic_svd", recorded(deterministic_svd))
+    monkeypatch.setattr(dmd, "reduced_operator", recorded_reduced_operator)
+    rdmd(D, SketchConfig(rank=1, oversampling=0, seed=0))
+    deterministic_dmd(D, 1)
+    assert len(pairs) == 2 and all(len(pair) == 2 for pair in pairs)
+    return pairs
+
+
+def test_split_basic(monkeypatch):
+    data = np.column_stack([np.full(4, 0.1), np.full(4, 0.2), np.full(4, 0.3)])
+    for X, Y in _left_and_right_sequences(SnapshotMatrix(data, 2, 2), monkeypatch):
+        assert np.array_equal(X, data[:, :2])
+        assert np.array_equal(Y, data[:, 1:])
+
+
+def test_split_two_frames(monkeypatch):
+    D = SnapshotMatrix(np.ones((4, 2)) * 0.5, 2, 2)
+    for X, Y in _left_and_right_sequences(D, monkeypatch):
+        assert X.shape == (4, 1) and Y.shape == (4, 1)
+
+
+def test_split_overlap_identity(monkeypatch):
+    rng = np.random.default_rng(1)
+    D = SnapshotMatrix(rng.uniform(size=(6, 5)), 2, 3)
+    for X, Y in _left_and_right_sequences(D, monkeypatch):
+        assert np.array_equal(X[:, 1:], Y[:, :-1])
+
+
 def test_rdmd_checks_its_svd_factors_once(planted_three_mode, monkeypatch):
     checks = []
     post_init = linalg.SvdFactors.__post_init__
