@@ -12,6 +12,7 @@ from .background import (
     ModePartition,
     ResidualSequence,
     background_model,
+    background_residual,
     filter_masks,
     fourier_modes,
     median_filter,
@@ -79,6 +80,7 @@ __all__ = [
     "partition_modes",
     "background_model",
     "residual",
+    "background_residual",
     "threshold_mask",
     "median_filter",
     "filter_masks",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage
 
-from .dmd import DmdDecomposition, reconstruct
-from .dmd import SnapshotMatrix
+from .dmd import DmdDecomposition, SnapshotMatrix, reconstruct, reconstruction_factors
 from .errors import DegenerateDataError
 
 __all__ = [
@@ -27,6 +26,7 @@ __all__ = [
     "partition_modes",
     "background_model",
     "residual",
+    "background_residual",
     "threshold_mask",
     "median_filter",
     "filter_masks",
@@ -35,6 +35,11 @@ __all__ = [
 # Eigenvalues below this magnitude have no usable logarithm; the modes they
 # describe are one-step transients and never enter the background set.
 ZERO_EIGENVALUE_CUTOFF = 1e-12
+
+# Pixels per block of background_residual. A block's complex background is
+# RESIDUAL_BLOCK x n; pixel blocks keep every operand's rows contiguous, where
+# blocks of frames would leave the subtraction 16-element strided rows.
+RESIDUAL_BLOCK = 2048
 
 # Two frequency moduli within this relative tolerance are treated as tied, so
 # conjugate pairs are selected or rejected together.
@@ -86,7 +91,8 @@ class ResidualSequence:
             raise ValueError("residual values must be 2-dimensional")
         if self.values.shape[0] != self.frame_height * self.frame_width:
             raise ValueError("residual geometry does not match pixel count")
-        if not np.all(np.isfinite(self.values)) or self.values.min() < 0.0:
+        # min and max propagate NaN, so two reductions check finiteness too.
+        if not (self.values.min() >= 0.0 and self.values.max() < np.inf):
             raise ValueError("residuals must be finite and nonnegative")
 
     @property
@@ -166,6 +172,31 @@ def residual(D: SnapshotMatrix, L: np.ndarray) -> ResidualSequence:
         raise ValueError(f"background shape {L.shape} does not match video {D.data.shape}")
     values = np.subtract(D.data, L.real)
     np.abs(values, out=values)
+    return ResidualSequence(values, D.frame_height, D.frame_width)
+
+
+def background_residual(
+    D: SnapshotMatrix, dec: DmdDecomposition, part: ModePartition
+) -> ResidualSequence:
+    """residual(D, background_model(dec, part)), RESIDUAL_BLOCK pixels at a time.
+
+    Equal to that bit for bit, but the complex background exists one block
+    of pixels at a time, never as the whole m x n chunk.
+    """
+    if (dec.n_pixels, dec.n_frames) != D.data.shape:
+        raise ValueError(
+            f"background shape {(dec.n_pixels, dec.n_frames)} does not match video {D.data.shape}"
+        )
+    modes, temporal = reconstruction_factors(dec, part.background_indices)
+    values = np.empty(D.data.shape)
+    # A one-pixel block would be a vector-matrix product, which rounds
+    # differently from the matrix product, so a last block of one pixel more
+    # than RESIDUAL_BLOCK is kept whole.
+    edges = [*range(0, max(D.n_pixels - 1, 1), RESIDUAL_BLOCK), D.n_pixels]
+    for start, stop in zip(edges, edges[1:]):
+        out = values[start:stop]
+        np.subtract(D.data[start:stop], (modes[start:stop] @ temporal).real, out=out)
+        np.abs(out, out=out)
     return ResidualSequence(values, D.frame_height, D.frame_width)
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "dmd_amplitudes",
     "rdmd",
     "deterministic_dmd",
+    "reconstruction_factors",
     "reconstruct",
 ]
 
@@ -168,7 +169,14 @@ def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
     if anchor == FIRST_FRAME:
         return X[:, 0]
     if anchor == MEDIAN_FRAME:
-        return np.median(X, axis=1)
+        # np.median without its NaN scan (SnapshotMatrix rules NaN out): one
+        # partition, then the middle element or the mean of the middle two,
+        # formed as np.median forms it.
+        mid = X.shape[1] // 2
+        P = np.partition(X, mid, axis=1)
+        if X.shape[1] % 2:
+            return P[:, mid]
+        return (P[:, :mid].max(axis=1) + P[:, mid]) / 2
     if isinstance(anchor, (int, np.integer)):
         idx = int(anchor)
         if not 0 <= idx < X.shape[1]:
@@ -250,11 +258,13 @@ def deterministic_dmd(
     return _decompose(D, factors, anchor, seed=0)
 
 
-def reconstruct(dec: DmdDecomposition, mode_indices=None) -> np.ndarray:
-    """Sum of b_i phi_i lam_i**t over the selected modes, one column per frame.
+def reconstruction_factors(
+    dec: DmdDecomposition, mode_indices=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The selected modes phi_i and their temporal factor b_i lam_i**t.
 
-    mode_indices None means all modes; an empty selection returns zeros. The
-    full index set reproduces the retained-rank approximation of D.
+    The factor has one column per frame; reconstruct is the product of the
+    two. mode_indices as in reconstruct.
     """
     if mode_indices is None:
         idx = np.arange(dec.rank)
@@ -262,8 +272,16 @@ def reconstruct(dec: DmdDecomposition, mode_indices=None) -> np.ndarray:
         idx = np.unique(np.asarray(list(mode_indices), dtype=np.intp))
         if idx.size and (idx.min() < 0 or idx.max() >= dec.rank):
             raise ValueError(f"mode indices outside [0, {dec.rank})")
-    if idx.size == 0:
-        return np.zeros((dec.n_pixels, dec.n_frames), dtype=np.complex128)
     times = np.arange(dec.n_frames, dtype=np.int64)
     temporal = dec.amplitudes[idx, None] * dec.eigenvalues[idx, None] ** times[None, :]
-    return dec.modes[:, idx] @ temporal
+    return dec.modes[:, idx], temporal
+
+
+def reconstruct(dec: DmdDecomposition, mode_indices=None) -> np.ndarray:
+    """Sum of b_i phi_i lam_i**t over the selected modes, one column per frame.
+
+    mode_indices None means all modes; an empty selection returns zeros. The
+    full index set reproduces the retained-rank approximation of D.
+    """
+    modes, temporal = reconstruction_factors(dec, mode_indices)
+    return modes @ temporal

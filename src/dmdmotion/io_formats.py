@@ -41,6 +41,9 @@ MAGIC_COMPLEX = b"RDMDCPX1"
 _ENTRY = {MAGIC_REAL: np.dtype("<f8"), MAGIC_COMPLEX: np.dtype("<c16")}
 
 _MANIFEST = "manifest.txt"
+# The integer manifest lines, then every line a decomposition needs.
+_MANIFEST_COUNTS = ("rank", "n_frames", "frame_height", "frame_width", "seed")
+_MANIFEST_KEYS = (*_MANIFEST_COUNTS, "anchor")
 
 
 def save_matrix(path: str, A: np.ndarray) -> None:
@@ -246,21 +249,26 @@ def load_decomposition(directory: str) -> DmdDecomposition:
         raise ValueError(f"{directory}: per-span amplitudes are not supported")
     if fields.get("dt") != "1.0":
         raise ValueError(f"{directory}: frames must be one step apart, got dt {fields.get('dt')}")
+    missing = [key for key in _MANIFEST_KEYS if key not in fields]
+    if missing:
+        raise ValueError(f"{directory}: manifest has no {', '.join(missing)} line")
+    counts = {}
+    for key in _MANIFEST_COUNTS:
+        try:
+            counts[key] = int(fields[key])
+        except ValueError:
+            raise ValueError(f"{directory}: manifest {key} {fields[key]!r} is not an integer")
     modes = load_matrix(os.path.join(directory, "modes.cpx"))
     eigenvalues = load_matrix(os.path.join(directory, "eigenvalues.cpx")).ravel()
     amplitudes = load_matrix(os.path.join(directory, "amplitudes.cpx")).ravel()
+    rank = counts.pop("rank")
+    if rank != eigenvalues.size:
+        raise ValueError(f"{directory}: manifest rank {rank} but {eigenvalues.size} eigenvalues")
     anchor: str | int = fields["anchor"]
     try:
         anchor = int(anchor)
     except ValueError:
         pass
     return DmdDecomposition(
-        modes=modes,
-        eigenvalues=eigenvalues,
-        amplitudes=amplitudes,
-        n_frames=int(fields["n_frames"]),
-        frame_height=int(fields["frame_height"]),
-        frame_width=int(fields["frame_width"]),
-        anchor=anchor,
-        seed=int(fields["seed"]),
+        modes=modes, eigenvalues=eigenvalues, amplitudes=amplitudes, anchor=anchor, **counts
     )

@@ -176,7 +176,7 @@ def _run_chunk(
         if n_bg == 0:
             raise DegenerateDataError("chunk has no usable modes")
         part = bg.partition_modes(fm, n_bg)
-        S = bg.residual(sub, bg.background_model(dec, part))
+        S = bg.background_residual(sub, dec, part)
     except (ValueError, DegenerateDataError, np.linalg.LinAlgError) as exc:
         failed = ChunkResult(
             index=index,
@@ -239,18 +239,45 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     if cfg.tau is None and truth.masks.all():
         raise ValueError("truth contains no background pixels")
 
-    runs = [_run_chunk(D, cfg, i, start, stop) for i, (start, stop) in enumerate(bounds)]
-    ran = [(c, S) for c, S in runs if S is not None]
-    tau = cfg.tau
-
     def truth_of(c: ChunkResult) -> bg.ForegroundMaskSequence:
         return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
+
+    mask_frames = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
+    final_counts = ev.ConfusionCounts(0, 0, 0, 0)
+
+    def make_masks(c: ChunkResult, S: bg.ResidualSequence, tau: float) -> ChunkResult:
+        """Threshold and filter one chunk's masks into mask_frames and score them."""
+        nonlocal final_counts
+        t0 = time.perf_counter()
+        chunk_masks = bg.filter_masks(bg.threshold_mask(S, tau), cfg.median_kernel)
+        mask_frames[c.start : c.stop] = chunk_masks.masks
+        c = replace(c, mask_seconds=time.perf_counter() - t0)
+        if truth is not None:
+            final_counts += ev.confusion(chunk_masks, truth_of(c))
+        return c
+
+    # A fixed tau masks each chunk as soon as it runs. Its residual is then
+    # dropped before the next chunk, unless metrics.csv and roc.csv need it:
+    # their tau grid spans the largest residual of the whole run.
+    keep = cfg.tau is None or (truth is not None and cfg.output_dir is not None)
+    chunks: list[ChunkResult] = []
+    ran: list[tuple[ChunkResult, bg.ResidualSequence]] = []
+    for i, (start, stop) in enumerate(bounds):
+        c, S = _run_chunk(D, cfg, i, start, stop)
+        if S is not None and cfg.tau is not None:
+            c = make_masks(c, S, cfg.tau)
+        if S is not None and keep:
+            ran.append((c, S))
+        chunks.append(c)
+        del S
+    any_ok = any(c.ok for c in chunks)
+    tau = cfg.tau
 
     # Confusion counts at every grid tau, summed over the chunks that ran, of
     # the raw masks and, when sweeping with a filter, of the filtered ones
     # (with kernel 1 the two sweeps are one).
     taus = raw = filtered = None
-    if truth is not None and ran and (tau is None or cfg.output_dir is not None):
+    if truth is not None and ran:
         taus = ev.tau_grid(max(float(S.values.max()) for _, S in ran))
         sweep_filtered = tau is None and cfg.median_kernel > 1
         raw = np.zeros((taus.size, 4), dtype=np.int64)
@@ -281,21 +308,10 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             "best_f_filtered": filt_f,
             "auc": roc.auc,
         }
-
-    chunks: list[ChunkResult] = []
-    mask_frames = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
-    final_counts = ev.ConfusionCounts(0, 0, 0, 0)
-    for c, S in runs:
-        if S is not None:
-            t0 = time.perf_counter()
-            chunk_masks = bg.filter_masks(bg.threshold_mask(S, tau), cfg.median_kernel)
-            mask_frames[c.start : c.stop] = chunk_masks.masks
-            c = replace(c, mask_seconds=time.perf_counter() - t0)
-            if truth is not None:
-                final_counts += ev.confusion(chunk_masks, truth_of(c))
-        chunks.append(c)
-    masks = bg.ForegroundMaskSequence(mask_frames, tau=tau) if ran else None
-    if ran and truth is not None:
+        for c, S in ran:
+            chunks[c.index] = make_masks(c, S, tau)
+    masks = bg.ForegroundMaskSequence(mask_frames, tau=tau) if any_ok else None
+    if any_ok and truth is not None:
         summary = {**(summary or {}), **ev.rates(final_counts)}
 
     report = RunReport(

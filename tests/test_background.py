@@ -1,15 +1,19 @@
 """Frequency partition, background model, residuals, masks, filtering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dmdmotion import background
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
     background_model,
+    background_residual,
     filter_masks,
     fourier_modes,
     median_filter,
@@ -206,6 +210,94 @@ def test_residual_shape_mismatch():
     D = static_video()
     with pytest.raises(ValueError):
         residual(D, np.zeros((3, 3), dtype=complex))
+
+
+def test_residual_sequence_checks_values():
+    for bad in (np.nan, np.inf, -np.inf, -0.25):
+        values = np.full((4, 3), 0.5)
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="residuals must be finite and nonnegative"):
+            ResidualSequence(values, 2, 2)
+    with pytest.raises(ValueError, match="residual values must be 2-dimensional"):
+        ResidualSequence(np.zeros(4), 2, 2)
+
+
+def test_residual_sequence_check_allocates_no_per_pixel_array():
+    values = np.random.default_rng(0).uniform(size=(2000, 500))
+    tracemalloc.start()
+    try:
+        ResidualSequence(values, 40, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.shape[0] * values.shape[1]
+
+
+def pair_decomposition(n_pixels, n_frames, seed=0):
+    """A static mode, a conjugate pair and a fast mode over random modes."""
+    rng = np.random.default_rng(seed)
+    lam = np.array([1.0, 0.99 * np.exp(0.05j), 0.99 * np.exp(-0.05j), 0.5 * np.exp(2.0j)])
+    modes = rng.normal(size=(n_pixels, 4)) + 1j * rng.normal(size=(n_pixels, 4))
+    amplitudes = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return DmdDecomposition(modes=0.1 * modes, eigenvalues=lam, amplitudes=amplitudes,
+                            n_frames=n_frames, frame_height=1, frame_width=n_pixels)
+
+
+@pytest.mark.parametrize("n_frames", [15, 16, 17, 33])
+@pytest.mark.parametrize("n_pixels", [1, 15, 16, 17, 33])
+def test_background_residual_is_bit_identical_to_residual_of_model(
+    monkeypatch, n_pixels, n_frames
+):
+    # Blocks of 16 pixels here, so a block boundary falls inside the frame;
+    # 17 and 33 pixels leave a one-pixel tail.
+    monkeypatch.setattr(background, "RESIDUAL_BLOCK", 16)
+    dec = pair_decomposition(n_pixels, n_frames)
+    part = partition_modes(fourier_modes(dec), 2)
+    assert part.background_indices == (0, 1, 2)  # the pair joins the static mode
+    D = SnapshotMatrix(np.random.default_rng(1).uniform(size=(n_pixels, n_frames)),
+                       1, n_pixels)
+    expected = residual(D, background_model(dec, part)).values
+    assert background_residual(D, dec, part).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_frames", [15, 16, 17, 33])
+def test_background_residual_of_static_rank_collapsed_chunk(n_frames):
+    # Frame size 2 * RESIDUAL_BLOCK + 1 gives two full blocks and a tail.
+    frame = np.random.default_rng(2).uniform(size=2 * background.RESIDUAL_BLOCK + 1)
+    D = SnapshotMatrix(np.repeat(frame[:, None], n_frames, axis=1), 1, frame.size)
+    dec = rdmd(D, SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=3))
+    assert dec.rank == 1
+    part = partition_modes(fourier_modes(dec), 1)
+    expected = residual(D, background_model(dec, part)).values
+    assert background_residual(D, dec, part).values.tobytes() == expected.tobytes()
+
+
+def test_background_residual_never_holds_the_complex_background():
+    n_pixels, n_frames = 8 * background.RESIDUAL_BLOCK, 40
+    dec = pair_decomposition(n_pixels, n_frames)
+    part = partition_modes(fourier_modes(dec), 2)
+    D = SnapshotMatrix(np.full((n_pixels, n_frames), 0.5), 1, n_pixels)
+    tracemalloc.start()
+    try:
+        S = background_residual(D, dec, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The residual plus one block; the whole complex background is twice the
+    # residual's size.
+    assert peak < 1.5 * S.values.nbytes
+
+
+def test_background_residual_checks_its_inputs():
+    from dmdmotion.background import ModePartition
+
+    dec = pair_decomposition(6, 5)
+    D = SnapshotMatrix(np.full((6, 4), 0.5), 2, 3)
+    with pytest.raises(ValueError, match="does not match video"):
+        background_residual(D, dec, ModePartition((0,), ()))
+    D = SnapshotMatrix(np.full((6, 5), 0.5), 2, 3)
+    with pytest.raises(ValueError, match=r"mode indices outside \[0, 4\)"):
+        background_residual(D, dec, ModePartition((4,), ()))
 
 
 # ---------------------------------------------------------------- threshold

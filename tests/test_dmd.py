@@ -240,6 +240,21 @@ def test_amplitudes_recover_planted_values():
     assert np.max(np.abs(b - sys.amplitudes) / np.abs(sys.amplitudes)) <= 1e-6
 
 
+@pytest.mark.parametrize("n_frames", [2, 3, 8, 9, 200, 201, 1001])
+@pytest.mark.parametrize("tied", [False, True])
+def test_median_anchor_equals_np_median(n_frames, tied):
+    # The left sequence has n_frames - 1 columns: odd and even lengths, and a
+    # 2-frame chunk's single column. Tied values repeat across a row. At 1000
+    # columns some rows' partition leaves a smaller value just left of the
+    # middle than the largest of the lower half.
+    values = np.random.default_rng(n_frames).uniform(size=(2000, n_frames))
+    if tied:
+        values = np.round(values * 4) / 4
+    D = SnapshotMatrix(values, 40, 50)
+    expected = np.median(values[:, :-1], axis=1)
+    assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
+
+
 def test_amplitudes_anchor_bounds():
     D = static_video()
     Phi = D.data[:, :1].astype(np.complex128)

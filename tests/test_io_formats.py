@@ -353,6 +353,32 @@ def test_decomposition_rejects_other_frame_spacing(tmp_path):
         load_decomposition(str(tmp_path))
 
 
+@pytest.mark.parametrize("key", ["seed", "n_frames", "anchor", "frame_height", "frame_width"])
+def test_decomposition_rejects_manifest_without_a_line(tmp_path, key):
+    save_decomposition(str(tmp_path), fitted_decomposition())
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.startswith(key + " ")))
+    with pytest.raises(ValueError, match=f"manifest has no {key} line"):
+        load_decomposition(str(tmp_path))
+
+
+def test_decomposition_rejects_rank_that_disagrees_with_eigenvalues(tmp_path):
+    save_decomposition(str(tmp_path), fitted_decomposition())
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("rank 4\n", "rank 5\n"))
+    with pytest.raises(ValueError, match="manifest rank 5 but 4 eigenvalues"):
+        load_decomposition(str(tmp_path))
+
+
+def test_decomposition_rejects_non_integer_count(tmp_path):
+    save_decomposition(str(tmp_path), fitted_decomposition())
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("n_frames 24", "n_frames 2.4e1"))
+    with pytest.raises(ValueError, match="manifest n_frames '2.4e1' is not an integer"):
+        load_decomposition(str(tmp_path))
+
+
 def test_decomposition_rejects_foreign_manifest(tmp_path):
     (tmp_path / "manifest.txt").write_text("format something-else\n")
     with pytest.raises(ValueError, match="manifest"):

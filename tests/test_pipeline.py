@@ -270,6 +270,79 @@ def test_each_decomposition_is_freed_before_the_next_chunk(tmp_path, monkeypatch
     assert (tmp_path / "chunk_002" / "residual.mat").exists()
 
 
+def track_residuals(monkeypatch):
+    """Weakrefs to each chunk's residual, in chunk order."""
+    refs = []
+    run_chunk = pipeline._run_chunk
+
+    def tracked_run_chunk(*args):
+        c, S = run_chunk(*args)
+        refs.append(weakref.ref(S))
+        return c, S
+
+    monkeypatch.setattr(pipeline, "_run_chunk", tracked_run_chunk)
+    return refs
+
+
+@pytest.mark.parametrize("with_truth", [False, True])
+def test_fixed_tau_drops_each_residual_before_the_next_chunk(tmp_path, monkeypatch,
+                                                            with_truth):
+    # Without truth (output written), or with truth but no output directory,
+    # nothing needs the tau grid, so each chunk's residual dies with its chunk.
+    if with_truth:
+        cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3)
+    else:
+        D, _ = generate_synthetic(SQUARE)
+        save_frames(str(tmp_path / "frames"), D)
+        cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"), k=5, chunk_length=20,
+                        tau=0.3, output_dir=str(tmp_path / "out"))
+    expected = run_bgsub(cfg)
+    refs = track_residuals(monkeypatch)
+
+    def checked_rdmd(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        return rdmd(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "rdmd", checked_rdmd)
+    report = run_bgsub(cfg)
+    assert len(refs) == 3 and all(c.ok for c in report.chunks)
+    assert all(ref() is None for ref in refs)
+    assert np.array_equal(report.masks.masks, expected.masks.masks)
+    assert report.summary == expected.summary
+
+
+def test_fixed_tau_with_truth_and_output_keeps_residuals_for_the_grid(tmp_path, monkeypatch):
+    # metrics.csv and roc.csv score every tau of a grid that spans the largest
+    # residual of the run, so every chunk's residual lives until they are written.
+    refs = track_residuals(monkeypatch)
+    write_outputs = pipeline._write_outputs
+
+    def checked_write_outputs(*args):
+        assert all(ref() is not None for ref in refs)
+        write_outputs(*args)
+
+    monkeypatch.setattr(pipeline, "_write_outputs", checked_write_outputs)
+    out = tmp_path / "run"
+    cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3,
+                    output_dir=str(out), save_residuals=True)
+    run_bgsub(cfg)
+    assert len(refs) == 3
+    _, truth = generate_synthetic(SQUARE)
+    S = ResidualSequence(
+        np.concatenate([load_matrix(str(out / f"chunk_{i:03d}" / "residual.mat"))
+                        for i in range(3)], axis=1),
+        SQUARE.frame_height, SQUARE.frame_width,
+    )
+    taus = ev.tau_grid(float(S.values.max()))
+    counts = ev.sweep_counts(S, truth, taus)
+    ev.write_metrics_csv(str(tmp_path / "metrics.csv"),
+                         [ev.metrics_row(float(t), ev.ConfusionCounts(*row))
+                          for t, row in zip(taus, counts.tolist())])
+    ev.write_roc_csv(str(tmp_path / "roc.csv"), ev.RocCurve.from_counts(taus, counts))
+    for name in ("metrics.csv", "roc.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_chunks_match_standalone_decompositions():
     spec = SyntheticSpec(frame_height=16, frame_width=16, n_frames=80,
                          noise_sigma=0.04,
