@@ -8,8 +8,6 @@ against the reconstructed background yields per-frame foreground masks.
 
 from .background import (
     ForegroundMaskSequence,
-    FourierModes,
-    ModePartition,
     ResidualSequence,
     background_model,
     background_residual,
@@ -72,8 +70,6 @@ __all__ = [
     "rdmd",
     "deterministic_dmd",
     "reconstruct",
-    "FourierModes",
-    "ModePartition",
     "ResidualSequence",
     "ForegroundMaskSequence",
     "fourier_modes",

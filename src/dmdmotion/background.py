@@ -18,8 +18,6 @@ from .dmd import DmdDecomposition, SnapshotMatrix, reconstruct, reconstruction_f
 from .errors import DegenerateDataError
 
 __all__ = [
-    "FourierModes",
-    "ModePartition",
     "ResidualSequence",
     "ForegroundMaskSequence",
     "fourier_modes",
@@ -44,38 +42,6 @@ RESIDUAL_BLOCK = 2048
 # Two frequency moduli within this relative tolerance are treated as tied, so
 # conjugate pairs are selected or rejected together.
 _TIE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FourierModes:
-    """Frequency of each mode, per frame (frames are one time step apart).
-
-    excluded marks modes with near-zero eigenvalues, whose frequency is
-    undefined; they belong to neither background nor foreground.
-    """
-
-    omega: np.ndarray
-    excluded: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.omega.shape != self.excluded.shape:
-            raise ValueError("omega and excluded must have matching shapes")
-        if np.any(~np.isfinite(self.omega) & ~self.excluded):
-            raise ValueError("non-excluded frequencies must be finite")
-
-    @property
-    def usable_indices(self) -> np.ndarray:
-        return np.nonzero(~self.excluded)[0]
-
-
-@dataclass(frozen=True)
-class ModePartition:
-    background_indices: tuple[int, ...]
-    foreground_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if set(self.background_indices) & set(self.foreground_indices):
-            raise ValueError("background and foreground sets overlap")
 
 
 @dataclass(frozen=True)
@@ -121,31 +87,33 @@ class ForegroundMaskSequence:
         return self.masks.shape[0]
 
 
-def fourier_modes(dec: DmdDecomposition) -> FourierModes:
-    """Principal-branch frequencies log(lam), with zero-eigenvalue modes excluded."""
+def fourier_modes(dec: DmdDecomposition) -> np.ndarray:
+    """Principal-branch frequencies log(lam), one per mode.
+
+    A mode whose eigenvalue is near zero has no usable frequency; its entry
+    is inf, and the mode belongs to neither background nor foreground.
+    """
     lam = dec.eigenvalues
-    excluded = np.abs(lam) < ZERO_EIGENVALUE_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = np.log(lam)
-    omega = np.where(excluded, np.inf + 0j, omega)
-    return FourierModes(omega=omega, excluded=excluded)
+    return np.where(np.abs(lam) < ZERO_EIGENVALUE_CUTOFF, np.inf + 0j, omega)
 
 
-def partition_modes(fm: FourierModes, n_background: int) -> ModePartition:
-    """Background = the n_background usable modes of smallest frequency modulus.
+def partition_modes(omega: np.ndarray, n_background: int) -> tuple[int, ...]:
+    """Sorted indices of the n_background usable modes of smallest |omega|.
 
     Ordering ties break by ascending index. When the cut would separate modes
     of equal modulus (a complex-conjugate pair), the whole tied group is kept,
     so the background can exceed n_background rather than split a pair.
     """
-    usable = fm.usable_indices
+    usable = np.flatnonzero(np.isfinite(omega))
     if usable.size == 0:
         raise DegenerateDataError("no usable modes: every eigenvalue is near zero")
     if not 1 <= n_background <= usable.size:
         raise ValueError(
             f"n_background={n_background} outside [1, {usable.size} usable modes]"
         )
-    mod = np.abs(fm.omega[usable])
+    mod = np.abs(omega[usable])
     order = np.lexsort((usable, mod))
     ranked = usable[order]
     ranked_mod = mod[order]
@@ -154,16 +122,12 @@ def partition_modes(fm: FourierModes, n_background: int) -> ModePartition:
         ranked_mod[cut], ranked_mod[cut - 1], rtol=_TIE_RTOL, atol=0.0
     ):
         cut += 1
-    bg = set(int(i) for i in ranked[:cut])
-    fg = tuple(int(i) for i in usable if int(i) not in bg)
-    return ModePartition(tuple(sorted(bg)), fg)
+    return tuple(sorted(int(i) for i in ranked[:cut]))
 
 
-def background_model(dec: DmdDecomposition, part: ModePartition) -> np.ndarray:
+def background_model(dec: DmdDecomposition, background_indices: tuple[int, ...]) -> np.ndarray:
     """Complex background video: the background-mode reconstruction over all frames."""
-    if part.background_indices and max(part.background_indices) >= dec.rank:
-        raise ValueError("partition refers to modes outside the decomposition")
-    return reconstruct(dec, part.background_indices)
+    return reconstruct(dec, background_indices)
 
 
 def residual(D: SnapshotMatrix, L: np.ndarray) -> ResidualSequence:
@@ -176,18 +140,24 @@ def residual(D: SnapshotMatrix, L: np.ndarray) -> ResidualSequence:
 
 
 def background_residual(
-    D: SnapshotMatrix, dec: DmdDecomposition, part: ModePartition
+    D: SnapshotMatrix, dec: DmdDecomposition, background_indices: tuple[int, ...]
 ) -> ResidualSequence:
-    """residual(D, background_model(dec, part)), RESIDUAL_BLOCK pixels at a time.
+    """residual(D, background_model(dec, background_indices)), in pixel blocks.
 
     Equal to that bit for bit, but the complex background exists one block
-    of pixels at a time, never as the whole m x n chunk.
+    of RESIDUAL_BLOCK pixels at a time, never as the whole m x n chunk.
     """
     if (dec.n_pixels, dec.n_frames) != D.data.shape:
         raise ValueError(
             f"background shape {(dec.n_pixels, dec.n_frames)} does not match video {D.data.shape}"
         )
-    modes, temporal = reconstruction_factors(dec, part.background_indices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes, temporal = reconstruction_factors(dec, background_indices)
+        # Bounds every entry of modes @ temporal: when it is finite, neither
+        # the powers b_i lam_i**t nor the background overflow.
+        bound = len(temporal) * np.abs(modes).max(initial=0.0) * np.abs(temporal).max(initial=0.0)
+    if not np.isfinite(bound):
+        raise DegenerateDataError(f"background overflows over {dec.n_frames} frames")
     values = np.empty(D.data.shape)
     # A one-pixel block would be a vector-matrix product, which rounds
     # differently from the matrix product, so a last block of one pixel more

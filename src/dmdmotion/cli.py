@@ -181,10 +181,10 @@ def _cmd_decompose(args) -> int:
     cfg = SketchConfig(rank=args.k, oversampling=args.p, subspace_iters=args.q, seed=args.seed)
     dec = rdmd(D, cfg, anchor=args.anchor)
     save_decomposition(args.out, dec)
-    fm = fourier_modes(dec)
+    omega = fourier_modes(dec)
     print(f"decomposition of {D.n_frames} frames, retained rank {dec.rank}")
     print("idx  eigenvalue                     |lambda|   |omega|")
-    for j, (lam, om) in enumerate(zip(dec.eigenvalues, fm.omega)):
+    for j, (lam, om) in enumerate(zip(dec.eigenvalues, omega)):
         om_text = "excluded" if not np.isfinite(om) else f"{abs(om):.6f}"
         print(f"{j:<4d} {lam.real:+.6f}{lam.imag:+.6f}j    {abs(lam):.6f}   {om_text}")
     return 0

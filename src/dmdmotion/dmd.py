@@ -121,6 +121,8 @@ class DmdDecomposition:
             raise ValueError("mode/eigenvalue/amplitude shapes are inconsistent")
         if not np.all(np.isfinite(self.modes)):
             raise ValueError("modes contain non-finite entries")
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise ValueError("eigenvalues contain non-finite entries")
 
     @property
     def rank(self) -> int:
@@ -221,6 +223,8 @@ def _decompose(
     lam = lam[order]
     W = W[:, order]
     Phi = dmd_modes(Y, factors.V[:, :r], factors.singular_values[:r], W)
+    if not np.all(np.isfinite(Phi)):
+        raise DegenerateDataError("modes contain non-finite entries")
     b = dmd_amplitudes(Phi, D, anchor)
     return DmdDecomposition(
         modes=Phi,

@@ -114,11 +114,12 @@ def confusion(
         )
     p = predicted.masks
     t = truth.masks
+    # One mask-sized temporary: the other three counts follow from tp and
+    # the two class sizes.
     tp = int(np.count_nonzero(p & t))
-    fp = int(np.count_nonzero(p & ~t))
-    tn = int(np.count_nonzero(~p & ~t))
-    fn = int(np.count_nonzero(~p & t))
-    return ConfusionCounts(tp, fp, tn, fn)
+    n_p = int(np.count_nonzero(p))
+    n_t = int(np.count_nonzero(t))
+    return ConfusionCounts(tp, n_p - tp, p.size - n_p - n_t + tp, n_t - tp)
 
 
 def _rate(num: int, den: int) -> float:

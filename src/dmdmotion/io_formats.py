@@ -56,7 +56,9 @@ def save_matrix(path: str, A: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(np.ascontiguousarray(A, dtype=_ENTRY[magic]).tobytes())
+        # The array's own buffer: a C-ordered array of the entry type is
+        # written without a copy.
+        fh.write(np.ascontiguousarray(A, dtype=_ENTRY[magic]).data)
 
 
 def load_matrix(path: str) -> np.ndarray:

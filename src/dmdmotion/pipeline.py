@@ -145,8 +145,15 @@ def _load_input(
 
     D, paths = load_frames(cfg.frames)
     truth = load_masks(cfg.truth) if cfg.truth is not None else None
-    stems = [os.path.splitext(os.path.basename(p))[0] + "_mask" for p in paths]
-    return D, truth, stems
+    # Masks all go to one directory, so two frames of one file name (in two
+    # directories) would write one mask file.
+    stems: dict[str, str] = {}
+    for path in paths:
+        stem = os.path.splitext(os.path.basename(path))[0] + "_mask"
+        if stem in stems:
+            raise ValueError(f"frames {stems[stem]} and {path} would both write mask {stem}")
+        stems[stem] = path
+    return D, truth, list(stems)
 
 
 def _run_chunk(
@@ -155,7 +162,8 @@ def _run_chunk(
     """Decompose one chunk, model its background and write its outputs.
 
     Returns the chunk's record with its residual, or with None when the chunk
-    failed on its data. With an output directory, the decomposition (and,
+    failed on its data (DegenerateDataError or LinAlgError; any other error
+    propagates). With an output directory, the decomposition (and,
     under save_residuals, the residual) goes to chunk_NNN/ here, so no
     decomposition outlives its chunk.
     """
@@ -169,15 +177,13 @@ def _run_chunk(
             seed=cfg.seed + index,
         )
         dec = rdmd(sub, sketch, anchor=cfg.anchor)
-        fm = bg.fourier_modes(dec)
+        omega = bg.fourier_modes(dec)
         # A near-static chunk can retain fewer usable modes than requested; take
-        # what is there rather than failing the chunk.
-        n_bg = min(cfg.n_background, fm.usable_indices.size)
-        if n_bg == 0:
-            raise DegenerateDataError("chunk has no usable modes")
-        part = bg.partition_modes(fm, n_bg)
-        S = bg.background_residual(sub, dec, part)
-    except (ValueError, DegenerateDataError, np.linalg.LinAlgError) as exc:
+        # what is there rather than failing the chunk (none fails it).
+        n_bg = min(cfg.n_background, np.count_nonzero(np.isfinite(omega)))
+        background_indices = bg.partition_modes(omega, n_bg)
+        S = bg.background_residual(sub, dec, background_indices)
+    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
         failed = ChunkResult(
             index=index,
             start=start,
@@ -194,8 +200,8 @@ def _run_chunk(
         seed=cfg.seed + index,
         retained_rank=dec.rank,
         eigenvalues=dec.eigenvalues,
-        omega=fm.omega,
-        background_indices=part.background_indices,
+        omega=omega,
+        background_indices=background_indices,
         decompose_seconds=time.perf_counter() - t0,
     )
     if cfg.output_dir is not None:

@@ -51,65 +51,63 @@ def make_decomposition(eigenvalues):
 # ---------------------------------------------------------------- fourier modes
 
 def test_omega_of_unit_eigenvalue_is_zero():
-    fm = fourier_modes(make_decomposition([1.0]))
-    assert abs(fm.omega[0]) <= 1e-14
-    assert not fm.excluded[0]
+    omega = fourier_modes(make_decomposition([1.0]))
+    assert abs(omega[0]) <= 1e-14
+    assert np.isfinite(omega[0])
 
 
 def test_omega_inverts_exponential():
     lam = np.exp(0.1 + 0.2j)
-    fm = fourier_modes(make_decomposition([lam]))
-    assert abs(fm.omega[0] - (0.1 + 0.2j)) <= 1e-12
+    omega = fourier_modes(make_decomposition([lam]))
+    assert abs(omega[0] - (0.1 + 0.2j)) <= 1e-12
 
 
 def test_zero_eigenvalue_excluded():
-    fm = fourier_modes(make_decomposition([1.0, 0.0]))
-    assert list(fm.excluded) == [False, True]
-    assert list(fm.usable_indices) == [0]
+    omega = fourier_modes(make_decomposition([1.0, 0.0]))
+    assert list(np.isfinite(omega)) == [True, False]
+    assert omega[1] == np.inf
 
 
 # ---------------------------------------------------------------- partition
 
 def test_partition_smallest_omega_wins():
     lam = np.exp(np.array([0.0, 0.9 + 0.1j, 2.0]))
-    part = partition_modes(fourier_modes(make_decomposition(lam)), 1)
-    assert part.background_indices == (0,)
-    assert part.foreground_indices == (1, 2)
+    assert partition_modes(fourier_modes(make_decomposition(lam)), 1) == (0,)
 
 
 def test_partition_all_modes_background():
     lam = np.exp(np.array([0.0, 0.9 + 0.1j, 2.0]))
-    part = partition_modes(fourier_modes(make_decomposition(lam)), 3)
-    assert part.background_indices == (0, 1, 2)
-    assert part.foreground_indices == ()
+    assert partition_modes(fourier_modes(make_decomposition(lam)), 3) == (0, 1, 2)
 
 
 def test_partition_keeps_conjugate_pairs_together():
     # asking for 2 of {static, conjugate pair} must not split the pair
     lam = [1.0, 0.9 * np.exp(0.4j), 0.9 * np.exp(-0.4j)]
-    part = partition_modes(fourier_modes(make_decomposition(lam)), 2)
-    assert part.background_indices == (0, 1, 2)
+    assert partition_modes(fourier_modes(make_decomposition(lam)), 2) == (0, 1, 2)
 
 
 def test_partition_excluded_modes_in_neither_set():
     lam = [1.0, 0.0, np.exp(1.0)]
-    part = partition_modes(fourier_modes(make_decomposition(lam)), 1)
-    assert 1 not in part.background_indices
-    assert 1 not in part.foreground_indices
+    omega = fourier_modes(make_decomposition(lam))
+    # Mode 1 is excluded: never background, and not foreground either, since
+    # the foreground is the usable (finite-omega) modes outside the background.
+    for n_background in (1, 2):
+        assert 1 not in partition_modes(omega, n_background)
+    assert not np.isfinite(omega[1])
 
 
 def test_partition_rejects_bad_count():
-    fm = fourier_modes(make_decomposition([1.0, np.exp(1.0)]))
+    omega = fourier_modes(make_decomposition([1.0, np.exp(1.0)]))
     with pytest.raises(ValueError):
-        partition_modes(fm, 0)
+        partition_modes(omega, 0)
     with pytest.raises(ValueError):
-        partition_modes(fm, 3)
+        partition_modes(omega, 3)
 
 
 def test_partition_no_usable_modes():
-    fm = fourier_modes(make_decomposition([0.0, 0.0]))
+    omega = fourier_modes(make_decomposition([0.0, 0.0]))
     with pytest.raises(DegenerateDataError):
-        partition_modes(fm, 1)
+        partition_modes(omega, 1)
 
 
 # ---------------------------------------------------------------- background model
@@ -121,8 +119,7 @@ def static_video(value=0.5, pixels=60, frames=12):
 def test_static_background_reproduces_video():
     D = static_video(0.4)
     dec = deterministic_dmd(D, rank=1)
-    part = partition_modes(fourier_modes(dec), 1)
-    L = background_model(dec, part)
+    L = background_model(dec, partition_modes(fourier_modes(dec), 1))
     rel = np.linalg.norm(D.data - L.real) / np.linalg.norm(D.data)
     assert rel <= 1e-6
 
@@ -132,9 +129,9 @@ def test_background_matches_planted_component(planted_three_mode):
     # the single smallest-|omega| mode
     sys = planted_three_mode
     dec = deterministic_dmd(sys.snapshots, rank=3, anchor=FIRST_FRAME)
-    part = partition_modes(fourier_modes(dec), 1)
-    assert len(part.background_indices) == 1
-    L = background_model(dec, part)
+    background_indices = partition_modes(fourier_modes(dec), 1)
+    assert len(background_indices) == 1
+    L = background_model(dec, background_indices)
     planted_bg = sys.component([0]).real
     for t in range(sys.snapshots.n_frames):
         rel = np.linalg.norm(L[:, t].real - planted_bg[:, t]) / np.linalg.norm(planted_bg[:, t])
@@ -144,35 +141,34 @@ def test_background_matches_planted_component(planted_three_mode):
 def test_background_constant_iff_omega_zero():
     D = static_video()
     dec = deterministic_dmd(D, rank=1)
-    part = partition_modes(fourier_modes(dec), 1)
-    L = background_model(dec, part)
+    L = background_model(dec, partition_modes(fourier_modes(dec), 1))
     assert np.allclose(L, L[:, :1], atol=1e-10)
 
 
 def test_background_partition_bounds():
-    from dmdmotion.background import ModePartition
-
     dec = make_decomposition([1.0])
-    with pytest.raises(ValueError):
-        background_model(dec, ModePartition((1,), ()))
+    with pytest.raises(ValueError, match=r"mode indices outside \[0, 1\)"):
+        background_model(dec, (1,))
 
 
 def test_additivity_of_partition(planted_three_mode):
     dec = deterministic_dmd(planted_three_mode.snapshots, rank=3)
-    part = partition_modes(fourier_modes(dec), 1)
+    omega = fourier_modes(dec)
+    background_indices = partition_modes(omega, 1)
+    foreground_indices = [
+        i for i in np.flatnonzero(np.isfinite(omega)) if i not in background_indices
+    ]
+    assert len(background_indices) + len(foreground_indices) == dec.rank
     whole = reconstruct(dec)
-    split = reconstruct(dec, part.background_indices) + reconstruct(
-        dec, part.foreground_indices
-    )
+    split = reconstruct(dec, background_indices) + reconstruct(dec, foreground_indices)
     assert np.max(np.abs(whole - split)) <= 1e-10
 
 
 def test_background_set_conjugate_closed(moving_square):
     D, _ = moving_square
     dec = rdmd(D, SketchConfig(rank=7, oversampling=2, subspace_iters=1, seed=6))
-    part = partition_modes(fourier_modes(dec), 3)
     lam = dec.eigenvalues
-    bg = set(part.background_indices)
+    bg = set(partition_modes(fourier_modes(dec), 3))
     for i in bg:
         if abs(lam[i].imag) <= 1e-10:
             continue
@@ -252,12 +248,13 @@ def test_background_residual_is_bit_identical_to_residual_of_model(
     # 17 and 33 pixels leave a one-pixel tail.
     monkeypatch.setattr(background, "RESIDUAL_BLOCK", 16)
     dec = pair_decomposition(n_pixels, n_frames)
-    part = partition_modes(fourier_modes(dec), 2)
-    assert part.background_indices == (0, 1, 2)  # the pair joins the static mode
+    background_indices = partition_modes(fourier_modes(dec), 2)
+    assert background_indices == (0, 1, 2)  # the pair joins the static mode
     D = SnapshotMatrix(np.random.default_rng(1).uniform(size=(n_pixels, n_frames)),
                        1, n_pixels)
-    expected = residual(D, background_model(dec, part)).values
-    assert background_residual(D, dec, part).values.tobytes() == expected.tobytes()
+    expected = residual(D, background_model(dec, background_indices)).values
+    S = background_residual(D, dec, background_indices)
+    assert S.values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_frames", [15, 16, 17, 33])
@@ -267,19 +264,20 @@ def test_background_residual_of_static_rank_collapsed_chunk(n_frames):
     D = SnapshotMatrix(np.repeat(frame[:, None], n_frames, axis=1), 1, frame.size)
     dec = rdmd(D, SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=3))
     assert dec.rank == 1
-    part = partition_modes(fourier_modes(dec), 1)
-    expected = residual(D, background_model(dec, part)).values
-    assert background_residual(D, dec, part).values.tobytes() == expected.tobytes()
+    background_indices = partition_modes(fourier_modes(dec), 1)
+    expected = residual(D, background_model(dec, background_indices)).values
+    S = background_residual(D, dec, background_indices)
+    assert S.values.tobytes() == expected.tobytes()
 
 
 def test_background_residual_never_holds_the_complex_background():
     n_pixels, n_frames = 8 * background.RESIDUAL_BLOCK, 40
     dec = pair_decomposition(n_pixels, n_frames)
-    part = partition_modes(fourier_modes(dec), 2)
+    background_indices = partition_modes(fourier_modes(dec), 2)
     D = SnapshotMatrix(np.full((n_pixels, n_frames), 0.5), 1, n_pixels)
     tracemalloc.start()
     try:
-        S = background_residual(D, dec, part)
+        S = background_residual(D, dec, background_indices)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -289,15 +287,27 @@ def test_background_residual_never_holds_the_complex_background():
 
 
 def test_background_residual_checks_its_inputs():
-    from dmdmotion.background import ModePartition
-
     dec = pair_decomposition(6, 5)
     D = SnapshotMatrix(np.full((6, 4), 0.5), 2, 3)
     with pytest.raises(ValueError, match="does not match video"):
-        background_residual(D, dec, ModePartition((0,), ()))
+        background_residual(D, dec, (0,))
     D = SnapshotMatrix(np.full((6, 5), 0.5), 2, 3)
     with pytest.raises(ValueError, match=r"mode indices outside \[0, 4\)"):
-        background_residual(D, dec, ModePartition((4,), ()))
+        background_residual(D, dec, (4,))
+
+
+@pytest.mark.parametrize("n_frames, mode_scale", [(200, 1.0), (100, 1e20)])
+def test_background_residual_of_an_overflowing_background_is_degenerate_data(
+    n_frames, mode_scale
+):
+    # 1e3 ** 199 overflows float64; 1e3 ** 99 does not, but times 1e20 it does.
+    dec = DmdDecomposition(modes=np.full((4, 1), mode_scale + 0j),
+                           eigenvalues=np.array([1e3 + 0j]),
+                           amplitudes=np.ones(1, dtype=np.complex128),
+                           n_frames=n_frames, frame_height=2, frame_width=2)
+    D = SnapshotMatrix(np.full((4, n_frames), 0.5), 2, 2)
+    with pytest.raises(DegenerateDataError, match=f"overflows over {n_frames} frames"):
+        background_residual(D, dec, (0,))
 
 
 # ---------------------------------------------------------------- threshold
@@ -414,8 +424,7 @@ def test_filter_masks_rejects_even_kernel():
 def test_mask_determinism(moving_square):
     D, _ = moving_square
     dec = rdmd(D, SketchConfig(rank=5, oversampling=2, subspace_iters=1, seed=1))
-    part = partition_modes(fourier_modes(dec), 3)
-    S = residual(D, background_model(dec, part))
+    S = residual(D, background_model(dec, partition_modes(fourier_modes(dec), 3)))
     m1 = threshold_mask(S, 0.25)
     m2 = threshold_mask(S, 0.25)
     assert np.array_equal(m1.masks, m2.masks)

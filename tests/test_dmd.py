@@ -63,6 +63,28 @@ def test_snapshot_matrix_check_allocates_no_per_pixel_array():
     assert peak < data.shape[0] * data.shape[1]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf)])
+def test_decomposition_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(ValueError, match="eigenvalues contain non-finite entries"):
+        dmd.DmdDecomposition(
+            modes=np.eye(2, dtype=np.complex128),
+            eigenvalues=np.array([1.0, bad], dtype=np.complex128),
+            amplitudes=np.ones(2, dtype=np.complex128),
+            n_frames=3, frame_height=1, frame_width=2,
+        )
+
+
+def test_non_finite_modes_are_degenerate_data(planted_three_mode, monkeypatch):
+    def nan_modes(*args):
+        Phi = dmd_modes(*args)
+        Phi[0, 0] = np.nan
+        return Phi
+
+    monkeypatch.setattr(dmd, "dmd_modes", nan_modes)
+    with pytest.raises(DegenerateDataError, match="modes contain non-finite entries"):
+        deterministic_dmd(planted_three_mode.snapshots, rank=3)
+
+
 def test_snapshot_frame_view():
     data = np.linspace(0, 1, 12).reshape(6, 2)
     D = SnapshotMatrix(data, 2, 3)

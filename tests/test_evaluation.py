@@ -57,6 +57,28 @@ def test_confusion_two_by_two_enumeration():
     assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
 
 
+def eight_mask_confusion(p, t):
+    """The four counts from four complements and four intersections."""
+    return (int(np.count_nonzero(p & t)), int(np.count_nonzero(p & ~t)),
+            int(np.count_nonzero(~p & ~t)), int(np.count_nonzero(~p & t)))
+
+
+@pytest.mark.parametrize("case", ["random", "empty truth", "all-true truth",
+                                  "all-false prediction"])
+def test_confusion_equals_per_cell_counts(case):
+    rng = np.random.default_rng(3)
+    p = rng.uniform(size=(5, 7, 9)) > 0.6
+    t = rng.uniform(size=p.shape) > 0.3
+    if case == "empty truth":
+        t[:] = False
+    elif case == "all-true truth":
+        t[:] = True
+    elif case == "all-false prediction":
+        p[:] = False
+    c = confusion(masks_of(p), masks_of(t))
+    assert (c.tp, c.fp, c.tn, c.fn) == eight_mask_confusion(p, t)
+
+
 def test_confusion_geometry_mismatch():
     with pytest.raises(ValueError):
         confusion(masks_of(np.zeros((1, 2, 2))), masks_of(np.zeros((1, 3, 2))))

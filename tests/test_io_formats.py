@@ -66,6 +66,34 @@ def test_complex_matrix_round_trip_is_bit_exact(tmp_path):
     assert load_matrix(path).tobytes() == A.tobytes()
 
 
+def test_save_matrix_writes_a_c_ordered_matrix_without_a_copy(tmp_path):
+    A = np.random.default_rng(2).uniform(size=(4000, 300))
+    path = str(tmp_path / "a.mat")
+    tracemalloc.start()
+    try:
+        save_matrix(path, A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * A.nbytes
+    assert load_matrix(path).tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "fortran"])
+def test_matrix_round_trips_in_any_memory_order(tmp_path, kind):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 9))
+    if kind == "complex":
+        A = A + 1j * rng.standard_normal((6, 9))
+    elif kind == "fortran":
+        A = np.asfortranarray(A)
+    path = str(tmp_path / "a.mat")
+    save_matrix(path, A)
+    B = load_matrix(path)
+    assert B.dtype == A.dtype
+    assert np.array_equal(A, B)
+
+
 def test_matrix_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

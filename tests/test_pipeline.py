@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -482,6 +483,64 @@ def test_mask_files_named_after_input_frames(tmp_path):
     for t in range(12):
         img, _ = load_pgm(str(tmp_path / "out" / "masks" / f"cam_{t:05d}_mask.pgm"))
         assert np.array_equal(img > 0, report.masks.masks[t])
+
+
+def test_frames_of_one_name_in_two_directories_are_rejected(tmp_path, monkeypatch):
+    # cams/a and cams/b hold frames of one set of names; their masks would share files.
+    def no_rdmd(*args, **kwargs):
+        raise AssertionError("a chunk was decomposed")
+
+    monkeypatch.setattr(pipeline, "rdmd", no_rdmd)
+    D, _ = generate_synthetic(SQUARE)
+    save_frames(str(tmp_path / "cams" / "a"), D.columns(0, 30))
+    save_frames(str(tmp_path / "cams" / "b"), D.columns(30, 60))
+    code = main(["bgsub", "--frames", str(tmp_path / "cams" / "*" / "*.pgm"),
+                 "--out", str(tmp_path / "out"), "--chunk-length", "30",
+                 "--k", "4", "--tau", "0.2", "--seed", "0"])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    cfg = RunConfig(frames=str(tmp_path / "cams" / "*" / "*.pgm"), k=4, chunk_length=30,
+                    tau=0.2)
+    a = str(tmp_path / "cams" / "a" / "frame_00000.pgm")
+    b = str(tmp_path / "cams" / "b" / "frame_00000.pgm")
+    with pytest.raises(ValueError, match=re.escape(f"frames {a} and {b} would both write")):
+        run_bgsub(cfg)
+
+
+def test_a_configuration_error_inside_a_chunk_exits_2(tmp_path, monkeypatch, capsys):
+    # Only data errors fail a chunk; a ValueError ends the run with exit 2
+    # rather than being recorded as FAILED (which exits 3 once every chunk
+    # has failed).
+    def misconfigured_rdmd(*args, **kwargs):
+        raise ValueError("a configuration error")
+
+    monkeypatch.setattr(pipeline, "rdmd", misconfigured_rdmd)
+    D, _ = generate_synthetic(SQUARE)
+    save_frames(str(tmp_path / "frames"), D)
+    code = main(["bgsub", "--frames", str(tmp_path / "frames" / "*.pgm"),
+                 "--out", str(tmp_path / "out"), "--chunk-length", "30",
+                 "--k", "4", "--tau", "0.2", "--seed", "0"])
+    assert code == 2
+    assert "a configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eigenvalue, reason", [
+    (1e3, "background overflows over 200 frames"),
+    (0.0, "no usable modes: every eigenvalue is near zero"),
+])
+def test_chunk_with_an_unusable_spectrum_fails_on_its_data(monkeypatch, eigenvalue, reason):
+    def spectrum_rdmd(D, cfg, anchor):
+        return dmdmotion.DmdDecomposition(
+            modes=np.full((D.n_pixels, 1), 0.1 + 0j), eigenvalues=np.array([eigenvalue + 0j]),
+            amplitudes=np.ones(1, dtype=np.complex128), n_frames=D.n_frames,
+            frame_height=D.frame_height, frame_width=D.frame_width)
+
+    monkeypatch.setattr(pipeline, "rdmd", spectrum_rdmd)
+    spec = SyntheticSpec(frame_height=6, frame_width=6, n_frames=200, seed=0)
+    report = run_bgsub(RunConfig(synthetic=spec, k=3, p=2, q=1, tau=0.2))
+    assert len(report.chunks) == 1
+    assert report.chunks[0].error == f"DegenerateDataError: {reason}"
+    assert report.masks is None
 
 
 def test_report_renders_deterministically():
