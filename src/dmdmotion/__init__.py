@@ -13,7 +13,6 @@ from .background import (
     background_residual,
     filter_masks,
     fourier_modes,
-    median_filter,
     partition_modes,
     residual,
     threshold_mask,
@@ -78,7 +77,6 @@ __all__ = [
     "residual",
     "background_residual",
     "threshold_mask",
-    "median_filter",
     "filter_masks",
     "ConfusionCounts",
     "RocCurve",

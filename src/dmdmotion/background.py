@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 
 from .dmd import DmdDecomposition, SnapshotMatrix, reconstruct, reconstruction_factors
 from .errors import DegenerateDataError
@@ -26,7 +25,6 @@ __all__ = [
     "residual",
     "background_residual",
     "threshold_mask",
-    "median_filter",
     "filter_masks",
 ]
 
@@ -38,6 +36,11 @@ ZERO_EIGENVALUE_CUTOFF = 1e-12
 # RESIDUAL_BLOCK x n; pixel blocks keep every operand's rows contiguous, where
 # blocks of frames would leave the subtraction 16-element strided rows.
 RESIDUAL_BLOCK = 2048
+
+# Bytes of mask frames that filter_masks counts per block (at least one frame).
+MASK_BLOCK_BYTES = 1 << 20
+# Pixels per strip in which filter_masks copies a block of frames.
+_GATHER_PIXELS = 8192
 
 # Two frequency moduli within this relative tolerance are treated as tied, so
 # conjugate pairs are selected or rejected together.
@@ -178,39 +181,54 @@ def threshold_mask(S: ResidualSequence, tau: float) -> ForegroundMaskSequence:
     return ForegroundMaskSequence(masks=masks, tau=float(tau))
 
 
-def median_filter(mask: np.ndarray, kernel: int = 3) -> np.ndarray:
-    """Majority vote in each kernel x kernel neighborhood of a binary frame.
+def _box_sum(src: np.ndarray, out: np.ndarray, radius: int) -> None:
+    """out = sum of src over [x - radius, x + radius] along the last axis.
 
-    Borders replicate the edge pixel; kernel 1 is the identity.
+    Edges are replicated: a neighbour past an edge reads the edge pixel. A
+    shift is clamped at the axis length, since every neighbour that far out
+    lies past the edge.
     """
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError("median_filter expects a single 2-d mask frame")
-    if kernel == 1:
-        return mask.copy()
-    filtered = scipy.ndimage.median_filter(
-        mask.astype(np.uint8), size=kernel, mode="nearest"
-    )
-    return filtered.astype(bool)
+    n = src.shape[-1]
+    out[...] = src
+    for d in range(1, radius + 1):
+        d = min(d, n)
+        out[..., : n - d] += src[..., d:]
+        out[..., n - d :] += src[..., -1:]
+        out[..., d:] += src[..., : n - d]
+        out[..., :d] += src[..., :1]
 
 
 def filter_masks(seq: ForegroundMaskSequence, kernel: int = 3) -> ForegroundMaskSequence:
-    """Median-filter every frame of a mask sequence; equal to median_filter per frame.
+    """Median-filter every frame of a mask sequence, edges replicated.
 
     A binary median is a majority vote, so each frame's kernel x kernel box
-    count (two separable 1-d passes, edges replicated) is compared against
-    half the window. The accumulator is sized to hold kernel**2.
+    count (a horizontal and a vertical box sum of shifted integer adds) is
+    compared against half the window. Frames are counted MASK_BLOCK_BYTES of
+    mask at a time (at least one frame), in contiguous buffers reused from
+    block to block; the counts' type holds kernel**2.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
     if kernel == 1:
         return seq
-    ones = np.ones(kernel)
+    n_frames, height, width = seq.masks.shape
+    votes = seq.masks.view(np.uint8)
+    block = max(1, min(n_frames, MASK_BLOCK_BYTES // max(height * width, 1)))
+    strip = max(1, _GATHER_PIXELS // max(width, 1))
     acc = np.min_scalar_type(kernel * kernel)
-    count = scipy.ndimage.correlate1d(
-        seq.masks.view(np.uint8), ones, axis=2, mode="nearest", output=acc
-    )
-    count = scipy.ndimage.correlate1d(count, ones, axis=1, mode="nearest", output=acc)
-    return ForegroundMaskSequence(masks=count >= (kernel * kernel + 1) // 2, tau=seq.tau)
+    frames = np.empty((block, height, width), dtype=np.uint8)
+    rows = np.empty(frames.shape, dtype=acc)
+    count = np.empty(frames.shape, dtype=acc)
+    masks = np.empty(seq.masks.shape, dtype=bool)
+    for start in range(0, n_frames, block):
+        stop = min(start + block, n_frames)
+        b = stop - start
+        # A few rows at a time, so the source's cache lines, which hold
+        # consecutive frames of a pixel in a threshold_mask view, stay cached
+        # across the block's frames.
+        for y in range(0, height, strip):
+            frames[:b, y : y + strip] = votes[start:stop, y : y + strip]
+        _box_sum(frames[:b], rows[:b], kernel // 2)
+        _box_sum(rows[:b].swapaxes(1, 2), count[:b].swapaxes(1, 2), kernel // 2)
+        np.greater_equal(count[:b], (kernel * kernel + 1) // 2, out=masks[start:stop])
+    return ForegroundMaskSequence(masks=masks, tau=seq.tau)

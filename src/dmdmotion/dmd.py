@@ -40,6 +40,9 @@ MEDIAN_FRAME = "median"
 # otherwise.
 PINV_RCOND = 1e-12
 
+# Pixels per block of the median anchor's partition.
+ANCHOR_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
@@ -173,12 +176,22 @@ def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
     if anchor == MEDIAN_FRAME:
         # np.median without its NaN scan (SnapshotMatrix rules NaN out): one
         # partition, then the middle element or the mean of the middle two,
-        # formed as np.median forms it.
-        mid = X.shape[1] // 2
-        P = np.partition(X, mid, axis=1)
-        if X.shape[1] % 2:
-            return P[:, mid]
-        return (P[:, :mid].max(axis=1) + P[:, mid]) / 2
+        # formed as np.median forms it. Blocks of ANCHOR_BLOCK pixels are
+        # copied into one reused buffer and partitioned there in place.
+        m, n = X.shape
+        mid = n // 2
+        out = np.empty(m)
+        buf = np.empty((min(ANCHOR_BLOCK, m), n))
+        for start in range(0, m, ANCHOR_BLOCK):
+            stop = min(start + ANCHOR_BLOCK, m)
+            P = buf[: stop - start]
+            P[...] = X[start:stop]
+            P.partition(mid, axis=1)
+            if n % 2:
+                out[start:stop] = P[:, mid]
+            else:
+                out[start:stop] = (P[:, :mid].max(axis=1) + P[:, mid]) / 2
+        return out
     if isinstance(anchor, (int, np.integer)):
         idx = int(anchor)
         if not 0 <= idx < X.shape[1]:

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .background import ForegroundMaskSequence, ResidualSequence
+
+# Bytes of the window buffer in which sweep_counts partitions each block of
+# frames (at least one frame's windows).
+WINDOW_BLOCK_BYTES = 1 << 20
 
 __all__ = [
     "ConfusionCounts",
@@ -167,6 +171,24 @@ def tau_grid(top: float, n: int = 51) -> np.ndarray:
     return np.linspace(0.0, top, n)
 
 
+def _window_medians(frames: np.ndarray, kernel: int, windows: np.ndarray) -> np.ndarray:
+    """Median of every pixel's kernel x kernel window in each of frames (b, h, w).
+
+    Edges are replicated. windows is a scratch buffer of at least b frames of
+    shape (h, w, kernel**2): each window is copied into it and partitioned
+    there in place, and the result is a view into it.
+    """
+    b, h, w = frames.shape
+    r = kernel // 2
+    padded = np.pad(frames, ((0, 0), (r, r), (r, r)), mode="edge")
+    W = windows[:b]
+    W.reshape(b, h, w, kernel, kernel)[...] = sliding_window_view(
+        padded, (kernel, kernel), axis=(1, 2)
+    )
+    W.partition(kernel * kernel // 2, axis=-1)
+    return W[..., kernel * kernel // 2]
+
+
 def sweep_counts(
     S: ResidualSequence,
     truth: ForegroundMaskSequence,
@@ -183,7 +205,8 @@ def sweep_counts(
     kernel > 1 scores the median-filtered masks of filter_masks instead. The
     majority of [S > tau] over a window is [window median of S > tau]
     (threshold decomposition), so one grey median filter of the residual
-    serves every threshold.
+    serves every threshold. Frames are ranked and counted a block at a time,
+    with the windows of a block taking about WINDOW_BLOCK_BYTES.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
@@ -192,17 +215,27 @@ def sweep_counts(
         raise ValueError(f"mask shapes differ: {shape} vs {truth.masks.shape}")
     taus = np.asarray(taus, dtype=np.float64)
     order = np.argsort(taus, kind="stable")
+    sorted_taus = taus[order]
     values = S.values.T.reshape(shape)
+    hist = np.zeros(2 * (taus.size + 1), dtype=np.int64)
+    h, w = S.frame_height, S.frame_width
+    block = max(1, min(S.n_frames, WINDOW_BLOCK_BYTES // (h * w * kernel * kernel * 8)))
     if kernel > 1:
-        values = scipy.ndimage.median_filter(values, size=(1, kernel, kernel), mode="nearest")
-    key = np.searchsorted(taus[order], values, side="left")
-    key *= 2
-    key += truth.masks
-    hist = np.bincount(key.ravel(), minlength=2 * (taus.size + 1)).reshape(-1, 2)
+        windows = np.empty((block, h, w, kernel * kernel))
+    for start in range(0, S.n_frames, block):
+        stop = min(start + block, S.n_frames)
+        block_values = values[start:stop]
+        if kernel > 1:
+            block_values = _window_medians(block_values, kernel, windows)
+        key = np.searchsorted(sorted_taus, block_values, side="left")
+        key *= 2
+        key += truth.masks[start:stop]
+        hist += np.bincount(key.ravel(), minlength=hist.size)
+    hist = hist.reshape(-1, 2)
     # above[r] = pixels of rank >= r, split by truth bit: (false, true). A
     # pixel of rank r exceeds the r smallest taus, so the j-th smallest tau
     # (from 0) marks foreground exactly the pixels of rank >= j + 1.
-    above = np.cumsum(hist[::-1], axis=0)[::-1].astype(np.int64)
+    above = np.cumsum(hist[::-1], axis=0)[::-1]
     fp, tp = above[1:, 0], above[1:, 1]
     negatives, positives = above[0]
     sorted_counts = np.column_stack([tp, fp, negatives - fp, positives - tp])

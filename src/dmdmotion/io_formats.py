@@ -40,6 +40,9 @@ MAGIC_COMPLEX = b"RDMDCPX1"
 # Entry type per container; "<c16" is the (real, imag) float64 pair.
 _ENTRY = {MAGIC_REAL: np.dtype("<f8"), MAGIC_COMPLEX: np.dtype("<c16")}
 
+# Most frames load_frames normalizes before storing them in the matrix.
+FRAME_BLOCK = 64
+
 _MANIFEST = "manifest.txt"
 # The integer manifest lines, then every line a decomposition needs.
 _MANIFEST_COUNTS = ("rank", "n_frames", "frame_height", "frame_width", "seed")
@@ -144,19 +147,28 @@ def load_frames(pattern: str) -> tuple[SnapshotMatrix, list[str]]:
     the file paths in column order.
     """
     paths = sorted(glob.glob(pattern))
-    if len(paths) < 2:
-        raise ValueError(f"need at least 2 frames, pattern {pattern!r} matched {len(paths)}")
-    data = None
+    n = len(paths)
+    if n < 2:
+        raise ValueError(f"need at least 2 frames, pattern {pattern!r} matched {n}")
+    # Frames are normalized into contiguous rows of a small buffer, and each
+    # full buffer is stored as one transposed slice of the column-per-frame
+    # matrix; at most n/16 frames, so the buffer adds at most 1/16 of the video.
+    block = max(1, min(FRAME_BLOCK, n // 16))
+    data = rows = None
     for j, p in enumerate(paths):
         img, maxval = load_pgm(p)
         if data is None:
             geometry = img.shape
-            data = np.empty((img.size, len(paths)))
+            data = np.empty((img.size, n))
+            rows = np.empty((block, img.size))
         elif img.shape != geometry:
             raise ValueError(
                 f"{p}: frame geometry {img.shape} differs from first frame {geometry}"
             )
-        np.divide(img.reshape(-1), maxval, out=data[:, j], dtype=np.float64)
+        np.divide(img.reshape(-1), maxval, out=rows[j % block], dtype=np.float64)
+        if j % block == block - 1 or j == n - 1:
+            start = j - j % block
+            data[:, start : j + 1] = rows[: j + 1 - start].T
     return SnapshotMatrix(data=data, frame_height=geometry[0], frame_width=geometry[1]), paths
 
 

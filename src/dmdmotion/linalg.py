@@ -32,7 +32,9 @@ def _as_matrix(A: np.ndarray, name: str = "A") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(A)):
+    # min and max propagate NaN, so two reductions check finiteness without
+    # an entry-sized temporary.
+    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return A
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.ndimage
 
 
 def hausdorff_distance(a, b) -> float:
@@ -26,3 +27,20 @@ def principal_angle_cos(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(abs(np.vdot(u, v)) / (nu * nv))
+
+
+def median_filter(mask: np.ndarray, kernel: int = 3) -> np.ndarray:
+    """Majority vote in each kernel x kernel neighborhood of a binary frame.
+
+    The per-frame oracle for filter_masks and the filtered sweep. Borders
+    replicate the edge pixel; kernel 1 is the identity.
+    """
+    if kernel < 1 or kernel % 2 == 0:
+        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError("median_filter expects a single 2-d mask frame")
+    if kernel == 1:
+        return mask.copy()
+    filtered = scipy.ndimage.median_filter(mask.astype(np.uint8), size=kernel, mode="nearest")
+    return filtered.astype(bool)

@@ -16,7 +16,6 @@ from dmdmotion.background import (
     background_residual,
     filter_masks,
     fourier_modes,
-    median_filter,
     partition_modes,
     residual,
     threshold_mask,
@@ -31,6 +30,8 @@ from dmdmotion.dmd import (
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.linalg import SketchConfig
+
+from helpers import median_filter
 
 
 def make_decomposition(eigenvalues):
@@ -412,6 +413,30 @@ def test_filter_masks_equals_per_frame_median_filter(masks, kernel):
     reference = np.stack([median_filter(frame, kernel) for frame in masks])
     assert np.array_equal(seq.masks, reference)
     assert seq.tau == 0.5
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (4, 1), (7, 9), (12, 10)])
+@pytest.mark.parametrize("kernel", [3, 5, 17])
+@pytest.mark.parametrize("block_frames", [1, 2, 5])
+@pytest.mark.parametrize("strip_rows", [2, None])
+def test_filter_masks_of_a_threshold_view_equals_the_oracle(
+    monkeypatch, shape, kernel, block_frames, strip_rows
+):
+    # threshold_mask returns a transposed view whose frame axis is the
+    # contiguous one. Blocks of 1, 2 (with a one-frame tail) and all 5
+    # frames, copied in strips of 2 rows or whole; kernel 17 is larger than
+    # every frame, so every shift clamps.
+    h, w = shape
+    rng = np.random.default_rng(h * w * kernel)
+    seq = threshold_mask(ResidualSequence(rng.uniform(size=(h * w, 5)), h, w), 0.5)
+    assert not seq.masks.flags.c_contiguous
+    monkeypatch.setattr(background, "MASK_BLOCK_BYTES", block_frames * h * w)
+    if strip_rows is not None:
+        monkeypatch.setattr(background, "_GATHER_PIXELS", strip_rows * w)
+    filtered = filter_masks(seq, kernel)
+    reference = np.stack([median_filter(frame, kernel) for frame in seq.masks])
+    assert np.array_equal(filtered.masks, reference)
+    assert filtered.tau == 0.5
 
 
 def test_filter_masks_rejects_even_kernel():

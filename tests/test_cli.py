@@ -1,8 +1,11 @@
 """Command-line interface, run in process through main(argv)."""
 
 import csv
+import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmdmotion
 from dmdmotion import cli
 from dmdmotion.cli import main
 from dmdmotion.io_formats import load_decomposition, load_masks, save_pgm
@@ -102,6 +106,55 @@ def test_bgsub_sweep_with_truth(tmp_path):
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "threshold: sweep -> tau=" in report
     assert "f_measure=" in report
+
+
+def run_python(code, *args):
+    """stdout of code run in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(dmdmotion.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    out = run_python(
+        "import sys, dmdmotion; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert out.strip() == "[]"
+
+
+def filtered_sweep_args(vid, out):
+    return [
+        "bgsub", "--frames", str(vid / "frames" / "*.pgm"),
+        "--truth", str(vid / "truth" / "*.pgm"), "--out", str(out),
+        "--chunk-length", "15", "--k", "4", "--seed", "5", "--median-kernel", "3",
+    ]
+
+
+# With None in sys.modules, every import of scipy raises ImportError.
+_NO_SCIPY_MAIN = """
+import json, sys
+sys.modules["scipy"] = None
+from dmdmotion.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_synth_and_a_filtered_sweep_run_without_scipy(tmp_path):
+    runs = [synth_args(tmp_path / "vid", frames=30),
+            filtered_sweep_args(tmp_path / "vid", tmp_path / "out")]
+    assert run_python(_NO_SCIPY_MAIN, json.dumps(runs)).splitlines()[-1] == "[0, 0]"
+    # The same run in this process gives the same report and masks.
+    assert main(filtered_sweep_args(tmp_path / "vid", tmp_path / "ref")) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "threshold: sweep -> tau=" in report
+    assert report == (tmp_path / "ref" / "report.txt").read_text()
+    masks = sorted(os.listdir(tmp_path / "out" / "masks"))
+    assert len(masks) == 30 and masks == sorted(os.listdir(tmp_path / "ref" / "masks"))
+    for name in masks:
+        assert (tmp_path / "out" / "masks" / name).read_bytes() == (
+            tmp_path / "ref" / "masks" / name).read_bytes()
 
 
 def test_bgsub_options_reach_run_config(tmp_path, monkeypatch):

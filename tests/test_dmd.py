@@ -277,6 +277,22 @@ def test_median_anchor_equals_np_median(n_frames, tied):
     assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "n_pixels", [1, dmd.ANCHOR_BLOCK - 1, dmd.ANCHOR_BLOCK, dmd.ANCHOR_BLOCK + 1]
+)
+@pytest.mark.parametrize("n_frames", [8, 9])
+@pytest.mark.parametrize("tied", [False, True])
+def test_blocked_median_anchor_equals_np_median(n_pixels, n_frames, tied):
+    # One block, one short of a block, exactly one, and one pixel into the
+    # second; left sequences of odd (7) and even (8) length.
+    values = np.random.default_rng(n_pixels + n_frames).uniform(size=(n_pixels, n_frames))
+    if tied:
+        values = np.round(values * 3) / 3
+    D = SnapshotMatrix(values, 1, n_pixels)
+    expected = np.median(values[:, :-1], axis=1)
+    assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
+
+
 def test_amplitudes_anchor_bounds():
     D = static_video()
     Phi = D.data[:, :1].astype(np.complex128)

@@ -1,9 +1,11 @@
 """Metrics, ROC sweeps, AUC and their published reference values."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
-    median_filter,
     threshold_mask,
 )
+from dmdmotion import evaluation
 from dmdmotion.evaluation import (
     ConfusionCounts,
     best_f_from_counts,
@@ -28,6 +30,8 @@ from dmdmotion.evaluation import (
     write_metrics_csv,
     write_roc_csv,
 )
+
+from helpers import median_filter
 
 
 def masks_of(array):
@@ -294,6 +298,55 @@ def test_best_f_equals_per_threshold_loop(instance):
         if f > best_f:
             best_tau, best_f = float(tau), f
     assert sweep_best_f(S, truth, taus, kernel) == (best_tau, best_f)
+
+
+@pytest.mark.parametrize("kernel", [3, 5, 7])
+@pytest.mark.parametrize("shape", [(4, 1, 1), (3, 2, 3), (2, 6, 9), (3, 11, 8)])
+@pytest.mark.parametrize("tied", [False, True])
+def test_window_medians_equal_scipy_median_filter(kernel, shape, tied):
+    # 1x1 frames, frames smaller than every kernel, and larger ones; tied
+    # values take one of four levels.
+    frames = np.random.default_rng(kernel * sum(shape)).uniform(size=shape)
+    if tied:
+        frames = np.round(frames * 3) / 3
+    windows = np.empty((*shape, kernel * kernel))
+    got = evaluation._window_medians(frames, kernel, windows)
+    expected = scipy.ndimage.median_filter(frames, size=(1, kernel, kernel), mode="nearest")
+    assert got.shape == expected.shape
+    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("block_frames", [1, 2, 7])
+def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kernel, block_frames):
+    # Blocks of 1 frame, 2 frames with a one-frame tail, and all 7 frames.
+    rng = np.random.default_rng(kernel + block_frames)
+    h, w = 5, 6
+    S = ResidualSequence(np.round(rng.uniform(size=(h * w, 7)) * 4) / 4, h, w)
+    truth = masks_of(rng.uniform(size=(7, h, w)) < 0.3)
+    taus = [0.0, 0.25, 0.3, 0.5, 0.5, 1.0]
+    monkeypatch.setattr(
+        evaluation, "WINDOW_BLOCK_BYTES", block_frames * h * w * kernel * kernel * 8
+    )
+    assert np.array_equal(sweep_counts(S, truth, taus, kernel), loop_counts(S, truth, taus, kernel))
+
+
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_sweep_counts_scratch_is_bounded_by_the_window_block(kernel):
+    # A 64x64x200 chunk's residual is 6.5 MB, and the sweep once held a
+    # filtered copy and an int64 rank of it. Its scratch now stays within a
+    # few window blocks, whatever the chunk length.
+    rng = np.random.default_rng(kernel)
+    S = ResidualSequence(rng.uniform(size=(64 * 64, 200)), 64, 64)
+    truth = masks_of(rng.uniform(size=(200, 64, 64)) < 0.1)
+    taus = tau_grid(1.0)
+    tracemalloc.start()
+    try:
+        sweep_counts(S, truth, taus, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * evaluation.WINDOW_BLOCK_BYTES
 
 
 def test_sweep_counts_rejects_mismatched_truth_and_even_kernel():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dmdmotion.background import ForegroundMaskSequence
 from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
 from dmdmotion.io_formats import (
+    FRAME_BLOCK,
     MAGIC_COMPLEX,
     MAGIC_REAL,
     load_decomposition,
@@ -280,6 +281,31 @@ def test_frames_fill_matches_stacked_columns(tmp_path, maxval):
     stacked = np.stack([img.reshape(-1).astype(np.float64) / maxval for img in imgs], axis=1)
     assert D.data.flags.c_contiguous
     assert D.data.shape == stacked.shape and D.data.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_frames",
+    # A lone pair, counts around FRAME_BLOCK (where n/16 caps the block), and
+    # counts around the first one whose block is FRAME_BLOCK itself: a short
+    # last block, full blocks only, and a one-frame last block.
+    [2, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
+     16 * FRAME_BLOCK - 1, 16 * FRAME_BLOCK, 16 * FRAME_BLOCK + 1],
+)
+def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
+    # 8-bit and 16-bit rasters of four maxvals share one glob.
+    rng = np.random.default_rng(n_frames)
+    maxvals = [255, 100, 1000, 65535]
+    for t in range(n_frames):
+        maxval = maxvals[t % 4]
+        save_pgm(str(tmp_path / f"f_{t:05d}.pgm"), rng.integers(0, maxval + 1, size=(3, 5)), maxval)
+    D, paths = load_frames(str(tmp_path / "f_*.pgm"))
+    # The former fill: each frame divided straight into its matrix column.
+    expected = np.empty((15, n_frames))
+    for j, path in enumerate(paths):
+        img, maxval = load_pgm(path)
+        np.divide(img.reshape(-1), maxval, out=expected[:, j], dtype=np.float64)
+    assert D.data.flags.c_contiguous
+    assert D.data.shape == expected.shape and D.data.tobytes() == expected.tobytes()
 
 
 def test_frames_hold_one_copy_of_the_video(tmp_path):

@@ -1,5 +1,7 @@
 """Randomized SVD kernel against its deterministic oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from dmdmotion.linalg import (
     SketchConfig,
     SvdFactors,
+    _as_matrix,
     _range_finder,
     deterministic_svd,
     eig,
@@ -56,6 +59,25 @@ def test_det_svd_rejects_nonfinite():
     A[0, 0] = np.nan
     with pytest.raises(ValueError):
         deterministic_svd(A, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_matrix_rejects_each_non_finite_value(bad):
+    A = np.ones((3, 4))
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="^X contains non-finite entries$"):
+        _as_matrix(A, "X")
+
+
+def test_as_matrix_check_allocates_no_per_entry_array():
+    A = np.random.default_rng(0).uniform(size=(2000, 500))
+    tracemalloc.start()
+    try:
+        _as_matrix(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < A.size
 
 
 # ---------------------------------------------------------------- random_gaussian

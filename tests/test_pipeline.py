@@ -17,7 +17,6 @@ from dmdmotion import linalg, pipeline
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
-    median_filter,
     threshold_mask,
 )
 from dmdmotion.cli import _time_svds, main
@@ -26,6 +25,8 @@ from dmdmotion.io_formats import load_matrix, load_pgm, save_frames, save_masks,
 from dmdmotion.linalg import SketchConfig
 from dmdmotion.pipeline import RunConfig, chunk_bounds, render_report, run_bgsub
 from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
+
+from helpers import median_filter
 
 SQUARE = SyntheticSpec(
     frame_height=24,
