@@ -39,7 +39,7 @@ RESIDUAL_BLOCK = 2048
 
 # Bytes of mask frames that filter_masks counts per block (at least one frame).
 MASK_BLOCK_BYTES = 1 << 20
-# Pixels per strip in which filter_masks copies a block of frames.
+# Pixels per strip in which _copy_frames copies a block of frames.
 _GATHER_PIXELS = 8192
 
 # Two frequency moduli within this relative tolerance are treated as tied, so
@@ -198,6 +198,18 @@ def _box_sum(src: np.ndarray, out: np.ndarray, radius: int) -> None:
         out[..., :d] += src[..., :1]
 
 
+def _copy_frames(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src for (n_frames, height, width) masks, in strips of rows.
+
+    A few rows at a time, so the source's cache lines, which hold
+    consecutive frames of a pixel in a threshold_mask view, stay cached
+    across the frames; a plain copy walks that view frame by frame.
+    """
+    strip = max(1, _GATHER_PIXELS // max(src.shape[2], 1))
+    for y in range(0, src.shape[1], strip):
+        dst[:, y : y + strip] = src[:, y : y + strip]
+
+
 def filter_masks(seq: ForegroundMaskSequence, kernel: int = 3) -> ForegroundMaskSequence:
     """Median-filter every frame of a mask sequence, edges replicated.
 
@@ -214,7 +226,6 @@ def filter_masks(seq: ForegroundMaskSequence, kernel: int = 3) -> ForegroundMask
     n_frames, height, width = seq.masks.shape
     votes = seq.masks.view(np.uint8)
     block = max(1, min(n_frames, MASK_BLOCK_BYTES // max(height * width, 1)))
-    strip = max(1, _GATHER_PIXELS // max(width, 1))
     acc = np.min_scalar_type(kernel * kernel)
     frames = np.empty((block, height, width), dtype=np.uint8)
     rows = np.empty(frames.shape, dtype=acc)
@@ -223,11 +234,7 @@ def filter_masks(seq: ForegroundMaskSequence, kernel: int = 3) -> ForegroundMask
     for start in range(0, n_frames, block):
         stop = min(start + block, n_frames)
         b = stop - start
-        # A few rows at a time, so the source's cache lines, which hold
-        # consecutive frames of a pixel in a threshold_mask view, stay cached
-        # across the block's frames.
-        for y in range(0, height, strip):
-            frames[:b, y : y + strip] = votes[start:stop, y : y + strip]
+        _copy_frames(frames[:b], votes[start:stop])
         _box_sum(frames[:b], rows[:b], kernel // 2)
         _box_sum(rows[:b].swapaxes(1, 2), count[:b].swapaxes(1, 2), kernel // 2)
         np.greater_equal(count[:b], (kernel * kernel + 1) // 2, out=masks[start:stop])

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .linalg import SketchConfig, SvdFactors, deterministic_svd, eig, least_squares, rsvd
+from .linalg import (
+    SketchConfig,
+    SvdFactors,
+    _all_finite,
+    deterministic_svd,
+    eig,
+    least_squares,
+    rsvd,
+)
 
 __all__ = [
     "SnapshotMatrix",
@@ -122,9 +130,9 @@ class DmdDecomposition:
             raise ValueError("decomposition must retain at least one mode")
         if self.modes.shape != (self.modes.shape[0], k) or self.amplitudes.shape != (k,):
             raise ValueError("mode/eigenvalue/amplitude shapes are inconsistent")
-        if not np.all(np.isfinite(self.modes)):
+        if not _all_finite(self.modes):
             raise ValueError("modes contain non-finite entries")
-        if not np.all(np.isfinite(self.eigenvalues)):
+        if not _all_finite(self.eigenvalues):
             raise ValueError("eigenvalues contain non-finite entries")
 
     @property
@@ -236,7 +244,7 @@ def _decompose(
     lam = lam[order]
     W = W[:, order]
     Phi = dmd_modes(Y, factors.V[:, :r], factors.singular_values[:r], W)
-    if not np.all(np.isfinite(Phi)):
+    if not _all_finite(Phi):
         raise DegenerateDataError("modes contain non-finite entries")
     b = dmd_amplitudes(Phi, D, anchor)
     return DmdDecomposition(

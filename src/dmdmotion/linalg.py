@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "SvdFactors",
@@ -26,15 +27,29 @@ __all__ = [
 ]
 
 
+def _all_finite(A: np.ndarray) -> bool:
+    """Whether every entry of a real or complex array is finite.
+
+    min and max propagate NaN, so two reductions check finiteness without an
+    entry-sized temporary. A complex array is reduced through its float view,
+    or through its real and imaginary parts when it has none.
+    """
+    if A.size == 0:
+        return True
+    if np.iscomplexobj(A):
+        parts = (A.view(A.real.dtype),) if A.flags.c_contiguous else (A.real, A.imag)
+    else:
+        parts = (A,)
+    return all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts)
+
+
 def _as_matrix(A: np.ndarray, name: str = "A") -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
-    # min and max propagate NaN, so two reductions check finiteness without
-    # an entry-sized temporary.
-    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
+    if not _all_finite(A):
         raise ValueError(f"{name} contains non-finite entries")
     return A
 
@@ -139,6 +154,39 @@ def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
     return rng.standard_normal((rows, cols))
 
 
+def _lapack(routine, *args) -> None:
+    """Call a lapack_lite routine whose last arguments are work, lwork, info.
+
+    A workspace query comes first; the call then gets the larger of the
+    optimal size and the column count args[1], as np.linalg.qr sizes it.
+    """
+
+    def call(work: np.ndarray, lwork: int) -> None:
+        info = routine(*args, work, lwork, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"{routine.__name__} returns {info}")
+
+    query = np.empty(1)
+    call(query, -1)
+    lwork = max(1, args[1], int(query[0]))
+    call(np.empty(lwork), lwork)
+
+
+def _orthonormal_columns(Y: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of a finite float64 (m, l) matrix, m >= l; C-contiguous.
+
+    Byte-equal to np.linalg.qr(Y)[0]: the same dgeqrf and dorgqr calls, with
+    one copy into Fortran layout and one out, where the wrapper adds a cast
+    copy and two transposed copies of fresh temporaries.
+    """
+    m, l = Y.shape
+    a = np.array(Y.T, order="C")
+    tau = np.empty(l)
+    _lapack(lapack_lite.dgeqrf, m, l, a, m, tau)
+    _lapack(lapack_lite.dorgqr, m, l, l, a, m, tau)
+    return np.ascontiguousarray(a.T)
+
+
 def _range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
     """Orthonormal (m, l) basis Q approximately spanning the range of A.
 
@@ -148,10 +196,10 @@ def _range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
     A must be finite with 1 <= l <= min(A.shape) and q >= 0, as rsvd ensures.
     """
     omega = random_gaussian(A.shape[1], l, seed)
-    Q, _ = np.linalg.qr(A @ omega)
+    Q = _orthonormal_columns(A @ omega)
     for _ in range(q):
-        Z, _ = np.linalg.qr(A.T @ Q)
-        Q, _ = np.linalg.qr(A @ Z)
+        Z = _orthonormal_columns(A.T @ Q)
+        Q = _orthonormal_columns(A @ Z)
     return Q
 
 
@@ -217,7 +265,7 @@ def least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"system must be square or overdetermined, got {A.shape}")
     if y.shape[0] != m:
         raise ValueError(f"y length {y.shape[0]} does not match {m} rows")
-    if not np.all(np.isfinite(A)):
+    if not _all_finite(A):
         raise ValueError("A contains non-finite entries")
     x, *_ = np.linalg.lstsq(A, y, rcond=None)
     return x

@@ -256,7 +256,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         nonlocal final_counts
         t0 = time.perf_counter()
         chunk_masks = bg.filter_masks(bg.threshold_mask(S, tau), cfg.median_kernel)
-        mask_frames[c.start : c.stop] = chunk_masks.masks
+        bg._copy_frames(mask_frames[c.start : c.stop], chunk_masks.masks)
         c = replace(c, mask_seconds=time.perf_counter() - t0)
         if truth is not None:
             final_counts += ev.confusion(chunk_masks, truth_of(c))

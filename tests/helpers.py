@@ -29,6 +29,22 @@ def principal_angle_cos(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.vdot(u, v)) / (nu * nv))
 
 
+def reference_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
+    """linalg._range_finder with every thin QR taken by np.linalg.qr.
+
+    The oracle of _orthonormal_columns inside rsvd: patched in for
+    linalg._range_finder, it must give rsvd the same factor bytes.
+    """
+    from dmdmotion.linalg import random_gaussian
+
+    omega = random_gaussian(A.shape[1], l, seed)
+    Q, _ = np.linalg.qr(A @ omega)
+    for _ in range(q):
+        Z, _ = np.linalg.qr(A.T @ Q)
+        Q, _ = np.linalg.qr(A @ Z)
+    return Q
+
+
 def median_filter(mask: np.ndarray, kernel: int = 3) -> np.ndarray:
     """Majority vote in each kernel x kernel neighborhood of a binary frame.
 

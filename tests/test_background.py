@@ -439,6 +439,25 @@ def test_filter_masks_of_a_threshold_view_equals_the_oracle(
     assert filtered.tau == 0.5
 
 
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("shape", [(16, 16), (10, 2048)])
+def test_copy_frames_equals_a_plain_copy(kernel, shape):
+    # A 16x16 frame is smaller than one strip of _GATHER_PIXELS; a
+    # 2048-pixel row makes 4-row strips, so two strip boundaries fall inside
+    # each 10-row frame and the last strip is short. At kernel 1 the source
+    # is threshold_mask's transposed view, at kernel 3 filter_masks' copy.
+    h, w = shape
+    rng = np.random.default_rng(h * kernel)
+    S = ResidualSequence(rng.uniform(size=(h * w, 5)), h, w)
+    masks = filter_masks(threshold_mask(S, 0.5), kernel).masks
+    assert masks.flags.c_contiguous == (kernel > 1)
+    plain = np.zeros((9, h, w), dtype=bool)
+    plain[2:7] = masks
+    strips = np.zeros_like(plain)
+    background._copy_frames(strips[2:7], masks)
+    assert np.array_equal(strips, plain)
+
+
 def test_filter_masks_rejects_even_kernel():
     with pytest.raises(ValueError, match="odd"):
         filter_masks(ForegroundMaskSequence(np.zeros((1, 4, 4), dtype=bool)), 2)

@@ -10,6 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +204,25 @@ def test_bgsub_degenerate_video_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_bgsub_lapack_failure_in_every_chunk_exits_3(tmp_path, capsys, monkeypatch):
+    assert main(synth_args(tmp_path / "vid")) == 0
+    capsys.readouterr()
+
+    def dorgqr(*args):
+        return {"info": 2}
+
+    monkeypatch.setattr(lapack_lite, "dorgqr", dorgqr)
+    code = main([
+        "bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+        "--out", str(tmp_path / "out"), "--chunk-length", "12",
+        "--k", "3", "--p", "2", "--q", "1", "--tau", "0.2", "--seed", "0",
+    ])
+    assert code == 3
+    assert "degenerate" in capsys.readouterr().err
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report.count("FAILED LinAlgError: dorgqr returns 2") == 2
 
 
 def test_bgsub_sweep_all_chunks_failed_exits_3(tmp_path, capsys):

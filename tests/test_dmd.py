@@ -74,10 +74,46 @@ def test_decomposition_rejects_non_finite_eigenvalues(bad):
         )
 
 
-def test_non_finite_modes_are_degenerate_data(planted_three_mode, monkeypatch):
+NON_FINITE = [complex(bad, 0.5) for bad in (np.nan, np.inf, -np.inf)] + [
+    complex(0.5, bad) for bad in (np.nan, np.inf, -np.inf)
+]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_decomposition_rejects_non_finite_modes(bad):
+    modes = np.ones((4, 2), dtype=np.complex128)
+    modes[3, 1] = bad
+    with pytest.raises(ValueError, match="^modes contain non-finite entries$"):
+        dmd.DmdDecomposition(
+            modes=modes,
+            eigenvalues=np.ones(2, dtype=np.complex128),
+            amplitudes=np.ones(2, dtype=np.complex128),
+            n_frames=3, frame_height=2, frame_width=2,
+        )
+
+
+def test_decomposition_checks_its_modes_under_a_byte_per_entry():
+    rng = np.random.default_rng(2)
+    modes = rng.standard_normal((20000, 20)) + 1j * rng.standard_normal((20000, 20))
+    tracemalloc.start()
+    try:
+        dmd.DmdDecomposition(
+            modes=modes,
+            eigenvalues=np.ones(20, dtype=np.complex128),
+            amplitudes=np.ones(20, dtype=np.complex128),
+            n_frames=3, frame_height=100, frame_width=200,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < modes.size
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_modes_are_degenerate_data(planted_three_mode, monkeypatch, bad):
     def nan_modes(*args):
         Phi = dmd_modes(*args)
-        Phi[0, 0] = np.nan
+        Phi[5, 1] = bad
         return Phi
 
     monkeypatch.setattr(dmd, "dmd_modes", nan_modes)

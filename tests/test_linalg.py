@@ -4,13 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdmotion.linalg import (
     SketchConfig,
     SvdFactors,
+    _all_finite,
     _as_matrix,
+    _orthonormal_columns,
     _range_finder,
     deterministic_svd,
     eig,
@@ -94,6 +97,66 @@ def test_gaussian_moments():
 
 def test_gaussian_seed_sensitivity():
     assert not np.array_equal(random_gaussian(2, 2, seed=1), random_gaussian(2, 2, seed=2))
+
+
+# ---------------------------------------------------------------- thin QR
+# _orthonormal_columns calls LAPACK's dgeqrf and dorgqr through
+# numpy.linalg.lapack_lite, as np.linalg.qr does under its wrapper.
+
+def _gaussian(rows, cols, seed=0):
+    return np.random.default_rng(seed).standard_normal((rows, cols))
+
+
+def _static_sketch():
+    # A static chunk repeats one frame, so its sketch has rank 1.
+    frame = np.random.default_rng(1).uniform(size=(4096, 1))
+    return np.repeat(frame, 99, axis=1) @ random_gaussian(99, 13, 0)
+
+
+QR_INPUTS = {
+    "tall-76800x22": lambda: _gaussian(76800, 22),
+    "tall-4096x13": lambda: _gaussian(4096, 13),
+    # dgeqrf and dorgqr switch to their blocked code above 32 columns.
+    "blocked-l33": lambda: _gaussian(300, 33),
+    "blocked-l64": lambda: _gaussian(400, 64),
+    "blocked-l100": lambda: _gaussian(500, 100),
+    "square": lambda: _gaussian(40, 40),
+    "one-column": lambda: _gaussian(50, 1),
+    "all-zero": lambda: np.zeros((4096, 13)),
+    "rank-one": _static_sketch,
+    "duplicated-columns": lambda: _gaussian(1000, 6)[:, [0, 1, 2, 3, 4, 5, 0, 3, 3, 5]],
+    "fortran-ordered": lambda: np.asfortranarray(_gaussian(2000, 22)),
+    "strided-view": lambda: _gaussian(4000, 44)[::2, 1::2],
+}
+
+
+@pytest.mark.parametrize("name", QR_INPUTS)
+def test_orthonormal_columns_is_byte_equal_to_numpy_qr(name):
+    Y = QR_INPUTS[name]()
+    before = Y.copy()
+    Q = _orthonormal_columns(Y)
+    reference = np.linalg.qr(Y)[0]
+    assert Q.shape == reference.shape == Y.shape
+    assert Q.tobytes() == reference.tobytes()
+    assert Q.flags.c_contiguous
+    assert Y.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+@pytest.mark.parametrize("query", [True, False])
+def test_orthonormal_columns_raises_on_a_lapack_failure(monkeypatch, routine, query):
+    # A nonzero info from the workspace query or from the factorization is a
+    # LinAlgError, which fails a chunk on its data.
+    real = getattr(lapack_lite, routine)
+
+    def failing(*args):
+        result = real(*args)
+        return {**result, "info": 1} if (args[-2] == -1) == query else result
+
+    failing.__name__ = routine
+    monkeypatch.setattr(lapack_lite, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{routine} returns 1$"):
+        _orthonormal_columns(_gaussian(100, 5))
 
 
 # ---------------------------------------------------------------- range finder
@@ -291,6 +354,32 @@ def test_lstsq_matches_normal_equations():
 def test_lstsq_rejects_underdetermined():
     with pytest.raises(ValueError):
         least_squares(np.ones((2, 3)), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
+def test_lstsq_rejects_non_finite_entries(bad, part, layout):
+    A = np.ones((6, 4), dtype=np.complex128)
+    A[4, 2] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+    A = {"contiguous": A, "fortran": np.asfortranarray(A), "strided": A[:, ::2]}[layout]
+    assert not _all_finite(A)
+    with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+        least_squares(A, np.ones(6))
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
+def test_finiteness_check_allocates_under_a_byte_per_entry(layout):
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((20000, 40)) + 1j * rng.standard_normal((20000, 40))
+    A = {"contiguous": A, "fortran": np.asfortranarray(A), "strided": A[:, ::2]}[layout]
+    tracemalloc.start()
+    try:
+        assert _all_finite(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < A.size
 
 
 def test_lstsq_rank_deficient_minimum_norm():

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
 import dmdmotion
 from dmdmotion import evaluation as ev
@@ -250,6 +251,64 @@ def test_masks_do_not_depend_on_the_blas_thread_count():
     assert abs(one["tau"] - two["tau"]) <= 1e-12 * one["tau"]
     assert abs(one["f"] - two["f"]) <= 1e-12
     assert abs(one["auc"] - two["auc"]) <= 1e-12
+
+
+# rsvd's factors of one matrix at two sketch sizes (the second above LAPACK's
+# 32-column block), against the same call with every thin QR taken by
+# np.linalg.qr, in a fresh interpreter so its BLAS thread count takes effect.
+_QR_RUN = """
+import hashlib, json
+import numpy as np
+from dmdmotion import linalg
+from helpers import reference_range_finder
+A = np.random.default_rng(8).uniform(size=(20000, 99))
+cfgs = [linalg.SketchConfig(rank=20, oversampling=2, subspace_iters=2, seed=1),
+        linalg.SketchConfig(rank=40, oversampling=2, subspace_iters=1, seed=2)]
+def digests():
+    out = []
+    for cfg in cfgs:
+        f = linalg.rsvd(A, cfg)
+        out.append([hashlib.sha256(x.tobytes()).hexdigest()
+                    for x in (f.U, f.singular_values, f.V)])
+    return out
+lapack = digests()
+linalg._range_finder = reference_range_finder
+print(json.dumps({"lapack": lapack, "reference": digests()}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rsvd_factors_equal_the_numpy_qr_reference(threads):
+    paths = [os.path.dirname(os.path.dirname(dmdmotion.__file__)), os.path.dirname(__file__)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _QR_RUN], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    run = json.loads(out)
+    assert run["lapack"] == run["reference"]
+
+
+def test_a_lapack_failure_fails_its_chunk_and_the_run_continues(monkeypatch):
+    # dgeqrf reports info=1 on every factorization of chunk 1 only.
+    real = lapack_lite.dgeqrf
+
+    def failing(*args):
+        return {**real(*args), "info": 1} if args[-2] != -1 else real(*args)
+
+    failing.__name__ = "dgeqrf"
+
+    def rdmd_failing_chunk_1(D, sketch, anchor):
+        with monkeypatch.context() as patch:
+            if sketch.seed == 1:
+                patch.setattr(lapack_lite, "dgeqrf", failing)
+            return rdmd(D, sketch, anchor=anchor)
+
+    monkeypatch.setattr(pipeline, "rdmd", rdmd_failing_chunk_1)
+    report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3))
+    assert [c.ok for c in report.chunks] == [True, False, True]
+    assert report.chunks[1].error == "LinAlgError: dgeqrf returns 1"
+    assert not report.masks.masks[20:40].any()
+    assert report.masks.masks[:20].any() and report.masks.masks[40:].any()
 
 
 def test_each_decomposition_is_freed_before_the_next_chunk(tmp_path, monkeypatch):
