@@ -109,8 +109,19 @@ def test_decomposition_checks_its_modes_under_a_byte_per_entry():
     assert peak < modes.size
 
 
+def test_non_finite_modes_are_degenerate_data(planted_three_mode, monkeypatch):
+    def nan_modes(*args):
+        Phi = dmd_modes(*args)
+        Phi[0, 0] = np.nan
+        return Phi
+
+    monkeypatch.setattr(dmd, "dmd_modes", nan_modes)
+    with pytest.raises(DegenerateDataError, match="modes contain non-finite entries"):
+        deterministic_dmd(planted_three_mode.snapshots, rank=3)
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
-def test_non_finite_modes_are_degenerate_data(planted_three_mode, monkeypatch, bad):
+def test_each_non_finite_mode_entry_is_degenerate_data(planted_three_mode, monkeypatch, bad):
     def nan_modes(*args):
         Phi = dmd_modes(*args)
         Phi[5, 1] = bad
