@@ -268,8 +268,10 @@ def rdmd(
 
     Deterministic for a fixed cfg.seed. The retained rank can fall below
     cfg.rank when trailing singular values are negligible (static scenes).
+    D's frames were checked when it was built, so rsvd does not scan them
+    again.
     """
-    factors = rsvd(D.data[:, :-1], cfg)
+    factors = rsvd(D.data[:, :-1], cfg, check_finite=False)
     return _decompose(D, factors, anchor, cfg.seed)
 
 

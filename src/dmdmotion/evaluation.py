@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .background import ForegroundMaskSequence, ResidualSequence
 
-# Bytes of the window buffer in which sweep_counts partitions each block of
-# frames (at least one frame's windows).
+# Bytes of scratch per block of sweep_counts: of int64 ranks, and of a
+# block's median network and histogram key (at least one frame).
 WINDOW_BLOCK_BYTES = 1 << 20
 
 __all__ = [
@@ -171,22 +171,139 @@ def tau_grid(top: float, n: int = 51) -> np.ndarray:
     return np.linspace(0.0, top, n)
 
 
-def _window_medians(frames: np.ndarray, kernel: int, windows: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The compare-exchanges that take n inputs to their median, at index n // 2.
+
+    Each is (i, j, low, high), i < j: the exchange leaves the smaller of
+    inputs i and j at i and the larger at j, and low and high say which of
+    the two is read later. They are the comparators of Batcher's merge
+    exchange sort (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M) that the middle
+    output depends on, found by walking the sort backwards from it.
+    """
+    pairs = []
+    top = (1 << (n - 1).bit_length()) >> 1  # the largest power of 2 below n
+    p = top
+    while p > 0:
+        q, r, d = top, 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    needed = {n // 2}
+    network = []
+    for i, j in reversed(pairs):
+        low, high = i in needed, j in needed
+        if low or high:
+            network.append((i, j, low, high))
+            needed |= {i, j}
+    return tuple(reversed(network))
+
+
+def _window_medians(frames: np.ndarray, kernel: int) -> np.ndarray:
     """Median of every pixel's kernel x kernel window in each of frames (b, h, w).
 
-    Edges are replicated. windows is a scratch buffer of at least b frames of
-    shape (h, w, kernel**2): each window is copied into it and partitioned
-    there in place, and the result is a view into it.
+    Edges are replicated. The kernel**2 shifted views of the edge-padded
+    frames are copied into contiguous frames, which _median_network's
+    exchanges then order in place with np.minimum and np.maximum; a spare
+    frame takes each exchange's minimum.
     """
     b, h, w = frames.shape
     r = kernel // 2
-    padded = np.pad(frames, ((0, 0), (r, r), (r, r)), mode="edge")
-    W = windows[:b]
-    W.reshape(b, h, w, kernel, kernel)[...] = sliding_window_view(
-        padded, (kernel, kernel), axis=(1, 2)
-    )
-    W.partition(kernel * kernel // 2, axis=-1)
-    return W[..., kernel * kernel // 2]
+    n = kernel * kernel
+    # np.pad(mode="edge"), without its per-call overhead.
+    padded = np.empty((b, h + 2 * r, w + 2 * r), dtype=frames.dtype)
+    padded[:, r : r + h, r : r + w] = frames
+    padded[:, r : r + h, :r] = frames[:, :, :1]
+    padded[:, r : r + h, r + w :] = frames[:, :, -1:]
+    padded[:, :r] = padded[:, r : r + 1]
+    padded[:, r + h :] = padded[:, r + h - 1 : r + h]
+    values = np.empty((n + 1, b, h, w), dtype=frames.dtype)
+    for i in range(n):
+        dy, dx = divmod(i, kernel)
+        values[i] = padded[:, dy : dy + h, dx : dx + w]
+    slots, spare = list(values[:n]), values[n]
+    for i, j, low, high in _median_network(n):
+        if low and high:
+            np.minimum(slots[i], slots[j], out=spare)
+            np.maximum(slots[i], slots[j], out=slots[j])
+            slots[i], spare = spare, slots[i]
+        elif low:
+            np.minimum(slots[i], slots[j], out=slots[i])
+        else:
+            np.maximum(slots[i], slots[j], out=slots[j])
+    return slots[n // 2]
+
+
+def _counts(hist: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Counts per tau, in the order given, from a histogram over (rank, truth).
+
+    hist[2 r + t] counts the pixels of rank r and truth bit t. A pixel of
+    rank r exceeds the r smallest taus, so the j-th smallest tau (from 0)
+    marks foreground exactly the pixels of rank >= j + 1.
+    """
+    # above[r] = pixels of rank >= r, split by truth bit: (false, true).
+    above = np.cumsum(hist.reshape(-1, 2)[::-1], axis=0)[::-1]
+    fp, tp = above[1:, 0], above[1:, 1]
+    negatives, positives = above[0]
+    counts = np.empty((order.size, 4), dtype=np.int64)
+    counts[order] = np.column_stack([tp, fp, negatives - fp, positives - tp])
+    return counts
+
+
+def _raw_and_filtered_counts(
+    S: ResidualSequence,
+    truth: ForegroundMaskSequence,
+    taus: Sequence[float],
+    kernel: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sweep_counts at kernel 1 and at kernel, from one ranking of S.
+
+    With kernel 1 both are the same array.
+    """
+    if kernel < 1 or kernel % 2 == 0:
+        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
+    n, h, w = shape = (S.n_frames, S.frame_height, S.frame_width)
+    if truth.masks.shape != shape:
+        raise ValueError(f"mask shapes differ: {shape} vs {truth.masks.shape}")
+    taus = np.asarray(taus, dtype=np.float64)
+    order = np.argsort(taus, kind="stable")
+    sorted_taus = taus[order]
+    raw = np.zeros(2 * (taus.size + 1), dtype=np.int64)
+    # Ranks of a block of contiguous pixel rows, over all frames, with the
+    # matching truth; the histogram does not depend on the pixel order.
+    m = h * w
+    truth_by_pixel = truth.masks.reshape(n, m).T
+    if kernel > 1:
+        ranks = np.empty(shape, dtype=np.min_scalar_type(taus.size))
+        ranks_by_frame = ranks.reshape(n, m)
+    rows = max(1, WINDOW_BLOCK_BYTES // (8 * n))
+    for start in range(0, m, rows):
+        key = np.searchsorted(sorted_taus, S.values[start : start + rows], side="left")
+        if kernel > 1:
+            ranks_by_frame[:, start : start + rows] = key.T
+        key *= 2
+        key += truth_by_pixel[start : start + rows]
+        raw += np.bincount(key.ravel(), minlength=raw.size)
+        del key  # before the next block's ranks are allocated
+    if kernel == 1:
+        counts = _counts(raw, order)
+        return counts, counts
+    # A rank is monotone in the residual, so the window median of the ranks
+    # is the rank of the window median. The majority of [S > tau] over a
+    # window is [window median of S > tau] (threshold decomposition), so one
+    # median filter of the ranks serves every threshold.
+    filtered = np.zeros_like(raw)
+    block = max(1, min(n, WINDOW_BLOCK_BYTES // (m * kernel * kernel * 8)))
+    for start in range(0, n, block):
+        medians = _window_medians(ranks[start : start + block], kernel)
+        # bincount counts intp keys, so the key is formed in that type.
+        key = np.multiply(medians, 2, dtype=np.intp)
+        key += truth.masks[start : start + block]
+        filtered += np.bincount(key.ravel(), minlength=filtered.size)
+    return _counts(raw, order), _counts(filtered, order)
 
 
 def sweep_counts(
@@ -198,50 +315,20 @@ def sweep_counts(
     """Confusion counts of the masks [S > tau] at every tau, in one pass.
 
     Returns an int64 array of shape (len(taus), 4) with columns tp, fp, tn,
-    fn, one row per tau in the order given. Each residual is ranked by how
-    many thresholds lie strictly below it; one histogram over (rank, truth)
-    and a reverse cumulative sum give the counts at every threshold.
+    fn, one row per tau in the order given. Each residual is ranked once by
+    how many thresholds lie strictly below it, in the smallest unsigned type
+    that holds len(taus); one histogram over (rank, truth) and a reverse
+    cumulative sum give the counts at every threshold.
 
-    kernel > 1 scores the median-filtered masks of filter_masks instead. The
-    majority of [S > tau] over a window is [window median of S > tau]
-    (threshold decomposition), so one grey median filter of the residual
-    serves every threshold. Frames are ranked and counted a block at a time,
-    with the windows of a block taking about WINDOW_BLOCK_BYTES.
+    kernel > 1 scores the median-filtered masks of filter_masks instead,
+    from the histogram of the kernel x kernel window medians of the ranks
+    (edges replicated), which are then held for the whole of S. Pixels are
+    ranked WINDOW_BLOCK_BYTES of int64 rank at a time. Frames are filtered
+    WINDOW_BLOCK_BYTES / (8 kernel**2) pixels at a time (at least one
+    frame), which keeps a block's kernel**2 network frames and its int64
+    histogram key within WINDOW_BLOCK_BYTES.
     """
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
-    shape = (S.n_frames, S.frame_height, S.frame_width)
-    if truth.masks.shape != shape:
-        raise ValueError(f"mask shapes differ: {shape} vs {truth.masks.shape}")
-    taus = np.asarray(taus, dtype=np.float64)
-    order = np.argsort(taus, kind="stable")
-    sorted_taus = taus[order]
-    values = S.values.T.reshape(shape)
-    hist = np.zeros(2 * (taus.size + 1), dtype=np.int64)
-    h, w = S.frame_height, S.frame_width
-    block = max(1, min(S.n_frames, WINDOW_BLOCK_BYTES // (h * w * kernel * kernel * 8)))
-    if kernel > 1:
-        windows = np.empty((block, h, w, kernel * kernel))
-    for start in range(0, S.n_frames, block):
-        stop = min(start + block, S.n_frames)
-        block_values = values[start:stop]
-        if kernel > 1:
-            block_values = _window_medians(block_values, kernel, windows)
-        key = np.searchsorted(sorted_taus, block_values, side="left")
-        key *= 2
-        key += truth.masks[start:stop]
-        hist += np.bincount(key.ravel(), minlength=hist.size)
-    hist = hist.reshape(-1, 2)
-    # above[r] = pixels of rank >= r, split by truth bit: (false, true). A
-    # pixel of rank r exceeds the r smallest taus, so the j-th smallest tau
-    # (from 0) marks foreground exactly the pixels of rank >= j + 1.
-    above = np.cumsum(hist[::-1], axis=0)[::-1]
-    fp, tp = above[1:, 0], above[1:, 1]
-    negatives, positives = above[0]
-    sorted_counts = np.column_stack([tp, fp, negatives - fp, positives - tp])
-    counts = np.empty_like(sorted_counts)
-    counts[order] = sorted_counts
-    return counts
+    return _raw_and_filtered_counts(S, truth, taus, kernel)[1]
 
 
 def best_f_from_counts(taus: Sequence[float], counts: np.ndarray) -> tuple[float, float]:

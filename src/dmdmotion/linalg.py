@@ -150,6 +150,8 @@ def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
     """Matrix of i.i.d. standard-normal entries, deterministic per seed."""
     if rows < 1 or cols < 1:
         raise ValueError(f"invalid shape ({rows}, {cols})")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, cols))
 
@@ -203,13 +205,17 @@ def _range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
     return Q
 
 
-def rsvd(A: np.ndarray, cfg: SketchConfig) -> SvdFactors:
+def rsvd(A: np.ndarray, cfg: SketchConfig, check_finite: bool = True) -> SvdFactors:
     """Randomized truncated SVD: sketch, project, small SVD, recover, trim.
 
     Computes rank + oversampling factors internally and returns the leading
     `cfg.rank`. Two passes over A plus two per subspace iteration.
+    check_finite False skips the scan of A for non-finite entries, for a
+    float64 A whose entries were checked when it was built (the frames of a
+    SnapshotMatrix); a non-finite entry then gives undefined factors.
     """
-    A = _as_matrix(A)
+    if check_finite:
+        A = _as_matrix(A)
     m, n = A.shape
     cfg.validate_for_shape(m, n)
     Q = _range_finder(A, cfg.sketch_size, cfg.subspace_iters, cfg.seed)

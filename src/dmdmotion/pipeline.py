@@ -281,17 +281,20 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
 
     # Confusion counts at every grid tau, summed over the chunks that ran, of
     # the raw masks and, when sweeping with a filter, of the filtered ones
-    # (with kernel 1 the two sweeps are one).
+    # (with kernel 1 the two sweeps are one). Each chunk is ranked once for
+    # both.
     taus = raw = filtered = None
     if truth is not None and ran:
         taus = ev.tau_grid(max(float(S.values.max()) for _, S in ran))
-        sweep_filtered = tau is None and cfg.median_kernel > 1
+        kernel = cfg.median_kernel if tau is None else 1
         raw = np.zeros((taus.size, 4), dtype=np.int64)
-        filtered = np.zeros_like(raw) if sweep_filtered else raw
+        filtered = np.zeros_like(raw)
         for c, S in ran:
-            raw += ev.sweep_counts(S, truth_of(c), taus)
-            if sweep_filtered:
-                filtered += ev.sweep_counts(S, truth_of(c), taus, cfg.median_kernel)
+            chunk_raw, chunk_filtered = ev._raw_and_filtered_counts(
+                S, truth_of(c), taus, kernel
+            )
+            raw += chunk_raw
+            filtered += chunk_filtered
 
     # A curve needs both truth classes in the chunks that ran. Without one, a
     # sweep fails in from_counts and a fixed-tau run writes no roc.csv.

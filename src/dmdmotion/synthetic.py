@@ -97,6 +97,8 @@ class SyntheticSpec:
                 raise ValueError("texture swings outside [0, 1]")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "objects", tuple(self.objects))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def hausdorff_distance(a, b) -> float:
@@ -60,3 +61,35 @@ def median_filter(mask: np.ndarray, kernel: int = 3) -> np.ndarray:
         return mask.copy()
     filtered = scipy.ndimage.median_filter(mask.astype(np.uint8), size=kernel, mode="nearest")
     return filtered.astype(bool)
+
+
+def window_medians_by_partition(frames: np.ndarray, kernel: int) -> np.ndarray:
+    """Median of every kernel x kernel window in each of frames (b, h, w).
+
+    Edges are replicated. The oracle of evaluation._window_medians, and how
+    the sweep once filtered: every window is copied out and partitioned.
+    """
+    r = kernel // 2
+    padded = np.pad(frames, ((0, 0), (r, r), (r, r)), mode="edge")
+    windows = sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
+    windows = windows.reshape(*frames.shape, kernel * kernel)
+    return np.partition(windows, kernel * kernel // 2, axis=-1)[..., kernel * kernel // 2]
+
+
+def partition_sweep_counts(S, truth, taus, kernel: int = 1) -> np.ndarray:
+    """sweep_counts from float64 window medians, one threshold at a time.
+
+    The residual frames are filtered by window_medians_by_partition, and
+    each tau's row counts the masks [median > tau] against the truth, so no
+    rank or histogram is shared with the code under test.
+    """
+    frames = S.values.T.reshape(S.n_frames, S.frame_height, S.frame_width)
+    if kernel > 1:
+        frames = window_medians_by_partition(frames, kernel)
+    t = truth.masks
+    rows = []
+    for tau in taus:
+        p = frames > tau
+        tp, n_p, n_t = np.count_nonzero(p & t), np.count_nonzero(p), np.count_nonzero(t)
+        rows.append((tp, n_p - tp, p.size - n_p - n_t + tp, n_t - tp))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)

@@ -414,6 +414,27 @@ def test_svd_without_repeats_exits_2(tmp_path, capsys, repeats):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("noise", ["0", "0.1"])
+def test_synth_negative_seed_exits_2(tmp_path, capsys, noise):
+    # At noise 0 the seed draws nothing, and it is still rejected.
+    code = main(["synth", "--out", str(tmp_path / "vid"), "--height", "8", "--width", "8",
+                 "--frames", "4", "--noise", noise, "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error (invalid input): seed must be >= 0, got -1\n"
+    assert not (tmp_path / "vid").exists()
+
+
+def test_svd_negative_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    code = main([
+        "svd", "--shapes", "80x40", "--ranks", "5", "--qs", "0",
+        "--repeats", "1", "--seeds", "-1", "--out", str(path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error (invalid input): seed must be >= 0, got -1\n"
+    assert not path.exists()
+
+
 @st.composite
 def tiny_runs(draw):
     """synth and bgsub arguments for a few tiny frames with random settings."""

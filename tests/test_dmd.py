@@ -145,9 +145,9 @@ def test_rdmd_sketches_a_view_of_the_left_sequence(monkeypatch):
     D = SnapshotMatrix(rng.uniform(size=(30, 12)), 5, 6)
     seen = []
 
-    def recorded_rsvd(A, cfg):
+    def recorded_rsvd(A, cfg, **kwargs):
         seen.append(A)
-        return linalg.rsvd(A, cfg)
+        return linalg.rsvd(A, cfg, **kwargs)
 
     monkeypatch.setattr(dmd, "rsvd", recorded_rsvd)
     rdmd(D, SketchConfig(rank=3, oversampling=2, subspace_iters=1, seed=0))
@@ -161,9 +161,9 @@ def _left_and_right_sequences(D, monkeypatch):
     pairs = []
 
     def recorded(svd):
-        def run(A, *args):
+        def run(A, *args, **kwargs):
             pairs.append([A])
-            return svd(A, *args)
+            return svd(A, *args, **kwargs)
         return run
 
     def recorded_reduced_operator(factors, Y):

@@ -31,7 +31,7 @@ from dmdmotion.evaluation import (
     write_roc_csv,
 )
 
-from helpers import median_filter
+from helpers import median_filter, partition_sweep_counts, window_medians_by_partition
 
 
 def masks_of(array):
@@ -309,11 +309,67 @@ def test_window_medians_equal_scipy_median_filter(kernel, shape, tied):
     frames = np.random.default_rng(kernel * sum(shape)).uniform(size=shape)
     if tied:
         frames = np.round(frames * 3) / 3
-    windows = np.empty((*shape, kernel * kernel))
-    got = evaluation._window_medians(frames, kernel, windows)
+    got = evaluation._window_medians(frames, kernel)
     expected = scipy.ndimage.median_filter(frames, size=(1, kernel, kernel), mode="nearest")
     assert got.shape == expected.shape
     assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [3, 5, 7, 9])
+@pytest.mark.parametrize("shape", [(4, 1, 1), (3, 2, 3), (2, 6, 9), (3, 11, 8)])
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8, np.uint16])
+def test_window_medians_of_ranks_equal_scipy_and_partition(kernel, shape, dtype):
+    # Rank frames take few levels, so most windows hold ties; the uint16
+    # ones reach past the uint8 range.
+    rng = np.random.default_rng(kernel * sum(shape))
+    top = {np.float64: 1.0, np.uint8: 4, np.uint16: 300}[dtype]
+    frames = (rng.uniform(size=shape) * top).astype(dtype)
+    got = evaluation._window_medians(frames, kernel)
+    expected = scipy.ndimage.median_filter(frames, size=(1, kernel, kernel), mode="nearest")
+    assert got.dtype == dtype
+    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+    assert np.array_equal(got, window_medians_by_partition(frames, kernel))
+
+
+def test_median_network_selects_the_median_of_every_zero_one_input():
+    # A comparator network that takes every 0-1 input to its median takes
+    # every input there (the 0-1 principle, Knuth 5.3.4). A result that the
+    # network marks unread is dropped, so reading one fails.
+    for n in (1, 3, 5, 9):
+        inputs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        values = list(inputs.T.copy())
+        for i, j, low, high in evaluation._median_network(n):
+            lo, hi = np.minimum(values[i], values[j]), np.maximum(values[i], values[j])
+            values[i], values[j] = (lo if low else None), (hi if high else None)
+        assert np.array_equal(values[n // 2], np.median(inputs, axis=1))
+
+
+RANK_CASES = {
+    # Residuals on the tau levels themselves.
+    "equal to a tau": (lambda rng, size: rng.integers(0, 5, size) / 4, [0.0, 0.25, 0.5, 0.75, 1.0]),
+    "above the top tau": (lambda rng, size: rng.uniform(0.0, 2.0, size), tau_grid(1.0, 11)),
+    # A static chunk: its residual is zero and its grid spans [0, 1].
+    "all-zero residual": (lambda rng, size: np.zeros(size), tau_grid(0.0)),
+    "unsorted and duplicate taus": (
+        lambda rng, size: rng.integers(0, 5, size) / 4, [0.5, 0.1, 0.5, 1.0, 0.1, 0.0, 0.75]),
+    # Ranks up to 300 need a wider type than one byte.
+    "300 taus": (lambda rng, size: rng.integers(0, 320, size) / 300, np.linspace(0, 1, 301)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_ranked_counts_equal_searchsorted_of_partition_medians(case, kernel):
+    values, taus = RANK_CASES[case]
+    rng = np.random.default_rng(len(case))
+    h, w, n = 9, 7, 5
+    S = ResidualSequence(values(rng, (h * w, n)), h, w)
+    truth = masks_of(rng.uniform(size=(n, h, w)) < 0.4)
+    counts = sweep_counts(S, truth, taus, kernel)
+    assert np.array_equal(counts, partition_sweep_counts(S, truth, taus, kernel))
+    raw, filtered = evaluation._raw_and_filtered_counts(S, truth, taus, kernel)
+    assert np.array_equal(raw, partition_sweep_counts(S, truth, taus))
+    assert np.array_equal(filtered, counts)
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5])
@@ -334,8 +390,8 @@ def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kern
 @pytest.mark.parametrize("kernel", [1, 3])
 def test_sweep_counts_scratch_is_bounded_by_the_window_block(kernel):
     # A 64x64x200 chunk's residual is 6.5 MB, and the sweep once held a
-    # filtered copy and an int64 rank of it. Its scratch now stays within a
-    # few window blocks, whatever the chunk length.
+    # filtered copy and an int64 rank of it. Its scratch is now a few window
+    # blocks, plus, when filtered, the chunk's one-byte ranks (0.8 MB here).
     rng = np.random.default_rng(kernel)
     S = ResidualSequence(rng.uniform(size=(64 * 64, 200)), 64, 64)
     truth = masks_of(rng.uniform(size=(200, 64, 64)) < 0.1)

@@ -229,6 +229,25 @@ def test_rsvd_rejects_oversized_sketch():
         rsvd(np.eye(4), SketchConfig(rank=3, oversampling=2, subspace_iters=0, seed=0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rsvd_rejects_each_non_finite_value(bad):
+    # rdmd skips this scan (check_finite=False) for frames checked when they
+    # were loaded; by default rsvd keeps it.
+    A = np.ones((6, 5))
+    A[2, 3] = bad
+    with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+        rsvd(A, SketchConfig(rank=2, oversampling=1, subspace_iters=1, seed=0))
+
+
+def test_rsvd_without_the_finite_check_gives_the_same_bytes():
+    # A strided view, as rdmd passes a chunk's left sequence.
+    A, _ = decaying_spectrum_matrix(60, 41, 1.0 / np.arange(1, 42), seed=3)
+    cfg = SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=5)
+    checked, unchecked = rsvd(A[:, :-1], cfg), rsvd(A[:, :-1], cfg, check_finite=False)
+    for name in ("U", "singular_values", "V"):
+        assert getattr(checked, name).tobytes() == getattr(unchecked, name).tobytes()
+
+
 def test_rsvd_determinism_bit_identical():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((30, 20))

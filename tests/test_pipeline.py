@@ -27,7 +27,7 @@ from dmdmotion.linalg import SketchConfig
 from dmdmotion.pipeline import RunConfig, chunk_bounds, render_report, run_bgsub
 from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
 
-from helpers import median_filter
+from helpers import median_filter, partition_sweep_counts
 
 SQUARE = SyntheticSpec(
     frame_height=24,
@@ -201,6 +201,34 @@ def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
                          [ev.metrics_row(float(t), counts(t, 1)) for t in taus])
     assert (tmp_path / "run" / "metrics.csv").read_bytes() == (
         tmp_path / "loop.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_sweep_outputs_equal_the_partition_oracle(tmp_path, monkeypatch, kernel):
+    # Three chunks: the first with empty truth, the second with all-true
+    # truth, the third with the square's. The oracle sweeps the float64
+    # residual, filtered by partitioning each window, one tau at a time.
+    D, truth = generate_synthetic(SQUARE)
+    masks = truth.masks.copy()
+    masks[:20], masks[20:40] = False, True
+    save_frames(str(tmp_path / "frames"), D)
+    save_masks(str(tmp_path / "truth"), ForegroundMaskSequence(masks))
+
+    def run(name):
+        run_bgsub(RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                            truth=str(tmp_path / "truth" / "*.pgm"), k=5, chunk_length=20,
+                            median_kernel=kernel, output_dir=str(tmp_path / name)))
+        return tmp_path / name
+
+    new = run("new")
+    monkeypatch.setattr(ev, "_raw_and_filtered_counts", lambda S, t, taus, k: (
+        partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k)))
+    oracle = run("oracle")
+    names = ["metrics.csv", "roc.csv", "report.txt"] + [
+        os.path.join("masks", f) for f in sorted(os.listdir(oracle / "masks"))]
+    assert len(names) == 3 + SQUARE.n_frames
+    for name in names:
+        assert (new / name).read_bytes() == (oracle / name).read_bytes(), name
 
 
 def test_rerun_is_bit_identical(tmp_path):
@@ -452,15 +480,15 @@ def test_pgm_run_checks_the_video_once_and_chunks_are_views(tmp_path, monkeypatc
     report = run_bgsub(RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
                                  k=5, chunk_length=20, tau=0.3))
     assert len(report.chunks) == 3 and all(c.ok for c in report.chunks)
-    # The video is checked once, at load; each chunk is a view of it whose
-    # left sequence is scanned for finiteness once, in rsvd.
+    # The video is checked once, at load; each chunk is a view of it, and
+    # rdmd does not scan it for finiteness again.
     (video,) = videos
     assert checked == [(576, 60)]
     for c, sub in zip(report.chunks, chunks):
         assert np.shares_memory(sub.data, video.data)
         assert np.array_equal(sub.data, video.data[:, c.start:c.stop])
         assert (sub.frame_height, sub.frame_width) == (24, 24)
-    assert [shape for shape in scans if shape[0] == 576] == [(576, 19)] * 3
+    assert [shape for shape in scans if shape[0] == 576] == []
 
 
 def test_snapshot_columns_rejects_a_single_frame():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmdmotion.dmd import rdmd
-from dmdmotion.linalg import SketchConfig, deterministic_svd
+from dmdmotion.linalg import SketchConfig, deterministic_svd, random_gaussian
 from dmdmotion.synthetic import (
     MovingRect,
     SyntheticSpec,
@@ -149,3 +149,10 @@ def test_decaying_spectrum_matrix_matches_svd():
     assert np.allclose(full[:12], spectrum)
     fac = deterministic_svd(A, 12)
     assert np.allclose(fac.singular_values, spectrum, atol=1e-12)
+
+
+def test_spec_and_gaussian_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SyntheticSpec(frame_height=4, frame_width=4, n_frames=3, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
+        random_gaussian(3, 2, -2)
