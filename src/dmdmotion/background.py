@@ -23,6 +23,8 @@ __all__ = [
     "partition_modes",
     "background_model",
     "residual",
+    "background_factors",
+    "factor_residual",
     "background_residual",
     "threshold_mask",
     "filter_masks",
@@ -32,10 +34,11 @@ __all__ = [
 # describe are one-step transients and never enter the background set.
 ZERO_EIGENVALUE_CUTOFF = 1e-12
 
-# Pixels per block of background_residual. A block's complex background is
-# RESIDUAL_BLOCK x n; pixel blocks keep every operand's rows contiguous, where
-# blocks of frames would leave the subtraction 16-element strided rows.
-RESIDUAL_BLOCK = 2048
+# Pixels per block of factor_residual. A block's complex background is
+# RESIDUAL_BLOCK x n (1.6 MB for a 200-frame chunk); pixel blocks keep every
+# operand's rows contiguous, where blocks of frames would leave the
+# subtraction 16-element strided rows.
+RESIDUAL_BLOCK = 512
 
 # Bytes of mask frames that filter_masks counts per block (at least one frame).
 MASK_BLOCK_BYTES = 1 << 20
@@ -142,26 +145,40 @@ def residual(D: SnapshotMatrix, L: np.ndarray) -> ResidualSequence:
     return ResidualSequence(values, D.frame_height, D.frame_width)
 
 
-def background_residual(
-    D: SnapshotMatrix, dec: DmdDecomposition, background_indices: tuple[int, ...]
-) -> ResidualSequence:
-    """residual(D, background_model(dec, background_indices)), in pixel blocks.
+def background_factors(
+    dec: DmdDecomposition, background_indices: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """reconstruction_factors of the background modes, checked not to overflow.
 
-    Equal to that bit for bit, but the complex background exists one block
-    of RESIDUAL_BLOCK pixels at a time, never as the whole m x n chunk.
+    Their product is background_model(dec, background_indices); a finite
+    bound on its entries means that neither the powers b_i lam_i**t nor the
+    background overflow.
     """
-    if (dec.n_pixels, dec.n_frames) != D.data.shape:
-        raise ValueError(
-            f"background shape {(dec.n_pixels, dec.n_frames)} does not match video {D.data.shape}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         modes, temporal = reconstruction_factors(dec, background_indices)
-        # Bounds every entry of modes @ temporal: when it is finite, neither
-        # the powers b_i lam_i**t nor the background overflow.
         bound = len(temporal) * np.abs(modes).max(initial=0.0) * np.abs(temporal).max(initial=0.0)
     if not np.isfinite(bound):
         raise DegenerateDataError(f"background overflows over {dec.n_frames} frames")
-    values = np.empty(D.data.shape)
+    return modes, temporal
+
+
+def factor_residual(
+    D: SnapshotMatrix, modes: np.ndarray, temporal: np.ndarray, out: np.ndarray | None = None
+) -> ResidualSequence:
+    """residual(D, modes @ temporal), in blocks of RESIDUAL_BLOCK pixels.
+
+    Equal to that bit for bit, but the complex background exists one block
+    at a time, never as the whole m x n chunk. The same factors give the
+    same bytes on every call, so a residual can be dropped and rebuilt.
+    out, when given, takes the residual's values; it may be D.data itself,
+    whose frames are then overwritten.
+    """
+    if (modes.shape[0], temporal.shape[1]) != D.data.shape:
+        raise ValueError(
+            f"background shape {(modes.shape[0], temporal.shape[1])} does not match "
+            f"video {D.data.shape}"
+        )
+    values = np.empty(D.data.shape) if out is None else out
     # A one-pixel block would be a vector-matrix product, which rounds
     # differently from the matrix product, so a last block of one pixel more
     # than RESIDUAL_BLOCK is kept whole.
@@ -171,6 +188,17 @@ def background_residual(
         np.subtract(D.data[start:stop], (modes[start:stop] @ temporal).real, out=out)
         np.abs(out, out=out)
     return ResidualSequence(values, D.frame_height, D.frame_width)
+
+
+def background_residual(
+    D: SnapshotMatrix, dec: DmdDecomposition, background_indices: tuple[int, ...]
+) -> ResidualSequence:
+    """residual(D, background_model(dec, background_indices)), bit for bit.
+
+    factor_residual of background_factors: the complex background is never
+    held for the whole chunk.
+    """
+    return factor_residual(D, *background_factors(dec, background_indices))
 
 
 def threshold_mask(S: ResidualSequence, tau: float) -> ForegroundMaskSequence:

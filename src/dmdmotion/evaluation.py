@@ -17,7 +17,7 @@ import numpy as np
 
 from .background import ForegroundMaskSequence, ResidualSequence
 
-# Bytes of scratch per block of sweep_counts: of int64 ranks, and of a
+# Bytes of scratch per block of sweep_counts: of intp ranks, and of a
 # block's median network and histogram key (at least one frame).
 WINDOW_BLOCK_BYTES = 1 << 20
 
@@ -253,15 +253,54 @@ def _counts(hist: np.ndarray, order: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _raw_and_filtered_counts(
+def _rank(values: np.ndarray, sorted_taus: np.ndarray) -> np.ndarray:
+    """np.searchsorted(sorted_taus, values, side="left"), as intp: taus below each value.
+
+    A value v of rank r lies in (tau_{r-1}, tau_r], with -inf and +inf past
+    the ends. On a grid spaced evenly up to its largest tau, r is
+    ceil(v (n - 1) / tau_max), clipped to [0, n]; that guess is checked
+    against its two neighbouring taus and, where it fails, moved one step.
+    Entries still wrong, as on an uneven grid, are searched, so any sorted
+    taus, duplicates included, give searchsorted's ranks.
+    """
+    n = sorted_taus.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = (n - 1) / sorted_taus[-1] if n else np.nan
+        if not (np.isfinite(scale) and scale > 0):
+            return np.searchsorted(sorted_taus, values, side="left")
+        buf = np.multiply(values, scale)
+        np.ceil(buf, out=buf)
+    np.clip(buf, 0, n, out=buf)
+    rank = buf.astype(np.intp)
+    edges = np.concatenate([[-np.inf], sorted_taus, [np.inf]])
+    # rank is right where edges[rank] < v <= edges[rank + 1].
+    high = np.greater_equal(np.take(edges, rank, out=buf), values)
+    low = np.less(np.take(edges[1:], rank, out=buf), values)
+    del buf
+    moved = np.flatnonzero(np.logical_or(high, low, out=low))
+    if moved.size:
+        flat = rank.reshape(-1)
+        v = values.reshape(-1)[moved]
+        r = flat[moved] + np.where(high.reshape(-1)[moved], -1, 1)
+        wrong = (edges[r] >= v) | (edges[r + 1] < v)
+        r[wrong] = np.searchsorted(sorted_taus, v[wrong], side="left")
+        flat[moved] = r
+    return rank
+
+
+def _ranked_counts(
     S: ResidualSequence,
     truth: ForegroundMaskSequence,
     taus: Sequence[float],
     kernel: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """sweep_counts at kernel 1 and at kernel, from one ranking of S.
+    keep_ranks: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(raw, filtered, ranks): sweep_counts at kernel 1 and at kernel, from one ranking of S.
 
-    With kernel 1 both are the same array.
+    With kernel 1, raw and filtered are the same array. ranks, kept when
+    keep_ranks is set and None otherwise, are the (n_frames, height, width)
+    ranks of S against the sorted taus: [S > tau_j] is [ranks > j] for the
+    first index j of tau_j among them (see _counts).
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
@@ -276,13 +315,14 @@ def _raw_and_filtered_counts(
     # matching truth; the histogram does not depend on the pixel order.
     m = h * w
     truth_by_pixel = truth.masks.reshape(n, m).T
-    if kernel > 1:
+    ranks = None
+    if keep_ranks or kernel > 1:
         ranks = np.empty(shape, dtype=np.min_scalar_type(taus.size))
         ranks_by_frame = ranks.reshape(n, m)
     rows = max(1, WINDOW_BLOCK_BYTES // (8 * n))
     for start in range(0, m, rows):
-        key = np.searchsorted(sorted_taus, S.values[start : start + rows], side="left")
-        if kernel > 1:
+        key = _rank(S.values[start : start + rows], sorted_taus)
+        if ranks is not None:
             ranks_by_frame[:, start : start + rows] = key.T
         key *= 2
         key += truth_by_pixel[start : start + rows]
@@ -290,20 +330,22 @@ def _raw_and_filtered_counts(
         del key  # before the next block's ranks are allocated
     if kernel == 1:
         counts = _counts(raw, order)
-        return counts, counts
+        return counts, counts, ranks
     # A rank is monotone in the residual, so the window median of the ranks
     # is the rank of the window median. The majority of [S > tau] over a
     # window is [window median of S > tau] (threshold decomposition), so one
-    # median filter of the ranks serves every threshold.
+    # median filter of the ranks serves every threshold. A block's network
+    # holds kernel**2 rank frames and its histogram key one intp per pixel.
     filtered = np.zeros_like(raw)
-    block = max(1, min(n, WINDOW_BLOCK_BYTES // (m * kernel * kernel * 8)))
+    frame_bytes = m * (kernel * kernel * ranks.itemsize + np.dtype(np.intp).itemsize)
+    block = max(1, min(n, WINDOW_BLOCK_BYTES // frame_bytes))
     for start in range(0, n, block):
         medians = _window_medians(ranks[start : start + block], kernel)
         # bincount counts intp keys, so the key is formed in that type.
         key = np.multiply(medians, 2, dtype=np.intp)
         key += truth.masks[start : start + block]
         filtered += np.bincount(key.ravel(), minlength=filtered.size)
-    return _counts(raw, order), _counts(filtered, order)
+    return _counts(raw, order), _counts(filtered, order), ranks if keep_ranks else None
 
 
 def sweep_counts(
@@ -323,12 +365,12 @@ def sweep_counts(
     kernel > 1 scores the median-filtered masks of filter_masks instead,
     from the histogram of the kernel x kernel window medians of the ranks
     (edges replicated), which are then held for the whole of S. Pixels are
-    ranked WINDOW_BLOCK_BYTES of int64 rank at a time. Frames are filtered
-    WINDOW_BLOCK_BYTES / (8 kernel**2) pixels at a time (at least one
-    frame), which keeps a block's kernel**2 network frames and its int64
-    histogram key within WINDOW_BLOCK_BYTES.
+    ranked WINDOW_BLOCK_BYTES of intp rank at a time. Frames are filtered
+    WINDOW_BLOCK_BYTES / (kernel**2 r + 8) pixels at a time (at least one
+    frame), for ranks of r bytes, which keeps a block's kernel**2 network
+    frames and its intp histogram key within WINDOW_BLOCK_BYTES.
     """
-    return _raw_and_filtered_counts(S, truth, taus, kernel)[1]
+    return _ranked_counts(S, truth, taus, kernel)[1]
 
 
 def best_f_from_counts(taus: Sequence[float], counts: np.ndarray) -> tuple[float, float]:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +29,8 @@ __all__ = [
     "load_matrix",
     "save_pgm",
     "load_pgm",
+    "FrameFiles",
+    "scan_frames",
     "load_frames",
     "save_frames",
     "save_masks",
@@ -40,8 +44,17 @@ MAGIC_COMPLEX = b"RDMDCPX1"
 # Entry type per container; "<c16" is the (real, imag) float64 pair.
 _ENTRY = {MAGIC_REAL: np.dtype("<f8"), MAGIC_COMPLEX: np.dtype("<c16")}
 
-# Most frames load_frames normalizes before storing them in the matrix.
+# Most frames FrameFiles.columns normalizes before storing them in the matrix.
 FRAME_BLOCK = 64
+
+# The four tokens of a PGM header: whitespace separates them, and '#' starts
+# a comment that runs to the end of its line. The lookaheads keep a token or
+# a comment from matching only part of itself.
+_PGM_SEP = rb"(?:[ \t\r\n]|#[^\n]*(?=\n|\Z))*"
+_PGM_TOKEN = rb"([^ \t\r\n#]+)(?![^ \t\r\n#])"
+_PGM_HEADER = re.compile((_PGM_SEP + _PGM_TOKEN) * 4)
+# Bytes that scan_frames reads for a header; a longer one is read whole.
+_PGM_HEAD = 4096
 
 _MANIFEST = "manifest.txt"
 # The integer manifest lines, then every line a decomposition needs.
@@ -78,24 +91,10 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def _parse_pgm_header(data: bytes, path: str) -> tuple[int, int, int, int]:
-    # Tokens are whitespace separated; '#' starts a comment running to EOL.
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < len(data) and data[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if len(tokens) < 4:
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise ValueError(f"{path}: truncated PGM header")
+    tokens = header.groups()
     if tokens[0] != b"P5":
         raise ValueError(
             f"{path}: expected binary grayscale PGM (P5), got {tokens[0]!r}"
@@ -104,24 +103,54 @@ def _parse_pgm_header(data: bytes, path: str) -> tuple[int, int, int, int]:
     if width < 1 or height < 1 or not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: invalid PGM dimensions or maxval")
     # Exactly one whitespace byte separates maxval from the raster.
-    return width, height, maxval, i + 1
+    return width, height, maxval, header.end() + 1
+
+
+def _read_pgm(
+    path: str, check_only: bool = False
+) -> tuple[tuple[int, int], int, np.ndarray | None]:
+    """((height, width), maxval, raster) of a checked P5 file.
+
+    16-bit rasters are big-endian. The raster's length is checked against
+    the file size, and only a maxval below its type's largest value can be
+    exceeded, so only then is the raster scanned for a pixel above it.
+    check_only reads the header and, for that scan only, the raster; it
+    returns None for a raster that it did not read.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = fh.read(_PGM_HEAD) if check_only else fh.readall()
+        try:
+            width, height, maxval, offset = _parse_pgm_header(data, path)
+            complete = offset <= len(data)
+        except ValueError:
+            if len(data) >= size:
+                raise
+            complete = False
+        if not complete:
+            # The header runs past what was read: parse the whole file.
+            data += fh.readall()
+            width, height, maxval, offset = _parse_pgm_header(data, path)
+        wide = maxval > 255
+        nbytes = width * height * (2 if wide else 1)
+        if max(size, len(data)) - offset < nbytes:
+            raise ValueError(f"{path}: truncated PGM raster")
+        bounded = maxval < (65535 if wide else 255)
+        if check_only and not bounded:
+            return (height, width), maxval, None
+        if len(data) < offset + nbytes:
+            data += fh.readall()
+    raster = np.frombuffer(data, dtype=">u2" if wide else np.uint8, count=width * height,
+                           offset=offset).reshape(height, width)
+    if bounded and raster.max(initial=0) > maxval:
+        raise ValueError(f"{path}: pixel value exceeds maxval {maxval}")
+    return (height, width), maxval, raster
 
 
 def load_pgm(path: str) -> tuple[np.ndarray, int]:
     """(image array (height, width), maxval); 16-bit rasters are big-endian."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, maxval, offset = _parse_pgm_header(data, path)
-    count = width * height
-    dtype = ">u2" if maxval > 255 else np.uint8
-    per_pixel = 2 if maxval > 255 else 1
-    if len(data) - offset < count * per_pixel:
-        raise ValueError(f"{path}: truncated PGM raster")
-    raster = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    img = raster.reshape(height, width).astype(np.uint16 if maxval > 255 else np.uint8)
-    if img.max(initial=0) > maxval:
-        raise ValueError(f"{path}: pixel value exceeds maxval {maxval}")
-    return img, maxval
+    _, maxval, raster = _read_pgm(path)
+    return raster.astype(np.uint16 if maxval > 255 else np.uint8), maxval
 
 
 def save_pgm(path: str, img: np.ndarray, maxval: int = 255) -> None:
@@ -139,37 +168,78 @@ def save_pgm(path: str, img: np.ndarray, maxval: int = 255) -> None:
         fh.write(img.astype(dtype).tobytes())
 
 
+@dataclass(frozen=True)
+class FrameFiles:
+    """PGM frames that scan_frames has checked, read a chunk at a time.
+
+    Frames are taken in the order of paths. columns reads frames
+    [start, stop) into a fresh contiguous matrix, the way
+    SnapshotMatrix.columns gives a view of an in-memory video.
+    """
+
+    paths: tuple[str, ...]
+    frame_height: int
+    frame_width: int
+
+    @property
+    def n_frames(self) -> int:
+        return len(self.paths)
+
+    def columns(self, start: int, stop: int) -> SnapshotMatrix:
+        """Frames [start, stop), each flattened row-major and divided by its maxval.
+
+        Frames are normalized into contiguous rows of a small buffer, and
+        each full buffer is stored as one transposed slice of the
+        column-per-frame matrix; at most n/16 frames, so the buffer adds at
+        most 1/16 of the matrix.
+        """
+        paths = self.paths[start:stop]
+        n = len(paths)
+        geometry = (self.frame_height, self.frame_width)
+        block = max(1, min(FRAME_BLOCK, n // 16))
+        data = np.empty((self.frame_height * self.frame_width, n))
+        rows = np.empty((block, data.shape[0]))
+        for j, p in enumerate(paths):
+            shape, maxval, img = _read_pgm(p)
+            if shape != geometry:
+                raise ValueError(f"{p}: frame geometry {shape} differs from first frame {geometry}")
+            np.divide(img.reshape(-1), maxval, out=rows[j % block], dtype=np.float64)
+            if j % block == block - 1 or j == n - 1:
+                first = j - j % block
+                data[:, first : j + 1] = rows[: j + 1 - first].T
+        return SnapshotMatrix(data=data, frame_height=geometry[0], frame_width=geometry[1])
+
+
+def scan_frames(pattern: str) -> FrameFiles:
+    """Check every PGM file matching a glob pattern without keeping its raster.
+
+    Files are taken in lexicographic order. Each header is parsed and each
+    raster's length checked against the file size, and a raster whose
+    maxval is below its type's largest value is scanned for a pixel above
+    it; every frame must share the first frame's geometry.
+    """
+    paths = sorted(glob.glob(pattern))
+    if len(paths) < 2:
+        raise ValueError(f"need at least 2 frames, pattern {pattern!r} matched {len(paths)}")
+    geometry = None
+    for p in paths:
+        shape = _read_pgm(p, check_only=True)[0]
+        if geometry is None:
+            geometry = shape
+        elif shape != geometry:
+            raise ValueError(f"{p}: frame geometry {shape} differs from first frame {geometry}")
+    return FrameFiles(tuple(paths), *geometry)
+
+
 def load_frames(pattern: str) -> tuple[SnapshotMatrix, list[str]]:
     """Assemble a snapshot matrix from the PGM files matching a glob pattern.
 
-    Files are taken in lexicographic order; each becomes one column, flattened
-    row-major and normalized to [0, 1] by its maxval. Returns the matrix and
-    the file paths in column order.
+    scan_frames, then every frame read into one matrix, one column per
+    frame normalized to [0, 1] by its maxval. Returns the matrix and the
+    file paths in column order.
     """
-    paths = sorted(glob.glob(pattern))
-    n = len(paths)
-    if n < 2:
-        raise ValueError(f"need at least 2 frames, pattern {pattern!r} matched {n}")
-    # Frames are normalized into contiguous rows of a small buffer, and each
-    # full buffer is stored as one transposed slice of the column-per-frame
-    # matrix; at most n/16 frames, so the buffer adds at most 1/16 of the video.
-    block = max(1, min(FRAME_BLOCK, n // 16))
-    data = rows = None
-    for j, p in enumerate(paths):
-        img, maxval = load_pgm(p)
-        if data is None:
-            geometry = img.shape
-            data = np.empty((img.size, n))
-            rows = np.empty((block, img.size))
-        elif img.shape != geometry:
-            raise ValueError(
-                f"{p}: frame geometry {img.shape} differs from first frame {geometry}"
-            )
-        np.divide(img.reshape(-1), maxval, out=rows[j % block], dtype=np.float64)
-        if j % block == block - 1 or j == n - 1:
-            start = j - j % block
-            data[:, start : j + 1] = rows[: j + 1 - start].T
-    return SnapshotMatrix(data=data, frame_height=geometry[0], frame_width=geometry[1]), paths
+    files = scan_frames(pattern)
+    return files.columns(0, files.n_frames), list(files.paths)
 
 
 def save_frames(

@@ -5,13 +5,20 @@ A run splits the input video into chunks, decomposes each chunk on its own
 models the background per chunk, and assembles masks 1:1 with the input
 frames. A chunk that fails records its diagnostic and contributes empty
 masks; the other chunks proceed.
+
+The stages are: check the inputs, the chunk pass, the tau-grid pass (when a
+sweep or metrics.csv needs the grid over the run's largest residual) and
+the writes. PGM frames are read from disk one chunk at a time, and the
+tau-grid pass reads each chunk again and rebuilds its residual from the
+background factors that the chunk pass kept, so a run holds one chunk's
+frames and residual at a time.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,8 +107,6 @@ class ChunkResult:
     omega: np.ndarray | None = None
     background_indices: tuple[int, ...] | None = None
     error: str | None = None
-    decompose_seconds: float = 0.0
-    mask_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -135,101 +140,86 @@ def chunk_bounds(n_frames: int, chunk_length: int, min_frames: int) -> list[tupl
     return bounds
 
 
-def _load_input(
-    cfg: RunConfig,
-) -> tuple[SnapshotMatrix, bg.ForegroundMaskSequence | None, list[str] | None]:
-    """Frames, truth if given, and mask file stems named after the frame files."""
-    if cfg.synthetic is not None:
-        return *generate_synthetic(cfg.synthetic), None
-    from .io_formats import load_frames, load_masks
+def _peak_rss_kib() -> int:
+    import resource
 
-    D, paths = load_frames(cfg.frames)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+class _StageTimer:
+    """Wall seconds per stage of each timings.csv row, and peak RSS so far.
+
+    mark(row, stage) books the time since the previous mark to that stage
+    of the row (a chunk index, or "run" for run-level work) and records
+    ru_maxrss, a high-water mark, as the row's peak so far.
+    """
+
+    STAGES = ("ingest", "decompose", "residual", "masks", "grid", "write")
+
+    def __init__(self) -> None:
+        self.rows: dict[int | str, dict[str, float]] = {}
+        self.last = time.perf_counter()
+
+    def mark(self, row: int | str, stage: str) -> None:
+        now = time.perf_counter()
+        entry = self.rows.setdefault(row, dict.fromkeys(self.STAGES, 0.0))
+        entry[stage] += now - self.last
+        entry["peak"] = _peak_rss_kib()
+        self.last = now
+
+    def csv(self) -> str:
+        """One line per chunk, then a total line that adds the run-level work."""
+        total = {stage: sum(e[stage] for e in self.rows.values()) for stage in self.STAGES}
+        total["peak"] = _peak_rss_kib()
+        rows = [(row, e) for row, e in self.rows.items() if row != "run"] + [("total", total)]
+        lines = ["chunk," + ",".join(f"{stage}_seconds" for stage in self.STAGES)
+                 + ",peak_rss_so_far_kib"]
+        for row, e in rows:
+            lines.append(",".join([str(row), *(repr(e[s]) for s in self.STAGES), str(e["peak"])]))
+        return "\n".join(lines) + "\n"
+
+
+def _load_input(cfg: RunConfig, timer: _StageTimer):
+    """The frames, truth if given, and mask file stems named after the frame files.
+
+    PGM frames come back as io_formats.FrameFiles, every file checked and
+    read a chunk at a time; synthetic frames as their SnapshotMatrix. Both
+    give a chunk's frames through columns(start, stop).
+    """
+    if cfg.synthetic is not None:
+        video, truth = generate_synthetic(cfg.synthetic)
+        timer.mark("run", "ingest")
+        return video, truth, None
+    from .io_formats import load_masks, scan_frames
+
+    video = scan_frames(cfg.frames)
     truth = load_masks(cfg.truth) if cfg.truth is not None else None
     # Masks all go to one directory, so two frames of one file name (in two
     # directories) would write one mask file.
     stems: dict[str, str] = {}
-    for path in paths:
+    for path in video.paths:
         stem = os.path.splitext(os.path.basename(path))[0] + "_mask"
         if stem in stems:
             raise ValueError(f"frames {stems[stem]} and {path} would both write mask {stem}")
         stems[stem] = path
-    return D, truth, list(stems)
+    timer.mark("run", "ingest")
+    return video, truth, list(stems)
 
 
-def _run_chunk(
-    D: SnapshotMatrix, cfg: RunConfig, index: int, start: int, stop: int
-) -> tuple[ChunkResult, bg.ResidualSequence | None]:
-    """Decompose one chunk, model its background and write its outputs.
-
-    Returns the chunk's record with its residual, or with None when the chunk
-    failed on its data (DegenerateDataError or LinAlgError; any other error
-    propagates). With an output directory, the decomposition (and,
-    under save_residuals, the residual) goes to chunk_NNN/ here, so no
-    decomposition outlives its chunk.
-    """
-    t0 = time.perf_counter()
-    try:
-        sub = D.columns(start, stop)
-        sketch = SketchConfig(
-            rank=cfg.k,
-            oversampling=cfg.p,
-            subspace_iters=cfg.q,
-            seed=cfg.seed + index,
-        )
-        dec = rdmd(sub, sketch, anchor=cfg.anchor)
-        omega = bg.fourier_modes(dec)
-        # A near-static chunk can retain fewer usable modes than requested; take
-        # what is there rather than failing the chunk (none fails it).
-        n_bg = min(cfg.n_background, np.count_nonzero(np.isfinite(omega)))
-        background_indices = bg.partition_modes(omega, n_bg)
-        S = bg.background_residual(sub, dec, background_indices)
-    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
-        failed = ChunkResult(
-            index=index,
-            start=start,
-            stop=stop,
-            seed=cfg.seed + index,
-            error=f"{type(exc).__name__}: {exc}",
-            decompose_seconds=time.perf_counter() - t0,
-        )
-        return failed, None
-    result = ChunkResult(
-        index=index,
-        start=start,
-        stop=stop,
-        seed=cfg.seed + index,
-        retained_rank=dec.rank,
-        eigenvalues=dec.eigenvalues,
-        omega=omega,
-        background_indices=background_indices,
-        decompose_seconds=time.perf_counter() - t0,
-    )
-    if cfg.output_dir is not None:
-        from .io_formats import save_decomposition, save_matrix
-
-        chunk_dir = os.path.join(cfg.output_dir, f"chunk_{index:03d}")
-        save_decomposition(chunk_dir, dec)
-        if cfg.save_residuals:
-            save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
-    return result, S
-
-
-def run_bgsub(cfg: RunConfig) -> RunReport:
-    """Decompose, model, threshold and evaluate; see the module docstring."""
-    t_run = time.perf_counter()
-    D, truth, stems = _load_input(cfg)
+def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
+    """The chunk bounds, once every check that needs no chunk has passed."""
     if cfg.tau is None and truth is None:
         raise ValueError("threshold sweep needs ground truth; pass a fixed tau instead")
-    if truth is not None and truth.masks.shape != (D.n_frames, D.frame_height, D.frame_width):
+    shape = (video.n_frames, video.frame_height, video.frame_width)
+    if truth is not None and truth.masks.shape != shape:
         n, h, w = truth.masks.shape
         raise ValueError(
-            f"truth has {n} masks of {h}x{w} for {D.n_frames} frames of "
-            f"{D.frame_height}x{D.frame_width}"
+            f"truth has {n} masks of {h}x{w} for {shape[0]} frames of {shape[1]}x{shape[2]}"
         )
-    n_pixels = D.frame_height * D.frame_width
+    n_pixels = video.frame_height * video.frame_width
     if cfg.k + cfg.p > n_pixels:
         raise ValueError(f"k+p = {cfg.k + cfg.p} exceeds the {n_pixels} pixels of a frame")
-    bounds = chunk_bounds(D.n_frames, cfg.chunk_length, cfg.min_chunk_frames)
+    bounds = chunk_bounds(video.n_frames, cfg.chunk_length, cfg.min_chunk_frames)
     # An integer anchor addresses a frame of each chunk's left sequence, which
     # is one frame shorter than the chunk.
     shortest = min(stop - start for start, stop in bounds)
@@ -244,69 +234,179 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         raise ValueError("truth contains no foreground pixels")
     if cfg.tau is None and truth.masks.all():
         raise ValueError("truth contains no background pixels")
+    return bounds
 
-    def truth_of(c: ChunkResult) -> bg.ForegroundMaskSequence:
-        return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
 
-    mask_frames = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
-    final_counts = ev.ConfusionCounts(0, 0, 0, 0)
+def _residual(D: SnapshotMatrix, factors) -> bg.ResidualSequence:
+    """The chunk's residual, written over its frames when it owns them.
 
-    def make_masks(c: ChunkResult, S: bg.ResidualSequence, tau: float) -> ChunkResult:
-        """Threshold and filter one chunk's masks into mask_frames and score them."""
-        nonlocal final_counts
-        t0 = time.perf_counter()
-        chunk_masks = bg.filter_masks(bg.threshold_mask(S, tau), cfg.median_kernel)
-        bg._copy_frames(mask_frames[c.start : c.stop], chunk_masks.masks)
-        c = replace(c, mask_seconds=time.perf_counter() - t0)
-        if truth is not None:
-            final_counts += ev.confusion(chunk_masks, truth_of(c))
-        return c
+    A chunk read from files owns its frames and needs them no longer; a
+    chunk of an in-memory video is a view of it, which must stay intact.
+    """
+    return bg.factor_residual(D, *factors, out=D.data if D.data.flags.owndata else None)
 
-    # A fixed tau masks each chunk as soon as it runs. Its residual is then
-    # dropped before the next chunk, unless metrics.csv and roc.csv need it:
-    # their tau grid spans the largest residual of the whole run.
-    keep = cfg.tau is None or (truth is not None and cfg.output_dir is not None)
+
+def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: _StageTimer):
+    """Read, decompose and model one chunk, and write its chunk_NNN/.
+
+    Returns (record, residual, background factors), or (record, None, None)
+    when the chunk failed on its data (DegenerateDataError or LinAlgError;
+    any other error propagates). With an output directory, the
+    decomposition (and, under save_residuals, the residual) goes to
+    chunk_NNN/ here, so no decomposition outlives its chunk.
+    """
+    D = video.columns(start, stop)
+    timer.mark(index, "ingest")
+    try:
+        sketch = SketchConfig(
+            rank=cfg.k,
+            oversampling=cfg.p,
+            subspace_iters=cfg.q,
+            seed=cfg.seed + index,
+        )
+        dec = rdmd(D, sketch, anchor=cfg.anchor)
+        omega = bg.fourier_modes(dec)
+        # A near-static chunk can retain fewer usable modes than requested; take
+        # what is there rather than failing the chunk (none fails it).
+        n_bg = min(cfg.n_background, np.count_nonzero(np.isfinite(omega)))
+        background_indices = bg.partition_modes(omega, n_bg)
+        factors = bg.background_factors(dec, background_indices)
+        timer.mark(index, "decompose")
+        S = _residual(D, factors)
+        timer.mark(index, "residual")
+    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
+        timer.mark(index, "decompose")
+        failed = ChunkResult(
+            index=index,
+            start=start,
+            stop=stop,
+            seed=cfg.seed + index,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        return failed, None, None
+    result = ChunkResult(
+        index=index,
+        start=start,
+        stop=stop,
+        seed=cfg.seed + index,
+        retained_rank=dec.rank,
+        eigenvalues=dec.eigenvalues,
+        omega=omega,
+        background_indices=background_indices,
+    )
+    if cfg.output_dir is not None:
+        from .io_formats import save_decomposition, save_matrix
+
+        chunk_dir = os.path.join(cfg.output_dir, f"chunk_{index:03d}")
+        save_decomposition(chunk_dir, dec)
+        if cfg.save_residuals:
+            save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
+        timer.mark(index, "write")
+    return result, S, factors
+
+
+class _Masks:
+    """The run's masks, 1:1 with its frames, and their counts against the truth."""
+
+    def __init__(self, shape: tuple[int, int, int], truth, kernel: int) -> None:
+        self.frames = np.zeros(shape, dtype=bool)
+        self.truth = truth
+        self.kernel = kernel
+        self.counts = ev.ConfusionCounts(0, 0, 0, 0)
+
+    def add(self, c: ChunkResult, raw: bg.ForegroundMaskSequence) -> None:
+        """Filter one chunk's thresholded masks into place and score them."""
+        chunk_masks = bg.filter_masks(raw, self.kernel)
+        bg._copy_frames(self.frames[c.start : c.stop], chunk_masks.masks)
+        if self.truth is not None:
+            self.counts += ev.confusion(chunk_masks, _truth_of(self.truth, c))
+
+
+def _truth_of(truth: bg.ForegroundMaskSequence, c: ChunkResult) -> bg.ForegroundMaskSequence:
+    return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
+
+
+def _chunk_pass(cfg, video, truth, bounds, masks: _Masks, timer: _StageTimer):
+    """Run every chunk; at a fixed tau, mask and score it and drop its residual.
+
+    Returns the chunk records and, when the run needs the tau grid, each
+    chunk that ran with its background factors and largest residual: the
+    residual itself is dropped before the next chunk runs.
+    """
+    need_grid = truth is not None and (cfg.tau is None or cfg.output_dir is not None)
     chunks: list[ChunkResult] = []
-    ran: list[tuple[ChunkResult, bg.ResidualSequence]] = []
+    ran = []
     for i, (start, stop) in enumerate(bounds):
-        c, S = _run_chunk(D, cfg, i, start, stop)
-        if S is not None and cfg.tau is not None:
-            c = make_masks(c, S, cfg.tau)
-        if S is not None and keep:
-            ran.append((c, S))
+        c, S, factors = _run_chunk(video, cfg, i, start, stop, timer)
         chunks.append(c)
+        if S is None:
+            continue
+        if cfg.tau is not None:
+            masks.add(c, bg.threshold_mask(S, cfg.tau))
+            timer.mark(i, "masks")
+        if need_grid:
+            ran.append((c, factors, float(S.values.max())))
         del S
-    any_ok = any(c.ok for c in chunks)
+    return chunks, ran
+
+
+def _grid_pass(cfg, video, truth, ran, timer: _StageTimer):
+    """Counts at every tau of the grid over the run's largest residual.
+
+    Each chunk's frames are read again and its residual rebuilt from its
+    background factors, the same bytes as in the chunk pass. Returns the
+    grid, the raw counts, the counts of the masks filtered by the median
+    kernel (the raw ones at a fixed tau) and, in a sweep, each chunk's ranks.
+    """
+    taus = ev.tau_grid(max(top for _, _, top in ran))
+    sweep = cfg.tau is None
+    kernel = cfg.median_kernel if sweep else 1
+    raw = np.zeros((taus.size, 4), dtype=np.int64)
+    filtered = np.zeros_like(raw)
+    ranks = []
+    for c, factors, _ in ran:
+        D = video.columns(c.start, c.stop)
+        timer.mark(c.index, "ingest")
+        S = _residual(D, factors)
+        del D
+        timer.mark(c.index, "residual")
+        chunk_raw, chunk_filtered, chunk_ranks = ev._ranked_counts(
+            S, _truth_of(truth, c), taus, kernel, keep_ranks=sweep
+        )
+        del S
+        raw += chunk_raw
+        filtered += chunk_filtered
+        ranks.append(chunk_ranks)
+        timer.mark(c.index, "grid")
+    return taus, raw, filtered, ranks
+
+
+def run_bgsub(cfg: RunConfig) -> RunReport:
+    """Decompose, model, threshold and evaluate; see the module docstring.
+
+    Memory is one chunk's frames and residual at a time, plus one byte per
+    pixel of the video for the masks, the truth and, in a sweep, the ranks.
+    """
+    t_run = time.perf_counter()
+    timer = _StageTimer()
+    video, truth, stems = _load_input(cfg, timer)
+    bounds = _check_inputs(cfg, video, truth)
+    shape = (video.n_frames, video.frame_height, video.frame_width)
+    masks = _Masks(shape, truth, cfg.median_kernel)
+    chunks, ran = _chunk_pass(cfg, video, truth, bounds, masks, timer)
     tau = cfg.tau
 
-    # Confusion counts at every grid tau, summed over the chunks that ran, of
-    # the raw masks and, when sweeping with a filter, of the filtered ones
-    # (with kernel 1 the two sweeps are one). Each chunk is ranked once for
-    # both.
-    taus = raw = filtered = None
-    if truth is not None and ran:
-        taus = ev.tau_grid(max(float(S.values.max()) for _, S in ran))
-        kernel = cfg.median_kernel if tau is None else 1
-        raw = np.zeros((taus.size, 4), dtype=np.int64)
-        filtered = np.zeros_like(raw)
-        for c, S in ran:
-            chunk_raw, chunk_filtered = ev._raw_and_filtered_counts(
-                S, truth_of(c), taus, kernel
-            )
-            raw += chunk_raw
-            filtered += chunk_filtered
-
-    # A curve needs both truth classes in the chunks that ran. Without one, a
-    # sweep fails in from_counts and a fixed-tau run writes no roc.csv.
-    roc = None
-    if raw is not None:
+    taus = raw = roc = summary = None
+    if ran:
+        taus, raw, filtered, ranks = _grid_pass(cfg, video, truth, ran, timer)
+        # A curve needs both truth classes in the chunks that ran. Without
+        # one, a sweep fails in from_counts and a fixed-tau run writes no
+        # roc.csv.
         tp, fp, tn, fn = raw[0].tolist()
         if tau is None or (tp + fn > 0 and tn + fp > 0):
             roc = ev.RocCurve.from_counts(taus, raw)
-
     # A sweep in which every chunk failed has no counts; its report keeps
     # tau, masks and summary None and still lists each chunk's reason.
-    summary: dict[str, float] | None = None
     if tau is None and raw is not None:
         best_tau, best_f = ev.best_f_from_counts(taus, raw)
         tau, filt_f = ev.best_f_from_counts(taus, filtered)
@@ -317,41 +417,44 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             "best_f_filtered": filt_f,
             "auc": roc.auc,
         }
-        for c, S in ran:
-            chunks[c.index] = make_masks(c, S, tau)
-    masks = bg.ForegroundMaskSequence(mask_frames, tau=tau) if any_ok else None
+        # [S > tau] is [ranks > j] for the first sorted index j of tau. Each
+        # chunk's ranks are dropped once its masks are made.
+        j = int(np.searchsorted(np.sort(taus), tau, side="left"))
+        ranks.reverse()
+        for c, _, _ in ran:
+            masks.add(c, bg.ForegroundMaskSequence(ranks.pop() > j, tau=tau))
+            timer.mark(c.index, "masks")
+    any_ok = any(c.ok for c in chunks)
     if any_ok and truth is not None:
-        summary = {**(summary or {}), **ev.rates(final_counts)}
+        summary = {**(summary or {}), **ev.rates(masks.counts)}
 
     report = RunReport(
         config=cfg,
-        frame_height=D.frame_height,
-        frame_width=D.frame_width,
-        n_frames=D.n_frames,
+        frame_height=video.frame_height,
+        frame_width=video.frame_width,
+        n_frames=video.n_frames,
         chunks=tuple(chunks),
         tau=tau,
-        masks=masks,
+        masks=bg.ForegroundMaskSequence(masks.frames, tau=tau) if any_ok else None,
         summary=summary,
         total_seconds=time.perf_counter() - t_run,
     )
     if cfg.output_dir is not None:
-        _write_outputs(cfg, report, stems, taus, raw, roc)
+        _write_outputs(cfg, report, stems, taus, raw, roc, timer)
     return report
 
 
-def _write_outputs(cfg, report, stems, taus, raw, roc) -> None:
-    """Run-level files; each chunk_NNN/ was written by its chunk step."""
+def _write_outputs(cfg, report, stems, taus, raw, roc, timer: _StageTimer) -> None:
+    """Run-level files; each chunk_NNN/ was written by its chunk step.
+
+    timings.csv is written last, so that it times the other writes.
+    """
     from .io_formats import save_masks
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(render_report(report))
-    with open(os.path.join(out, "timings.csv"), "w") as fh:
-        fh.write("chunk,decompose_seconds,mask_seconds\n")
-        for c in report.chunks:
-            fh.write(f"{c.index},{c.decompose_seconds!r},{c.mask_seconds!r}\n")
-        fh.write(f"total,{report.total_seconds!r},0.0\n")
     if report.masks is not None:
         save_masks(os.path.join(out, "masks"), report.masks, stems)
     if raw is not None:
@@ -362,6 +465,9 @@ def _write_outputs(cfg, report, stems, taus, raw, roc) -> None:
         ev.write_metrics_csv(os.path.join(out, "metrics.csv"), rows)
     if roc is not None:
         ev.write_roc_csv(os.path.join(out, "roc.csv"), roc)
+    timer.mark("run", "write")
+    with open(os.path.join(out, "timings.csv"), "w") as fh:
+        fh.write(timer.csv())
 
 
 def render_report(report: RunReport) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import scipy.ndimage
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,3 +95,119 @@ def partition_sweep_counts(S, truth, taus, kernel: int = 1) -> np.ndarray:
         tp, n_p, n_t = np.count_nonzero(p & t), np.count_nonzero(p), np.count_nonzero(t)
         rows.append((tp, n_p - tp, p.size - n_p - n_t + tp, n_t - tp))
     return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+
+
+def searchsorted_ranks(S, taus) -> np.ndarray:
+    """Ranks of S against the sorted taus by np.searchsorted, one frame per row.
+
+    The oracle of evaluation._rank, in the (n_frames, height, width) layout
+    of the ranks that evaluation._ranked_counts keeps.
+    """
+    ranks = np.searchsorted(np.sort(np.asarray(taus, dtype=np.float64)), S.values, side="left")
+    return ranks.T.reshape(S.n_frames, S.frame_height, S.frame_width).astype(
+        np.min_scalar_type(len(taus)))
+
+
+def reference_run(cfg) -> None:
+    """run_bgsub as it ran with the whole video in memory; writes cfg.output_dir.
+
+    Every chunk is a view of the loaded video, its residual is formed from
+    the whole complex background and held until the tau grid is known, the
+    counts are partition_sweep_counts and the masks the per-frame
+    median_filter of [S > tau]. Chunks are decomposed by pipeline.rdmd, so
+    a test that patches it patches both runs. Every output but timings.csv
+    is written, for a byte comparison with the pipeline's.
+    """
+    from dmdmotion import background as bg
+    from dmdmotion import evaluation as ev
+    from dmdmotion import pipeline
+    from dmdmotion.errors import DegenerateDataError
+    from dmdmotion.io_formats import (
+        load_frames, load_masks, save_decomposition, save_masks, save_matrix)
+    from dmdmotion.linalg import SketchConfig
+    from dmdmotion.synthetic import generate_synthetic
+
+    stems = None
+    if cfg.synthetic is not None:
+        D, truth = generate_synthetic(cfg.synthetic)
+    else:
+        D, paths = load_frames(cfg.frames)
+        truth = load_masks(cfg.truth) if cfg.truth is not None else None
+        stems = [os.path.splitext(os.path.basename(p))[0] + "_mask" for p in paths]
+    chunks, ran = [], []
+    for i, (start, stop) in enumerate(
+            pipeline.chunk_bounds(D.n_frames, cfg.chunk_length, cfg.min_chunk_frames)):
+        sub = D.columns(start, stop)
+        try:
+            dec = pipeline.rdmd(sub, SketchConfig(rank=cfg.k, oversampling=cfg.p,
+                                                  subspace_iters=cfg.q, seed=cfg.seed + i),
+                                anchor=cfg.anchor)
+            omega = bg.fourier_modes(dec)
+            part = bg.partition_modes(omega, min(cfg.n_background,
+                                                 np.count_nonzero(np.isfinite(omega))))
+            S = bg.residual(sub, bg.background_model(dec, part))
+        except (DegenerateDataError, np.linalg.LinAlgError) as exc:
+            chunks.append(pipeline.ChunkResult(i, start, stop, cfg.seed + i,
+                                               error=f"{type(exc).__name__}: {exc}"))
+            continue
+        chunks.append(pipeline.ChunkResult(i, start, stop, cfg.seed + i, dec.rank,
+                                           dec.eigenvalues, omega, part))
+        ran.append((chunks[-1], S))
+        chunk_dir = os.path.join(cfg.output_dir, f"chunk_{i:03d}")
+        save_decomposition(chunk_dir, dec)
+        if cfg.save_residuals:
+            save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
+
+    def truth_of(c):
+        return bg.ForegroundMaskSequence(truth.masks[c.start:c.stop])
+
+    tau, taus, raw, roc, summary = cfg.tau, None, None, None, None
+    if truth is not None and ran:
+        taus = ev.tau_grid(max(float(S.values.max()) for _, S in ran))
+        raw = sum(partition_sweep_counts(S, truth_of(c), taus) for c, S in ran)
+        tp, fp, tn, fn = raw[0].tolist()
+        if tau is None or (tp + fn > 0 and tn + fp > 0):
+            roc = ev.RocCurve.from_counts(taus, raw)
+    if tau is None and raw is not None:
+        filtered = sum(partition_sweep_counts(S, truth_of(c), taus, cfg.median_kernel)
+                       for c, S in ran)
+        best_tau, best_f = ev.best_f_from_counts(taus, raw)
+        tau, filt_f = ev.best_f_from_counts(taus, filtered)
+        summary = {"best_tau_raw": best_tau, "best_f_raw": best_f,
+                   "best_tau_filtered": tau, "best_f_filtered": filt_f, "auc": roc.auc}
+    masks = None
+    if ran and tau is not None:
+        masks = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
+        for c, S in ran:
+            masks[c.start:c.stop] = [median_filter(frame, cfg.median_kernel)
+                                     for frame in bg.threshold_mask(S, tau).masks]
+        if truth is not None:
+            counts = sum((ev.confusion(bg.ForegroundMaskSequence(masks[c.start:c.stop]),
+                                       truth_of(c)) for c, _ in ran), ev.ConfusionCounts(0, 0, 0, 0))
+            summary = {**(summary or {}), **ev.rates(counts)}
+        masks = bg.ForegroundMaskSequence(masks, tau=tau)
+    report = pipeline.RunReport(cfg, D.frame_height, D.frame_width, D.n_frames, tuple(chunks),
+                                tau, masks, summary, 0.0)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(os.path.join(cfg.output_dir, "report.txt"), "w") as fh:
+        fh.write(pipeline.render_report(report))
+    if masks is not None:
+        save_masks(os.path.join(cfg.output_dir, "masks"), masks, stems)
+    if raw is not None:
+        ev.write_metrics_csv(os.path.join(cfg.output_dir, "metrics.csv"),
+                             [ev.metrics_row(float(t), ev.ConfusionCounts(*row))
+                              for t, row in zip(taus, raw.tolist())])
+    if roc is not None:
+        ev.write_roc_csv(os.path.join(cfg.output_dir, "roc.csv"), roc)
+
+
+def output_files(directory) -> dict[str, bytes]:
+    """Every file under directory by relative path, timings.csv excepted."""
+    files = {}
+    for base, _, names in os.walk(directory):
+        for name in names:
+            if name != "timings.csv":
+                path = os.path.join(base, name)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, directory)] = fh.read()
+    return files

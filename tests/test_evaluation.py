@@ -367,23 +367,47 @@ def test_ranked_counts_equal_searchsorted_of_partition_medians(case, kernel):
     truth = masks_of(rng.uniform(size=(n, h, w)) < 0.4)
     counts = sweep_counts(S, truth, taus, kernel)
     assert np.array_equal(counts, partition_sweep_counts(S, truth, taus, kernel))
-    raw, filtered = evaluation._raw_and_filtered_counts(S, truth, taus, kernel)
+    raw, filtered, _ = evaluation._ranked_counts(S, truth, taus, kernel)
     assert np.array_equal(raw, partition_sweep_counts(S, truth, taus))
     assert np.array_equal(filtered, counts)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    taus=st.one_of(
+        st.builds(tau_grid, st.floats(0.0, 10.0), st.integers(2, 300)),
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=300).map(sorted),
+        st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0]), min_size=1, max_size=300).map(sorted),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_equals_searchsorted(taus, seed):
+    # Even grids (a zero top spans [0, 1]), uneven ones with subnormal or
+    # tied taus, and 256+ taus; values on a tau, one step either side of
+    # one, zero, and above the top tau.
+    taus = np.asarray(taus, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    on = rng.choice(taus, 100)
+    values = np.concatenate([
+        rng.uniform(0.0, 1.5 * taus[-1] + 1e-3, 200), on, np.nextafter(on[:40], np.inf),
+        np.nextafter(on[40:80], 0.0), np.zeros(19), [2.0 * taus[-1] + 1.0],
+    ]).reshape(20, 20)
+    expected = np.searchsorted(taus, values, side="left")
+    assert np.array_equal(evaluation._rank(values, taus), expected)
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5])
 @pytest.mark.parametrize("block_frames", [1, 2, 7])
 def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kernel, block_frames):
-    # Blocks of 1 frame, 2 frames with a one-frame tail, and all 7 frames.
+    # Blocks of 1 frame, 2 frames with a one-frame tail, and all 7 frames:
+    # a frame's network holds kernel**2 one-byte ranks and an intp key per pixel.
     rng = np.random.default_rng(kernel + block_frames)
     h, w = 5, 6
     S = ResidualSequence(np.round(rng.uniform(size=(h * w, 7)) * 4) / 4, h, w)
     truth = masks_of(rng.uniform(size=(7, h, w)) < 0.3)
     taus = [0.0, 0.25, 0.3, 0.5, 0.5, 1.0]
-    monkeypatch.setattr(
-        evaluation, "WINDOW_BLOCK_BYTES", block_frames * h * w * kernel * kernel * 8
-    )
+    frame_bytes = h * w * (kernel * kernel + np.dtype(np.intp).itemsize)
+    monkeypatch.setattr(evaluation, "WINDOW_BLOCK_BYTES", block_frames * frame_bytes)
     assert np.array_equal(sweep_counts(S, truth, taus, kernel), loop_counts(S, truth, taus, kernel))
 
 

@@ -23,6 +23,7 @@ from dmdmotion.io_formats import (
     save_masks,
     save_matrix,
     save_pgm,
+    scan_frames,
 )
 from dmdmotion.linalg import SketchConfig
 from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
@@ -306,6 +307,28 @@ def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
         np.divide(img.reshape(-1), maxval, out=expected[:, j], dtype=np.float64)
     assert D.data.flags.c_contiguous
     assert D.data.shape == expected.shape and D.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pad", [4085, 4090, 4093, 5000])
+def test_scan_reads_a_header_that_runs_past_its_first_read(tmp_path, pad):
+    # A comment pads each header to end near or past the scan's first 4096
+    # bytes: 4085 cuts the maxval 100 to "10", 4090 leaves two tokens, and
+    # 4093 and 5000 cut the comment itself.
+    raster = np.arange(0, 60, 10, dtype=np.uint8).reshape(2, 3)
+
+    def write(t, maxval):
+        header = b"P5\n#" + b"x" * pad + b"\n3 2\n" + str(maxval).encode() + b"\n"
+        (tmp_path / f"f_{t}.pgm").write_bytes(header + raster.tobytes())
+
+    write(0, 100)
+    write(1, 100)
+    files = scan_frames(str(tmp_path / "f_*.pgm"))
+    assert (files.frame_height, files.frame_width) == (2, 3)
+    assert files.columns(0, 2).data.tobytes() == np.repeat(
+        raster.reshape(-1, 1) / 100, 2, axis=1).tobytes()
+    write(1, 4)
+    with pytest.raises(ValueError, match=r"f_1\.pgm: pixel value exceeds maxval 4"):
+        scan_frames(str(tmp_path / "f_*.pgm"))
 
 
 def test_frames_hold_one_copy_of_the_video(tmp_path):

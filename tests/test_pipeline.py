@@ -6,7 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +24,25 @@ from dmdmotion.background import (
 )
 from dmdmotion.cli import _time_svds, main
 from dmdmotion.dmd import SnapshotMatrix, rdmd
-from dmdmotion.io_formats import load_matrix, load_pgm, save_frames, save_masks, save_pgm
+from dmdmotion.io_formats import (
+    load_frames,
+    load_matrix,
+    load_pgm,
+    save_frames,
+    save_masks,
+    save_pgm,
+)
 from dmdmotion.linalg import SketchConfig
 from dmdmotion.pipeline import RunConfig, chunk_bounds, render_report, run_bgsub
 from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
 
-from helpers import median_filter, partition_sweep_counts
+from helpers import (
+    median_filter,
+    output_files,
+    partition_sweep_counts,
+    reference_run,
+    searchsorted_ranks,
+)
 
 SQUARE = SyntheticSpec(
     frame_height=24,
@@ -221,8 +236,9 @@ def test_sweep_outputs_equal_the_partition_oracle(tmp_path, monkeypatch, kernel)
         return tmp_path / name
 
     new = run("new")
-    monkeypatch.setattr(ev, "_raw_and_filtered_counts", lambda S, t, taus, k: (
-        partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k)))
+    monkeypatch.setattr(ev, "_ranked_counts", lambda S, t, taus, k, keep_ranks=False: (
+        partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k),
+        searchsorted_ranks(S, taus) if keep_ranks else None))
     oracle = run("oracle")
     names = ["metrics.csv", "roc.csv", "report.txt"] + [
         os.path.join("masks", f) for f in sorted(os.listdir(oracle / "masks"))]
@@ -365,9 +381,9 @@ def track_residuals(monkeypatch):
     run_chunk = pipeline._run_chunk
 
     def tracked_run_chunk(*args):
-        c, S = run_chunk(*args)
+        c, S, factors = run_chunk(*args)
         refs.append(weakref.ref(S))
-        return c, S
+        return c, S, factors
 
     monkeypatch.setattr(pipeline, "_run_chunk", tracked_run_chunk)
     return refs
@@ -400,22 +416,34 @@ def test_fixed_tau_drops_each_residual_before_the_next_chunk(tmp_path, monkeypat
     assert report.summary == expected.summary
 
 
-def test_fixed_tau_with_truth_and_output_keeps_residuals_for_the_grid(tmp_path, monkeypatch):
+def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_path,
+                                                                        monkeypatch):
     # metrics.csv and roc.csv score every tau of a grid that spans the largest
-    # residual of the run, so every chunk's residual lives until they are written.
-    refs = track_residuals(monkeypatch)
+    # residual of the run. Each chunk keeps only its background factors, and
+    # its residual is rebuilt from them once the grid is known, so at most one
+    # residual is alive at a time and none when the outputs are written.
+    refs = []
+    factor_residual = pipeline.bg.factor_residual
+
+    def tracked_factor_residual(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        S = factor_residual(*args, **kwargs)
+        refs.append(weakref.ref(S))
+        return S
+
     write_outputs = pipeline._write_outputs
 
     def checked_write_outputs(*args):
-        assert all(ref() is not None for ref in refs)
+        assert all(ref() is None for ref in refs)
         write_outputs(*args)
 
+    monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_factor_residual)
     monkeypatch.setattr(pipeline, "_write_outputs", checked_write_outputs)
     out = tmp_path / "run"
     cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3,
                     output_dir=str(out), save_residuals=True)
     run_bgsub(cfg)
-    assert len(refs) == 3
+    assert len(refs) == 6  # one per chunk in each pass
     _, truth = generate_synthetic(SQUARE)
     S = ResidualSequence(
         np.concatenate([load_matrix(str(out / f"chunk_{i:03d}" / "residual.mat"))
@@ -448,25 +476,21 @@ def test_chunks_match_standalone_decompositions():
         assert np.array_equal(dec.eigenvalues, c.eigenvalues)
 
 
-def test_pgm_run_checks_the_video_once_and_chunks_are_views(tmp_path, monkeypatch):
+def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, monkeypatch):
     D, _ = generate_synthetic(SQUARE)
     save_frames(str(tmp_path / "frames"), D)
-    checked, videos, chunks, scans = [], [], [], []
-    post_init, load_input, decompose = (
-        SnapshotMatrix.__post_init__, pipeline._load_input, pipeline.rdmd)
+    video, _ = load_frames(str(tmp_path / "frames" / "*.pgm"))
+    checked, chunks, frames, scans = [], [], [], []
+    post_init, decompose = SnapshotMatrix.__post_init__, pipeline.rdmd
     as_matrix = linalg._as_matrix
 
     def counted_post_init(self):
         checked.append(self.data.shape)
         post_init(self)
 
-    def recorded_load_input(cfg):
-        out = load_input(cfg)
-        videos.append(out[0])
-        return out
-
     def recorded_rdmd(sub, *args, **kwargs):
         chunks.append(sub)
+        frames.append(sub.data.tobytes())
         return decompose(sub, *args, **kwargs)
 
     def counted_as_matrix(A, name="A"):
@@ -474,21 +498,142 @@ def test_pgm_run_checks_the_video_once_and_chunks_are_views(tmp_path, monkeypatc
         return as_matrix(A, name)
 
     monkeypatch.setattr(SnapshotMatrix, "__post_init__", counted_post_init)
-    monkeypatch.setattr(pipeline, "_load_input", recorded_load_input)
     monkeypatch.setattr(pipeline, "rdmd", recorded_rdmd)
     monkeypatch.setattr(linalg, "_as_matrix", counted_as_matrix)
     report = run_bgsub(RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
                                  k=5, chunk_length=20, tau=0.3))
     assert len(report.chunks) == 3 and all(c.ok for c in report.chunks)
-    # The video is checked once, at load; each chunk is a view of it, and
-    # rdmd does not scan it for finiteness again.
-    (video,) = videos
-    assert checked == [(576, 60)]
-    for c, sub in zip(report.chunks, chunks):
-        assert np.shares_memory(sub.data, video.data)
-        assert np.array_equal(sub.data, video.data[:, c.start:c.stop])
+    # Each chunk is read from its files into its own contiguous matrix and
+    # checked once, there; rdmd does not scan it for finiteness again.
+    assert checked == [(576, 20)] * 3
+    for c, sub, data in zip(report.chunks, chunks, frames):
+        assert sub.data.flags.c_contiguous
+        assert data == np.ascontiguousarray(video.data[:, c.start:c.stop]).tobytes()
         assert (sub.frame_height, sub.frame_width) == (24, 24)
+    for i, a in enumerate(chunks):
+        for b in chunks[i + 1:]:
+            assert not np.shares_memory(a.data, b.data)
     assert [shape for shape in scans if shape[0] == 576] == []
+
+
+def exact_background(level):
+    """An rdmd stand-in whose background is level in every pixel and frame, exactly."""
+    def decompose(D, sketch, anchor):
+        return dmdmotion.DmdDecomposition(
+            modes=np.full((D.n_pixels, 1), level + 0j), eigenvalues=np.array([1.0 + 0j]),
+            amplitudes=np.ones(1, dtype=np.complex128), n_frames=D.n_frames,
+            frame_height=D.frame_height, frame_width=D.frame_width, anchor=anchor,
+            seed=sketch.seed)
+    return decompose
+
+
+@pytest.mark.parametrize("case", ["sweep k1", "sweep k3", "sweep k5", "fixed tau with truth",
+                                  "static chunk", "failed chunk", "ties at a grid tau"])
+def test_outputs_equal_the_whole_video_reference_run(tmp_path, monkeypatch, case):
+    # Three chunks of PGM frames, each written to disk with its residual.
+    # Truth is empty in the first chunk and all foreground in the second.
+    D, truth = generate_synthetic(SQUARE)
+    masks = truth.masks.copy()
+    masks[:20], masks[20:40] = False, True
+    opts = {"k": 5, "chunk_length": 20, "save_residuals": True}
+    maxval = 255
+    if case.startswith("sweep"):
+        opts["median_kernel"] = int(case[-1])
+    elif case == "fixed tau with truth":
+        opts["tau"] = 0.3
+    elif case == "static chunk":
+        # Every residual is exactly zero, so the grid spans [0, 1].
+        D = SnapshotMatrix(np.full(D.data.shape, 0.5), 24, 24)
+        maxval = 2
+        monkeypatch.setattr(pipeline, "rdmd", exact_background(0.5))
+    elif case == "failed chunk":
+        D = SnapshotMatrix(np.concatenate([np.zeros((576, 20)), D.data[:, 20:]], axis=1),
+                           24, 24)
+    else:
+        # Residuals k/50 against a zero background: most lie on the grid j/50.
+        D = SnapshotMatrix(np.random.default_rng(3).integers(0, 51, D.data.shape) / 50, 24, 24)
+        maxval = 50
+        monkeypatch.setattr(pipeline, "rdmd", exact_background(0.0))
+    save_frames(str(tmp_path / "frames"), D, maxval=maxval)
+    save_masks(str(tmp_path / "truth"), ForegroundMaskSequence(masks))
+    cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                    truth=str(tmp_path / "truth" / "*.pgm"), output_dir=str(tmp_path / "new"),
+                    **opts)
+    report = run_bgsub(cfg)
+    reference_run(replace(cfg, output_dir=str(tmp_path / "reference")))
+    new, reference = output_files(tmp_path / "new"), output_files(tmp_path / "reference")
+    assert sorted(new) == sorted(reference)
+    assert {"report.txt", "metrics.csv", "roc.csv", "masks/frame_00059_mask.pgm",
+            "chunk_002/modes.cpx", "chunk_002/residual.mat"} <= set(new)
+    for name in reference:
+        assert new[name] == reference[name], name
+    taus = [float(row["tau"]) for row in csv.DictReader(open(tmp_path / "new" / "metrics.csv"))]
+    if case == "static chunk":
+        assert taus[-1] == 1.0
+    if case == "failed chunk":
+        assert not report.chunks[0].ok and all(c.ok for c in report.chunks[1:])
+    if case == "ties at a grid tau":
+        S = load_matrix(str(tmp_path / "new" / "chunk_000" / "residual.mat"))
+        assert np.isin(S, taus).mean() > 0.5
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("truncated raster", "truncated PGM raster"),
+    ("pixel above maxval", "pixel value exceeds maxval 200"),
+    ("geometry change", "frame geometry (24, 23) differs from first frame (24, 24)"),
+])
+def test_a_bad_last_frame_exits_2_before_any_chunk_runs(tmp_path, capsys, fault, reason):
+    D, _ = generate_synthetic(SQUARE)
+    last = save_frames(str(tmp_path / "frames"), D)[-1]
+    if fault == "truncated raster":
+        data = open(last, "rb").read()
+        open(last, "wb").write(data[:-1])
+    elif fault == "pixel above maxval":
+        raster = np.full(576, 100, dtype=np.uint8)
+        raster[300] = 201
+        open(last, "wb").write(b"P5\n24 24\n200\n" + raster.tobytes())
+    else:
+        save_pgm(last, np.zeros((24, 23), dtype=np.uint8))
+    code = main(["bgsub", "--frames", str(tmp_path / "frames" / "*.pgm"),
+                 "--out", str(tmp_path / "out"), "--chunk-length", "20",
+                 "--k", "4", "--tau", "0.2", "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{last}: {reason}" in err
+    assert not (tmp_path / "out" / "chunk_000").exists()
+
+
+def test_sweep_memory_grows_by_bytes_per_pixel_not_by_chunks(tmp_path):
+    # Six chunks hold one chunk's frames and residual at a time, as two do;
+    # what grows with the video is one byte per pixel of truth, ranks and
+    # masks, and each chunk's background factors (48 bytes per pixel for
+    # three modes, half a byte per pixel of a 100-frame chunk). Holding the
+    # video and every residual would add 16 bytes per pixel.
+    D, truth = generate_synthetic(SyntheticSpec(
+        frame_height=48, frame_width=64, n_frames=600, noise_sigma=0.04,
+        objects=(MovingRect(9.0, 2.0, 8, 8, 1.0, (0.0, 0.3)),), seed=5))
+    save_frames(str(tmp_path / "frames"), D)
+    save_masks(str(tmp_path / "truth"), truth)
+    del D, truth
+    peaks = []
+    for n_frames in (200, 600):
+        cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                        truth=str(tmp_path / "truth" / "*.pgm"), chunk_length=100)
+        if n_frames < 600:
+            for kind in ("frames", "truth"):
+                os.makedirs(tmp_path / f"{kind}_{n_frames}", exist_ok=True)
+                for name in sorted(os.listdir(tmp_path / kind))[:n_frames]:
+                    os.link(tmp_path / kind / name, tmp_path / f"{kind}_{n_frames}" / name)
+            cfg = replace(cfg, frames=str(tmp_path / f"frames_{n_frames}" / "*.pgm"),
+                          truth=str(tmp_path / f"truth_{n_frames}" / "*.pgm"))
+        tracemalloc.start()
+        try:
+            run_bgsub(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    two, six = peaks
+    assert six - two <= 4 * 400 * 48 * 64
 
 
 def test_snapshot_columns_rejects_a_single_frame():
@@ -648,7 +793,16 @@ def test_outputs_include_decomposition_dirs(tmp_path):
     assert (tmp_path / "chunk_000" / "manifest.txt").exists()
     assert (tmp_path / "chunk_000" / "modes.cpx").exists()
     assert (tmp_path / "chunk_000" / "residual.mat").exists()
-    assert (tmp_path / "timings.csv").exists()
+    # Seconds per stage for each chunk and in total, and the peak RSS so far.
+    with open(tmp_path / "timings.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["chunk", "ingest_seconds", "decompose_seconds",
+                             "residual_seconds", "masks_seconds", "grid_seconds",
+                             "write_seconds", "peak_rss_so_far_kib"]
+    assert [row["chunk"] for row in rows] == ["0", "total"]
+    assert all(float(v) >= 0 for row in rows for k, v in row.items() if k != "chunk")
+    assert int(rows[0]["peak_rss_so_far_kib"]) <= int(rows[1]["peak_rss_so_far_kib"])
+    assert float(rows[1]["grid_seconds"]) > 0 and float(rows[1]["write_seconds"]) > 0
     # synthetic input carries its own truth, so the sweep files appear too
     assert (tmp_path / "roc.csv").exists()
     assert (tmp_path / "metrics.csv").exists()
