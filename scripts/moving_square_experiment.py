@@ -11,6 +11,7 @@ Usage: python scripts/moving_square_experiment.py [--out results.csv]
 import argparse
 import csv
 import sys
+import time
 
 from dmdmotion.pipeline import RunConfig, run_bgsub
 from dmdmotion.synthetic import MovingRect, SyntheticSpec
@@ -27,7 +28,9 @@ def run_one(sigma: float, seed: int) -> dict:
         objects=(MovingRect(26.0, 4.0, 10, 10, 0.8, (0.0, 0.25)),),
         seed=seed,
     )
+    start = time.perf_counter()
     report = run_bgsub(RunConfig(synthetic=spec, seed=seed))
+    seconds = time.perf_counter() - start
     s = report.summary
     return {
         "sigma": sigma,
@@ -35,7 +38,7 @@ def run_one(sigma: float, seed: int) -> dict:
         "best_f_filtered": s["best_f_filtered"],
         "auc": s["auc"],
         "best_tau_raw": s["best_tau_raw"],
-        "seconds": report.total_seconds,
+        "seconds": seconds,
     }
 
 

@@ -10,7 +10,6 @@ from .background import (
     ForegroundMaskSequence,
     ResidualSequence,
     background_model,
-    background_residual,
     filter_masks,
     fourier_modes,
     partition_modes,
@@ -75,7 +74,6 @@ __all__ = [
     "partition_modes",
     "background_model",
     "residual",
-    "background_residual",
     "threshold_mask",
     "filter_masks",
     "ConfusionCounts",

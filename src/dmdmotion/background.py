@@ -25,7 +25,6 @@ __all__ = [
     "residual",
     "background_factors",
     "factor_residual",
-    "background_residual",
     "threshold_mask",
     "filter_masks",
 ]
@@ -188,17 +187,6 @@ def factor_residual(
         np.subtract(D.data[start:stop], (modes[start:stop] @ temporal).real, out=out)
         np.abs(out, out=out)
     return ResidualSequence(values, D.frame_height, D.frame_width)
-
-
-def background_residual(
-    D: SnapshotMatrix, dec: DmdDecomposition, background_indices: tuple[int, ...]
-) -> ResidualSequence:
-    """residual(D, background_model(dec, background_indices)), bit for bit.
-
-    factor_residual of background_factors: the complex background is never
-    held for the whole chunk.
-    """
-    return factor_residual(D, *background_factors(dec, background_indices))
 
 
 def threshold_mask(S: ResidualSequence, tau: float) -> ForegroundMaskSequence:

@@ -17,9 +17,14 @@ import numpy as np
 
 from .background import ForegroundMaskSequence, ResidualSequence
 
-# Bytes of scratch per block of sweep_counts: of intp ranks, and of a
-# block's median network and histogram key (at least one frame).
+# Bytes of scratch per block of sweep_counts: of a block's ranking, and of
+# its median network and histogram key (at least one frame).
 WINDOW_BLOCK_BYTES = 1 << 20
+# Bytes _rank holds per entry at its peak: the float64 guess, the intp rank,
+# the float64 copy that np.take buffers its out through, and a bool mask.
+_RANK_BYTES = 26
+# Thresholds of a sweep's grid.
+TAU_GRID_SIZE = 51
 
 __all__ = [
     "ConfusionCounts",
@@ -162,13 +167,11 @@ def metrics_row(tau: float, c: ConfusionCounts) -> dict[str, object]:
     return {"tau": tau, "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn, **rates(c)}
 
 
-def tau_grid(top: float, n: int = 51) -> np.ndarray:
-    """n thresholds evenly spaced over [0, top]; a zero top spans [0, 1] instead."""
-    if n < 2:
-        raise ValueError(f"need at least 2 thresholds, got {n}")
+def tau_grid(top: float) -> np.ndarray:
+    """TAU_GRID_SIZE thresholds evenly spaced over [0, top]; a zero top spans [0, 1]."""
     if top == 0.0:
         top = 1.0
-    return np.linspace(0.0, top, n)
+    return np.linspace(0.0, top, TAU_GRID_SIZE)
 
 
 @lru_cache(maxsize=None)
@@ -295,12 +298,13 @@ def _ranked_counts(
     kernel: int,
     keep_ranks: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(raw, filtered, ranks): sweep_counts at kernel 1 and at kernel, from one ranking of S.
+    """(raw, filtered, kept): sweep_counts at kernel 1 and at kernel, from one ranking of S.
 
-    With kernel 1, raw and filtered are the same array. ranks, kept when
-    keep_ranks is set and None otherwise, are the (n_frames, height, width)
-    ranks of S against the sorted taus: [S > tau_j] is [ranks > j] for the
-    first index j of tau_j among them (see _counts).
+    With kernel 1, raw and filtered are the same array. kept, None unless
+    keep_ranks is set, holds the (n_frames, height, width) ranks of S
+    against the sorted taus, median-filtered by kernel: the filtered mask at
+    tau_j is [kept > j] for the first index j of tau_j among them (see
+    _counts). At kernel 1 it holds the ranks themselves.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
@@ -319,7 +323,7 @@ def _ranked_counts(
     if keep_ranks or kernel > 1:
         ranks = np.empty(shape, dtype=np.min_scalar_type(taus.size))
         ranks_by_frame = ranks.reshape(n, m)
-    rows = max(1, WINDOW_BLOCK_BYTES // (8 * n))
+    rows = max(1, WINDOW_BLOCK_BYTES // (_RANK_BYTES * n))
     for start in range(0, m, rows):
         key = _rank(S.values[start : start + rows], sorted_taus)
         if ranks is not None:
@@ -341,6 +345,9 @@ def _ranked_counts(
     block = max(1, min(n, WINDOW_BLOCK_BYTES // frame_bytes))
     for start in range(0, n, block):
         medians = _window_medians(ranks[start : start + block], kernel)
+        if keep_ranks:
+            # A window lies within its frame, so no later block reads these ranks.
+            ranks[start : start + block] = medians
         # bincount counts intp keys, so the key is formed in that type.
         key = np.multiply(medians, 2, dtype=np.intp)
         key += truth.masks[start : start + block]
@@ -364,8 +371,9 @@ def sweep_counts(
 
     kernel > 1 scores the median-filtered masks of filter_masks instead,
     from the histogram of the kernel x kernel window medians of the ranks
-    (edges replicated), which are then held for the whole of S. Pixels are
-    ranked WINDOW_BLOCK_BYTES of intp rank at a time. Frames are filtered
+    (edges replicated), which are then held for the whole of S. Entries are
+    ranked WINDOW_BLOCK_BYTES / _RANK_BYTES at a time, which keeps the
+    ranking's scratch within WINDOW_BLOCK_BYTES. Frames are filtered
     WINDOW_BLOCK_BYTES / (kernel**2 r + 8) pixels at a time (at least one
     frame), for ranks of r bytes, which keeps a block's kernel**2 network
     frames and its intp histogram key within WINDOW_BLOCK_BYTES.

@@ -123,7 +123,6 @@ class RunReport:
     tau: float | None
     masks: bg.ForegroundMaskSequence | None
     summary: dict[str, float] | None
-    total_seconds: float
 
 
 def chunk_bounds(n_frames: int, chunk_length: int, min_frames: int) -> list[tuple[int, int]]:
@@ -306,17 +305,19 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: 
 
 
 class _Masks:
-    """The run's masks, 1:1 with its frames, and their counts against the truth."""
+    """The run's masks, 1:1 with its frames, and their counts against the truth.
 
-    def __init__(self, shape: tuple[int, int, int], truth, kernel: int) -> None:
+    A fixed tau adds each chunk's median-filtered [S > tau]; a sweep adds
+    [filtered ranks > j], the masks whose counts chose tau.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], truth) -> None:
         self.frames = np.zeros(shape, dtype=bool)
         self.truth = truth
-        self.kernel = kernel
         self.counts = ev.ConfusionCounts(0, 0, 0, 0)
 
-    def add(self, c: ChunkResult, raw: bg.ForegroundMaskSequence) -> None:
-        """Filter one chunk's thresholded masks into place and score them."""
-        chunk_masks = bg.filter_masks(raw, self.kernel)
+    def add(self, c: ChunkResult, chunk_masks: bg.ForegroundMaskSequence) -> None:
+        """Copy one chunk's final masks into place and score them."""
         bg._copy_frames(self.frames[c.start : c.stop], chunk_masks.masks)
         if self.truth is not None:
             self.counts += ev.confusion(chunk_masks, _truth_of(self.truth, c))
@@ -342,7 +343,7 @@ def _chunk_pass(cfg, video, truth, bounds, masks: _Masks, timer: _StageTimer):
         if S is None:
             continue
         if cfg.tau is not None:
-            masks.add(c, bg.threshold_mask(S, cfg.tau))
+            masks.add(c, bg.filter_masks(bg.threshold_mask(S, cfg.tau), cfg.median_kernel))
             timer.mark(i, "masks")
         if need_grid:
             ran.append((c, factors, float(S.values.max())))
@@ -356,49 +357,51 @@ def _grid_pass(cfg, video, truth, ran, timer: _StageTimer):
     Each chunk's frames are read again and its residual rebuilt from its
     background factors, the same bytes as in the chunk pass. Returns the
     grid, the raw counts, the counts of the masks filtered by the median
-    kernel (the raw ones at a fixed tau) and, in a sweep, each chunk's ranks.
+    kernel (the raw ones at a fixed tau) and, in a sweep, each chunk's
+    filtered ranks, from which its final masks are made.
     """
     taus = ev.tau_grid(max(top for _, _, top in ran))
     sweep = cfg.tau is None
     kernel = cfg.median_kernel if sweep else 1
     raw = np.zeros((taus.size, 4), dtype=np.int64)
     filtered = np.zeros_like(raw)
-    ranks = []
+    kept = []
     for c, factors, _ in ran:
         D = video.columns(c.start, c.stop)
         timer.mark(c.index, "ingest")
         S = _residual(D, factors)
         del D
         timer.mark(c.index, "residual")
-        chunk_raw, chunk_filtered, chunk_ranks = ev._ranked_counts(
+        chunk_raw, chunk_filtered, chunk_kept = ev._ranked_counts(
             S, _truth_of(truth, c), taus, kernel, keep_ranks=sweep
         )
         del S
         raw += chunk_raw
         filtered += chunk_filtered
-        ranks.append(chunk_ranks)
+        kept.append(chunk_kept)
         timer.mark(c.index, "grid")
-    return taus, raw, filtered, ranks
+    return taus, raw, filtered, kept
 
 
 def run_bgsub(cfg: RunConfig) -> RunReport:
     """Decompose, model, threshold and evaluate; see the module docstring.
 
     Memory is one chunk's frames and residual at a time, plus one byte per
-    pixel of the video for the masks, the truth and, in a sweep, the ranks.
+    pixel of the video for the masks, the truth and, in a sweep, the
+    filtered ranks. A sweep's masks are its chunks' filtered ranks > j, for
+    the sorted index j of the best tau: the masks that its counts scored.
     """
-    t_run = time.perf_counter()
     timer = _StageTimer()
     video, truth, stems = _load_input(cfg, timer)
     bounds = _check_inputs(cfg, video, truth)
     shape = (video.n_frames, video.frame_height, video.frame_width)
-    masks = _Masks(shape, truth, cfg.median_kernel)
+    masks = _Masks(shape, truth)
     chunks, ran = _chunk_pass(cfg, video, truth, bounds, masks, timer)
     tau = cfg.tau
 
     taus = raw = roc = summary = None
     if ran:
-        taus, raw, filtered, ranks = _grid_pass(cfg, video, truth, ran, timer)
+        taus, raw, filtered, kept = _grid_pass(cfg, video, truth, ran, timer)
         # A curve needs both truth classes in the chunks that ran. Without
         # one, a sweep fails in from_counts and a fixed-tau run writes no
         # roc.csv.
@@ -417,12 +420,12 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             "best_f_filtered": filt_f,
             "auc": roc.auc,
         }
-        # [S > tau] is [ranks > j] for the first sorted index j of tau. Each
-        # chunk's ranks are dropped once its masks are made.
+        # The filtered [S > tau] is [kept > j] for the first sorted index j
+        # of tau. Each chunk's ranks are dropped once its masks are made.
         j = int(np.searchsorted(np.sort(taus), tau, side="left"))
-        ranks.reverse()
+        kept.reverse()
         for c, _, _ in ran:
-            masks.add(c, bg.ForegroundMaskSequence(ranks.pop() > j, tau=tau))
+            masks.add(c, bg.ForegroundMaskSequence(kept.pop() > j, tau=tau))
             timer.mark(c.index, "masks")
     any_ok = any(c.ok for c in chunks)
     if any_ok and truth is not None:
@@ -437,7 +440,6 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         tau=tau,
         masks=bg.ForegroundMaskSequence(masks.frames, tau=tau) if any_ok else None,
         summary=summary,
-        total_seconds=time.perf_counter() - t_run,
     )
     if cfg.output_dir is not None:
         _write_outputs(cfg, report, stems, taus, raw, roc, timer)

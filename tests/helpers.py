@@ -187,7 +187,7 @@ def reference_run(cfg) -> None:
             summary = {**(summary or {}), **ev.rates(counts)}
         masks = bg.ForegroundMaskSequence(masks, tau=tau)
     report = pipeline.RunReport(cfg, D.frame_height, D.frame_width, D.n_frames, tuple(chunks),
-                                tau, masks, summary, 0.0)
+                                tau, masks, summary)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "report.txt"), "w") as fh:
         fh.write(pipeline.render_report(report))

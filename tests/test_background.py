@@ -12,8 +12,9 @@ from dmdmotion import background
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
+    background_factors,
     background_model,
-    background_residual,
+    factor_residual,
     filter_masks,
     fourier_modes,
     partition_modes,
@@ -254,7 +255,7 @@ def test_background_residual_is_bit_identical_to_residual_of_model(
     D = SnapshotMatrix(np.random.default_rng(1).uniform(size=(n_pixels, n_frames)),
                        1, n_pixels)
     expected = residual(D, background_model(dec, background_indices)).values
-    S = background_residual(D, dec, background_indices)
+    S = factor_residual(D, *background_factors(dec, background_indices))
     assert S.values.tobytes() == expected.tobytes()
 
 
@@ -267,7 +268,7 @@ def test_background_residual_of_static_rank_collapsed_chunk(n_frames):
     assert dec.rank == 1
     background_indices = partition_modes(fourier_modes(dec), 1)
     expected = residual(D, background_model(dec, background_indices)).values
-    S = background_residual(D, dec, background_indices)
+    S = factor_residual(D, *background_factors(dec, background_indices))
     assert S.values.tobytes() == expected.tobytes()
 
 
@@ -278,7 +279,7 @@ def test_background_residual_never_holds_the_complex_background():
     D = SnapshotMatrix(np.full((n_pixels, n_frames), 0.5), 1, n_pixels)
     tracemalloc.start()
     try:
-        S = background_residual(D, dec, background_indices)
+        S = factor_residual(D, *background_factors(dec, background_indices))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -291,10 +292,10 @@ def test_background_residual_checks_its_inputs():
     dec = pair_decomposition(6, 5)
     D = SnapshotMatrix(np.full((6, 4), 0.5), 2, 3)
     with pytest.raises(ValueError, match="does not match video"):
-        background_residual(D, dec, (0,))
+        factor_residual(D, *background_factors(dec, (0,)))
     D = SnapshotMatrix(np.full((6, 5), 0.5), 2, 3)
     with pytest.raises(ValueError, match=r"mode indices outside \[0, 4\)"):
-        background_residual(D, dec, (4,))
+        factor_residual(D, *background_factors(dec, (4,)))
 
 
 @pytest.mark.parametrize("n_frames, mode_scale", [(200, 1.0), (100, 1e20)])
@@ -308,7 +309,7 @@ def test_background_residual_of_an_overflowing_background_is_degenerate_data(
                            n_frames=n_frames, frame_height=2, frame_width=2)
     D = SnapshotMatrix(np.full((4, n_frames), 0.5), 2, 2)
     with pytest.raises(DegenerateDataError, match=f"overflows over {n_frames} frames"):
-        background_residual(D, dec, (0,))
+        factor_residual(D, *background_factors(dec, (0,)))
 
 
 # ---------------------------------------------------------------- threshold

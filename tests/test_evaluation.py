@@ -31,7 +31,12 @@ from dmdmotion.evaluation import (
     write_roc_csv,
 )
 
-from helpers import median_filter, partition_sweep_counts, window_medians_by_partition
+from helpers import (
+    median_filter,
+    partition_sweep_counts,
+    searchsorted_ranks,
+    window_medians_by_partition,
+)
 
 
 def masks_of(array):
@@ -347,7 +352,7 @@ def test_median_network_selects_the_median_of_every_zero_one_input():
 RANK_CASES = {
     # Residuals on the tau levels themselves.
     "equal to a tau": (lambda rng, size: rng.integers(0, 5, size) / 4, [0.0, 0.25, 0.5, 0.75, 1.0]),
-    "above the top tau": (lambda rng, size: rng.uniform(0.0, 2.0, size), tau_grid(1.0, 11)),
+    "above the top tau": (lambda rng, size: rng.uniform(0.0, 2.0, size), np.linspace(0.0, 1.0, 11)),
     # A static chunk: its residual is zero and its grid spans [0, 1].
     "all-zero residual": (lambda rng, size: np.zeros(size), tau_grid(0.0)),
     "unsorted and duplicate taus": (
@@ -370,12 +375,20 @@ def test_ranked_counts_equal_searchsorted_of_partition_medians(case, kernel):
     raw, filtered, _ = evaluation._ranked_counts(S, truth, taus, kernel)
     assert np.array_equal(raw, partition_sweep_counts(S, truth, taus))
     assert np.array_equal(filtered, counts)
+    # The kept ranks are the window medians of the ranks, the same bytes in
+    # the same type; the filtered masks they give at every tau are counted.
+    ranks = searchsorted_ranks(S, taus)
+    expected = window_medians_by_partition(ranks, kernel) if kernel > 1 else ranks
+    kept = evaluation._ranked_counts(S, truth, taus, kernel, keep_ranks=True)[2]
+    assert kept.dtype == expected.dtype
+    assert kept.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 @settings(deadline=None, max_examples=200)
 @given(
     taus=st.one_of(
-        st.builds(tau_grid, st.floats(0.0, 10.0), st.integers(2, 300)),
+        st.builds(lambda top, n: np.linspace(0.0, top or 1.0, n),
+                  st.floats(0.0, 10.0), st.integers(2, 300)),
         st.lists(st.floats(0.0, 10.0), min_size=1, max_size=300).map(sorted),
         st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0]), min_size=1, max_size=300).map(sorted),
     ),
@@ -411,6 +424,23 @@ def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kern
     assert np.array_equal(sweep_counts(S, truth, taus, kernel), loop_counts(S, truth, taus, kernel))
 
 
+@pytest.mark.parametrize("m, n", [(3072, 100), (76800, 200)])
+def test_unfiltered_sweep_ranks_within_the_window_block(m, n):
+    # At kernel 1 the sweep's scratch is its ranking blocks alone, which
+    # hold a float64 guess, an intp rank, np.take's buffered copy and a
+    # bool mask per entry: 3.1 window blocks when sized as one intp each.
+    rng = np.random.default_rng(m)
+    S = ResidualSequence(rng.uniform(size=(m, n)), 1, m)
+    truth = masks_of(np.zeros((n, 1, m)))
+    tracemalloc.start()
+    try:
+        sweep_counts(S, truth, tau_grid(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * evaluation.WINDOW_BLOCK_BYTES
+
+
 @pytest.mark.parametrize("kernel", [1, 3])
 def test_sweep_counts_scratch_is_bounded_by_the_window_block(kernel):
     # A 64x64x200 chunk's residual is 6.5 MB, and the sweep once held a
@@ -441,12 +471,12 @@ def test_sweep_counts_rejects_mismatched_truth_and_even_kernel():
 
 def test_default_taus_span_residual_range():
     S = ResidualSequence(np.linspace(0, 0.8, 8).reshape(4, 2), 2, 2)
-    taus = tau_grid(float(S.values.max()), 5)
+    taus = tau_grid(float(S.values.max()))
     assert taus[0] == 0.0
     assert taus[-1] == pytest.approx(0.8)
-    assert len(taus) == 5
+    assert len(taus) == evaluation.TAU_GRID_SIZE == 51
     # an all-zero residual still gets a grid of distinct thresholds
-    assert np.array_equal(tau_grid(0.0, 5), np.linspace(0.0, 1.0, 5))
+    assert np.array_equal(tau_grid(0.0), np.linspace(0.0, 1.0, 51))
 
 
 def test_csv_round_trips(tmp_path):

@@ -24,6 +24,7 @@ from dmdmotion.background import (
 )
 from dmdmotion.cli import _time_svds, main
 from dmdmotion.dmd import SnapshotMatrix, rdmd
+from dmdmotion.errors import DegenerateDataError
 from dmdmotion.io_formats import (
     load_frames,
     load_matrix,
@@ -42,6 +43,7 @@ from helpers import (
     partition_sweep_counts,
     reference_run,
     searchsorted_ranks,
+    window_medians_by_partition,
 )
 
 SQUARE = SyntheticSpec(
@@ -175,8 +177,8 @@ def test_sweep_summary_and_final_metrics():
         assert key in s
     assert s["best_f_raw"] > 0.5
     assert s["auc"] > 0.9
-    # the reported final-F matches the filtered sweep optimum
-    assert s["f_measure"] == pytest.approx(s["best_f_filtered"], abs=1e-12)
+    # the final masks are the ones whose counts chose the filtered optimum
+    assert s["f_measure"] == s["best_f_filtered"]
 
 
 def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
@@ -235,16 +237,48 @@ def test_sweep_outputs_equal_the_partition_oracle(tmp_path, monkeypatch, kernel)
                             median_kernel=kernel, output_dir=str(tmp_path / name)))
         return tmp_path / name
 
+    def oracle_ranked_counts(S, t, taus, k, keep_ranks=False):
+        kept = None
+        if keep_ranks:
+            kept = searchsorted_ranks(S, taus)
+            if k > 1:
+                kept = window_medians_by_partition(kept, k)
+        return partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k), kept
+
     new = run("new")
-    monkeypatch.setattr(ev, "_ranked_counts", lambda S, t, taus, k, keep_ranks=False: (
-        partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k),
-        searchsorted_ranks(S, taus) if keep_ranks else None))
+    monkeypatch.setattr(ev, "_ranked_counts", oracle_ranked_counts)
     oracle = run("oracle")
     names = ["metrics.csv", "roc.csv", "report.txt"] + [
         os.path.join("masks", f) for f in sorted(os.listdir(oracle / "masks"))]
     assert len(names) == 3 + SQUARE.n_frames
     for name in names:
         assert (new / name).read_bytes() == (oracle / name).read_bytes(), name
+
+
+def test_only_a_fixed_tau_run_filters_masks(monkeypatch):
+    # A sweep's masks are the filtered ranks that it scored, so it never
+    # calls filter_masks; a fixed tau filters each chunk that ran, once.
+    def no_filter(seq, kernel=3):
+        raise AssertionError("a sweep filtered its masks again")
+
+    monkeypatch.setattr(pipeline.bg, "filter_masks", no_filter)
+    for kernel in (1, 3, 5):
+        report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, p=2, q=1, chunk_length=20,
+                                     median_kernel=kernel))
+        assert report.summary["f_measure"] == report.summary["best_f_filtered"]
+
+    def rdmd_failing_chunk_1(D, sketch, anchor):
+        if sketch.seed == 1:
+            raise DegenerateDataError("chunk 1 fails")
+        return rdmd(D, sketch, anchor=anchor)
+
+    calls = []
+    monkeypatch.setattr(pipeline.bg, "filter_masks",
+                        lambda seq, kernel=3: calls.append(kernel) or seq)
+    monkeypatch.setattr(pipeline, "rdmd", rdmd_failing_chunk_1)
+    report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, p=2, q=1, chunk_length=20, tau=0.2))
+    assert [c.ok for c in report.chunks] == [True, False, True]
+    assert calls == [3, 3]
 
 
 def test_rerun_is_bit_identical(tmp_path):
