@@ -20,9 +20,9 @@ from .background import ForegroundMaskSequence, ResidualSequence
 # Bytes of scratch per block of sweep_counts: of a block's ranking, and of
 # its median network and histogram key (at least one frame).
 WINDOW_BLOCK_BYTES = 1 << 20
-# Bytes _rank holds per entry at its peak: the float64 guess, the intp rank,
-# the float64 copy that np.take buffers its out through, and a bool mask.
-_RANK_BYTES = 26
+# Bytes _rank holds per entry at its peak: the float64 guess, the intp rank
+# and two bool masks.
+_RANK_BYTES = 18
 # Thresholds of a sweep's grid.
 TAU_GRID_SIZE = 51
 
@@ -276,9 +276,10 @@ def _rank(values: np.ndarray, sorted_taus: np.ndarray) -> np.ndarray:
     np.clip(buf, 0, n, out=buf)
     rank = buf.astype(np.intp)
     edges = np.concatenate([[-np.inf], sorted_taus, [np.inf]])
-    # rank is right where edges[rank] < v <= edges[rank + 1].
-    high = np.greater_equal(np.take(edges, rank, out=buf), values)
-    low = np.less(np.take(edges[1:], rank, out=buf), values)
+    # rank is right where edges[rank] < v <= edges[rank + 1]. Every rank is
+    # in range, and mode="clip" writes out directly, where "raise" buffers it.
+    high = np.greater_equal(np.take(edges, rank, out=buf, mode="clip"), values)
+    low = np.less(np.take(edges[1:], rank, out=buf, mode="clip"), values)
     del buf
     moved = np.flatnonzero(np.logical_or(high, low, out=low))
     if moved.size:
@@ -296,15 +297,16 @@ def _ranked_counts(
     truth: ForegroundMaskSequence,
     taus: Sequence[float],
     kernel: int,
-    keep_ranks: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(raw, filtered, kept): sweep_counts at kernel 1 and at kernel, from one ranking of S.
+    ranks: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(raw, filtered): sweep_counts at kernel 1 and at kernel, from one ranking of S.
 
-    With kernel 1, raw and filtered are the same array. kept, None unless
-    keep_ranks is set, holds the (n_frames, height, width) ranks of S
-    against the sorted taus, median-filtered by kernel: the filtered mask at
-    tau_j is [kept > j] for the first index j of tau_j among them (see
-    _counts). At kernel 1 it holds the ranks themselves.
+    With kernel 1, raw and filtered are the same array. A ranks buffer, a
+    contiguous (n_frames, height, width) array of
+    np.min_scalar_type(len(taus)), if given receives the ranks of S against
+    the sorted taus, median-filtered by kernel: the filtered mask at tau_j
+    is [ranks > j] for the first index j of tau_j among them (see _counts).
+    At kernel 1 it holds the ranks themselves.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
@@ -314,27 +316,29 @@ def _ranked_counts(
     taus = np.asarray(taus, dtype=np.float64)
     order = np.argsort(taus, kind="stable")
     sorted_taus = taus[order]
+    dtype = np.min_scalar_type(taus.size)
+    if ranks is None and kernel > 1:
+        ranks = np.empty(shape, dtype=dtype)
+    elif ranks is not None and ranks.dtype != dtype:
+        # Another type would cast the ranks; bool would truncate them to 0 and 1.
+        raise ValueError(f"ranks must be {dtype} for {taus.size} taus, got {ranks.dtype}")
     raw = np.zeros(2 * (taus.size + 1), dtype=np.int64)
     # Ranks of a block of contiguous pixel rows, over all frames, with the
     # matching truth; the histogram does not depend on the pixel order.
     m = h * w
     truth_by_pixel = truth.masks.reshape(n, m).T
-    ranks = None
-    if keep_ranks or kernel > 1:
-        ranks = np.empty(shape, dtype=np.min_scalar_type(taus.size))
-        ranks_by_frame = ranks.reshape(n, m)
     rows = max(1, WINDOW_BLOCK_BYTES // (_RANK_BYTES * n))
     for start in range(0, m, rows):
         key = _rank(S.values[start : start + rows], sorted_taus)
         if ranks is not None:
-            ranks_by_frame[:, start : start + rows] = key.T
+            ranks.reshape(n, m)[:, start : start + rows] = key.T
         key *= 2
         key += truth_by_pixel[start : start + rows]
         raw += np.bincount(key.ravel(), minlength=raw.size)
         del key  # before the next block's ranks are allocated
     if kernel == 1:
         counts = _counts(raw, order)
-        return counts, counts, ranks
+        return counts, counts
     # A rank is monotone in the residual, so the window median of the ranks
     # is the rank of the window median. The majority of [S > tau] over a
     # window is [window median of S > tau] (threshold decomposition), so one
@@ -345,14 +349,13 @@ def _ranked_counts(
     block = max(1, min(n, WINDOW_BLOCK_BYTES // frame_bytes))
     for start in range(0, n, block):
         medians = _window_medians(ranks[start : start + block], kernel)
-        if keep_ranks:
-            # A window lies within its frame, so no later block reads these ranks.
-            ranks[start : start + block] = medians
+        # A window lies within its frame, so no later block reads these ranks.
+        ranks[start : start + block] = medians
         # bincount counts intp keys, so the key is formed in that type.
         key = np.multiply(medians, 2, dtype=np.intp)
         key += truth.masks[start : start + block]
         filtered += np.bincount(key.ravel(), minlength=filtered.size)
-    return _counts(raw, order), _counts(filtered, order), ranks if keep_ranks else None
+    return _counts(raw, order), _counts(filtered, order)
 
 
 def sweep_counts(

@@ -11,7 +11,10 @@ sweep or metrics.csv needs the grid over the run's largest residual) and
 the writes. PGM frames are read from disk one chunk at a time, and the
 tau-grid pass reads each chunk again and rebuilds its residual from the
 background factors that the chunk pass kept, so a run holds one chunk's
-frames and residual at a time.
+frames and residual at a time. A fixed tau masks each chunk in the chunk
+pass. A sweep's grid pass writes each chunk's median-filtered ranks into the
+bytes of the run's masks, which become the masks in one pass once the best
+tau is chosen.
 """
 
 from __future__ import annotations
@@ -304,38 +307,21 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: 
     return result, S, factors
 
 
-class _Masks:
-    """The run's masks, 1:1 with its frames, and their counts against the truth.
-
-    A fixed tau adds each chunk's median-filtered [S > tau]; a sweep adds
-    [filtered ranks > j], the masks whose counts chose tau.
-    """
-
-    def __init__(self, shape: tuple[int, int, int], truth) -> None:
-        self.frames = np.zeros(shape, dtype=bool)
-        self.truth = truth
-        self.counts = ev.ConfusionCounts(0, 0, 0, 0)
-
-    def add(self, c: ChunkResult, chunk_masks: bg.ForegroundMaskSequence) -> None:
-        """Copy one chunk's final masks into place and score them."""
-        bg._copy_frames(self.frames[c.start : c.stop], chunk_masks.masks)
-        if self.truth is not None:
-            self.counts += ev.confusion(chunk_masks, _truth_of(self.truth, c))
-
-
 def _truth_of(truth: bg.ForegroundMaskSequence, c: ChunkResult) -> bg.ForegroundMaskSequence:
     return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
 
 
-def _chunk_pass(cfg, video, truth, bounds, masks: _Masks, timer: _StageTimer):
+def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, timer: _StageTimer):
     """Run every chunk; at a fixed tau, mask and score it and drop its residual.
 
-    Returns the chunk records and, when the run needs the tau grid, each
-    chunk that ran with its background factors and largest residual: the
-    residual itself is dropped before the next chunk runs.
+    Returns the chunk records, the counts of the fixed-tau masks against the
+    truth and, when the run needs the tau grid, each chunk that ran with its
+    background factors and largest residual: the residual itself is dropped
+    before the next chunk runs.
     """
     need_grid = truth is not None and (cfg.tau is None or cfg.output_dir is not None)
     chunks: list[ChunkResult] = []
+    counts = ev.ConfusionCounts(0, 0, 0, 0)
     ran = []
     for i, (start, stop) in enumerate(bounds):
         c, S, factors = _run_chunk(video, cfg, i, start, stop, timer)
@@ -343,65 +329,68 @@ def _chunk_pass(cfg, video, truth, bounds, masks: _Masks, timer: _StageTimer):
         if S is None:
             continue
         if cfg.tau is not None:
-            masks.add(c, bg.filter_masks(bg.threshold_mask(S, cfg.tau), cfg.median_kernel))
+            chunk_masks = bg.filter_masks(bg.threshold_mask(S, cfg.tau), cfg.median_kernel)
+            bg._copy_frames(masks[start:stop], chunk_masks.masks)
+            if truth is not None:
+                counts += ev.confusion(chunk_masks, _truth_of(truth, c))
             timer.mark(i, "masks")
         if need_grid:
             ran.append((c, factors, float(S.values.max())))
         del S
-    return chunks, ran
+    return chunks, counts, ran
 
 
-def _grid_pass(cfg, video, truth, ran, timer: _StageTimer):
+def _grid_pass(cfg, video, truth, ran, masks: np.ndarray, timer: _StageTimer):
     """Counts at every tau of the grid over the run's largest residual.
 
     Each chunk's frames are read again and its residual rebuilt from its
     background factors, the same bytes as in the chunk pass. Returns the
-    grid, the raw counts, the counts of the masks filtered by the median
-    kernel (the raw ones at a fixed tau) and, in a sweep, each chunk's
-    filtered ranks, from which its final masks are made.
+    grid, the raw counts and the counts of the masks filtered by the median
+    kernel (the raw ones at a fixed tau). In a sweep, each chunk's filtered
+    ranks are written over the bytes of its masks, from which the final
+    masks are made in place.
     """
     taus = ev.tau_grid(max(top for _, _, top in ran))
     sweep = cfg.tau is None
     kernel = cfg.median_kernel if sweep else 1
     raw = np.zeros((taus.size, 4), dtype=np.int64)
     filtered = np.zeros_like(raw)
-    kept = []
     for c, factors, _ in ran:
         D = video.columns(c.start, c.stop)
         timer.mark(c.index, "ingest")
         S = _residual(D, factors)
         del D
         timer.mark(c.index, "residual")
-        chunk_raw, chunk_filtered, chunk_kept = ev._ranked_counts(
-            S, _truth_of(truth, c), taus, kernel, keep_ranks=sweep
+        ranks = masks[c.start : c.stop].view(np.uint8) if sweep else None
+        chunk_raw, chunk_filtered = ev._ranked_counts(
+            S, _truth_of(truth, c), taus, kernel, ranks=ranks
         )
         del S
         raw += chunk_raw
         filtered += chunk_filtered
-        kept.append(chunk_kept)
         timer.mark(c.index, "grid")
-    return taus, raw, filtered, kept
+    return taus, raw, filtered
 
 
 def run_bgsub(cfg: RunConfig) -> RunReport:
     """Decompose, model, threshold and evaluate; see the module docstring.
 
     Memory is one chunk's frames and residual at a time, plus one byte per
-    pixel of the video for the masks, the truth and, in a sweep, the
-    filtered ranks. A sweep's masks are its chunks' filtered ranks > j, for
-    the sorted index j of the best tau: the masks that its counts scored.
+    pixel of the video for the masks and one for the truth. A sweep's masks
+    hold its chunks' filtered ranks until the best tau is chosen and are
+    then ranks > j, in place, for the index j of that tau: the masks that
+    its filtered counts scored, which give its summary rates.
     """
     timer = _StageTimer()
     video, truth, stems = _load_input(cfg, timer)
     bounds = _check_inputs(cfg, video, truth)
-    shape = (video.n_frames, video.frame_height, video.frame_width)
-    masks = _Masks(shape, truth)
-    chunks, ran = _chunk_pass(cfg, video, truth, bounds, masks, timer)
+    masks = np.zeros((video.n_frames, video.frame_height, video.frame_width), dtype=bool)
+    chunks, counts, ran = _chunk_pass(cfg, video, truth, bounds, masks, timer)
     tau = cfg.tau
 
     taus = raw = roc = summary = None
     if ran:
-        taus, raw, filtered, kept = _grid_pass(cfg, video, truth, ran, timer)
+        taus, raw, filtered = _grid_pass(cfg, video, truth, ran, masks, timer)
         # A curve needs both truth classes in the chunks that ran. Without
         # one, a sweep fails in from_counts and a fixed-tau run writes no
         # roc.csv.
@@ -420,16 +409,16 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             "best_f_filtered": filt_f,
             "auc": roc.auc,
         }
-        # The filtered [S > tau] is [kept > j] for the first sorted index j
-        # of tau. Each chunk's ranks are dropped once its masks are made.
-        j = int(np.searchsorted(np.sort(taus), tau, side="left"))
-        kept.reverse()
-        for c, _, _ in ran:
-            masks.add(c, bg.ForegroundMaskSequence(kept.pop() > j, tau=tau))
-            timer.mark(c.index, "masks")
+        # The filtered [S > tau] is [ranks > j] for the index j of tau in
+        # the ascending grid, and filtered[j] counts those masks. A failed
+        # chunk's ranks are 0, so its masks stay empty.
+        j = int(np.searchsorted(taus, tau, side="left"))
+        np.greater(masks.view(np.uint8), j, out=masks)
+        counts = ev.ConfusionCounts(*filtered[j].tolist())
+        timer.mark("run", "masks")
     any_ok = any(c.ok for c in chunks)
     if any_ok and truth is not None:
-        summary = {**(summary or {}), **ev.rates(masks.counts)}
+        summary = {**(summary or {}), **ev.rates(counts)}
 
     report = RunReport(
         config=cfg,
@@ -438,7 +427,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         n_frames=video.n_frames,
         chunks=tuple(chunks),
         tau=tau,
-        masks=bg.ForegroundMaskSequence(masks.frames, tau=tau) if any_ok else None,
+        masks=bg.ForegroundMaskSequence(masks, tau=tau) if any_ok else None,
         summary=summary,
     )
     if cfg.output_dir is not None:

@@ -101,7 +101,7 @@ def searchsorted_ranks(S, taus) -> np.ndarray:
     """Ranks of S against the sorted taus by np.searchsorted, one frame per row.
 
     The oracle of evaluation._rank, in the (n_frames, height, width) layout
-    of the ranks that evaluation._ranked_counts keeps.
+    of the ranks buffer that evaluation._ranked_counts fills.
     """
     ranks = np.searchsorted(np.sort(np.asarray(taus, dtype=np.float64)), S.values, side="left")
     return ranks.T.reshape(S.n_frames, S.frame_height, S.frame_width).astype(

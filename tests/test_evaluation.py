@@ -372,16 +372,28 @@ def test_ranked_counts_equal_searchsorted_of_partition_medians(case, kernel):
     truth = masks_of(rng.uniform(size=(n, h, w)) < 0.4)
     counts = sweep_counts(S, truth, taus, kernel)
     assert np.array_equal(counts, partition_sweep_counts(S, truth, taus, kernel))
-    raw, filtered, _ = evaluation._ranked_counts(S, truth, taus, kernel)
+    raw, filtered = evaluation._ranked_counts(S, truth, taus, kernel)
     assert np.array_equal(raw, partition_sweep_counts(S, truth, taus))
     assert np.array_equal(filtered, counts)
-    # The kept ranks are the window medians of the ranks, the same bytes in
-    # the same type; the filtered masks they give at every tau are counted.
+    # The ranks buffer receives the window medians of the ranks, the same
+    # bytes in the same type; the filtered masks they give at every tau are
+    # counted.
     ranks = searchsorted_ranks(S, taus)
     expected = window_medians_by_partition(ranks, kernel) if kernel > 1 else ranks
-    kept = evaluation._ranked_counts(S, truth, taus, kernel, keep_ranks=True)[2]
-    assert kept.dtype == expected.dtype
-    assert kept.tobytes() == np.ascontiguousarray(expected).tobytes()
+    buffer = np.empty((n, h, w), dtype=np.min_scalar_type(len(taus)))
+    assert np.array_equal(
+        evaluation._ranked_counts(S, truth, taus, kernel, ranks=buffer)[1], counts)
+    assert buffer.dtype == expected.dtype
+    assert buffer.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_ranked_counts_rejects_a_bool_ranks_buffer():
+    # A bool buffer would silently truncate every rank above 1 to 1.
+    rng = np.random.default_rng(0)
+    S = ResidualSequence(rng.uniform(size=(63, 5)), 9, 7)
+    truth = masks_of(rng.uniform(size=(5, 9, 7)) < 0.4)
+    with pytest.raises(ValueError, match="ranks must be uint8"):
+        evaluation._ranked_counts(S, truth, tau_grid(1.0), 3, ranks=np.zeros((5, 9, 7), bool))
 
 
 @settings(deadline=None, max_examples=200)
@@ -427,8 +439,8 @@ def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kern
 @pytest.mark.parametrize("m, n", [(3072, 100), (76800, 200)])
 def test_unfiltered_sweep_ranks_within_the_window_block(m, n):
     # At kernel 1 the sweep's scratch is its ranking blocks alone, which
-    # hold a float64 guess, an intp rank, np.take's buffered copy and a
-    # bool mask per entry: 3.1 window blocks when sized as one intp each.
+    # hold a float64 guess, an intp rank and two bool masks per entry: 2.25
+    # window blocks when sized as one intp each.
     rng = np.random.default_rng(m)
     S = ResidualSequence(rng.uniform(size=(m, n)), 1, m)
     truth = masks_of(np.zeros((n, 1, m)))

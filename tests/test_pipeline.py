@@ -179,6 +179,10 @@ def test_sweep_summary_and_final_metrics():
     assert s["auc"] > 0.9
     # the final masks are the ones whose counts chose the filtered optimum
     assert s["f_measure"] == s["best_f_filtered"]
+    _, truth = generate_synthetic(SQUARE)
+    rates = ev.evaluate_masks(report.masks, truth)
+    for key in ("recall", "precision", "specificity", "f_measure"):
+        assert s[key] == rates[key]
 
 
 def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
@@ -237,13 +241,12 @@ def test_sweep_outputs_equal_the_partition_oracle(tmp_path, monkeypatch, kernel)
                             median_kernel=kernel, output_dir=str(tmp_path / name)))
         return tmp_path / name
 
-    def oracle_ranked_counts(S, t, taus, k, keep_ranks=False):
-        kept = None
-        if keep_ranks:
-            kept = searchsorted_ranks(S, taus)
+    def oracle_ranked_counts(S, t, taus, k, ranks=None):
+        if ranks is not None:
+            ranks[...] = searchsorted_ranks(S, taus)
             if k > 1:
-                kept = window_medians_by_partition(kept, k)
-        return partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k), kept
+                ranks[...] = window_medians_by_partition(ranks, k)
+        return partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k)
 
     new = run("new")
     monkeypatch.setattr(ev, "_ranked_counts", oracle_ranked_counts)
@@ -639,10 +642,11 @@ def test_a_bad_last_frame_exits_2_before_any_chunk_runs(tmp_path, capsys, fault,
 
 def test_sweep_memory_grows_by_bytes_per_pixel_not_by_chunks(tmp_path):
     # Six chunks hold one chunk's frames and residual at a time, as two do;
-    # what grows with the video is one byte per pixel of truth, ranks and
-    # masks, and each chunk's background factors (48 bytes per pixel for
-    # three modes, half a byte per pixel of a 100-frame chunk). Holding the
-    # video and every residual would add 16 bytes per pixel.
+    # what grows with the video is one byte per pixel of truth and of masks
+    # (which hold the sweep's ranks until tau is chosen), and each chunk's
+    # background factors (48 bytes per pixel for three modes, half a byte
+    # per pixel of a 100-frame chunk): 2.5 bytes per pixel-frame. A separate
+    # ranks array would add one more; the video and every residual 16.
     D, truth = generate_synthetic(SyntheticSpec(
         frame_height=48, frame_width=64, n_frames=600, noise_sigma=0.04,
         objects=(MovingRect(9.0, 2.0, 8, 8, 1.0, (0.0, 0.3)),), seed=5))
@@ -667,7 +671,7 @@ def test_sweep_memory_grows_by_bytes_per_pixel_not_by_chunks(tmp_path):
         finally:
             tracemalloc.stop()
     two, six = peaks
-    assert six - two <= 4 * 400 * 48 * 64
+    assert six - two <= 3 * 400 * 48 * 64
 
 
 def test_snapshot_columns_rejects_a_single_frame():
@@ -679,7 +683,9 @@ def test_snapshot_columns_rejects_a_single_frame():
 
 def test_failed_chunk_is_contained(tmp_path):
     # first half of the sequence is identically zero, so its chunk cannot be
-    # decomposed; the second half carries a moving object and must still run
+    # decomposed; the second half carries a moving object and must still run.
+    # Both a fixed tau and a sweep, which thresholds every chunk's ranks in
+    # place, the failed chunk's zero bytes included.
     spec = SyntheticSpec(frame_height=10, frame_width=10, n_frames=30,
                          objects=(MovingRect(3.0, 1.0, 3, 3, 1.0, (0.0, 0.25)),),
                          seed=2)
@@ -691,24 +697,24 @@ def test_failed_chunk_is_contained(tmp_path):
     # empty masks would add false negatives
     save_masks(str(tmp_path / "truth"), ForegroundMaskSequence(
         np.concatenate([truth.masks, truth.masks])))
-    cfg = RunConfig(frames=str(tmp_path / "frames" / "frame_*.pgm"),
-                    truth=str(tmp_path / "truth" / "*.pgm"),
-                    k=4, p=2, q=1, chunk_length=30, tau=0.3,
-                    output_dir=str(tmp_path / "out"))
-    report = run_bgsub(cfg)
-    assert len(report.chunks) == 2
-    assert not report.chunks[0].ok
-    assert "DegenerateDataError" in report.chunks[0].error
-    assert report.chunks[1].ok
-    assert report.masks is not None
-    assert not report.masks.masks[:30].any()  # failed chunk yields empty masks
-    assert report.masks.masks[30:].any()
-    text = (tmp_path / "out" / "report.txt").read_text()
-    assert "FAILED" in text
-    # the final rates score only the frames of the chunks that ran
-    rates = ev.evaluate_masks(ForegroundMaskSequence(report.masks.masks[30:]), truth)
-    for key in ("recall", "precision", "specificity", "f_measure"):
-        assert report.summary[key] == rates[key]
+    for tau in (0.3, None):
+        out = tmp_path / f"out_{tau}"
+        cfg = RunConfig(frames=str(tmp_path / "frames" / "frame_*.pgm"),
+                        truth=str(tmp_path / "truth" / "*.pgm"),
+                        k=4, p=2, q=1, chunk_length=30, tau=tau, output_dir=str(out))
+        report = run_bgsub(cfg)
+        assert len(report.chunks) == 2
+        assert not report.chunks[0].ok
+        assert "DegenerateDataError" in report.chunks[0].error
+        assert report.chunks[1].ok
+        assert report.masks is not None
+        assert not report.masks.masks[:30].any()  # failed chunk yields empty masks
+        assert report.masks.masks[30:].any()
+        assert "FAILED" in (out / "report.txt").read_text()
+        # the final rates score only the frames of the chunks that ran
+        rates = ev.evaluate_masks(ForegroundMaskSequence(report.masks.masks[30:]), truth)
+        for key in ("recall", "precision", "specificity", "f_measure"):
+            assert report.summary[key] == rates[key]
 
 
 def test_sweep_with_every_chunk_failed_returns_its_report(tmp_path):
