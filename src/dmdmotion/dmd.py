@@ -97,13 +97,12 @@ class SnapshotMatrix:
         return self.data[:, t].reshape(self.frame_height, self.frame_width)
 
     def columns(self, start: int, stop: int) -> "SnapshotMatrix":
-        """Frames [start, stop) as a view of this matrix; its checks still hold."""
-        data = self.data[:, start:stop]
-        if data.shape[1] < 2:
-            raise ValueError(f"need at least 2 frames, got {data.shape[1]}")
-        view = object.__new__(SnapshotMatrix)
-        view.__dict__.update(vars(self), data=data)
-        return view
+        """Frames [start, stop) as a fresh contiguous matrix, checked like any other.
+
+        The copy is the caller's own, which may overwrite it (as the
+        pipeline does with each chunk's residual) and leave this one intact.
+        """
+        return SnapshotMatrix(self.data[:, start:stop].copy(), self.frame_height, self.frame_width)
 
 
 @dataclass(frozen=True)

@@ -262,9 +262,9 @@ def _rank(values: np.ndarray, sorted_taus: np.ndarray) -> np.ndarray:
     A value v of rank r lies in (tau_{r-1}, tau_r], with -inf and +inf past
     the ends. On a grid spaced evenly up to its largest tau, r is
     ceil(v (n - 1) / tau_max), clipped to [0, n]; that guess is checked
-    against its two neighbouring taus and, where it fails, moved one step.
-    Entries still wrong, as on an uneven grid, are searched, so any sorted
-    taus, duplicates included, give searchsorted's ranks.
+    against its two neighbouring taus, and every entry that fails, as on an
+    uneven grid, is searched, so any sorted taus, duplicates included, give
+    searchsorted's ranks.
     """
     n = sorted_taus.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -281,14 +281,10 @@ def _rank(values: np.ndarray, sorted_taus: np.ndarray) -> np.ndarray:
     high = np.greater_equal(np.take(edges, rank, out=buf, mode="clip"), values)
     low = np.less(np.take(edges[1:], rank, out=buf, mode="clip"), values)
     del buf
-    moved = np.flatnonzero(np.logical_or(high, low, out=low))
-    if moved.size:
-        flat = rank.reshape(-1)
-        v = values.reshape(-1)[moved]
-        r = flat[moved] + np.where(high.reshape(-1)[moved], -1, 1)
-        wrong = (edges[r] >= v) | (edges[r + 1] < v)
-        r[wrong] = np.searchsorted(sorted_taus, v[wrong], side="left")
-        flat[moved] = r
+    wrong = np.flatnonzero(np.logical_or(high, low, out=low))
+    if wrong.size:
+        rank.reshape(-1)[wrong] = np.searchsorted(
+            sorted_taus, values.reshape(-1)[wrong], side="left")
     return rank
 
 

@@ -90,22 +90,6 @@ def load_matrix(path: str) -> np.ndarray:
     return np.frombuffer(body, dtype=entry).reshape(rows, cols).copy()
 
 
-def _parse_pgm_header(data: bytes, path: str) -> tuple[int, int, int, int]:
-    header = _PGM_HEADER.match(data)
-    if header is None:
-        raise ValueError(f"{path}: truncated PGM header")
-    tokens = header.groups()
-    if tokens[0] != b"P5":
-        raise ValueError(
-            f"{path}: expected binary grayscale PGM (P5), got {tokens[0]!r}"
-        )
-    width, height, maxval = (int(t) for t in tokens[1:4])
-    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
-        raise ValueError(f"{path}: invalid PGM dimensions or maxval")
-    # Exactly one whitespace byte separates maxval from the raster.
-    return width, height, maxval, header.end() + 1
-
-
 def _read_pgm(
     path: str, check_only: bool = False
 ) -> tuple[tuple[int, int], int, np.ndarray | None]:
@@ -120,17 +104,22 @@ def _read_pgm(
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         data = fh.read(_PGM_HEAD) if check_only else fh.readall()
-        try:
-            width, height, maxval, offset = _parse_pgm_header(data, path)
-            complete = offset <= len(data)
-        except ValueError:
-            if len(data) >= size:
-                raise
-            complete = False
-        if not complete:
-            # The header runs past what was read: parse the whole file.
+        header = _PGM_HEADER.match(data)
+        # A header that reaches the last byte read may have lost the rest of
+        # its last token, or the separator after it, to the read's end.
+        if header is None or header.end() >= len(data):
             data += fh.readall()
-            width, height, maxval, offset = _parse_pgm_header(data, path)
+            header = _PGM_HEADER.match(data)
+        if header is None:
+            raise ValueError(f"{path}: truncated PGM header")
+        magic, *numbers = header.groups()
+        if magic != b"P5":
+            raise ValueError(f"{path}: expected binary grayscale PGM (P5), got {magic!r}")
+        width, height, maxval = (int(t) for t in numbers)
+        if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+            raise ValueError(f"{path}: invalid PGM dimensions or maxval")
+        # Exactly one whitespace byte separates maxval from the raster.
+        offset = header.end() + 1
         wide = maxval > 255
         nbytes = width * height * (2 if wide else 1)
         if max(size, len(data)) - offset < nbytes:
@@ -173,8 +162,8 @@ class FrameFiles:
     """PGM frames that scan_frames has checked, read a chunk at a time.
 
     Frames are taken in the order of paths. columns reads frames
-    [start, stop) into a fresh contiguous matrix, the way
-    SnapshotMatrix.columns gives a view of an in-memory video.
+    [start, stop) into a fresh contiguous matrix, as SnapshotMatrix.columns
+    copies them out of an in-memory video.
     """
 
     paths: tuple[str, ...]

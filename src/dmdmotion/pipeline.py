@@ -27,7 +27,7 @@ import numpy as np
 
 from . import background as bg
 from . import evaluation as ev
-from .dmd import FIRST_FRAME, MEDIAN_FRAME, SnapshotMatrix, rdmd
+from .dmd import FIRST_FRAME, MEDIAN_FRAME, rdmd
 from .errors import DegenerateDataError
 from .linalg import SketchConfig
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -239,21 +239,13 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     return bounds
 
 
-def _residual(D: SnapshotMatrix, factors) -> bg.ResidualSequence:
-    """The chunk's residual, written over its frames when it owns them.
-
-    A chunk read from files owns its frames and needs them no longer; a
-    chunk of an in-memory video is a view of it, which must stay intact.
-    """
-    return bg.factor_residual(D, *factors, out=D.data if D.data.flags.owndata else None)
-
-
 def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: _StageTimer):
     """Read, decompose and model one chunk, and write its chunk_NNN/.
 
-    Returns (record, residual, background factors), or (record, None, None)
-    when the chunk failed on its data (DegenerateDataError or LinAlgError;
-    any other error propagates). With an output directory, the
+    Returns (record, residual, background factors), the residual written
+    over the chunk's own frames, or (record, None, None) when the chunk
+    failed on its data (DegenerateDataError or LinAlgError; any other
+    error propagates). With an output directory, the
     decomposition (and, under save_residuals, the residual) goes to
     chunk_NNN/ here, so no decomposition outlives its chunk.
     """
@@ -274,7 +266,7 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: 
         background_indices = bg.partition_modes(omega, n_bg)
         factors = bg.background_factors(dec, background_indices)
         timer.mark(index, "decompose")
-        S = _residual(D, factors)
+        S = bg.factor_residual(D, *factors, out=D.data)
         timer.mark(index, "residual")
     except (DegenerateDataError, np.linalg.LinAlgError) as exc:
         timer.mark(index, "decompose")
@@ -358,14 +350,13 @@ def _grid_pass(cfg, video, truth, ran, masks: np.ndarray, timer: _StageTimer):
     for c, factors, _ in ran:
         D = video.columns(c.start, c.stop)
         timer.mark(c.index, "ingest")
-        S = _residual(D, factors)
-        del D
+        S = bg.factor_residual(D, *factors, out=D.data)
         timer.mark(c.index, "residual")
         ranks = masks[c.start : c.stop].view(np.uint8) if sweep else None
         chunk_raw, chunk_filtered = ev._ranked_counts(
             S, _truth_of(truth, c), taus, kernel, ranks=ranks
         )
-        del S
+        del D, S  # S is D's frames: free them before the next chunk is read
         raw += chunk_raw
         filtered += chunk_filtered
         timer.mark(c.index, "grid")

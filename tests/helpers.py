@@ -111,12 +111,13 @@ def searchsorted_ranks(S, taus) -> np.ndarray:
 def reference_run(cfg) -> None:
     """run_bgsub as it ran with the whole video in memory; writes cfg.output_dir.
 
-    Every chunk is a view of the loaded video, its residual is formed from
-    the whole complex background and held until the tau grid is known, the
-    counts are partition_sweep_counts and the masks the per-frame
-    median_filter of [S > tau]. Chunks are decomposed by pipeline.rdmd, so
-    a test that patches it patches both runs. Every output but timings.csv
-    is written, for a byte comparison with the pipeline's.
+    Every chunk is a copy of the loaded video's frames, its residual is
+    formed from the whole complex background and held until the tau grid
+    is known, the counts are partition_sweep_counts and the masks the
+    per-frame median_filter of [S > tau]. Chunks are decomposed by
+    pipeline.rdmd, so a test that patches it patches both runs. Every
+    output but timings.csv is written, for a byte comparison with the
+    pipeline's.
     """
     from dmdmotion import background as bg
     from dmdmotion import evaluation as ev

@@ -309,11 +309,13 @@ def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
     assert D.data.shape == expected.shape and D.data.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("pad", [4085, 4090, 4093, 5000])
+@pytest.mark.parametrize("pad", [4083, 4084, 4085, 4090, 4093, 5000])
 def test_scan_reads_a_header_that_runs_past_its_first_read(tmp_path, pad):
     # A comment pads each header to end near or past the scan's first 4096
-    # bytes: 4085 cuts the maxval 100 to "10", 4090 leaves two tokens, and
-    # 4093 and 5000 cut the comment itself.
+    # bytes: 4083 reads the maxval 100 and its separator as the last byte,
+    # 4084 ends the read on the maxval's last digit with its separator
+    # unread, 4085 cuts the maxval to "10", 4090 leaves two tokens, and 4093
+    # and 5000 cut the comment itself.
     raster = np.arange(0, 60, 10, dtype=np.uint8).reshape(2, 3)
 
     def write(t, maxval):

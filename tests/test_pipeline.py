@@ -497,6 +497,27 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def test_every_residual_is_written_over_its_chunk(tmp_path, monkeypatch):
+    # A fixed tau with truth and an output directory takes both the chunk
+    # pass and the replay pass; each builds its residual in its chunk's
+    # frames, in-memory video or not.
+    cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3,
+                    output_dir=str(tmp_path / "plain"))
+    expected = run_bgsub(cfg)
+    in_place = []
+    factor_residual = pipeline.bg.factor_residual
+
+    def tracked_factor_residual(*args, **kwargs):
+        in_place.append(kwargs.get("out") is args[0].data)
+        return factor_residual(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_factor_residual)
+    report = run_bgsub(replace(cfg, output_dir=str(tmp_path / "tracked")))
+    assert in_place == [True] * 6  # one per chunk in each pass
+    assert np.array_equal(report.masks.masks, expected.masks.masks)
+    assert report.summary == expected.summary
+
+
 def test_chunks_match_standalone_decompositions():
     spec = SyntheticSpec(frame_height=16, frame_width=16, n_frames=80,
                          noise_sigma=0.04,
@@ -675,8 +696,12 @@ def test_sweep_memory_grows_by_bytes_per_pixel_not_by_chunks(tmp_path):
 
 
 def test_snapshot_columns_rejects_a_single_frame():
+    # A chunk is its own contiguous copy, which its residual may overwrite.
     D, _ = generate_synthetic(SQUARE)
-    assert D.columns(10, 12).n_frames == 2
+    chunk = D.columns(10, 12)
+    assert chunk.n_frames == 2
+    assert chunk.data.flags.c_contiguous and chunk.data.flags.owndata
+    assert not np.shares_memory(chunk.data, D.data)
     with pytest.raises(ValueError, match="at least 2 frames"):
         D.columns(10, 11)
 
