@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DmdDecomposition, SnapshotMatrix, reconstruct, reconstruction_factors
+from .dmd import (
+    DmdDecomposition,
+    SnapshotMatrix,
+    _unscanned,
+    reconstruct,
+    reconstruction_factors,
+)
 from .errors import DegenerateDataError
 
 __all__ = [
@@ -58,13 +64,16 @@ class ResidualSequence:
     frame_width: int
 
     def __post_init__(self) -> None:
+        self._check_shape()
+        # min and max propagate NaN, so two reductions check finiteness too.
+        if not (self.values.min() >= 0.0 and self.values.max() < np.inf):
+            raise ValueError("residuals must be finite and nonnegative")
+
+    def _check_shape(self) -> None:
         if self.values.ndim != 2:
             raise ValueError("residual values must be 2-dimensional")
         if self.values.shape[0] != self.frame_height * self.frame_width:
             raise ValueError("residual geometry does not match pixel count")
-        # min and max propagate NaN, so two reductions check finiteness too.
-        if not (self.values.min() >= 0.0 and self.values.max() < np.inf):
-            raise ValueError("residuals must be finite and nonnegative")
 
     @property
     def n_frames(self) -> int:
@@ -170,7 +179,9 @@ def factor_residual(
     at a time, never as the whole m x n chunk. The same factors give the
     same bytes on every call, so a residual can be dropped and rebuilt.
     out, when given, takes the residual's values; it may be D.data itself,
-    whose frames are then overwritten.
+    whose frames are then overwritten. The factors are background_factors',
+    whose product is checked not to overflow, so the residual of D's
+    checked frames is finite and nonnegative and is not scanned again.
     """
     if (modes.shape[0], temporal.shape[1]) != D.data.shape:
         raise ValueError(
@@ -186,7 +197,7 @@ def factor_residual(
         out = values[start:stop]
         np.subtract(D.data[start:stop], (modes[start:stop] @ temporal).real, out=out)
         np.abs(out, out=out)
-    return ResidualSequence(values, D.frame_height, D.frame_width)
+    return _unscanned(ResidualSequence, values, D.frame_height, D.frame_width)
 
 
 def threshold_mask(S: ResidualSequence, tau: float) -> ForegroundMaskSequence:
@@ -226,19 +237,27 @@ def _copy_frames(dst: np.ndarray, src: np.ndarray) -> None:
         dst[:, y : y + strip] = src[:, y : y + strip]
 
 
-def filter_masks(seq: ForegroundMaskSequence, kernel: int = 3) -> ForegroundMaskSequence:
+def filter_masks(
+    seq: ForegroundMaskSequence, kernel: int = 3, out: np.ndarray | None = None
+) -> ForegroundMaskSequence:
     """Median-filter every frame of a mask sequence, edges replicated.
 
     A binary median is a majority vote, so each frame's kernel x kernel box
     count (a horizontal and a vertical box sum of shifted integer adds) is
     compared against half the window. Frames are counted MASK_BLOCK_BYTES of
     mask at a time (at least one frame), in contiguous buffers reused from
-    block to block; the counts' type holds kernel**2.
+    block to block; the counts' type holds kernel**2. out, when given, is a
+    bool array of seq's shape that takes the filtered masks; a kernel of 1
+    copies seq into it, or without it returns seq itself.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
     if kernel == 1:
-        return seq
+        if out is None:
+            return seq
+        _copy_frames(out, seq.masks)
+        return ForegroundMaskSequence(masks=out, tau=seq.tau)
+    masks = np.empty(seq.masks.shape, dtype=bool) if out is None else out
     n_frames, height, width = seq.masks.shape
     votes = seq.masks.view(np.uint8)
     block = max(1, min(n_frames, MASK_BLOCK_BYTES // max(height * width, 1)))
@@ -246,7 +265,6 @@ def filter_masks(seq: ForegroundMaskSequence, kernel: int = 3) -> ForegroundMask
     frames = np.empty((block, height, width), dtype=np.uint8)
     rows = np.empty(frames.shape, dtype=acc)
     count = np.empty(frames.shape, dtype=acc)
-    masks = np.empty(seq.masks.shape, dtype=bool)
     for start in range(0, n_frames, block):
         stop = min(start + block, n_frames)
         b = stop - start

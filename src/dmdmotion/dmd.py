@@ -9,7 +9,7 @@ and complex amplitudes fitted to an anchor frame by least squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,9 +67,18 @@ class SnapshotMatrix:
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
         object.__setattr__(self, "data", data)
-        if data.ndim != 2:
+        self._check_shape()
+        # min and max propagate NaN, so two reductions check finiteness too.
+        lo, hi = data.min(), data.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("snapshot data contains non-finite entries")
+        if lo < 0.0 or hi > 1.0:
+            raise ValueError("snapshot intensities must lie in [0, 1]")
+
+    def _check_shape(self) -> None:
+        if self.data.ndim != 2:
             raise ValueError("snapshot data must be 2-dimensional")
-        m, n = data.shape
+        m, n = self.data.shape
         if n < 2:
             raise ValueError(f"need at least 2 frames, got {n}")
         if self.frame_height * self.frame_width != m:
@@ -77,12 +86,6 @@ class SnapshotMatrix:
                 f"frame geometry {self.frame_height}x{self.frame_width} "
                 f"does not match {m} pixels"
             )
-        # min and max propagate NaN, so two reductions check finiteness too.
-        lo, hi = data.min(), data.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("snapshot data contains non-finite entries")
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError("snapshot intensities must lie in [0, 1]")
 
     @property
     def n_pixels(self) -> int:
@@ -103,6 +106,20 @@ class SnapshotMatrix:
         pipeline does with each chunk's residual) and leave this one intact.
         """
         return SnapshotMatrix(self.data[:, start:stop].copy(), self.frame_height, self.frame_width)
+
+
+def _unscanned(cls, *values):
+    """cls(*values) with its shape checked but its entries not scanned.
+
+    For entries valid by construction, such as frames divided by a maxval
+    that their rasters were checked against, or the residual of checked
+    background factors. The public constructors scan every entry.
+    """
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(obj, field.name, value)
+    obj._check_shape()
+    return obj
 
 
 @dataclass(frozen=True)

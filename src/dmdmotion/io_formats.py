@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ForegroundMaskSequence
-from .dmd import DmdDecomposition, SnapshotMatrix
+from .dmd import DmdDecomposition, SnapshotMatrix, _unscanned
 
 __all__ = [
     "MAGIC_REAL",
@@ -43,9 +43,6 @@ MAGIC_REAL = b"RDMDMAT1"
 MAGIC_COMPLEX = b"RDMDCPX1"
 # Entry type per container; "<c16" is the (real, imag) float64 pair.
 _ENTRY = {MAGIC_REAL: np.dtype("<f8"), MAGIC_COMPLEX: np.dtype("<c16")}
-
-# Most frames FrameFiles.columns normalizes before storing them in the matrix.
-FRAME_BLOCK = 64
 
 # The four tokens of a PGM header: whitespace separates them, and '#' starts
 # a comment that runs to the end of its line. The lookaheads keep a token or
@@ -115,6 +112,9 @@ def _read_pgm(
         magic, *numbers = header.groups()
         if magic != b"P5":
             raise ValueError(f"{path}: expected binary grayscale PGM (P5), got {magic!r}")
+        # Netpbm numbers are ASCII decimal digits: no sign, no underscore.
+        if not all(t.isdigit() for t in numbers):
+            raise ValueError(f"{path}: invalid PGM header")
         width, height, maxval = (int(t) for t in numbers)
         if width < 1 or height < 1 or not 1 <= maxval <= 65535:
             raise ValueError(f"{path}: invalid PGM dimensions or maxval")
@@ -177,26 +177,47 @@ class FrameFiles:
     def columns(self, start: int, stop: int) -> SnapshotMatrix:
         """Frames [start, stop), each flattened row-major and divided by its maxval.
 
-        Frames are normalized into contiguous rows of a small buffer, and
-        each full buffer is stored as one transposed slice of the
-        column-per-frame matrix; at most n/16 frames, so the buffer adds at
-        most 1/16 of the matrix.
+        The rasters are read into one frame-major buffer: all n frames as
+        uint8 while every frame is 8-bit, and from the first 16-bit frame on
+        blocks of n/2 frames as native uint16, so the buffer adds at most
+        1/8 of the matrix. Each buffer fill is cast into the column-per-frame
+        matrix with one transposed copy and divided in place by its maxval,
+        once per run of frames that share one, which gives each entry
+        float64(x) / float64(maxval). A frame's raster was checked against
+        its maxval when it was read, so the entries are not scanned again.
         """
         paths = self.paths[start:stop]
         n = len(paths)
         geometry = (self.frame_height, self.frame_width)
-        block = max(1, min(FRAME_BLOCK, n // 16))
         data = np.empty((self.frame_height * self.frame_width, n))
-        rows = np.empty((block, data.shape[0]))
+        raw = np.empty((n, data.shape[0]), dtype=np.uint8)
+        maxvals = []
+        first = 0  # the frame in raw[0]
         for j, p in enumerate(paths):
             shape, maxval, img = _read_pgm(p)
             if shape != geometry:
                 raise ValueError(f"{p}: frame geometry {shape} differs from first frame {geometry}")
-            np.divide(img.reshape(-1), maxval, out=rows[j % block], dtype=np.float64)
-            if j % block == block - 1 or j == n - 1:
-                first = j - j % block
-                data[:, first : j + 1] = rows[: j + 1 - first].T
-        return SnapshotMatrix(data=data, frame_height=geometry[0], frame_width=geometry[1])
+            widen = maxval > 255 and raw.dtype == np.uint8
+            if widen or j - first == len(raw):
+                _normalize(data[:, first:j], raw, maxvals[first:j])
+                first = j
+            if widen:
+                del raw  # freed before the uint16 buffer is made
+                raw = np.empty((max(1, n // 2), data.shape[0]), dtype=np.uint16)
+            raw[j - first] = img.reshape(-1)
+            maxvals.append(maxval)
+        _normalize(data[:, first:], raw, maxvals[first:])
+        return _unscanned(SnapshotMatrix, data, *geometry)
+
+
+def _normalize(columns: np.ndarray, raw: np.ndarray, maxvals: list[int]) -> None:
+    """columns = raw[:len(maxvals)].T / maxvals, one divide per run of equal maxval."""
+    columns[...] = raw[: len(maxvals)].T
+    run = 0
+    for j in range(1, len(maxvals) + 1):
+        if j == len(maxvals) or maxvals[j] != maxvals[run]:
+            columns[:, run:j] /= maxvals[run]
+            run = j
 
 
 def scan_frames(pattern: str) -> FrameFiles:
@@ -255,16 +276,25 @@ def save_masks(
 ) -> list[str]:
     """One P5 file per mask frame, foreground 255, background 0.
 
-    stems, when given, name the files 1:1 after the input frames.
+    stems, when given, name the files 1:1 after the input frames. Each file
+    is save_pgm's bytes, written from one buffer that holds the header and
+    is reused for every frame's raster.
     """
     if stems is not None and len(stems) != seq.n_frames:
         raise ValueError(f"{len(stems)} stems for {seq.n_frames} mask frames")
     os.makedirs(directory, exist_ok=True)
+    _, height, width = seq.masks.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    buf = bytearray(len(header) + height * width)
+    buf[: len(header)] = header
+    raster = np.frombuffer(buf, dtype=np.uint8, offset=len(header)).reshape(height, width)
     paths = []
     for t in range(seq.n_frames):
         stem = stems[t] if stems is not None else f"mask_{t:05d}"
         path = os.path.join(directory, f"{stem}.pgm")
-        save_pgm(path, seq.masks[t].astype(np.uint8) * 255, maxval=255)
+        np.multiply(seq.masks[t].view(np.uint8), 255, out=raster)
+        with open(path, "wb") as fh:
+            fh.write(buf)
         paths.append(path)
     return paths
 

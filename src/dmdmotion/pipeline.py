@@ -12,9 +12,11 @@ the writes. PGM frames are read from disk one chunk at a time, and the
 tau-grid pass reads each chunk again and rebuilds its residual from the
 background factors that the chunk pass kept, so a run holds one chunk's
 frames and residual at a time. A fixed tau masks each chunk in the chunk
-pass. A sweep's grid pass writes each chunk's median-filtered ranks into the
-bytes of the run's masks, which become the masks in one pass once the best
-tau is chosen.
+pass. With an output directory, each chunk's decomposition and fixed-tau
+masks are written on one writer thread while later chunks run. A sweep's
+grid pass writes each chunk's median-filtered ranks into the bytes of the
+run's masks, which become the masks in one pass once the best tau is
+chosen.
 """
 
 from __future__ import annotations
@@ -181,17 +183,51 @@ class _StageTimer:
         return "\n".join(lines) + "\n"
 
 
+class _Writer:
+    """One thread that writes each chunk's outputs while the run goes on.
+
+    start_chunk(fn, *args) queues the first write of a chunk once every
+    write of the previous chunk is done, so at most one chunk's writes are
+    in flight; add(fn, *args) queues another write of the same chunk. join
+    waits for the queued writes and raises the first one's exception in
+    the calling thread. close cancels what has not started and joins the
+    thread.
+    """
+
+    def __init__(self) -> None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.pool = ThreadPoolExecutor(1)
+        self.pending = []
+
+    def start_chunk(self, fn, *args) -> None:
+        self.join()
+        self.add(fn, *args)
+
+    def add(self, fn, *args) -> None:
+        self.pending.append(self.pool.submit(fn, *args))
+
+    def join(self) -> None:
+        pending, self.pending = self.pending, []
+        for future in pending:
+            future.result()
+
+    def close(self) -> None:
+        self.pool.shutdown(cancel_futures=True)
+
+
 def _load_input(cfg: RunConfig, timer: _StageTimer):
-    """The frames, truth if given, and mask file stems named after the frame files.
+    """The frames, truth if given, and the stem of each frame's mask file.
 
     PGM frames come back as io_formats.FrameFiles, every file checked and
-    read a chunk at a time; synthetic frames as their SnapshotMatrix. Both
+    read a chunk at a time, their masks named after the frame files;
+    synthetic frames as their SnapshotMatrix, their masks mask_NNNNN. Both
     give a chunk's frames through columns(start, stop).
     """
     if cfg.synthetic is not None:
         video, truth = generate_synthetic(cfg.synthetic)
         timer.mark("run", "ingest")
-        return video, truth, None
+        return video, truth, [f"mask_{t:05d}" for t in range(video.n_frames)]
     from .io_formats import load_masks, scan_frames
 
     video = scan_frames(cfg.frames)
@@ -239,15 +275,16 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     return bounds
 
 
-def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: _StageTimer):
-    """Read, decompose and model one chunk, and write its chunk_NNN/.
+def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: _StageTimer,
+               writer: _Writer | None):
+    """Read, decompose and model one chunk, and queue its chunk_NNN/ write.
 
     Returns (record, residual, background factors), the residual written
     over the chunk's own frames, or (record, None, None) when the chunk
     failed on its data (DegenerateDataError or LinAlgError; any other
-    error propagates). With an output directory, the
-    decomposition (and, under save_residuals, the residual) goes to
-    chunk_NNN/ here, so no decomposition outlives its chunk.
+    error propagates). With an output directory, the decomposition goes to
+    the writer, which holds it until it is in chunk_NNN/; under
+    save_residuals, the residual is written there before this returns.
     """
     D = video.columns(start, stop)
     timer.mark(index, "ingest")
@@ -288,13 +325,14 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: 
         omega=omega,
         background_indices=background_indices,
     )
-    if cfg.output_dir is not None:
+    if writer is not None:
         from .io_formats import save_decomposition, save_matrix
 
         chunk_dir = os.path.join(cfg.output_dir, f"chunk_{index:03d}")
-        save_decomposition(chunk_dir, dec)
         if cfg.save_residuals:
+            os.makedirs(chunk_dir, exist_ok=True)
             save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
+        writer.start_chunk(save_decomposition, chunk_dir, dec)
         timer.mark(index, "write")
     return result, S, factors
 
@@ -303,9 +341,12 @@ def _truth_of(truth: bg.ForegroundMaskSequence, c: ChunkResult) -> bg.Foreground
     return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
 
 
-def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, timer: _StageTimer):
+def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _StageTimer,
+                writer: _Writer | None):
     """Run every chunk; at a fixed tau, mask and score it and drop its residual.
 
+    A fixed tau's masks are filtered straight into the run's masks and,
+    with an output directory, go to the writer as soon as they are final.
     Returns the chunk records, the counts of the fixed-tau masks against the
     truth and, when the run needs the tau grid, each chunk that ran with its
     background factors and largest residual: the residual itself is dropped
@@ -316,19 +357,24 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, timer: _StageTimer
     counts = ev.ConfusionCounts(0, 0, 0, 0)
     ran = []
     for i, (start, stop) in enumerate(bounds):
-        c, S, factors = _run_chunk(video, cfg, i, start, stop, timer)
+        c, S, factors = _run_chunk(video, cfg, i, start, stop, timer, writer)
         chunks.append(c)
         if S is None:
             continue
         if cfg.tau is not None:
-            chunk_masks = bg.filter_masks(bg.threshold_mask(S, cfg.tau), cfg.median_kernel)
-            bg._copy_frames(masks[start:stop], chunk_masks.masks)
+            chunk_masks = bg.filter_masks(bg.threshold_mask(S, cfg.tau), cfg.median_kernel,
+                                          out=masks[start:stop])
             if truth is not None:
                 counts += ev.confusion(chunk_masks, _truth_of(truth, c))
+            if writer is not None:
+                from .io_formats import save_masks
+
+                writer.add(save_masks, os.path.join(cfg.output_dir, "masks"), chunk_masks,
+                           stems[start:stop])
             timer.mark(i, "masks")
         if need_grid:
             ran.append((c, factors, float(S.values.max())))
-        del S
+        del S, factors
     return chunks, counts, ran
 
 
@@ -367,16 +413,31 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     """Decompose, model, threshold and evaluate; see the module docstring.
 
     Memory is one chunk's frames and residual at a time, plus one byte per
-    pixel of the video for the masks and one for the truth. A sweep's masks
-    hold its chunks' filtered ranks until the best tau is chosen and are
-    then ranks > j, in place, for the index j of that tau: the masks that
-    its filtered counts scored, which give its summary rates.
+    pixel of the video for the masks and one for the truth, plus, with an
+    output directory, the outputs of the one chunk that is being written.
+    A sweep's masks hold its chunks' filtered ranks until the best tau is
+    chosen and are then ranks > j, in place, for the index j of that tau:
+    the masks that its filtered counts scored, which give its summary rates.
+
+    With an output directory, each chunk's chunk_NNN/ and, at a fixed tau,
+    its mask files are written on one thread behind the chunks, and every
+    write is done before report.txt; a write's exception is raised here. No
+    thread outlives the call, whether it returns or raises.
     """
+    writer = _Writer() if cfg.output_dir is not None else None
+    try:
+        return _run(cfg, writer)
+    finally:
+        if writer is not None:
+            writer.close()
+
+
+def _run(cfg: RunConfig, writer: _Writer | None) -> RunReport:
     timer = _StageTimer()
     video, truth, stems = _load_input(cfg, timer)
     bounds = _check_inputs(cfg, video, truth)
     masks = np.zeros((video.n_frames, video.frame_height, video.frame_width), dtype=bool)
-    chunks, counts, ran = _chunk_pass(cfg, video, truth, bounds, masks, timer)
+    chunks, counts, ran = _chunk_pass(cfg, video, truth, bounds, masks, stems, timer, writer)
     tau = cfg.tau
 
     taus = raw = roc = summary = None
@@ -421,24 +482,33 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         masks=bg.ForegroundMaskSequence(masks, tau=tau) if any_ok else None,
         summary=summary,
     )
-    if cfg.output_dir is not None:
-        _write_outputs(cfg, report, stems, taus, raw, roc, timer)
+    if writer is not None:
+        _write_outputs(cfg, report, stems, taus, raw, roc, timer, writer)
     return report
 
 
-def _write_outputs(cfg, report, stems, taus, raw, roc, timer: _StageTimer) -> None:
-    """Run-level files; each chunk_NNN/ was written by its chunk step.
+def _write_outputs(cfg, report, stems, taus, raw, roc, timer: _StageTimer,
+                   writer: _Writer) -> None:
+    """Run-level files, once the writer has written every chunk's outputs.
 
-    timings.csv is written last, so that it times the other writes.
+    Each chunk_NNN/ and each fixed-tau chunk's masks went to the writer in
+    the chunk pass; the masks of a sweep and of the chunks that failed are
+    written here. timings.csv is written last, so that it times the other
+    writes; its write column is the wait for the writer plus these writes.
     """
     from .io_formats import save_masks
 
+    writer.join()
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(render_report(report))
     if report.masks is not None:
-        save_masks(os.path.join(out, "masks"), report.masks, stems)
+        for c in report.chunks:
+            if cfg.tau is None or not c.ok:
+                save_masks(os.path.join(out, "masks"),
+                           bg.ForegroundMaskSequence(report.masks.masks[c.start : c.stop]),
+                           stems[c.start : c.stop])
     if raw is not None:
         rows = [
             ev.metrics_row(float(t), ev.ConfusionCounts(*row))

@@ -30,6 +30,7 @@ from dmdmotion.dmd import (
     reconstruct,
 )
 from dmdmotion.errors import DegenerateDataError
+from dmdmotion.io_formats import load_frames, save_pgm
 from dmdmotion.linalg import SketchConfig
 
 from helpers import median_filter
@@ -218,6 +219,25 @@ def test_residual_sequence_checks_values():
             ResidualSequence(values, 2, 2)
     with pytest.raises(ValueError, match="residual values must be 2-dimensional"):
         ResidualSequence(np.zeros(4), 2, 2)
+
+
+def test_public_constructors_scan_what_the_package_builds_unscanned(tmp_path):
+    # factor_residual and FrameFiles.columns build entries that are valid by
+    # construction and skip the scan; the public constructors still scan a
+    # NaN out, here in a residual and in frames the package built.
+    dec = pair_decomposition(6, 5)
+    D = SnapshotMatrix(np.full((6, 5), 0.5), 2, 3)
+    S = factor_residual(D, *background_factors(dec, (0,)))
+    values = S.values.copy()
+    values[3, 2] = np.nan
+    with pytest.raises(ValueError, match="residuals must be finite and nonnegative"):
+        ResidualSequence(values, 2, 3)
+    for t in range(2):
+        save_pgm(str(tmp_path / f"f_{t}.pgm"), np.full((2, 3), 7, dtype=np.uint8))
+    data = load_frames(str(tmp_path / "f_*.pgm"))[0].data
+    data[3, 1] = np.nan
+    with pytest.raises(ValueError, match="snapshot data contains non-finite entries"):
+        SnapshotMatrix(data, 2, 3)
 
 
 def test_residual_sequence_check_allocates_no_per_pixel_array():
@@ -457,6 +477,22 @@ def test_copy_frames_equals_a_plain_copy(kernel, shape):
     strips = np.zeros_like(plain)
     background._copy_frames(strips[2:7], masks)
     assert np.array_equal(strips, plain)
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_filter_masks_into_a_slice_equals_the_fresh_masks(monkeypatch, kernel):
+    # The pipeline filters each chunk straight into its frames of the run's
+    # masks: the same bytes as a fresh filter, in blocks of 2 frames with a
+    # one-frame tail, and nothing outside the slice is written.
+    monkeypatch.setattr(background, "MASK_BLOCK_BYTES", 2 * 7 * 9)
+    S = ResidualSequence(np.random.default_rng(kernel).uniform(size=(7 * 9, 5)), 7, 9)
+    seq = threshold_mask(S, 0.5)
+    run = np.ones((9, 7, 9), dtype=bool)
+    filtered = filter_masks(seq, kernel, out=run[2:7])
+    assert np.shares_memory(filtered.masks, run[2:7])
+    assert filtered.tau == 0.5
+    assert run[2:7].tobytes() == np.ascontiguousarray(filter_masks(seq, kernel).masks).tobytes()
+    assert run[:2].all() and run[7:].all()
 
 
 def test_filter_masks_rejects_even_kernel():

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -92,6 +93,28 @@ def test_bgsub_fixed_tau(tmp_path, capsys):
     masks = load_masks(str(tmp_path / "out" / "masks" / "*.pgm"))
     assert masks.n_frames == 30
     assert masks.masks.any()
+
+
+def test_a_failed_mask_write_exits_4_and_leaves_no_thread(tmp_path, capsys):
+    # Each chunk's masks are written on a thread behind the next chunk. A
+    # directory where one mask file goes fails that write, which the run
+    # raises before report.txt: exit 4 naming the path. The write thread
+    # ends with the run, whether it fails or not.
+    main(synth_args(tmp_path / "vid", frames=30))
+    capsys.readouterr()
+    threads = threading.active_count()
+    args = ["bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+            "--chunk-length", "10", "--k", "4", "--tau", "0.3", "--seed", "5"]
+    blocked = tmp_path / "bad" / "masks" / "frame_00015_mask.pgm"
+    blocked.mkdir(parents=True)
+    assert main(args + ["--out", str(tmp_path / "bad")]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(blocked) in err
+    assert not (tmp_path / "bad" / "report.txt").exists()
+    assert threading.active_count() == threads
+    assert main(args + ["--out", str(tmp_path / "good")]) == 0
+    assert len(os.listdir(tmp_path / "good" / "masks")) == 30
+    assert threading.active_count() == threads
 
 
 def test_bgsub_sweep_with_truth(tmp_path):

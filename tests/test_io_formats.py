@@ -1,5 +1,7 @@
 """Binary matrix container, PGM codec and decomposition persistence."""
 
+import re
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from dmdmotion.background import ForegroundMaskSequence
 from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
 from dmdmotion.io_formats import (
-    FRAME_BLOCK,
     MAGIC_COMPLEX,
     MAGIC_REAL,
     load_decomposition,
@@ -171,6 +172,16 @@ def test_pgm_rejects_truncated_raster(tmp_path):
         load_pgm(str(path))
 
 
+@pytest.mark.parametrize("header", [b"P5 3 x 255\n", b"P5 2 +1 1_0\n"])
+def test_pgm_header_numbers_are_decimal_digits(tmp_path, header):
+    # int() would read "+1" and "1_0" as 1 and 10; a Netpbm header holds
+    # ASCII decimal digits only, and a file with anything else is named.
+    path = tmp_path / "f.pgm"
+    path.write_bytes(header + b"\x00" * 6)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid PGM header$"):
+        load_pgm(str(path))
+
+
 def test_pgm_rejects_out_of_range_pixels():
     with pytest.raises(ValueError):
         save_pgm("/dev/null", np.array([[300]]), maxval=255)
@@ -213,7 +224,8 @@ def test_pgm_fuzzed_header_loads_or_raises_value_error(tmp_path, data):
     path.write_bytes(data)
     try:
         img, maxval = load_pgm(str(path))
-    except ValueError:
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
         return
     assert img.ndim == 2 and img.size >= 1
     assert 1 <= maxval <= 65535
@@ -286,11 +298,11 @@ def test_frames_fill_matches_stacked_columns(tmp_path, maxval):
 
 @pytest.mark.parametrize(
     "n_frames",
-    # A lone pair, counts around FRAME_BLOCK (where n/16 caps the block), and
-    # counts around the first one whose block is FRAME_BLOCK itself: a short
-    # last block, full blocks only, and a one-frame last block.
-    [2, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
-     16 * FRAME_BLOCK - 1, 16 * FRAME_BLOCK, 16 * FRAME_BLOCK + 1],
+    # Frames 0 and 1 are 8-bit, so a lone pair fills the uint8 buffer alone.
+    # From frame 2, the first 16-bit one, frames go in uint16 blocks of n/2:
+    # one full block (3, 4 frames), a one-frame last block (5, 6), and long
+    # chunks whose last block is short.
+    [2, 3, 4, 5, 6, 63, 64, 65, 1023, 1024, 1025],
 )
 def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
     # 8-bit and 16-bit rasters of four maxvals share one glob.
@@ -333,6 +345,22 @@ def test_scan_reads_a_header_that_runs_past_its_first_read(tmp_path, pad):
         scan_frames(str(tmp_path / "f_*.pgm"))
 
 
+@pytest.mark.parametrize("maxval", [200, 1000])
+def test_a_frame_rewritten_after_its_scan_is_checked_when_read(tmp_path, maxval):
+    # columns does not scan the matrix it builds: each raster is checked
+    # against its maxval as it is read, so a frame that gained a pixel above
+    # its maxval after scan_frames still fails, naming its file.
+    for t in range(3):
+        save_pgm(str(tmp_path / f"f_{t}.pgm"), np.full((2, 3), t, dtype=np.uint16), maxval)
+    files = scan_frames(str(tmp_path / "f_*.pgm"))
+    save_pgm(str(tmp_path / "f_1.pgm"), np.full((2, 3), maxval + 1, dtype=np.uint16), maxval + 1)
+    data = (tmp_path / "f_1.pgm").read_bytes()
+    (tmp_path / "f_1.pgm").write_bytes(data.replace(str(maxval + 1).encode(), str(maxval).encode(), 1))
+    path = re.escape(str(tmp_path / "f_1.pgm"))
+    with pytest.raises(ValueError, match=f"^{path}: pixel value exceeds maxval {maxval}$"):
+        files.columns(0, 3)
+
+
 def test_frames_hold_one_copy_of_the_video(tmp_path):
     rng = np.random.default_rng(5)
     for t in range(40):
@@ -366,6 +394,22 @@ def test_masks_require_consistent_geometry(tmp_path):
     with pytest.raises(ValueError, match=r"m_1\.pgm: mask geometry \(3, 2\) differs "
                                          r"from first mask \(2, 2\)"):
         load_masks(str(tmp_path / "m_*.pgm"))
+
+
+def test_masks_are_save_pgm_bytes(tmp_path):
+    # save_masks fills one reused header-and-raster buffer per file; each file
+    # holds the bytes save_pgm writes for that frame at 0/255. The masks are
+    # a transposed view, as threshold_mask returns them, over 1x1 to 3x5
+    # frames and an empty one.
+    rng = np.random.default_rng(4)
+    for h, w in [(1, 1), (3, 5), (4, 2)]:
+        masks = (rng.random((h * w, 3)) > 0.5).T.reshape(3, h, w)
+        masks[1] = False
+        out = tmp_path / f"{h}x{w}"
+        paths = save_masks(str(out), ForegroundMaskSequence(masks))
+        for t, path in enumerate(paths):
+            save_pgm(str(out / "expected.pgm"), masks[t].astype(np.uint8) * 255)
+            assert Path(path).read_bytes() == (out / "expected.pgm").read_bytes()
 
 
 def test_masks_custom_stems(tmp_path):

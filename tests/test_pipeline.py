@@ -16,7 +16,7 @@ from numpy.linalg import lapack_lite
 
 import dmdmotion
 from dmdmotion import evaluation as ev
-from dmdmotion import linalg, pipeline
+from dmdmotion import io_formats, linalg, pipeline
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
@@ -27,6 +27,7 @@ from dmdmotion.dmd import SnapshotMatrix, rdmd
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.io_formats import (
     load_frames,
+    load_masks,
     load_matrix,
     load_pgm,
     save_frames,
@@ -277,7 +278,7 @@ def test_only_a_fixed_tau_run_filters_masks(monkeypatch):
 
     calls = []
     monkeypatch.setattr(pipeline.bg, "filter_masks",
-                        lambda seq, kernel=3: calls.append(kernel) or seq)
+                        lambda seq, kernel=3, out=None: calls.append(kernel) or seq)
     monkeypatch.setattr(pipeline, "rdmd", rdmd_failing_chunk_1)
     report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, p=2, q=1, chunk_length=20, tau=0.2))
     assert [c.ok for c in report.chunks] == [True, False, True]
@@ -392,13 +393,15 @@ def test_a_lapack_failure_fails_its_chunk_and_the_run_continues(monkeypatch):
     assert report.masks.masks[:20].any() and report.masks.masks[40:].any()
 
 
-def test_each_decomposition_is_freed_before_the_next_chunk(tmp_path, monkeypatch):
-    # Chunk outputs are written in the chunk step, so no chunk's decomposition
-    # is alive when the next chunk is decomposed or when the run returns.
+def test_each_decomposition_is_freed_once_it_is_written(tmp_path, monkeypatch):
+    # Chunk outputs are written on one thread behind the chunks, at most one
+    # chunk's at a time: when a chunk is decomposed, only the previous
+    # chunk's decomposition may still be waiting for its write, and none is
+    # alive when the run returns.
     refs = []
 
     def tracked_rdmd(*args, **kwargs):
-        assert all(ref() is None for ref in refs)
+        assert all(ref() is None for ref in refs[:-1])
         dec = rdmd(*args, **kwargs)
         refs.append(weakref.ref(dec))
         return dec
@@ -410,6 +413,24 @@ def test_each_decomposition_is_freed_before_the_next_chunk(tmp_path, monkeypatch
     assert len(refs) == 3 and all(c.ok for c in report.chunks)
     assert all(ref() is None for ref in refs)
     assert (tmp_path / "chunk_002" / "residual.mat").exists()
+
+
+def test_masks_written_behind_the_run_equal_its_masks_under_fast_switches(tmp_path):
+    # The writer thread reads each chunk's frames of the run's masks while
+    # the run fills the next chunk's; with the interpreter switching threads
+    # every microsecond, each of ten chunks still writes its final masks.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_bgsub(RunConfig(synthetic=SQUARE, k=3, p=2, q=1, chunk_length=6, tau=0.05,
+                                     output_dir=str(tmp_path)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(report.chunks) == 10
+    assert len(list(tmp_path.glob("chunk_*"))) == sum(c.ok for c in report.chunks)
+    assert report.masks.masks.any(axis=(1, 2)).sum() > 40
+    written = load_masks(str(tmp_path / "masks" / "*.pgm"))
+    assert np.array_equal(written.masks, report.masks.masks)
 
 
 def track_residuals(monkeypatch):
@@ -536,11 +557,12 @@ def test_chunks_match_standalone_decompositions():
 
 def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, monkeypatch):
     D, _ = generate_synthetic(SQUARE)
-    save_frames(str(tmp_path / "frames"), D)
+    paths = save_frames(str(tmp_path / "frames"), D)
     video, _ = load_frames(str(tmp_path / "frames" / "*.pgm"))
-    checked, chunks, frames, scans = [], [], [], []
+    checked, chunks, frames, scans, reads = [], [], [], [], []
     post_init, decompose = SnapshotMatrix.__post_init__, pipeline.rdmd
     as_matrix = linalg._as_matrix
+    read_pgm = io_formats._read_pgm
 
     def counted_post_init(self):
         checked.append(self.data.shape)
@@ -555,15 +577,22 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
         scans.append(np.shape(A))
         return as_matrix(A, name)
 
+    def counted_read_pgm(path, check_only=False):
+        reads.append((path, check_only))
+        return read_pgm(path, check_only)
+
     monkeypatch.setattr(SnapshotMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(pipeline, "rdmd", recorded_rdmd)
     monkeypatch.setattr(linalg, "_as_matrix", counted_as_matrix)
+    monkeypatch.setattr(io_formats, "_read_pgm", counted_read_pgm)
     report = run_bgsub(RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
                                  k=5, chunk_length=20, tau=0.3))
     assert len(report.chunks) == 3 and all(c.ok for c in report.chunks)
-    # Each chunk is read from its files into its own contiguous matrix and
-    # checked once, there; rdmd does not scan it for finiteness again.
-    assert checked == [(576, 20)] * 3
+    # Each frame's header is checked by the scan, and its raster against its
+    # maxval as its chunk is read into its own contiguous matrix. Neither
+    # that matrix nor rdmd's sketch scans the chunk for finiteness again.
+    assert reads == [(p, True) for p in paths] + [(p, False) for p in paths]
+    assert checked == []
     for c, sub, data in zip(report.chunks, chunks, frames):
         assert sub.data.flags.c_contiguous
         assert data == np.ascontiguousarray(video.data[:, c.start:c.stop]).tobytes()
@@ -639,6 +668,7 @@ def test_outputs_equal_the_whole_video_reference_run(tmp_path, monkeypatch, case
     ("truncated raster", "truncated PGM raster"),
     ("pixel above maxval", "pixel value exceeds maxval 200"),
     ("geometry change", "frame geometry (24, 23) differs from first frame (24, 24)"),
+    ("non-numeric header", "invalid PGM header"),
 ])
 def test_a_bad_last_frame_exits_2_before_any_chunk_runs(tmp_path, capsys, fault, reason):
     D, _ = generate_synthetic(SQUARE)
@@ -650,6 +680,8 @@ def test_a_bad_last_frame_exits_2_before_any_chunk_runs(tmp_path, capsys, fault,
         raster = np.full(576, 100, dtype=np.uint8)
         raster[300] = 201
         open(last, "wb").write(b"P5\n24 24\n200\n" + raster.tobytes())
+    elif fault == "non-numeric header":
+        open(last, "wb").write(b"P5 24 x 255\n" + bytes(576))
     else:
         save_pgm(last, np.zeros((24, 23), dtype=np.uint8))
     code = main(["bgsub", "--frames", str(tmp_path / "frames" / "*.pgm"),
@@ -693,6 +725,32 @@ def test_sweep_memory_grows_by_bytes_per_pixel_not_by_chunks(tmp_path):
             tracemalloc.stop()
     two, six = peaks
     assert six - two <= 3 * 400 * 48 * 64
+
+
+def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch):
+    # At a fixed tau with nothing to replay, a chunk's masks are filtered
+    # straight into the run's masks and its background factors are dropped
+    # with it, so every chunk starts its decomposition with the memory of
+    # the first. Three modes of the 5120-pixel frames are 245,760 bytes,
+    # and one chunk's masks 256,000.
+    spec = SyntheticSpec(frame_height=64, frame_width=80, n_frames=150, noise_sigma=0.04,
+                         objects=(MovingRect(9.0, 2.0, 8, 8, 1.0, (0.0, 0.3)),), seed=5)
+    cfg = RunConfig(synthetic=spec, k=5, chunk_length=50, tau=0.3)
+    run_bgsub(cfg)  # warm-up: one-time allocations of numpy and the package
+    entries = []
+
+    def traced_rdmd(*args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return rdmd(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "rdmd", traced_rdmd)
+    tracemalloc.start()
+    try:
+        report = run_bgsub(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 3 and all(c.ok for c in report.chunks)
+    assert max(entries[1:]) - entries[0] < 16 * 1024
 
 
 def test_snapshot_columns_rejects_a_single_frame():
