@@ -32,7 +32,6 @@ __all__ = [
     "confusion",
     "f_measure_from_rates",
     "rates",
-    "evaluate_masks",
     "metrics_row",
     "tau_grid",
     "sweep_counts",
@@ -152,14 +151,6 @@ def rates(c: ConfusionCounts) -> dict[str, float]:
         "specificity": _rate(c.tn, c.tn + c.fp),
         "f_measure": f_measure_from_rates(r, p),
     }
-
-
-def evaluate_masks(
-    predicted: ForegroundMaskSequence, truth: ForegroundMaskSequence
-) -> dict[str, float | bool]:
-    """All four rates plus a flag recording any zero-denominator fallback."""
-    c = confusion(predicted, truth)
-    return {**rates(c), "undefined_rates": c.undefined_rates}
 
 
 def metrics_row(tau: float, c: ConfusionCounts) -> dict[str, object]:

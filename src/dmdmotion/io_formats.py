@@ -177,47 +177,41 @@ class FrameFiles:
     def columns(self, start: int, stop: int) -> SnapshotMatrix:
         """Frames [start, stop), each flattened row-major and divided by its maxval.
 
-        The rasters are read into one frame-major buffer: all n frames as
-        uint8 while every frame is 8-bit, and from the first 16-bit frame on
-        blocks of n/2 frames as native uint16, so the buffer adds at most
-        1/8 of the matrix. Each buffer fill is cast into the column-per-frame
-        matrix with one transposed copy and divided in place by its maxval,
-        once per run of frames that share one, which gives each entry
-        float64(x) / float64(maxval). A frame's raster was checked against
-        its maxval when it was read, so the entries are not scanned again.
+        The rasters are read through one frame-major uint8 buffer, made at
+        the chunk's first 8-bit frame for it and the frames after it, so it
+        adds at most 1/8 of the matrix: an 8-bit frame fills its row, and a
+        16-bit frame is cast straight into its own matrix column. Each run of
+        frames that share a maxval is then divided in place by it, after one
+        transposed cast of its buffer rows for an 8-bit run, which gives each
+        entry float64(x) / float64(maxval). A frame's raster was checked
+        against its maxval when it was read, so the entries are not scanned
+        again.
         """
         paths = self.paths[start:stop]
         n = len(paths)
         geometry = (self.frame_height, self.frame_width)
         data = np.empty((self.frame_height * self.frame_width, n))
-        raw = np.empty((n, data.shape[0]), dtype=np.uint8)
+        raw = None  # uint8 rasters of frames [first, n), made at the first 8-bit one
         maxvals = []
-        first = 0  # the frame in raw[0]
         for j, p in enumerate(paths):
             shape, maxval, img = _read_pgm(p)
             if shape != geometry:
                 raise ValueError(f"{p}: frame geometry {shape} differs from first frame {geometry}")
-            widen = maxval > 255 and raw.dtype == np.uint8
-            if widen or j - first == len(raw):
-                _normalize(data[:, first:j], raw, maxvals[first:j])
-                first = j
-            if widen:
-                del raw  # freed before the uint16 buffer is made
-                raw = np.empty((max(1, n // 2), data.shape[0]), dtype=np.uint16)
-            raw[j - first] = img.reshape(-1)
+            if maxval > 255:
+                data[:, j] = img.reshape(-1)
+            else:
+                if raw is None:
+                    first, raw = j, np.empty((n - j, data.shape[0]), dtype=np.uint8)
+                raw[j - first] = img.reshape(-1)
             maxvals.append(maxval)
-        _normalize(data[:, first:], raw, maxvals[first:])
+        run = 0  # the first frame of the run of equal maxval
+        for j in range(1, n + 1):
+            if j == n or maxvals[j] != maxvals[run]:
+                if maxvals[run] <= 255:
+                    data[:, run:j] = raw[run - first : j - first].T
+                data[:, run:j] /= maxvals[run]
+                run = j
         return _unscanned(SnapshotMatrix, data, *geometry)
-
-
-def _normalize(columns: np.ndarray, raw: np.ndarray, maxvals: list[int]) -> None:
-    """columns = raw[:len(maxvals)].T / maxvals, one divide per run of equal maxval."""
-    columns[...] = raw[: len(maxvals)].T
-    run = 0
-    for j in range(1, len(maxvals) + 1):
-        if j == len(maxvals) or maxvals[j] != maxvals[run]:
-            columns[:, run:j] /= maxvals[run]
-            run = j
 
 
 def scan_frames(pattern: str) -> FrameFiles:

@@ -1,6 +1,9 @@
 """Command-line interface, run in process through main(argv)."""
 
+import contextlib
 import csv
+import glob
+import io
 import json
 import os
 import shutil
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 import dmdmotion
 from dmdmotion import cli
 from dmdmotion.cli import main
-from dmdmotion.io_formats import load_decomposition, load_masks, save_pgm
+from dmdmotion.io_formats import load_decomposition, load_masks, load_pgm, save_pgm
 from dmdmotion.pipeline import RunConfig, run_bgsub
 
 
@@ -499,3 +502,66 @@ def test_fuzzed_tiny_runs_exit_cleanly_with_one_mask_per_frame(run):
         if code == 0:
             masks = load_masks(os.path.join(tmp, "out", "masks", "*.pgm"))
             assert masks.masks.shape == shape
+
+
+
+def corrupt(path, fault, wide):
+    """Rewrite one 16x16 frame or mask file with one fault, in 16 bits if wide."""
+    maxval = 1000 if wide else 200
+    raster = np.full((16, 16), 100, dtype=">u2" if wide else np.uint8)
+    if fault == "pixel above maxval":
+        raster[7, 9] = maxval + 1
+    header = f"P5\n16 16\n{maxval}\n".encode()
+    if fault == "directory":
+        os.remove(path)
+        os.mkdir(path)
+    elif fault == "geometry change":
+        save_pgm(path, np.zeros((16, 15), dtype=np.uint16), maxval)
+    else:
+        open(path, "wb").write({
+            "non-numeric header": b"P5\n16 x\n255\n" + raster.tobytes(),
+            "truncated header": b"P5\n16 16\n",
+            "non-P5 header": b"P2" + header[2:] + raster.tobytes(),
+            "truncated raster": header + raster.tobytes()[:-1],
+            "pixel above maxval": header + raster.tobytes(),
+            "zero-byte file": b"",
+        }[fault])
+
+
+@pytest.mark.parametrize("fault", [
+    "non-numeric header", "truncated header", "non-P5 header", "truncated raster",
+    "pixel above maxval", "geometry change", "zero-byte file", "directory",
+])
+@settings(deadline=None, max_examples=8)
+@given(in_truth=st.booleans(), index=st.integers(0, 23), wide=st.booleans(),
+       sweep=st.booleans())
+def test_a_corrupt_input_file_exits_with_its_path_and_writes_nothing(fault, in_truth, index,
+                                                                     wide, sweep):
+    # One file of a valid 24-frame set or of its truth is corrupted in one
+    # way; the frames are 8-bit or maxval 1000. The run stops before its
+    # first chunk with the documented exit code (4 for a directory, which
+    # cannot be read as a file; 2 for every other fault) and one stderr line
+    # that names the file. A first file of another geometry is named by the
+    # second, which differs from it.
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main(synth_args(tmp)) == 0
+        frames = sorted(glob.glob(os.path.join(tmp, "frames", "*.pgm")))
+        truth = sorted(glob.glob(os.path.join(tmp, "truth", "*.pgm")))
+        if wide:
+            for p in frames:
+                img, _ = load_pgm(p)
+                save_pgm(p, np.rint(img * (1000 / 255)).astype(np.uint16), 1000)
+        files = truth if in_truth else frames
+        corrupt(files[index], fault, wide and not in_truth)
+        named = files[1 if fault == "geometry change" and index == 0 else index]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["bgsub", "--frames", os.path.join(tmp, "frames", "*.pgm"),
+                         "--truth", os.path.join(tmp, "truth", "*.pgm"),
+                         "--out", os.path.join(tmp, "out"), "--chunk-length", "12",
+                         "--k", "4", "--p", "2", "--q", "1", "--seed", "0",
+                         *([] if sweep else ["--tau", "0.2"])])
+        assert code == (4 if fault == "directory" else 2)
+        assert err.getvalue().count("\n") == 1 and named in err.getvalue()
+        assert not os.path.exists(os.path.join(tmp, "out", "chunk_000"))
+        assert not os.path.exists(os.path.join(tmp, "out", "masks"))

@@ -20,7 +20,6 @@ from dmdmotion.evaluation import (
     ConfusionCounts,
     best_f_from_counts,
     confusion,
-    evaluate_masks,
     f_measure_from_rates,
     metrics_row,
     rates,
@@ -119,10 +118,11 @@ def test_f_measure_published_value():
 
 def test_zero_denominators_flagged():
     empty = masks_of(np.zeros((1, 2, 2)))
-    rates = evaluate_masks(empty, empty)
-    assert rates["recall"] == 0.0 and rates["precision"] == 0.0
-    assert rates["specificity"] == 1.0
-    assert rates["undefined_rates"] is True
+    c = confusion(empty, empty)
+    r = rates(c)
+    assert r["recall"] == 0.0 and r["precision"] == 0.0
+    assert r["specificity"] == 1.0
+    assert c.undefined_rates is True
 
 
 @settings(deadline=None, max_examples=50)

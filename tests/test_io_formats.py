@@ -298,18 +298,20 @@ def test_frames_fill_matches_stacked_columns(tmp_path, maxval):
 
 @pytest.mark.parametrize(
     "n_frames",
-    # Frames 0 and 1 are 8-bit, so a lone pair fills the uint8 buffer alone.
-    # From frame 2, the first 16-bit one, frames go in uint16 blocks of n/2:
-    # one full block (3, 4 frames), a one-frame last block (5, 6), and long
-    # chunks whose last block is short.
+    # The maxvals repeat every six frames as 255, 100, 100, 1000, 1000,
+    # 65535, and each run of equal maxval is divided as one: a chunk of two
+    # 8-bit runs (2, 3 frames), a lone 16-bit frame after them (4), a run of
+    # two 16-bit frames (5), a 16-bit run at the end (6), and long chunks
+    # that end inside a run.
     [2, 3, 4, 5, 6, 63, 64, 65, 1023, 1024, 1025],
 )
 def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
-    # 8-bit and 16-bit rasters of four maxvals share one glob.
+    # 8-bit and 16-bit rasters of four maxvals share one glob: the 8-bit ones
+    # go through the uint8 buffer, the 16-bit ones straight into their columns.
     rng = np.random.default_rng(n_frames)
-    maxvals = [255, 100, 1000, 65535]
+    maxvals = [255, 100, 100, 1000, 1000, 65535]
     for t in range(n_frames):
-        maxval = maxvals[t % 4]
+        maxval = maxvals[t % 6]
         save_pgm(str(tmp_path / f"f_{t:05d}.pgm"), rng.integers(0, maxval + 1, size=(3, 5)), maxval)
     D, paths = load_frames(str(tmp_path / "f_*.pgm"))
     # The former fill: each frame divided straight into its matrix column.
@@ -319,6 +321,11 @@ def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
         np.divide(img.reshape(-1), maxval, out=expected[:, j], dtype=np.float64)
     assert D.data.flags.c_contiguous
     assert D.data.shape == expected.shape and D.data.tobytes() == expected.tobytes()
+    # A chunk that starts on a 16-bit frame makes its uint8 buffer at its
+    # first 8-bit frame, if it has one.
+    if n_frames > 4:
+        tail = scan_frames(str(tmp_path / "f_*.pgm")).columns(3, n_frames).data
+        assert tail.tobytes() == expected[:, 3:].copy().tobytes()
 
 
 @pytest.mark.parametrize("pad", [4083, 4084, 4085, 4090, 4093, 5000])
@@ -362,17 +369,21 @@ def test_a_frame_rewritten_after_its_scan_is_checked_when_read(tmp_path, maxval)
 
 
 def test_frames_hold_one_copy_of_the_video(tmp_path):
+    # An 8-bit chunk and a 16-bit one. The 8-bit rasters go through a uint8
+    # buffer of 1/8 of the matrix; a 16-bit frame is cast straight into its
+    # column, so a 16-bit chunk makes no buffer.
     rng = np.random.default_rng(5)
-    for t in range(40):
-        save_pgm(str(tmp_path / f"f_{t:02d}.pgm"),
-                 rng.integers(0, 256, size=(48, 64)).astype(np.uint8))
-    tracemalloc.start()
-    try:
-        D, _ = load_frames(str(tmp_path / "f_*.pgm"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.15 * D.data.nbytes
+    for maxval in (255, 1000):
+        for t in range(40):
+            save_pgm(str(tmp_path / f"f{maxval}_{t:02d}.pgm"),
+                     rng.integers(0, maxval + 1, size=(48, 64)), maxval)
+        tracemalloc.start()
+        try:
+            D, _ = load_frames(str(tmp_path / f"f{maxval}_*.pgm"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * D.data.nbytes
 
 
 # ------------------------------------------------------------------ masks

@@ -1,6 +1,7 @@
 """End-to-end pipeline: chunking, sweeps, outputs."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -181,7 +182,7 @@ def test_sweep_summary_and_final_metrics():
     # the final masks are the ones whose counts chose the filtered optimum
     assert s["f_measure"] == s["best_f_filtered"]
     _, truth = generate_synthetic(SQUARE)
-    rates = ev.evaluate_masks(report.masks, truth)
+    rates = ev.rates(ev.confusion(report.masks, truth))
     for key in ("recall", "precision", "specificity", "f_measure"):
         assert s[key] == rates[key]
 
@@ -727,30 +728,54 @@ def test_sweep_memory_grows_by_bytes_per_pixel_not_by_chunks(tmp_path):
     assert six - two <= 3 * 400 * 48 * 64
 
 
-def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch):
+def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch, tmp_path):
     # At a fixed tau with nothing to replay, a chunk's masks are filtered
     # straight into the run's masks and its background factors are dropped
     # with it, so every chunk starts its decomposition with the memory of
     # the first. Three modes of the 5120-pixel frames are 245,760 bytes,
-    # and one chunk's masks 256,000.
+    # and one chunk's masks 256,000. A sweep, and a fixed tau with truth and
+    # an output directory, keep each chunk's background factors for the tau
+    # grid, and the writer may still hold the previous chunk's decomposition
+    # when the next one starts, with the buffer of the file it is writing: a
+    # later chunk may start with exactly those arrays and that buffer more.
     spec = SyntheticSpec(frame_height=64, frame_width=80, n_frames=150, noise_sigma=0.04,
                          objects=(MovingRect(9.0, 2.0, 8, 8, 1.0, (0.0, 0.3)),), seed=5)
-    cfg = RunConfig(synthetic=spec, k=5, chunk_length=50, tau=0.3)
-    run_bgsub(cfg)  # warm-up: one-time allocations of numpy and the package
-    entries = []
+    factors_of = pipeline.bg.background_factors
+    runs = [  # (tau, output directory, factors kept, decomposition held)
+        (0.3, None, False, False),
+        (None, None, True, False),
+        (0.3, tmp_path / "out", True, True),
+    ]
+    for tau, out, keeps, holds in runs:
+        cfg = RunConfig(synthetic=spec, k=5, chunk_length=50, tau=tau,
+                        output_dir=None if out is None else str(out))
+        run_bgsub(cfg)  # warm-up: one-time allocations of numpy and the package
+        entries, kept, held = [], [], []
 
-    def traced_rdmd(*args, **kwargs):
-        entries.append(tracemalloc.get_traced_memory()[0])
-        return rdmd(*args, **kwargs)
+        def traced_rdmd(*args, **kwargs):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            dec = rdmd(*args, **kwargs)
+            held.append(dec.modes.nbytes + dec.eigenvalues.nbytes + dec.amplitudes.nbytes)
+            return dec
 
-    monkeypatch.setattr(pipeline, "rdmd", traced_rdmd)
-    tracemalloc.start()
-    try:
-        report = run_bgsub(cfg)
-    finally:
-        tracemalloc.stop()
-    assert len(entries) == 3 and all(c.ok for c in report.chunks)
-    assert max(entries[1:]) - entries[0] < 16 * 1024
+        def traced_factors(*args):
+            factors = factors_of(*args)
+            kept.append(sum(f.nbytes for f in factors))
+            return factors
+
+        monkeypatch.setattr(pipeline, "rdmd", traced_rdmd)
+        monkeypatch.setattr(pipeline.bg, "background_factors", traced_factors)
+        tracemalloc.start()
+        try:
+            report = run_bgsub(cfg)
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert len(entries) == 3 and all(c.ok for c in report.chunks)
+        for i in (1, 2):
+            bound = (keeps * sum(kept[:i]) + holds * (held[i - 1] + io.DEFAULT_BUFFER_SIZE)
+                     + 16 * 1024)
+            assert entries[i] - entries[0] < bound
 
 
 def test_snapshot_columns_rejects_a_single_frame():
@@ -795,7 +820,7 @@ def test_failed_chunk_is_contained(tmp_path):
         assert report.masks.masks[30:].any()
         assert "FAILED" in (out / "report.txt").read_text()
         # the final rates score only the frames of the chunks that ran
-        rates = ev.evaluate_masks(ForegroundMaskSequence(report.masks.masks[30:]), truth)
+        rates = ev.rates(ev.confusion(ForegroundMaskSequence(report.masks.masks[30:]), truth))
         for key in ("recall", "precision", "specificity", "f_measure"):
             assert report.summary[key] == rates[key]
 
