@@ -16,6 +16,7 @@ import numpy as np
 from .dmd import (
     DmdDecomposition,
     SnapshotMatrix,
+    _block_length,
     _unscanned,
     reconstruct,
     reconstruction_factors,
@@ -38,17 +39,6 @@ __all__ = [
 # Eigenvalues below this magnitude have no usable logarithm; the modes they
 # describe are one-step transients and never enter the background set.
 ZERO_EIGENVALUE_CUTOFF = 1e-12
-
-# Pixels per block of factor_residual. A block's complex background is
-# RESIDUAL_BLOCK x n (1.6 MB for a 200-frame chunk); pixel blocks keep every
-# operand's rows contiguous, where blocks of frames would leave the
-# subtraction 16-element strided rows.
-RESIDUAL_BLOCK = 512
-
-# Bytes of mask frames that filter_masks counts per block (at least one frame).
-MASK_BLOCK_BYTES = 1 << 20
-# Pixels per strip in which _copy_frames copies a block of frames.
-_GATHER_PIXELS = 8192
 
 # Two frequency moduli within this relative tolerance are treated as tied, so
 # conjugate pairs are selected or rejected together.
@@ -173,12 +163,12 @@ def background_factors(
 def factor_residual(
     D: SnapshotMatrix, modes: np.ndarray, temporal: np.ndarray, out: np.ndarray | None = None
 ) -> ResidualSequence:
-    """residual(D, modes @ temporal), in blocks of RESIDUAL_BLOCK pixels.
+    """residual(D, modes @ temporal), in contiguous blocks of pixels.
 
-    Equal to that bit for bit, but the complex background exists one block
-    at a time, never as the whole m x n chunk. The same factors give the
-    same bytes on every call, so a residual can be dropped and rebuilt.
-    out, when given, takes the residual's values; it may be D.data itself,
+    Equal to that bit for bit, but the complex background, 16 n bytes per
+    pixel, exists one block of BLOCK_BYTES at a time, never as the whole
+    m x n chunk. The same factors give the same bytes on every call, so a
+    residual can be dropped and rebuilt. out, when given, takes the residual's values; it may be D.data itself,
     whose frames are then overwritten. The factors are background_factors',
     whose product is checked not to overflow, so the residual of D's
     checked frames is finite and nonnegative and is not scanned again.
@@ -190,9 +180,10 @@ def factor_residual(
         )
     values = np.empty(D.data.shape) if out is None else out
     # A one-pixel block would be a vector-matrix product, which rounds
-    # differently from the matrix product, so a last block of one pixel more
-    # than RESIDUAL_BLOCK is kept whole.
-    edges = [*range(0, max(D.n_pixels - 1, 1), RESIDUAL_BLOCK), D.n_pixels]
+    # differently from the matrix product, so a block has at least 2 pixels
+    # and a last block of one pixel more than a block is kept whole.
+    block = max(2, _block_length(16 * D.n_frames))
+    edges = [*range(0, max(D.n_pixels - 1, 1), block), D.n_pixels]
     for start, stop in zip(edges, edges[1:]):
         out = values[start:stop]
         np.subtract(D.data[start:stop], (modes[start:stop] @ temporal).real, out=out)
@@ -228,11 +219,12 @@ def _box_sum(src: np.ndarray, out: np.ndarray, radius: int) -> None:
 def _copy_frames(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[...] = src for (n_frames, height, width) masks, in strips of rows.
 
-    A few rows at a time, so the source's cache lines, which hold
-    consecutive frames of a pixel in a threshold_mask view, stay cached
-    across the frames; a plain copy walks that view frame by frame.
+    A strip spans BLOCK_BYTES of the source's rows, so the source's cache
+    lines, which hold consecutive frames of a pixel in a threshold_mask
+    view, stay cached across the frames; a plain copy walks that view frame
+    by frame.
     """
-    strip = max(1, _GATHER_PIXELS // max(src.shape[2], 1))
+    strip = _block_length(src.strides[1])
     for y in range(0, src.shape[1], strip):
         dst[:, y : y + strip] = src[:, y : y + strip]
 
@@ -244,32 +236,31 @@ def filter_masks(
 
     A binary median is a majority vote, so each frame's kernel x kernel box
     count (a horizontal and a vertical box sum of shifted integer adds) is
-    compared against half the window. Frames are counted MASK_BLOCK_BYTES of
-    mask at a time (at least one frame), in contiguous buffers reused from
-    block to block; the counts' type holds kernel**2. out, when given, is a
-    bool array of seq's shape that takes the filtered masks; a kernel of 1
-    copies seq into it, or without it returns seq itself.
+    compared against half the window. seq is first copied into the output
+    (see _copy_frames), whose frames are then counted in blocks and written
+    over; a block's two counts, in a type that holds kernel**2, span
+    BLOCK_BYTES (at least one frame) and are reused from block to block.
+    out, when given, is a bool array of seq's shape that takes the filtered
+    masks; without it a kernel of 1 returns seq itself.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
-    if kernel == 1:
-        if out is None:
-            return seq
-        _copy_frames(out, seq.masks)
-        return ForegroundMaskSequence(masks=out, tau=seq.tau)
+    if kernel == 1 and out is None:
+        return seq
     masks = np.empty(seq.masks.shape, dtype=bool) if out is None else out
-    n_frames, height, width = seq.masks.shape
-    votes = seq.masks.view(np.uint8)
-    block = max(1, min(n_frames, MASK_BLOCK_BYTES // max(height * width, 1)))
+    _copy_frames(masks, seq.masks)
+    if kernel == 1:
+        return ForegroundMaskSequence(masks=masks, tau=seq.tau)
+    n_frames, height, width = masks.shape
+    votes = masks.view(np.uint8)
     acc = np.min_scalar_type(kernel * kernel)
-    frames = np.empty((block, height, width), dtype=np.uint8)
-    rows = np.empty(frames.shape, dtype=acc)
-    count = np.empty(frames.shape, dtype=acc)
+    block = _block_length(2 * height * width * acc.itemsize)
+    rows = np.empty((min(block, n_frames), height, width), dtype=acc)
+    count = np.empty(rows.shape, dtype=acc)
     for start in range(0, n_frames, block):
         stop = min(start + block, n_frames)
         b = stop - start
-        _copy_frames(frames[:b], votes[start:stop])
-        _box_sum(frames[:b], rows[:b], kernel // 2)
+        _box_sum(votes[start:stop], rows[:b], kernel // 2)
         _box_sum(rows[:b].swapaxes(1, 2), count[:b].swapaxes(1, 2), kernel // 2)
         np.greater_equal(count[:b], (kernel * kernel + 1) // 2, out=masks[start:stop])
     return ForegroundMaskSequence(masks=masks, tau=seq.tau)

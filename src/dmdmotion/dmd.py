@@ -48,8 +48,9 @@ MEDIAN_FRAME = "median"
 # otherwise.
 PINV_RCOND = 1e-12
 
-# Pixels per block of the median anchor's partition.
-ANCHOR_BLOCK = 1024
+# Bytes that every blocked pass over a chunk holds or touches per block,
+# whatever the chunk's length; see _block_length.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,11 @@ def _unscanned(cls, *values):
         object.__setattr__(obj, field.name, value)
     obj._check_shape()
     return obj
+
+
+def _block_length(item_bytes: int) -> int:
+    """Items per block of a pass that holds item_bytes per item: at least 1."""
+    return max(1, BLOCK_BYTES // max(item_bytes, 1))
 
 
 @dataclass(frozen=True)
@@ -200,14 +206,15 @@ def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
     if anchor == MEDIAN_FRAME:
         # np.median without its NaN scan (SnapshotMatrix rules NaN out): one
         # partition, then the middle element or the mean of the middle two,
-        # formed as np.median forms it. Blocks of ANCHOR_BLOCK pixels are
-        # copied into one reused buffer and partitioned there in place.
+        # formed as np.median forms it. Blocks of pixels are copied into one
+        # reused buffer of n float64s per pixel and partitioned there in place.
         m, n = X.shape
         mid = n // 2
         out = np.empty(m)
-        buf = np.empty((min(ANCHOR_BLOCK, m), n))
-        for start in range(0, m, ANCHOR_BLOCK):
-            stop = min(start + ANCHOR_BLOCK, m)
+        block = _block_length(8 * n)
+        buf = np.empty((min(block, m), n))
+        for start in range(0, m, block):
+            stop = min(start + block, m)
             P = buf[: stop - start]
             P[...] = X[start:stop]
             P.partition(mid, axis=1)

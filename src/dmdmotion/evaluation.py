@@ -16,10 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .background import ForegroundMaskSequence, ResidualSequence
+from .dmd import _block_length
 
-# Bytes of scratch per block of sweep_counts: of a block's ranking, and of
-# its median network and histogram key (at least one frame).
-WINDOW_BLOCK_BYTES = 1 << 20
 # Bytes _rank holds per entry at its peak: the float64 guess, the intp rank
 # and two bool masks.
 _RANK_BYTES = 18
@@ -314,7 +312,7 @@ def _ranked_counts(
     # matching truth; the histogram does not depend on the pixel order.
     m = h * w
     truth_by_pixel = truth.masks.reshape(n, m).T
-    rows = max(1, WINDOW_BLOCK_BYTES // (_RANK_BYTES * n))
+    rows = _block_length(_RANK_BYTES * n)
     for start in range(0, m, rows):
         key = _rank(S.values[start : start + rows], sorted_taus)
         if ranks is not None:
@@ -333,13 +331,13 @@ def _ranked_counts(
     # holds kernel**2 rank frames and its histogram key one intp per pixel.
     filtered = np.zeros_like(raw)
     frame_bytes = m * (kernel * kernel * ranks.itemsize + np.dtype(np.intp).itemsize)
-    block = max(1, min(n, WINDOW_BLOCK_BYTES // frame_bytes))
+    block = _block_length(frame_bytes)
     for start in range(0, n, block):
-        medians = _window_medians(ranks[start : start + block], kernel)
         # A window lies within its frame, so no later block reads these ranks.
-        ranks[start : start + block] = medians
+        frames = ranks[start : start + block]
+        frames[...] = _window_medians(frames, kernel)
         # bincount counts intp keys, so the key is formed in that type.
-        key = np.multiply(medians, 2, dtype=np.intp)
+        key = np.multiply(frames, 2, dtype=np.intp)
         key += truth.masks[start : start + block]
         filtered += np.bincount(key.ravel(), minlength=filtered.size)
     return _counts(raw, order), _counts(filtered, order)
@@ -361,12 +359,10 @@ def sweep_counts(
 
     kernel > 1 scores the median-filtered masks of filter_masks instead,
     from the histogram of the kernel x kernel window medians of the ranks
-    (edges replicated), which are then held for the whole of S. Entries are
-    ranked WINDOW_BLOCK_BYTES / _RANK_BYTES at a time, which keeps the
-    ranking's scratch within WINDOW_BLOCK_BYTES. Frames are filtered
-    WINDOW_BLOCK_BYTES / (kernel**2 r + 8) pixels at a time (at least one
-    frame), for ranks of r bytes, which keeps a block's kernel**2 network
-    frames and its intp histogram key within WINDOW_BLOCK_BYTES.
+    (edges replicated), which are then held for the whole of S. Blocks of
+    entries are ranked in BLOCK_BYTES, at _RANK_BYTES per entry, and blocks
+    of frames are filtered in BLOCK_BYTES, at kernel**2 r + 8 bytes per
+    pixel for ranks of r bytes: the network's frames and an intp key.
     """
     return _ranked_counts(S, truth, taus, kernel)[1]
 

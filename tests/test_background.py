@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dmdmotion import background
+from dmdmotion import background, dmd
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
@@ -23,6 +23,7 @@ from dmdmotion.background import (
 )
 from dmdmotion.dmd import (
     FIRST_FRAME,
+    MEDIAN_FRAME,
     DmdDecomposition,
     SnapshotMatrix,
     deterministic_dmd,
@@ -30,6 +31,7 @@ from dmdmotion.dmd import (
     reconstruct,
 )
 from dmdmotion.errors import DegenerateDataError
+from dmdmotion.evaluation import _ranked_counts, tau_grid
 from dmdmotion.io_formats import load_frames, save_pgm
 from dmdmotion.linalg import SketchConfig
 
@@ -266,23 +268,26 @@ def pair_decomposition(n_pixels, n_frames, seed=0):
 def test_background_residual_is_bit_identical_to_residual_of_model(
     monkeypatch, n_pixels, n_frames
 ):
-    # Blocks of 16 pixels here, so a block boundary falls inside the frame;
-    # 17 and 33 pixels leave a one-pixel tail.
-    monkeypatch.setattr(background, "RESIDUAL_BLOCK", 16)
+    # Blocks of 16 pixels (16 n bytes each), so a block boundary falls
+    # inside the frame and 17 and 33 pixels leave a one-pixel tail; then a
+    # budget of one byte, whose blocks are the smallest, 2 pixels.
     dec = pair_decomposition(n_pixels, n_frames)
     background_indices = partition_modes(fourier_modes(dec), 2)
     assert background_indices == (0, 1, 2)  # the pair joins the static mode
     D = SnapshotMatrix(np.random.default_rng(1).uniform(size=(n_pixels, n_frames)),
                        1, n_pixels)
     expected = residual(D, background_model(dec, background_indices)).values
-    S = factor_residual(D, *background_factors(dec, background_indices))
-    assert S.values.tobytes() == expected.tobytes()
+    for budget in (16 * 16 * n_frames, 1):
+        monkeypatch.setattr(dmd, "BLOCK_BYTES", budget)
+        S = factor_residual(D, *background_factors(dec, background_indices))
+        assert S.values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_frames", [15, 16, 17, 33])
-def test_background_residual_of_static_rank_collapsed_chunk(n_frames):
-    # Frame size 2 * RESIDUAL_BLOCK + 1 gives two full blocks and a tail.
-    frame = np.random.default_rng(2).uniform(size=2 * background.RESIDUAL_BLOCK + 1)
+def test_background_residual_of_static_rank_collapsed_chunk(monkeypatch, n_frames):
+    # Blocks of 512 pixels and a frame of 1025 give two full blocks and a tail.
+    monkeypatch.setattr(dmd, "BLOCK_BYTES", 512 * 16 * n_frames)
+    frame = np.random.default_rng(2).uniform(size=2 * 512 + 1)
     D = SnapshotMatrix(np.repeat(frame[:, None], n_frames, axis=1), 1, frame.size)
     dec = rdmd(D, SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=3))
     assert dec.rank == 1
@@ -293,7 +298,8 @@ def test_background_residual_of_static_rank_collapsed_chunk(n_frames):
 
 
 def test_background_residual_never_holds_the_complex_background():
-    n_pixels, n_frames = 8 * background.RESIDUAL_BLOCK, 40
+    n_frames = 40
+    n_pixels = 8 * dmd._block_length(16 * n_frames)
     dec = pair_decomposition(n_pixels, n_frames)
     background_indices = partition_modes(fourier_modes(dec), 2)
     D = SnapshotMatrix(np.full((n_pixels, n_frames), 0.5), 1, n_pixels)
@@ -306,6 +312,44 @@ def test_background_residual_never_holds_the_complex_background():
     # The residual plus one block; the whole complex background is twice the
     # residual's size.
     assert peak < 1.5 * S.values.nbytes
+
+
+@pytest.mark.parametrize("n_frames", [100, 400])
+def test_every_blocked_pass_holds_a_bounded_multiple_of_the_block_budget(n_frames):
+    # Each pass's traced scratch, beyond its inputs and outputs, on a 48x64
+    # chunk. A block of a fixed pixel count would grow with the chunk
+    # length: 512 residual pixels hold 3.1 budgets at 400 frames. The
+    # sweep's median network holds kernel**2 + 1 rank frames and a padded
+    # one, where its block is sized for kernel**2 frames and an intp key.
+    h, w = 48, 64
+    m = h * w
+    rng = np.random.default_rng(n_frames)
+    D = SnapshotMatrix(rng.uniform(size=(m, n_frames)), h, w)
+    modes = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+    temporal = rng.normal(size=(3, n_frames)) + 0j
+    S = ResidualSequence(rng.uniform(size=(m, n_frames)), h, w)
+    seq = threshold_mask(S, 0.5)
+    truth = ForegroundMaskSequence(rng.uniform(size=(n_frames, h, w)) < 0.1)
+    masks = np.empty((n_frames, h, w), dtype=bool)
+    ranks = np.empty((n_frames, h, w), dtype=np.uint8)
+
+    def scratch(call):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / dmd.BLOCK_BYTES
+
+    # The anchor's output, one float64 per pixel, is not its scratch.
+    assert scratch(lambda: dmd._anchor_frame(D, MEDIAN_FRAME)) - 8 * m / dmd.BLOCK_BYTES <= 1.1
+    assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data)) <= 1.1
+    for kernel in (3, 17):
+        assert scratch(lambda: filter_masks(seq, kernel, out=masks)) <= 1.1
+    for kernel in (1, 3, 5):
+        assert scratch(
+            lambda: _ranked_counts(S, truth, tau_grid(1.0), kernel, ranks)) <= 1.25
 
 
 def test_background_residual_checks_its_inputs():
@@ -444,16 +488,26 @@ def test_filter_masks_of_a_threshold_view_equals_the_oracle(
     monkeypatch, shape, kernel, block_frames, strip_rows
 ):
     # threshold_mask returns a transposed view whose frame axis is the
-    # contiguous one. Blocks of 1, 2 (with a one-frame tail) and all 5
-    # frames, copied in strips of 2 rows or whole; kernel 17 is larger than
-    # every frame, so every shift clamps.
+    # contiguous one. It is copied into the output in strips of 2 rows, or
+    # in the strips its budget gives, and counted there in blocks of 1, 2
+    # (with a one-frame tail) and all 5 frames of two counts each; kernel
+    # 17 is larger than every frame, so every shift clamps, and its counts
+    # are uint16.
     h, w = shape
     rng = np.random.default_rng(h * w * kernel)
     seq = threshold_mask(ResidualSequence(rng.uniform(size=(h * w, 5)), h, w), 0.5)
     assert not seq.masks.flags.c_contiguous
-    monkeypatch.setattr(background, "MASK_BLOCK_BYTES", block_frames * h * w)
+    frame_bytes = 2 * h * w * np.min_scalar_type(kernel * kernel).itemsize
+    monkeypatch.setattr(dmd, "BLOCK_BYTES", block_frames * frame_bytes)
     if strip_rows is not None:
-        monkeypatch.setattr(background, "_GATHER_PIXELS", strip_rows * w)
+        copy_frames = background._copy_frames
+
+        def copy_in_strips(dst, src):
+            with monkeypatch.context() as patch:
+                patch.setattr(dmd, "BLOCK_BYTES", strip_rows * src.strides[1])
+                copy_frames(dst, src)
+
+        monkeypatch.setattr(background, "_copy_frames", copy_in_strips)
     filtered = filter_masks(seq, kernel)
     reference = np.stack([median_filter(frame, kernel) for frame in seq.masks])
     assert np.array_equal(filtered.masks, reference)
@@ -462,9 +516,9 @@ def test_filter_masks_of_a_threshold_view_equals_the_oracle(
 
 @pytest.mark.parametrize("kernel", [1, 3])
 @pytest.mark.parametrize("shape", [(16, 16), (10, 2048)])
-def test_copy_frames_equals_a_plain_copy(kernel, shape):
-    # A 16x16 frame is smaller than one strip of _GATHER_PIXELS; a
-    # 2048-pixel row makes 4-row strips, so two strip boundaries fall inside
+def test_copy_frames_equals_a_plain_copy(monkeypatch, kernel, shape):
+    # A 16x16 frame is smaller than one strip of BLOCK_BYTES; a budget of 4
+    # source rows makes 4-row strips, so two strip boundaries fall inside
     # each 10-row frame and the last strip is short. At kernel 1 the source
     # is threshold_mask's transposed view, at kernel 3 filter_masks' copy.
     h, w = shape
@@ -475,6 +529,8 @@ def test_copy_frames_equals_a_plain_copy(kernel, shape):
     plain = np.zeros((9, h, w), dtype=bool)
     plain[2:7] = masks
     strips = np.zeros_like(plain)
+    if h == 10:
+        monkeypatch.setattr(dmd, "BLOCK_BYTES", 4 * masks.strides[1])
     background._copy_frames(strips[2:7], masks)
     assert np.array_equal(strips, plain)
 
@@ -482,9 +538,10 @@ def test_copy_frames_equals_a_plain_copy(kernel, shape):
 @pytest.mark.parametrize("kernel", [1, 3, 5])
 def test_filter_masks_into_a_slice_equals_the_fresh_masks(monkeypatch, kernel):
     # The pipeline filters each chunk straight into its frames of the run's
-    # masks: the same bytes as a fresh filter, in blocks of 2 frames with a
-    # one-frame tail, and nothing outside the slice is written.
-    monkeypatch.setattr(background, "MASK_BLOCK_BYTES", 2 * 7 * 9)
+    # masks: the same bytes as a fresh filter, in blocks of 2 frames (of two
+    # uint8 counts each) with a one-frame tail, and nothing outside the
+    # slice is written.
+    monkeypatch.setattr(dmd, "BLOCK_BYTES", 2 * 7 * 9 * 2)
     S = ResidualSequence(np.random.default_rng(kernel).uniform(size=(7 * 9, 5)), 7, 9)
     seq = threshold_mask(S, 0.5)
     run = np.ones((9, 7, 9), dtype=bool)

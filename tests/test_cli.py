@@ -249,6 +249,14 @@ def test_bgsub_lapack_failure_in_every_chunk_exits_3(tmp_path, capsys, monkeypat
     assert "degenerate" in capsys.readouterr().err
     report = (tmp_path / "out" / "report.txt").read_text()
     assert report.count("FAILED LinAlgError: dorgqr returns 2") == 2
+    # decompose has one chunk, so the failure is the command's: exit 5.
+    code = main([
+        "decompose", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+        "--out", str(tmp_path / "dec"), "--k", "3", "--p", "2", "--q", "1", "--seed", "0",
+    ])
+    assert code == 5
+    assert capsys.readouterr().err == "error (numerical): dorgqr returns 2\n"
+    assert not (tmp_path / "dec" / "manifest.txt").exists()
 
 
 def test_bgsub_sweep_all_chunks_failed_exits_3(tmp_path, capsys):

@@ -324,14 +324,14 @@ def test_median_anchor_equals_np_median(n_frames, tied):
     assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize(
-    "n_pixels", [1, dmd.ANCHOR_BLOCK - 1, dmd.ANCHOR_BLOCK, dmd.ANCHOR_BLOCK + 1]
-)
+@pytest.mark.parametrize("n_pixels", [1, 1023, 1024, 1025])
 @pytest.mark.parametrize("n_frames", [8, 9])
 @pytest.mark.parametrize("tied", [False, True])
-def test_blocked_median_anchor_equals_np_median(n_pixels, n_frames, tied):
-    # One block, one short of a block, exactly one, and one pixel into the
+def test_blocked_median_anchor_equals_np_median(monkeypatch, n_pixels, n_frames, tied):
+    # Blocks of 1024 pixels, of 8 bytes per left-sequence frame each: one
+    # pixel, one short of a block, exactly one, and one pixel into the
     # second; left sequences of odd (7) and even (8) length.
+    monkeypatch.setattr(dmd, "BLOCK_BYTES", 1024 * 8 * (n_frames - 1))
     values = np.random.default_rng(n_pixels + n_frames).uniform(size=(n_pixels, n_frames))
     if tied:
         values = np.round(values * 3) / 3

@@ -15,7 +15,7 @@ from dmdmotion.background import (
     ResidualSequence,
     threshold_mask,
 )
-from dmdmotion import evaluation
+from dmdmotion import dmd, evaluation
 from dmdmotion.evaluation import (
     ConfusionCounts,
     best_f_from_counts,
@@ -432,7 +432,7 @@ def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kern
     truth = masks_of(rng.uniform(size=(7, h, w)) < 0.3)
     taus = [0.0, 0.25, 0.3, 0.5, 0.5, 1.0]
     frame_bytes = h * w * (kernel * kernel + np.dtype(np.intp).itemsize)
-    monkeypatch.setattr(evaluation, "WINDOW_BLOCK_BYTES", block_frames * frame_bytes)
+    monkeypatch.setattr(dmd, "BLOCK_BYTES", block_frames * frame_bytes)
     assert np.array_equal(sweep_counts(S, truth, taus, kernel), loop_counts(S, truth, taus, kernel))
 
 
@@ -440,7 +440,7 @@ def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kern
 def test_unfiltered_sweep_ranks_within_the_window_block(m, n):
     # At kernel 1 the sweep's scratch is its ranking blocks alone, which
     # hold a float64 guess, an intp rank and two bool masks per entry: 2.25
-    # window blocks when sized as one intp each.
+    # budgets when sized as one intp each.
     rng = np.random.default_rng(m)
     S = ResidualSequence(rng.uniform(size=(m, n)), 1, m)
     truth = masks_of(np.zeros((n, 1, m)))
@@ -450,14 +450,15 @@ def test_unfiltered_sweep_ranks_within_the_window_block(m, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * evaluation.WINDOW_BLOCK_BYTES
+    assert peak <= 1.1 * dmd.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("kernel", [1, 3])
 def test_sweep_counts_scratch_is_bounded_by_the_window_block(kernel):
     # A 64x64x200 chunk's residual is 6.5 MB, and the sweep once held a
-    # filtered copy and an int64 rank of it. Its scratch is now a few window
-    # blocks, plus, when filtered, the chunk's one-byte ranks (0.8 MB here).
+    # filtered copy and an int64 rank of it. Its scratch is now a few
+    # blocks of BLOCK_BYTES, plus, when filtered, the chunk's one-byte ranks
+    # (0.8 MB here).
     rng = np.random.default_rng(kernel)
     S = ResidualSequence(rng.uniform(size=(64 * 64, 200)), 64, 64)
     truth = masks_of(rng.uniform(size=(200, 64, 64)) < 0.1)
@@ -468,7 +469,7 @@ def test_sweep_counts_scratch_is_bounded_by_the_window_block(kernel):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * evaluation.WINDOW_BLOCK_BYTES
+    assert peak < 4 * dmd.BLOCK_BYTES
 
 
 def test_sweep_counts_rejects_mismatched_truth_and_even_kernel():

@@ -355,8 +355,9 @@ def test_scan_reads_a_header_that_runs_past_its_first_read(tmp_path, pad):
 @pytest.mark.parametrize("maxval", [200, 1000])
 def test_a_frame_rewritten_after_its_scan_is_checked_when_read(tmp_path, maxval):
     # columns does not scan the matrix it builds: each raster is checked
-    # against its maxval as it is read, so a frame that gained a pixel above
-    # its maxval after scan_frames still fails, naming its file.
+    # against its maxval and the scanned geometry as it is read, so a frame
+    # that gained a pixel above its maxval, or another geometry, after
+    # scan_frames still fails, naming its file.
     for t in range(3):
         save_pgm(str(tmp_path / f"f_{t}.pgm"), np.full((2, 3), t, dtype=np.uint16), maxval)
     files = scan_frames(str(tmp_path / "f_*.pgm"))
@@ -365,6 +366,11 @@ def test_a_frame_rewritten_after_its_scan_is_checked_when_read(tmp_path, maxval)
     (tmp_path / "f_1.pgm").write_bytes(data.replace(str(maxval + 1).encode(), str(maxval).encode(), 1))
     path = re.escape(str(tmp_path / "f_1.pgm"))
     with pytest.raises(ValueError, match=f"^{path}: pixel value exceeds maxval {maxval}$"):
+        files.columns(0, 3)
+    save_pgm(str(tmp_path / "f_1.pgm"), np.full((3, 2), 1, dtype=np.uint16), maxval)
+    with pytest.raises(
+        ValueError, match=f"^{path}: frame geometry \\(3, 2\\) differs from first frame \\(2, 3\\)$"
+    ):
         files.columns(0, 3)
 
 

@@ -70,6 +70,13 @@ def test_config_requires_exactly_one_input():
 def test_config_validates_sketch_against_chunk():
     with pytest.raises(ValueError, match="chunk_length"):
         RunConfig(synthetic=SQUARE, chunk_length=10, k=9, p=2)
+    with pytest.raises(ValueError, match="chunk_length must be >= 2, got 1"):
+        RunConfig(synthetic=SQUARE, chunk_length=1)
+    for bad in ({"k": 0}, {"p": -1}, {"q": -1}):
+        with pytest.raises(ValueError, match="need k >= 1, p >= 0, q >= 0"):
+            RunConfig(synthetic=SQUARE, **bad)
+    with pytest.raises(ValueError, match="n_background must be >= 1"):
+        RunConfig(synthetic=SQUARE, n_background=0)
 
 
 def test_config_rejects_even_kernel():
