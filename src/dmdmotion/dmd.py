@@ -19,8 +19,6 @@ from .linalg import (
     SvdFactors,
     _all_finite,
     deterministic_svd,
-    eig,
-    least_squares,
     rsvd,
 )
 
@@ -31,7 +29,6 @@ __all__ = [
     "MEDIAN_FRAME",
     "reduced_operator",
     "dmd_modes",
-    "dmd_amplitudes",
     "rdmd",
     "deterministic_dmd",
     "reconstruction_factors",
@@ -200,6 +197,7 @@ def dmd_modes(Y: np.ndarray, V: np.ndarray, singular_values: np.ndarray, W: np.n
 
 
 def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
+    """The amplitude fit's target: the first, the per-pixel median or an indexed left frame."""
     X = D.data[:, :-1]
     if anchor == FIRST_FRAME:
         return X[:, 0]
@@ -223,24 +221,12 @@ def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
             else:
                 out[start:stop] = (P[:, :mid].max(axis=1) + P[:, mid]) / 2
         return out
-    if isinstance(anchor, (int, np.integer)):
+    if isinstance(anchor, (int, np.integer)) and not isinstance(anchor, bool):
         idx = int(anchor)
         if not 0 <= idx < X.shape[1]:
             raise ValueError(f"anchor frame {idx} outside [0, {X.shape[1]})")
         return X[:, idx]
     raise ValueError(f"unknown amplitude anchor {anchor!r}")
-
-
-def dmd_amplitudes(Phi: np.ndarray, D: SnapshotMatrix, anchor: str | int = MEDIAN_FRAME) -> np.ndarray:
-    """Least-squares amplitudes b with Phi b fitting the anchor frame.
-
-    The median anchor uses the per-pixel median over the left sequence; it is
-    markedly more robust than the first frame when foreground objects are
-    present from the start. Degenerate Phi yields the minimum-norm fit.
-    """
-    if Phi.shape[0] != D.n_pixels:
-        raise ValueError("mode matrix does not match the snapshot pixel count")
-    return least_squares(Phi, _anchor_frame(D, anchor).astype(np.complex128))
 
 
 def _background_first_order(lam: np.ndarray) -> np.ndarray:
@@ -262,14 +248,17 @@ def _decompose(
     Y = D.data[:, 1:]
     M_tilde = reduced_operator(factors, Y)
     r = M_tilde.shape[0]
-    W, lam = eig(M_tilde)
+    lam, W = np.linalg.eig(M_tilde)
+    # Complex even for a real spectrum, so that it sorts and serializes alike.
+    lam, W = lam.astype(np.complex128, copy=False), W.astype(np.complex128, copy=False)
     order = _background_first_order(lam)
     lam = lam[order]
     W = W[:, order]
     Phi = dmd_modes(Y, factors.V[:, :r], factors.singular_values[:r], W)
     if not _all_finite(Phi):
         raise DegenerateDataError("modes contain non-finite entries")
-    b = dmd_amplitudes(Phi, D, anchor)
+    # Least squares on the anchor frame; a degenerate Phi gets the minimum-norm fit.
+    b = np.linalg.lstsq(Phi, _anchor_frame(D, anchor).astype(np.complex128), rcond=None)[0]
     return DmdDecomposition(
         modes=Phi,
         eigenvalues=lam,

@@ -3,9 +3,9 @@
 The randomized path follows the two-stage sketch-and-project scheme: a
 Gaussian sketch captures an approximate range, optional subspace iterations
 sharpen it against slowly decaying spectra, and a small deterministic SVD on
-the projected matrix recovers the factors. Deterministic SVD, eigensolver and
-least squares are thin, validated wrappers over LAPACK and serve as the
-exactness oracles in the test suite.
+the projected matrix recovers the factors. The deterministic SVD is a thin,
+validated wrapper over LAPACK and serves as the exactness oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "random_gaussian",
     "rsvd",
     "rsvd_error_bound",
-    "eig",
-    "least_squares",
 ]
 
 
@@ -241,37 +239,3 @@ def rsvd_error_bound(sigma_l_plus_1: float, m: int, n: int, l: int, q: int) -> f
         raise ValueError(f"q must be >= 0, got {q}")
     base = 1.0 + 4.0 * np.sqrt(2.0 * min(m, n) / (l - 1.0))
     return float(sigma_l_plus_1 * base ** (1.0 / (2.0 * q + 1.0)))
-
-
-def eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a square real matrix.
-
-    Returns (W, lam): unit-normalized eigenvector columns and eigenvalues,
-    both complex, in LAPACK order.
-    """
-    M = _as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got {M.shape}")
-    lam, W = np.linalg.eig(M)
-    return W.astype(np.complex128, copy=False), lam.astype(np.complex128, copy=False)
-
-
-def least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of A x = y via orthogonal factorization.
-
-    Accepts real or complex A with m >= k columns. Rank-deficient systems get
-    the minimum-norm solution rather than an error.
-    """
-    A = np.asarray(A)
-    y = np.asarray(y)
-    if A.ndim != 2:
-        raise ValueError(f"A must be 2-dimensional, got ndim={A.ndim}")
-    m, k = A.shape
-    if m < k:
-        raise ValueError(f"system must be square or overdetermined, got {A.shape}")
-    if y.shape[0] != m:
-        raise ValueError(f"y length {y.shape[0]} does not match {m} rows")
-    if not _all_finite(A):
-        raise ValueError("A contains non-finite entries")
-    x, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return x

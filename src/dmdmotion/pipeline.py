@@ -48,7 +48,8 @@ __all__ = [
 class RunConfig:
     """Everything a background-subtraction run needs.
 
-    Exactly one of frames (a PGM glob pattern) and synthetic must be set.
+    Exactly one of frames (a PGM glob pattern) and synthetic must be set;
+    truth (a glob of mask PGMs) goes with frames, as synthetic input has its own.
     tau fixes the threshold; leaving it None sweeps the thresholds of
     evaluation.tau_grid, which requires ground truth to pick the best one.
     """
@@ -71,6 +72,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.frames is None) == (self.synthetic is None):
             raise ValueError("exactly one of frames and synthetic must be given")
+        if self.synthetic is not None and self.truth is not None:
+            raise ValueError("truth is for frames; synthetic input brings its own")
         if self.chunk_length < 2:
             raise ValueError(f"chunk_length must be >= 2, got {self.chunk_length}")
         if self.k < 1 or self.p < 0 or self.q < 0:
@@ -88,7 +91,9 @@ class RunConfig:
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 1")
         if self.anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (
-            isinstance(self.anchor, (int, np.integer)) and self.anchor >= 0
+            isinstance(self.anchor, (int, np.integer))
+            and not isinstance(self.anchor, bool)
+            and self.anchor >= 0
         ):
             raise ValueError(
                 f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index "

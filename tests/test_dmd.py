@@ -11,14 +11,13 @@ from dmdmotion.dmd import (
     MEDIAN_FRAME,
     SnapshotMatrix,
     deterministic_dmd,
-    dmd_amplitudes,
     dmd_modes,
     rdmd,
     reconstruct,
     reduced_operator,
 )
 from dmdmotion.errors import DegenerateDataError
-from dmdmotion.linalg import SketchConfig, deterministic_svd, eig
+from dmdmotion.linalg import SketchConfig, deterministic_svd
 from dmdmotion.synthetic import planted_linear_snapshots
 
 from helpers import hausdorff_distance, principal_angle_cos
@@ -227,7 +226,7 @@ def test_reduced_operator_recovers_planted_spectrum(planted_three_mode):
     D = planted_three_mode.snapshots
     X, Y = D.data[:, :-1], D.data[:, 1:]
     factors = deterministic_svd(X, 3)
-    _, lam = eig(reduced_operator(factors, Y))
+    lam = np.linalg.eigvals(reduced_operator(factors, Y))
     assert hausdorff_distance(lam, planted_three_mode.eigenvalues) <= 1e-8
 
 
@@ -238,9 +237,7 @@ def test_reduced_operator_scale_invariant(planted_three_mode):
     c = 0.37
     M2 = reduced_operator(deterministic_svd(c * X, 3), c * Y)
     # the two SVDs may disagree on column signs, so compare spectra
-    _, lam1 = eig(M1)
-    _, lam2 = eig(M2)
-    assert hausdorff_distance(lam1, lam2) <= 1e-10
+    assert hausdorff_distance(np.linalg.eigvals(M1), np.linalg.eigvals(M2)) <= 1e-10
 
 
 def test_reduced_operator_degenerate_zero_data():
@@ -256,7 +253,7 @@ def test_modes_static_video_proportional_to_frame():
     D = static_video(0.4)
     X, Y = D.data[:, :-1], D.data[:, 1:]
     f = deterministic_svd(X, 1)
-    W, _ = eig(reduced_operator(f, Y))
+    _, W = np.linalg.eig(reduced_operator(f, Y))
     Phi = dmd_modes(Y, f.V, f.singular_values, W)
     assert Phi.shape == (100, 1)
     assert principal_angle_cos(Phi[:, 0], D.data[:, 0]) >= 1 - 1e-10
@@ -266,7 +263,7 @@ def test_modes_match_planted_directions(planted_three_mode):
     sys = planted_three_mode
     X, Y = sys.snapshots.data[:, :-1], sys.snapshots.data[:, 1:]
     f = deterministic_svd(X, 3)
-    W, lam = eig(reduced_operator(f, Y))
+    lam, W = np.linalg.eig(reduced_operator(f, Y))
     Phi = dmd_modes(Y, f.V, f.singular_values, W)
     for i, lam_i in enumerate(lam):
         j = int(np.argmin(np.abs(sys.eigenvalues - lam_i)))
@@ -281,21 +278,25 @@ def test_modes_shape_validation():
 # ---------------------------------------------------------------- amplitudes
 
 def test_amplitudes_single_mode_unit():
+    # One mode at eigenvalue 1: its amplitude scales it onto the anchor frame,
+    # so the reconstruction is the static video itself.
     D = static_video(0.6)
-    Phi = D.data[:, :1].astype(np.complex128)
-    b = dmd_amplitudes(Phi, D, anchor=FIRST_FRAME)
-    assert np.allclose(b, [1.0])
+    dec = deterministic_dmd(D, 1, anchor=FIRST_FRAME)
+    assert np.allclose(dec.eigenvalues, [1.0])
+    assert np.allclose(reconstruct(dec), D.data, atol=1e-10)
 
 
 def test_amplitudes_static_any_anchor_reconstructs_frame():
     D = static_video(0.3)
-    Phi = D.data[:, :1].astype(np.complex128)
+    sketch = SketchConfig(rank=1, oversampling=0, subspace_iters=0, seed=0)
     for anchor in (FIRST_FRAME, MEDIAN_FRAME, 5):
-        b = dmd_amplitudes(Phi, D, anchor=anchor)
-        assert np.linalg.norm(Phi @ b - D.data[:, 0]) <= 1e-8
+        for dec in (deterministic_dmd(D, 1, anchor=anchor), rdmd(D, sketch, anchor=anchor)):
+            assert np.linalg.norm(dec.modes @ dec.amplitudes - D.data[:, 0]) <= 1e-8
 
 
 def test_amplitudes_recover_planted_values():
+    # A mode's scale is arbitrary, so each fitted term b_i phi_i is compared
+    # with the planted term of the nearest planted eigenvalue.
     sys = planted_linear_snapshots(
         [1.0, 0.9],
         frame_shape=(8, 8),
@@ -305,8 +306,49 @@ def test_amplitudes_recover_planted_values():
         carrier_range=(0.15, 0.3),
         mode_scale=0.08,
     )
-    b = dmd_amplitudes(sys.modes, sys.snapshots, anchor=FIRST_FRAME)
-    assert np.max(np.abs(b - sys.amplitudes) / np.abs(sys.amplitudes)) <= 1e-6
+    dec = deterministic_dmd(sys.snapshots, 2, anchor=FIRST_FRAME)
+    for i, lam_i in enumerate(dec.eigenvalues):
+        j = int(np.argmin(np.abs(sys.eigenvalues - lam_i)))
+        planted = sys.amplitudes[j] * sys.modes[:, j]
+        fitted = dec.amplitudes[i] * dec.modes[:, i]
+        assert np.linalg.norm(fitted - planted) <= 1e-6 * np.linalg.norm(planted)
+
+
+def test_amplitudes_minimum_norm_for_degenerate_modes(monkeypatch, planted_three_mode):
+    # Two equal mode columns leave the fit rank-deficient: it returns the
+    # minimum-norm amplitudes, which split the weight evenly, not an error.
+    modes = dmd.dmd_modes
+
+    def duplicated(*args):
+        Phi = modes(*args)
+        Phi[:, 1] = Phi[:, 0]
+        return Phi
+
+    monkeypatch.setattr(dmd, "dmd_modes", duplicated)
+    D = planted_three_mode.snapshots
+    dec = deterministic_dmd(D, 2, anchor=FIRST_FRAME)
+    expected = np.linalg.pinv(dec.modes) @ D.data[:, 0]
+    assert np.allclose(dec.amplitudes, expected, atol=1e-10)
+    assert abs(dec.amplitudes[0] - dec.amplitudes[1]) <= 1e-10 * abs(dec.amplitudes[0])
+
+
+def test_modes_are_scanned_for_finiteness_twice(monkeypatch, planted_three_mode):
+    # Once before the amplitude fit and once by DmdDecomposition; the fit
+    # itself does not scan them again.
+    scanned = []
+    all_finite = linalg._all_finite
+
+    def counted(A):
+        scanned.append(A)
+        return all_finite(A)
+
+    monkeypatch.setattr(dmd, "_all_finite", counted)
+    monkeypatch.setattr(linalg, "_all_finite", counted)
+    D = planted_three_mode.snapshots
+    dec = rdmd(D, SketchConfig(rank=3, seed=0))
+    modes = [A for A in scanned if A.shape[0] == D.n_pixels and np.iscomplexobj(A)]
+    assert len(modes) == 2
+    assert all(A is dec.modes for A in modes)
 
 
 @pytest.mark.parametrize("n_frames", [2, 3, 8, 9, 200, 201, 1001])
@@ -342,11 +384,10 @@ def test_blocked_median_anchor_equals_np_median(monkeypatch, n_pixels, n_frames,
 
 def test_amplitudes_anchor_bounds():
     D = static_video()
-    Phi = D.data[:, :1].astype(np.complex128)
-    with pytest.raises(ValueError):
-        dmd_amplitudes(Phi, D, anchor=19)  # left sequence has 19 frames: 0..18
-    with pytest.raises(ValueError):
-        dmd_amplitudes(Phi, D, anchor="nonsense")
+    # The left sequence has 19 frames, 0..18; a bool is not a frame index.
+    for anchor in (19, -1, "nonsense", True, False):
+        with pytest.raises(ValueError):
+            deterministic_dmd(D, 1, anchor=anchor)
 
 
 # ---------------------------------------------------------------- rdmd end to end

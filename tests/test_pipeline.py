@@ -17,7 +17,7 @@ from numpy.linalg import lapack_lite
 
 import dmdmotion
 from dmdmotion import evaluation as ev
-from dmdmotion import io_formats, linalg, pipeline
+from dmdmotion import dmd, io_formats, linalg, pipeline
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
@@ -65,6 +65,9 @@ def test_config_requires_exactly_one_input():
         RunConfig()
     with pytest.raises(ValueError, match="exactly one"):
         RunConfig(frames="*.pgm", synthetic=SQUARE)
+    # Synthetic input brings its own truth; a truth glob beside it would go unread.
+    with pytest.raises(ValueError, match="truth is for frames"):
+        RunConfig(synthetic=SQUARE, truth="/nonexistent/*.pgm")
 
 
 def test_config_validates_sketch_against_chunk():
@@ -85,7 +88,7 @@ def test_config_rejects_even_kernel():
 
 
 def test_config_rejects_unknown_anchor():
-    for anchor in ("middle", "", -1, 2.0):
+    for anchor in ("middle", "", -1, 2.0, True, False):
         with pytest.raises(ValueError, match="anchor must be"):
             RunConfig(synthetic=SQUARE, anchor=anchor)
     for anchor in ("first", "median", 0, np.int64(3)):
@@ -598,7 +601,8 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
     assert len(report.chunks) == 3 and all(c.ok for c in report.chunks)
     # Each frame's header is checked by the scan, and its raster against its
     # maxval as its chunk is read into its own contiguous matrix. Neither
-    # that matrix nor rdmd's sketch scans the chunk for finiteness again.
+    # that matrix nor rdmd's sketch scans the chunk for finiteness again,
+    # and the eigensolver gets the reduced operator unscanned.
     assert reads == [(p, True) for p in paths] + [(p, False) for p in paths]
     assert checked == []
     for c, sub, data in zip(report.chunks, chunks, frames):
@@ -608,7 +612,26 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
     for i, a in enumerate(chunks):
         for b in chunks[i + 1:]:
             assert not np.shares_memory(a.data, b.data)
-    assert [shape for shape in scans if shape[0] == 576] == []
+    assert scans == []
+
+
+def test_non_finite_reduced_operator_fails_its_chunk(monkeypatch):
+    # numpy's eigensolver rejects it with LinAlgError, which fails the chunk
+    # and lets the other chunks run.
+    reduced_operator, calls = dmd.reduced_operator, []
+
+    def poisoned(factors, Y):
+        M = reduced_operator(factors, Y)
+        calls.append(None)
+        if len(calls) == 2:
+            M[0, 0] = np.nan
+        return M
+
+    monkeypatch.setattr(dmd, "reduced_operator", poisoned)
+    report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3))
+    assert [c.ok for c in report.chunks] == [True, False, True]
+    assert report.chunks[1].error.startswith("LinAlgError: ")
+    assert not report.masks.masks[20:40].any()
 
 
 def exact_background(level):
