@@ -9,11 +9,9 @@ against the reconstructed background yields per-frame foreground masks.
 from .background import (
     ForegroundMaskSequence,
     ResidualSequence,
-    background_model,
     filter_masks,
     fourier_modes,
     partition_modes,
-    residual,
     threshold_mask,
 )
 from .dmd import (
@@ -23,16 +21,13 @@ from .dmd import (
     SnapshotMatrix,
     deterministic_dmd,
     rdmd,
-    reconstruct,
 )
 from .errors import DegenerateDataError
 from .evaluation import (
     ConfusionCounts,
     RocCurve,
     confusion,
-    f_measure_from_rates,
     rates,
-    roc_curve,
     sweep_counts,
 )
 from .linalg import (
@@ -40,7 +35,6 @@ from .linalg import (
     SvdFactors,
     deterministic_svd,
     rsvd,
-    rsvd_error_bound,
 )
 from .pipeline import RunConfig, RunReport, run_bgsub
 from .synthetic import (
@@ -60,28 +54,22 @@ __all__ = [
     "SketchConfig",
     "deterministic_svd",
     "rsvd",
-    "rsvd_error_bound",
     "SnapshotMatrix",
     "DmdDecomposition",
     "FIRST_FRAME",
     "MEDIAN_FRAME",
     "rdmd",
     "deterministic_dmd",
-    "reconstruct",
     "ResidualSequence",
     "ForegroundMaskSequence",
     "fourier_modes",
     "partition_modes",
-    "background_model",
-    "residual",
     "threshold_mask",
     "filter_masks",
     "ConfusionCounts",
     "RocCurve",
     "confusion",
-    "f_measure_from_rates",
     "rates",
-    "roc_curve",
     "sweep_counts",
     "MovingRect",
     "SyntheticSpec",

@@ -18,7 +18,6 @@ from .dmd import (
     SnapshotMatrix,
     _block_length,
     _unscanned,
-    reconstruct,
     reconstruction_factors,
 )
 from .errors import DegenerateDataError
@@ -28,8 +27,6 @@ __all__ = [
     "ForegroundMaskSequence",
     "fourier_modes",
     "partition_modes",
-    "background_model",
-    "residual",
     "background_factors",
     "factor_residual",
     "threshold_mask",
@@ -129,28 +126,14 @@ def partition_modes(omega: np.ndarray, n_background: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in ranked[:cut]))
 
 
-def background_model(dec: DmdDecomposition, background_indices: tuple[int, ...]) -> np.ndarray:
-    """Complex background video: the background-mode reconstruction over all frames."""
-    return reconstruct(dec, background_indices)
-
-
-def residual(D: SnapshotMatrix, L: np.ndarray) -> ResidualSequence:
-    """Per-pixel distance |d - Re(l)|; the imaginary part of L is discarded."""
-    if L.shape != D.data.shape:
-        raise ValueError(f"background shape {L.shape} does not match video {D.data.shape}")
-    values = np.subtract(D.data, L.real)
-    np.abs(values, out=values)
-    return ResidualSequence(values, D.frame_height, D.frame_width)
-
-
 def background_factors(
     dec: DmdDecomposition, background_indices: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """reconstruction_factors of the background modes, checked not to overflow.
 
-    Their product is background_model(dec, background_indices); a finite
-    bound on its entries means that neither the powers b_i lam_i**t nor the
-    background overflow.
+    Their product is the complex background video, the reconstruction from
+    the background modes over every frame; a finite bound on its entries
+    means that neither the powers b_i lam_i**t nor the background overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         modes, temporal = reconstruction_factors(dec, background_indices)
@@ -163,15 +146,18 @@ def background_factors(
 def factor_residual(
     D: SnapshotMatrix, modes: np.ndarray, temporal: np.ndarray, out: np.ndarray | None = None
 ) -> ResidualSequence:
-    """residual(D, modes @ temporal), in contiguous blocks of pixels.
+    """Per-pixel distance |d - Re(l)| to the background l = modes @ temporal.
 
-    Equal to that bit for bit, but the complex background, 16 n bytes per
-    pixel, exists one block of BLOCK_BYTES at a time, never as the whole
-    m x n chunk. The same factors give the same bytes on every call, so a
-    residual can be dropped and rebuilt. out, when given, takes the residual's values; it may be D.data itself,
-    whose frames are then overwritten. The factors are background_factors',
-    whose product is checked not to overflow, so the residual of D's
-    checked frames is finite and nonnegative and is not scanned again.
+    The imaginary part of l is discarded. The residual is formed in
+    contiguous blocks of pixels, bit for bit equal to the whole product's,
+    but the complex background, 16 n bytes per pixel, exists one block of
+    BLOCK_BYTES at a time, never as the whole m x n chunk. The same factors
+    give the same bytes on every call, so a residual can be dropped and
+    rebuilt. out, when given, takes the residual's values; it may be D.data
+    itself, whose frames are then overwritten. The factors are
+    background_factors', whose product is checked not to overflow, so the
+    residual of D's checked frames is finite and nonnegative and is not
+    scanned again.
     """
     if (modes.shape[0], temporal.shape[1]) != D.data.shape:
         raise ValueError(

@@ -32,7 +32,6 @@ __all__ = [
     "rdmd",
     "deterministic_dmd",
     "reconstruction_factors",
-    "reconstruct",
 ]
 
 # Anchor frame selectors for the amplitude fit. An integer anchor addresses an
@@ -302,8 +301,10 @@ def reconstruction_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The selected modes phi_i and their temporal factor b_i lam_i**t.
 
-    The factor has one column per frame; reconstruct is the product of the
-    two. mode_indices as in reconstruct.
+    The factor has one column per frame, and the product of the two is the
+    sum of b_i phi_i lam_i**t over the selected modes. mode_indices None
+    selects every mode, whose product reproduces the retained-rank
+    approximation of D; an empty selection gives a product of zeros.
     """
     if mode_indices is None:
         idx = np.arange(dec.rank)
@@ -314,13 +315,3 @@ def reconstruction_factors(
     times = np.arange(dec.n_frames, dtype=np.int64)
     temporal = dec.amplitudes[idx, None] * dec.eigenvalues[idx, None] ** times[None, :]
     return dec.modes[:, idx], temporal
-
-
-def reconstruct(dec: DmdDecomposition, mode_indices=None) -> np.ndarray:
-    """Sum of b_i phi_i lam_i**t over the selected modes, one column per frame.
-
-    mode_indices None means all modes; an empty selection returns zeros. The
-    full index set reproduces the retained-rank approximation of D.
-    """
-    modes, temporal = reconstruction_factors(dec, mode_indices)
-    return modes @ temporal

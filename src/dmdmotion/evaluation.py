@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,13 +28,11 @@ __all__ = [
     "ConfusionCounts",
     "RocCurve",
     "confusion",
-    "f_measure_from_rates",
     "rates",
     "metrics_row",
     "tau_grid",
     "sweep_counts",
     "best_f_from_counts",
-    "roc_curve",
     "write_roc_csv",
     "write_metrics_csv",
 ]
@@ -132,22 +130,18 @@ def _rate(num: int, den: int) -> float:
     return num / den if den else 0.0
 
 
-def f_measure_from_rates(r: float, p: float) -> float:
-    """Harmonic mean of recall and precision; 0 when both vanish."""
-    if r + p == 0.0:
-        return 0.0
-    return 2.0 * r * p / (r + p)
-
-
 def rates(c: ConfusionCounts) -> dict[str, float]:
-    """Recall, precision, specificity and F; a zero-denominator rate is 0."""
+    """Recall, precision, specificity and F; a zero-denominator rate is 0.
+
+    F is the harmonic mean of recall and precision, 0 when both vanish.
+    """
     r = _rate(c.tp, c.tp + c.fn)
     p = _rate(c.tp, c.tp + c.fp)
     return {
         "recall": r,
         "precision": p,
         "specificity": _rate(c.tn, c.tn + c.fp),
-        "f_measure": f_measure_from_rates(r, p),
+        "f_measure": 2.0 * r * p / (r + p) if r + p else 0.0,
     }
 
 
@@ -376,25 +370,6 @@ def best_f_from_counts(taus: Sequence[float], counts: np.ndarray) -> tuple[float
         if f > best_f:
             best_tau, best_f = tau, f
     return best_tau, best_f
-
-
-def roc_curve(
-    S: ResidualSequence,
-    truth: ForegroundMaskSequence,
-    taus: Iterable[float] | None = None,
-) -> RocCurve:
-    """Sweep thresholds over the residual and trace (1 - specificity, recall).
-
-    taus None sweeps tau_grid over [0, max residual]. See RocCurve.from_counts
-    for the point order and the area.
-    """
-    if taus is None:
-        tau_arr = tau_grid(float(S.values.max()))
-    else:
-        tau_arr = np.asarray(list(taus), dtype=np.float64)
-        if np.any(tau_arr < 0) or not np.all(np.isfinite(tau_arr)):
-            raise ValueError("thresholds must be finite and nonnegative")
-    return RocCurve.from_counts(tau_arr, sweep_counts(S, truth, tau_arr))
 
 
 def write_roc_csv(path: str, curve: RocCurve) -> None:

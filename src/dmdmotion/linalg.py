@@ -21,7 +21,6 @@ __all__ = [
     "deterministic_svd",
     "random_gaussian",
     "rsvd",
-    "rsvd_error_bound",
 ]
 
 
@@ -222,20 +221,3 @@ def rsvd(A: np.ndarray, cfg: SketchConfig, check_finite: bool = True) -> SvdFact
     k = cfg.rank
     U, V = _fix_signs(Q @ Ub[:, :k], Vt[:k, :].T)
     return SvdFactors(U, s[:k].copy(), V)
-
-
-def rsvd_error_bound(sigma_l_plus_1: float, m: int, n: int, l: int, q: int) -> float:
-    """Expected Frobenius-error bound of the sketched SVD at sketch size l.
-
-    sigma_{l+1} * [1 + 4 sqrt(2 min(m,n) / (l-1))] ** (1 / (2q+1)).
-    Stated for oversampling equal to the target rank (l = 2k); no claim is
-    made at other sketch sizes, the formula is simply evaluated.
-    """
-    if l < 2:
-        raise ValueError(f"l must be >= 2 (divides by l - 1), got {l}")
-    if sigma_l_plus_1 < 0:
-        raise ValueError("sigma_l_plus_1 must be nonnegative")
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    base = 1.0 + 4.0 * np.sqrt(2.0 * min(m, n) / (l - 1.0))
-    return float(sigma_l_plus_1 * base ** (1.0 / (2.0 * q + 1.0)))

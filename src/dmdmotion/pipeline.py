@@ -74,6 +74,10 @@ class RunConfig:
             raise ValueError("exactly one of frames and synthetic must be given")
         if self.synthetic is not None and self.truth is not None:
             raise ValueError("truth is for frames; synthetic input brings its own")
+        for name in ("chunk_length", "k", "p", "q", "seed", "n_background", "median_kernel"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.chunk_length < 2:
             raise ValueError(f"chunk_length must be >= 2, got {self.chunk_length}")
         if self.k < 1 or self.p < 0 or self.q < 0:

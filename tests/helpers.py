@@ -48,6 +48,32 @@ def reference_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarr
     return Q
 
 
+def rsvd_error_bound(sigma_l_plus_1: float, m: int, n: int, l: int, q: int) -> float:
+    """Expected Frobenius-error bound of the sketched SVD at sketch size l >= 2.
+
+    sigma_{l+1} * [1 + 4 sqrt(2 min(m,n) / (l-1))] ** (1 / (2q+1)), from
+    Halko, Martinsson & Tropp (2011), stated for oversampling equal to the
+    target rank (l = 2k); at other sketch sizes it is simply evaluated.
+    """
+    base = 1.0 + 4.0 * np.sqrt(2.0 * min(m, n) / (l - 1.0))
+    return float(sigma_l_plus_1 * base ** (1.0 / (2.0 * q + 1.0)))
+
+
+def reference_residual(D, dec, indices):
+    """|D - Re(modes @ temporal)| from the whole complex background at once.
+
+    modes and temporal are reconstruction_factors(dec, indices). The oracle
+    of background.factor_residual, which forms the same product one block
+    of pixels at a time and must give the same bytes.
+    """
+    from dmdmotion.background import ResidualSequence
+    from dmdmotion.dmd import reconstruction_factors
+
+    modes, temporal = reconstruction_factors(dec, indices)
+    values = np.abs(D.data - (modes @ temporal).real)
+    return ResidualSequence(values, D.frame_height, D.frame_width)
+
+
 def median_filter(mask: np.ndarray, kernel: int = 3) -> np.ndarray:
     """Majority vote in each kernel x kernel neighborhood of a binary frame.
 
@@ -112,7 +138,8 @@ def reference_run(cfg) -> None:
     """run_bgsub as it ran with the whole video in memory; writes cfg.output_dir.
 
     Every chunk is a copy of the loaded video's frames, its residual is
-    formed from the whole complex background and held until the tau grid
+    reference_residual, formed from the whole complex background and held
+    until the tau grid
     is known, the counts are partition_sweep_counts and the masks the
     per-frame median_filter of [S > tau]. Chunks are decomposed by
     pipeline.rdmd, so a test that patches it patches both runs. Every
@@ -146,7 +173,7 @@ def reference_run(cfg) -> None:
             omega = bg.fourier_modes(dec)
             part = bg.partition_modes(omega, min(cfg.n_background,
                                                  np.count_nonzero(np.isfinite(omega))))
-            S = bg.residual(sub, bg.background_model(dec, part))
+            S = reference_residual(sub, dec, part)
         except (DegenerateDataError, np.linalg.LinAlgError) as exc:
             chunks.append(pipeline.ChunkResult(i, start, stop, cfg.seed + i,
                                                error=f"{type(exc).__name__}: {exc}"))

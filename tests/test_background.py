@@ -13,12 +13,10 @@ from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
     background_factors,
-    background_model,
     factor_residual,
     filter_masks,
     fourier_modes,
     partition_modes,
-    residual,
     threshold_mask,
 )
 from dmdmotion.dmd import (
@@ -28,14 +26,14 @@ from dmdmotion.dmd import (
     SnapshotMatrix,
     deterministic_dmd,
     rdmd,
-    reconstruct,
+    reconstruction_factors,
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.evaluation import _ranked_counts, tau_grid
 from dmdmotion.io_formats import load_frames, save_pgm
 from dmdmotion.linalg import SketchConfig
 
-from helpers import median_filter
+from helpers import median_filter, reference_residual
 
 
 def make_decomposition(eigenvalues):
@@ -124,7 +122,7 @@ def static_video(value=0.5, pixels=60, frames=12):
 def test_static_background_reproduces_video():
     D = static_video(0.4)
     dec = deterministic_dmd(D, rank=1)
-    L = background_model(dec, partition_modes(fourier_modes(dec), 1))
+    L = np.matmul(*reconstruction_factors(dec, partition_modes(fourier_modes(dec), 1)))
     rel = np.linalg.norm(D.data - L.real) / np.linalg.norm(D.data)
     assert rel <= 1e-6
 
@@ -136,7 +134,7 @@ def test_background_matches_planted_component(planted_three_mode):
     dec = deterministic_dmd(sys.snapshots, rank=3, anchor=FIRST_FRAME)
     background_indices = partition_modes(fourier_modes(dec), 1)
     assert len(background_indices) == 1
-    L = background_model(dec, background_indices)
+    L = np.matmul(*reconstruction_factors(dec, background_indices))
     planted_bg = sys.component([0]).real
     for t in range(sys.snapshots.n_frames):
         rel = np.linalg.norm(L[:, t].real - planted_bg[:, t]) / np.linalg.norm(planted_bg[:, t])
@@ -146,14 +144,14 @@ def test_background_matches_planted_component(planted_three_mode):
 def test_background_constant_iff_omega_zero():
     D = static_video()
     dec = deterministic_dmd(D, rank=1)
-    L = background_model(dec, partition_modes(fourier_modes(dec), 1))
+    L = np.matmul(*reconstruction_factors(dec, partition_modes(fourier_modes(dec), 1)))
     assert np.allclose(L, L[:, :1], atol=1e-10)
 
 
 def test_background_partition_bounds():
     dec = make_decomposition([1.0])
     with pytest.raises(ValueError, match=r"mode indices outside \[0, 1\)"):
-        background_model(dec, (1,))
+        reconstruction_factors(dec, (1,))
 
 
 def test_additivity_of_partition(planted_three_mode):
@@ -164,8 +162,9 @@ def test_additivity_of_partition(planted_three_mode):
         i for i in np.flatnonzero(np.isfinite(omega)) if i not in background_indices
     ]
     assert len(background_indices) + len(foreground_indices) == dec.rank
-    whole = reconstruct(dec)
-    split = reconstruct(dec, background_indices) + reconstruct(dec, foreground_indices)
+    whole = np.matmul(*reconstruction_factors(dec))
+    split = (np.matmul(*reconstruction_factors(dec, background_indices))
+             + np.matmul(*reconstruction_factors(dec, foreground_indices)))
     assert np.max(np.abs(whole - split)) <= 1e-10
 
 
@@ -185,9 +184,11 @@ def test_background_set_conjugate_closed(moving_square):
 
 # ---------------------------------------------------------------- residual
 
+# factor_residual of a background L given whole, as the factors L and I.
+
 def test_residual_of_exact_model_is_zero():
     D = static_video(0.3)
-    S = residual(D, D.data.astype(np.complex128))
+    S = factor_residual(D, D.data.astype(np.complex128), np.eye(D.n_frames, dtype=complex))
     assert not S.values.any()
 
 
@@ -195,7 +196,7 @@ def test_residual_single_pixel():
     D = static_video(0.5, pixels=6, frames=2)
     L = D.data.astype(np.complex128).copy()
     L[2, 1] += 0.5
-    S = residual(D, L)
+    S = factor_residual(D, L, np.eye(2, dtype=complex))
     assert S.values[2, 1] == pytest.approx(0.5)
     assert np.count_nonzero(S.values) == 1
 
@@ -203,14 +204,8 @@ def test_residual_single_pixel():
 def test_residual_ignores_imaginary_part():
     D = static_video(0.5, pixels=6, frames=2)
     L = D.data + 1j * np.ones_like(D.data)
-    S = residual(D, L)
+    S = factor_residual(D, L, np.eye(2, dtype=complex))
     assert not S.values.any()
-
-
-def test_residual_shape_mismatch():
-    D = static_video()
-    with pytest.raises(ValueError):
-        residual(D, np.zeros((3, 3), dtype=complex))
 
 
 def test_residual_sequence_checks_values():
@@ -276,7 +271,7 @@ def test_background_residual_is_bit_identical_to_residual_of_model(
     assert background_indices == (0, 1, 2)  # the pair joins the static mode
     D = SnapshotMatrix(np.random.default_rng(1).uniform(size=(n_pixels, n_frames)),
                        1, n_pixels)
-    expected = residual(D, background_model(dec, background_indices)).values
+    expected = reference_residual(D, dec, background_indices).values
     for budget in (16 * 16 * n_frames, 1):
         monkeypatch.setattr(dmd, "BLOCK_BYTES", budget)
         S = factor_residual(D, *background_factors(dec, background_indices))
@@ -292,7 +287,7 @@ def test_background_residual_of_static_rank_collapsed_chunk(monkeypatch, n_frame
     dec = rdmd(D, SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=3))
     assert dec.rank == 1
     background_indices = partition_modes(fourier_modes(dec), 1)
-    expected = residual(D, background_model(dec, background_indices)).values
+    expected = reference_residual(D, dec, background_indices).values
     S = factor_residual(D, *background_factors(dec, background_indices))
     assert S.values.tobytes() == expected.tobytes()
 
@@ -562,7 +557,7 @@ def test_filter_masks_rejects_even_kernel():
 def test_mask_determinism(moving_square):
     D, _ = moving_square
     dec = rdmd(D, SketchConfig(rank=5, oversampling=2, subspace_iters=1, seed=1))
-    S = residual(D, background_model(dec, partition_modes(fourier_modes(dec), 3)))
+    S = factor_residual(D, *background_factors(dec, partition_modes(fourier_modes(dec), 3)))
     m1 = threshold_mask(S, 0.25)
     m2 = threshold_mask(S, 0.25)
     assert np.array_equal(m1.masks, m2.masks)

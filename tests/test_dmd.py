@@ -13,7 +13,7 @@ from dmdmotion.dmd import (
     deterministic_dmd,
     dmd_modes,
     rdmd,
-    reconstruct,
+    reconstruction_factors,
     reduced_operator,
 )
 from dmdmotion.errors import DegenerateDataError
@@ -283,7 +283,7 @@ def test_amplitudes_single_mode_unit():
     D = static_video(0.6)
     dec = deterministic_dmd(D, 1, anchor=FIRST_FRAME)
     assert np.allclose(dec.eigenvalues, [1.0])
-    assert np.allclose(reconstruct(dec), D.data, atol=1e-10)
+    assert np.allclose(np.matmul(*reconstruction_factors(dec)), D.data, atol=1e-10)
 
 
 def test_amplitudes_static_any_anchor_reconstructs_frame():
@@ -458,18 +458,18 @@ def test_rdmd_shift_moves_only_static_mode(planted_three_mode):
     assert hausdorff_distance(nonunit_base, nonunit_shift) <= 1e-6
 
 
-# ---------------------------------------------------------------- reconstruct
+# ---------------------------------------------------------------- reconstruction
 
 def test_reconstruct_round_trip(planted_three_mode):
     D = planted_three_mode.snapshots
     dec = deterministic_dmd(D, rank=3, anchor=FIRST_FRAME)
-    approx = reconstruct(dec)
+    approx = np.matmul(*reconstruction_factors(dec))
     assert np.linalg.norm(D.data - approx.real) <= 1e-6 * np.linalg.norm(D.data)
 
 
 def test_reconstruct_empty_set_is_zero(planted_three_mode):
     dec = deterministic_dmd(planted_three_mode.snapshots, rank=3)
-    out = reconstruct(dec, mode_indices=())
+    out = np.matmul(*reconstruction_factors(dec, mode_indices=()))
     assert out.shape == (dec.n_pixels, dec.n_frames)
     assert not out.any()
 
@@ -477,14 +477,14 @@ def test_reconstruct_empty_set_is_zero(planted_three_mode):
 def test_reconstruct_static_mode_columns_identical():
     D = static_video(0.7)
     dec = deterministic_dmd(D, rank=1)
-    out = reconstruct(dec, mode_indices=[0])
+    out = np.matmul(*reconstruction_factors(dec, mode_indices=[0]))
     assert np.allclose(out, out[:, :1], atol=1e-10)
 
 
 def test_reconstruct_bounds_checks(planted_three_mode):
     dec = deterministic_dmd(planted_three_mode.snapshots, rank=3)
     with pytest.raises(ValueError):
-        reconstruct(dec, mode_indices=[3])
+        reconstruction_factors(dec, mode_indices=[3])
 
 
 def test_reconstruction_error_bounded_by_svd_tail(planted_three_mode):
@@ -503,5 +503,5 @@ def test_reconstruction_error_bounded_by_svd_tail(planted_three_mode):
     factors = deterministic_svd(X, 3)
     svd_tail = np.linalg.norm(X - factors.reconstruct())
     fit_residual = np.linalg.norm(dec.modes @ dec.amplitudes - X[:, 0])
-    gap = np.linalg.norm(X - reconstruct(dec)[:, :-1].real)
+    gap = np.linalg.norm(X - np.matmul(*reconstruction_factors(dec))[:, :-1].real)
     assert gap <= 1.1 * (svd_tail + fit_residual) + 1e-9

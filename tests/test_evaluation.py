@@ -18,12 +18,11 @@ from dmdmotion.background import (
 from dmdmotion import dmd, evaluation
 from dmdmotion.evaluation import (
     ConfusionCounts,
+    RocCurve,
     best_f_from_counts,
     confusion,
-    f_measure_from_rates,
     metrics_row,
     rates,
-    roc_curve,
     sweep_counts,
     tau_grid,
     write_metrics_csv,
@@ -113,7 +112,9 @@ def test_f_measure_of_equal_rates():
 
 def test_f_measure_published_value():
     # reported rates 0.810 / 0.789 give an F of 0.799
-    assert f_measure_from_rates(0.810, 0.789) == pytest.approx(0.799, abs=1e-3)
+    r = rates(ConfusionCounts(tp=63909, fp=17091, tn=0, fn=14991))
+    assert (r["recall"], r["precision"]) == (0.810, 0.789)
+    assert r["f_measure"] == pytest.approx(0.799, abs=1e-3)
 
 
 def test_zero_denominators_flagged():
@@ -144,6 +145,12 @@ def test_rates_bounded(tp, fp, tn, fn):
 
 # ---------------------------------------------------------------- roc
 
+def sweep_roc(S, truth, taus=None):
+    """The run's ROC: RocCurve.from_counts over sweep_counts, tau_grid by default."""
+    taus = tau_grid(float(S.values.max())) if taus is None else taus
+    return RocCurve.from_counts(taus, sweep_counts(S, truth, taus))
+
+
 def separable_instance(n=400, seed=0):
     rng = np.random.default_rng(seed)
     truth = rng.uniform(size=n) < 0.3
@@ -155,7 +162,7 @@ def separable_instance(n=400, seed=0):
 
 def test_roc_perfect_separability():
     S, truth = separable_instance()
-    curve = roc_curve(S, truth, np.linspace(0.0, 1.0, 21))
+    curve = sweep_roc(S, truth, np.linspace(0.0, 1.0, 21))
     assert curve.auc == pytest.approx(1.0, abs=1e-9)
 
 
@@ -166,7 +173,7 @@ def test_roc_random_residual_auc_half():
     values = rng.uniform(size=n)
     truth = rng.uniform(size=n) < 0.5
     S = ResidualSequence(values.reshape(n, 1), n, 1)
-    curve = roc_curve(S, ForegroundMaskSequence(truth.reshape(1, n, 1), tau=None))
+    curve = sweep_roc(S, ForegroundMaskSequence(truth.reshape(1, n, 1), tau=None))
     assert curve.auc == pytest.approx(0.5, abs=0.02)
 
 
@@ -175,14 +182,14 @@ def test_roc_inverted_residual_flips_auc():
     taus = np.linspace(0.05, 0.95, 19)  # interior thresholds only
     top = float(S.values.max())
     inverted = ResidualSequence(top - S.values, S.frame_height, S.frame_width)
-    curve = roc_curve(S, truth, taus)
-    curve_inv = roc_curve(inverted, truth, top - taus)
+    curve = sweep_roc(S, truth, taus)
+    curve_inv = sweep_roc(inverted, truth, top - taus)
     assert curve_inv.auc == pytest.approx(1.0 - curve.auc, abs=1e-9)
 
 
 def test_roc_points_ordered_and_monotone():
     S, truth = separable_instance(seed=5)
-    curve = roc_curve(S, truth)
+    curve = sweep_roc(S, truth)
     assert curve.taus.shape == curve.fpr.shape == curve.tpr.shape
     assert all(a >= b for a, b in zip(curve.taus, curve.taus[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(curve.fpr, curve.fpr[1:]))
@@ -195,8 +202,8 @@ def test_roc_auc_invariant_under_monotone_transform():
     S, truth = separable_instance(seed=9)
     taus = np.linspace(0.1, 0.9, 17)
     squared = ResidualSequence(S.values**2, S.frame_height, S.frame_width)
-    curve = roc_curve(S, truth, taus)
-    curve_sq = roc_curve(squared, truth, taus**2)
+    curve = sweep_roc(S, truth, taus)
+    curve_sq = sweep_roc(squared, truth, taus**2)
     assert np.array_equal(curve.fpr, curve_sq.fpr)
     assert np.array_equal(curve.tpr, curve_sq.tpr)
     assert curve.auc == curve_sq.auc
@@ -208,15 +215,15 @@ def test_roc_missing_class_errors():
     none_true = ForegroundMaskSequence(np.zeros((2, 2, 2), dtype=bool), tau=None)
     all_true = ForegroundMaskSequence(np.ones((2, 2, 2), dtype=bool), tau=None)
     with pytest.raises(ValueError, match="foreground"):
-        roc_curve(S, none_true)
+        sweep_roc(S, none_true)
     with pytest.raises(ValueError, match="background"):
-        roc_curve(S, all_true)
+        sweep_roc(S, all_true)
 
 
 def test_roc_needs_two_thresholds():
     S, truth = separable_instance(seed=2)
     with pytest.raises(ValueError):
-        roc_curve(S, truth, [0.5])
+        sweep_roc(S, truth, [0.5])
 
 
 # ---------------------------------------------------------------- best F
@@ -494,7 +501,7 @@ def test_default_taus_span_residual_range():
 
 def test_csv_round_trips(tmp_path):
     S, truth = separable_instance(seed=8)
-    curve = roc_curve(S, truth, np.linspace(0.1, 0.9, 9))
+    curve = sweep_roc(S, truth, np.linspace(0.1, 0.9, 9))
     roc_path = tmp_path / "roc.csv"
     write_roc_csv(str(roc_path), curve)
     text = roc_path.read_text().strip().splitlines()

@@ -80,11 +80,21 @@ def test_config_validates_sketch_against_chunk():
             RunConfig(synthetic=SQUARE, **bad)
     with pytest.raises(ValueError, match="n_background must be >= 1"):
         RunConfig(synthetic=SQUARE, n_background=0)
+    # A float or bool count would pass the range checks and fail inside numpy.
+    for name, bad in (("k", 2.5), ("p", 1.0), ("q", True), ("chunk_length", 20.5),
+                      ("n_background", True), ("n_background", "3")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            RunConfig(synthetic=SQUARE, **{name: bad})
+    cfg = RunConfig(synthetic=SQUARE, k=np.int64(4), chunk_length=np.int32(30))
+    assert (cfg.k, cfg.chunk_length) == (4, 30)
 
 
 def test_config_rejects_even_kernel():
     with pytest.raises(ValueError, match="odd"):
         RunConfig(synthetic=SQUARE, median_kernel=4)
+    for kernel in (3.0, False):
+        with pytest.raises(ValueError, match=f"median_kernel must be an integer, got {kernel!r}"):
+            RunConfig(synthetic=SQUARE, median_kernel=kernel)
 
 
 def test_config_rejects_unknown_anchor():
@@ -98,6 +108,9 @@ def test_config_rejects_unknown_anchor():
 def test_config_rejects_negative_seed_and_bad_tau():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         RunConfig(synthetic=SQUARE, seed=-1)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            RunConfig(synthetic=SQUARE, seed=seed)
     for tau in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
             RunConfig(synthetic=SQUARE, tau=tau)
