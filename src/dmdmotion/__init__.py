@@ -12,7 +12,6 @@ from .background import (
     filter_masks,
     fourier_modes,
     partition_modes,
-    threshold_mask,
 )
 from .dmd import (
     FIRST_FRAME,
@@ -64,7 +63,6 @@ __all__ = [
     "ForegroundMaskSequence",
     "fourier_modes",
     "partition_modes",
-    "threshold_mask",
     "filter_masks",
     "ConfusionCounts",
     "RocCurve",

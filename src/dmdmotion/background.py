@@ -29,7 +29,6 @@ __all__ = [
     "partition_modes",
     "background_factors",
     "factor_residual",
-    "threshold_mask",
     "filter_masks",
 ]
 
@@ -159,6 +158,25 @@ def factor_residual(
     residual of D's checked frames is finite and nonnegative and is not
     scanned again.
     """
+    return _residual(D, modes, temporal, out)
+
+
+def _residual(
+    D: SnapshotMatrix,
+    modes: np.ndarray,
+    temporal: np.ndarray,
+    out: np.ndarray | None = None,
+    tau: float | None = None,
+    masks: np.ndarray | None = None,
+) -> ResidualSequence:
+    """factor_residual, and with a tau, each block's [residual > tau] in masks.
+
+    masks is a contiguous bool (n_frames, height, width) array, such as a
+    chunk's frames of a run's masks. Each block is compared in its own
+    pixel-major layout, into one reused bool block, and copied into its
+    pixels of every frame while it is in cache, so the masks are made
+    without a pass over the whole residual.
+    """
     if (modes.shape[0], temporal.shape[1]) != D.data.shape:
         raise ValueError(
             f"background shape {(modes.shape[0], temporal.shape[1])} does not match "
@@ -170,19 +188,17 @@ def factor_residual(
     # and a last block of one pixel more than a block is kept whole.
     block = max(2, _block_length(16 * D.n_frames))
     edges = [*range(0, max(D.n_pixels - 1, 1), block), D.n_pixels]
+    if tau is not None:
+        foreground = masks.reshape(D.n_frames, D.n_pixels)
+        above = np.empty((min(block + 1, D.n_pixels), D.n_frames), dtype=bool)
     for start, stop in zip(edges, edges[1:]):
         out = values[start:stop]
         np.subtract(D.data[start:stop], (modes[start:stop] @ temporal).real, out=out)
         np.abs(out, out=out)
+        if tau is not None:
+            np.greater(out, tau, out=above[: stop - start])
+            foreground[:, start:stop] = above[: stop - start].T
     return _unscanned(ResidualSequence, values, D.frame_height, D.frame_width)
-
-
-def threshold_mask(S: ResidualSequence, tau: float) -> ForegroundMaskSequence:
-    """Foreground where the residual strictly exceeds tau."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    masks = (S.values > tau).T.reshape(S.n_frames, S.frame_height, S.frame_width)
-    return ForegroundMaskSequence(masks=masks, tau=float(tau))
 
 
 def _box_sum(src: np.ndarray, out: np.ndarray, radius: int) -> None:
@@ -206,9 +222,9 @@ def _copy_frames(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[...] = src for (n_frames, height, width) masks, in strips of rows.
 
     A strip spans BLOCK_BYTES of the source's rows, so the source's cache
-    lines, which hold consecutive frames of a pixel in a threshold_mask
-    view, stay cached across the frames; a plain copy walks that view frame
-    by frame.
+    lines, which hold consecutive frames of a pixel in a pixel-major view
+    such as (S.values > tau).T, stay cached across the frames; a plain copy
+    walks that view frame by frame.
     """
     strip = _block_length(src.strides[1])
     for y in range(0, src.shape[1], strip):
@@ -223,18 +239,21 @@ def filter_masks(
     A binary median is a majority vote, so each frame's kernel x kernel box
     count (a horizontal and a vertical box sum of shifted integer adds) is
     compared against half the window. seq is first copied into the output
-    (see _copy_frames), whose frames are then counted in blocks and written
-    over; a block's two counts, in a type that holds kernel**2, span
-    BLOCK_BYTES (at least one frame) and are reused from block to block.
-    out, when given, is a bool array of seq's shape that takes the filtered
-    masks; without it a kernel of 1 returns seq itself.
+    (see _copy_frames), unless it is the output already, whose frames are
+    then counted in blocks and written over; a block's two counts, in a
+    type that holds kernel**2, span BLOCK_BYTES (at least one frame) and
+    are reused from block to block. out, when given, is a bool array of
+    seq's shape that takes the filtered masks; it may be seq.masks itself,
+    which is then filtered in place. Without it a kernel of 1 returns seq
+    itself.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
     if kernel == 1 and out is None:
         return seq
     masks = np.empty(seq.masks.shape, dtype=bool) if out is None else out
-    _copy_frames(masks, seq.masks)
+    if masks is not seq.masks:
+        _copy_frames(masks, seq.masks)
     if kernel == 1:
         return ForegroundMaskSequence(masks=masks, tau=seq.tau)
     n_frames, height, width = masks.shape

@@ -10,6 +10,7 @@ and complex amplitudes fitted to an anchor frame by least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,11 @@ PINV_RCOND = 1e-12
 # Bytes that every blocked pass over a chunk holds or touches per block,
 # whatever the chunk's length; see _block_length.
 BLOCK_BYTES = 1 << 20
+
+# The chunks whose 8-bit median anchor goes through the exchange network:
+# at most this many left frames of at least this many pixels (_network_wins).
+_NETWORK_MAX_FRAMES = 600
+_NETWORK_MIN_PIXELS = 16384
 
 
 @dataclass(frozen=True)
@@ -143,13 +149,18 @@ class DmdDecomposition:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self._check_shape()
+        if not _all_finite(self.modes):
+            raise ValueError("modes contain non-finite entries")
+
+    def _check_shape(self) -> None:
+        # The k eigenvalues are scanned here too; the m x k modes are the
+        # scan that _unscanned skips.
         k = self.eigenvalues.shape[0]
         if k < 1:
             raise ValueError("decomposition must retain at least one mode")
         if self.modes.shape != (self.modes.shape[0], k) or self.amplitudes.shape != (k,):
             raise ValueError("mode/eigenvalue/amplitude shapes are inconsistent")
-        if not _all_finite(self.modes):
-            raise ValueError("modes contain non-finite entries")
         if not _all_finite(self.eigenvalues):
             raise ValueError("eigenvalues contain non-finite entries")
 
@@ -187,20 +198,105 @@ def dmd_modes(Y: np.ndarray, V: np.ndarray, singular_values: np.ndarray, W: np.n
     """Exact spatial modes Y V diag(s)^-1 W, one column per eigenvector.
 
     Columns keep the scale this product produces; no renormalization.
+    Y V diag(s)^-1 is divided straight into the real part of a zeroed
+    complex buffer, the operand that a real-by-complex product would cast
+    it to, so the product with W has the bytes of (Y @ V / s) @ W.
     """
     if Y.shape[1] != V.shape[0] or V.shape[1] != singular_values.shape[0]:
         raise ValueError("Y/V/singular_values shapes are inconsistent")
     if W.shape[0] != singular_values.shape[0]:
         raise ValueError("eigenvector matrix does not match the retained rank")
-    return (Y @ V / singular_values) @ W
+    A = np.zeros((Y.shape[0], V.shape[1]), dtype=np.complex128)
+    np.divide(Y @ V, singular_values, out=A.real)
+    return A @ W
+
+
+@lru_cache(maxsize=None)
+def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The compare-exchanges that take n inputs to their median.
+
+    The median is the output at index n // 2 and, for an even n, the one at
+    n // 2 - 1 as well. Each exchange is (i, j, low, high), i < j: it leaves
+    the smaller of inputs i and j at i and the larger at j, and low and high
+    say which of the two is read later. They are the comparators of
+    Batcher's merge exchange sort (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M)
+    that the middle outputs depend on, found by walking the sort backwards
+    from them.
+    """
+    pairs = []
+    top = (1 << (n - 1).bit_length()) >> 1  # the largest power of 2 below n
+    p = top
+    while p > 0:
+        q, r, d = top, 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    needed = {n // 2} if n % 2 else {n // 2 - 1, n // 2}
+    network = []
+    for i, j in reversed(pairs):
+        low, high = i in needed, j in needed
+        if low or high:
+            network.append((i, j, low, high))
+            needed |= {i, j}
+    return tuple(reversed(network))
+
+
+def _network_wins(n: int, m: int) -> bool:
+    """Whether _network_median beats the float64 partition on n frames of m pixels.
+
+    The network's exchanges grow as n log**2 n, and each costs a call's
+    overhead beside its m bytes, so it wins on long frames of short chunks.
+    """
+    return n <= _NETWORK_MAX_FRAMES and m >= _NETWORK_MIN_PIXELS
+
+
+def _network_median(raw: np.ndarray, maxval: int) -> np.ndarray:
+    """np.median(raw[:-1] / maxval, axis=0) of (n + 1, m) uint8 rasters, n >= 1.
+
+    The first n rows pass through _median_network(n), exchanged in place by
+    np.minimum and np.maximum, with the last row as the spare that takes
+    each exchange's minimum, so raw is consumed. The middle rasters are then
+    mapped through arange(256) / maxval: dividing by maxval is exact per
+    value and monotone, so the order statistics, and the mean of the middle
+    two for an even n, have the bytes of the float64 frames' own.
+    """
+    n = raw.shape[0] - 1
+    slots, spare = list(raw[:n]), raw[n]
+    for i, j, low, high in _median_network(n):
+        if low and high:
+            np.minimum(slots[i], slots[j], out=spare)
+            np.maximum(slots[i], slots[j], out=slots[j])
+            slots[i], spare = spare, slots[i]
+        elif low:
+            np.minimum(slots[i], slots[j], out=slots[i])
+        else:
+            np.maximum(slots[i], slots[j], out=slots[j])
+    value = np.arange(256) / maxval
+    out = value[slots[n // 2]]
+    if n % 2 == 0:
+        out += value[slots[n // 2 - 1]]
+        out /= 2
+    return out
 
 
 def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
-    """The amplitude fit's target: the first, the per-pixel median or an indexed left frame."""
+    """The amplitude fit's target: the first, the per-pixel median or an indexed left frame.
+
+    A chunk that ingest read from 8-bit rasters of one maxval, where
+    _network_wins, carries them as (raw, maxval) in its private _rasters;
+    they are taken from it here, whatever the anchor, and the median is
+    _network_median's.
+    """
     X = D.data[:, :-1]
+    rasters = vars(D).pop("_rasters", None)
     if anchor == FIRST_FRAME:
         return X[:, 0]
     if anchor == MEDIAN_FRAME:
+        if rasters is not None:
+            return _network_median(*rasters)
         # np.median without its NaN scan (SnapshotMatrix rules NaN out): one
         # partition, then the middle element or the mean of the middle two,
         # formed as np.median forms it. Blocks of pixels are copied into one
@@ -244,6 +340,11 @@ def _decompose(
     anchor: str | int,
     seed: int,
 ) -> DmdDecomposition:
+    """The decomposition of D from its left sequence's factors.
+
+    Phi is scanned once, before the amplitude fit, and the decomposition is
+    built without a second scan.
+    """
     Y = D.data[:, 1:]
     M_tilde = reduced_operator(factors, Y)
     r = M_tilde.shape[0]
@@ -258,16 +359,8 @@ def _decompose(
         raise DegenerateDataError("modes contain non-finite entries")
     # Least squares on the anchor frame; a degenerate Phi gets the minimum-norm fit.
     b = np.linalg.lstsq(Phi, _anchor_frame(D, anchor).astype(np.complex128), rcond=None)[0]
-    return DmdDecomposition(
-        modes=Phi,
-        eigenvalues=lam,
-        amplitudes=b,
-        n_frames=D.n_frames,
-        frame_height=D.frame_height,
-        frame_width=D.frame_width,
-        anchor=anchor,
-        seed=seed,
-    )
+    return _unscanned(DmdDecomposition, Phi, lam, b, D.n_frames, D.frame_height,
+                      D.frame_width, anchor, seed)
 
 
 def rdmd(

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .background import ForegroundMaskSequence, ResidualSequence
-from .dmd import _block_length
+from .dmd import _block_length, _median_network
 
 # Bytes _rank holds per entry at its peak: the float64 guess, the intp rank
 # and two bool masks.
@@ -155,37 +154,6 @@ def tau_grid(top: float) -> np.ndarray:
     if top == 0.0:
         top = 1.0
     return np.linspace(0.0, top, TAU_GRID_SIZE)
-
-
-@lru_cache(maxsize=None)
-def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
-    """The compare-exchanges that take n inputs to their median, at index n // 2.
-
-    Each is (i, j, low, high), i < j: the exchange leaves the smaller of
-    inputs i and j at i and the larger at j, and low and high say which of
-    the two is read later. They are the comparators of Batcher's merge
-    exchange sort (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M) that the middle
-    output depends on, found by walking the sort backwards from it.
-    """
-    pairs = []
-    top = (1 << (n - 1).bit_length()) >> 1  # the largest power of 2 below n
-    p = top
-    while p > 0:
-        q, r, d = top, 0, p
-        while True:
-            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
-            if q == p:
-                break
-            d, q, r = q - p, q >> 1, p
-        p >>= 1
-    needed = {n // 2}
-    network = []
-    for i, j in reversed(pairs):
-        low, high = i in needed, j in needed
-        if low or high:
-            network.append((i, j, low, high))
-            needed |= {i, j}
-    return tuple(reversed(network))
 
 
 def _window_medians(frames: np.ndarray, kernel: int) -> np.ndarray:

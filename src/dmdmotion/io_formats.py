@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ForegroundMaskSequence
-from .dmd import DmdDecomposition, SnapshotMatrix, _unscanned
+from .dmd import DmdDecomposition, SnapshotMatrix, _network_wins, _unscanned
 
 __all__ = [
     "MAGIC_REAL",
@@ -185,7 +185,9 @@ class FrameFiles:
         transposed cast of its buffer rows for an 8-bit run, which gives each
         entry float64(x) / float64(maxval). A frame's raster was checked
         against its maxval when it was read, so the entries are not scanned
-        again.
+        again. When every frame is 8-bit with one maxval and
+        dmd._network_wins for the chunk, the buffer, then all of the chunk's
+        rasters, stays with the matrix for its median anchor to consume.
         """
         paths = self.paths[start:stop]
         n = len(paths)
@@ -211,7 +213,10 @@ class FrameFiles:
                     data[:, run:j] = raw[run - first : j - first].T
                 data[:, run:j] /= maxvals[run]
                 run = j
-        return _unscanned(SnapshotMatrix, data, *geometry)
+        D = _unscanned(SnapshotMatrix, data, *geometry)
+        if maxvals[0] <= 255 and len(set(maxvals)) == 1 and _network_wins(n - 1, len(data)):
+            object.__setattr__(D, "_rasters", (raw, maxvals[0]))
+        return D
 
 
 def scan_frames(pattern: str) -> FrameFiles:

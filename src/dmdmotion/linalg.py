@@ -122,7 +122,10 @@ class SketchConfig:
 def _fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Deterministic sign convention: largest-magnitude entry of each U column
     # is made positive; V is flipped to match so the product is unchanged.
-    idx = np.argmax(np.abs(U), axis=0)
+    # The first row that attains its column's maximum, as np.argmax(A, axis=0)
+    # finds it, without that strided argmax over the floats.
+    A = np.abs(U)
+    idx = np.argmax(A == A.max(axis=0), axis=0)
     signs = np.sign(U[idx, np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
     return U * signs, V * signs
@@ -171,15 +174,22 @@ def _lapack(routine, *args) -> None:
     call(np.empty(lwork), lwork)
 
 
+# Rows of the tall matrix per strip of _orthonormal_columns' transposed copy.
+_QR_STRIP = 2048
+
+
 def _orthonormal_columns(Y: np.ndarray) -> np.ndarray:
     """Q of the thin QR of a finite float64 (m, l) matrix, m >= l; C-contiguous.
 
     Byte-equal to np.linalg.qr(Y)[0]: the same dgeqrf and dorgqr calls, with
     one copy into Fortran layout and one out, where the wrapper adds a cast
-    copy and two transposed copies of fresh temporaries.
+    copy and two transposed copies of fresh temporaries. The copy in is made
+    in strips of _QR_STRIP rows of Y, whose transposes stay in cache.
     """
     m, l = Y.shape
-    a = np.array(Y.T, order="C")
+    a = np.empty((l, m))
+    for start in range(0, m, _QR_STRIP):
+        a[:, start : start + _QR_STRIP] = Y[start : start + _QR_STRIP].T
     tau = np.empty(l)
     _lapack(lapack_lite.dgeqrf, m, l, a, m, tau)
     _lapack(lapack_lite.dorgqr, m, l, l, a, m, tau)

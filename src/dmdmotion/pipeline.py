@@ -88,10 +88,18 @@ class RunConfig:
             )
         if self.n_background < 1:
             raise ValueError("n_background must be >= 1")
+        # A chunk can retain fewer modes than k and clamps to them; more
+        # background modes than k could never be retained at all.
+        if self.n_background > self.k:
+            raise ValueError(f"n_background = {self.n_background} exceeds k = {self.k}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.tau is not None and not (np.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+        if self.tau is not None:
+            real = (int, float, np.integer, np.floating)
+            if isinstance(self.tau, bool) or not isinstance(self.tau, real):
+                raise ValueError(f"tau must be a real number, got {self.tau!r}")
+            if not (np.isfinite(self.tau) and self.tau >= 0):
+                raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 1")
         if self.anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (
@@ -284,16 +292,18 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     return bounds
 
 
-def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: _StageTimer,
-               writer: _Writer | None):
+def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, masks: np.ndarray,
+               timer: _StageTimer, writer: _Writer | None):
     """Read, decompose and model one chunk, and queue its chunk_NNN/ write.
 
     Returns (record, residual, background factors), the residual written
     over the chunk's own frames, or (record, None, None) when the chunk
     failed on its data (DegenerateDataError or LinAlgError; any other
-    error propagates). With an output directory, the decomposition goes to
-    the writer, which holds it until it is in chunk_NNN/; under
-    save_residuals, the residual is written there before this returns.
+    error propagates). At a fixed tau, the residual's [S > tau] is written
+    into the chunk's frames of masks as it is formed. With an output
+    directory, the decomposition goes to the writer, which holds it until
+    it is in chunk_NNN/; under save_residuals, the residual is written
+    there before this returns.
     """
     D = video.columns(start, stop)
     timer.mark(index, "ingest")
@@ -312,7 +322,7 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, timer: 
         background_indices = bg.partition_modes(omega, n_bg)
         factors = bg.background_factors(dec, background_indices)
         timer.mark(index, "decompose")
-        S = bg.factor_residual(D, *factors, out=D.data)
+        S = bg._residual(D, *factors, out=D.data, tau=cfg.tau, masks=masks[start:stop])
         timer.mark(index, "residual")
     except (DegenerateDataError, np.linalg.LinAlgError) as exc:
         timer.mark(index, "decompose")
@@ -354,8 +364,9 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
                 writer: _Writer | None):
     """Run every chunk; at a fixed tau, mask and score it and drop its residual.
 
-    A fixed tau's masks are filtered straight into the run's masks and,
-    with an output directory, go to the writer as soon as they are final.
+    A fixed tau's masks are thresholded into the run's masks as the
+    residual is formed, filtered there in place and, with an output
+    directory, go to the writer as soon as they are final.
     Returns the chunk records, the counts of the fixed-tau masks against the
     truth and, when the run needs the tau grid, each chunk that ran with its
     background factors and largest residual: the residual itself is dropped
@@ -366,13 +377,15 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
     counts = ev.ConfusionCounts(0, 0, 0, 0)
     ran = []
     for i, (start, stop) in enumerate(bounds):
-        c, S, factors = _run_chunk(video, cfg, i, start, stop, timer, writer)
+        c, S, factors = _run_chunk(video, cfg, i, start, stop, masks, timer, writer)
         chunks.append(c)
         if S is None:
             continue
         if cfg.tau is not None:
-            chunk_masks = bg.filter_masks(bg.threshold_mask(S, cfg.tau), cfg.median_kernel,
-                                          out=masks[start:stop])
+            frames = masks[start:stop]
+            chunk_masks = bg.ForegroundMaskSequence(frames, tau=cfg.tau)
+            if cfg.median_kernel > 1:
+                chunk_masks = bg.filter_masks(chunk_masks, cfg.median_kernel, out=frames)
             if truth is not None:
                 counts += ev.confusion(chunk_masks, _truth_of(truth, c))
             if writer is not None:
@@ -404,8 +417,10 @@ def _grid_pass(cfg, video, truth, ran, masks: np.ndarray, timer: _StageTimer):
     filtered = np.zeros_like(raw)
     for c, factors, _ in ran:
         D = video.columns(c.start, c.stop)
+        # No anchor runs here to consume the rasters that ingest may keep.
+        vars(D).pop("_rasters", None)
         timer.mark(c.index, "ingest")
-        S = bg.factor_residual(D, *factors, out=D.data)
+        S = bg._residual(D, *factors, out=D.data)
         timer.mark(c.index, "residual")
         ranks = masks[c.start : c.stop].view(np.uint8) if sweep else None
         chunk_raw, chunk_filtered = ev._ranked_counts(

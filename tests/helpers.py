@@ -48,15 +48,16 @@ def reference_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarr
     return Q
 
 
-def rsvd_error_bound(sigma_l_plus_1: float, m: int, n: int, l: int, q: int) -> float:
-    """Expected Frobenius-error bound of the sketched SVD at sketch size l >= 2.
+def rsvd_error_bound(sigma_k_plus_1: float, m: int, n: int, k: int, q: int) -> float:
+    """Expected spectral-norm error bound of the sketched SVD at target rank k >= 2.
 
-    sigma_{l+1} * [1 + 4 sqrt(2 min(m,n) / (l-1))] ** (1 / (2q+1)), from
-    Halko, Martinsson & Tropp (2011), stated for oversampling equal to the
-    target rank (l = 2k); at other sketch sizes it is simply evaluated.
+    sigma_{k+1} * [1 + 4 sqrt(2 min(m,n) / (k-1))] ** (1 / (2q+1)), from
+    Halko, Martinsson & Tropp (2011), eq. (1.11): a bound on E ||A - Q Q^T A||_2
+    for a sketch of 2k columns (oversampling equal to k) and q subspace
+    iterations; at other sketch sizes it is simply evaluated.
     """
-    base = 1.0 + 4.0 * np.sqrt(2.0 * min(m, n) / (l - 1.0))
-    return float(sigma_l_plus_1 * base ** (1.0 / (2.0 * q + 1.0)))
+    base = 1.0 + 4.0 * np.sqrt(2.0 * min(m, n) / (k - 1.0))
+    return float(sigma_k_plus_1 * base ** (1.0 / (2.0 * q + 1.0)))
 
 
 def reference_residual(D, dec, indices):
@@ -72,6 +73,21 @@ def reference_residual(D, dec, indices):
     modes, temporal = reconstruction_factors(dec, indices)
     values = np.abs(D.data - (modes @ temporal).real)
     return ResidualSequence(values, D.frame_height, D.frame_width)
+
+
+def threshold_mask(S, tau: float):
+    """Foreground where the residual strictly exceeds tau, as a transposed view.
+
+    The oracle of the masks that a fixed-tau run thresholds inside its
+    residual loop: one pass over the whole residual into an (n_pixels,
+    n_frames) bool array, viewed frame-major.
+    """
+    from dmdmotion.background import ForegroundMaskSequence
+
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    masks = (S.values > tau).T.reshape(S.n_frames, S.frame_height, S.frame_width)
+    return ForegroundMaskSequence(masks=masks, tau=float(tau))
 
 
 def median_filter(mask: np.ndarray, kernel: int = 3) -> np.ndarray:
@@ -208,7 +224,7 @@ def reference_run(cfg) -> None:
         masks = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
         for c, S in ran:
             masks[c.start:c.stop] = [median_filter(frame, cfg.median_kernel)
-                                     for frame in bg.threshold_mask(S, tau).masks]
+                                     for frame in threshold_mask(S, tau).masks]
         if truth is not None:
             counts = sum((ev.confusion(bg.ForegroundMaskSequence(masks[c.start:c.stop]),
                                        truth_of(c)) for c, _ in ran), ev.ConfusionCounts(0, 0, 0, 0))

@@ -28,7 +28,7 @@ from dmdmotion.synthetic import (
     generate_synthetic,
     planted_linear_snapshots,
 )
-from helpers import hausdorff_distance, rsvd_error_bound
+from helpers import hausdorff_distance, rsvd_error_bound, threshold_mask
 
 
 def check(name: str, ok: bool, detail: str) -> None:
@@ -81,9 +81,9 @@ def test_rsvd_oracle():
 
 def test_error_bound_formula():
     hand = float(1.0 + 4.0 * np.sqrt(200.0))
-    got = rsvd_error_bound(1.0, 100, 100, l=2, q=0)
+    got = rsvd_error_bound(1.0, 100, 100, k=2, q=0)
     exact = abs(got - hand) <= 1e-12 * hand
-    bounds = [rsvd_error_bound(1.0, 100, 100, l=2, q=q) for q in range(6)]
+    bounds = [rsvd_error_bound(1.0, 100, 100, k=2, q=q) for q in range(6)]
     monotone = all(a >= b - 1e-15 for a, b in zip(bounds, bounds[1:]))
     check(
         "error-bound-formula",
@@ -166,7 +166,7 @@ def test_end_to_end_detection():
     for n_bg in (3, 1):
         part = bg.partition_modes(fm, n_bg)
         S = bg.factor_residual(D, *bg.background_factors(dec, part))
-        fp[n_bg] = ev.confusion(bg.threshold_mask(S, 0.12), truth).fp
+        fp[n_bg] = ev.confusion(threshold_mask(S, 0.12), truth).fp
     elapsed = time.perf_counter() - t0
     check(
         "end-to-end-detection",
@@ -184,7 +184,7 @@ def test_median_filter_improvement():
     dec = rdmd(D, SketchConfig(rank=11, oversampling=2, subspace_iters=1, seed=5))
     part = bg.partition_modes(bg.fourier_modes(dec), 3)
     S = bg.factor_residual(D, *bg.background_factors(dec, part))
-    raw = bg.threshold_mask(S, s["best_tau_raw"])
+    raw = threshold_mask(S, s["best_tau_raw"])
     f_filtered_same_tau = ev.rates(ev.confusion(bg.filter_masks(raw, 3), truth))["f_measure"]
     check(
         "median-filter-improvement",

@@ -17,7 +17,6 @@ from dmdmotion.background import (
     filter_masks,
     fourier_modes,
     partition_modes,
-    threshold_mask,
 )
 from dmdmotion.dmd import (
     FIRST_FRAME,
@@ -33,7 +32,7 @@ from dmdmotion.evaluation import _ranked_counts, tau_grid
 from dmdmotion.io_formats import load_frames, save_pgm
 from dmdmotion.linalg import SketchConfig
 
-from helpers import median_filter, reference_residual
+from helpers import median_filter, reference_residual, threshold_mask
 
 
 def make_decomposition(eigenvalues):
@@ -235,6 +234,14 @@ def test_public_constructors_scan_what_the_package_builds_unscanned(tmp_path):
     data[3, 1] = np.nan
     with pytest.raises(ValueError, match="snapshot data contains non-finite entries"):
         SnapshotMatrix(data, 2, 3)
+    # rdmd scans its modes before the amplitude fit and builds its
+    # decomposition unscanned; the public constructor scans them.
+    D = SnapshotMatrix(np.random.default_rng(4).uniform(size=(6, 8)), 2, 3)
+    dec = rdmd(D, SketchConfig(rank=2, seed=0))
+    modes = dec.modes.copy()
+    modes[5, 1] = np.nan
+    with pytest.raises(ValueError, match="modes contain non-finite entries"):
+        DmdDecomposition(modes, dec.eigenvalues, dec.amplitudes, dec.n_frames, 2, 3)
 
 
 def test_residual_sequence_check_allocates_no_per_pixel_array():
@@ -312,8 +319,9 @@ def test_background_residual_never_holds_the_complex_background():
 @pytest.mark.parametrize("n_frames", [100, 400])
 def test_every_blocked_pass_holds_a_bounded_multiple_of_the_block_budget(n_frames):
     # Each pass's traced scratch, beyond its inputs and outputs, on a 48x64
-    # chunk. A block of a fixed pixel count would grow with the chunk
-    # length: 512 residual pixels hold 3.1 budgets at 400 frames. The
+    # chunk; the fixed-tau residual adds a bool block of 1/16 of a budget.
+    # A block of a fixed pixel count would grow with the chunk length: 512
+    # residual pixels hold 3.1 budgets at 400 frames. The
     # sweep's median network holds kernel**2 + 1 rank frames and a padded
     # one, where its block is sized for kernel**2 frames and an intp key.
     h, w = 48, 64
@@ -337,9 +345,17 @@ def test_every_blocked_pass_holds_a_bounded_multiple_of_the_block_budget(n_frame
             tracemalloc.stop()
         return peak / dmd.BLOCK_BYTES
 
-    # The anchor's output, one float64 per pixel, is not its scratch.
+    # The anchor's output, one float64 per pixel, is not its scratch. An
+    # 8-bit chunk's network consumes the rasters that it carries.
     assert scratch(lambda: dmd._anchor_frame(D, MEDIAN_FRAME)) - 8 * m / dmd.BLOCK_BYTES <= 1.1
+    for n_left in (n_frames - 1, n_frames - 2):
+        raw = rng.integers(0, 256, size=(n_left + 1, m), dtype=np.uint8)
+        D8 = SnapshotMatrix(raw.T / 255, h, w)
+        object.__setattr__(D8, "_rasters", (raw, 255))
+        assert scratch(lambda: dmd._anchor_frame(D8, MEDIAN_FRAME)) - 8 * m / dmd.BLOCK_BYTES <= 1.1
     assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data)) <= 1.1
+    assert scratch(lambda: background._residual(D, modes, temporal, out=D.data, tau=0.5,
+                                                masks=masks)) <= 1.1
     for kernel in (3, 17):
         assert scratch(lambda: filter_masks(seq, kernel, out=masks)) <= 1.1
     for kernel in (1, 3, 5):
@@ -372,6 +388,49 @@ def test_background_residual_of_an_overflowing_background_is_degenerate_data(
 
 
 # ---------------------------------------------------------------- threshold
+
+RESIDUAL_CASES = {
+    # (residual values, tau); a residual of 0.25 on a 0.25 tau is background.
+    "on the tau": (lambda rng, shape: rng.integers(0, 5, shape) / 8, 0.25),
+    "tau zero": (lambda rng, shape: rng.integers(0, 3, shape) / 4, 0.0),
+    "uniform": (lambda rng, shape: rng.uniform(size=shape), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+@pytest.mark.parametrize("n_pixels", [1, 15, 16, 17, 33])
+def test_masks_thresholded_in_the_residual_loop_equal_the_oracle(monkeypatch, case, n_pixels):
+    # Blocks of 16 pixels, so that block boundaries fall inside the frame,
+    # and a one-pixel tail at 17 and 33 pixels. The residual is D itself
+    # under an all-zero background, so each case sets it exactly; it still
+    # lands in out, and no pixel outside the chunk's frames is written.
+    n_frames = 9
+    monkeypatch.setattr(dmd, "BLOCK_BYTES", 16 * 16 * n_frames)
+    values, tau = RESIDUAL_CASES[case]
+    data = values(np.random.default_rng(n_pixels), (n_pixels, n_frames))
+    D = SnapshotMatrix(data, 1, n_pixels)
+    modes, temporal = np.zeros((n_pixels, 1), complex), np.zeros((1, n_frames), complex)
+    run = np.ones((n_frames + 3, 1, n_pixels), dtype=bool)
+    S = background._residual(D, modes, temporal, out=D.data, tau=tau, masks=run[2:-1])
+    assert S.values is D.data and S.values.tobytes() == data.tobytes()
+    expected = threshold_mask(ResidualSequence(data, 1, n_pixels), tau).masks
+    assert run[2:-1].tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert run[:2].all() and run[-1:].all()
+
+
+@pytest.mark.parametrize("n_frames", [15, 16])
+def test_masks_of_a_static_rank_collapsed_chunk_equal_the_oracle(n_frames):
+    frame = np.random.default_rng(2).uniform(size=2 * 512 + 1)
+    D = SnapshotMatrix(np.repeat(frame[:, None], n_frames, axis=1), 25, 41)
+    dec = rdmd(D, SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=3))
+    assert dec.rank == 1
+    factors = background_factors(dec, (0,))
+    S = factor_residual(D, *factors)
+    for tau in (0.0, float(np.median(S.values)), float(S.values.max())):
+        masks = np.empty((n_frames, 25, 41), dtype=bool)
+        background._residual(D, *factors, tau=tau, masks=masks)
+        assert masks.tobytes() == np.ascontiguousarray(threshold_mask(S, tau).masks).tobytes()
+
 
 def test_threshold_zero_on_positive_residual():
     S = ResidualSequence(np.full((4, 3), 0.2), 2, 2)
@@ -532,10 +591,10 @@ def test_copy_frames_equals_a_plain_copy(monkeypatch, kernel, shape):
 
 @pytest.mark.parametrize("kernel", [1, 3, 5])
 def test_filter_masks_into_a_slice_equals_the_fresh_masks(monkeypatch, kernel):
-    # The pipeline filters each chunk straight into its frames of the run's
-    # masks: the same bytes as a fresh filter, in blocks of 2 frames (of two
-    # uint8 counts each) with a one-frame tail, and nothing outside the
-    # slice is written.
+    # The pipeline filters each chunk in its frames of the run's masks: the
+    # same bytes as a fresh filter, in blocks of 2 frames (of two uint8
+    # counts each) with a one-frame tail, and nothing outside the slice is
+    # written.
     monkeypatch.setattr(dmd, "BLOCK_BYTES", 2 * 7 * 9 * 2)
     S = ResidualSequence(np.random.default_rng(kernel).uniform(size=(7 * 9, 5)), 7, 9)
     seq = threshold_mask(S, 0.5)
@@ -545,6 +604,13 @@ def test_filter_masks_into_a_slice_equals_the_fresh_masks(monkeypatch, kernel):
     assert filtered.tau == 0.5
     assert run[2:7].tobytes() == np.ascontiguousarray(filter_masks(seq, kernel).masks).tobytes()
     assert run[:2].all() and run[7:].all()
+    # A fixed-tau run's masks are already in its frames, filtered in place.
+    in_place = np.ones((9, 7, 9), dtype=bool)
+    frames = in_place[2:7]
+    frames[...] = seq.masks
+    filtered = filter_masks(ForegroundMaskSequence(frames, tau=0.5), kernel, out=frames)
+    assert filtered.masks is frames
+    assert in_place.tobytes() == run.tobytes()
 
 
 def test_filter_masks_rejects_even_kernel():

@@ -249,6 +249,26 @@ def test_reduced_operator_degenerate_zero_data():
 
 # ---------------------------------------------------------------- modes
 
+@pytest.mark.parametrize("m", [1, 37, 1000, 76800])
+@pytest.mark.parametrize("r", [1, 3, 20])
+@pytest.mark.parametrize("spectrum", ["real", "complex"])
+def test_modes_equal_the_product_of_the_real_temporaries(m, r, spectrum):
+    # dmd_modes divides into a complex buffer; (Y @ V / s) @ W casts the
+    # real quotient to complex for the product. A symmetric operator has a
+    # real spectrum, whose eigenvectors are cast to complex as in _decompose;
+    # a skew-symmetric one plus a diagonal has complex pairs.
+    rng = np.random.default_rng(m * r)
+    n = r + 5
+    Y = rng.uniform(size=(m, n))
+    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    s = np.sort(rng.uniform(0.5, 2.0, size=r))[::-1]
+    M = rng.standard_normal((r, r))
+    lam, W = np.linalg.eig(M + M.T if spectrum == "real" else M - M.T + np.diag(s))
+    W = W.astype(np.complex128)
+    assert np.iscomplexobj(lam) == (spectrum == "complex" and r > 1)
+    assert dmd_modes(Y, V, s, W).tobytes() == ((Y @ V / s) @ W).tobytes()
+
+
 def test_modes_static_video_proportional_to_frame():
     D = static_video(0.4)
     X, Y = D.data[:, :-1], D.data[:, 1:]
@@ -332,9 +352,9 @@ def test_amplitudes_minimum_norm_for_degenerate_modes(monkeypatch, planted_three
     assert abs(dec.amplitudes[0] - dec.amplitudes[1]) <= 1e-10 * abs(dec.amplitudes[0])
 
 
-def test_modes_are_scanned_for_finiteness_twice(monkeypatch, planted_three_mode):
-    # Once before the amplitude fit and once by DmdDecomposition; the fit
-    # itself does not scan them again.
+def test_modes_are_scanned_for_finiteness_once(monkeypatch, planted_three_mode):
+    # Once before the amplitude fit: the fit does not scan them again, and
+    # the decomposition is built through _unscanned.
     scanned = []
     all_finite = linalg._all_finite
 
@@ -347,8 +367,8 @@ def test_modes_are_scanned_for_finiteness_twice(monkeypatch, planted_three_mode)
     D = planted_three_mode.snapshots
     dec = rdmd(D, SketchConfig(rank=3, seed=0))
     modes = [A for A in scanned if A.shape[0] == D.n_pixels and np.iscomplexobj(A)]
-    assert len(modes) == 2
-    assert all(A is dec.modes for A in modes)
+    assert len(modes) == 1
+    assert modes[0] is dec.modes
 
 
 @pytest.mark.parametrize("n_frames", [2, 3, 8, 9, 200, 201, 1001])
@@ -380,6 +400,56 @@ def test_blocked_median_anchor_equals_np_median(monkeypatch, n_pixels, n_frames,
     D = SnapshotMatrix(values, 1, n_pixels)
     expected = np.median(values[:, :-1], axis=1)
     assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
+
+
+def _rasters(n_frames, n_pixels, maxval, kind, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full((n_frames, n_pixels), maxval // 2, dtype=np.uint8)
+    top = min(3, maxval) if kind == "tied" else maxval
+    return rng.integers(0, top + 1, size=(n_frames, n_pixels), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n_frames", [2, 3, 4, 9, 10, 34, 100, 101, 200, 201])
+@pytest.mark.parametrize("maxval", [1, 100, 255])
+@pytest.mark.parametrize("kind", ["uniform", "tied", "constant"])
+def test_network_median_equals_the_partition_anchor(n_frames, maxval, kind):
+    # Left sequences of odd and even length, down to a 2-frame chunk's one
+    # frame; maxval 1 holds only 0 and 1, and "tied" only 0 to 3.
+    raw = _rasters(n_frames, 300, maxval, kind, seed=n_frames + maxval)
+    D = SnapshotMatrix(raw.T / maxval, 15, 20)
+    expected = dmd._anchor_frame(D, MEDIAN_FRAME)
+    assert expected.tobytes() == np.median(D.data[:, :-1], axis=1).tobytes()
+    assert dmd._network_median(raw.copy(), maxval).tobytes() == expected.tobytes()
+
+
+def test_the_anchor_consumes_the_rasters_a_chunk_carries():
+    # The rasters are taken from the chunk whatever the anchor, so a second
+    # decomposition of the same chunk goes through the partition, and gets
+    # the same bytes.
+    raw = _rasters(41, 600, 255, "uniform")
+    D = SnapshotMatrix(raw.T / 255, 20, 30)
+    expected = np.median(D.data[:, :-1], axis=1)
+    for anchor in (FIRST_FRAME, MEDIAN_FRAME):
+        object.__setattr__(D, "_rasters", (raw.copy(), 255))
+        dmd._anchor_frame(D, anchor)
+        assert not hasattr(D, "_rasters")
+    object.__setattr__(D, "_rasters", (raw.copy(), 255))
+    cfg = SketchConfig(rank=4, seed=2)
+    with_rasters = rdmd(D, cfg)
+    assert not hasattr(D, "_rasters")
+    assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
+    for name in ("modes", "eigenvalues", "amplitudes"):
+        assert getattr(with_rasters, name).tobytes() == getattr(rdmd(D, cfg), name).tobytes()
+
+
+def test_network_wins_on_long_frames_of_short_chunks():
+    # The benchmark's 240x320 chunks of 100 and 200 frames take the network;
+    # 64x64 frames, more than 600 left frames and any other chunk do not.
+    assert dmd._network_wins(99, 76800) and dmd._network_wins(199, 76800)
+    assert dmd._network_wins(600, dmd._NETWORK_MIN_PIXELS)
+    assert not dmd._network_wins(199, 4096)
+    assert not dmd._network_wins(601, 76800)
 
 
 def test_amplitudes_anchor_bounds():

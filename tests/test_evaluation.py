@@ -10,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dmdmotion.background import (
-    ForegroundMaskSequence,
-    ResidualSequence,
-    threshold_mask,
-)
+from dmdmotion.background import ForegroundMaskSequence, ResidualSequence
 from dmdmotion import dmd, evaluation
 from dmdmotion.evaluation import (
     ConfusionCounts,
@@ -33,6 +29,7 @@ from helpers import (
     median_filter,
     partition_sweep_counts,
     searchsorted_ranks,
+    threshold_mask,
     window_medians_by_partition,
 )
 
@@ -344,16 +341,19 @@ def test_window_medians_of_ranks_equal_scipy_and_partition(kernel, shape, dtype)
 
 
 def test_median_network_selects_the_median_of_every_zero_one_input():
-    # A comparator network that takes every 0-1 input to its median takes
-    # every input there (the 0-1 principle, Knuth 5.3.4). A result that the
-    # network marks unread is dropped, so reading one fails.
-    for n in (1, 3, 5, 9):
+    # A comparator network that takes every 0-1 input to its middle outputs
+    # takes every input there (the 0-1 principle, Knuth 5.3.4): output n // 2
+    # and, for an even n, n // 2 - 1, whose mean is the median. A result
+    # that the network marks unread is dropped, so reading one fails.
+    for n in (1, 2, 3, 4, 5, 8, 9, 10):
         inputs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
         values = list(inputs.T.copy())
-        for i, j, low, high in evaluation._median_network(n):
+        for i, j, low, high in dmd._median_network(n):
             lo, hi = np.minimum(values[i], values[j]), np.maximum(values[i], values[j])
             values[i], values[j] = (lo if low else None), (hi if high else None)
-        assert np.array_equal(values[n // 2], np.median(inputs, axis=1))
+        middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+        assert np.array_equal(np.mean([values[i] for i in middle], axis=0),
+                              np.median(inputs, axis=1))
 
 
 RANK_CASES = {

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dmdmotion import dmd
 from dmdmotion.background import ForegroundMaskSequence
 from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
 from dmdmotion.io_formats import (
@@ -390,6 +391,39 @@ def test_frames_hold_one_copy_of_the_video(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * D.data.nbytes
+
+
+CHUNKS = {
+    # (frame shape, maxvals repeated over the frames, frames, rasters kept)
+    "8-bit, odd left sequence": ((6, 8), [255], 20, True),
+    "8-bit, even left sequence": ((6, 8), [255], 21, True),
+    "maxval 1": ((6, 8), [1], 20, True),
+    "maxval 100, longest chunk": ((6, 8), [100], 31, True),
+    "chunk too long": ((6, 8), [255], 32, False),
+    "frames too small": ((5, 8), [255], 20, False),
+    "16-bit": ((6, 8), [1000], 20, False),
+    "mixed 8-bit maxvals": ((6, 8), [255, 100], 20, False),
+    "8-bit then 16-bit": ((6, 8), [255] * 19 + [1000], 20, False),
+}
+
+
+@pytest.mark.parametrize("case", CHUNKS)
+def test_a_chunk_keeps_its_rasters_only_for_the_network_anchor(tmp_path, monkeypatch, case):
+    # With the rule patched to at most 30 left frames of at least 48 pixels,
+    # a chunk of 8-bit frames of one maxval carries its rasters for the
+    # median anchor, which consumes them and gives the partition's bytes.
+    monkeypatch.setattr(dmd, "_NETWORK_MAX_FRAMES", 30)
+    monkeypatch.setattr(dmd, "_NETWORK_MIN_PIXELS", 48)
+    shape, maxvals, n_frames, kept = CHUNKS[case]
+    rng = np.random.default_rng(n_frames)
+    for t in range(n_frames):
+        maxval = maxvals[t % len(maxvals)]
+        save_pgm(str(tmp_path / f"f_{t:02d}.pgm"), rng.integers(0, maxval + 1, size=shape), maxval)
+    D, _ = load_frames(str(tmp_path / "f_*.pgm"))
+    assert hasattr(D, "_rasters") == kept
+    expected = np.median(D.data[:, :-1], axis=1)
+    assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
+    assert not hasattr(D, "_rasters")
 
 
 # ------------------------------------------------------------------ masks

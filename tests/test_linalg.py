@@ -8,11 +8,13 @@ from numpy.linalg import lapack_lite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmdmotion import linalg
 from dmdmotion.linalg import (
     SketchConfig,
     SvdFactors,
     _all_finite,
     _as_matrix,
+    _fix_signs,
     _orthonormal_columns,
     _range_finder,
     deterministic_svd,
@@ -126,6 +128,14 @@ QR_INPUTS = {
     "duplicated-columns": lambda: _gaussian(1000, 6)[:, [0, 1, 2, 3, 4, 5, 0, 3, 3, 5]],
     "fortran-ordered": lambda: np.asfortranarray(_gaussian(2000, 22)),
     "strided-view": lambda: _gaussian(4000, 44)[::2, 1::2],
+    # The copy into Fortran layout goes in strips of 2048 rows: one short of
+    # a strip, exactly one, one row into the second, at 1 and 40 columns.
+    "strip-2047x1": lambda: _gaussian(2047, 1),
+    "strip-2048x1": lambda: _gaussian(2048, 1),
+    "strip-2049x1": lambda: _gaussian(2049, 1),
+    "strip-2047x40": lambda: _gaussian(2047, 40),
+    "strip-2048x40": lambda: _gaussian(2048, 40),
+    "strip-4097x40": lambda: _gaussian(4097, 40),
 }
 
 
@@ -139,6 +149,32 @@ def test_orthonormal_columns_is_byte_equal_to_numpy_qr(name):
     assert Q.tobytes() == reference.tobytes()
     assert Q.flags.c_contiguous
     assert Y.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("name", QR_INPUTS)
+def test_orthonormal_columns_in_short_strips_is_byte_equal_to_numpy_qr(monkeypatch, name):
+    # Strips of 7 rows, so that every input but the one-row ones ends on a
+    # short strip.
+    monkeypatch.setattr(linalg, "_QR_STRIP", 7)
+    Y = QR_INPUTS[name]()
+    assert _orthonormal_columns(Y).tobytes() == np.linalg.qr(Y)[0].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fix_signs_takes_the_first_of_tied_maxima(seed):
+    # Entries of -3/3 to 3/3 tie within and across signs in every column;
+    # the last column is all zeros, whose sign stays +1. The flip follows
+    # the first row of largest magnitude, np.argmax(np.abs(U), axis=0).
+    rng = np.random.default_rng(seed)
+    U = rng.integers(-3, 4, size=(60, 8)) / 3
+    U[:, -1] = 0.0
+    V = rng.standard_normal((9, 8))
+    idx = np.argmax(np.abs(U), axis=0)
+    signs = np.sign(U[idx, np.arange(8)])
+    signs[signs == 0] = 1.0
+    fixed_U, fixed_V = _fix_signs(U, V)
+    assert fixed_U.tobytes() == (U * signs).tobytes()
+    assert fixed_V.tobytes() == (V * signs).tobytes()
 
 
 @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
@@ -290,20 +326,41 @@ def test_rsvd_exact_rank_recovery_any_p_q(p, q, seed):
 # ---------------------------------------------------------------- error bound
 
 def test_error_bound_zero_tail():
-    assert rsvd_error_bound(0.0, 100, 100, l=2, q=0) == 0.0
+    assert rsvd_error_bound(0.0, 100, 100, k=2, q=0) == 0.0
 
 
 def test_error_bound_hand_point():
-    # sigma * (1 + 4*sqrt(2*min(m,n)/(l-1)))**(1/(2q+1)) at sigma=1, m=n=100,
-    # l=2, q=0 collapses to 1 + 4*sqrt(200).
+    # sigma * (1 + 4*sqrt(2*min(m,n)/(k-1)))**(1/(2q+1)) at sigma=1, m=n=100,
+    # k=2, q=0 collapses to 1 + 4*sqrt(200).
     expected = 1.0 + 4.0 * np.sqrt(200.0)
-    assert abs(rsvd_error_bound(1.0, 100, 100, l=2, q=0) - expected) < 1e-12
+    assert abs(rsvd_error_bound(1.0, 100, 100, k=2, q=0) - expected) < 1e-12
     assert abs(expected - 57.568542494923804) < 1e-12
 
 
 def test_error_bound_monotone_in_q():
-    values = [rsvd_error_bound(0.7, 300, 200, l=12, q=q) for q in range(4)]
+    values = [rsvd_error_bound(0.7, 300, 200, k=12, q=q) for q in range(4)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+SPECTRA = {
+    "geometric": 0.8 ** np.arange(120),
+    "harmonic": 1.0 / np.arange(1, 121),
+    "flat tail": np.where(np.arange(120) < 8, 0.5 ** np.arange(120), 0.01),
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_rsvd_spectral_error_is_within_the_hmt_bound(spectrum, k, q):
+    # The bound is on the spectral norm; the Frobenius error of the flat
+    # tail exceeds it several times over. The worst case here reads about
+    # 0.6 of the bound.
+    for seed in range(5):
+        A, s = decaying_spectrum_matrix(300, 120, SPECTRA[spectrum], seed=seed)
+        f = rsvd(A, SketchConfig(rank=k, oversampling=k, subspace_iters=q, seed=seed))
+        error = np.linalg.norm(A - f.reconstruct(), 2)
+        assert error <= rsvd_error_bound(s[k], 300, 120, k, q)
 
 
 # ---------------------------------------------------------------- finiteness

@@ -18,11 +18,7 @@ from numpy.linalg import lapack_lite
 import dmdmotion
 from dmdmotion import evaluation as ev
 from dmdmotion import dmd, io_formats, linalg, pipeline
-from dmdmotion.background import (
-    ForegroundMaskSequence,
-    ResidualSequence,
-    threshold_mask,
-)
+from dmdmotion.background import ForegroundMaskSequence, ResidualSequence
 from dmdmotion.cli import _time_svds, main
 from dmdmotion.dmd import SnapshotMatrix, rdmd
 from dmdmotion.errors import DegenerateDataError
@@ -45,6 +41,7 @@ from helpers import (
     partition_sweep_counts,
     reference_run,
     searchsorted_ranks,
+    threshold_mask,
     window_medians_by_partition,
 )
 
@@ -87,6 +84,30 @@ def test_config_validates_sketch_against_chunk():
             RunConfig(synthetic=SQUARE, **{name: bad})
     cfg = RunConfig(synthetic=SQUARE, k=np.int64(4), chunk_length=np.int32(30))
     assert (cfg.k, cfg.chunk_length) == (4, 30)
+    # A bool tau would run and report "threshold: True"; a string failed in numpy.
+    for tau in (True, np.bool_(False), "0.2", 0.2j):
+        with pytest.raises(ValueError, match=f"tau must be a real number, got {tau!r}"):
+            RunConfig(synthetic=SQUARE, tau=tau)
+    for tau in (0, 0.2, np.float32(0.5), np.int64(1)):
+        assert RunConfig(synthetic=SQUARE, tau=tau).tau == tau
+
+
+def test_config_rejects_more_background_modes_than_k():
+    # With k 3, n_background 30 made every retained mode background.
+    with pytest.raises(ValueError, match="n_background = 30 exceeds k = 3"):
+        RunConfig(synthetic=SQUARE, k=3, n_background=30)
+    assert RunConfig(synthetic=SQUARE, k=3, n_background=3).n_background == 3
+
+
+def test_rank_collapsed_chunk_clamps_its_background_modes():
+    # A chunk that retains fewer usable modes than n_background takes all of
+    # them: a property of its data, not a config error.
+    spec = replace(SQUARE, objects=(), noise_sigma=0.0)
+    report = run_bgsub(RunConfig(synthetic=spec, k=5, n_background=4, tau=0.1,
+                                 chunk_length=20))
+    for c in report.chunks:
+        assert c.ok and c.retained_rank < 4
+        assert c.background_indices == tuple(range(c.retained_rank))
 
 
 def test_config_rejects_even_kernel():
@@ -505,11 +526,11 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
     # its residual is rebuilt from them once the grid is known, so at most one
     # residual is alive at a time and none when the outputs are written.
     refs = []
-    factor_residual = pipeline.bg.factor_residual
+    residual = pipeline.bg._residual
 
-    def tracked_factor_residual(*args, **kwargs):
+    def tracked_residual(*args, **kwargs):
         assert all(ref() is None for ref in refs)
-        S = factor_residual(*args, **kwargs)
+        S = residual(*args, **kwargs)
         refs.append(weakref.ref(S))
         return S
 
@@ -519,7 +540,7 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
         assert all(ref() is None for ref in refs)
         write_outputs(*args)
 
-    monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_factor_residual)
+    monkeypatch.setattr(pipeline.bg, "_residual", tracked_residual)
     monkeypatch.setattr(pipeline, "_write_outputs", checked_write_outputs)
     out = tmp_path / "run"
     cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3,
@@ -550,13 +571,13 @@ def test_every_residual_is_written_over_its_chunk(tmp_path, monkeypatch):
                     output_dir=str(tmp_path / "plain"))
     expected = run_bgsub(cfg)
     in_place = []
-    factor_residual = pipeline.bg.factor_residual
+    residual = pipeline.bg._residual
 
-    def tracked_factor_residual(*args, **kwargs):
+    def tracked_residual(*args, **kwargs):
         in_place.append(kwargs.get("out") is args[0].data)
-        return factor_residual(*args, **kwargs)
+        return residual(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_factor_residual)
+    monkeypatch.setattr(pipeline.bg, "_residual", tracked_residual)
     report = run_bgsub(replace(cfg, output_dir=str(tmp_path / "tracked")))
     assert in_place == [True] * 6  # one per chunk in each pass
     assert np.array_equal(report.masks.masks, expected.masks.masks)
@@ -706,6 +727,52 @@ def test_outputs_equal_the_whole_video_reference_run(tmp_path, monkeypatch, case
     if case == "ties at a grid tau":
         S = load_matrix(str(tmp_path / "new" / "chunk_000" / "residual.mat"))
         assert np.isin(S, taus).mean() > 0.5
+
+
+@pytest.mark.parametrize("chunk_length", [20, 21])
+@pytest.mark.parametrize("threshold", ["sweep", "fixed tau", "fixed tau, kernel 1"])
+def test_outputs_are_equal_on_both_sides_of_the_network_rule(
+    tmp_path, monkeypatch, chunk_length, threshold
+):
+    # 8-bit frames whose median anchor goes through the float64 partition,
+    # then through the exchange network. Chunks of 20 frames have left
+    # sequences of 19; chunks of 21, 21 and 18 have 20 and 17.
+    D, truth = generate_synthetic(SQUARE)
+    save_frames(str(tmp_path / "frames"), D)
+    save_masks(str(tmp_path / "truth"), truth)
+    opts = {"sweep": {}, "fixed tau": {"tau": 0.3},
+            "fixed tau, kernel 1": {"tau": 0.3, "median_kernel": 1}}[threshold]
+    cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                    truth=str(tmp_path / "truth" / "*.pgm"), k=5, chunk_length=chunk_length,
+                    save_residuals=True, **opts)
+    network = dmd._network_median
+    calls = []
+
+    def counted(raw, maxval):
+        calls.append(raw.shape)
+        return network(raw, maxval)
+
+    columns = io_formats.FrameFiles.columns
+    chunks = []
+
+    def read(self, start, stop):
+        chunks.append(columns(self, start, stop))
+        return chunks[-1]
+
+    monkeypatch.setattr(dmd, "_network_median", counted)
+    monkeypatch.setattr(io_formats.FrameFiles, "columns", read)
+    outputs = {}
+    for side, pixels in (("partition", 24 * 24 + 1), ("network", 24 * 24)):
+        monkeypatch.setattr(dmd, "_NETWORK_MIN_PIXELS", pixels)
+        report = run_bgsub(replace(cfg, output_dir=str(tmp_path / side)))
+        assert all(c.ok for c in report.chunks)
+        outputs[side] = output_files(tmp_path / side)
+    assert calls == [(stop - start, 576) for start, stop in chunk_bounds(60, chunk_length, 7)]
+    # Every chunk read, in the grid pass too, has given up its rasters.
+    assert chunks and not any(hasattr(D, "_rasters") for D in chunks)
+    assert sorted(outputs["network"]) == sorted(outputs["partition"])
+    for name, data in outputs["partition"].items():
+        assert outputs["network"][name] == data, name
 
 
 @pytest.mark.parametrize("fault, reason", [
