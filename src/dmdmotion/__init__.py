@@ -38,11 +38,9 @@ from .linalg import (
 from .pipeline import RunConfig, RunReport, run_bgsub
 from .synthetic import (
     MovingRect,
-    PlantedSystem,
     SyntheticSpec,
     decaying_spectrum_matrix,
     generate_synthetic,
-    planted_linear_snapshots,
 )
 
 __version__ = "0.1.0"
@@ -72,8 +70,6 @@ __all__ = [
     "MovingRect",
     "SyntheticSpec",
     "generate_synthetic",
-    "PlantedSystem",
-    "planted_linear_snapshots",
     "decaying_spectrum_matrix",
     "RunConfig",
     "RunReport",

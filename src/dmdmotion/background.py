@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import (
-    DmdDecomposition,
-    SnapshotMatrix,
-    _block_length,
-    _unscanned,
-    reconstruction_factors,
-)
+from .dmd import DmdDecomposition, SnapshotMatrix, _block_length, reconstruction_factors
 from .errors import DegenerateDataError
+from .linalg import _unscanned
 
 __all__ = [
     "ResidualSequence",
@@ -143,7 +138,12 @@ def background_factors(
 
 
 def factor_residual(
-    D: SnapshotMatrix, modes: np.ndarray, temporal: np.ndarray, out: np.ndarray | None = None
+    D: SnapshotMatrix,
+    modes: np.ndarray,
+    temporal: np.ndarray,
+    out: np.ndarray | None = None,
+    tau: float | None = None,
+    masks: np.ndarray | None = None,
 ) -> ResidualSequence:
     """Per-pixel distance |d - Re(l)| to the background l = modes @ temporal.
 
@@ -157,25 +157,13 @@ def factor_residual(
     background_factors', whose product is checked not to overflow, so the
     residual of D's checked frames is finite and nonnegative and is not
     scanned again.
-    """
-    return _residual(D, modes, temporal, out)
 
-
-def _residual(
-    D: SnapshotMatrix,
-    modes: np.ndarray,
-    temporal: np.ndarray,
-    out: np.ndarray | None = None,
-    tau: float | None = None,
-    masks: np.ndarray | None = None,
-) -> ResidualSequence:
-    """factor_residual, and with a tau, each block's [residual > tau] in masks.
-
-    masks is a contiguous bool (n_frames, height, width) array, such as a
-    chunk's frames of a run's masks. Each block is compared in its own
-    pixel-major layout, into one reused bool block, and copied into its
-    pixels of every frame while it is in cache, so the masks are made
-    without a pass over the whole residual.
+    With a tau, each block's [residual > tau] goes into masks, a contiguous
+    bool (n_frames, height, width) array such as a chunk's frames of a
+    run's masks. Each block is compared in its own pixel-major layout, into
+    one reused bool block, and copied into its pixels of every frame while
+    it is in cache, so the masks are made without a pass over the whole
+    residual.
     """
     if (modes.shape[0], temporal.shape[1]) != D.data.shape:
         raise ValueError(
@@ -218,19 +206,6 @@ def _box_sum(src: np.ndarray, out: np.ndarray, radius: int) -> None:
         out[..., :d] += src[..., :1]
 
 
-def _copy_frames(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst[...] = src for (n_frames, height, width) masks, in strips of rows.
-
-    A strip spans BLOCK_BYTES of the source's rows, so the source's cache
-    lines, which hold consecutive frames of a pixel in a pixel-major view
-    such as (S.values > tau).T, stay cached across the frames; a plain copy
-    walks that view frame by frame.
-    """
-    strip = _block_length(src.strides[1])
-    for y in range(0, src.shape[1], strip):
-        dst[:, y : y + strip] = src[:, y : y + strip]
-
-
 def filter_masks(
     seq: ForegroundMaskSequence, kernel: int = 3, out: np.ndarray | None = None
 ) -> ForegroundMaskSequence:
@@ -238,11 +213,11 @@ def filter_masks(
 
     A binary median is a majority vote, so each frame's kernel x kernel box
     count (a horizontal and a vertical box sum of shifted integer adds) is
-    compared against half the window. seq is first copied into the output
-    (see _copy_frames), unless it is the output already, whose frames are
-    then counted in blocks and written over; a block's two counts, in a
-    type that holds kernel**2, span BLOCK_BYTES (at least one frame) and
-    are reused from block to block. out, when given, is a bool array of
+    compared against half the window. seq is first copied into the output,
+    unless it is the output already, whose frames are then counted in
+    blocks and written over; a block's two counts, in a type that holds
+    kernel**2, span BLOCK_BYTES (at least one frame) and are reused from
+    block to block. out, when given, is a bool array of
     seq's shape that takes the filtered masks; it may be seq.masks itself,
     which is then filtered in place. Without it a kernel of 1 returns seq
     itself.
@@ -253,7 +228,7 @@ def filter_masks(
         return seq
     masks = np.empty(seq.masks.shape, dtype=bool) if out is None else out
     if masks is not seq.masks:
-        _copy_frames(masks, seq.masks)
+        masks[...] = seq.masks
     if kernel == 1:
         return ForegroundMaskSequence(masks=masks, tau=seq.tau)
     n_frames, height, width = masks.shape

@@ -69,7 +69,8 @@ def _parse_int_list(value: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
 
 
-def _parse_rect(value: str) -> MovingRect:
+def _parse_rect(value: str) -> tuple:
+    """MovingRect's arguments; the rectangle is built, and checked, by synth."""
     parts = value.split(",")
     if len(parts) != 7:
         raise argparse.ArgumentTypeError(
@@ -81,7 +82,7 @@ def _parse_rect(value: str) -> MovingRect:
         intensity, vy, vx = (float(v) for v in parts[4:])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad rect {value!r}")
-    return MovingRect(top, left, height, width, intensity, (vy, vx))
+    return top, left, height, width, intensity, (vy, vx)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,7 +167,7 @@ def _cmd_synth(args) -> int:
         texture_amplitude=args.texture_amplitude,
         texture_period=args.texture_period,
         noise_sigma=args.noise,
-        objects=tuple(args.rect),
+        objects=tuple(MovingRect(*rect) for rect in args.rect),
         seed=args.seed,
     )
     D, truth = generate_synthetic(spec)

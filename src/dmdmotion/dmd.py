@@ -9,7 +9,7 @@ and complex amplitudes fitted to an anchor frame by least squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +19,7 @@ from .linalg import (
     SketchConfig,
     SvdFactors,
     _all_finite,
+    _unscanned,
     deterministic_svd,
     rsvd,
 )
@@ -28,8 +29,6 @@ __all__ = [
     "DmdDecomposition",
     "FIRST_FRAME",
     "MEDIAN_FRAME",
-    "reduced_operator",
-    "dmd_modes",
     "rdmd",
     "deterministic_dmd",
     "reconstruction_factors",
@@ -111,20 +110,6 @@ class SnapshotMatrix:
         return SnapshotMatrix(self.data[:, start:stop].copy(), self.frame_height, self.frame_width)
 
 
-def _unscanned(cls, *values):
-    """cls(*values) with its shape checked but its entries not scanned.
-
-    For entries valid by construction, such as frames divided by a maxval
-    that their rasters were checked against, or the residual of checked
-    background factors. The public constructors scan every entry.
-    """
-    obj = object.__new__(cls)
-    for field, value in zip(fields(cls), values):
-        object.__setattr__(obj, field.name, value)
-    obj._check_shape()
-    return obj
-
-
 def _block_length(item_bytes: int) -> int:
     """Items per block of a pass that holds item_bytes per item: at least 1."""
     return max(1, BLOCK_BYTES // max(item_bytes, 1))
@@ -173,7 +158,7 @@ class DmdDecomposition:
         return self.modes.shape[0]
 
 
-def reduced_operator(factors: SvdFactors, Y: np.ndarray) -> np.ndarray:
+def _reduced_operator(factors: SvdFactors, Y: np.ndarray) -> np.ndarray:
     """One-step operator projected onto the retained left singular subspace.
 
     Computes U^T Y V diag(s)^-1 over the singular values above PINV_RCOND
@@ -184,17 +169,10 @@ def reduced_operator(factors: SvdFactors, Y: np.ndarray) -> np.ndarray:
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateDataError("all singular values are zero; data has no signal")
     r = int(np.count_nonzero(s > PINV_RCOND * s[0]))
-    U = factors.U[:, :r]
-    V = factors.V[:, :r]
-    if Y.shape[0] != U.shape[0] or Y.shape[1] != V.shape[0]:
-        raise ValueError(
-            f"Y shape {Y.shape} inconsistent with factors "
-            f"({U.shape[0]} pixels, {V.shape[0]} frames)"
-        )
-    return (U.T @ Y @ V) / s[:r]
+    return (factors.U[:, :r].T @ Y @ factors.V[:, :r]) / s[:r]
 
 
-def dmd_modes(Y: np.ndarray, V: np.ndarray, singular_values: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _modes(Y: np.ndarray, V: np.ndarray, singular_values: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Exact spatial modes Y V diag(s)^-1 W, one column per eigenvector.
 
     Columns keep the scale this product produces; no renormalization.
@@ -202,10 +180,6 @@ def dmd_modes(Y: np.ndarray, V: np.ndarray, singular_values: np.ndarray, W: np.n
     complex buffer, the operand that a real-by-complex product would cast
     it to, so the product with W has the bytes of (Y @ V / s) @ W.
     """
-    if Y.shape[1] != V.shape[0] or V.shape[1] != singular_values.shape[0]:
-        raise ValueError("Y/V/singular_values shapes are inconsistent")
-    if W.shape[0] != singular_values.shape[0]:
-        raise ValueError("eigenvector matrix does not match the retained rank")
     A = np.zeros((Y.shape[0], V.shape[1]), dtype=np.complex128)
     np.divide(Y @ V, singular_values, out=A.real)
     return A @ W
@@ -253,18 +227,16 @@ def _network_wins(n: int, m: int) -> bool:
     return n <= _NETWORK_MAX_FRAMES and m >= _NETWORK_MIN_PIXELS
 
 
-def _network_median(raw: np.ndarray, maxval: int) -> np.ndarray:
-    """np.median(raw[:-1] / maxval, axis=0) of (n + 1, m) uint8 rasters, n >= 1.
+def _exchanged(values: np.ndarray) -> list[np.ndarray]:
+    """The first n rows of (n + 1)-row values, ordered by _median_network(n).
 
-    The first n rows pass through _median_network(n), exchanged in place by
-    np.minimum and np.maximum, with the last row as the spare that takes
-    each exchange's minimum, so raw is consumed. The middle rasters are then
-    mapped through arange(256) / maxval: dividing by maxval is exact per
-    value and monotone, so the order statistics, and the mean of the middle
-    two for an even n, have the bytes of the float64 frames' own.
+    The exchanges run in place by np.minimum and np.maximum, with the last
+    row as the spare that takes each exchange's minimum, so values is
+    consumed. Returns the n slots, a row of values each, whose middle ones
+    hold the median's order statistics.
     """
-    n = raw.shape[0] - 1
-    slots, spare = list(raw[:n]), raw[n]
+    n = values.shape[0] - 1
+    slots, spare = list(values[:n]), values[n]
     for i, j, low, high in _median_network(n):
         if low and high:
             np.minimum(slots[i], slots[j], out=spare)
@@ -274,6 +246,19 @@ def _network_median(raw: np.ndarray, maxval: int) -> np.ndarray:
             np.minimum(slots[i], slots[j], out=slots[i])
         else:
             np.maximum(slots[i], slots[j], out=slots[j])
+    return slots
+
+
+def _network_median(raw: np.ndarray, maxval: int) -> np.ndarray:
+    """np.median(raw[:-1] / maxval, axis=0) of (n + 1, m) uint8 rasters, n >= 1.
+
+    The rows go through _exchanged, which consumes raw. The middle rasters
+    are then mapped through arange(256) / maxval: dividing by maxval is
+    exact per value and monotone, so the order statistics, and the mean of
+    the middle two for an even n, have the bytes of the float64 frames' own.
+    """
+    n = raw.shape[0] - 1
+    slots = _exchanged(raw)
     value = np.arange(256) / maxval
     out = value[slots[n // 2]]
     if n % 2 == 0:
@@ -346,7 +331,7 @@ def _decompose(
     built without a second scan.
     """
     Y = D.data[:, 1:]
-    M_tilde = reduced_operator(factors, Y)
+    M_tilde = _reduced_operator(factors, Y)
     r = M_tilde.shape[0]
     lam, W = np.linalg.eig(M_tilde)
     # Complex even for a real spectrum, so that it sorts and serializes alike.
@@ -354,7 +339,7 @@ def _decompose(
     order = _background_first_order(lam)
     lam = lam[order]
     W = W[:, order]
-    Phi = dmd_modes(Y, factors.V[:, :r], factors.singular_values[:r], W)
+    Phi = _modes(Y, factors.V[:, :r], factors.singular_values[:r], W)
     if not _all_finite(Phi):
         raise DegenerateDataError("modes contain non-finite entries")
     # Least squares on the anchor frame; a degenerate Phi gets the minimum-norm fit.

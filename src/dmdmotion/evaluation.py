@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .background import ForegroundMaskSequence, ResidualSequence
-from .dmd import _block_length, _median_network
+from .dmd import _block_length, _exchanged
 
 # Bytes _rank holds per entry at its peak: the float64 guess, the intp rank
 # and two bool masks.
@@ -86,7 +86,7 @@ class RocCurve:
 
     @classmethod
     def from_counts(cls, taus: Sequence[float], counts: np.ndarray) -> "RocCurve":
-        """Curve through the rows of sweep_counts, one point per distinct tau.
+        """Curve through the rows of a sweep_counts array, one point per distinct tau.
 
         Points are ordered by descending tau, which makes both coordinates
         nondecreasing along the curve; (0, 0) and (1, 1) are appended as
@@ -160,9 +160,8 @@ def _window_medians(frames: np.ndarray, kernel: int) -> np.ndarray:
     """Median of every pixel's kernel x kernel window in each of frames (b, h, w).
 
     Edges are replicated. The kernel**2 shifted views of the edge-padded
-    frames are copied into contiguous frames, which _median_network's
-    exchanges then order in place with np.minimum and np.maximum; a spare
-    frame takes each exchange's minimum.
+    frames are copied into contiguous frames, with a spare one after them,
+    which _exchanged then orders in place.
     """
     b, h, w = frames.shape
     r = kernel // 2
@@ -178,17 +177,7 @@ def _window_medians(frames: np.ndarray, kernel: int) -> np.ndarray:
     for i in range(n):
         dy, dx = divmod(i, kernel)
         values[i] = padded[:, dy : dy + h, dx : dx + w]
-    slots, spare = list(values[:n]), values[n]
-    for i, j, low, high in _median_network(n):
-        if low and high:
-            np.minimum(slots[i], slots[j], out=spare)
-            np.maximum(slots[i], slots[j], out=slots[j])
-            slots[i], spare = spare, slots[i]
-        elif low:
-            np.minimum(slots[i], slots[j], out=slots[i])
-        else:
-            np.maximum(slots[i], slots[j], out=slots[j])
-    return slots[n // 2]
+    return _exchanged(values)[n // 2]
 
 
 def _counts(hist: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -239,21 +228,34 @@ def _rank(values: np.ndarray, sorted_taus: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _ranked_counts(
+def sweep_counts(
     S: ResidualSequence,
     truth: ForegroundMaskSequence,
     taus: Sequence[float],
-    kernel: int,
+    kernel: int = 1,
     ranks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(raw, filtered): sweep_counts at kernel 1 and at kernel, from one ranking of S.
+    """(raw, filtered) confusion counts of the masks [S > tau] at every tau, in one pass.
 
-    With kernel 1, raw and filtered are the same array. A ranks buffer, a
-    contiguous (n_frames, height, width) array of
+    Each is an int64 array of shape (len(taus), 4) with columns tp, fp, tn,
+    fn, one row per tau in the order given. Each residual is ranked once by
+    how many thresholds lie strictly below it, in the smallest unsigned type
+    that holds len(taus); one histogram over (rank, truth) and a reverse
+    cumulative sum give the raw counts at every threshold.
+
+    filtered scores the median-filtered masks of filter_masks instead, from
+    the histogram of the kernel x kernel window medians of the ranks (edges
+    replicated); at kernel 1, raw and filtered are the same array. Blocks of
+    entries are ranked in BLOCK_BYTES, at _RANK_BYTES per entry, and blocks
+    of frames are filtered in BLOCK_BYTES, at kernel**2 r + 8 bytes per
+    pixel for ranks of r bytes: the network's frames and an intp key.
+
+    A ranks buffer, a contiguous (n_frames, height, width) array of
     np.min_scalar_type(len(taus)), if given receives the ranks of S against
     the sorted taus, median-filtered by kernel: the filtered mask at tau_j
     is [ranks > j] for the first index j of tau_j among them (see _counts).
-    At kernel 1 it holds the ranks themselves.
+    At kernel 1 it holds the ranks themselves. Without one, a kernel above
+    1 holds the ranks of the whole of S.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
@@ -305,32 +307,8 @@ def _ranked_counts(
     return _counts(raw, order), _counts(filtered, order)
 
 
-def sweep_counts(
-    S: ResidualSequence,
-    truth: ForegroundMaskSequence,
-    taus: Sequence[float],
-    kernel: int = 1,
-) -> np.ndarray:
-    """Confusion counts of the masks [S > tau] at every tau, in one pass.
-
-    Returns an int64 array of shape (len(taus), 4) with columns tp, fp, tn,
-    fn, one row per tau in the order given. Each residual is ranked once by
-    how many thresholds lie strictly below it, in the smallest unsigned type
-    that holds len(taus); one histogram over (rank, truth) and a reverse
-    cumulative sum give the counts at every threshold.
-
-    kernel > 1 scores the median-filtered masks of filter_masks instead,
-    from the histogram of the kernel x kernel window medians of the ranks
-    (edges replicated), which are then held for the whole of S. Blocks of
-    entries are ranked in BLOCK_BYTES, at _RANK_BYTES per entry, and blocks
-    of frames are filtered in BLOCK_BYTES, at kernel**2 r + 8 bytes per
-    pixel for ranks of r bytes: the network's frames and an intp key.
-    """
-    return _ranked_counts(S, truth, taus, kernel)[1]
-
-
 def best_f_from_counts(taus: Sequence[float], counts: np.ndarray) -> tuple[float, float]:
-    """(tau, F) maximizing F over the rows of sweep_counts; ties keep the smallest tau."""
+    """(tau, F) maximizing F over rows of sweep_counts' counts; ties keep the smallest tau."""
     best_tau, best_f = 0.0, -1.0
     unique, first = np.unique(np.asarray(taus, dtype=np.float64), return_index=True)
     for tau, row in zip(unique.tolist(), counts[first].tolist()):

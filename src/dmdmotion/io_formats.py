@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ForegroundMaskSequence
-from .dmd import DmdDecomposition, SnapshotMatrix, _network_wins, _unscanned
+from .dmd import DmdDecomposition, SnapshotMatrix, _network_wins
+from .linalg import _unscanned
 
 __all__ = [
     "MAGIC_REAL",

@@ -10,7 +10,7 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -40,6 +40,21 @@ def _all_finite(A: np.ndarray) -> bool:
     return all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts)
 
 
+def _unscanned(cls, *values):
+    """cls(*values) with its shape checked but its entries not scanned.
+
+    For entries valid by construction, such as frames divided by a maxval
+    that their rasters were checked against, the residual of checked
+    background factors, or the orthonormal factors of an SVD. The public
+    constructors scan every entry.
+    """
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(obj, field.name, value)
+    obj._check_shape()
+    return obj
+
+
 def _as_matrix(A: np.ndarray, name: str = "A") -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -60,17 +75,22 @@ class SvdFactors:
     V: np.ndarray                # (n, k)
 
     def __post_init__(self) -> None:
+        self._check_shape()
+        eye = np.eye(self.rank)
+        if np.max(np.abs(self.U.T @ self.U - eye)) > 1e-10:
+            raise ValueError("U columns are not orthonormal")
+        if np.max(np.abs(self.V.T @ self.V - eye)) > 1e-10:
+            raise ValueError("V columns are not orthonormal")
+
+    def _check_shape(self) -> None:
+        # The k singular values are checked here too; the orthonormality of
+        # U and V is the check that _unscanned skips.
         s = self.singular_values
         k = s.shape[0]
         if self.U.ndim != 2 or self.V.ndim != 2 or self.U.shape[1] != k or self.V.shape[1] != k:
             raise ValueError("factor shapes disagree on the rank")
         if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
-        eye = np.eye(k)
-        if np.max(np.abs(self.U.T @ self.U - eye)) > 1e-10:
-            raise ValueError("U columns are not orthonormal")
-        if np.max(np.abs(self.V.T @ self.V - eye)) > 1e-10:
-            raise ValueError("V columns are not orthonormal")
 
     @property
     def rank(self) -> int:
@@ -143,7 +163,7 @@ def deterministic_svd(A: np.ndarray, k: int) -> SvdFactors:
         raise ValueError(f"k={k} outside [1, min(m, n)={min(m, n)}]")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     U, V = _fix_signs(U[:, :k], Vt[:k, :].T)
-    return SvdFactors(U, s[:k].copy(), V)
+    return _unscanned(SvdFactors, U, s[:k].copy(), V)
 
 
 def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -230,4 +250,4 @@ def rsvd(A: np.ndarray, cfg: SketchConfig, check_finite: bool = True) -> SvdFact
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     k = cfg.rank
     U, V = _fix_signs(Q @ Ub[:, :k], Vt[:k, :].T)
-    return SvdFactors(U, s[:k].copy(), V)
+    return _unscanned(SvdFactors, U, s[:k].copy(), V)

@@ -322,7 +322,7 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, masks: 
         background_indices = bg.partition_modes(omega, n_bg)
         factors = bg.background_factors(dec, background_indices)
         timer.mark(index, "decompose")
-        S = bg._residual(D, *factors, out=D.data, tau=cfg.tau, masks=masks[start:stop])
+        S = bg.factor_residual(D, *factors, out=D.data, tau=cfg.tau, masks=masks[start:stop])
         timer.mark(index, "residual")
     except (DegenerateDataError, np.linalg.LinAlgError) as exc:
         timer.mark(index, "decompose")
@@ -420,12 +420,10 @@ def _grid_pass(cfg, video, truth, ran, masks: np.ndarray, timer: _StageTimer):
         # No anchor runs here to consume the rasters that ingest may keep.
         vars(D).pop("_rasters", None)
         timer.mark(c.index, "ingest")
-        S = bg._residual(D, *factors, out=D.data)
+        S = bg.factor_residual(D, *factors, out=D.data)
         timer.mark(c.index, "residual")
         ranks = masks[c.start : c.stop].view(np.uint8) if sweep else None
-        chunk_raw, chunk_filtered = ev._ranked_counts(
-            S, _truth_of(truth, c), taus, kernel, ranks=ranks
-        )
+        chunk_raw, chunk_filtered = ev.sweep_counts(S, _truth_of(truth, c), taus, kernel, ranks)
         del D, S  # S is D's frames: free them before the next chunk is read
         raw += chunk_raw
         filtered += chunk_filtered

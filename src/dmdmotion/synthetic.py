@@ -1,12 +1,12 @@
-"""Synthetic test videos with ground truth, and planted linear systems.
+"""Synthetic test videos with ground truth, and matrices of a known spectrum.
 
 The video generator composes a background (flat, or a sinusoidal texture
 whose phase varies across the frame so the data is an exact rank-3 linear
 system), moving rectangles drawn on top, and optional Gaussian pixel noise.
 Ground-truth masks mark exactly the pixels each rectangle overwrites.
 
-The planted-system helpers build data with a known spectrum so decomposition
-results can be compared against the quantities that generated them.
+decaying_spectrum_matrix builds a dense matrix of prescribed singular values,
+against which the randomized SVD is measured.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "MovingRect",
     "SyntheticSpec",
     "generate_synthetic",
-    "PlantedSystem",
-    "planted_linear_snapshots",
     "decaying_spectrum_matrix",
 ]
 
@@ -45,6 +43,9 @@ class MovingRect:
     velocity: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        for name in ("top", "left", "velocity"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"rectangle {name} must be finite, got {getattr(self, name)}")
         if self.height < 1 or self.width < 1:
             raise ValueError("rectangle sides must be >= 1")
         if not 0.0 <= self.intensity <= 1.0:
@@ -84,6 +85,10 @@ class SyntheticSpec:
             raise ValueError("frame geometry must be at least 1x1")
         if self.n_frames < 2:
             raise ValueError("need at least 2 frames")
+        # NaN fails every comparison below, so it is ruled out first.
+        for name in ("base_level", "texture_amplitude", "texture_period", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.base_level <= 1.0:
             raise ValueError(f"base_level {self.base_level} outside [0, 1]")
         if self.texture_amplitude < 0.0:
@@ -100,6 +105,13 @@ class SyntheticSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "objects", tuple(self.objects))
+        # A corner moves monotonically, so it is finite in every frame if it
+        # is in the last.
+        last = self.n_frames - 1
+        for i, rect in enumerate(self.objects):
+            corner = (rect.top + last * rect.velocity[0], rect.left + last * rect.velocity[1])
+            if not np.all(np.isfinite(corner)):
+                raise ValueError(f"objects[{i}] corner at frame {last} is not finite: {corner}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[SnapshotMatrix, ForegroundMaskSequence]:
@@ -129,110 +141,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SnapshotMatrix, ForegroundM
     data = frames.reshape(n, h * w).T.copy()
     snapshots = SnapshotMatrix(data=data, frame_height=h, frame_width=w)
     return snapshots, ForegroundMaskSequence(masks=truth, tau=None)
-
-
-@dataclass(frozen=True)
-class PlantedSystem:
-    """A snapshot sequence built from known modes, eigenvalues and amplitudes.
-
-    component(indices) rebuilds the contribution of a mode subset, so a test
-    can compare a fitted background against the schedule that generated it.
-    """
-
-    snapshots: SnapshotMatrix
-    modes: np.ndarray
-    eigenvalues: np.ndarray
-    amplitudes: np.ndarray
-
-    def component(self, indices: tuple[int, ...] | list[int] | None = None) -> np.ndarray:
-        if indices is None:
-            idx = np.arange(self.eigenvalues.size)
-        else:
-            idx = np.asarray(sorted(set(indices)), dtype=np.intp)
-        n = self.snapshots.n_frames
-        t = np.arange(n, dtype=np.float64)
-        dynamics = self.amplitudes[idx, None] * self.eigenvalues[idx, None] ** t[None, :]
-        return self.modes[:, idx] @ dynamics
-
-
-def _conjugate_partner(lam: np.ndarray, i: int, used: set[int]) -> int | None:
-    for j in range(lam.size):
-        if j == i or j in used:
-            continue
-        if abs(lam[j] - np.conj(lam[i])) < 1e-12 * max(1.0, abs(lam[i])):
-            return j
-    return None
-
-
-def planted_linear_snapshots(
-    eigenvalues,
-    frame_shape: tuple[int, int],
-    n_frames: int,
-    amplitudes=None,
-    seed: int = 0,
-    carrier_range: tuple[float, float] = (0.3, 0.7),
-    mode_scale: float = 0.05,
-) -> PlantedSystem:
-    """Exact-rank data f_t = sum_i b_i lam_i^t phi_i with a known spectrum.
-
-    The first eigenvalue's mode is a positive carrier with entries uniform in
-    carrier_range; remaining modes are random with max magnitude mode_scale.
-    Conjugate eigenvalue pairs share a conjugated mode and amplitude so the
-    data stays real. Raises if the result leaves [0, 1]; shrink mode_scale or
-    the amplitudes in that case.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.complex128)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("eigenvalues must be a nonempty vector")
-    k = lam.size
-    if amplitudes is None:
-        b = np.ones(k, dtype=np.complex128)
-    else:
-        b = np.asarray(amplitudes, dtype=np.complex128)
-        if b.shape != lam.shape:
-            raise ValueError("amplitudes must align with eigenvalues")
-    h, w = frame_shape
-    m = h * w
-    rng = np.random.default_rng(seed)
-    modes = np.zeros((m, k), dtype=np.complex128)
-    used: set[int] = set()
-    for i in range(k):
-        if i in used:
-            continue
-        used.add(i)
-        if i == 0:
-            lo, hi = carrier_range
-            modes[:, 0] = rng.uniform(lo, hi, size=m)
-            continue
-        if abs(lam[i].imag) < 1e-12:
-            vec = rng.standard_normal(m)
-        else:
-            j = _conjugate_partner(lam, i, used)
-            if j is None:
-                raise ValueError(
-                    f"eigenvalue {lam[i]} has no conjugate partner; real data needs one"
-                )
-            vec = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            scale = mode_scale / np.abs(vec).max()
-            modes[:, i] = vec * scale
-            modes[:, j] = np.conj(modes[:, i])
-            if abs(b[j] - np.conj(b[i])) > 1e-12 * max(1.0, abs(b[i])):
-                raise ValueError("amplitudes of a conjugate pair must be conjugate")
-            used.add(j)
-            continue
-        modes[:, i] = vec * (mode_scale / np.abs(vec).max())
-    t = np.arange(n_frames, dtype=np.float64)
-    data_c = modes @ (b[:, None] * lam[:, None] ** t[None, :])
-    if np.abs(data_c.imag).max() > 1e-10:
-        raise ValueError("planted data came out complex; eigenvalue set is not conjugate-closed")
-    data = np.ascontiguousarray(data_c.real)
-    if data.min() < 0.0 or data.max() > 1.0:
-        raise ValueError(
-            f"planted data spans [{data.min():.3f}, {data.max():.3f}]; "
-            "reduce mode_scale or amplitudes to stay in [0, 1]"
-        )
-    snapshots = SnapshotMatrix(data=data, frame_height=h, frame_width=w)
-    return PlantedSystem(snapshots, modes, lam, b)
 
 
 def decaying_spectrum_matrix(

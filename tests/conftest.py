@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dmdmotion import MovingRect, SyntheticSpec, generate_synthetic, planted_linear_snapshots
+from dmdmotion import MovingRect, SyntheticSpec, generate_synthetic
+
+from helpers import planted_linear_snapshots
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
 from numpy.lib.stride_tricks import sliding_window_view
+
+from dmdmotion.dmd import SnapshotMatrix
 
 
 def hausdorff_distance(a, b) -> float:
@@ -30,6 +33,110 @@ def principal_angle_cos(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(abs(np.vdot(u, v)) / (nu * nv))
+
+
+@dataclass(frozen=True)
+class PlantedSystem:
+    """A snapshot sequence built from known modes, eigenvalues and amplitudes.
+
+    component(indices) rebuilds the contribution of a mode subset, so a test
+    can compare a fitted background against the schedule that generated it.
+    """
+
+    snapshots: SnapshotMatrix
+    modes: np.ndarray
+    eigenvalues: np.ndarray
+    amplitudes: np.ndarray
+
+    def component(self, indices: tuple[int, ...] | list[int] | None = None) -> np.ndarray:
+        if indices is None:
+            idx = np.arange(self.eigenvalues.size)
+        else:
+            idx = np.asarray(sorted(set(indices)), dtype=np.intp)
+        n = self.snapshots.n_frames
+        t = np.arange(n, dtype=np.float64)
+        dynamics = self.amplitudes[idx, None] * self.eigenvalues[idx, None] ** t[None, :]
+        return self.modes[:, idx] @ dynamics
+
+
+def _conjugate_partner(lam: np.ndarray, i: int, used: set[int]) -> int | None:
+    for j in range(lam.size):
+        if j == i or j in used:
+            continue
+        if abs(lam[j] - np.conj(lam[i])) < 1e-12 * max(1.0, abs(lam[i])):
+            return j
+    return None
+
+
+def planted_linear_snapshots(
+    eigenvalues,
+    frame_shape: tuple[int, int],
+    n_frames: int,
+    amplitudes=None,
+    seed: int = 0,
+    carrier_range: tuple[float, float] = (0.3, 0.7),
+    mode_scale: float = 0.05,
+) -> PlantedSystem:
+    """Exact-rank data f_t = sum_i b_i lam_i^t phi_i with a known spectrum.
+
+    The first eigenvalue's mode is a positive carrier with entries uniform in
+    carrier_range; remaining modes are random with max magnitude mode_scale.
+    Conjugate eigenvalue pairs share a conjugated mode and amplitude so the
+    data stays real. Raises if the result leaves [0, 1]; shrink mode_scale or
+    the amplitudes in that case.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.complex128)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ValueError("eigenvalues must be a nonempty vector")
+    k = lam.size
+    if amplitudes is None:
+        b = np.ones(k, dtype=np.complex128)
+    else:
+        b = np.asarray(amplitudes, dtype=np.complex128)
+        if b.shape != lam.shape:
+            raise ValueError("amplitudes must align with eigenvalues")
+    h, w = frame_shape
+    m = h * w
+    rng = np.random.default_rng(seed)
+    modes = np.zeros((m, k), dtype=np.complex128)
+    used: set[int] = set()
+    for i in range(k):
+        if i in used:
+            continue
+        used.add(i)
+        if i == 0:
+            lo, hi = carrier_range
+            modes[:, 0] = rng.uniform(lo, hi, size=m)
+            continue
+        if abs(lam[i].imag) < 1e-12:
+            vec = rng.standard_normal(m)
+        else:
+            j = _conjugate_partner(lam, i, used)
+            if j is None:
+                raise ValueError(
+                    f"eigenvalue {lam[i]} has no conjugate partner; real data needs one"
+                )
+            vec = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            scale = mode_scale / np.abs(vec).max()
+            modes[:, i] = vec * scale
+            modes[:, j] = np.conj(modes[:, i])
+            if abs(b[j] - np.conj(b[i])) > 1e-12 * max(1.0, abs(b[i])):
+                raise ValueError("amplitudes of a conjugate pair must be conjugate")
+            used.add(j)
+            continue
+        modes[:, i] = vec * (mode_scale / np.abs(vec).max())
+    t = np.arange(n_frames, dtype=np.float64)
+    data_c = modes @ (b[:, None] * lam[:, None] ** t[None, :])
+    if np.abs(data_c.imag).max() > 1e-10:
+        raise ValueError("planted data came out complex; eigenvalue set is not conjugate-closed")
+    data = np.ascontiguousarray(data_c.real)
+    if data.min() < 0.0 or data.max() > 1.0:
+        raise ValueError(
+            f"planted data spans [{data.min():.3f}, {data.max():.3f}]; "
+            "reduce mode_scale or amplitudes to stay in [0, 1]"
+        )
+    snapshots = SnapshotMatrix(data=data, frame_height=h, frame_width=w)
+    return PlantedSystem(snapshots, modes, lam, b)
 
 
 def reference_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
@@ -143,7 +250,7 @@ def searchsorted_ranks(S, taus) -> np.ndarray:
     """Ranks of S against the sorted taus by np.searchsorted, one frame per row.
 
     The oracle of evaluation._rank, in the (n_frames, height, width) layout
-    of the ranks buffer that evaluation._ranked_counts fills.
+    of the ranks buffer that evaluation.sweep_counts fills.
     """
     ranks = np.searchsorted(np.sort(np.asarray(taus, dtype=np.float64)), S.values, side="left")
     return ranks.T.reshape(S.n_frames, S.frame_height, S.frame_width).astype(

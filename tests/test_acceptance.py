@@ -26,9 +26,8 @@ from dmdmotion.synthetic import (
     SyntheticSpec,
     decaying_spectrum_matrix,
     generate_synthetic,
-    planted_linear_snapshots,
 )
-from helpers import hausdorff_distance, rsvd_error_bound, threshold_mask
+from helpers import hausdorff_distance, planted_linear_snapshots, rsvd_error_bound, threshold_mask
 
 
 def check(name: str, ok: bool, detail: str) -> None:
@@ -206,7 +205,7 @@ def test_metric_fidelity():
         (rng.uniform(size=n) < 0.5).reshape(1, n, 1), tau=None
     )
     taus = ev.tau_grid(float(S.values.max()))
-    auc = ev.RocCurve.from_counts(taus, ev.sweep_counts(S, truth, taus)).auc
+    auc = ev.RocCurve.from_counts(taus, ev.sweep_counts(S, truth, taus)[0]).auc
     check(
         "metric-fidelity",
         abs(f - 0.799) <= 1e-3 and abs(auc - 0.5) <= 0.02,

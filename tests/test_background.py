@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dmdmotion import background, dmd
+from dmdmotion import dmd
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
@@ -28,7 +28,7 @@ from dmdmotion.dmd import (
     reconstruction_factors,
 )
 from dmdmotion.errors import DegenerateDataError
-from dmdmotion.evaluation import _ranked_counts, tau_grid
+from dmdmotion.evaluation import sweep_counts, tau_grid
 from dmdmotion.io_formats import load_frames, save_pgm
 from dmdmotion.linalg import SketchConfig
 
@@ -354,13 +354,17 @@ def test_every_blocked_pass_holds_a_bounded_multiple_of_the_block_budget(n_frame
         object.__setattr__(D8, "_rasters", (raw, 255))
         assert scratch(lambda: dmd._anchor_frame(D8, MEDIAN_FRAME)) - 8 * m / dmd.BLOCK_BYTES <= 1.1
     assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data)) <= 1.1
-    assert scratch(lambda: background._residual(D, modes, temporal, out=D.data, tau=0.5,
-                                                masks=masks)) <= 1.1
+    assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data, tau=0.5,
+                                           masks=masks)) <= 1.1
+    # Without an out, the filtered masks are the output, one bool per pixel
+    # of every frame, and not the filter's scratch.
+    fresh = n_frames * m / dmd.BLOCK_BYTES
     for kernel in (3, 17):
         assert scratch(lambda: filter_masks(seq, kernel, out=masks)) <= 1.1
+        assert scratch(lambda: filter_masks(seq, kernel)) - fresh <= 1.1
     for kernel in (1, 3, 5):
         assert scratch(
-            lambda: _ranked_counts(S, truth, tau_grid(1.0), kernel, ranks)) <= 1.25
+            lambda: sweep_counts(S, truth, tau_grid(1.0), kernel, ranks)) <= 1.25
 
 
 def test_background_residual_checks_its_inputs():
@@ -411,7 +415,7 @@ def test_masks_thresholded_in_the_residual_loop_equal_the_oracle(monkeypatch, ca
     D = SnapshotMatrix(data, 1, n_pixels)
     modes, temporal = np.zeros((n_pixels, 1), complex), np.zeros((1, n_frames), complex)
     run = np.ones((n_frames + 3, 1, n_pixels), dtype=bool)
-    S = background._residual(D, modes, temporal, out=D.data, tau=tau, masks=run[2:-1])
+    S = factor_residual(D, modes, temporal, out=D.data, tau=tau, masks=run[2:-1])
     assert S.values is D.data and S.values.tobytes() == data.tobytes()
     expected = threshold_mask(ResidualSequence(data, 1, n_pixels), tau).masks
     assert run[2:-1].tobytes() == np.ascontiguousarray(expected).tobytes()
@@ -428,7 +432,7 @@ def test_masks_of_a_static_rank_collapsed_chunk_equal_the_oracle(n_frames):
     S = factor_residual(D, *factors)
     for tau in (0.0, float(np.median(S.values)), float(S.values.max())):
         masks = np.empty((n_frames, 25, 41), dtype=bool)
-        background._residual(D, *factors, tau=tau, masks=masks)
+        factor_residual(D, *factors, tau=tau, masks=masks)
         assert masks.tobytes() == np.ascontiguousarray(threshold_mask(S, tau).masks).tobytes()
 
 
@@ -537,56 +541,31 @@ def test_filter_masks_equals_per_frame_median_filter(masks, kernel):
 @pytest.mark.parametrize("shape", [(1, 3), (4, 1), (7, 9), (12, 10)])
 @pytest.mark.parametrize("kernel", [3, 5, 17])
 @pytest.mark.parametrize("block_frames", [1, 2, 5])
-@pytest.mark.parametrize("strip_rows", [2, None])
+@pytest.mark.parametrize("out_offset", [2, None])
 def test_filter_masks_of_a_threshold_view_equals_the_oracle(
-    monkeypatch, shape, kernel, block_frames, strip_rows
+    monkeypatch, shape, kernel, block_frames, out_offset
 ):
     # threshold_mask returns a transposed view whose frame axis is the
-    # contiguous one. It is copied into the output in strips of 2 rows, or
-    # in the strips its budget gives, and counted there in blocks of 1, 2
-    # (with a one-frame tail) and all 5 frames of two counts each; kernel
-    # 17 is larger than every frame, so every shift clamps, and its counts
-    # are uint16.
+    # contiguous one. It is copied into a fresh output, or into frames
+    # [2, 7) of a longer array, and counted there in blocks of 1, 2 (with a
+    # one-frame tail) and all 5 frames of two counts each; kernel 17 is
+    # larger than every frame, so every shift clamps, and its counts are
+    # uint16.
     h, w = shape
     rng = np.random.default_rng(h * w * kernel)
     seq = threshold_mask(ResidualSequence(rng.uniform(size=(h * w, 5)), h, w), 0.5)
     assert not seq.masks.flags.c_contiguous
     frame_bytes = 2 * h * w * np.min_scalar_type(kernel * kernel).itemsize
     monkeypatch.setattr(dmd, "BLOCK_BYTES", block_frames * frame_bytes)
-    if strip_rows is not None:
-        copy_frames = background._copy_frames
-
-        def copy_in_strips(dst, src):
-            with monkeypatch.context() as patch:
-                patch.setattr(dmd, "BLOCK_BYTES", strip_rows * src.strides[1])
-                copy_frames(dst, src)
-
-        monkeypatch.setattr(background, "_copy_frames", copy_in_strips)
-    filtered = filter_masks(seq, kernel)
+    run = np.ones((9, h, w), dtype=bool)
+    out = None if out_offset is None else run[out_offset : out_offset + 5]
+    filtered = filter_masks(seq, kernel, out=out)
     reference = np.stack([median_filter(frame, kernel) for frame in seq.masks])
     assert np.array_equal(filtered.masks, reference)
     assert filtered.tau == 0.5
-
-
-@pytest.mark.parametrize("kernel", [1, 3])
-@pytest.mark.parametrize("shape", [(16, 16), (10, 2048)])
-def test_copy_frames_equals_a_plain_copy(monkeypatch, kernel, shape):
-    # A 16x16 frame is smaller than one strip of BLOCK_BYTES; a budget of 4
-    # source rows makes 4-row strips, so two strip boundaries fall inside
-    # each 10-row frame and the last strip is short. At kernel 1 the source
-    # is threshold_mask's transposed view, at kernel 3 filter_masks' copy.
-    h, w = shape
-    rng = np.random.default_rng(h * kernel)
-    S = ResidualSequence(rng.uniform(size=(h * w, 5)), h, w)
-    masks = filter_masks(threshold_mask(S, 0.5), kernel).masks
-    assert masks.flags.c_contiguous == (kernel > 1)
-    plain = np.zeros((9, h, w), dtype=bool)
-    plain[2:7] = masks
-    strips = np.zeros_like(plain)
-    if h == 10:
-        monkeypatch.setattr(dmd, "BLOCK_BYTES", 4 * masks.strides[1])
-    background._copy_frames(strips[2:7], masks)
-    assert np.array_equal(strips, plain)
+    if out is not None:
+        assert filtered.masks is out
+        assert run[:2].all() and run[7:].all()
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5])

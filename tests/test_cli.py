@@ -458,6 +458,28 @@ def test_synth_negative_seed_exits_2(tmp_path, capsys, noise):
     assert not (tmp_path / "vid").exists()
 
 
+@pytest.mark.parametrize("option, reason", [
+    ("--rect=inf,0,2,2,0.5,0,0", "rectangle top must be finite, got inf"),
+    ("--rect=0,-inf,2,2,0.5,0,0", "rectangle left must be finite, got -inf"),
+    ("--rect=0,0,2,2,0.5,nan,0", "rectangle velocity must be finite, got (nan, 0.0)"),
+    # 3 x 1e308 overflows by the last frame, though each number is finite.
+    ("--rect=0,0,2,2,0.5,1e308,0", "objects[0] corner at frame 3 is not finite: (inf, 0.0)"),
+    ("--rect=0,0,2,2,2.0,0,0", "intensity 2.0 outside [0, 1]"),
+    ("--texture-amplitude=nan", "texture_amplitude must be finite, got nan"),
+    ("--texture-period=inf", "texture_period must be finite, got inf"),
+    ("--noise=nan", "noise_sigma must be finite, got nan"),
+    ("--base-level=nan", "base_level must be finite, got nan"),
+])
+def test_synth_non_finite_or_out_of_range_values_exit_2(tmp_path, capsys, option, reason):
+    # Each once ended in a traceback or wrote a video; NaN fails every
+    # range comparison, so a NaN texture amplitude wrote a flat one.
+    code = main(["synth", "--out", str(tmp_path / "vid"), "--height", "8", "--width", "8",
+                 "--frames", "4", "--seed", "1", option])
+    assert code == 2
+    assert capsys.readouterr().err == f"error (invalid input): {reason}\n"
+    assert not (tmp_path / "vid").exists()
+
+
 def test_svd_negative_seed_exits_2(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     code = main([

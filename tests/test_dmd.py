@@ -10,17 +10,16 @@ from dmdmotion.dmd import (
     FIRST_FRAME,
     MEDIAN_FRAME,
     SnapshotMatrix,
+    _modes,
+    _reduced_operator,
     deterministic_dmd,
-    dmd_modes,
     rdmd,
     reconstruction_factors,
-    reduced_operator,
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.linalg import SketchConfig, deterministic_svd
-from dmdmotion.synthetic import planted_linear_snapshots
 
-from helpers import hausdorff_distance, principal_angle_cos
+from helpers import hausdorff_distance, planted_linear_snapshots, principal_angle_cos
 
 
 def static_video(value=0.5, pixels=100, frames=20):
@@ -110,11 +109,11 @@ def test_decomposition_checks_its_modes_under_a_byte_per_entry():
 
 def test_non_finite_modes_are_degenerate_data(planted_three_mode, monkeypatch):
     def nan_modes(*args):
-        Phi = dmd_modes(*args)
+        Phi = _modes(*args)
         Phi[0, 0] = np.nan
         return Phi
 
-    monkeypatch.setattr(dmd, "dmd_modes", nan_modes)
+    monkeypatch.setattr(dmd, "_modes", nan_modes)
     with pytest.raises(DegenerateDataError, match="modes contain non-finite entries"):
         deterministic_dmd(planted_three_mode.snapshots, rank=3)
 
@@ -122,11 +121,11 @@ def test_non_finite_modes_are_degenerate_data(planted_three_mode, monkeypatch):
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_each_non_finite_mode_entry_is_degenerate_data(planted_three_mode, monkeypatch, bad):
     def nan_modes(*args):
-        Phi = dmd_modes(*args)
+        Phi = _modes(*args)
         Phi[5, 1] = bad
         return Phi
 
-    monkeypatch.setattr(dmd, "dmd_modes", nan_modes)
+    monkeypatch.setattr(dmd, "_modes", nan_modes)
     with pytest.raises(DegenerateDataError, match="modes contain non-finite entries"):
         deterministic_dmd(planted_three_mode.snapshots, rank=3)
 
@@ -167,11 +166,11 @@ def _left_and_right_sequences(D, monkeypatch):
 
     def recorded_reduced_operator(factors, Y):
         pairs[-1].append(Y)
-        return reduced_operator(factors, Y)
+        return _reduced_operator(factors, Y)
 
     monkeypatch.setattr(dmd, "rsvd", recorded(linalg.rsvd))
     monkeypatch.setattr(dmd, "deterministic_svd", recorded(deterministic_svd))
-    monkeypatch.setattr(dmd, "reduced_operator", recorded_reduced_operator)
+    monkeypatch.setattr(dmd, "_reduced_operator", recorded_reduced_operator)
     rdmd(D, SketchConfig(rank=1, oversampling=0, seed=0))
     deterministic_dmd(D, 1)
     assert len(pairs) == 2 and all(len(pair) == 2 for pair in pairs)
@@ -199,16 +198,21 @@ def test_split_overlap_identity(monkeypatch):
 
 
 def test_rdmd_checks_its_svd_factors_once(planted_three_mode, monkeypatch):
-    checks = []
-    post_init = linalg.SvdFactors.__post_init__
+    # Their rank and singular values, once; the public constructor's
+    # orthonormality products are skipped, as the sketch's factors are
+    # orthonormal by construction.
+    checks, constructed = [], []
+    check_shape = linalg.SvdFactors._check_shape
 
-    def counted_post_init(self):
+    def counted_check_shape(self):
         checks.append(self.rank)
-        post_init(self)
+        check_shape(self)
 
-    monkeypatch.setattr(linalg.SvdFactors, "__post_init__", counted_post_init)
+    monkeypatch.setattr(linalg.SvdFactors, "_check_shape", counted_check_shape)
+    monkeypatch.setattr(linalg.SvdFactors, "__post_init__", lambda self: constructed.append(self))
     rdmd(planted_three_mode.snapshots, SketchConfig(rank=3, oversampling=2, seed=0))
     assert checks == [3]
+    assert constructed == []
 
 
 # ---------------------------------------------------------------- reduced operator
@@ -217,7 +221,7 @@ def test_reduced_operator_static_is_identity():
     D = static_video()
     X, Y = D.data[:, :-1], D.data[:, 1:]
     factors = deterministic_svd(X, 1)
-    M = reduced_operator(factors, Y)
+    M = _reduced_operator(factors, Y)
     assert M.shape == (1, 1)
     assert abs(M[0, 0] - 1.0) < 1e-10
 
@@ -226,16 +230,16 @@ def test_reduced_operator_recovers_planted_spectrum(planted_three_mode):
     D = planted_three_mode.snapshots
     X, Y = D.data[:, :-1], D.data[:, 1:]
     factors = deterministic_svd(X, 3)
-    lam = np.linalg.eigvals(reduced_operator(factors, Y))
+    lam = np.linalg.eigvals(_reduced_operator(factors, Y))
     assert hausdorff_distance(lam, planted_three_mode.eigenvalues) <= 1e-8
 
 
 def test_reduced_operator_scale_invariant(planted_three_mode):
     D = planted_three_mode.snapshots
     X, Y = D.data[:, :-1], D.data[:, 1:]
-    M1 = reduced_operator(deterministic_svd(X, 3), Y)
+    M1 = _reduced_operator(deterministic_svd(X, 3), Y)
     c = 0.37
-    M2 = reduced_operator(deterministic_svd(c * X, 3), c * Y)
+    M2 = _reduced_operator(deterministic_svd(c * X, 3), c * Y)
     # the two SVDs may disagree on column signs, so compare spectra
     assert hausdorff_distance(np.linalg.eigvals(M1), np.linalg.eigvals(M2)) <= 1e-10
 
@@ -244,7 +248,7 @@ def test_reduced_operator_degenerate_zero_data():
     X = np.zeros((8, 4))
     factors = deterministic_svd(X, 2)
     with pytest.raises(DegenerateDataError):
-        reduced_operator(factors, X)
+        _reduced_operator(factors, X)
 
 
 # ---------------------------------------------------------------- modes
@@ -253,7 +257,7 @@ def test_reduced_operator_degenerate_zero_data():
 @pytest.mark.parametrize("r", [1, 3, 20])
 @pytest.mark.parametrize("spectrum", ["real", "complex"])
 def test_modes_equal_the_product_of_the_real_temporaries(m, r, spectrum):
-    # dmd_modes divides into a complex buffer; (Y @ V / s) @ W casts the
+    # _modes divides into a complex buffer; (Y @ V / s) @ W casts the
     # real quotient to complex for the product. A symmetric operator has a
     # real spectrum, whose eigenvectors are cast to complex as in _decompose;
     # a skew-symmetric one plus a diagonal has complex pairs.
@@ -266,15 +270,15 @@ def test_modes_equal_the_product_of_the_real_temporaries(m, r, spectrum):
     lam, W = np.linalg.eig(M + M.T if spectrum == "real" else M - M.T + np.diag(s))
     W = W.astype(np.complex128)
     assert np.iscomplexobj(lam) == (spectrum == "complex" and r > 1)
-    assert dmd_modes(Y, V, s, W).tobytes() == ((Y @ V / s) @ W).tobytes()
+    assert _modes(Y, V, s, W).tobytes() == ((Y @ V / s) @ W).tobytes()
 
 
 def test_modes_static_video_proportional_to_frame():
     D = static_video(0.4)
     X, Y = D.data[:, :-1], D.data[:, 1:]
     f = deterministic_svd(X, 1)
-    _, W = np.linalg.eig(reduced_operator(f, Y))
-    Phi = dmd_modes(Y, f.V, f.singular_values, W)
+    _, W = np.linalg.eig(_reduced_operator(f, Y))
+    Phi = _modes(Y, f.V, f.singular_values, W)
     assert Phi.shape == (100, 1)
     assert principal_angle_cos(Phi[:, 0], D.data[:, 0]) >= 1 - 1e-10
 
@@ -283,16 +287,11 @@ def test_modes_match_planted_directions(planted_three_mode):
     sys = planted_three_mode
     X, Y = sys.snapshots.data[:, :-1], sys.snapshots.data[:, 1:]
     f = deterministic_svd(X, 3)
-    lam, W = np.linalg.eig(reduced_operator(f, Y))
-    Phi = dmd_modes(Y, f.V, f.singular_values, W)
+    lam, W = np.linalg.eig(_reduced_operator(f, Y))
+    Phi = _modes(Y, f.V, f.singular_values, W)
     for i, lam_i in enumerate(lam):
         j = int(np.argmin(np.abs(sys.eigenvalues - lam_i)))
         assert principal_angle_cos(Phi[:, i], sys.modes[:, j]) >= 1 - 1e-6
-
-
-def test_modes_shape_validation():
-    with pytest.raises(ValueError):
-        dmd_modes(np.ones((4, 3)), np.ones((3, 2)), np.ones(1), np.eye(2))
 
 
 # ---------------------------------------------------------------- amplitudes
@@ -337,14 +336,14 @@ def test_amplitudes_recover_planted_values():
 def test_amplitudes_minimum_norm_for_degenerate_modes(monkeypatch, planted_three_mode):
     # Two equal mode columns leave the fit rank-deficient: it returns the
     # minimum-norm amplitudes, which split the weight evenly, not an error.
-    modes = dmd.dmd_modes
+    modes = dmd._modes
 
     def duplicated(*args):
         Phi = modes(*args)
         Phi[:, 1] = Phi[:, 0]
         return Phi
 
-    monkeypatch.setattr(dmd, "dmd_modes", duplicated)
+    monkeypatch.setattr(dmd, "_modes", duplicated)
     D = planted_three_mode.snapshots
     dec = deterministic_dmd(D, 2, anchor=FIRST_FRAME)
     expected = np.linalg.pinv(dec.modes) @ D.data[:, 0]

@@ -145,7 +145,7 @@ def test_rates_bounded(tp, fp, tn, fn):
 def sweep_roc(S, truth, taus=None):
     """The run's ROC: RocCurve.from_counts over sweep_counts, tau_grid by default."""
     taus = tau_grid(float(S.values.max())) if taus is None else taus
-    return RocCurve.from_counts(taus, sweep_counts(S, truth, taus))
+    return RocCurve.from_counts(taus, sweep_counts(S, truth, taus)[0])
 
 
 def separable_instance(n=400, seed=0):
@@ -226,7 +226,7 @@ def test_roc_needs_two_thresholds():
 # ---------------------------------------------------------------- best F
 
 def sweep_best_f(S, truth, taus, kernel=1):
-    return best_f_from_counts(taus, sweep_counts(S, truth, taus, kernel))
+    return best_f_from_counts(taus, sweep_counts(S, truth, taus, kernel)[1])
 
 
 def test_best_f_single_tau():
@@ -291,8 +291,9 @@ def sweep_instances(draw):
 @given(sweep_instances())
 def test_sweep_counts_equal_per_threshold_loop(instance):
     S, truth, taus, kernel = instance
-    counts = sweep_counts(S, truth, taus, kernel)
-    assert counts.dtype == np.int64
+    raw, counts = sweep_counts(S, truth, taus, kernel)
+    assert raw.dtype == counts.dtype == np.int64
+    assert np.array_equal(raw, loop_counts(S, truth, taus, 1))
     assert np.array_equal(counts, loop_counts(S, truth, taus, kernel))
 
 
@@ -377,11 +378,11 @@ def test_ranked_counts_equal_searchsorted_of_partition_medians(case, kernel):
     h, w, n = 9, 7, 5
     S = ResidualSequence(values(rng, (h * w, n)), h, w)
     truth = masks_of(rng.uniform(size=(n, h, w)) < 0.4)
-    counts = sweep_counts(S, truth, taus, kernel)
+    raw, counts = sweep_counts(S, truth, taus, kernel)
     assert np.array_equal(counts, partition_sweep_counts(S, truth, taus, kernel))
-    raw, filtered = evaluation._ranked_counts(S, truth, taus, kernel)
     assert np.array_equal(raw, partition_sweep_counts(S, truth, taus))
-    assert np.array_equal(filtered, counts)
+    # At kernel 1 the two are one array.
+    assert (raw is counts) == (kernel == 1)
     # The ranks buffer receives the window medians of the ranks, the same
     # bytes in the same type; the filtered masks they give at every tau are
     # counted.
@@ -389,7 +390,7 @@ def test_ranked_counts_equal_searchsorted_of_partition_medians(case, kernel):
     expected = window_medians_by_partition(ranks, kernel) if kernel > 1 else ranks
     buffer = np.empty((n, h, w), dtype=np.min_scalar_type(len(taus)))
     assert np.array_equal(
-        evaluation._ranked_counts(S, truth, taus, kernel, ranks=buffer)[1], counts)
+        sweep_counts(S, truth, taus, kernel, ranks=buffer)[1], counts)
     assert buffer.dtype == expected.dtype
     assert buffer.tobytes() == np.ascontiguousarray(expected).tobytes()
 
@@ -400,7 +401,7 @@ def test_ranked_counts_rejects_a_bool_ranks_buffer():
     S = ResidualSequence(rng.uniform(size=(63, 5)), 9, 7)
     truth = masks_of(rng.uniform(size=(5, 9, 7)) < 0.4)
     with pytest.raises(ValueError, match="ranks must be uint8"):
-        evaluation._ranked_counts(S, truth, tau_grid(1.0), 3, ranks=np.zeros((5, 9, 7), bool))
+        sweep_counts(S, truth, tau_grid(1.0), 3, ranks=np.zeros((5, 9, 7), bool))
 
 
 @settings(deadline=None, max_examples=200)
@@ -440,7 +441,8 @@ def test_sweep_counts_in_frame_blocks_equal_per_threshold_loop(monkeypatch, kern
     taus = [0.0, 0.25, 0.3, 0.5, 0.5, 1.0]
     frame_bytes = h * w * (kernel * kernel + np.dtype(np.intp).itemsize)
     monkeypatch.setattr(dmd, "BLOCK_BYTES", block_frames * frame_bytes)
-    assert np.array_equal(sweep_counts(S, truth, taus, kernel), loop_counts(S, truth, taus, kernel))
+    assert np.array_equal(sweep_counts(S, truth, taus, kernel)[1],
+                          loop_counts(S, truth, taus, kernel))
 
 
 @pytest.mark.parametrize("m, n", [(3072, 100), (76800, 200)])

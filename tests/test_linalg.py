@@ -402,6 +402,28 @@ def test_svd_factors_validation():
         )
 
 
+@pytest.mark.parametrize("spectrum", ["geometric", "rank 3", "zero"])
+@pytest.mark.parametrize("factorize", ["rsvd", "deterministic_svd"])
+def test_returned_factors_are_orthonormal_without_the_constructor_check(
+    monkeypatch, factorize, spectrum
+):
+    # Both build their factors past the public constructor, whose U.T @ U
+    # and V.T @ V checks they skip; their factors pass those checks anyway,
+    # on a fast-decaying, a rank-deficient and an all-zero matrix.
+    values = {"geometric": 2.0 ** -np.arange(30), "rank 3": [3.0, 2.0, 1.0], "zero": [0.0]}
+    A, _ = decaying_spectrum_matrix(80, 30, values[spectrum], seed=1)
+    checks = []
+    monkeypatch.setattr(SvdFactors, "__post_init__", lambda self: checks.append(self))
+    if factorize == "rsvd":
+        f = rsvd(A, SketchConfig(rank=6, oversampling=4, subspace_iters=2, seed=3))
+    else:
+        f = deterministic_svd(A, 6)
+    assert checks == []
+    eye = np.eye(6)
+    assert np.max(np.abs(f.U.T @ f.U - eye)) <= 1e-10
+    assert np.max(np.abs(f.V.T @ f.V - eye)) <= 1e-10
+
+
 def test_sketch_config_validation():
     with pytest.raises(ValueError):
         SketchConfig(rank=0)

@@ -287,7 +287,7 @@ def test_sweep_outputs_equal_the_partition_oracle(tmp_path, monkeypatch, kernel)
                             median_kernel=kernel, output_dir=str(tmp_path / name)))
         return tmp_path / name
 
-    def oracle_ranked_counts(S, t, taus, k, ranks=None):
+    def oracle_sweep_counts(S, t, taus, k, ranks=None):
         if ranks is not None:
             ranks[...] = searchsorted_ranks(S, taus)
             if k > 1:
@@ -295,7 +295,7 @@ def test_sweep_outputs_equal_the_partition_oracle(tmp_path, monkeypatch, kernel)
         return partition_sweep_counts(S, t, taus), partition_sweep_counts(S, t, taus, k)
 
     new = run("new")
-    monkeypatch.setattr(ev, "_ranked_counts", oracle_ranked_counts)
+    monkeypatch.setattr(ev, "sweep_counts", oracle_sweep_counts)
     oracle = run("oracle")
     names = ["metrics.csv", "roc.csv", "report.txt"] + [
         os.path.join("masks", f) for f in sorted(os.listdir(oracle / "masks"))]
@@ -526,7 +526,7 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
     # its residual is rebuilt from them once the grid is known, so at most one
     # residual is alive at a time and none when the outputs are written.
     refs = []
-    residual = pipeline.bg._residual
+    residual = pipeline.bg.factor_residual
 
     def tracked_residual(*args, **kwargs):
         assert all(ref() is None for ref in refs)
@@ -540,7 +540,7 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
         assert all(ref() is None for ref in refs)
         write_outputs(*args)
 
-    monkeypatch.setattr(pipeline.bg, "_residual", tracked_residual)
+    monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_residual)
     monkeypatch.setattr(pipeline, "_write_outputs", checked_write_outputs)
     out = tmp_path / "run"
     cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3,
@@ -554,7 +554,7 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
         SQUARE.frame_height, SQUARE.frame_width,
     )
     taus = ev.tau_grid(float(S.values.max()))
-    counts = ev.sweep_counts(S, truth, taus)
+    counts, _ = ev.sweep_counts(S, truth, taus)
     ev.write_metrics_csv(str(tmp_path / "metrics.csv"),
                          [ev.metrics_row(float(t), ev.ConfusionCounts(*row))
                           for t, row in zip(taus, counts.tolist())])
@@ -571,13 +571,13 @@ def test_every_residual_is_written_over_its_chunk(tmp_path, monkeypatch):
                     output_dir=str(tmp_path / "plain"))
     expected = run_bgsub(cfg)
     in_place = []
-    residual = pipeline.bg._residual
+    residual = pipeline.bg.factor_residual
 
     def tracked_residual(*args, **kwargs):
         in_place.append(kwargs.get("out") is args[0].data)
         return residual(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline.bg, "_residual", tracked_residual)
+    monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_residual)
     report = run_bgsub(replace(cfg, output_dir=str(tmp_path / "tracked")))
     assert in_place == [True] * 6  # one per chunk in each pass
     assert np.array_equal(report.masks.masks, expected.masks.masks)
@@ -652,7 +652,7 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
 def test_non_finite_reduced_operator_fails_its_chunk(monkeypatch):
     # numpy's eigensolver rejects it with LinAlgError, which fails the chunk
     # and lets the other chunks run.
-    reduced_operator, calls = dmd.reduced_operator, []
+    reduced_operator, calls = dmd._reduced_operator, []
 
     def poisoned(factors, Y):
         M = reduced_operator(factors, Y)
@@ -661,7 +661,7 @@ def test_non_finite_reduced_operator_fails_its_chunk(monkeypatch):
             M[0, 0] = np.nan
         return M
 
-    monkeypatch.setattr(dmd, "reduced_operator", poisoned)
+    monkeypatch.setattr(dmd, "_reduced_operator", poisoned)
     report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3))
     assert [c.ok for c in report.chunks] == [True, False, True]
     assert report.chunks[1].error.startswith("LinAlgError: ")

@@ -10,9 +10,8 @@ from dmdmotion.synthetic import (
     SyntheticSpec,
     decaying_spectrum_matrix,
     generate_synthetic,
-    planted_linear_snapshots,
 )
-from helpers import hausdorff_distance
+from helpers import hausdorff_distance, planted_linear_snapshots
 
 
 def test_no_objects_static_video():
