@@ -142,8 +142,7 @@ def factor_residual(
     modes: np.ndarray,
     temporal: np.ndarray,
     out: np.ndarray | None = None,
-    tau: float | None = None,
-    masks: np.ndarray | None = None,
+    masks: ForegroundMaskSequence | None = None,
 ) -> ResidualSequence:
     """Per-pixel distance |d - Re(l)| to the background l = modes @ temporal.
 
@@ -158,33 +157,40 @@ def factor_residual(
     residual of D's checked frames is finite and nonnegative and is not
     scanned again.
 
-    With a tau, each block's [residual > tau] goes into masks, a contiguous
-    bool (n_frames, height, width) array such as a chunk's frames of a
-    run's masks. Each block is compared in its own pixel-major layout, into
-    one reused bool block, and copied into its pixels of every frame while
-    it is in cache, so the masks are made without a pass over the whole
-    residual.
+    masks, when given, are D's (n_frames, height, width) masks at their
+    tau, whose C-contiguous array, such as a chunk's frames of a run's
+    masks, takes each block's [residual > masks.tau]. Each block is
+    compared in its own pixel-major layout, into one reused bool block, and
+    copied into its pixels of every frame while it is in cache, so the
+    masks are made without a pass over the whole residual.
     """
     if (modes.shape[0], temporal.shape[1]) != D.data.shape:
         raise ValueError(
             f"background shape {(modes.shape[0], temporal.shape[1])} does not match "
             f"video {D.data.shape}"
         )
-    values = np.empty(D.data.shape) if out is None else out
     # A one-pixel block would be a vector-matrix product, which rounds
     # differently from the matrix product, so a block has at least 2 pixels
     # and a last block of one pixel more than a block is kept whole.
     block = max(2, _block_length(16 * D.n_frames))
     edges = [*range(0, max(D.n_pixels - 1, 1), block), D.n_pixels]
-    if tau is not None:
-        foreground = masks.reshape(D.n_frames, D.n_pixels)
+    if masks is not None:
+        shape = (D.n_frames, D.frame_height, D.frame_width)
+        if masks.tau is None:
+            raise ValueError("masks to threshold into need a tau")
+        if masks.masks.shape != shape:
+            raise ValueError(f"masks of shape {masks.masks.shape} do not match video {shape}")
+        if not masks.masks.flags.c_contiguous:
+            raise ValueError("masks to threshold into must be C-contiguous")
+        foreground = masks.masks.reshape(D.n_frames, D.n_pixels)
         above = np.empty((min(block + 1, D.n_pixels), D.n_frames), dtype=bool)
+    values = np.empty(D.data.shape) if out is None else out
     for start, stop in zip(edges, edges[1:]):
         out = values[start:stop]
         np.subtract(D.data[start:stop], (modes[start:stop] @ temporal).real, out=out)
         np.abs(out, out=out)
-        if tau is not None:
-            np.greater(out, tau, out=above[: stop - start])
+        if masks is not None:
+            np.greater(out, masks.tau, out=above[: stop - start])
             foreground[:, start:stop] = above[: stop - start].T
     return _unscanned(ResidualSequence, values, D.frame_height, D.frame_width)
 

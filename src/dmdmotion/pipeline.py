@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -292,28 +292,26 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     return bounds
 
 
-def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, masks: np.ndarray,
-               timer: _StageTimer, writer: _Writer | None):
+def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int,
+               masks: bg.ForegroundMaskSequence | None, timer: _StageTimer,
+               writer: _Writer | None):
     """Read, decompose and model one chunk, and queue its chunk_NNN/ write.
 
     Returns (record, residual, background factors), the residual written
     over the chunk's own frames, or (record, None, None) when the chunk
     failed on its data (DegenerateDataError or LinAlgError; any other
-    error propagates). At a fixed tau, the residual's [S > tau] is written
-    into the chunk's frames of masks as it is formed. With an output
-    directory, the decomposition goes to the writer, which holds it until
-    it is in chunk_NNN/; under save_residuals, the residual is written
-    there before this returns.
+    error propagates). masks, at a fixed tau, are the chunk's frames of the
+    run's masks at that tau, into which the residual's [S > tau] is written
+    as it is formed. With an output directory, the decomposition goes to
+    the writer, which holds it until it is in chunk_NNN/; under
+    save_residuals, the residual is written there before this returns.
     """
+    record = ChunkResult(index=index, start=start, stop=stop, seed=cfg.seed + index)
     D = video.columns(start, stop)
     timer.mark(index, "ingest")
     try:
-        sketch = SketchConfig(
-            rank=cfg.k,
-            oversampling=cfg.p,
-            subspace_iters=cfg.q,
-            seed=cfg.seed + index,
-        )
+        sketch = SketchConfig(rank=cfg.k, oversampling=cfg.p, subspace_iters=cfg.q,
+                              seed=record.seed)
         dec = rdmd(D, sketch, anchor=cfg.anchor)
         omega = bg.fourier_modes(dec)
         # A near-static chunk can retain fewer usable modes than requested; take
@@ -322,28 +320,13 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, masks: 
         background_indices = bg.partition_modes(omega, n_bg)
         factors = bg.background_factors(dec, background_indices)
         timer.mark(index, "decompose")
-        S = bg.factor_residual(D, *factors, out=D.data, tau=cfg.tau, masks=masks[start:stop])
+        S = bg.factor_residual(D, *factors, out=D.data, masks=masks)
         timer.mark(index, "residual")
     except (DegenerateDataError, np.linalg.LinAlgError) as exc:
         timer.mark(index, "decompose")
-        failed = ChunkResult(
-            index=index,
-            start=start,
-            stop=stop,
-            seed=cfg.seed + index,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return failed, None, None
-    result = ChunkResult(
-        index=index,
-        start=start,
-        stop=stop,
-        seed=cfg.seed + index,
-        retained_rank=dec.rank,
-        eigenvalues=dec.eigenvalues,
-        omega=omega,
-        background_indices=background_indices,
-    )
+        return replace(record, error=f"{type(exc).__name__}: {exc}"), None, None
+    record = replace(record, retained_rank=dec.rank, eigenvalues=dec.eigenvalues, omega=omega,
+                     background_indices=background_indices)
     if writer is not None:
         from .io_formats import save_decomposition, save_matrix
 
@@ -353,7 +336,7 @@ def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int, masks: 
             save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
         writer.start_chunk(save_decomposition, chunk_dir, dec)
         timer.mark(index, "write")
-    return result, S, factors
+    return record, S, factors
 
 
 def _truth_of(truth: bg.ForegroundMaskSequence, c: ChunkResult) -> bg.ForegroundMaskSequence:
@@ -364,9 +347,10 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
                 writer: _Writer | None):
     """Run every chunk; at a fixed tau, mask and score it and drop its residual.
 
-    A fixed tau's masks are thresholded into the run's masks as the
-    residual is formed, filtered there in place and, with an output
-    directory, go to the writer as soon as they are final.
+    At a fixed tau, a chunk's frames of the run's masks are one
+    ForegroundMaskSequence at that tau: thresholded as the residual is
+    formed, filtered in place, scored and, with an output directory, given
+    to the writer as soon as they are final.
     Returns the chunk records, the counts of the fixed-tau masks against the
     truth and, when the run needs the tau grid, each chunk that ran with its
     background factors and largest residual: the residual itself is dropped
@@ -377,21 +361,19 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
     counts = ev.ConfusionCounts(0, 0, 0, 0)
     ran = []
     for i, (start, stop) in enumerate(bounds):
-        c, S, factors = _run_chunk(video, cfg, i, start, stop, masks, timer, writer)
+        seq = None if cfg.tau is None else bg.ForegroundMaskSequence(masks[start:stop], cfg.tau)
+        c, S, factors = _run_chunk(video, cfg, i, start, stop, seq, timer, writer)
         chunks.append(c)
         if S is None:
             continue
-        if cfg.tau is not None:
-            frames = masks[start:stop]
-            chunk_masks = bg.ForegroundMaskSequence(frames, tau=cfg.tau)
-            if cfg.median_kernel > 1:
-                chunk_masks = bg.filter_masks(chunk_masks, cfg.median_kernel, out=frames)
+        if seq is not None:
+            bg.filter_masks(seq, cfg.median_kernel, out=seq.masks)
             if truth is not None:
-                counts += ev.confusion(chunk_masks, _truth_of(truth, c))
+                counts += ev.confusion(seq, _truth_of(truth, c))
             if writer is not None:
                 from .io_formats import save_masks
 
-                writer.add(save_masks, os.path.join(cfg.output_dir, "masks"), chunk_masks,
+                writer.add(save_masks, os.path.join(cfg.output_dir, "masks"), seq,
                            stems[start:stop])
             timer.mark(i, "masks")
         if need_grid:

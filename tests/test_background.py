@@ -354,8 +354,8 @@ def test_every_blocked_pass_holds_a_bounded_multiple_of_the_block_budget(n_frame
         object.__setattr__(D8, "_rasters", (raw, 255))
         assert scratch(lambda: dmd._anchor_frame(D8, MEDIAN_FRAME)) - 8 * m / dmd.BLOCK_BYTES <= 1.1
     assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data)) <= 1.1
-    assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data, tau=0.5,
-                                           masks=masks)) <= 1.1
+    at_half = ForegroundMaskSequence(masks, 0.5)
+    assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data, masks=at_half)) <= 1.1
     # Without an out, the filtered masks are the output, one bool per pixel
     # of every frame, and not the filter's scratch.
     fresh = n_frames * m / dmd.BLOCK_BYTES
@@ -375,6 +375,26 @@ def test_background_residual_checks_its_inputs():
     D = SnapshotMatrix(np.full((6, 5), 0.5), 2, 3)
     with pytest.raises(ValueError, match=r"mode indices outside \[0, 4\)"):
         factor_residual(D, *background_factors(dec, (4,)))
+
+
+@pytest.mark.parametrize("case", ["no tau", "another shape", "transposed view"])
+def test_factor_residual_rejects_masks_it_cannot_threshold_into(case):
+    # Residuals of 0.5 against a zero background lie above the tau of 0.1,
+    # so masks that took them would not stay empty. A transposed view is
+    # one that reshape would copy, and the copy would take the masks.
+    D = SnapshotMatrix(np.full((6, 4), 0.5), 2, 3)
+    modes, temporal = np.zeros((6, 1), complex), np.zeros((1, 4), complex)
+    masks, reason = {
+        "no tau": (ForegroundMaskSequence(np.zeros((4, 2, 3), dtype=bool)),
+                   "masks to threshold into need a tau"),
+        "another shape": (ForegroundMaskSequence(np.zeros((4, 3, 2), dtype=bool), 0.1),
+                          r"masks of shape \(4, 3, 2\) do not match video \(4, 2, 3\)"),
+        "transposed view": (ForegroundMaskSequence(np.zeros((3, 2, 4), dtype=bool).T, 0.1),
+                            "masks to threshold into must be C-contiguous"),
+    }[case]
+    with pytest.raises(ValueError, match=reason):
+        factor_residual(D, modes, temporal, masks=masks)
+    assert not masks.masks.any()
 
 
 @pytest.mark.parametrize("n_frames, mode_scale", [(200, 1.0), (100, 1e20)])
@@ -415,7 +435,8 @@ def test_masks_thresholded_in_the_residual_loop_equal_the_oracle(monkeypatch, ca
     D = SnapshotMatrix(data, 1, n_pixels)
     modes, temporal = np.zeros((n_pixels, 1), complex), np.zeros((1, n_frames), complex)
     run = np.ones((n_frames + 3, 1, n_pixels), dtype=bool)
-    S = factor_residual(D, modes, temporal, out=D.data, tau=tau, masks=run[2:-1])
+    S = factor_residual(D, modes, temporal, out=D.data,
+                        masks=ForegroundMaskSequence(run[2:-1], tau))
     assert S.values is D.data and S.values.tobytes() == data.tobytes()
     expected = threshold_mask(ResidualSequence(data, 1, n_pixels), tau).masks
     assert run[2:-1].tobytes() == np.ascontiguousarray(expected).tobytes()
@@ -432,7 +453,7 @@ def test_masks_of_a_static_rank_collapsed_chunk_equal_the_oracle(n_frames):
     S = factor_residual(D, *factors)
     for tau in (0.0, float(np.median(S.values)), float(S.values.max())):
         masks = np.empty((n_frames, 25, 41), dtype=bool)
-        factor_residual(D, *factors, tau=tau, masks=masks)
+        factor_residual(D, *factors, masks=ForegroundMaskSequence(masks, tau))
         assert masks.tobytes() == np.ascontiguousarray(threshold_mask(S, tau).masks).tobytes()
 
 
