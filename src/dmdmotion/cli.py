@@ -85,8 +85,15 @@ def _parse_rect(value: str) -> tuple:
     return top, left, height, width, intensity, (vy, vx)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors reach main's one-line report; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmdmotion",
         description="Motion detection in fixed-camera video via low-rank spectral decomposition.",
     )
@@ -292,9 +299,8 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--rect" and re.match(r"-\.?\d", argv[i + 1]):
             argv[i : i + 2] = [f"--rect={argv[i + 1]}"]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except DegenerateDataError as exc:
         print(f"error (degenerate data): {exc}", file=sys.stderr)

@@ -74,6 +74,8 @@ class RunConfig:
             raise ValueError("exactly one of frames and synthetic must be given")
         if self.synthetic is not None and self.truth is not None:
             raise ValueError("truth is for frames; synthetic input brings its own")
+        if self.save_residuals and self.output_dir is None:
+            raise ValueError("save_residuals needs an output_dir to write the residuals to")
         for name in ("chunk_length", "k", "p", "q", "seed", "n_background", "median_kernel"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

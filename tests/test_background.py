@@ -354,8 +354,8 @@ def test_every_blocked_pass_holds_a_bounded_multiple_of_the_block_budget(n_frame
         object.__setattr__(D8, "_rasters", (raw, 255))
         assert scratch(lambda: dmd._anchor_frame(D8, MEDIAN_FRAME)) - 8 * m / dmd.BLOCK_BYTES <= 1.1
     assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data)) <= 1.1
-    at_half = ForegroundMaskSequence(masks, 0.5)
-    assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data, masks=at_half)) <= 1.1
+    half = ForegroundMaskSequence(masks, 0.5)
+    assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data, masks=half)) <= 1.1
     # Without an out, the filtered masks are the output, one bool per pixel
     # of every frame, and not the filter's scratch.
     fresh = n_frames * m / dmd.BLOCK_BYTES

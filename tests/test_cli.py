@@ -448,6 +448,32 @@ def test_svd_without_repeats_exits_2(tmp_path, capsys, repeats):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--tau", "abc"],
+     "argument --tau: invalid float value: 'abc'"),
+    (["synth", "--out", "out", "--seed", "7", "--rect=1,2,3"],
+     "argument --rect: rect format: top,left,height,width,intensity,vy,vx"),
+    (["bgsub", "--frames", "f/*.pgm", "--seed", "5"],
+     "the following arguments are required: --out"),
+    (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--bogus"],
+     "unrecognized arguments: --bogus"),
+])
+def test_a_malformed_or_missing_option_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                             args, reason):
+    # Each ends in main's one-line report, not in argparse's usage block and SystemExit.
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error (invalid input): {reason}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bgsub", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dmdmotion bgsub")
+
+
 @pytest.mark.parametrize("noise", ["0", "0.1"])
 def test_synth_negative_seed_exits_2(tmp_path, capsys, noise):
     # At noise 0 the seed draws nothing, and it is still rejected.

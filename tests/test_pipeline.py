@@ -67,6 +67,13 @@ def test_config_requires_exactly_one_input():
         RunConfig(synthetic=SQUARE, truth="/nonexistent/*.pgm")
 
 
+def test_config_rejects_residuals_without_an_output_dir():
+    # Such a run once ended normally and wrote no residual.
+    with pytest.raises(ValueError, match="save_residuals needs an output_dir"):
+        RunConfig(synthetic=SQUARE, save_residuals=True)
+    assert RunConfig(synthetic=SQUARE, save_residuals=True, output_dir="out").save_residuals
+
+
 def test_config_validates_sketch_against_chunk():
     with pytest.raises(ValueError, match="chunk_length"):
         RunConfig(synthetic=SQUARE, chunk_length=10, k=9, p=2)
@@ -744,7 +751,7 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
             "fixed tau, kernel 1": {"tau": 0.3, "median_kernel": 1}}[threshold]
     cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
                     truth=str(tmp_path / "truth" / "*.pgm"), k=5, chunk_length=chunk_length,
-                    save_residuals=True, **opts)
+                    **opts)
     network = dmd._network_median
     calls = []
 
@@ -764,7 +771,7 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
     outputs = {}
     for side, pixels in (("partition", 24 * 24 + 1), ("network", 24 * 24)):
         monkeypatch.setattr(dmd, "_NETWORK_MIN_PIXELS", pixels)
-        report = run_bgsub(replace(cfg, output_dir=str(tmp_path / side)))
+        report = run_bgsub(replace(cfg, output_dir=str(tmp_path / side), save_residuals=True))
         assert all(c.ok for c in report.chunks)
         outputs[side] = output_files(tmp_path / side)
     assert calls == [(stop - start, 576) for start, stop in chunk_bounds(60, chunk_length, 7)]
