@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DmdDecomposition, SnapshotMatrix, _block_length, reconstruction_factors
+from .dmd import DmdDecomposition, SnapshotMatrix, _block_length
 from .errors import DegenerateDataError
 from .linalg import _unscanned
 
@@ -120,17 +120,23 @@ def partition_modes(omega: np.ndarray, n_background: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in ranked[:cut]))
 
 
-def background_factors(
-    dec: DmdDecomposition, background_indices: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """reconstruction_factors of the background modes, checked not to overflow.
+def background_factors(dec: DmdDecomposition, mode_indices) -> tuple[np.ndarray, np.ndarray]:
+    """The selected modes phi_i and their temporal factor b_i lam_i**t, checked not to overflow.
 
-    Their product is the complex background video, the reconstruction from
-    the background modes over every frame; a finite bound on its entries
-    means that neither the powers b_i lam_i**t nor the background overflow.
+    The factor has one column per frame, and the product of the two is the
+    sum of b_i phi_i lam_i**t over the selected modes: the background video
+    for the background modes, the retained-rank approximation of D for
+    range(dec.rank), zeros for an empty selection. A finite bound on its
+    entries means that neither the powers nor the product overflow; one
+    that overflows raises DegenerateDataError.
     """
+    idx = np.unique(np.asarray(list(mode_indices), dtype=np.intp))
+    if idx.size and (idx.min() < 0 or idx.max() >= dec.rank):
+        raise ValueError(f"mode indices outside [0, {dec.rank})")
+    times = np.arange(dec.n_frames, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        modes, temporal = reconstruction_factors(dec, background_indices)
+        temporal = dec.amplitudes[idx, None] * dec.eigenvalues[idx, None] ** times[None, :]
+        modes = dec.modes[:, idx]
         bound = len(temporal) * np.abs(modes).max(initial=0.0) * np.abs(temporal).max(initial=0.0)
     if not np.isfinite(bound):
         raise DegenerateDataError(f"background overflows over {dec.n_frames} frames")

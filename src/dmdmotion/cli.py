@@ -64,9 +64,12 @@ def _parse_shape(value: str) -> tuple[int, int]:
 
 def _parse_int_list(value: str) -> list[int]:
     try:
-        return [int(v) for v in value.split(",") if v]
+        values = [int(v) for v in value.split(",") if v]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+    return values
 
 
 def _parse_rect(value: str) -> tuple:
@@ -220,7 +223,7 @@ def _cmd_eval(args) -> int:
     if c.undefined_rates:
         print("note: at least one rate had a zero denominator and was reported as 0")
     if args.out:
-        ev.write_metrics_csv(args.out, [ev.metrics_row(float("nan"), c)])
+        ev.write_metrics_csv(args.out, [float("nan")], [[c.tp, c.fp, c.tn, c.fn]])
     return 0
 
 

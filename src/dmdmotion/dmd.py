@@ -31,7 +31,6 @@ __all__ = [
     "MEDIAN_FRAME",
     "rdmd",
     "deterministic_dmd",
-    "reconstruction_factors",
 ]
 
 # Anchor frame selectors for the amplitude fit. An integer anchor addresses an
@@ -146,6 +145,14 @@ class DmdDecomposition:
             raise ValueError("decomposition must retain at least one mode")
         if self.modes.shape != (self.modes.shape[0], k) or self.amplitudes.shape != (k,):
             raise ValueError("mode/eigenvalue/amplitude shapes are inconsistent")
+        for name in ("frame_height", "frame_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.frame_height * self.frame_width != self.modes.shape[0]:
+            raise ValueError(f"frame_height x frame_width = {self.frame_height}x"
+                             f"{self.frame_width} does not match {self.modes.shape[0]} pixels")
+        if self.n_frames < 2:
+            raise ValueError(f"n_frames must be >= 2, got {self.n_frames}")
         if not _all_finite(self.eigenvalues):
             raise ValueError("eigenvalues contain non-finite entries")
 
@@ -373,23 +380,3 @@ def deterministic_dmd(
     factors = deterministic_svd(D.data[:, :-1], rank)
     return _decompose(D, factors, anchor, seed=0)
 
-
-def reconstruction_factors(
-    dec: DmdDecomposition, mode_indices=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The selected modes phi_i and their temporal factor b_i lam_i**t.
-
-    The factor has one column per frame, and the product of the two is the
-    sum of b_i phi_i lam_i**t over the selected modes. mode_indices None
-    selects every mode, whose product reproduces the retained-rank
-    approximation of D; an empty selection gives a product of zeros.
-    """
-    if mode_indices is None:
-        idx = np.arange(dec.rank)
-    else:
-        idx = np.unique(np.asarray(list(mode_indices), dtype=np.intp))
-        if idx.size and (idx.min() < 0 or idx.max() >= dec.rank):
-            raise ValueError(f"mode indices outside [0, {dec.rank})")
-    times = np.arange(dec.n_frames, dtype=np.int64)
-    temporal = dec.amplitudes[idx, None] * dec.eigenvalues[idx, None] ** times[None, :]
-    return dec.modes[:, idx], temporal

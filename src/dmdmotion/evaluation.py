@@ -28,7 +28,6 @@ __all__ = [
     "RocCurve",
     "confusion",
     "rates",
-    "metrics_row",
     "tau_grid",
     "sweep_counts",
     "best_f_from_counts",
@@ -142,11 +141,6 @@ def rates(c: ConfusionCounts) -> dict[str, float]:
         "specificity": _rate(c.tn, c.tn + c.fp),
         "f_measure": 2.0 * r * p / (r + p) if r + p else 0.0,
     }
-
-
-def metrics_row(tau: float, c: ConfusionCounts) -> dict[str, object]:
-    """One CSV row: raw counts plus the derived rates at a threshold."""
-    return {"tau": tau, "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn, **rates(c)}
 
 
 def tau_grid(top: float) -> np.ndarray:
@@ -328,11 +322,12 @@ def write_roc_csv(path: str, curve: RocCurve) -> None:
         fh.write(f"# auc={curve.auc!r}\n")
 
 
-def write_metrics_csv(path: str, rows: Sequence[dict[str, object]]) -> None:
-    """One row per threshold; column order fixed for diffability."""
+def write_metrics_csv(path: str, taus: Sequence[float], counts) -> None:
+    """One row per tau: its (tp, fp, tn, fn) row of counts and their rates, in fixed columns."""
     cols = ["tau", "tp", "fp", "tn", "fn", "recall", "precision", "specificity", "f_measure"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for row in rows:
-            writer.writerow([repr(row[c]) if c in row else "" for c in cols])
+        for tau, row in zip(taus, np.asarray(counts).tolist()):
+            values = [float(tau), *row, *rates(ConfusionCounts(*row)).values()]
+            writer.writerow([repr(v) for v in values])

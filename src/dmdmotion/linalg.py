@@ -55,6 +55,14 @@ def _unscanned(cls, *values):
     return obj
 
 
+def _check_integers(obj, names) -> None:
+    """ValueError naming the first of obj's fields names that is not an integer; a bool is not."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _as_matrix(A: np.ndarray, name: str = "A") -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -118,6 +126,7 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("rank", "oversampling", "subspace_iters", "seed"))
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.oversampling < 0:
@@ -126,17 +135,6 @@ class SketchConfig:
             raise ValueError(f"subspace_iters must be >= 0, got {self.subspace_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def sketch_size(self) -> int:
-        return self.rank + self.oversampling
-
-    def validate_for_shape(self, m: int, n: int) -> None:
-        if self.sketch_size > min(m, n):
-            raise ValueError(
-                f"rank + oversampling = {self.sketch_size} exceeds "
-                f"min(m, n) = {min(m, n)} for a {m}x{n} matrix"
-            )
 
 
 def _fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +242,12 @@ def rsvd(A: np.ndarray, cfg: SketchConfig, check_finite: bool = True) -> SvdFact
     if check_finite:
         A = _as_matrix(A)
     m, n = A.shape
-    cfg.validate_for_shape(m, n)
-    Q = _range_finder(A, cfg.sketch_size, cfg.subspace_iters, cfg.seed)
+    l = cfg.rank + cfg.oversampling
+    if l > min(m, n):
+        raise ValueError(
+            f"rank + oversampling = {l} exceeds min(m, n) = {min(m, n)} for a {m}x{n} matrix"
+        )
+    Q = _range_finder(A, l, cfg.subspace_iters, cfg.seed)
     B = Q.T @ A
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     k = cfg.rank

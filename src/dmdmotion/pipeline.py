@@ -31,7 +31,7 @@ from . import background as bg
 from . import evaluation as ev
 from .dmd import FIRST_FRAME, MEDIAN_FRAME, rdmd
 from .errors import DegenerateDataError
-from .linalg import SketchConfig
+from .linalg import SketchConfig, _check_integers
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = [
@@ -70,16 +70,22 @@ class RunConfig:
     save_residuals: bool = False
 
     def __post_init__(self) -> None:
+        for name, kinds in (("frames", (str,)), ("truth", (str,)),
+                            ("output_dir", (str, os.PathLike)), ("synthetic", (SyntheticSpec,))):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kinds):
+                kind = " or ".join(k.__name__ for k in kinds)
+                raise ValueError(f"{name} must be {kind} or None, got {value!r}")
+        if not isinstance(self.save_residuals, bool):
+            raise ValueError(f"save_residuals must be a bool, got {self.save_residuals!r}")
         if (self.frames is None) == (self.synthetic is None):
             raise ValueError("exactly one of frames and synthetic must be given")
         if self.synthetic is not None and self.truth is not None:
             raise ValueError("truth is for frames; synthetic input brings its own")
         if self.save_residuals and self.output_dir is None:
             raise ValueError("save_residuals needs an output_dir to write the residuals to")
-        for name in ("chunk_length", "k", "p", "q", "seed", "n_background", "median_kernel"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, ("chunk_length", "k", "p", "q", "seed", "n_background",
+                               "median_kernel"))
         if self.chunk_length < 2:
             raise ValueError(f"chunk_length must be >= 2, got {self.chunk_length}")
         if self.k < 1 or self.p < 0 or self.q < 0:
@@ -102,6 +108,8 @@ class RunConfig:
                 raise ValueError(f"tau must be a real number, got {self.tau!r}")
             if not (np.isfinite(self.tau) and self.tau >= 0):
                 raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+            # report.txt spells tau by repr, which would spell out its type.
+            object.__setattr__(self, "tau", float(self.tau))
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 1")
         if self.anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (
@@ -113,11 +121,6 @@ class RunConfig:
                 f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index "
                 f">= 0, got {self.anchor!r}"
             )
-
-    @property
-    def min_chunk_frames(self) -> int:
-        # A chunk of n frames exposes n-1 snapshot pairs; the sketch needs k+p.
-        return self.k + self.p + 1
 
 
 @dataclass(frozen=True)
@@ -276,7 +279,8 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     n_pixels = video.frame_height * video.frame_width
     if cfg.k + cfg.p > n_pixels:
         raise ValueError(f"k+p = {cfg.k + cfg.p} exceeds the {n_pixels} pixels of a frame")
-    bounds = chunk_bounds(video.n_frames, cfg.chunk_length, cfg.min_chunk_frames)
+    # A chunk of n frames exposes n-1 snapshot pairs; the sketch needs k+p.
+    bounds = chunk_bounds(video.n_frames, cfg.chunk_length, cfg.k + cfg.p + 1)
     # An integer anchor addresses a frame of each chunk's left sequence, which
     # is one frame shorter than the chunk.
     shortest = min(stop - start for start, stop in bounds)
@@ -516,11 +520,7 @@ def _write_outputs(cfg, report, stems, taus, raw, roc, timer: _StageTimer,
                            bg.ForegroundMaskSequence(report.masks.masks[c.start : c.stop]),
                            stems[c.start : c.stop])
     if raw is not None:
-        rows = [
-            ev.metrics_row(float(t), ev.ConfusionCounts(*row))
-            for t, row in zip(taus, raw.tolist())
-        ]
-        ev.write_metrics_csv(os.path.join(out, "metrics.csv"), rows)
+        ev.write_metrics_csv(os.path.join(out, "metrics.csv"), taus, raw)
     if roc is not None:
         ev.write_roc_csv(os.path.join(out, "roc.csv"), roc)
     timer.mark("run", "write")

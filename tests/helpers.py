@@ -170,14 +170,13 @@ def rsvd_error_bound(sigma_k_plus_1: float, m: int, n: int, k: int, q: int) -> f
 def reference_residual(D, dec, indices):
     """|D - Re(modes @ temporal)| from the whole complex background at once.
 
-    modes and temporal are reconstruction_factors(dec, indices). The oracle
+    modes and temporal are background_factors(dec, indices). The oracle
     of background.factor_residual, which forms the same product one block
     of pixels at a time and must give the same bytes.
     """
-    from dmdmotion.background import ResidualSequence
-    from dmdmotion.dmd import reconstruction_factors
+    from dmdmotion.background import ResidualSequence, background_factors
 
-    modes, temporal = reconstruction_factors(dec, indices)
+    modes, temporal = background_factors(dec, indices)
     values = np.abs(D.data - (modes @ temporal).real)
     return ResidualSequence(values, D.frame_height, D.frame_width)
 
@@ -287,7 +286,7 @@ def reference_run(cfg) -> None:
         stems = [os.path.splitext(os.path.basename(p))[0] + "_mask" for p in paths]
     chunks, ran = [], []
     for i, (start, stop) in enumerate(
-            pipeline.chunk_bounds(D.n_frames, cfg.chunk_length, cfg.min_chunk_frames)):
+            pipeline.chunk_bounds(D.n_frames, cfg.chunk_length, cfg.k + cfg.p + 1)):
         sub = D.columns(start, stop)
         try:
             dec = pipeline.rdmd(sub, SketchConfig(rank=cfg.k, oversampling=cfg.p,
@@ -345,9 +344,7 @@ def reference_run(cfg) -> None:
     if masks is not None:
         save_masks(os.path.join(cfg.output_dir, "masks"), masks, stems)
     if raw is not None:
-        ev.write_metrics_csv(os.path.join(cfg.output_dir, "metrics.csv"),
-                             [ev.metrics_row(float(t), ev.ConfusionCounts(*row))
-                              for t, row in zip(taus, raw.tolist())])
+        ev.write_metrics_csv(os.path.join(cfg.output_dir, "metrics.csv"), taus, raw)
     if roc is not None:
         ev.write_roc_csv(os.path.join(cfg.output_dir, "roc.csv"), roc)
 

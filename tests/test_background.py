@@ -25,7 +25,6 @@ from dmdmotion.dmd import (
     SnapshotMatrix,
     deterministic_dmd,
     rdmd,
-    reconstruction_factors,
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.evaluation import sweep_counts, tau_grid
@@ -121,7 +120,7 @@ def static_video(value=0.5, pixels=60, frames=12):
 def test_static_background_reproduces_video():
     D = static_video(0.4)
     dec = deterministic_dmd(D, rank=1)
-    L = np.matmul(*reconstruction_factors(dec, partition_modes(fourier_modes(dec), 1)))
+    L = np.matmul(*background_factors(dec, partition_modes(fourier_modes(dec), 1)))
     rel = np.linalg.norm(D.data - L.real) / np.linalg.norm(D.data)
     assert rel <= 1e-6
 
@@ -133,7 +132,7 @@ def test_background_matches_planted_component(planted_three_mode):
     dec = deterministic_dmd(sys.snapshots, rank=3, anchor=FIRST_FRAME)
     background_indices = partition_modes(fourier_modes(dec), 1)
     assert len(background_indices) == 1
-    L = np.matmul(*reconstruction_factors(dec, background_indices))
+    L = np.matmul(*background_factors(dec, background_indices))
     planted_bg = sys.component([0]).real
     for t in range(sys.snapshots.n_frames):
         rel = np.linalg.norm(L[:, t].real - planted_bg[:, t]) / np.linalg.norm(planted_bg[:, t])
@@ -143,14 +142,14 @@ def test_background_matches_planted_component(planted_three_mode):
 def test_background_constant_iff_omega_zero():
     D = static_video()
     dec = deterministic_dmd(D, rank=1)
-    L = np.matmul(*reconstruction_factors(dec, partition_modes(fourier_modes(dec), 1)))
+    L = np.matmul(*background_factors(dec, partition_modes(fourier_modes(dec), 1)))
     assert np.allclose(L, L[:, :1], atol=1e-10)
 
 
 def test_background_partition_bounds():
     dec = make_decomposition([1.0])
     with pytest.raises(ValueError, match=r"mode indices outside \[0, 1\)"):
-        reconstruction_factors(dec, (1,))
+        background_factors(dec, (1,))
 
 
 def test_additivity_of_partition(planted_three_mode):
@@ -161,9 +160,9 @@ def test_additivity_of_partition(planted_three_mode):
         i for i in np.flatnonzero(np.isfinite(omega)) if i not in background_indices
     ]
     assert len(background_indices) + len(foreground_indices) == dec.rank
-    whole = np.matmul(*reconstruction_factors(dec))
-    split = (np.matmul(*reconstruction_factors(dec, background_indices))
-             + np.matmul(*reconstruction_factors(dec, foreground_indices)))
+    whole = np.matmul(*background_factors(dec, range(dec.rank)))
+    split = (np.matmul(*background_factors(dec, background_indices))
+             + np.matmul(*background_factors(dec, foreground_indices)))
     assert np.max(np.abs(whole - split)) <= 1e-10
 
 

@@ -506,6 +506,21 @@ def test_synth_non_finite_or_out_of_range_values_exit_2(tmp_path, capsys, option
     assert not (tmp_path / "vid").exists()
 
 
+@pytest.mark.parametrize("option", ["--ranks", "--qs", "--seeds"])
+@pytest.mark.parametrize("value", ["", ","])
+def test_svd_with_an_empty_list_exits_2(tmp_path, capsys, option, value):
+    # --seeds "" once wrote a CSV of only its header and exited 0.
+    path = tmp_path / "bench.csv"
+    lists = {"--ranks": "5", "--qs": "0", "--seeds": "0", option: value}
+    code = main(["svd", "--shapes", "80x40", "--repeats", "1", "--out", str(path),
+                 *(part for item in lists.items() for part in item)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error (invalid input): argument {option}: "
+        f"expected comma-separated integers, got {value!r}\n")
+    assert not path.exists()
+
+
 def test_svd_negative_seed_exits_2(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     code = main([

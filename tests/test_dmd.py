@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dmdmotion import dmd, linalg
+from dmdmotion.background import background_factors
 from dmdmotion.dmd import (
     FIRST_FRAME,
     MEDIAN_FRAME,
@@ -14,7 +15,6 @@ from dmdmotion.dmd import (
     _reduced_operator,
     deterministic_dmd,
     rdmd,
-    reconstruction_factors,
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.linalg import SketchConfig, deterministic_svd
@@ -69,6 +69,22 @@ def test_decomposition_rejects_non_finite_eigenvalues(bad):
             eigenvalues=np.array([1.0, bad], dtype=np.complex128),
             amplitudes=np.ones(2, dtype=np.complex128),
             n_frames=3, frame_height=1, frame_width=2,
+        )
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"frame_height": 0, "frame_width": 4}, "frame_height must be >= 1, got 0"),
+    ({"frame_width": -2}, "frame_width must be >= 1, got -2"),
+    ({"frame_height": 7, "frame_width": 1}, "frame_height x frame_width = 7x1 does not match 4 pixels"),
+    ({"n_frames": 1}, "n_frames must be >= 2, got 1"),
+])
+def test_decomposition_rejects_bad_geometry_or_frame_count(fields, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        dmd.DmdDecomposition(
+            modes=np.ones((4, 1), dtype=np.complex128),
+            eigenvalues=np.ones(1, dtype=np.complex128),
+            amplitudes=np.ones(1, dtype=np.complex128),
+            **{"n_frames": 3, "frame_height": 2, "frame_width": 2, **fields},
         )
 
 
@@ -302,7 +318,7 @@ def test_amplitudes_single_mode_unit():
     D = static_video(0.6)
     dec = deterministic_dmd(D, 1, anchor=FIRST_FRAME)
     assert np.allclose(dec.eigenvalues, [1.0])
-    assert np.allclose(np.matmul(*reconstruction_factors(dec)), D.data, atol=1e-10)
+    assert np.allclose(np.matmul(*background_factors(dec, range(dec.rank))), D.data, atol=1e-10)
 
 
 def test_amplitudes_static_any_anchor_reconstructs_frame():
@@ -532,13 +548,13 @@ def test_rdmd_shift_moves_only_static_mode(planted_three_mode):
 def test_reconstruct_round_trip(planted_three_mode):
     D = planted_three_mode.snapshots
     dec = deterministic_dmd(D, rank=3, anchor=FIRST_FRAME)
-    approx = np.matmul(*reconstruction_factors(dec))
+    approx = np.matmul(*background_factors(dec, range(dec.rank)))
     assert np.linalg.norm(D.data - approx.real) <= 1e-6 * np.linalg.norm(D.data)
 
 
 def test_reconstruct_empty_set_is_zero(planted_three_mode):
     dec = deterministic_dmd(planted_three_mode.snapshots, rank=3)
-    out = np.matmul(*reconstruction_factors(dec, mode_indices=()))
+    out = np.matmul(*background_factors(dec, mode_indices=()))
     assert out.shape == (dec.n_pixels, dec.n_frames)
     assert not out.any()
 
@@ -546,14 +562,14 @@ def test_reconstruct_empty_set_is_zero(planted_three_mode):
 def test_reconstruct_static_mode_columns_identical():
     D = static_video(0.7)
     dec = deterministic_dmd(D, rank=1)
-    out = np.matmul(*reconstruction_factors(dec, mode_indices=[0]))
+    out = np.matmul(*background_factors(dec, mode_indices=[0]))
     assert np.allclose(out, out[:, :1], atol=1e-10)
 
 
 def test_reconstruct_bounds_checks(planted_three_mode):
     dec = deterministic_dmd(planted_three_mode.snapshots, rank=3)
     with pytest.raises(ValueError):
-        reconstruction_factors(dec, mode_indices=[3])
+        background_factors(dec, mode_indices=[3])
 
 
 def test_reconstruction_error_bounded_by_svd_tail(planted_three_mode):
@@ -572,5 +588,5 @@ def test_reconstruction_error_bounded_by_svd_tail(planted_three_mode):
     factors = deterministic_svd(X, 3)
     svd_tail = np.linalg.norm(X - factors.reconstruct())
     fit_residual = np.linalg.norm(dec.modes @ dec.amplitudes - X[:, 0])
-    gap = np.linalg.norm(X - np.matmul(*reconstruction_factors(dec))[:, :-1].real)
+    gap = np.linalg.norm(X - np.matmul(*background_factors(dec, range(dec.rank)))[:, :-1].real)
     assert gap <= 1.1 * (svd_tail + fit_residual) + 1e-9

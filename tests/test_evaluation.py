@@ -17,7 +17,6 @@ from dmdmotion.evaluation import (
     RocCurve,
     best_f_from_counts,
     confusion,
-    metrics_row,
     rates,
     sweep_counts,
     tau_grid,
@@ -511,9 +510,9 @@ def test_csv_round_trips(tmp_path):
     assert text[-1].startswith("# auc=")
     assert float(text[-1].split("=")[1]) == curve.auc
 
-    rows = [metrics_row(0.5, confusion(truth, truth))]
+    c = confusion(truth, truth)
     metrics_path = tmp_path / "metrics.csv"
-    write_metrics_csv(str(metrics_path), rows)
+    write_metrics_csv(str(metrics_path), [0.5], [[c.tp, c.fp, c.tn, c.fn]])
     with open(metrics_path) as fh:
         parsed = list(csv.DictReader(fh))
     assert parsed[0]["tau"] == "0.5"

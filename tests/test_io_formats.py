@@ -553,6 +553,23 @@ def test_decomposition_rejects_non_integer_count(tmp_path):
         load_decomposition(str(tmp_path))
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("frame_height 7", "frame_height x frame_width = 7x8 does not match 64 pixels"),
+    ("frame_width 0", "frame_width must be >= 1, got 0"),
+    ("n_frames -3", "n_frames must be >= 2, got -3"),
+])
+def test_decomposition_rejects_manifest_geometry_that_disagrees(tmp_path, line, reason):
+    # Such a manifest once loaded into a decomposition of 8x8 modes.
+    save_decomposition(str(tmp_path), fitted_decomposition())
+    manifest = tmp_path / "manifest.txt"
+    key = line.split()[0]
+    text = "".join(line + "\n" if old.startswith(key + " ") else old
+                   for old in manifest.read_text().splitlines(keepends=True))
+    manifest.write_text(text)
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        load_decomposition(str(tmp_path))
+
+
 def test_decomposition_rejects_foreign_manifest(tmp_path):
     (tmp_path / "manifest.txt").write_text("format something-else\n")
     with pytest.raises(ValueError, match="manifest"):

@@ -424,6 +424,17 @@ def test_returned_factors_are_orthonormal_without_the_constructor_check(
     assert np.max(np.abs(f.V.T @ f.V - eye)) <= 1e-10
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("rank", True), ("rank", 2.5), ("oversampling", False), ("subspace_iters", 1.0),
+    ("seed", "0"),
+])
+def test_sketch_config_rejects_a_non_integer_field(name, bad):
+    # rank True once ran at rank 1, and rank 2.5 failed inside numpy.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        SketchConfig(**{"rank": 2, name: bad})
+    assert SketchConfig(rank=np.int64(2), seed=np.uint32(1)).rank == 2
+
+
 def test_sketch_config_validation():
     with pytest.raises(ValueError):
         SketchConfig(rank=0)
@@ -432,5 +443,5 @@ def test_sketch_config_validation():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SketchConfig(rank=2, seed=-1)
     cfg = SketchConfig(rank=3, oversampling=2)
-    with pytest.raises(ValueError):
-        cfg.validate_for_shape(4, 4)
+    with pytest.raises(ValueError, match=r"rank \+ oversampling = 5 exceeds min\(m, n\) = 4"):
+        rsvd(np.eye(4), cfg)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -97,6 +97,34 @@ def test_config_validates_sketch_against_chunk():
             RunConfig(synthetic=SQUARE, tau=tau)
     for tau in (0, 0.2, np.float32(0.5), np.int64(1)):
         assert RunConfig(synthetic=SQUARE, tau=tau).tau == tau
+
+
+@pytest.mark.parametrize("fields", [
+    {"frames": 123}, {"frames": "f/*.pgm", "truth": b"t/*.pgm"},
+    {"frames": "f/*.pgm", "output_dir": 5}, {"synthetic": "abc"},
+    {"synthetic": SQUARE, "output_dir": "out", "save_residuals": 1},
+])
+def test_config_rejects_a_field_of_the_wrong_type(fields):
+    # frames 123 once ended in a TypeError from glob, synthetic "abc" in an
+    # AttributeError.
+    name, bad = list(fields.items())[-1]
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(bad))}$"):
+        RunConfig(**fields)
+
+
+def test_config_accepts_a_path_as_output_dir(tmp_path):
+    assert RunConfig(synthetic=SQUARE, output_dir=tmp_path).output_dir == tmp_path
+
+
+def test_report_spells_tau_as_a_float():
+    # report.txt spells tau by repr: np.float64(0.2) once wrote
+    # "threshold: np.float64(0.2) -> tau=np.float64(0.2)" and 1 "threshold: 1 -> tau=1".
+    spec = replace(SQUARE, frame_height=16, frame_width=16, n_frames=40)
+    reports = [run_bgsub(RunConfig(synthetic=spec, k=3, chunk_length=40, tau=tau))
+               for tau in (0.2, np.float64(0.2), 1)]
+    lines = [render_report(r).splitlines()[2] for r in reports]
+    assert lines == ["threshold: 0.2 -> tau=0.2"] * 2 + ["threshold: 1.0 -> tau=1.0"]
+    assert np.array_equal(reports[0].masks.masks, reports[1].masks.masks)
 
 
 def test_config_rejects_more_background_modes_than_k():
@@ -271,8 +299,8 @@ def test_sweep_equals_per_threshold_loop_over_saved_residuals(tmp_path):
     assert (s["best_tau_raw"], s["best_f_raw"]) == best(1)
     assert (s["best_tau_filtered"], s["best_f_filtered"]) == best(cfg.median_kernel)
     assert s["auc"] == float(np.trapezoid(tpr, fpr))
-    ev.write_metrics_csv(str(tmp_path / "loop.csv"),
-                         [ev.metrics_row(float(t), counts(t, 1)) for t in taus])
+    ev.write_metrics_csv(str(tmp_path / "loop.csv"), taus,
+                         [astuple(counts(t, 1)) for t in taus])
     assert (tmp_path / "run" / "metrics.csv").read_bytes() == (
         tmp_path / "loop.csv").read_bytes()
 
@@ -562,9 +590,7 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
     )
     taus = ev.tau_grid(float(S.values.max()))
     counts, _ = ev.sweep_counts(S, truth, taus)
-    ev.write_metrics_csv(str(tmp_path / "metrics.csv"),
-                         [ev.metrics_row(float(t), ev.ConfusionCounts(*row))
-                          for t, row in zip(taus, counts.tolist())])
+    ev.write_metrics_csv(str(tmp_path / "metrics.csv"), taus, counts)
     ev.write_roc_csv(str(tmp_path / "roc.csv"), ev.RocCurve.from_counts(taus, counts))
     for name in ("metrics.csv", "roc.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
