@@ -37,13 +37,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
 
-STAGES = ("ingest", "decompose", "residual", "masks", "grid", "write")
-
-
 def _child(params: dict) -> None:
     """Write the inputs, or run the warm-up and the calls.
 
-    The calls print one JSON line each: stage and call seconds.
+    The calls print one JSON line each: call seconds, and the seconds of
+    every stage that timings.csv has a *_seconds column for.
     """
     import resource
 
@@ -63,7 +61,8 @@ def _child(params: dict) -> None:
         record = {"call": time.perf_counter() - t0}
         with open(os.path.join(out, "timings.csv")) as fh:
             total = [row for row in csv.DictReader(fh) if row["chunk"] == "total"][0]
-        record.update((stage, float(total[f"{stage}_seconds"])) for stage in STAGES)
+        record["stages"] = {name.removesuffix("_seconds"): float(value)
+                            for name, value in total.items() if name.endswith("_seconds")}
         if i == 0:
             record["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         shutil.rmtree(out)
@@ -106,7 +105,8 @@ def measure(workload, seed: int, calls: int) -> dict:
         "seed": seed,
         "calls": calls,
         "blas_threads": env["OPENBLAS_NUM_THREADS"],
-        "stages": {stage: _summary([r[stage] for r in records]) for stage in STAGES},
+        "stages": {stage: _summary([r["stages"][stage] for r in records])
+                   for stage in records[0]["stages"]},
         "call": call,
         "frames_per_s": workload.n_frames / call["median"],
         "ru_maxrss_mb": warm_up["ru_maxrss_mb"],

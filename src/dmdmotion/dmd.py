@@ -153,6 +153,14 @@ class DmdDecomposition:
                              f"{self.frame_width} does not match {self.modes.shape[0]} pixels")
         if self.n_frames < 2:
             raise ValueError(f"n_frames must be >= 2, got {self.n_frames}")
+        anchor, seed = self.anchor, self.seed
+        if anchor not in (FIRST_FRAME, MEDIAN_FRAME) and (
+            isinstance(anchor, bool) or not isinstance(anchor, (int, np.integer)) or anchor < 0
+        ):
+            raise ValueError(f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or an integer "
+                             f">= 0, got {anchor!r}")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         if not _all_finite(self.eigenvalues):
             raise ValueError("eigenvalues contain non-finite entries")
 

@@ -372,6 +372,9 @@ def load_decomposition(directory: str) -> DmdDecomposition:
         anchor = int(anchor)
     except ValueError:
         pass
-    return DmdDecomposition(
-        modes=modes, eigenvalues=eigenvalues, amplitudes=amplitudes, anchor=anchor, **counts
-    )
+    try:
+        return DmdDecomposition(
+            modes=modes, eigenvalues=eigenvalues, amplitudes=amplitudes, anchor=anchor, **counts
+        )
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None

@@ -6,17 +6,14 @@ models the background per chunk, and assembles masks 1:1 with the input
 frames. A chunk that fails records its diagnostic and contributes empty
 masks; the other chunks proceed.
 
-The stages are: check the inputs, the chunk pass, the tau-grid pass (when a
-sweep or metrics.csv needs the grid over the run's largest residual) and
-the writes. PGM frames are read from disk one chunk at a time, and the
-tau-grid pass reads each chunk again and rebuilds its residual from the
-background factors that the chunk pass kept, so a run holds one chunk's
-frames and residual at a time. A fixed tau masks each chunk in the chunk
-pass. With an output directory, each chunk's decomposition and fixed-tau
-masks are written on one writer thread while later chunks run. A sweep's
-grid pass writes each chunk's median-filtered ranks into the bytes of the
-run's masks, which become the masks in one pass once the best tau is
-chosen.
+_run reads top to bottom: load the input, check it, the chunk pass, the
+tau-grid loop (when a sweep or metrics.csv needs the grid over the run's
+largest residual), choose tau, build the report, write. PGM frames are read
+one chunk at a time, and the grid loop reads each chunk again and rebuilds
+its residual from the background factors that the chunk pass kept. A fixed
+tau masks each chunk in the chunk pass. A sweep's grid loop writes each
+chunk's median-filtered ranks into the bytes of the run's masks, which
+become the masks in one pass once the best tau is chosen.
 """
 
 from __future__ import annotations
@@ -298,80 +295,62 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     return bounds
 
 
-def _run_chunk(video, cfg: RunConfig, index: int, start: int, stop: int,
-               masks: bg.ForegroundMaskSequence | None, timer: _StageTimer,
-               writer: _Writer | None):
-    """Read, decompose and model one chunk, and queue its chunk_NNN/ write.
-
-    Returns (record, residual, background factors), the residual written
-    over the chunk's own frames, or (record, None, None) when the chunk
-    failed on its data (DegenerateDataError or LinAlgError; any other
-    error propagates). masks, at a fixed tau, are the chunk's frames of the
-    run's masks at that tau, into which the residual's [S > tau] is written
-    as it is formed. With an output directory, the decomposition goes to
-    the writer, which holds it until it is in chunk_NNN/; under
-    save_residuals, the residual is written there before this returns.
-    """
-    record = ChunkResult(index=index, start=start, stop=stop, seed=cfg.seed + index)
-    D = video.columns(start, stop)
-    timer.mark(index, "ingest")
-    try:
-        sketch = SketchConfig(rank=cfg.k, oversampling=cfg.p, subspace_iters=cfg.q,
-                              seed=record.seed)
-        dec = rdmd(D, sketch, anchor=cfg.anchor)
-        omega = bg.fourier_modes(dec)
-        # A near-static chunk can retain fewer usable modes than requested; take
-        # what is there rather than failing the chunk (none fails it).
-        n_bg = min(cfg.n_background, np.count_nonzero(np.isfinite(omega)))
-        background_indices = bg.partition_modes(omega, n_bg)
-        factors = bg.background_factors(dec, background_indices)
-        timer.mark(index, "decompose")
-        S = bg.factor_residual(D, *factors, out=D.data, masks=masks)
-        timer.mark(index, "residual")
-    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
-        timer.mark(index, "decompose")
-        return replace(record, error=f"{type(exc).__name__}: {exc}"), None, None
-    record = replace(record, retained_rank=dec.rank, eigenvalues=dec.eigenvalues, omega=omega,
-                     background_indices=background_indices)
-    if writer is not None:
-        from .io_formats import save_decomposition, save_matrix
-
-        chunk_dir = os.path.join(cfg.output_dir, f"chunk_{index:03d}")
-        if cfg.save_residuals:
-            os.makedirs(chunk_dir, exist_ok=True)
-            save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
-        writer.start_chunk(save_decomposition, chunk_dir, dec)
-        timer.mark(index, "write")
-    return record, S, factors
-
-
 def _truth_of(truth: bg.ForegroundMaskSequence, c: ChunkResult) -> bg.ForegroundMaskSequence:
     return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
 
 
 def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _StageTimer,
                 writer: _Writer | None):
-    """Run every chunk; at a fixed tau, mask and score it and drop its residual.
+    """Read, decompose and model each chunk, and queue the writes of its outputs.
 
-    At a fixed tau, a chunk's frames of the run's masks are one
-    ForegroundMaskSequence at that tau: thresholded as the residual is
-    formed, filtered in place, scored and, with an output directory, given
-    to the writer as soon as they are final.
+    A chunk that fails on its data (DegenerateDataError or LinAlgError; any
+    other error propagates) records its reason and nothing else. At a fixed
+    tau, a chunk's frames of the run's masks are one ForegroundMaskSequence
+    at that tau: thresholded as the residual is formed over the chunk's
+    frames, filtered in place, scored and queued once final.
     Returns the chunk records, the counts of the fixed-tau masks against the
     truth and, when the run needs the tau grid, each chunk that ran with its
-    background factors and largest residual: the residual itself is dropped
-    before the next chunk runs.
+    background factors and largest residual.
     """
     need_grid = truth is not None and (cfg.tau is None or cfg.output_dir is not None)
     chunks: list[ChunkResult] = []
     counts = ev.ConfusionCounts(0, 0, 0, 0)
     ran = []
     for i, (start, stop) in enumerate(bounds):
+        c = ChunkResult(index=i, start=start, stop=stop, seed=cfg.seed + i)
         seq = None if cfg.tau is None else bg.ForegroundMaskSequence(masks[start:stop], cfg.tau)
-        c, S, factors = _run_chunk(video, cfg, i, start, stop, seq, timer, writer)
-        chunks.append(c)
-        if S is None:
+        D = video.columns(start, stop)
+        timer.mark(i, "ingest")
+        try:
+            sketch = SketchConfig(rank=cfg.k, oversampling=cfg.p, subspace_iters=cfg.q,
+                                  seed=c.seed)
+            dec = rdmd(D, sketch, anchor=cfg.anchor)
+            omega = bg.fourier_modes(dec)
+            # A near-static chunk can retain fewer usable modes than requested;
+            # take what is there rather than failing the chunk (none fails it).
+            n_bg = min(cfg.n_background, np.count_nonzero(np.isfinite(omega)))
+            background_indices = bg.partition_modes(omega, n_bg)
+            factors = bg.background_factors(dec, background_indices)
+            timer.mark(i, "decompose")
+            S = bg.factor_residual(D, *factors, out=D.data, masks=seq)
+            timer.mark(i, "residual")
+        except (DegenerateDataError, np.linalg.LinAlgError) as exc:
+            timer.mark(i, "decompose")
+            chunks.append(replace(c, error=f"{type(exc).__name__}: {exc}"))
+            D = dec = factors = None  # it may have failed after rdmd returned
             continue
+        c = replace(c, retained_rank=dec.rank, eigenvalues=dec.eigenvalues, omega=omega,
+                    background_indices=background_indices)
+        chunks.append(c)
+        if writer is not None:
+            from .io_formats import save_decomposition, save_matrix
+
+            chunk_dir = os.path.join(cfg.output_dir, f"chunk_{i:03d}")
+            if cfg.save_residuals:
+                os.makedirs(chunk_dir, exist_ok=True)
+                save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
+            writer.start_chunk(save_decomposition, chunk_dir, dec)
+            timer.mark(i, "write")
         if seq is not None:
             bg.filter_masks(seq, cfg.median_kernel, out=seq.masks)
             if truth is not None:
@@ -384,55 +363,25 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
             timer.mark(i, "masks")
         if need_grid:
             ran.append((c, factors, float(S.values.max())))
-        del S, factors
+        del D, S, dec, factors  # before the next chunk is read; the writer may hold dec
     return chunks, counts, ran
-
-
-def _grid_pass(cfg, video, truth, ran, masks: np.ndarray, timer: _StageTimer):
-    """Counts at every tau of the grid over the run's largest residual.
-
-    Each chunk's frames are read again and its residual rebuilt from its
-    background factors, the same bytes as in the chunk pass. Returns the
-    grid, the raw counts and the counts of the masks filtered by the median
-    kernel (the raw ones at a fixed tau). In a sweep, each chunk's filtered
-    ranks are written over the bytes of its masks, from which the final
-    masks are made in place.
-    """
-    taus = ev.tau_grid(max(top for _, _, top in ran))
-    sweep = cfg.tau is None
-    kernel = cfg.median_kernel if sweep else 1
-    raw = np.zeros((taus.size, 4), dtype=np.int64)
-    filtered = np.zeros_like(raw)
-    for c, factors, _ in ran:
-        D = video.columns(c.start, c.stop)
-        # No anchor runs here to consume the rasters that ingest may keep.
-        vars(D).pop("_rasters", None)
-        timer.mark(c.index, "ingest")
-        S = bg.factor_residual(D, *factors, out=D.data)
-        timer.mark(c.index, "residual")
-        ranks = masks[c.start : c.stop].view(np.uint8) if sweep else None
-        chunk_raw, chunk_filtered = ev.sweep_counts(S, _truth_of(truth, c), taus, kernel, ranks)
-        del D, S  # S is D's frames: free them before the next chunk is read
-        raw += chunk_raw
-        filtered += chunk_filtered
-        timer.mark(c.index, "grid")
-    return taus, raw, filtered
 
 
 def run_bgsub(cfg: RunConfig) -> RunReport:
     """Decompose, model, threshold and evaluate; see the module docstring.
 
-    Memory is one chunk's frames and residual at a time, plus one byte per
-    pixel of the video for the masks and one for the truth, plus, with an
-    output directory, the outputs of the one chunk that is being written.
-    A sweep's masks hold its chunks' filtered ranks until the best tau is
-    chosen and are then ranks > j, in place, for the index j of that tau:
-    the masks that its filtered counts scored, which give its summary rates.
+    Memory is one chunk's frames, residual and decomposition at a time, each
+    dropped before the next chunk is read, plus one byte per pixel of the
+    video for the masks and one for the truth, plus each chunk's background
+    factors when the run needs the tau grid. A sweep's masks hold its
+    chunks' filtered ranks until the best tau is chosen and are then
+    ranks > j, in place, for the index j of that tau: the masks that its
+    filtered counts scored, which give its summary rates.
 
     With an output directory, each chunk's chunk_NNN/ and, at a fixed tau,
-    its mask files are written on one thread behind the chunks, and every
-    write is done before report.txt; a write's exception is raised here. No
-    thread outlives the call, whether it returns or raises.
+    its mask files are written on one thread behind the chunks, which holds
+    the outputs of at most one chunk; every write is done before report.txt,
+    a write's exception is raised here, and no thread outlives the call.
     """
     writer = _Writer() if cfg.output_dir is not None else None
     try:
@@ -450,9 +399,31 @@ def _run(cfg: RunConfig, writer: _Writer | None) -> RunReport:
     chunks, counts, ran = _chunk_pass(cfg, video, truth, bounds, masks, stems, timer, writer)
     tau = cfg.tau
 
+    # The tau grid spans the run's largest residual. Each chunk's frames are
+    # read again and its residual rebuilt from its background factors, the
+    # same bytes as in the chunk pass. filtered counts the masks filtered by
+    # the median kernel (the raw ones at a fixed tau); in a sweep, each
+    # chunk's filtered ranks are written over the bytes of its masks.
     taus = raw = roc = summary = None
     if ran:
-        taus, raw, filtered = _grid_pass(cfg, video, truth, ran, masks, timer)
+        taus = ev.tau_grid(max(top for _, _, top in ran))
+        kernel = cfg.median_kernel if tau is None else 1
+        raw = np.zeros((taus.size, 4), dtype=np.int64)
+        filtered = np.zeros_like(raw)
+        for c, factors, _ in ran:
+            D = video.columns(c.start, c.stop)
+            # No anchor runs here to consume the rasters that ingest may keep.
+            vars(D).pop("_rasters", None)
+            timer.mark(c.index, "ingest")
+            S = bg.factor_residual(D, *factors, out=D.data)
+            timer.mark(c.index, "residual")
+            ranks = masks[c.start : c.stop].view(np.uint8) if tau is None else None
+            chunk_raw, chunk_filtered = ev.sweep_counts(S, _truth_of(truth, c), taus, kernel,
+                                                        ranks)
+            del D, S  # S is D's frames: free them before the next chunk is read
+            raw += chunk_raw
+            filtered += chunk_filtered
+            timer.mark(c.index, "grid")
         # A curve needs both truth classes in the chunks that ran. Without
         # one, a sweep fails in from_counts and a fixed-tau run writes no
         # roc.csv.
@@ -492,20 +463,11 @@ def _run(cfg: RunConfig, writer: _Writer | None) -> RunReport:
         masks=bg.ForegroundMaskSequence(masks, tau=tau) if any_ok else None,
         summary=summary,
     )
-    if writer is not None:
-        _write_outputs(cfg, report, stems, taus, raw, roc, timer, writer)
-    return report
-
-
-def _write_outputs(cfg, report, stems, taus, raw, roc, timer: _StageTimer,
-                   writer: _Writer) -> None:
-    """Run-level files, once the writer has written every chunk's outputs.
-
-    Each chunk_NNN/ and each fixed-tau chunk's masks went to the writer in
-    the chunk pass; the masks of a sweep and of the chunks that failed are
-    written here. timings.csv is written last, so that it times the other
-    writes; its write column is the wait for the writer plus these writes.
-    """
+    if writer is None:
+        return report
+    # Once the writer is done: the masks of a sweep (cfg.tau; tau holds the
+    # chosen one) and of failed chunks, then timings.csv last, whose write
+    # column is the wait for the writer plus these writes.
     from .io_formats import save_masks
 
     writer.join()
@@ -513,11 +475,11 @@ def _write_outputs(cfg, report, stems, taus, raw, roc, timer: _StageTimer,
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(render_report(report))
-    if report.masks is not None:
-        for c in report.chunks:
+    if any_ok:
+        for c in chunks:
             if cfg.tau is None or not c.ok:
                 save_masks(os.path.join(out, "masks"),
-                           bg.ForegroundMaskSequence(report.masks.masks[c.start : c.stop]),
+                           bg.ForegroundMaskSequence(masks[c.start : c.stop]),
                            stems[c.start : c.stop])
     if raw is not None:
         ev.write_metrics_csv(os.path.join(out, "metrics.csv"), taus, raw)
@@ -526,6 +488,7 @@ def _write_outputs(cfg, report, stems, taus, raw, roc, timer: _StageTimer,
     timer.mark("run", "write")
     with open(os.path.join(out, "timings.csv"), "w") as fh:
         fh.write(timer.csv())
+    return report
 
 
 def render_report(report: RunReport) -> str:

@@ -1,5 +1,6 @@
 """Decomposition against planted linear systems and its own algebra."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,23 @@ def test_decomposition_rejects_bad_geometry_or_frame_count(fields, reason):
             eigenvalues=np.ones(1, dtype=np.complex128),
             amplitudes=np.ones(1, dtype=np.complex128),
             **{"n_frames": 3, "frame_height": 2, "frame_width": 2, **fields},
+        )
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"anchor": True}, "anchor must be 'first', 'median' or an integer >= 0, got True"),
+    ({"anchor": "last"}, "anchor must be 'first', 'median' or an integer >= 0, got 'last'"),
+    ({"anchor": -1}, "anchor must be 'first', 'median' or an integer >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": False}, "seed must be an integer >= 0, got False"),
+])
+def test_decomposition_rejects_an_anchor_or_seed_no_fit_uses(fields, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        dmd.DmdDecomposition(
+            modes=np.ones((4, 1), dtype=np.complex128),
+            eigenvalues=np.ones(1, dtype=np.complex128),
+            amplitudes=np.ones(1, dtype=np.complex128),
+            n_frames=3, frame_height=2, frame_width=2, **fields,
         )
 
 

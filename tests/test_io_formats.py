@@ -557,16 +557,20 @@ def test_decomposition_rejects_non_integer_count(tmp_path):
     ("frame_height 7", "frame_height x frame_width = 7x8 does not match 64 pixels"),
     ("frame_width 0", "frame_width must be >= 1, got 0"),
     ("n_frames -3", "n_frames must be >= 2, got -3"),
+    ("anchor foo", "anchor must be 'first', 'median' or an integer >= 0, got 'foo'"),
+    ("anchor -5", "anchor must be 'first', 'median' or an integer >= 0, got -5"),
+    ("seed -2", "seed must be an integer >= 0, got -2"),
 ])
 def test_decomposition_rejects_manifest_geometry_that_disagrees(tmp_path, line, reason):
-    # Such a manifest once loaded into a decomposition of 8x8 modes.
+    # Such a manifest once loaded into a decomposition of 8x8 modes, or with
+    # an anchor or seed that no fit uses; the error names the directory.
     save_decomposition(str(tmp_path), fitted_decomposition())
     manifest = tmp_path / "manifest.txt"
     key = line.split()[0]
     text = "".join(line + "\n" if old.startswith(key + " ") else old
                    for old in manifest.read_text().splitlines(keepends=True))
     manifest.write_text(text)
-    with pytest.raises(ValueError, match=f"^{reason}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{tmp_path}: {reason}')}$"):
         load_decomposition(str(tmp_path))
 
 

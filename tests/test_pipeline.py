@@ -514,16 +514,16 @@ def test_masks_written_behind_the_run_equal_its_masks_under_fast_switches(tmp_pa
 
 
 def track_residuals(monkeypatch):
-    """Weakrefs to each chunk's residual, in chunk order."""
+    """Weakrefs to each residual the run forms, in order."""
     refs = []
-    run_chunk = pipeline._run_chunk
+    residual = pipeline.bg.factor_residual
 
-    def tracked_run_chunk(*args):
-        c, S, factors = run_chunk(*args)
+    def tracked_residual(*args, **kwargs):
+        S = residual(*args, **kwargs)
         refs.append(weakref.ref(S))
-        return c, S, factors
+        return S
 
-    monkeypatch.setattr(pipeline, "_run_chunk", tracked_run_chunk)
+    monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_residual)
     return refs
 
 
@@ -554,6 +554,33 @@ def test_fixed_tau_drops_each_residual_before_the_next_chunk(tmp_path, monkeypat
     assert report.summary == expected.summary
 
 
+@pytest.mark.parametrize("tau", [None, 0.3])
+def test_each_chunk_is_freed_before_the_next_is_read(monkeypatch, tau):
+    # Without an output directory nothing holds a chunk's frames or
+    # decomposition past its turn, not even a chunk that fails after rdmd
+    # returned: both are dead when the next chunk is decomposed.
+    refs = []
+
+    def tracked_rdmd(D, *args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        dec = rdmd(D, *args, **kwargs)
+        refs.extend([weakref.ref(D), weakref.ref(dec)])
+        return dec
+
+    factors_of = pipeline.bg.background_factors
+
+    def failing_chunk_0(dec, indices):
+        if dec.seed == 0:
+            raise DegenerateDataError("chunk 0 fails")
+        return factors_of(dec, indices)
+
+    monkeypatch.setattr(pipeline, "rdmd", tracked_rdmd)
+    monkeypatch.setattr(pipeline.bg, "background_factors", failing_chunk_0)
+    report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=tau))
+    assert [c.ok for c in report.chunks] == [False, True, True]
+    assert len(refs) == 6
+
+
 def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_path,
                                                                         monkeypatch):
     # metrics.csv and roc.csv score every tau of a grid that spans the largest
@@ -569,14 +596,14 @@ def test_fixed_tau_with_truth_and_output_holds_no_residual_past_its_pass(tmp_pat
         refs.append(weakref.ref(S))
         return S
 
-    write_outputs = pipeline._write_outputs
+    render = pipeline.render_report
 
-    def checked_write_outputs(*args):
+    def checked_render(report):
         assert all(ref() is None for ref in refs)
-        write_outputs(*args)
+        return render(report)
 
     monkeypatch.setattr(pipeline.bg, "factor_residual", tracked_residual)
-    monkeypatch.setattr(pipeline, "_write_outputs", checked_write_outputs)
+    monkeypatch.setattr(pipeline, "render_report", checked_render)
     out = tmp_path / "run"
     cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3,
                     output_dir=str(out), save_residuals=True)

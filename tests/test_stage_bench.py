@@ -13,6 +13,7 @@ stage_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(stage_bench)  # puts perfbench/ on sys.path
 
 import workloads  # noqa: E402
+from dmdmotion import pipeline  # noqa: E402
 
 TINY = {
     "sweep": {"height": 16, "width": 16, "n_frames": 60, "rect_size": (4, 4),
@@ -34,10 +35,12 @@ def test_every_stage_that_ran_reads_above_zero(monkeypatch, capsys, name):
     lines = capsys.readouterr().out.splitlines()
     result = json.loads(lines[-1])
     assert (result["workload"], result["seed"], result["calls"]) == (name, 1, 2)
-    ran = set(stage_bench.STAGES) - ({"grid"} if "tau" in tiny.run else set())
+    stages = list(result["stages"])
+    assert stages == list(pipeline._StageTimer.STAGES)
+    ran = set(stages) - ({"grid"} if "tau" in tiny.run else set())
     for stage, s in result["stages"].items():
         assert (s["median"] > 0) == (stage in ran), stage
         assert s["q1"] <= s["median"] <= s["q3"]
     assert result["frames_per_s"] == pytest.approx(60 / result["call"]["median"])
     assert result["ru_maxrss_mb"] > 0
-    assert len(lines) == 2 + len(stage_bench.STAGES) + 3
+    assert len(lines) == 2 + len(stages) + 3
