@@ -1,22 +1,23 @@
 """Per-stage timings of run_bgsub on a benchmark workload, read from timings.csv.
 
-Writes the workload's seeded frames with perfbench/workloads.py in one
-short-lived child process, then runs one warm-up call and C timed calls of
-run_bgsub on them in a second, each with an output directory that is
-removed after the call. Linux carries a process's peak RSS across exec, so
-the calls' child starts from this small process, not from the one that
-rendered the video.
+Writes the workload's seeded frames in one short-lived child process, then
+runs one warm-up call and C timed calls of run_bgsub on them in a second,
+each with an output directory that is removed after the call. Linux carries
+a process's peak RSS across exec, so the calls' child starts from this small
+process, not from the one that rendered the video.
 Prints the median and quartiles of every stage of the timed calls'
 timings.csv total rows and of the whole calls, frames per second at the
-median call, and the child's ru_maxrss after the warm-up call. The last
-stdout line is the same as JSON.
+median call against the 30 of real-time video, and the child's ru_maxrss
+after the warm-up call. The last stdout line is the same as JSON.
 
 Usage, from the repository root:
 
-    python scripts/stage_bench.py --workload sweep|fixed|kernel --seed N --calls C
+    python scripts/stage_bench.py --workload sweep|fixed|kernel|hd --seed N --calls C
 
-Every workload writes its outputs here, kernel included, since timings.csv
-is one of them. BLAS threads default to min(2, nproc), as in perfbench.
+sweep, fixed and kernel are perfbench/workloads.py's; hd is 720p video at a
+fixed tau with every output written (HD below). Every workload writes its
+outputs here, kernel included, since timings.csv is one of them. BLAS
+threads default to min(2, nproc), as in perfbench.
 """
 
 from __future__ import annotations
@@ -33,9 +34,50 @@ import tempfile
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
+
+from dmdmotion.io_formats import save_pgm  # noqa: E402
+from workloads import WORKLOADS, Workload, synthetic_spec, write_inputs  # noqa: E402
+
+# One 120x160 rectangle crossing 1280x720 frames, 300 of them in chunks of
+# 100 at a fixed tau, every output written: the paper's real-time case.
+HD = Workload(name="hd", height=720, width=1280, n_frames=300, rect_size=(120, 160),
+              intensities=(0.85,), noise_sigma=0.03, truth_to_program=False,
+              write_outputs=True, f_floor=0.3, run={"tau": 0.18, "chunk_length": 100})
+REAL_TIME_FPS = 30
+
+
+def render_frames(spec, directory: str) -> None:
+    """Write the files of save_frames(directory, generate_synthetic(spec)[0]), a frame at a time.
+
+    Each frame is made as generate_synthetic makes it: background, texture,
+    rectangles, noise, clipping. The noise of consecutive frames comes from
+    one Generator stream, whose draws in consecutive blocks are the values
+    of one draw over the whole video. So the video is never held: the hd
+    one would take about 6.6 GB in generate_synthetic.
+    """
+    h, w = spec.frame_height, spec.frame_width
+    phase = 2.0 * np.pi * np.arange(w, dtype=np.float64) / w
+    rng = np.random.default_rng(spec.seed)
+    os.makedirs(directory, exist_ok=True)
+    for t in range(spec.n_frames):
+        frame = np.full((h, w), spec.base_level, dtype=np.float64)
+        if spec.texture_amplitude > 0.0:
+            frame += spec.texture_amplitude * np.sin(
+                2.0 * np.pi * np.float64(t) / spec.texture_period + phase)
+        for rect in spec.objects:
+            rows, cols = rect.footprint(t, h, w)
+            frame[rows, cols] = rect.intensity
+        if spec.noise_sigma > 0.0:
+            frame += rng.normal(0.0, spec.noise_sigma, size=frame.shape)
+        np.clip(frame, 0.0, 1.0, out=frame)
+        save_pgm(os.path.join(directory, f"frame_{t:05d}.pgm"),
+                 np.rint(frame * 255).astype(np.uint32))
+
 
 def _child(params: dict) -> None:
     """Write the inputs, or run the warm-up and the calls.
@@ -46,11 +88,18 @@ def _child(params: dict) -> None:
     import resource
 
     from dmdmotion.pipeline import RunConfig, run_bgsub
-    from workloads import Workload, write_inputs
 
     if "workload" in params:
-        print(json.dumps(write_inputs(Workload(**params["workload"]), params["seed"],
-                                      params["directory"])))
+        # A run without truth needs only its frames, which render a frame at
+        # a time; write_inputs holds the whole video and its truth.
+        workload, directory = Workload(**params["workload"]), params["directory"]
+        if workload.truth_to_program:
+            inputs = write_inputs(workload, params["seed"], directory)
+        else:
+            render_frames(synthetic_spec(workload, params["seed"]),
+                          os.path.join(directory, "frames"))
+            inputs = {"frames": os.path.join(directory, "frames", "*.pgm"), "truth": None}
+        print(json.dumps(inputs))
         return
     out = params["output_dir"]
     for i in range(params["calls"] + 1):
@@ -115,7 +164,7 @@ def measure(workload, seed: int, calls: int) -> dict:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("sweep", "fixed", "kernel"))
+    parser.add_argument("--workload", choices=("sweep", "fixed", "kernel", HD.name))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--calls", type=int, default=5)
     parser.add_argument("--child", help=argparse.SUPPRESS)
@@ -125,14 +174,12 @@ def main(argv: list[str] | None = None) -> None:
         return
     if args.workload is None:
         parser.error("--workload is required")
-    from workloads import WORKLOADS
-
-    result = measure(WORKLOADS[args.workload], args.seed, args.calls)
+    result = measure({**WORKLOADS, HD.name: HD}[args.workload], args.seed, args.calls)
     print(f"{args.workload}, seed {args.seed}, {args.calls} calls, "
           f"{result['blas_threads']} BLAS threads: median [q1, q3] seconds")
     for name, s in [*result["stages"].items(), ("call", result["call"])]:
         print(f"  {name:<10s} {s['median']:.4f} [{s['q1']:.4f}, {s['q3']:.4f}]")
-    print(f"  frames/s   {result['frames_per_s']:.1f}")
+    print(f"  frames/s   {result['frames_per_s']:.1f} against {REAL_TIME_FPS} for real time")
     print(f"  ru_maxrss  {result['ru_maxrss_mb']:.1f} MB after the warm-up call")
     print(json.dumps(result))
 

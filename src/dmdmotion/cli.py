@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import glob
 import os
 import re
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import evaluation as ev
 from .background import fourier_modes
-from .dmd import FIRST_FRAME, MEDIAN_FRAME, rdmd
+from .dmd import MEDIAN_FRAME, _check_anchor, rdmd
 from .errors import DegenerateDataError
 from .io_formats import (
     load_frames,
@@ -44,14 +45,15 @@ EXIT_NUMERIC = 5
 
 
 def _parse_anchor(value: str):
-    if value in (FIRST_FRAME, MEDIAN_FRAME):
-        return value
     try:
-        return int(value)
+        anchor = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index, got {value!r}"
-        )
+        anchor = value
+    try:
+        _check_anchor(anchor)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return anchor
 
 
 def _parse_shape(value: str) -> tuple[int, int]:
@@ -213,7 +215,8 @@ def _cmd_bgsub(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    c = ev.confusion(load_masks(args.masks), load_masks(args.truth))
+    # The truth pairs with the masks by frame number, as with a run's frames.
+    c = ev.confusion(load_masks(args.masks), load_masks(args.truth, sorted(glob.glob(args.masks))))
     rates = ev.rates(c)
     print(
         f"tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn} "

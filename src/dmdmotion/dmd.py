@@ -19,6 +19,7 @@ from .linalg import (
     SketchConfig,
     SvdFactors,
     _all_finite,
+    _is_integer,
     _unscanned,
     deterministic_svd,
     rsvd,
@@ -114,6 +115,13 @@ def _block_length(item_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(item_bytes, 1))
 
 
+def _check_anchor(anchor) -> None:
+    """ValueError unless anchor names an anchor rule or is a frame index >= 0."""
+    if anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (_is_integer(anchor) and anchor >= 0):
+        raise ValueError(f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index "
+                         f">= 0, got {anchor!r}")
+
+
 @dataclass(frozen=True)
 class DmdDecomposition:
     """Modes, eigenvalues and amplitudes of a fitted decomposition.
@@ -153,14 +161,9 @@ class DmdDecomposition:
                              f"{self.frame_width} does not match {self.modes.shape[0]} pixels")
         if self.n_frames < 2:
             raise ValueError(f"n_frames must be >= 2, got {self.n_frames}")
-        anchor, seed = self.anchor, self.seed
-        if anchor not in (FIRST_FRAME, MEDIAN_FRAME) and (
-            isinstance(anchor, bool) or not isinstance(anchor, (int, np.integer)) or anchor < 0
-        ):
-            raise ValueError(f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or an integer "
-                             f">= 0, got {anchor!r}")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        _check_anchor(self.anchor)
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not _all_finite(self.eigenvalues):
             raise ValueError("eigenvalues contain non-finite entries")
 
@@ -316,7 +319,7 @@ def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
             else:
                 out[start:stop] = (P[:, :mid].max(axis=1) + P[:, mid]) / 2
         return out
-    if isinstance(anchor, (int, np.integer)) and not isinstance(anchor, bool):
+    if _is_integer(anchor):
         idx = int(anchor)
         if not 0 <= idx < X.shape[1]:
             raise ValueError(f"anchor frame {idx} outside [0, {X.shape[1]})")

@@ -15,6 +15,7 @@ import glob
 import os
 import re
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,10 +300,32 @@ def save_masks(
     return paths
 
 
-def load_masks(pattern: str) -> ForegroundMaskSequence:
+def _frame_number(path: str) -> int | None:
+    """The last run of digits in a file's name, without its extension, if any."""
+    digits = re.findall(r"\d+", os.path.splitext(os.path.basename(path))[0])
+    return int(digits[-1]) if digits else None
+
+
+def load_masks(pattern: str, frames: Sequence[str] | None = None) -> ForegroundMaskSequence:
+    """The masks of the PGM files matching a glob pattern, in sorted order.
+
+    A pixel above maxval // 2 is foreground. frames, when given, are the
+    files that the masks score, in order, and pair with the masks by
+    position. When every name of both holds digits, the last run of digits
+    of each must be the same number pair by pair, so that mask t scores
+    frame t; a ValueError names the first pair that differs before any
+    raster is read. Names without digits pair by position alone.
+    """
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise ValueError(f"mask pattern {pattern!r} matched no files")
+    if frames is not None:
+        theirs, ours = [_frame_number(f) for f in frames], [_frame_number(p) for p in paths]
+        if None not in theirs + ours:
+            for frame, path, a, b in zip(frames, paths, theirs, ours):
+                if a != b:
+                    raise ValueError(f"mask {path} (number {b}) is paired with {frame} "
+                                     f"(number {a})")
     masks = None
     for t, p in enumerate(paths):
         img, maxval = load_pgm(p)

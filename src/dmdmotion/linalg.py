@@ -55,11 +55,16 @@ def _unscanned(cls, *values):
     return obj
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_integers(obj, names) -> None:
-    """ValueError naming the first of obj's fields names that is not an integer; a bool is not."""
+    """ValueError naming the first of obj's fields names that is not an integer."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -6,7 +6,7 @@ models the background per chunk, and assembles masks 1:1 with the input
 frames. A chunk that fails records its diagnostic and contributes empty
 masks; the other chunks proceed.
 
-_run reads top to bottom: load the input, check it, the chunk pass, the
+run_bgsub reads top to bottom: load the input, check it, the chunk pass, the
 tau-grid loop (when a sweep or metrics.csv needs the grid over the run's
 largest residual), choose tau, build the report, write. PGM frames are read
 one chunk at a time, and the grid loop reads each chunk again and rebuilds
@@ -26,9 +26,9 @@ import numpy as np
 
 from . import background as bg
 from . import evaluation as ev
-from .dmd import FIRST_FRAME, MEDIAN_FRAME, rdmd
+from .dmd import MEDIAN_FRAME, _check_anchor, rdmd
 from .errors import DegenerateDataError
-from .linalg import SketchConfig, _check_integers
+from .linalg import SketchConfig, _check_integers, _is_integer
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = [
@@ -109,15 +109,7 @@ class RunConfig:
             object.__setattr__(self, "tau", float(self.tau))
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 1")
-        if self.anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (
-            isinstance(self.anchor, (int, np.integer))
-            and not isinstance(self.anchor, bool)
-            and self.anchor >= 0
-        ):
-            raise ValueError(
-                f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index "
-                f">= 0, got {self.anchor!r}"
-            )
+        _check_anchor(self.anchor)
 
 
 @dataclass(frozen=True)
@@ -202,39 +194,6 @@ class _StageTimer:
         return "\n".join(lines) + "\n"
 
 
-class _Writer:
-    """One thread that writes each chunk's outputs while the run goes on.
-
-    start_chunk(fn, *args) queues the first write of a chunk once every
-    write of the previous chunk is done, so at most one chunk's writes are
-    in flight; add(fn, *args) queues another write of the same chunk. join
-    waits for the queued writes and raises the first one's exception in
-    the calling thread. close cancels what has not started and joins the
-    thread.
-    """
-
-    def __init__(self) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.pool = ThreadPoolExecutor(1)
-        self.pending = []
-
-    def start_chunk(self, fn, *args) -> None:
-        self.join()
-        self.add(fn, *args)
-
-    def add(self, fn, *args) -> None:
-        self.pending.append(self.pool.submit(fn, *args))
-
-    def join(self) -> None:
-        pending, self.pending = self.pending, []
-        for future in pending:
-            future.result()
-
-    def close(self) -> None:
-        self.pool.shutdown(cancel_futures=True)
-
-
 def _load_input(cfg: RunConfig, timer: _StageTimer):
     """The frames, truth if given, and the stem of each frame's mask file.
 
@@ -250,7 +209,7 @@ def _load_input(cfg: RunConfig, timer: _StageTimer):
     from .io_formats import load_masks, scan_frames
 
     video = scan_frames(cfg.frames)
-    truth = load_masks(cfg.truth) if cfg.truth is not None else None
+    truth = load_masks(cfg.truth, video.paths) if cfg.truth is not None else None
     # Masks all go to one directory, so two frames of one file name (in two
     # directories) would write one mask file.
     stems: dict[str, str] = {}
@@ -281,7 +240,7 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     # An integer anchor addresses a frame of each chunk's left sequence, which
     # is one frame shorter than the chunk.
     shortest = min(stop - start for start, stop in bounds)
-    if isinstance(cfg.anchor, (int, np.integer)) and cfg.anchor >= shortest - 1:
+    if _is_integer(cfg.anchor) and cfg.anchor >= shortest - 1:
         raise ValueError(
             f"anchor frame {cfg.anchor} outside [0, {shortest - 1}) of the "
             f"shortest chunk ({shortest} frames)"
@@ -299,15 +258,15 @@ def _truth_of(truth: bg.ForegroundMaskSequence, c: ChunkResult) -> bg.Foreground
     return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
 
 
-def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _StageTimer,
-                writer: _Writer | None):
-    """Read, decompose and model each chunk, and queue the writes of its outputs.
+def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _StageTimer):
+    """Read, decompose and model each chunk, and write its outputs.
 
     A chunk that fails on its data (DegenerateDataError or LinAlgError; any
     other error propagates) records its reason and nothing else. At a fixed
     tau, a chunk's frames of the run's masks are one ForegroundMaskSequence
     at that tau: thresholded as the residual is formed over the chunk's
-    frames, filtered in place, scored and queued once final.
+    frames, filtered in place and scored. With an output directory, the
+    chunk's chunk_NNN/ and, at a fixed tau, its mask files are then written.
     Returns the chunk records, the counts of the fixed-tau masks against the
     truth and, when the run needs the tau grid, each chunk that ran with its
     background factors and largest residual.
@@ -342,28 +301,24 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
         c = replace(c, retained_rank=dec.rank, eigenvalues=dec.eigenvalues, omega=omega,
                     background_indices=background_indices)
         chunks.append(c)
-        if writer is not None:
-            from .io_formats import save_decomposition, save_matrix
-
-            chunk_dir = os.path.join(cfg.output_dir, f"chunk_{i:03d}")
-            if cfg.save_residuals:
-                os.makedirs(chunk_dir, exist_ok=True)
-                save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
-            writer.start_chunk(save_decomposition, chunk_dir, dec)
-            timer.mark(i, "write")
         if seq is not None:
             bg.filter_masks(seq, cfg.median_kernel, out=seq.masks)
             if truth is not None:
                 counts += ev.confusion(seq, _truth_of(truth, c))
-            if writer is not None:
-                from .io_formats import save_masks
-
-                writer.add(save_masks, os.path.join(cfg.output_dir, "masks"), seq,
-                           stems[start:stop])
             timer.mark(i, "masks")
+        if cfg.output_dir is not None:
+            from .io_formats import save_decomposition, save_masks, save_matrix
+
+            chunk_dir = os.path.join(cfg.output_dir, f"chunk_{i:03d}")
+            save_decomposition(chunk_dir, dec)
+            if cfg.save_residuals:
+                save_matrix(os.path.join(chunk_dir, "residual.mat"), S.values)
+            if seq is not None:
+                save_masks(os.path.join(cfg.output_dir, "masks"), seq, stems[start:stop])
+            timer.mark(i, "write")
         if need_grid:
             ran.append((c, factors, float(S.values.max())))
-        del D, S, dec, factors  # before the next chunk is read; the writer may hold dec
+        del D, S, dec, factors  # before the next chunk is read
     return chunks, counts, ran
 
 
@@ -378,25 +333,15 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     ranks > j, in place, for the index j of that tau: the masks that its
     filtered counts scored, which give its summary rates.
 
-    With an output directory, each chunk's chunk_NNN/ and, at a fixed tau,
-    its mask files are written on one thread behind the chunks, which holds
-    the outputs of at most one chunk; every write is done before report.txt,
-    a write's exception is raised here, and no thread outlives the call.
+    With an output directory, the run writes each chunk's chunk_NNN/ and,
+    at a fixed tau, its mask files as soon as that chunk's outputs are
+    final, before the next chunk is read; a write's error propagates at once.
     """
-    writer = _Writer() if cfg.output_dir is not None else None
-    try:
-        return _run(cfg, writer)
-    finally:
-        if writer is not None:
-            writer.close()
-
-
-def _run(cfg: RunConfig, writer: _Writer | None) -> RunReport:
     timer = _StageTimer()
     video, truth, stems = _load_input(cfg, timer)
     bounds = _check_inputs(cfg, video, truth)
     masks = np.zeros((video.n_frames, video.frame_height, video.frame_width), dtype=bool)
-    chunks, counts, ran = _chunk_pass(cfg, video, truth, bounds, masks, stems, timer, writer)
+    chunks, counts, ran = _chunk_pass(cfg, video, truth, bounds, masks, stems, timer)
     tau = cfg.tau
 
     # The tau grid spans the run's largest residual. Each chunk's frames are
@@ -463,14 +408,12 @@ def _run(cfg: RunConfig, writer: _Writer | None) -> RunReport:
         masks=bg.ForegroundMaskSequence(masks, tau=tau) if any_ok else None,
         summary=summary,
     )
-    if writer is None:
+    if cfg.output_dir is None:
         return report
-    # Once the writer is done: the masks of a sweep (cfg.tau; tau holds the
-    # chosen one) and of failed chunks, then timings.csv last, whose write
-    # column is the wait for the writer plus these writes.
+    # The masks of a sweep (cfg.tau; tau holds the chosen one) and of failed
+    # chunks, then timings.csv last, whose run row books these writes.
     from .io_formats import save_masks
 
-    writer.join()
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.txt"), "w") as fh:

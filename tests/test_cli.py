@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 
 import numpy as np
 import pytest
@@ -98,14 +97,12 @@ def test_bgsub_fixed_tau(tmp_path, capsys):
     assert masks.masks.any()
 
 
-def test_a_failed_mask_write_exits_4_and_leaves_no_thread(tmp_path, capsys):
-    # Each chunk's masks are written on a thread behind the next chunk. A
-    # directory where one mask file goes fails that write, which the run
-    # raises before report.txt: exit 4 naming the path. The write thread
-    # ends with the run, whether it fails or not.
+def test_a_failed_mask_write_exits_4_with_no_report(tmp_path, capsys):
+    # The run writes each chunk's masks once they are final. A directory
+    # where one mask file goes fails that write, which ends the run before
+    # report.txt: exit 4 naming the path.
     main(synth_args(tmp_path / "vid", frames=30))
     capsys.readouterr()
-    threads = threading.active_count()
     args = ["bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
             "--chunk-length", "10", "--k", "4", "--tau", "0.3", "--seed", "5"]
     blocked = tmp_path / "bad" / "masks" / "frame_00015_mask.pgm"
@@ -114,10 +111,8 @@ def test_a_failed_mask_write_exits_4_and_leaves_no_thread(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(blocked) in err
     assert not (tmp_path / "bad" / "report.txt").exists()
-    assert threading.active_count() == threads
     assert main(args + ["--out", str(tmp_path / "good")]) == 0
     assert len(os.listdir(tmp_path / "good" / "masks")) == 30
-    assert threading.active_count() == threads
 
 
 def test_bgsub_sweep_with_truth(tmp_path):
@@ -329,6 +324,66 @@ def test_bgsub_truth_count_mismatch_exits_2(tmp_path, capsys, n_frames, n_masks)
     assert not (tmp_path / "out").exists()
 
 
+def renamed_files(src, dst, name):
+    """src's files copied to dst, file t of the sorted listing named name(t)."""
+    os.makedirs(dst)
+    for t, path in enumerate(sorted(src.iterdir())):
+        shutil.copy(path, dst / name(t))
+    return str(dst / "*.pgm")
+
+
+def test_truth_numbered_off_its_frames_exits_2(tmp_path, capsys):
+    # Truth gt000010..gt000039 for frames frame_00000..frame_00029 pairs
+    # by position but not by number: bgsub and eval both exit 2, naming the
+    # first pair, before any chunk runs.
+    main(synth_args(tmp_path / "vid", frames=30))
+    frames = str(tmp_path / "vid" / "frames" / "*.pgm")
+    shifted = renamed_files(tmp_path / "vid" / "truth", tmp_path / "gt",
+                            lambda t: f"gt{t + 10:06d}.pgm")
+    first = (f"mask {tmp_path / 'gt' / 'gt000010.pgm'} (number 10) is paired with "
+             f"{tmp_path / 'vid' / 'frames' / 'frame_00000.pgm'} (number 0)")
+    for tau in ([], ["--tau", "0.2"]):
+        capsys.readouterr()
+        code = main(["bgsub", "--frames", frames, "--truth", shifted,
+                     "--out", str(tmp_path / "out"), "--chunk-length", "30", "--k", "4",
+                     "--seed", "5", *tau])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert first in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+    assert main(["bgsub", "--frames", frames, "--out", str(tmp_path / "run"),
+                 "--chunk-length", "30", "--k", "4", "--seed", "5", "--tau", "0.2"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--masks", str(tmp_path / "run" / "masks" / "*.pgm"),
+                 "--truth", shifted]) == 2
+    err = capsys.readouterr().err
+    assert f"mask {tmp_path / 'gt' / 'gt000010.pgm'} (number 10) is paired with " in err
+    assert err.count("\n") == 1
+
+
+def test_names_without_digits_pair_by_position(tmp_path, capsys):
+    # Frames or truth named without digits pair by sorted position, as
+    # before: the sweep reports what the numbered files report.
+    main(synth_args(tmp_path / "vid", frames=30))
+    letters = lambda prefix: lambda t: f"{prefix}_{chr(97 + t // 26)}{chr(97 + t % 26)}.pgm"
+    numbered_truth = str(tmp_path / "vid" / "truth" / "*.pgm")
+    lettered_truth = renamed_files(tmp_path / "vid" / "truth", tmp_path / "t", letters("gt"))
+    lettered_frames = renamed_files(tmp_path / "vid" / "frames", tmp_path / "f", letters("in"))
+    runs = {"numbered": (str(tmp_path / "vid" / "frames" / "*.pgm"), numbered_truth),
+            "lettered truth": (str(tmp_path / "vid" / "frames" / "*.pgm"), lettered_truth),
+            "lettered frames": (lettered_frames, numbered_truth)}
+    for i, (frames, truth) in enumerate(runs.values()):
+        assert main(["bgsub", "--frames", frames, "--truth", truth,
+                     "--out", str(tmp_path / f"out{i}"), "--chunk-length", "30", "--k", "4",
+                     "--seed", "5"]) == 0
+    reports = [(tmp_path / f"out{i}" / "report.txt").read_text() for i in range(len(runs))]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    capsys.readouterr()
+    assert main(["eval", "--masks", str(tmp_path / "out0" / "masks" / "*.pgm"),
+                 "--truth", lettered_truth]) == 0
+    assert "tp=" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n_frames, anchor, shortest", [(60, 500, 30), (75, 20, 15)])
 def test_bgsub_anchor_outside_a_chunk_exits_2(tmp_path, capsys, n_frames, anchor, shortest):
     # 75 frames make chunks of 30, 30 and 15: anchor 20 fits the first two only.
@@ -457,6 +512,10 @@ def test_svd_without_repeats_exits_2(tmp_path, capsys, repeats):
      "the following arguments are required: --out"),
     (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--bogus"],
      "unrecognized arguments: --bogus"),
+    (["decompose", "--frames", "f/*.pgm", "--out", "out", "--anchor", "last"],
+     "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got 'last'"),
+    (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--anchor", "-1"],
+     "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got -1"),
 ])
 def test_a_malformed_or_missing_option_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                                              args, reason):

@@ -90,9 +90,9 @@ def test_decomposition_rejects_bad_geometry_or_frame_count(fields, reason):
 
 
 @pytest.mark.parametrize("fields, reason", [
-    ({"anchor": True}, "anchor must be 'first', 'median' or an integer >= 0, got True"),
-    ({"anchor": "last"}, "anchor must be 'first', 'median' or an integer >= 0, got 'last'"),
-    ({"anchor": -1}, "anchor must be 'first', 'median' or an integer >= 0, got -1"),
+    ({"anchor": True}, "anchor must be 'first', 'median' or a frame index >= 0, got True"),
+    ({"anchor": "last"}, "anchor must be 'first', 'median' or a frame index >= 0, got 'last'"),
+    ({"anchor": -1}, "anchor must be 'first', 'median' or a frame index >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
     ({"seed": False}, "seed must be an integer >= 0, got False"),
 ])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dmdmotion import dmd
+from dmdmotion import dmd, io_formats
 from dmdmotion.background import ForegroundMaskSequence
 from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
 from dmdmotion.io_formats import (
@@ -473,6 +473,31 @@ def test_masks_custom_stems(tmp_path):
         save_masks(str(tmp_path), masks, stems=["lonely"])
 
 
+def test_masks_pair_with_their_frames_by_number(tmp_path, monkeypatch):
+    # Equal numbers pair, whatever their padding; the first pair of unequal
+    # numbers is named before any raster is read; and when any name has no
+    # digits, position alone pairs them.
+    masks = ForegroundMaskSequence(np.eye(3, dtype=bool)[:, None, :])
+    save_masks(str(tmp_path), masks, stems=["gt8", "gt9", "gt10"])
+    frames = ["in000008.pgm", "in000009.pgm", "in000010.pgm"]
+    pattern = str(tmp_path / "gt*.pgm")
+    # Sorted by name, gt10 comes first.
+    with pytest.raises(ValueError, match=r"^mask .*gt10\.pgm \(number 10\) is paired with "
+                                         r"in000008\.pgm \(number 8\)$"):
+        load_masks(pattern, frames)
+    in_name_order = ["in000010.pgm", "in000008.pgm", "in000009.pgm"]
+    assert np.array_equal(load_masks(pattern, in_name_order).masks, masks.masks[[2, 0, 1]])
+    for unnumbered in (["a.pgm", "b.pgm", "c.pgm"], ["in8.pgm", "in9.pgm", "last.pgm"]):
+        assert np.array_equal(load_masks(pattern, unnumbered).masks, masks.masks[[2, 0, 1]])
+
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(io_formats, "load_pgm", unread)
+    with pytest.raises(ValueError, match="is paired with"):
+        load_masks(pattern, ["in1.pgm", "in2.pgm", "in3.pgm"])
+
+
 # ------------------------------------------------------------------ decompositions
 
 def fitted_decomposition():
@@ -557,8 +582,8 @@ def test_decomposition_rejects_non_integer_count(tmp_path):
     ("frame_height 7", "frame_height x frame_width = 7x8 does not match 64 pixels"),
     ("frame_width 0", "frame_width must be >= 1, got 0"),
     ("n_frames -3", "n_frames must be >= 2, got -3"),
-    ("anchor foo", "anchor must be 'first', 'median' or an integer >= 0, got 'foo'"),
-    ("anchor -5", "anchor must be 'first', 'median' or an integer >= 0, got -5"),
+    ("anchor foo", "anchor must be 'first', 'median' or a frame index >= 0, got 'foo'"),
+    ("anchor -5", "anchor must be 'first', 'median' or a frame index >= 0, got -5"),
     ("seed -2", "seed must be an integer >= 0, got -2"),
 ])
 def test_decomposition_rejects_manifest_geometry_that_disagrees(tmp_path, line, reason):

@@ -1,12 +1,12 @@
 """End-to-end pipeline: chunking, sweeps, outputs."""
 
 import csv
-import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import astuple, replace
@@ -474,14 +474,12 @@ def test_a_lapack_failure_fails_its_chunk_and_the_run_continues(monkeypatch):
 
 
 def test_each_decomposition_is_freed_once_it_is_written(tmp_path, monkeypatch):
-    # Chunk outputs are written on one thread behind the chunks, at most one
-    # chunk's at a time: when a chunk is decomposed, only the previous
-    # chunk's decomposition may still be waiting for its write, and none is
-    # alive when the run returns.
+    # The run writes each chunk's outputs before it reads the next chunk, so
+    # when a chunk is decomposed every earlier decomposition is dead.
     refs = []
 
     def tracked_rdmd(*args, **kwargs):
-        assert all(ref() is None for ref in refs[:-1])
+        assert all(ref() is None for ref in refs)
         dec = rdmd(*args, **kwargs)
         refs.append(weakref.ref(dec))
         return dec
@@ -495,22 +493,37 @@ def test_each_decomposition_is_freed_once_it_is_written(tmp_path, monkeypatch):
     assert (tmp_path / "chunk_002" / "residual.mat").exists()
 
 
-def test_masks_written_behind_the_run_equal_its_masks_under_fast_switches(tmp_path):
-    # The writer thread reads each chunk's frames of the run's masks while
-    # the run fills the next chunk's; with the interpreter switching threads
-    # every microsecond, each of ten chunks still writes its final masks.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        report = run_bgsub(RunConfig(synthetic=SQUARE, k=3, p=2, q=1, chunk_length=6, tau=0.05,
-                                     output_dir=str(tmp_path)))
-    finally:
-        sys.setswitchinterval(interval)
+def test_written_masks_equal_the_reports_masks_over_ten_chunks(tmp_path):
+    # Each of ten chunks writes its frames of the run's masks once they are
+    # final, and the files equal the masks that the report returns.
+    report = run_bgsub(RunConfig(synthetic=SQUARE, k=3, p=2, q=1, chunk_length=6, tau=0.05,
+                                 output_dir=str(tmp_path)))
     assert len(report.chunks) == 10
     assert len(list(tmp_path.glob("chunk_*"))) == sum(c.ok for c in report.chunks)
     assert report.masks.masks.any(axis=(1, 2)).sum() > 40
     written = load_masks(str(tmp_path / "masks" / "*.pgm"))
     assert np.array_equal(written.masks, report.masks.masks)
+
+
+@pytest.mark.parametrize("tau", [None, 0.05])
+def test_every_output_is_written_on_the_calling_thread(tmp_path, monkeypatch, tau):
+    # A chunk's decomposition and fixed-tau masks, and a sweep's masks, are
+    # all written by the run itself.
+    calls = []
+
+    def on_this_thread(fn):
+        def call(*args, **kwargs):
+            calls.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("save_masks", "save_decomposition"):
+        monkeypatch.setattr(io_formats, name, on_this_thread(getattr(io_formats, name)))
+    report = run_bgsub(RunConfig(synthetic=SQUARE, k=3, p=2, q=1, chunk_length=20, tau=tau,
+                                 output_dir=str(tmp_path)))
+    assert all(c.ok for c in report.chunks)
+    assert sorted(calls) == sorted([("save_decomposition", threading.get_ident())] * 3
+                                   + [("save_masks", threading.get_ident())] * 3)
 
 
 def track_residuals(monkeypatch):
@@ -905,28 +918,24 @@ def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch, tmp_pat
     # the first. Three modes of the 5120-pixel frames are 245,760 bytes,
     # and one chunk's masks 256,000. A sweep, and a fixed tau with truth and
     # an output directory, keep each chunk's background factors for the tau
-    # grid, and the writer may still hold the previous chunk's decomposition
-    # when the next one starts, with the buffer of the file it is writing: a
-    # later chunk may start with exactly those arrays and that buffer more.
+    # grid: a later chunk may start with exactly those arrays more.
     spec = SyntheticSpec(frame_height=64, frame_width=80, n_frames=150, noise_sigma=0.04,
                          objects=(MovingRect(9.0, 2.0, 8, 8, 1.0, (0.0, 0.3)),), seed=5)
     factors_of = pipeline.bg.background_factors
-    runs = [  # (tau, output directory, factors kept, decomposition held)
-        (0.3, None, False, False),
-        (None, None, True, False),
-        (0.3, tmp_path / "out", True, True),
+    runs = [  # (tau, output directory, factors kept)
+        (0.3, None, False),
+        (None, None, True),
+        (0.3, tmp_path / "out", True),
     ]
-    for tau, out, keeps, holds in runs:
+    for tau, out, keeps in runs:
         cfg = RunConfig(synthetic=spec, k=5, chunk_length=50, tau=tau,
                         output_dir=None if out is None else str(out))
         run_bgsub(cfg)  # warm-up: one-time allocations of numpy and the package
-        entries, kept, held = [], [], []
+        entries, kept = [], []
 
         def traced_rdmd(*args, **kwargs):
             entries.append(tracemalloc.get_traced_memory()[0])
-            dec = rdmd(*args, **kwargs)
-            held.append(dec.modes.nbytes + dec.eigenvalues.nbytes + dec.amplitudes.nbytes)
-            return dec
+            return rdmd(*args, **kwargs)
 
         def traced_factors(*args):
             factors = factors_of(*args)
@@ -943,9 +952,7 @@ def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch, tmp_pat
             monkeypatch.undo()
         assert len(entries) == 3 and all(c.ok for c in report.chunks)
         for i in (1, 2):
-            bound = (keeps * sum(kept[:i]) + holds * (held[i - 1] + io.DEFAULT_BUFFER_SIZE)
-                     + 16 * 1024)
-            assert entries[i] - entries[0] < bound
+            assert entries[i] - entries[0] < keeps * sum(kept[:i]) + 16 * 1024
 
 
 def test_snapshot_columns_rejects_a_single_frame():
@@ -1121,6 +1128,8 @@ def test_outputs_include_decomposition_dirs(tmp_path):
     assert all(float(v) >= 0 for row in rows for k, v in row.items() if k != "chunk")
     assert int(rows[0]["peak_rss_so_far_kib"]) <= int(rows[1]["peak_rss_so_far_kib"])
     assert float(rows[1]["grid_seconds"]) > 0 and float(rows[1]["write_seconds"]) > 0
+    # The chunk's row books the time of the chunk's own writes.
+    assert float(rows[0]["write_seconds"]) > 0
     # synthetic input carries its own truth, so the sweep files appear too
     assert (tmp_path / "roc.csv").exists()
     assert (tmp_path / "metrics.csv").exists()
