@@ -18,7 +18,6 @@ from .dmd import (
     MEDIAN_FRAME,
     DmdDecomposition,
     SnapshotMatrix,
-    deterministic_dmd,
     rdmd,
 )
 from .errors import DegenerateDataError
@@ -32,7 +31,6 @@ from .evaluation import (
 from .linalg import (
     SketchConfig,
     SvdFactors,
-    deterministic_svd,
     rsvd,
 )
 from .pipeline import RunConfig, RunReport, run_bgsub
@@ -49,14 +47,12 @@ __all__ = [
     "DegenerateDataError",
     "SvdFactors",
     "SketchConfig",
-    "deterministic_svd",
     "rsvd",
     "SnapshotMatrix",
     "DmdDecomposition",
     "FIRST_FRAME",
     "MEDIAN_FRAME",
     "rdmd",
-    "deterministic_dmd",
     "ResidualSequence",
     "ForegroundMaskSequence",
     "fourier_modes",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth generates a labeled test video, decompose fits and stores
-a decomposition of a frame sequence, bgsub runs the full detection pipeline,
-eval scores masks against ground truth, svd benchmarks the two SVD paths.
+a decomposition of a frame sequence, bgsub runs the full detection pipeline
+and eval scores masks against ground truth.
 
 Exit codes group failures by kind: 2 invalid arguments or configuration,
 3 degenerate input data, 4 file-system problems, 5 numerical failures.
@@ -11,13 +11,10 @@ Exit codes group failures by kind: 2 invalid arguments or configuration,
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
 import os
 import re
 import sys
-import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +29,9 @@ from .io_formats import (
     save_frames,
     save_masks,
 )
-from .linalg import SketchConfig, deterministic_svd, rsvd
+from .linalg import SketchConfig
 from .pipeline import RunConfig, render_report, run_bgsub
-from .synthetic import MovingRect, SyntheticSpec, decaying_spectrum_matrix, generate_synthetic
+from .synthetic import MovingRect, SyntheticSpec, generate_synthetic
 
 __all__ = ["main"]
 
@@ -54,24 +51,6 @@ def _parse_anchor(value: str):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return anchor
-
-
-def _parse_shape(value: str) -> tuple[int, int]:
-    try:
-        m, n = value.lower().split("x")
-        return int(m), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"shape must look like 2000x500, got {value!r}")
-
-
-def _parse_int_list(value: str) -> list[int]:
-    try:
-        values = [int(v) for v in value.split(",") if v]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
-    return values
 
 
 def _parse_rect(value: str) -> tuple:
@@ -159,14 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev_p.add_argument("--out", help="metrics CSV path")
     ev_p.set_defaults(func=_cmd_eval)
 
-    svd = sub.add_parser("svd", help="benchmark deterministic vs randomized SVD")
-    svd.add_argument("--shapes", type=_parse_shape, nargs="+", default=[(2000, 500)])
-    svd.add_argument("--ranks", type=_parse_int_list, default=[20])
-    svd.add_argument("--qs", type=_parse_int_list, default=[0, 1, 2])
-    svd.add_argument("--repeats", type=int, default=5)
-    svd.add_argument("--out", required=True, help="CSV path")
-    svd.add_argument("--seeds", type=_parse_int_list, required=True)
-    svd.set_defaults(func=_cmd_svd)
     return parser
 
 
@@ -227,75 +198,6 @@ def _cmd_eval(args) -> int:
         print("note: at least one rate had a zero denominator and was reported as 0")
     if args.out:
         ev.write_metrics_csv(args.out, [float("nan")], [[c.tp, c.fp, c.tn, c.fn]])
-    return 0
-
-
-class _SvdTiming(NamedTuple):
-    """One CSV row of the svd subcommand; the field order is the column order."""
-
-    rows: int
-    cols: int
-    k: int
-    q: int
-    deterministic_seconds: float
-    randomized_seconds: float
-    deterministic_error: float
-    randomized_error: float
-
-
-def _median_time(fn, repeats: int) -> tuple[float, object]:
-    fn()  # warm-up
-    times = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)), result
-
-
-def _time_svds(shapes, ranks, seeds, qs, repeats) -> list[_SvdTiming]:
-    """Wall-clock and accuracy comparison of the two SVD paths.
-
-    Test matrices have a polynomially decaying spectrum so the error columns
-    respond to the power-iteration count. Times are medians of `repeats` runs
-    after one warm-up. No speed relation is asserted when k is not small
-    against min(m, n); that regime gains nothing from sketching.
-    """
-    rows = []
-    for m, n in shapes:
-        spectrum = 1.0 / np.arange(1, min(m, n) + 1) ** 2
-        for seed in seeds:
-            A, _ = decaying_spectrum_matrix(m, n, spectrum, seed)
-            norm = np.linalg.norm(A)
-            for k in ranks:
-                t_det, det = _median_time(lambda: deterministic_svd(A, k), repeats)
-                err_det = np.linalg.norm(A - det.reconstruct()) / norm
-                for q in qs:
-                    sketch = SketchConfig(rank=k, oversampling=2, subspace_iters=q, seed=seed)
-                    t_rnd, rnd = _median_time(lambda: rsvd(A, sketch), repeats)
-                    err_rnd = np.linalg.norm(A - rnd.reconstruct()) / norm
-                    rows.append(
-                        _SvdTiming(m, n, k, q, t_det, t_rnd, float(err_det), float(err_rnd))
-                    )
-    return rows
-
-
-def _cmd_svd(args) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {args.repeats}")
-    rows = _time_svds(args.shapes, args.ranks, args.seeds, args.qs, args.repeats)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SvdTiming._fields)
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} benchmark rows to {args.out}")
-    for r in rows:
-        print(
-            f"{r.rows}x{r.cols} k={r.k} q={r.q}: deterministic {r.deterministic_seconds:.4f}s "
-            f"(err {r.deterministic_error:.2e}), randomized {r.randomized_seconds:.4f}s "
-            f"(err {r.randomized_error:.2e})"
-        )
     return 0
 
 

@@ -2,9 +2,10 @@
 
 A snapshot matrix holds consecutive grayscale frames as columns. The one-step
 linear operator relating each frame to the next is reduced onto the leading
-left singular subspace of the left snapshot sequence; its eigendecomposition
-yields spatial modes, eigenvalues describing each mode's temporal evolution,
-and complex amplitudes fitted to an anchor frame by least squares.
+left singular subspace of the left snapshot sequence, as linalg's randomized
+SVD sketches it; its eigendecomposition yields spatial modes, eigenvalues
+describing each mode's temporal evolution, and complex amplitudes fitted to
+an anchor frame by least squares.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .linalg import (
     _all_finite,
     _is_integer,
     _unscanned,
-    deterministic_svd,
     rsvd,
 )
 
@@ -31,7 +31,6 @@ __all__ = [
     "FIRST_FRAME",
     "MEDIAN_FRAME",
     "rdmd",
-    "deterministic_dmd",
 ]
 
 # Anchor frame selectors for the amplitude fit. An integer anchor addresses an
@@ -380,14 +379,3 @@ def rdmd(
     """
     factors = rsvd(D.data[:, :-1], cfg, check_finite=False)
     return _decompose(D, factors, anchor, cfg.seed)
-
-
-def deterministic_dmd(
-    D: SnapshotMatrix,
-    rank: int,
-    anchor: str | int = MEDIAN_FRAME,
-) -> DmdDecomposition:
-    """Reference decomposition using the deterministic SVD; the rdmd oracle."""
-    factors = deterministic_svd(D.data[:, :-1], rank)
-    return _decompose(D, factors, anchor, seed=0)
-

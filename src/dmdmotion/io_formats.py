@@ -309,8 +309,9 @@ def _frame_number(path: str) -> int | None:
 def load_masks(pattern: str, frames: Sequence[str] | None = None) -> ForegroundMaskSequence:
     """The masks of the PGM files matching a glob pattern, in sorted order.
 
-    A pixel above maxval // 2 is foreground. frames, when given, are the
-    files that the masks score, in order, and pair with the masks by
+    A pixel of maxval is foreground and one of 0 background; a ValueError
+    names the file and the first pixel that is neither. frames, when given,
+    are the files that the masks score, in order, and pair with the masks by
     position. When every name of both holds digits, the last run of digits
     of each must be the same number pair by pair, so that mask t scores
     frame t; a ValueError names the first pair that differs before any
@@ -335,7 +336,11 @@ def load_masks(pattern: str, frames: Sequence[str] | None = None) -> ForegroundM
             raise ValueError(
                 f"{p}: mask geometry {img.shape} differs from first mask {masks.shape[1:]}"
             )
-        np.greater(img, maxval // 2, out=masks[t])
+        # Every nonzero pixel equals maxval iff the two counts agree.
+        np.equal(img, maxval, out=masks[t])
+        if np.count_nonzero(img) != np.count_nonzero(masks[t]):
+            value = img[(img != 0) & (img != maxval)][0]
+            raise ValueError(f"{p}: mask pixel {value} is neither 0 nor maxval {maxval}")
     return ForegroundMaskSequence(masks=masks, tau=None)
 
 

@@ -1,11 +1,9 @@
-"""Dense-matrix kernel: randomized low-rank SVD plus deterministic oracles.
+"""Dense-matrix kernel: randomized low-rank SVD.
 
 The randomized path follows the two-stage sketch-and-project scheme: a
 Gaussian sketch captures an approximate range, optional subspace iterations
 sharpen it against slowly decaying spectra, and a small deterministic SVD on
-the projected matrix recovers the factors. The deterministic SVD is a thin,
-validated wrapper over LAPACK and serves as the exactness oracle in the test
-suite.
+the projected matrix recovers the factors.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from numpy.linalg import lapack_lite
 __all__ = [
     "SvdFactors",
     "SketchConfig",
-    "deterministic_svd",
     "random_gaussian",
     "rsvd",
 ]
@@ -123,6 +120,7 @@ class SketchConfig:
         capturing the true range).
     subspace_iters: alternating re-orthonormalized passes with the matrix and
         its transpose, sharpening the sketch on slowly decaying spectra.
+    seed: seed of the Gaussian sketch; equal seeds give equal factors.
     """
 
     rank: int
@@ -152,21 +150,6 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signs = np.sign(U[idx, np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
     return U * signs, V * signs
-
-
-def deterministic_svd(A: np.ndarray, k: int) -> SvdFactors:
-    """Top-k factors of the full SVD of A; the exactness oracle.
-
-    Frobenius reconstruction error equals sqrt(sum of squared singular values
-    beyond the k-th).
-    """
-    A = _as_matrix(A)
-    m, n = A.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k} outside [1, min(m, n)={min(m, n)}]")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    U, V = _fix_signs(U[:, :k], Vt[:k, :].T)
-    return _unscanned(SvdFactors, U, s[:k].copy(), V)
 
 
 def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -9,7 +9,8 @@ import numpy as np
 import scipy.ndimage
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dmdmotion.dmd import SnapshotMatrix
+from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, _decompose
+from dmdmotion.linalg import SvdFactors, _as_matrix, _fix_signs, _unscanned
 
 
 def hausdorff_distance(a, b) -> float:
@@ -33,6 +34,31 @@ def principal_angle_cos(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(abs(np.vdot(u, v)) / (nu * nv))
+
+
+def deterministic_svd(A: np.ndarray, k: int) -> SvdFactors:
+    """Top-k factors of the full SVD of A, signed as rsvd signs its; the exactness oracle.
+
+    Frobenius reconstruction error equals sqrt(sum of squared singular values
+    beyond the k-th).
+    """
+    A = _as_matrix(A)
+    m, n = A.shape
+    if not 1 <= k <= min(m, n):
+        raise ValueError(f"k={k} outside [1, min(m, n)={min(m, n)}]")
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, V = _fix_signs(U[:, :k], Vt[:k, :].T)
+    return _unscanned(SvdFactors, U, s[:k].copy(), V)
+
+
+def deterministic_dmd(
+    D: SnapshotMatrix,
+    rank: int,
+    anchor: str | int = MEDIAN_FRAME,
+) -> DmdDecomposition:
+    """Reference decomposition from the full SVD of D's left sequence; the rdmd oracle."""
+    factors = deterministic_svd(D.data[:, :-1], rank)
+    return _decompose(D, factors, anchor, seed=0)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,8 @@ import pytest
 
 from dmdmotion import background as bg
 from dmdmotion import evaluation as ev
-from dmdmotion.dmd import FIRST_FRAME, deterministic_dmd, rdmd
-from dmdmotion.linalg import (
-    SketchConfig,
-    deterministic_svd,
-    rsvd,
-)
+from dmdmotion.dmd import FIRST_FRAME, rdmd
+from dmdmotion.linalg import SketchConfig, rsvd
 from dmdmotion.pipeline import RunConfig, run_bgsub
 from dmdmotion.synthetic import (
     MovingRect,
@@ -27,7 +23,14 @@ from dmdmotion.synthetic import (
     decaying_spectrum_matrix,
     generate_synthetic,
 )
-from helpers import hausdorff_distance, planted_linear_snapshots, rsvd_error_bound, threshold_mask
+from helpers import (
+    deterministic_dmd,
+    deterministic_svd,
+    hausdorff_distance,
+    planted_linear_snapshots,
+    rsvd_error_bound,
+    threshold_mask,
+)
 
 
 def check(name: str, ok: bool, detail: str) -> None:

@@ -23,7 +23,6 @@ from dmdmotion.dmd import (
     MEDIAN_FRAME,
     DmdDecomposition,
     SnapshotMatrix,
-    deterministic_dmd,
     rdmd,
 )
 from dmdmotion.errors import DegenerateDataError
@@ -31,7 +30,7 @@ from dmdmotion.evaluation import sweep_counts, tau_grid
 from dmdmotion.io_formats import load_frames, save_pgm
 from dmdmotion.linalg import SketchConfig
 
-from helpers import median_filter, reference_residual, threshold_mask
+from helpers import deterministic_dmd, median_filter, reference_residual, threshold_mask
 
 
 def make_decomposition(eigenvalues):

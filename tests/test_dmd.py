@@ -14,13 +14,18 @@ from dmdmotion.dmd import (
     SnapshotMatrix,
     _modes,
     _reduced_operator,
-    deterministic_dmd,
     rdmd,
 )
 from dmdmotion.errors import DegenerateDataError
-from dmdmotion.linalg import SketchConfig, deterministic_svd
+from dmdmotion.linalg import SketchConfig
 
-from helpers import hausdorff_distance, planted_linear_snapshots, principal_angle_cos
+from helpers import (
+    deterministic_dmd,
+    deterministic_svd,
+    hausdorff_distance,
+    planted_linear_snapshots,
+    principal_angle_cos,
+)
 
 
 def static_video(value=0.5, pixels=100, frames=20):
@@ -203,7 +208,7 @@ def _left_and_right_sequences(D, monkeypatch):
         return _reduced_operator(factors, Y)
 
     monkeypatch.setattr(dmd, "rsvd", recorded(linalg.rsvd))
-    monkeypatch.setattr(dmd, "deterministic_svd", recorded(deterministic_svd))
+    monkeypatch.setattr("helpers.deterministic_svd", recorded(deterministic_svd))
     monkeypatch.setattr(dmd, "_reduced_operator", recorded_reduced_operator)
     rdmd(D, SketchConfig(rank=1, oversampling=0, seed=0))
     deterministic_dmd(D, 1)

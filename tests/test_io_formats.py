@@ -439,6 +439,24 @@ def test_masks_round_trip(tmp_path):
     assert set(np.unique(img)) <= {0, 255}
 
 
+@pytest.mark.parametrize("maxval, pixels, named", [
+    (1, [0, 1, 1, 0], None), (65535, [65535, 0, 0, 65535], None),
+    (255, [0, 85, 170, 255], 85), (65535, [0, 65535, 65534, 0], 65534),
+])
+def test_masks_hold_only_0_and_maxval(tmp_path, maxval, pixels, named):
+    # Such masks read as before, a pixel above maxval // 2 as foreground;
+    # a pixel of any other value, such as a change-detection label, is named.
+    img = np.array([pixels])
+    save_pgm(str(tmp_path / "m_0.pgm"), img, maxval)
+    if named is None:
+        assert np.array_equal(load_masks(str(tmp_path / "m_*.pgm")).masks[0], img > maxval // 2)
+    else:
+        with pytest.raises(ValueError) as exc:
+            load_masks(str(tmp_path / "m_*.pgm"))
+        assert str(exc.value) == (f"{tmp_path / 'm_0.pgm'}: mask pixel {named} "
+                                  f"is neither 0 nor maxval {maxval}")
+
+
 def test_masks_require_consistent_geometry(tmp_path):
     save_pgm(str(tmp_path / "m_0.pgm"), np.zeros((2, 2), dtype=np.uint8))
     save_pgm(str(tmp_path / "m_1.pgm"), np.zeros((3, 2), dtype=np.uint8))

@@ -1,4 +1,4 @@
-"""Randomized SVD kernel against its deterministic oracles."""
+"""Randomized SVD kernel against its deterministic oracle."""
 
 import tracemalloc
 
@@ -17,13 +17,12 @@ from dmdmotion.linalg import (
     _fix_signs,
     _orthonormal_columns,
     _range_finder,
-    deterministic_svd,
     random_gaussian,
     rsvd,
 )
 from dmdmotion.synthetic import decaying_spectrum_matrix
 
-from helpers import rsvd_error_bound
+from helpers import deterministic_svd, rsvd_error_bound
 
 
 # ---------------------------------------------------------------- deterministic_svd

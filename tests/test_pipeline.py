@@ -19,7 +19,7 @@ import dmdmotion
 from dmdmotion import evaluation as ev
 from dmdmotion import dmd, io_formats, linalg, pipeline
 from dmdmotion.background import ForegroundMaskSequence, ResidualSequence
-from dmdmotion.cli import _time_svds, main
+from dmdmotion.cli import main
 from dmdmotion.dmd import SnapshotMatrix, rdmd
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.io_formats import (
@@ -1133,27 +1133,3 @@ def test_outputs_include_decomposition_dirs(tmp_path):
     # synthetic input carries its own truth, so the sweep files appear too
     assert (tmp_path / "roc.csv").exists()
     assert (tmp_path / "metrics.csv").exists()
-
-
-def test_benchmark_rows_and_csv(tmp_path):
-    rows = _time_svds(shapes=[(60, 40)], ranks=[5], seeds=[0], qs=[0, 2], repeats=1)
-    assert len(rows) == 2
-    by_q = {r.q: r for r in rows}
-    assert by_q[2].randomized_error <= by_q[0].randomized_error + 1e-12
-    for r in rows:
-        assert r.deterministic_error >= 0.0
-        assert r.randomized_error >= r.deterministic_error - 1e-12
-    path = str(tmp_path / "bench.csv")
-    assert main(["svd", "--shapes", "60x40", "--ranks", "5", "--qs", "0,2",
-                 "--repeats", "1", "--seeds", "0", "--out", path]) == 0
-    with open(path) as fh:
-        parsed = list(csv.DictReader(fh))
-    assert len(parsed) == 2
-    assert parsed[0]["rows"] == "60"
-    # errors are seeded, and floats are written with repr, so they read back exactly
-    for row, text in zip(rows, parsed):
-        assert float(text["randomized_error"]) == row.randomized_error
-        assert float(text["deterministic_error"]) == row.deterministic_error
-        for col in ("deterministic_seconds", "randomized_seconds",
-                    "deterministic_error", "randomized_error"):
-            assert repr(float(text[col])) == text[col]

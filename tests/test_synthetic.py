@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from dmdmotion.dmd import rdmd
-from dmdmotion.linalg import SketchConfig, deterministic_svd, random_gaussian
+from dmdmotion.linalg import SketchConfig, random_gaussian
 from dmdmotion.synthetic import (
     MovingRect,
     SyntheticSpec,
     decaying_spectrum_matrix,
     generate_synthetic,
 )
-from helpers import hausdorff_distance, planted_linear_snapshots
+from helpers import deterministic_svd, hausdorff_distance, planted_linear_snapshots
 
 
 def test_no_objects_static_video():
