@@ -1,9 +1,27 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
 from dmdmotion import MovingRect, SyntheticSpec, generate_synthetic
 
 from helpers import planted_linear_snapshots
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def svd_experiment(monkeypatch):
+    """scripts/svd_experiment.py with its grid cut to 80x40, k 5, 1 repeat."""
+    spec = importlib.util.spec_from_file_location(
+        "svd_experiment", ROOT / "scripts" / "svd_experiment.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "SHAPE", (80, 40))
+    monkeypatch.setattr(module, "RANK", 5)
+    monkeypatch.setattr(module, "REPEATS", 1)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -667,3 +667,17 @@ def test_a_corrupt_input_file_exits_with_its_path_and_writes_nothing(fault, in_t
         assert err.getvalue().count("\n") == 1 and named in err.getvalue()
         assert not os.path.exists(os.path.join(tmp, "out", "chunk_000"))
         assert not os.path.exists(os.path.join(tmp, "out", "masks"))
+
+
+def test_svd_benchmark_csv(tmp_path, capsys, svd_experiment):
+    # The SVD timing experiment is scripts/svd_experiment.py: one CSV row per q.
+    path = tmp_path / "bench.csv"
+    assert svd_experiment.main(["--out", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote 3 rows to {path}\n")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["rows", "cols", "k", "q", "deterministic_seconds",
+                             "randomized_seconds", "deterministic_error", "randomized_error"]
+    assert [(r["rows"], r["cols"], r["k"], r["q"]) for r in rows] == [
+        ("80", "40", "5", "0"), ("80", "40", "5", "1"), ("80", "40", "5", "2")
+    ]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -1133,3 +1134,27 @@ def test_outputs_include_decomposition_dirs(tmp_path):
     # synthetic input carries its own truth, so the sweep files appear too
     assert (tmp_path / "roc.csv").exists()
     assert (tmp_path / "metrics.csv").exists()
+
+
+def test_benchmark_rows_and_csv(tmp_path, svd_experiment):
+    rows = svd_experiment.run()
+    assert [row[3] for row in rows] == [0, 1, 2]
+    errors = [(row[6], row[7]) for row in rows]
+    for det, rnd in errors:
+        assert math.isfinite(det) and math.isfinite(rnd) and det >= 0.0
+        # Eckart-Young: no rank-k approximation beats the truncated full SVD.
+        assert rnd >= det * (1 - 1e-12)
+    # Subspace iterations sharpen the sketch.
+    assert errors[2][1] <= errors[0][1] + 1e-12
+    path = tmp_path / "bench.csv"
+    assert svd_experiment.main(["--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert len(parsed) == 3
+    # errors are seeded, and floats are written with repr, so they read back exactly
+    for (det, rnd), text in zip(errors, parsed):
+        assert (float(text["deterministic_error"]), float(text["randomized_error"])) == (det, rnd)
+        assert float(text["deterministic_seconds"]) > 0 and float(text["randomized_seconds"]) > 0
+        for col in ("deterministic_seconds", "randomized_seconds",
+                    "deterministic_error", "randomized_error"):
+            assert repr(float(text[col])) == text[col]
