@@ -41,6 +41,7 @@ SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
 
 from dmdmotion.io_formats import save_pgm  # noqa: E402
+from dmdmotion.synthetic import _frames  # noqa: E402
 from workloads import WORKLOADS, Workload, synthetic_spec, write_inputs  # noqa: E402
 
 # One 120x160 rectangle crossing 1280x720 frames, 300 of them in chunks of
@@ -54,27 +55,12 @@ REAL_TIME_FPS = 30
 def render_frames(spec, directory: str) -> None:
     """Write the files of save_frames(directory, generate_synthetic(spec)[0]), a frame at a time.
 
-    Each frame is made as generate_synthetic makes it: background, texture,
-    rectangles, noise, clipping. The noise of consecutive frames comes from
-    one Generator stream, whose draws in consecutive blocks are the values
-    of one draw over the whole video. So the video is never held: the hd
-    one would take about 6.6 GB in generate_synthetic.
+    The frames are generate_synthetic's own, each saved as it is drawn, so
+    the video is never held: the hd one would take 2.5 GB in
+    generate_synthetic.
     """
-    h, w = spec.frame_height, spec.frame_width
-    phase = 2.0 * np.pi * np.arange(w, dtype=np.float64) / w
-    rng = np.random.default_rng(spec.seed)
     os.makedirs(directory, exist_ok=True)
-    for t in range(spec.n_frames):
-        frame = np.full((h, w), spec.base_level, dtype=np.float64)
-        if spec.texture_amplitude > 0.0:
-            frame += spec.texture_amplitude * np.sin(
-                2.0 * np.pi * np.float64(t) / spec.texture_period + phase)
-        for rect in spec.objects:
-            rows, cols = rect.footprint(t, h, w)
-            frame[rows, cols] = rect.intensity
-        if spec.noise_sigma > 0.0:
-            frame += rng.normal(0.0, spec.noise_sigma, size=frame.shape)
-        np.clip(frame, 0.0, 1.0, out=frame)
+    for t, (frame, _) in enumerate(_frames(spec)):
         save_pgm(os.path.join(directory, f"frame_{t:05d}.pgm"),
                  np.rint(frame * 255).astype(np.uint32))
 

@@ -5,7 +5,8 @@ a decomposition of a frame sequence, bgsub runs the full detection pipeline
 and eval scores masks against ground truth.
 
 Exit codes group failures by kind: 2 invalid arguments or configuration,
-3 degenerate input data, 4 file-system problems, 5 numerical failures.
+or too little memory for them, 3 degenerate input data, 4 file-system
+problems, 5 numerical failures.
 """
 
 from __future__ import annotations
@@ -222,6 +223,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error (file system): {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error (out of memory): {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .background import ForegroundMaskSequence
 from .dmd import SnapshotMatrix
-from .linalg import random_gaussian
+from .linalg import _check_integers, random_gaussian
 
 __all__ = [
     "MovingRect",
@@ -43,6 +43,7 @@ class MovingRect:
     velocity: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("height", "width"))
         for name in ("top", "left", "velocity"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"rectangle {name} must be finite, got {getattr(self, name)}")
@@ -81,6 +82,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("frame_height", "frame_width", "n_frames", "seed"))
         if self.frame_height < 1 or self.frame_width < 1:
             raise ValueError("frame geometry must be at least 1x1")
         if self.n_frames < 2:
@@ -114,33 +116,47 @@ class SyntheticSpec:
                 raise ValueError(f"objects[{i}] corner at frame {last} is not finite: {corner}")
 
 
+def _frames(spec: SyntheticSpec):
+    """Yield (frame, truth) for each frame t, as (height, width) float64 and bool.
+
+    Order per frame: background, rectangles drawn over it (truth = their
+    union), then noise and clipping. The noise comes from one Generator
+    stream, whose draws in consecutive blocks are the values of one draw
+    over the whole video, so no more than a frame is ever held here.
+    """
+    h, w = spec.frame_height, spec.frame_width
+    phase = 2.0 * np.pi * np.arange(w, dtype=np.float64) / w
+    rng = np.random.default_rng(spec.seed)
+    for t in range(spec.n_frames):
+        frame = np.full((h, w), spec.base_level, dtype=np.float64)
+        if spec.texture_amplitude > 0.0:
+            frame += spec.texture_amplitude * np.sin(
+                2.0 * np.pi * np.float64(t) / spec.texture_period + phase)
+        truth = np.zeros((h, w), dtype=bool)
+        for rect in spec.objects:
+            rows, cols = rect.footprint(t, h, w)
+            frame[rows, cols] = rect.intensity
+            truth[rows, cols] = True
+        if spec.noise_sigma > 0.0:
+            frame += rng.normal(0.0, spec.noise_sigma, size=frame.shape)
+        np.clip(frame, 0.0, 1.0, out=frame)
+        yield frame, truth
+
+
 def generate_synthetic(spec: SyntheticSpec) -> tuple[SnapshotMatrix, ForegroundMaskSequence]:
     """Render the sequence and its ground-truth foreground masks.
 
-    Deterministic for a given spec. Order per frame: background, rectangles
-    drawn over it (truth = their union), then noise and clipping.
+    Deterministic for a given spec. Frames are drawn one at a time into the
+    snapshot matrix, so the video is held once: 9 bytes per pixel-frame,
+    8 of data and 1 of truth.
     """
     h, w, n = spec.frame_height, spec.frame_width, spec.n_frames
-    frames = np.full((n, h, w), spec.base_level, dtype=np.float64)
-    if spec.texture_amplitude > 0.0:
-        t = np.arange(n, dtype=np.float64)[:, None, None]
-        phase = 2.0 * np.pi * np.arange(w, dtype=np.float64) / w
-        frames += spec.texture_amplitude * np.sin(
-            2.0 * np.pi * t / spec.texture_period + phase[None, None, :]
-        )
-    truth = np.zeros((n, h, w), dtype=bool)
-    for t_idx in range(n):
-        for rect in spec.objects:
-            rows, cols = rect.footprint(t_idx, h, w)
-            frames[t_idx, rows, cols] = rect.intensity
-            truth[t_idx, rows, cols] = True
-    if spec.noise_sigma > 0.0:
-        rng = np.random.default_rng(spec.seed)
-        frames += rng.normal(0.0, spec.noise_sigma, size=frames.shape)
-    np.clip(frames, 0.0, 1.0, out=frames)
-    data = frames.reshape(n, h * w).T.copy()
-    snapshots = SnapshotMatrix(data=data, frame_height=h, frame_width=w)
-    return snapshots, ForegroundMaskSequence(masks=truth, tau=None)
+    data = np.empty((h * w, n), dtype=np.float64)
+    truth = np.empty((n, h, w), dtype=bool)
+    for t, (frame, mask) in enumerate(_frames(spec)):
+        data[:, t] = frame.ravel()
+        truth[t] = mask
+    return SnapshotMatrix(data, frame_height=h, frame_width=w), ForegroundMaskSequence(truth)
 
 
 def decaying_spectrum_matrix(

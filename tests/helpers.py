@@ -9,6 +9,7 @@ import numpy as np
 import scipy.ndimage
 from numpy.lib.stride_tricks import sliding_window_view
 
+from dmdmotion.background import ForegroundMaskSequence
 from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, _decompose
 from dmdmotion.linalg import SvdFactors, _as_matrix, _fix_signs, _unscanned
 
@@ -163,6 +164,35 @@ def planted_linear_snapshots(
         )
     snapshots = SnapshotMatrix(data=data, frame_height=h, frame_width=w)
     return PlantedSystem(snapshots, modes, lam, b)
+
+
+def reference_synthetic(spec):
+    """generate_synthetic drawn over the whole video at once.
+
+    The oracle of the frame-at-a-time generate_synthetic: one 3-D array,
+    one noise draw of the whole video's shape, then a transposed copy.
+    """
+    h, w, n = spec.frame_height, spec.frame_width, spec.n_frames
+    frames = np.full((n, h, w), spec.base_level, dtype=np.float64)
+    if spec.texture_amplitude > 0.0:
+        t = np.arange(n, dtype=np.float64)[:, None, None]
+        phase = 2.0 * np.pi * np.arange(w, dtype=np.float64) / w
+        frames += spec.texture_amplitude * np.sin(
+            2.0 * np.pi * t / spec.texture_period + phase[None, None, :]
+        )
+    truth = np.zeros((n, h, w), dtype=bool)
+    for t_idx in range(n):
+        for rect in spec.objects:
+            rows, cols = rect.footprint(t_idx, h, w)
+            frames[t_idx, rows, cols] = rect.intensity
+            truth[t_idx, rows, cols] = True
+    if spec.noise_sigma > 0.0:
+        rng = np.random.default_rng(spec.seed)
+        frames += rng.normal(0.0, spec.noise_sigma, size=frames.shape)
+    np.clip(frames, 0.0, 1.0, out=frames)
+    data = frames.reshape(n, h * w).T.copy()
+    snapshots = SnapshotMatrix(data=data, frame_height=h, frame_width=w)
+    return snapshots, ForegroundMaskSequence(masks=truth, tau=None)
 
 
 def reference_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:

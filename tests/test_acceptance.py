@@ -10,7 +10,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from dmdmotion import background as bg
 from dmdmotion import evaluation as ev

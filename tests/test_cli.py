@@ -563,6 +563,23 @@ def test_synth_non_finite_or_out_of_range_values_exit_2(tmp_path, capsys, option
     assert not (tmp_path / "vid").exists()
 
 
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # A video too large to hold: the allocation's MemoryError, raised here
+    # without allocating, is reported like any other bad configuration.
+    def generate_synthetic(spec):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape "
+                          "(10000000000, 2) and data type float64")
+
+    monkeypatch.setattr(cli, "generate_synthetic", generate_synthetic)
+    code = main(["synth", "--out", str(tmp_path / "vid"), "--height", "100000",
+                 "--width", "100000", "--frames", "2", "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error (out of memory): Unable to allocate 149. GiB for an array with shape "
+        "(10000000000, 2) and data type float64\n")
+    assert not (tmp_path / "vid").exists()
+
+
 @st.composite
 def tiny_runs(draw):
     """synth and bgsub arguments for a few tiny frames with random settings."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dmdmotion import dmd, io_formats
 from dmdmotion.background import ForegroundMaskSequence
-from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, SnapshotMatrix, rdmd
+from dmdmotion.dmd import MEDIAN_FRAME, DmdDecomposition, rdmd
 from dmdmotion.io_formats import (
     MAGIC_COMPLEX,
     MAGIC_REAL,

@@ -1,5 +1,8 @@
 """Synthetic video generators and planted linear systems."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,12 @@ from dmdmotion.synthetic import (
     decaying_spectrum_matrix,
     generate_synthetic,
 )
-from helpers import deterministic_svd, hausdorff_distance, planted_linear_snapshots
+from helpers import (
+    deterministic_svd,
+    hausdorff_distance,
+    planted_linear_snapshots,
+    reference_synthetic,
+)
 
 
 def test_no_objects_static_video():
@@ -100,6 +108,63 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(frame_height=8, frame_width=8, n_frames=10,
                       texture_amplitude=0.1, texture_period=1, seed=0)
+    # A wrong-typed integer field is named, not left to fail inside numpy
+    # (a float) or pass as 1 (a bool).
+    for field, value in [("frame_height", 8.5), ("frame_width", np.float64(8.0)),
+                         ("n_frames", 3.0), ("seed", 1.5), ("seed", True)]:
+        fields = {"frame_height": 8, "frame_width": 8, "n_frames": 3, "seed": 0, field: value}
+        reason = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            SyntheticSpec(**fields)
+    for field, value in [("height", 2.0), ("width", True)]:
+        fields = {"top": 0.0, "left": 0.0, "height": 2, "width": 2, "intensity": 1.0,
+                  field: value}
+        reason = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            MovingRect(**fields)
+
+
+@pytest.mark.parametrize("spec", [
+    # texture plus noise, under a rectangle entering at the top left
+    SyntheticSpec(frame_height=13, frame_width=17, n_frames=9, base_level=0.4,
+                  texture_amplitude=0.2, texture_period=5.0, noise_sigma=0.1,
+                  objects=(MovingRect(-2.0, -3.0, 5, 4, 0.9, (1.3, 1.7)),), seed=11),
+    # one rectangle leaving at the right, one wholly outside the frame
+    SyntheticSpec(frame_height=8, frame_width=10, n_frames=12, noise_sigma=0.05,
+                  objects=(MovingRect(2.0, 6.0, 3, 3, 1.0, (0.0, 1.0)),
+                           MovingRect(20.0, -9.0, 4, 4, 0.2, (0.5, -0.5))), seed=3),
+    # noise 0: no draw at all
+    SyntheticSpec(frame_height=6, frame_width=7, n_frames=5, texture_amplitude=0.3,
+                  texture_period=3.0, objects=(MovingRect(1.0, 1.0, 2, 2, 0.0),), seed=0),
+    SyntheticSpec(frame_height=5, frame_width=4, n_frames=2, noise_sigma=0.5, seed=2),
+    SyntheticSpec(frame_height=1, frame_width=1, n_frames=6, base_level=0.9,
+                  noise_sigma=0.2, objects=(MovingRect(0.0, -1.0, 1, 1, 0.1, (0.0, 0.4)),),
+                  seed=5),
+], ids=["texture_noise_entering", "leaving_and_outside", "noise_0", "two_frames", "1x1"])
+def test_frames_drawn_one_at_a_time_are_the_bytes_of_the_whole_video(spec):
+    data, truth = generate_synthetic(spec)
+    ref_data, ref_truth = reference_synthetic(spec)
+    assert data.data.flags.c_contiguous
+    assert data.data.tobytes() == ref_data.data.tobytes()
+    assert (data.frame_height, data.frame_width) == (ref_data.frame_height, ref_data.frame_width)
+    assert truth.masks.tobytes() == ref_truth.masks.tobytes()
+    assert truth.masks.shape == ref_truth.masks.shape and truth.tau is None
+
+
+def test_generation_holds_the_video_once():
+    # 8 bytes of data and 1 of truth per pixel-frame; the whole-video
+    # drawing held about 3 times the data (frames, noise, transposed copy).
+    spec = SyntheticSpec(frame_height=64, frame_width=64, n_frames=200, noise_sigma=0.05,
+                         objects=(MovingRect(20.0, -10.0, 10, 10, 0.8, (0.0, 0.5)),), seed=1)
+    video_bytes = 9 * 64 * 64 * 200
+    tracemalloc.start()
+    try:
+        result = generate_synthetic(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[0].data.nbytes + result[1].masks.nbytes == video_bytes
+    assert peak <= 1.25 * video_bytes, peak / video_bytes
 
 
 def test_planted_snapshots_round_trip():
