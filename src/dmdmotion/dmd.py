@@ -47,11 +47,6 @@ PINV_RCOND = 1e-12
 # whatever the chunk's length; see _block_length.
 BLOCK_BYTES = 1 << 20
 
-# The chunks whose 8-bit median anchor goes through the exchange network:
-# at most this many left frames of at least this many pixels (_network_wins).
-_NETWORK_MAX_FRAMES = 600
-_NETWORK_MIN_PIXELS = 16384
-
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
@@ -235,15 +230,6 @@ def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
     return tuple(reversed(network))
 
 
-def _network_wins(n: int, m: int) -> bool:
-    """Whether _network_median beats the float64 partition on n frames of m pixels.
-
-    The network's exchanges grow as n log**2 n, and each costs a call's
-    overhead beside its m bytes, so it wins on long frames of short chunks.
-    """
-    return n <= _NETWORK_MAX_FRAMES and m >= _NETWORK_MIN_PIXELS
-
-
 def _exchanged(values: np.ndarray) -> list[np.ndarray]:
     """The first n rows of (n + 1)-row values, ordered by _median_network(n).
 
@@ -287,10 +273,9 @@ def _network_median(raw: np.ndarray, maxval: int) -> np.ndarray:
 def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
     """The amplitude fit's target: the first, the per-pixel median or an indexed left frame.
 
-    A chunk that ingest read from 8-bit rasters of one maxval, where
-    _network_wins, carries them as (raw, maxval) in its private _rasters;
-    they are taken from it here, whatever the anchor, and the median is
-    _network_median's.
+    A chunk that ingest read from 8-bit rasters of one maxval carries them
+    as (raw, maxval) in its private _rasters; they are taken from it here,
+    whatever the anchor, and the median is _network_median's.
     """
     X = D.data[:, :-1]
     rasters = vars(D).pop("_rasters", None)

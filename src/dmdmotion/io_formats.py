@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ForegroundMaskSequence
-from .dmd import DmdDecomposition, SnapshotMatrix, _network_wins
+from .dmd import DmdDecomposition, SnapshotMatrix
 from .linalg import _unscanned
 
 __all__ = [
@@ -179,23 +179,22 @@ class FrameFiles:
     def columns(self, start: int, stop: int) -> SnapshotMatrix:
         """Frames [start, stop), each flattened row-major and divided by its maxval.
 
-        The rasters are read through one frame-major uint8 buffer, made at
-        the chunk's first 8-bit frame for it and the frames after it, so it
-        adds at most 1/8 of the matrix: an 8-bit frame fills its row, and a
-        16-bit frame is cast straight into its own matrix column. Each run of
-        frames that share a maxval is then divided in place by it, after one
-        transposed cast of its buffer rows for an 8-bit run, which gives each
-        entry float64(x) / float64(maxval). A frame's raster was checked
-        against its maxval when it was read, so the entries are not scanned
-        again. When every frame is 8-bit with one maxval and
-        dmd._network_wins for the chunk, the buffer, then all of the chunk's
-        rasters, stays with the matrix for its median anchor to consume.
+        The rasters are read through one frame-major uint8 buffer, a row per
+        frame, made at the chunk's first 8-bit frame, so it adds at most 1/8
+        of the matrix: an 8-bit frame fills its row, and a 16-bit frame is
+        cast straight into its own matrix column. Each run of frames that
+        share a maxval is then divided in place by it, after one transposed
+        cast of its buffer rows for an 8-bit run, which gives each entry
+        float64(x) / float64(maxval). A frame's raster was checked against its
+        maxval when it was read, so the entries are not scanned again. When
+        every frame is 8-bit with one maxval, the buffer stays with the matrix
+        for its median anchor to consume.
         """
         paths = self.paths[start:stop]
         n = len(paths)
         geometry = (self.frame_height, self.frame_width)
         data = np.empty((self.frame_height * self.frame_width, n))
-        raw = None  # uint8 rasters of frames [first, n), made at the first 8-bit one
+        raw = None  # uint8 rasters, a row per frame, made at the first 8-bit one
         maxvals = []
         for j, p in enumerate(paths):
             shape, maxval, img = _read_pgm(p)
@@ -205,18 +204,18 @@ class FrameFiles:
                 data[:, j] = img.reshape(-1)
             else:
                 if raw is None:
-                    first, raw = j, np.empty((n - j, data.shape[0]), dtype=np.uint8)
-                raw[j - first] = img.reshape(-1)
+                    raw = np.empty((n, data.shape[0]), dtype=np.uint8)
+                raw[j] = img.reshape(-1)
             maxvals.append(maxval)
         run = 0  # the first frame of the run of equal maxval
         for j in range(1, n + 1):
             if j == n or maxvals[j] != maxvals[run]:
                 if maxvals[run] <= 255:
-                    data[:, run:j] = raw[run - first : j - first].T
+                    data[:, run:j] = raw[run:j].T
                 data[:, run:j] /= maxvals[run]
                 run = j
         D = _unscanned(SnapshotMatrix, data, *geometry)
-        if maxvals[0] <= 255 and len(set(maxvals)) == 1 and _network_wins(n - 1, len(data)):
+        if maxvals[0] <= 255 and len(set(maxvals)) == 1:
             object.__setattr__(D, "_rasters", (raw, maxvals[0]))
         return D
 

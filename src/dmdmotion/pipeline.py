@@ -73,6 +73,8 @@ class RunConfig:
             if value is not None and not isinstance(value, kinds):
                 kind = " or ".join(k.__name__ for k in kinds)
                 raise ValueError(f"{name} must be {kind} or None, got {value!r}")
+        if self.output_dir is not None and not os.fspath(self.output_dir):
+            raise ValueError("output_dir must name a directory, got an empty path")
         if not isinstance(self.save_residuals, bool):
             raise ValueError(f"save_residuals must be a bool, got {self.save_residuals!r}")
         if (self.frames is None) == (self.synthetic is None):
@@ -224,6 +226,10 @@ def _load_input(cfg: RunConfig, timer: _StageTimer):
 
 def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     """The chunk bounds, once every check that needs no chunk has passed."""
+    # Another run's report would describe outputs that this run only partly
+    # overwrites, so a run writes only where no report is yet.
+    if cfg.output_dir is not None and os.path.lexists(os.path.join(cfg.output_dir, "report.txt")):
+        raise ValueError(f"output directory {cfg.output_dir} already holds a report.txt")
     if cfg.tau is None and truth is None:
         raise ValueError("threshold sweep needs ground truth; pass a fixed tau instead")
     shape = (video.n_frames, video.frame_height, video.frame_width)
@@ -357,8 +363,6 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         filtered = np.zeros_like(raw)
         for c, factors, _ in ran:
             D = video.columns(c.start, c.stop)
-            # No anchor runs here to consume the rasters that ingest may keep.
-            vars(D).pop("_rasters", None)
             timer.mark(c.index, "ingest")
             S = bg.factor_residual(D, *factors, out=D.data)
             timer.mark(c.index, "residual")

@@ -115,6 +115,44 @@ def test_a_failed_mask_write_exits_4_with_no_report(tmp_path, capsys):
     assert len(os.listdir(tmp_path / "good" / "masks")) == 30
 
 
+def test_bgsub_with_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # An empty output directory would put the run's files in the working one.
+    main(synth_args(tmp_path / "vid", frames=30))
+    capsys.readouterr()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = main(["bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"), "--out", "",
+                 "--tau", "0.2", "--chunk-length", "15", "--k", "4", "--seed", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error (invalid input): output_dir must name a directory, got an empty path\n"
+    assert os.listdir(work) == []
+
+
+def test_bgsub_into_a_directory_with_a_report_exits_2_and_changes_nothing(tmp_path, capsys):
+    # A one-chunk fixed-tau run over a two-chunk sweep's outputs would leave
+    # the sweep's chunk_001/, metrics.csv and roc.csv beside its own report.
+    main(synth_args(tmp_path / "vid", frames=30))
+    frames = str(tmp_path / "vid" / "frames" / "*.pgm")
+    out = tmp_path / "run"
+    assert main(["bgsub", "--frames", frames, "--truth", str(tmp_path / "vid" / "truth" / "*.pgm"),
+                 "--out", str(out), "--chunk-length", "15", "--k", "4", "--seed", "5"]) == 0
+    capsys.readouterr()
+
+    def files():
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    before = files()
+    assert {"chunk_001/modes.cpx", "metrics.csv", "roc.csv"} <= {str(p) for p in before}
+    code = main(["bgsub", "--frames", frames, "--out", str(out), "--tau", "0.2",
+                 "--chunk-length", "30", "--k", "4", "--seed", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error (invalid input): output directory {out} already holds a report.txt\n"
+    assert files() == before
+
+
 def test_bgsub_sweep_with_truth(tmp_path):
     main(synth_args(tmp_path / "vid", frames=30))
     code = main([

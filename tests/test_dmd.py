@@ -448,12 +448,13 @@ def _rasters(n_frames, n_pixels, maxval, kind, seed=0):
     return rng.integers(0, top + 1, size=(n_frames, n_pixels), dtype=np.uint8)
 
 
-@pytest.mark.parametrize("n_frames", [2, 3, 4, 9, 10, 34, 100, 101, 200, 201])
+@pytest.mark.parametrize("n_frames", [2, 3, 4, 9, 10, 34, 100, 101, 200, 201, 602, 603])
 @pytest.mark.parametrize("maxval", [1, 100, 255])
 @pytest.mark.parametrize("kind", ["uniform", "tied", "constant"])
 def test_network_median_equals_the_partition_anchor(n_frames, maxval, kind):
     # Left sequences of odd and even length, down to a 2-frame chunk's one
-    # frame; maxval 1 holds only 0 and 1, and "tied" only 0 to 3.
+    # frame and up to more than 600; maxval 1 holds only 0 and 1, and "tied"
+    # only 0 to 3.
     raw = _rasters(n_frames, 300, maxval, kind, seed=n_frames + maxval)
     D = SnapshotMatrix(raw.T / maxval, 15, 20)
     expected = dmd._anchor_frame(D, MEDIAN_FRAME)
@@ -479,15 +480,6 @@ def test_the_anchor_consumes_the_rasters_a_chunk_carries():
     assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
     for name in ("modes", "eigenvalues", "amplitudes"):
         assert getattr(with_rasters, name).tobytes() == getattr(rdmd(D, cfg), name).tobytes()
-
-
-def test_network_wins_on_long_frames_of_short_chunks():
-    # The benchmark's 240x320 chunks of 100 and 200 frames take the network;
-    # 64x64 frames, more than 600 left frames and any other chunk do not.
-    assert dmd._network_wins(99, 76800) and dmd._network_wins(199, 76800)
-    assert dmd._network_wins(600, dmd._NETWORK_MIN_PIXELS)
-    assert not dmd._network_wins(199, 4096)
-    assert not dmd._network_wins(601, 76800)
 
 
 def test_amplitudes_anchor_bounds():

@@ -399,8 +399,8 @@ CHUNKS = {
     "8-bit, even left sequence": ((6, 8), [255], 21, True),
     "maxval 1": ((6, 8), [1], 20, True),
     "maxval 100, longest chunk": ((6, 8), [100], 31, True),
-    "chunk too long": ((6, 8), [255], 32, False),
-    "frames too small": ((5, 8), [255], 20, False),
+    "chunk too long": ((6, 8), [255], 32, True),
+    "frames too small": ((5, 8), [255], 20, True),
     "16-bit": ((6, 8), [1000], 20, False),
     "mixed 8-bit maxvals": ((6, 8), [255, 100], 20, False),
     "8-bit then 16-bit": ((6, 8), [255] * 19 + [1000], 20, False),
@@ -408,12 +408,10 @@ CHUNKS = {
 
 
 @pytest.mark.parametrize("case", CHUNKS)
-def test_a_chunk_keeps_its_rasters_only_for_the_network_anchor(tmp_path, monkeypatch, case):
-    # With the rule patched to at most 30 left frames of at least 48 pixels,
-    # a chunk of 8-bit frames of one maxval carries its rasters for the
-    # median anchor, which consumes them and gives the partition's bytes.
-    monkeypatch.setattr(dmd, "_NETWORK_MAX_FRAMES", 30)
-    monkeypatch.setattr(dmd, "_NETWORK_MIN_PIXELS", 48)
+def test_a_chunk_keeps_its_rasters_only_for_the_network_anchor(tmp_path, case):
+    # A chunk carries its rasters for the median anchor exactly when every
+    # frame is 8-bit with one maxval, whatever its length or frame size; the
+    # anchor consumes them and gives the partition's bytes.
     shape, maxvals, n_frames, kept = CHUNKS[case]
     rng = np.random.default_rng(n_frames)
     for t in range(n_frames):

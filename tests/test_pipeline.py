@@ -548,12 +548,13 @@ def test_fixed_tau_drops_each_residual_before_the_next_chunk(tmp_path, monkeypat
     # nothing needs the tau grid, so each chunk's residual dies with its chunk.
     if with_truth:
         cfg = RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3)
+        expected = run_bgsub(cfg)
     else:
         D, _ = generate_synthetic(SQUARE)
         save_frames(str(tmp_path / "frames"), D)
         cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"), k=5, chunk_length=20,
                         tau=0.3, output_dir=str(tmp_path / "out"))
-    expected = run_bgsub(cfg)
+        expected = run_bgsub(replace(cfg, output_dir=str(tmp_path / "reference")))
     refs = track_residuals(monkeypatch)
 
     def checked_rdmd(*args, **kwargs):
@@ -809,8 +810,9 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
     tmp_path, monkeypatch, chunk_length, threshold
 ):
     # 8-bit frames whose median anchor goes through the float64 partition,
-    # then through the exchange network. Chunks of 20 frames have left
-    # sequences of 19; chunks of 21, 21 and 18 have 20 and 17.
+    # with the rasters dropped from each chunk that ingest reads, then
+    # through the exchange network. Chunks of 20 frames have left sequences
+    # of 19; chunks of 21, 21 and 18 have 20 and 17.
     D, truth = generate_synthetic(SQUARE)
     save_frames(str(tmp_path / "frames"), D)
     save_masks(str(tmp_path / "truth"), truth)
@@ -827,23 +829,30 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
         return network(raw, maxval)
 
     columns = io_formats.FrameFiles.columns
-    chunks = []
+    reads = {"partition": [], "network": []}
 
     def read(self, start, stop):
-        chunks.append(columns(self, start, stop))
-        return chunks[-1]
+        D = columns(self, start, stop)
+        if side == "partition":
+            del vars(D)["_rasters"]
+        reads[side].append(D)
+        return D
 
     monkeypatch.setattr(dmd, "_network_median", counted)
     monkeypatch.setattr(io_formats.FrameFiles, "columns", read)
     outputs = {}
-    for side, pixels in (("partition", 24 * 24 + 1), ("network", 24 * 24)):
-        monkeypatch.setattr(dmd, "_NETWORK_MIN_PIXELS", pixels)
+    for side in reads:
         report = run_bgsub(replace(cfg, output_dir=str(tmp_path / side), save_residuals=True))
         assert all(c.ok for c in report.chunks)
         outputs[side] = output_files(tmp_path / side)
-    assert calls == [(stop - start, 576) for start, stop in chunk_bounds(60, chunk_length, 7)]
-    # Every chunk read, in the grid pass too, has given up its rasters.
-    assert chunks and not any(hasattr(D, "_rasters") for D in chunks)
+    bounds = chunk_bounds(60, chunk_length, 7)
+    assert calls == [(stop - start, 576) for start, stop in bounds]
+    # Every chunk that the chunk pass read has given up its rasters; each
+    # read again by the grid pass keeps them until it is freed.
+    for side, chunks in reads.items():
+        assert len(chunks) == 2 * len(bounds)
+        assert not any(hasattr(D, "_rasters") for D in chunks[: len(bounds)])
+    assert all(hasattr(D, "_rasters") for D in reads["network"][len(bounds):])
     assert sorted(outputs["network"]) == sorted(outputs["partition"])
     for name, data in outputs["partition"].items():
         assert outputs["network"][name] == data, name
@@ -931,7 +940,8 @@ def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch, tmp_pat
     for tau, out, keeps in runs:
         cfg = RunConfig(synthetic=spec, k=5, chunk_length=50, tau=tau,
                         output_dir=None if out is None else str(out))
-        run_bgsub(cfg)  # warm-up: one-time allocations of numpy and the package
+        # Warm-up: one-time allocations of numpy and the package.
+        run_bgsub(cfg if out is None else replace(cfg, output_dir=str(tmp_path / "warm-up")))
         entries, kept = [], []
 
         def traced_rdmd(*args, **kwargs):
