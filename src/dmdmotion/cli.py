@@ -70,6 +70,13 @@ def _parse_rect(value: str) -> tuple:
     return top, left, height, width, intensity, (vy, vx)
 
 
+def _parse_out(value: str) -> str:
+    """An output directory; an empty one would write into the working directory."""
+    if not value:
+        raise argparse.ArgumentTypeError("must name a directory, got an empty path")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors reach main's one-line report; subparsers inherit it."""
 
@@ -85,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate a synthetic video plus ground truth")
-    synth.add_argument("--out", required=True, help="output directory")
+    synth.add_argument("--out", required=True, type=_parse_out, help="output directory")
     synth.add_argument("--height", type=int, default=64)
     synth.add_argument("--width", type=int, default=64)
     synth.add_argument("--frames", type=int, default=200)
@@ -105,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="fit a decomposition of a frame sequence")
     dec.add_argument("--frames", required=True, help="glob of PGM frames")
-    dec.add_argument("--out", required=True, help="output directory")
+    dec.add_argument("--out", required=True, type=_parse_out, help="output directory")
     dec.add_argument("--k", type=int, default=11)
     dec.add_argument("--p", type=int, default=2)
     dec.add_argument("--q", type=int, default=1)

@@ -160,13 +160,7 @@ def _window_medians(frames: np.ndarray, kernel: int) -> np.ndarray:
     b, h, w = frames.shape
     r = kernel // 2
     n = kernel * kernel
-    # np.pad(mode="edge"), without its per-call overhead.
-    padded = np.empty((b, h + 2 * r, w + 2 * r), dtype=frames.dtype)
-    padded[:, r : r + h, r : r + w] = frames
-    padded[:, r : r + h, :r] = frames[:, :, :1]
-    padded[:, r : r + h, r + w :] = frames[:, :, -1:]
-    padded[:, :r] = padded[:, r : r + 1]
-    padded[:, r + h :] = padded[:, r + h - 1 : r + h]
+    padded = np.pad(frames, ((0, 0), (r, r), (r, r)), mode="edge")
     values = np.empty((n + 1, b, h, w), dtype=frames.dtype)
     for i in range(n):
         dy, dx = divmod(i, kernel)

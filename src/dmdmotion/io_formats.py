@@ -252,18 +252,13 @@ def load_frames(pattern: str) -> tuple[SnapshotMatrix, list[str]]:
     return files.columns(0, files.n_frames), list(files.paths)
 
 
-def save_frames(
-    directory: str,
-    D: SnapshotMatrix,
-    stem: str = "frame",
-    maxval: int = 255,
-) -> list[str]:
+def save_frames(directory: str, D: SnapshotMatrix, maxval: int = 255) -> list[str]:
     """Quantize each frame to [0, maxval] and write numbered PGM files."""
     os.makedirs(directory, exist_ok=True)
     paths = []
     for t in range(D.n_frames):
         img = np.rint(D.frame(t) * maxval).astype(np.uint32)
-        path = os.path.join(directory, f"{stem}_{t:05d}.pgm")
+        path = os.path.join(directory, f"frame_{t:05d}.pgm")
         save_pgm(path, img, maxval)
         paths.append(path)
     return paths

@@ -16,7 +16,6 @@ from numpy.linalg import lapack_lite
 __all__ = [
     "SvdFactors",
     "SketchConfig",
-    "random_gaussian",
     "rsvd",
 ]
 
@@ -65,14 +64,14 @@ def _check_integers(obj, names) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _as_matrix(A: np.ndarray, name: str = "A") -> np.ndarray:
+def _as_matrix(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
+        raise ValueError(f"A must be 2-dimensional, got ndim={A.ndim}")
     if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and one column")
+        raise ValueError("A must have at least one row and one column")
     if not _all_finite(A):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("A contains non-finite entries")
     return A
 
 
@@ -152,16 +151,6 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U * signs, V * signs
 
 
-def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Matrix of i.i.d. standard-normal entries, deterministic per seed."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"invalid shape ({rows}, {cols})")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((rows, cols))
-
-
 def _lapack(routine, *args) -> None:
     """Call a lapack_lite routine whose last arguments are work, lwork, info.
 
@@ -210,7 +199,7 @@ def _range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:
     plain power iteration loses the small singular directions to roundoff).
     A must be finite with 1 <= l <= min(A.shape) and q >= 0, as rsvd ensures.
     """
-    omega = random_gaussian(A.shape[1], l, seed)
+    omega = np.random.default_rng(seed).standard_normal((A.shape[1], l))
     Q = _orthonormal_columns(A @ omega)
     for _ in range(q):
         Z = _orthonormal_columns(A.T @ Q)

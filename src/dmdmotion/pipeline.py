@@ -19,6 +19,7 @@ become the masks in one pass once the best tau is chosen.
 from __future__ import annotations
 
 import os
+import re
 import time
 from dataclasses import dataclass, replace
 
@@ -226,10 +227,6 @@ def _load_input(cfg: RunConfig, timer: _StageTimer):
 
 def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     """The chunk bounds, once every check that needs no chunk has passed."""
-    # Another run's report would describe outputs that this run only partly
-    # overwrites, so a run writes only where no report is yet.
-    if cfg.output_dir is not None and os.path.lexists(os.path.join(cfg.output_dir, "report.txt")):
-        raise ValueError(f"output directory {cfg.output_dir} already holds a report.txt")
     if cfg.tau is None and truth is None:
         raise ValueError("threshold sweep needs ground truth; pass a fixed tau instead")
     shape = (video.n_frames, video.frame_height, video.frame_width)
@@ -258,10 +255,6 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     if cfg.tau is None and truth.masks.all():
         raise ValueError("truth contains no background pixels")
     return bounds
-
-
-def _truth_of(truth: bg.ForegroundMaskSequence, c: ChunkResult) -> bg.ForegroundMaskSequence:
-    return bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
 
 
 def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _StageTimer):
@@ -310,7 +303,7 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
         if seq is not None:
             bg.filter_masks(seq, cfg.median_kernel, out=seq.masks)
             if truth is not None:
-                counts += ev.confusion(seq, _truth_of(truth, c))
+                counts += ev.confusion(seq, bg.ForegroundMaskSequence(truth.masks[start:stop]))
             timer.mark(i, "masks")
         if cfg.output_dir is not None:
             from .io_formats import save_decomposition, save_masks, save_matrix
@@ -343,6 +336,15 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     at a fixed tau, its mask files as soon as that chunk's outputs are
     final, before the next chunk is read; a write's error propagates at once.
     """
+    # Another run's outputs, whole or partial, would sit beside this run's
+    # and be described by neither report. Each begins with a chunk_NNN/ or
+    # a report.txt, so a run writes only where neither is yet.
+    if cfg.output_dir is not None and os.path.isdir(cfg.output_dir):
+        names = sorted(os.listdir(cfg.output_dir))
+        held = [n for n in names if n == "report.txt"]
+        held += [n for n in names if re.fullmatch(r"chunk_\d{3,}", n)]
+        if held:
+            raise ValueError(f"output directory {cfg.output_dir} already holds a {held[0]}")
     timer = _StageTimer()
     video, truth, stems = _load_input(cfg, timer)
     bounds = _check_inputs(cfg, video, truth)
@@ -367,8 +369,8 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             S = bg.factor_residual(D, *factors, out=D.data)
             timer.mark(c.index, "residual")
             ranks = masks[c.start : c.stop].view(np.uint8) if tau is None else None
-            chunk_raw, chunk_filtered = ev.sweep_counts(S, _truth_of(truth, c), taus, kernel,
-                                                        ranks)
+            chunk_truth = bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
+            chunk_raw, chunk_filtered = ev.sweep_counts(S, chunk_truth, taus, kernel, ranks)
             del D, S  # S is D's frames: free them before the next chunk is read
             raw += chunk_raw
             filtered += chunk_filtered

@@ -17,7 +17,7 @@ import numpy as np
 
 from .background import ForegroundMaskSequence
 from .dmd import SnapshotMatrix
-from .linalg import _check_integers, random_gaussian
+from .linalg import _check_integers
 
 __all__ = [
     "MovingRect",
@@ -172,6 +172,6 @@ def decaying_spectrum_matrix(
         raise ValueError("spectrum must be nonnegative with length <= min(m, n)")
     full = np.zeros(min(m, n))
     full[: s.size] = s
-    U, _ = np.linalg.qr(random_gaussian(m, min(m, n), seed))
-    V, _ = np.linalg.qr(random_gaussian(n, min(m, n), seed + 1))
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, min(m, n))))
+    V, _ = np.linalg.qr(np.random.default_rng(seed + 1).standard_normal((n, min(m, n))))
     return (U * full) @ V.T, full

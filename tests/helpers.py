@@ -201,9 +201,7 @@ def reference_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarr
     The oracle of _orthonormal_columns inside rsvd: patched in for
     linalg._range_finder, it must give rsvd the same factor bytes.
     """
-    from dmdmotion.linalg import random_gaussian
-
-    omega = random_gaussian(A.shape[1], l, seed)
+    omega = np.random.default_rng(seed).standard_normal((A.shape[1], l))
     Q, _ = np.linalg.qr(A @ omega)
     for _ in range(q):
         Z, _ = np.linalg.qr(A.T @ Q)

@@ -213,6 +213,14 @@ def test_residual_sequence_checks_values():
             ResidualSequence(values, 2, 2)
     with pytest.raises(ValueError, match="residual values must be 2-dimensional"):
         ResidualSequence(np.zeros(4), 2, 2)
+    with pytest.raises(ValueError, match="^residual geometry does not match pixel count$"):
+        ResidualSequence(np.zeros((5, 3)), 2, 2)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 3, 4)])
+def test_mask_sequence_rejects_masks_that_are_not_3d(shape):
+    with pytest.raises(ValueError, match=r"^masks must have shape \(n_frames, height, width\)$"):
+        ForegroundMaskSequence(np.zeros(shape, dtype=bool))
 
 
 def test_public_constructors_scan_what_the_package_builds_unscanned(tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmdmotion
-from dmdmotion import cli
+from dmdmotion import cli, io_formats
 from dmdmotion.cli import main
 from dmdmotion.io_formats import load_decomposition, load_masks, load_pgm, save_pgm
 from dmdmotion.pipeline import RunConfig, run_bgsub
@@ -115,18 +115,31 @@ def test_a_failed_mask_write_exits_4_with_no_report(tmp_path, capsys):
     assert len(os.listdir(tmp_path / "good" / "masks")) == 30
 
 
-def test_bgsub_with_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    # An empty output directory would put the run's files in the working one.
+@pytest.mark.parametrize("args, message", [
+    (["bgsub", "--frames", "{frames}", "--tau", "0.2", "--chunk-length", "15", "--k", "4",
+      "--seed", "5"], "output_dir must name a directory, got an empty path"),
+    (["synth", "--height", "16", "--width", "16", "--frames", "30", "--seed", "7"],
+     "argument --out: must name a directory, got an empty path"),
+    (["decompose", "--frames", "{frames}", "--k", "4", "--seed", "5"],
+     "argument --out: must name a directory, got an empty path"),
+], ids=["bgsub", "synth", "decompose"])
+def test_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, args, message):
+    # An empty output directory would put the command's files in the working
+    # one. It is refused before a frame is read or drawn.
     main(synth_args(tmp_path / "vid", frames=30))
     capsys.readouterr()
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    code = main(["bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"), "--out", "",
-                 "--tau", "0.2", "--chunk-length", "15", "--k", "4", "--seed", "5"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == "error (invalid input): output_dir must name a directory, got an empty path\n"
+
+    def no_frames(*args, **kwargs):
+        raise AssertionError("frames were read or drawn")
+
+    for name in ("load_frames", "generate_synthetic", "run_bgsub"):
+        monkeypatch.setattr(cli, name, no_frames)
+    frames = str(tmp_path / "vid" / "frames" / "*.pgm")
+    assert main([a.format(frames=frames) for a in args] + ["--out", ""]) == 2
+    assert capsys.readouterr().err == f"error (invalid input): {message}\n"
     assert os.listdir(work) == []
 
 
@@ -150,6 +163,34 @@ def test_bgsub_into_a_directory_with_a_report_exits_2_and_changes_nothing(tmp_pa
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error (invalid input): output directory {out} already holds a report.txt\n"
+    assert files() == before
+
+
+def test_bgsub_into_a_failed_runs_directory_exits_2_and_changes_nothing(tmp_path, capsys,
+                                                                        monkeypatch):
+    # A failed run leaves chunk_NNN/ and masks but no report. A shorter rerun
+    # into that directory would leave the failed run's later chunk and masks
+    # beside a report that lists none of them.
+    main(synth_args(tmp_path / "vid", frames=60))
+    out = tmp_path / "run"
+    (out / "masks" / "frame_00045_mask.pgm").mkdir(parents=True)
+    args = ["--tau", "0.2", "--chunk-length", "30", "--k", "4", "--seed", "5", "--out", str(out)]
+    frames = str(tmp_path / "vid" / "frames")
+    assert main(["bgsub", "--frames", os.path.join(frames, "*.pgm"), *args]) == 4
+    assert sorted(os.listdir(out)) == ["chunk_000", "chunk_001", "masks"]
+    capsys.readouterr()
+
+    def files():
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("frames were scanned")
+
+    before = files()
+    monkeypatch.setattr(io_formats, "scan_frames", no_scan)
+    assert main(["bgsub", "--frames", os.path.join(frames, "frame_000[0-2]?.pgm"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error (invalid input): output directory {out} already holds a chunk_000\n"
     assert files() == before
 
 
@@ -543,6 +584,8 @@ def test_eval_disjoint_masks_warns_on_zero_denominator(tmp_path, capsys):
      "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got 'last'"),
     (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--anchor", "-1"],
      "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got -1"),
+    (["synth", "--out", "out", "--seed", "7", "--rect=1,2,x,3,1.0,0,0"],
+     "argument --rect: bad rect '1,2,x,3,1.0,0,0'"),
 ])
 def test_a_malformed_or_missing_option_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                                              args, reason):

@@ -40,6 +40,9 @@ def test_snapshot_matrix_validation():
         SnapshotMatrix(np.ones((4, 1)), 2, 2)  # one frame
     with pytest.raises(ValueError):
         SnapshotMatrix(np.ones((4, 3)), 3, 2)  # geometry mismatch
+    for data in (np.full(4, 0.5), np.full((4, 3, 1), 0.5)):
+        with pytest.raises(ValueError, match="^snapshot data must be 2-dimensional$"):
+            SnapshotMatrix(data, 2, 2)
 
 
 @pytest.mark.parametrize("bad, reason", [
@@ -83,15 +86,19 @@ def test_decomposition_rejects_non_finite_eigenvalues(bad):
     ({"frame_width": -2}, "frame_width must be >= 1, got -2"),
     ({"frame_height": 7, "frame_width": 1}, "frame_height x frame_width = 7x1 does not match 4 pixels"),
     ({"n_frames": 1}, "n_frames must be >= 2, got 1"),
+    ({"modes": np.ones((4, 0), complex), "eigenvalues": np.ones(0, complex),
+      "amplitudes": np.ones(0, complex)}, "decomposition must retain at least one mode"),
+    ({"modes": np.ones((4, 2), complex)}, "mode/eigenvalue/amplitude shapes are inconsistent"),
+    ({"amplitudes": np.ones(2, complex)}, "mode/eigenvalue/amplitude shapes are inconsistent"),
 ])
 def test_decomposition_rejects_bad_geometry_or_frame_count(fields, reason):
     with pytest.raises(ValueError, match=f"^{reason}$"):
-        dmd.DmdDecomposition(
-            modes=np.ones((4, 1), dtype=np.complex128),
-            eigenvalues=np.ones(1, dtype=np.complex128),
-            amplitudes=np.ones(1, dtype=np.complex128),
-            **{"n_frames": 3, "frame_height": 2, "frame_width": 2, **fields},
-        )
+        dmd.DmdDecomposition(**{
+            "modes": np.ones((4, 1), dtype=np.complex128),
+            "eigenvalues": np.ones(1, dtype=np.complex128),
+            "amplitudes": np.ones(1, dtype=np.complex128),
+            "n_frames": 3, "frame_height": 2, "frame_width": 2, **fields,
+        })
 
 
 @pytest.mark.parametrize("fields, reason", [

@@ -87,6 +87,20 @@ def test_confusion_geometry_mismatch():
         confusion(masks_of(np.zeros((1, 2, 2))), masks_of(np.zeros((1, 3, 2))))
 
 
+@pytest.mark.parametrize("fields, reason", [
+    ({"fpr": np.array([0.0, 1.5, 1.0])}, r"^ROC coordinates must lie in \[0, 1\]$"),
+    ({"tpr": np.array([0.0, -0.1, 1.0])}, r"^ROC coordinates must lie in \[0, 1\]$"),
+    ({"taus": np.array([np.inf, 0.5, 0.7])}, "^ROC points must be ordered by descending tau$"),
+    ({"auc": 1.5}, r"^auc 1.5 outside \[0, 1\]$"),
+    ({"auc": -0.5}, r"^auc -0.5 outside \[0, 1\]$"),
+])
+def test_roc_curve_rejects_points_or_area_off_the_unit_square(fields, reason):
+    curve = {"taus": np.array([np.inf, 0.5, -np.inf]), "fpr": np.array([0.0, 0.5, 1.0]),
+             "tpr": np.array([0.0, 0.5, 1.0]), "auc": 0.5}
+    with pytest.raises(ValueError, match=reason):
+        RocCurve(**{**curve, **fields})
+
+
 def test_confusion_counts_validation():
     with pytest.raises(ValueError):
         ConfusionCounts(1, -1, 0, 0)

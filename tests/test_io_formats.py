@@ -188,6 +188,17 @@ def test_pgm_rejects_out_of_range_pixels():
         save_pgm("/dev/null", np.array([[300]]), maxval=255)
 
 
+@pytest.mark.parametrize("img, maxval, reason", [
+    (np.zeros((2, 2, 1), dtype=np.uint8), 255, "PGM stores single 2-d frames"),
+    (np.zeros((2, 2), dtype=np.uint8), 0, r"maxval 0 outside \[1, 65535\]"),
+    (np.zeros((2, 2), dtype=np.uint8), 65536, r"maxval 65536 outside \[1, 65535\]"),
+])
+def test_pgm_rejects_an_image_or_maxval_it_cannot_store(tmp_path, img, maxval, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        save_pgm(str(tmp_path / "f.pgm"), img, maxval)
+    assert not (tmp_path / "f.pgm").exists()
+
+
 # Arbitrary header tokens, including ones that join or comment out their
 # neighbours, and separators that the header grammar allows.
 PGM_TOKENS = st.one_of(
@@ -461,6 +472,9 @@ def test_masks_require_consistent_geometry(tmp_path):
     with pytest.raises(ValueError, match=r"m_1\.pgm: mask geometry \(3, 2\) differs "
                                          r"from first mask \(2, 2\)"):
         load_masks(str(tmp_path / "m_*.pgm"))
+    pattern = str(tmp_path / "x_*.pgm")
+    with pytest.raises(ValueError, match=f"^mask pattern {re.escape(repr(pattern))} matched no files$"):
+        load_masks(pattern)
 
 
 def test_masks_are_save_pgm_bytes(tmp_path):

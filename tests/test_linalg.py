@@ -17,7 +17,6 @@ from dmdmotion.linalg import (
     _fix_signs,
     _orthonormal_columns,
     _range_finder,
-    random_gaussian,
     rsvd,
 )
 from dmdmotion.synthetic import decaying_spectrum_matrix
@@ -68,8 +67,8 @@ def test_det_svd_rejects_nonfinite():
 def test_as_matrix_rejects_each_non_finite_value(bad):
     A = np.ones((3, 4))
     A[1, 2] = bad
-    with pytest.raises(ValueError, match="^X contains non-finite entries$"):
-        _as_matrix(A, "X")
+    with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+        _as_matrix(A)
 
 
 def test_as_matrix_check_allocates_no_per_entry_array():
@@ -83,22 +82,6 @@ def test_as_matrix_check_allocates_no_per_entry_array():
     assert peak < A.size
 
 
-# ---------------------------------------------------------------- random_gaussian
-
-def test_gaussian_deterministic():
-    assert np.array_equal(random_gaussian(4, 3, seed=7), random_gaussian(4, 3, seed=7))
-
-
-def test_gaussian_moments():
-    x = random_gaussian(10000, 1, seed=1)
-    assert abs(x.mean()) < 0.05
-    assert abs(x.var() - 1.0) < 0.1
-
-
-def test_gaussian_seed_sensitivity():
-    assert not np.array_equal(random_gaussian(2, 2, seed=1), random_gaussian(2, 2, seed=2))
-
-
 # ---------------------------------------------------------------- thin QR
 # _orthonormal_columns calls LAPACK's dgeqrf and dorgqr through
 # numpy.linalg.lapack_lite, as np.linalg.qr does under its wrapper.
@@ -110,7 +93,7 @@ def _gaussian(rows, cols, seed=0):
 def _static_sketch():
     # A static chunk repeats one frame, so its sketch has rank 1.
     frame = np.random.default_rng(1).uniform(size=(4096, 1))
-    return np.repeat(frame, 99, axis=1) @ random_gaussian(99, 13, 0)
+    return np.repeat(frame, 99, axis=1) @ _gaussian(99, 13)
 
 
 QR_INPUTS = {
@@ -263,6 +246,16 @@ def test_rsvd_rejects_oversized_sketch():
         rsvd(np.eye(4), SketchConfig(rank=3, oversampling=2, subspace_iters=0, seed=0))
 
 
+@pytest.mark.parametrize("A, reason", [
+    (np.ones(4), "A must be 2-dimensional, got ndim=1"),
+    (np.ones((4, 3, 2)), "A must be 2-dimensional, got ndim=3"),
+    (np.ones((0, 3)), "A must have at least one row and one column"),
+])
+def test_rsvd_rejects_an_input_that_is_not_a_matrix(A, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        rsvd(A, SketchConfig(rank=1, oversampling=0))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rsvd_rejects_each_non_finite_value(bad):
     # rdmd skips this scan (check_finite=False) for frames checked when they
@@ -302,7 +295,7 @@ def test_rsvd_determinism_bit_identical():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rsvd_factor_orthonormality(m, n, k, q, seed):
-    A = random_gaussian(m, n, seed=seed % 1000)
+    A = _gaussian(m, n, seed=seed % 1000)
     k = min(k, min(m, n) - 1)
     f = rsvd(A, SketchConfig(rank=k, oversampling=1, subspace_iters=q, seed=seed))
     assert np.max(np.abs(f.U.T @ f.U - np.eye(k))) <= 1e-8
@@ -376,6 +369,11 @@ def test_lstsq_rejects_non_finite_entries(bad, part, layout):
     assert not _all_finite(A)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_an_empty_array_is_finite(dtype):
+    assert _all_finite(np.empty((0, 3), dtype=dtype))
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
 def test_finiteness_check_allocates_under_a_byte_per_entry(layout):
     rng = np.random.default_rng(5)
@@ -399,6 +397,17 @@ def test_svd_factors_validation():
             singular_values=np.array([2.0, 1.0]),
             V=np.linalg.qr(np.random.default_rng(0).standard_normal((3, 2)))[0],
         )
+    eye = np.eye(3)[:, :2]
+    for fields, reason in [
+        ({"V": np.ones((3, 2))}, "V columns are not orthonormal"),
+        ({"V": np.eye(3)}, "factor shapes disagree on the rank"),
+        ({"singular_values": np.array([1.0, 2.0])},
+         "singular values must be nonnegative and nonincreasing"),
+        ({"singular_values": np.array([1.0, -0.5])},
+         "singular values must be nonnegative and nonincreasing"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            SvdFactors(**{"U": eye, "singular_values": np.array([2.0, 1.0]), "V": eye, **fields})
 
 
 @pytest.mark.parametrize("spectrum", ["geometric", "rank 3", "zero"])
@@ -441,6 +450,8 @@ def test_sketch_config_validation():
         SketchConfig(rank=2, oversampling=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SketchConfig(rank=2, seed=-1)
+    with pytest.raises(ValueError, match="^subspace_iters must be >= 0, got -1$"):
+        SketchConfig(rank=2, subspace_iters=-1)
     cfg = SketchConfig(rank=3, oversampling=2)
     with pytest.raises(ValueError, match=r"rank \+ oversampling = 5 exceeds min\(m, n\) = 4"):
         rsvd(np.eye(4), cfg)

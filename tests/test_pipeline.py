@@ -693,9 +693,9 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
         frames.append(sub.data.tobytes())
         return decompose(sub, *args, **kwargs)
 
-    def counted_as_matrix(A, name="A"):
+    def counted_as_matrix(A):
         scans.append(np.shape(A))
-        return as_matrix(A, name)
+        return as_matrix(A)
 
     def counted_read_pgm(path, check_only=False):
         reads.append((path, check_only))
@@ -1039,18 +1039,18 @@ def test_mask_files_named_after_input_frames(tmp_path):
                          objects=(MovingRect(2.0, 1.0, 3, 3, 1.0, (0.0, 0.3)),),
                          seed=4)
     D, _ = generate_synthetic(spec)
-    save_frames(str(tmp_path / "in"), D, stem="cam")
+    save_frames(str(tmp_path / "in"), D)
     # tau 0.2 without a filter gives masks that differ between frames
-    cfg = RunConfig(frames=str(tmp_path / "in" / "cam_*.pgm"),
+    cfg = RunConfig(frames=str(tmp_path / "in" / "frame_*.pgm"),
                     k=4, p=2, q=1, chunk_length=12, tau=0.2, median_kernel=1,
                     output_dir=str(tmp_path / "out"))
     report = run_bgsub(cfg)
     produced = sorted(os.listdir(tmp_path / "out" / "masks"))
-    assert produced[0] == "cam_00000_mask.pgm"
+    assert produced[0] == "frame_00000_mask.pgm"
     assert len(produced) == 12
     # each file holds the mask of the frame it is named after
     for t in range(12):
-        img, _ = load_pgm(str(tmp_path / "out" / "masks" / f"cam_{t:05d}_mask.pgm"))
+        img, _ = load_pgm(str(tmp_path / "out" / "masks" / f"frame_{t:05d}_mask.pgm"))
         assert np.array_equal(img > 0, report.masks.masks[t])
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dmdmotion.dmd import rdmd
-from dmdmotion.linalg import SketchConfig, random_gaussian
+from dmdmotion.linalg import SketchConfig
 from dmdmotion.synthetic import (
     MovingRect,
     SyntheticSpec,
@@ -108,6 +108,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(frame_height=8, frame_width=8, n_frames=10,
                       texture_amplitude=0.1, texture_period=1, seed=0)
+    for field, value, reason in [
+        ("base_level", 1.5, r"base_level 1.5 outside \[0, 1\]"),
+        ("base_level", -0.25, r"base_level -0.25 outside \[0, 1\]"),
+        ("texture_amplitude", -0.1, "texture_amplitude must be nonnegative"),
+        ("noise_sigma", -0.1, "noise_sigma must be nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            SyntheticSpec(frame_height=8, frame_width=8, n_frames=10, seed=0, **{field: value})
+    for height, width in [(0, 2), (2, 0)]:
+        with pytest.raises(ValueError, match="^rectangle sides must be >= 1$"):
+            MovingRect(0.0, 0.0, height, width, 1.0)
     # A wrong-typed integer field is named, not left to fail inside numpy
     # (a float) or pass as 1 (a bool).
     for field, value in [("frame_height", 8.5), ("frame_width", np.float64(8.0)),
@@ -215,8 +226,16 @@ def test_decaying_spectrum_matrix_matches_svd():
     assert np.allclose(fac.singular_values, spectrum, atol=1e-12)
 
 
+@pytest.mark.parametrize("spectrum", [[], [1.0] * 5, [1.0, -0.5]])
+def test_decaying_spectrum_matrix_rejects_a_spectrum_it_cannot_hold(spectrum):
+    with pytest.raises(ValueError,
+                       match=r"^spectrum must be nonnegative with length <= min\(m, n\)$"):
+        decaying_spectrum_matrix(6, 4, spectrum)
+
+
 def test_spec_and_gaussian_reject_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         SyntheticSpec(frame_height=4, frame_width=4, n_frames=3, seed=-1)
+    # SketchConfig's seed is the seed of the Gaussian sketch.
     with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
-        random_gaussian(3, 2, -2)
+        SketchConfig(rank=1, seed=-2)
