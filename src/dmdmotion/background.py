@@ -204,18 +204,21 @@ def factor_residual(
 def _box_sum(src: np.ndarray, out: np.ndarray, radius: int) -> None:
     """out = sum of src over [x - radius, x + radius] along the last axis.
 
-    Edges are replicated: a neighbour past an edge reads the edge pixel. A
-    shift is clamped at the axis length, since every neighbour that far out
-    lies past the edge.
+    Edges are replicated: a neighbour past an edge reads the edge pixel, so
+    each shift beyond the axis length adds the two edge pixels to every
+    entry, and those shifts are added in one step.
     """
     n = src.shape[-1]
     out[...] = src
-    for d in range(1, radius + 1):
-        d = min(d, n)
+    for d in range(1, min(radius, n) + 1):
         out[..., : n - d] += src[..., d:]
         out[..., n - d :] += src[..., -1:]
         out[..., d:] += src[..., : n - d]
         out[..., :d] += src[..., :1]
+    if radius > n:
+        edges = np.add(src[..., :1], src[..., -1:], dtype=out.dtype)
+        edges *= radius - n
+        out += edges
 
 
 def filter_masks(

@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Subcommands: synth generates a labeled test video, decompose fits and stores
-a decomposition of a frame sequence, bgsub runs the full detection pipeline
-and eval scores masks against ground truth.
+Subcommands: synth generates a labeled test video, bgsub runs the full
+detection pipeline and eval scores masks against ground truth.
 
 Exit codes group failures by kind: 2 invalid arguments or configuration,
 or too little memory for them, 3 degenerate input data, 4 file-system
-problems, 5 numerical failures.
+problems, 5 numerical failures outside a chunk.
 """
 
 from __future__ import annotations
@@ -20,17 +19,9 @@ import sys
 import numpy as np
 
 from . import evaluation as ev
-from .background import fourier_modes
-from .dmd import MEDIAN_FRAME, _check_anchor, rdmd
+from .dmd import _check_anchor
 from .errors import DegenerateDataError
-from .io_formats import (
-    load_frames,
-    load_masks,
-    save_decomposition,
-    save_frames,
-    save_masks,
-)
-from .linalg import SketchConfig
+from .io_formats import load_masks, save_frames, save_masks
 from .pipeline import RunConfig, render_report, run_bgsub
 from .synthetic import MovingRect, SyntheticSpec, generate_synthetic
 
@@ -110,16 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, required=True)
     synth.set_defaults(func=_cmd_synth)
 
-    dec = sub.add_parser("decompose", help="fit a decomposition of a frame sequence")
-    dec.add_argument("--frames", required=True, help="glob of PGM frames")
-    dec.add_argument("--out", required=True, type=_parse_out, help="output directory")
-    dec.add_argument("--k", type=int, default=11)
-    dec.add_argument("--p", type=int, default=2)
-    dec.add_argument("--q", type=int, default=1)
-    dec.add_argument("--anchor", type=_parse_anchor, default=MEDIAN_FRAME)
-    dec.add_argument("--seed", type=int, required=True)
-    dec.set_defaults(func=_cmd_decompose)
-
     # Options left out are absent from the parsed namespace, so RunConfig
     # supplies their defaults.
     bgsub = sub.add_parser(
@@ -165,20 +146,6 @@ def _cmd_synth(args) -> int:
     frame_paths = save_frames(os.path.join(args.out, "frames"), D)
     mask_paths = save_masks(os.path.join(args.out, "truth"), truth)
     print(f"wrote {len(frame_paths)} frames and {len(mask_paths)} truth masks to {args.out}")
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    D, _ = load_frames(args.frames)
-    cfg = SketchConfig(rank=args.k, oversampling=args.p, subspace_iters=args.q, seed=args.seed)
-    dec = rdmd(D, cfg, anchor=args.anchor)
-    save_decomposition(args.out, dec)
-    omega = fourier_modes(dec)
-    print(f"decomposition of {D.n_frames} frames, retained rank {dec.rank}")
-    print("idx  eigenvalue                     |lambda|   |omega|")
-    for j, (lam, om) in enumerate(zip(dec.eigenvalues, omega)):
-        om_text = "excluded" if not np.isfinite(om) else f"{abs(om):.6f}"
-        print(f"{j:<4d} {lam.real:+.6f}{lam.imag:+.6f}j    {abs(lam):.6f}   {om_text}")
     return 0
 
 

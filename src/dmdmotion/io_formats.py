@@ -33,7 +33,6 @@ __all__ = [
     "load_pgm",
     "FrameFiles",
     "scan_frames",
-    "load_frames",
     "save_frames",
     "save_masks",
     "load_masks",
@@ -239,17 +238,6 @@ def scan_frames(pattern: str) -> FrameFiles:
         elif shape != geometry:
             raise ValueError(f"{p}: frame geometry {shape} differs from first frame {geometry}")
     return FrameFiles(tuple(paths), *geometry)
-
-
-def load_frames(pattern: str) -> tuple[SnapshotMatrix, list[str]]:
-    """Assemble a snapshot matrix from the PGM files matching a glob pattern.
-
-    scan_frames, then every frame read into one matrix, one column per
-    frame normalized to [0, 1] by its maxval. Returns the matrix and the
-    file paths in column order.
-    """
-    files = scan_frames(pattern)
-    return files.columns(0, files.n_frames), list(files.paths)
 
 
 def save_frames(directory: str, D: SnapshotMatrix, maxval: int = 255) -> list[str]:

@@ -338,9 +338,14 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     """
     # Another run's outputs, whole or partial, would sit beside this run's
     # and be described by neither report. Each begins with a chunk_NNN/ or
-    # a report.txt, so a run writes only where neither is yet.
-    if cfg.output_dir is not None and os.path.isdir(cfg.output_dir):
-        names = sorted(os.listdir(cfg.output_dir))
+    # a report.txt, so a run writes only where neither is yet. A file, or a
+    # path through one, fails the listing with a NotADirectoryError that
+    # names the path.
+    if cfg.output_dir is not None:
+        try:
+            names = sorted(os.listdir(cfg.output_dir))
+        except FileNotFoundError:
+            names = []
         held = [n for n in names if n == "report.txt"]
         held += [n for n in names if re.fullmatch(r"chunk_\d{3,}", n)]
         if held:

@@ -267,6 +267,23 @@ def median_filter(mask: np.ndarray, kernel: int = 3) -> np.ndarray:
     return filtered.astype(bool)
 
 
+def box_sum_by_shifts(src: np.ndarray, out: np.ndarray, radius: int) -> None:
+    """background._box_sum by one step of shifted adds per unit of radius.
+
+    Its reference: _box_sum adds the shifts past the axis length at once.
+    Here a shift is clamped at the axis length, where it adds the two edge
+    pixels to every entry.
+    """
+    n = src.shape[-1]
+    out[...] = src
+    for d in range(1, radius + 1):
+        d = min(d, n)
+        out[..., : n - d] += src[..., d:]
+        out[..., n - d :] += src[..., -1:]
+        out[..., d:] += src[..., : n - d]
+        out[..., :d] += src[..., :1]
+
+
 def window_medians_by_partition(frames: np.ndarray, kernel: int) -> np.ndarray:
     """Median of every kernel x kernel window in each of frames (b, h, w).
 
@@ -327,7 +344,7 @@ def reference_run(cfg) -> None:
     from dmdmotion import pipeline
     from dmdmotion.errors import DegenerateDataError
     from dmdmotion.io_formats import (
-        load_frames, load_masks, save_decomposition, save_masks, save_matrix)
+        load_masks, save_decomposition, save_masks, save_matrix, scan_frames)
     from dmdmotion.linalg import SketchConfig
     from dmdmotion.synthetic import generate_synthetic
 
@@ -335,7 +352,8 @@ def reference_run(cfg) -> None:
     if cfg.synthetic is not None:
         D, truth = generate_synthetic(cfg.synthetic)
     else:
-        D, paths = load_frames(cfg.frames)
+        files = scan_frames(cfg.frames)
+        D, paths = files.columns(0, files.n_frames), files.paths
         truth = load_masks(cfg.truth) if cfg.truth is not None else None
         stems = [os.path.splitext(os.path.basename(p))[0] + "_mask" for p in paths]
     chunks, ran = [], []

@@ -12,6 +12,7 @@ from dmdmotion import dmd
 from dmdmotion.background import (
     ForegroundMaskSequence,
     ResidualSequence,
+    _box_sum,
     background_factors,
     factor_residual,
     filter_masks,
@@ -27,10 +28,16 @@ from dmdmotion.dmd import (
 )
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.evaluation import sweep_counts, tau_grid
-from dmdmotion.io_formats import load_frames, save_pgm
+from dmdmotion.io_formats import save_pgm, scan_frames
 from dmdmotion.linalg import SketchConfig
 
-from helpers import deterministic_dmd, median_filter, reference_residual, threshold_mask
+from helpers import (
+    box_sum_by_shifts,
+    deterministic_dmd,
+    median_filter,
+    reference_residual,
+    threshold_mask,
+)
 
 
 def make_decomposition(eigenvalues):
@@ -236,7 +243,8 @@ def test_public_constructors_scan_what_the_package_builds_unscanned(tmp_path):
         ResidualSequence(values, 2, 3)
     for t in range(2):
         save_pgm(str(tmp_path / f"f_{t}.pgm"), np.full((2, 3), 7, dtype=np.uint8))
-    data = load_frames(str(tmp_path / "f_*.pgm"))[0].data
+    files = scan_frames(str(tmp_path / "f_*.pgm"))
+    data = files.columns(0, files.n_frames).data
     data[3, 1] = np.nan
     with pytest.raises(ValueError, match="snapshot data contains non-finite entries"):
         SnapshotMatrix(data, 2, 3)
@@ -622,6 +630,34 @@ def test_filter_masks_into_a_slice_equals_the_fresh_masks(monkeypatch, kernel):
 def test_filter_masks_rejects_even_kernel():
     with pytest.raises(ValueError, match="odd"):
         filter_masks(ForegroundMaskSequence(np.zeros((1, 4, 4), dtype=bool)), 2)
+
+
+# Radii below, at and past each axis of the frames below, as far as a count
+# of (2 * radius + 1)**2 votes fits the type that holds it.
+BOX_SUMS = [(acc, radius) for acc in (np.uint16, np.uint32, np.uint64)
+            for radius in (1, 3, 4, 5, 6, 7, 40, 127, 3000)
+            if (2 * radius + 1) ** 2 <= np.iinfo(acc).max]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (4, 7)])
+@pytest.mark.parametrize("acc, radius", BOX_SUMS)
+def test_box_sum_adds_the_shifts_past_the_edge_at_once(shape, acc, radius):
+    # filter_masks's two passes: uint8 votes into the count type along the
+    # rows, then those counts along the columns. Beyond the axis length a
+    # shift adds only the two edge pixels, so the bounded loop and one
+    # multiply give the one-step-per-unit loop's sums; a product of 2999
+    # and a uint8 edge sum would not fit in the votes' own type.
+    votes = np.random.default_rng(radius).integers(0, 2, size=(3, *shape), dtype=np.uint8)
+    votes[2] = 1
+    sums = {}
+    for box_sum in (_box_sum, box_sum_by_shifts):
+        rows = np.empty(votes.shape, dtype=acc)
+        count = np.empty(votes.shape, dtype=acc)
+        box_sum(votes, rows, radius)
+        box_sum(rows.swapaxes(1, 2), count.swapaxes(1, 2), radius)
+        sums[box_sum] = (rows.tobytes(), count.tobytes())
+    assert sums[_box_sum] == sums[box_sum_by_shifts]
+    assert np.all(count[2] == (2 * radius + 1) ** 2)
 
 
 # ---------------------------------------------------------------- determinism

@@ -65,20 +65,26 @@ def test_synth_rect_with_negative_corner(tmp_path):
                 tmp_path / "b" / sub / name).read_bytes()
 
 
-def test_decompose_writes_manifest_and_table(tmp_path, capsys):
+def test_one_chunk_bgsub_writes_manifest_and_table(tmp_path, capsys):
+    # A run of one chunk over every frame writes the whole video's
+    # decomposition to chunk_000/ and prints its eigenvalue table.
     main(synth_args(tmp_path / "vid"))
     code = main([
-        "decompose", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
-        "--out", str(tmp_path / "dec"), "--k", "4", "--p", "2", "--q", "1",
-        "--seed", "3",
+        "bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+        "--out", str(tmp_path / "run"), "--chunk-length", "24", "--tau", "0.2",
+        "--k", "4", "--p", "2", "--q", "1", "--seed", "3",
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "retained rank" in out
-    assert "|omega|" in out
-    dec = load_decomposition(str(tmp_path / "dec"))
+    assert "|lambda|   |omega|    role" in out
+    chunk = tmp_path / "run" / "chunk_000"
+    assert sorted(os.listdir(chunk)) == [
+        "amplitudes.cpx", "eigenvalues.cpx", "manifest.txt", "modes.cpx"]
+    dec = load_decomposition(str(chunk))
     assert dec.rank >= 1
-    assert dec.seed == 3
+    assert (dec.n_frames, dec.seed) == (24, 3)
+    assert f"chunk 0: frames [0, 24), seed 3, rank {dec.rank}," in out
+    assert not (tmp_path / "run" / "chunk_001").exists()
 
 
 def test_bgsub_fixed_tau(tmp_path, capsys):
@@ -120,9 +126,7 @@ def test_a_failed_mask_write_exits_4_with_no_report(tmp_path, capsys):
       "--seed", "5"], "output_dir must name a directory, got an empty path"),
     (["synth", "--height", "16", "--width", "16", "--frames", "30", "--seed", "7"],
      "argument --out: must name a directory, got an empty path"),
-    (["decompose", "--frames", "{frames}", "--k", "4", "--seed", "5"],
-     "argument --out: must name a directory, got an empty path"),
-], ids=["bgsub", "synth", "decompose"])
+], ids=["bgsub", "synth"])
 def test_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, args, message):
     # An empty output directory would put the command's files in the working
     # one. It is refused before a frame is read or drawn.
@@ -135,7 +139,7 @@ def test_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, 
     def no_frames(*args, **kwargs):
         raise AssertionError("frames were read or drawn")
 
-    for name in ("load_frames", "generate_synthetic", "run_bgsub"):
+    for name in ("generate_synthetic", "run_bgsub"):
         monkeypatch.setattr(cli, name, no_frames)
     frames = str(tmp_path / "vid" / "frames" / "*.pgm")
     assert main([a.format(frames=frames) for a in args] + ["--out", ""]) == 2
@@ -192,6 +196,25 @@ def test_bgsub_into_a_failed_runs_directory_exits_2_and_changes_nothing(tmp_path
     err = capsys.readouterr().err
     assert err == f"error (invalid input): output directory {out} already holds a chunk_000\n"
     assert files() == before
+
+
+def test_bgsub_into_a_file_exits_4_before_the_frames_are_scanned(tmp_path, capsys,
+                                                                   monkeypatch):
+    # A file, or a path through one, cannot hold the run's outputs. It is
+    # refused before a frame is scanned, naming the path, and left as it was.
+    (tmp_path / "afile").write_bytes(b"kept")
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("frames were scanned")
+
+    monkeypatch.setattr(io_formats, "scan_frames", no_scan)
+    for out in (tmp_path / "afile", tmp_path / "afile" / "run"):
+        assert main(["bgsub", "--frames", str(tmp_path / "*.pgm"), "--out", str(out),
+                     "--tau", "0.2", "--seed", "5"]) == 4
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == f"error (file system): [Errno 20] Not a directory: {str(out)!r}\n"
+    assert (tmp_path / "afile").read_bytes() == b"kept"
 
 
 def test_bgsub_sweep_with_truth(tmp_path):
@@ -323,14 +346,19 @@ def test_bgsub_lapack_failure_in_every_chunk_exits_3(tmp_path, capsys, monkeypat
     assert "degenerate" in capsys.readouterr().err
     report = (tmp_path / "out" / "report.txt").read_text()
     assert report.count("FAILED LinAlgError: dorgqr returns 2") == 2
-    # decompose has one chunk, so the failure is the command's: exit 5.
+    # A numerical failure outside any chunk is the command's: exit 5.
+
+    def failing_run(cfg):
+        raise np.linalg.LinAlgError("dorgqr returns 2")
+
+    monkeypatch.setattr(cli, "run_bgsub", failing_run)
     code = main([
-        "decompose", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
-        "--out", str(tmp_path / "dec"), "--k", "3", "--p", "2", "--q", "1", "--seed", "0",
+        "bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+        "--out", str(tmp_path / "run"), "--tau", "0.2", "--seed", "0",
     ])
     assert code == 5
-    assert capsys.readouterr().err == "error (numerical): dorgqr returns 2\n"
-    assert not (tmp_path / "dec" / "manifest.txt").exists()
+    assert capsys.readouterr() == ("", "error (numerical): dorgqr returns 2\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_bgsub_sweep_all_chunks_failed_exits_3(tmp_path, capsys):
@@ -580,7 +608,7 @@ def test_eval_disjoint_masks_warns_on_zero_denominator(tmp_path, capsys):
      "the following arguments are required: --out"),
     (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--bogus"],
      "unrecognized arguments: --bogus"),
-    (["decompose", "--frames", "f/*.pgm", "--out", "out", "--anchor", "last"],
+    (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--anchor", "last"],
      "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got 'last'"),
     (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--anchor", "-1"],
      "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got -1"),
@@ -603,6 +631,14 @@ def test_svd_is_no_longer_a_subcommand(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error (invalid input): argument command: invalid choice: 'svd'")
+
+
+def test_decompose_is_no_longer_a_subcommand(capsys):
+    # A one-chunk bgsub writes what decompose wrote, to chunk_000/.
+    assert main(["decompose", "--frames", "f/*.pgm", "--out", "dec", "--seed", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error (invalid input): argument command: invalid choice: 'decompose'")
 
 
 def test_help_prints_usage_and_exits_0(capsys):

@@ -16,7 +16,6 @@ from dmdmotion.io_formats import (
     MAGIC_COMPLEX,
     MAGIC_REAL,
     load_decomposition,
-    load_frames,
     load_masks,
     load_matrix,
     load_pgm,
@@ -251,7 +250,8 @@ def test_frames_round_trip_is_exact(tmp_path):
                          noise_sigma=0.03, seed=3)
     D, _ = generate_synthetic(spec)
     save_frames(str(tmp_path), D, maxval=255)
-    loaded, _ = load_frames(str(tmp_path / "frame_*.pgm"))
+    files = scan_frames(str(tmp_path / "frame_*.pgm"))
+    loaded = files.columns(0, files.n_frames)
     assert loaded.frame_height == 6 and loaded.frame_width == 8
     assert loaded.n_frames == 5
     # one quantization error of at most half a gray level per pixel
@@ -268,29 +268,31 @@ def test_frames_lexicographic_order(tmp_path):
     for t in (2, 0, 1):
         save_pgm(str(tmp_path / f"frame_{t:05d}.pgm"),
                  np.full((2, 2), t * 10, dtype=np.uint8))
-    D, paths = load_frames(str(tmp_path / "frame_*.pgm"))
+    files = scan_frames(str(tmp_path / "frame_*.pgm"))
+    D, paths = files.columns(0, files.n_frames), files.paths
     assert np.allclose(D.data[0], np.array([0.0, 10.0, 20.0]) / 255)
-    assert paths == [str(tmp_path / f"frame_{t:05d}.pgm") for t in range(3)]
+    assert paths == tuple(str(tmp_path / f"frame_{t:05d}.pgm") for t in range(3))
 
 
 def test_frames_require_consistent_geometry(tmp_path):
     save_pgm(str(tmp_path / "a_00.pgm"), np.zeros((2, 2), dtype=np.uint8))
     save_pgm(str(tmp_path / "a_01.pgm"), np.zeros((3, 2), dtype=np.uint8))
     with pytest.raises(ValueError, match="geometry"):
-        load_frames(str(tmp_path / "a_*.pgm"))
+        scan_frames(str(tmp_path / "a_*.pgm"))
 
 
 def test_frames_require_at_least_two(tmp_path):
     save_pgm(str(tmp_path / "only.pgm"), np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError, match="at least 2"):
-        load_frames(str(tmp_path / "only.pgm"))
+        scan_frames(str(tmp_path / "only.pgm"))
 
 
 def test_frames_maxval_normalization(tmp_path):
     img = np.array([[0, 50], [100, 100]], dtype=np.uint8)
     save_pgm(str(tmp_path / "n_0.pgm"), img, maxval=100)
     save_pgm(str(tmp_path / "n_1.pgm"), img, maxval=100)
-    D, _ = load_frames(str(tmp_path / "n_*.pgm"))
+    files = scan_frames(str(tmp_path / "n_*.pgm"))
+    D = files.columns(0, files.n_frames)
     assert D.data.max() == 1.0
     assert D.data[1, 0] == 0.5
 
@@ -302,7 +304,8 @@ def test_frames_fill_matches_stacked_columns(tmp_path, maxval):
     imgs = [rng.integers(0, maxval + 1, size=(5, 7)) for _ in range(4)]
     for t, img in enumerate(imgs):
         save_pgm(str(tmp_path / f"f_{t}.pgm"), img, maxval)
-    D, _ = load_frames(str(tmp_path / "f_*.pgm"))
+    files = scan_frames(str(tmp_path / "f_*.pgm"))
+    D = files.columns(0, files.n_frames)
     stacked = np.stack([img.reshape(-1).astype(np.float64) / maxval for img in imgs], axis=1)
     assert D.data.flags.c_contiguous
     assert D.data.shape == stacked.shape and D.data.tobytes() == stacked.tobytes()
@@ -325,7 +328,8 @@ def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
     for t in range(n_frames):
         maxval = maxvals[t % 6]
         save_pgm(str(tmp_path / f"f_{t:05d}.pgm"), rng.integers(0, maxval + 1, size=(3, 5)), maxval)
-    D, paths = load_frames(str(tmp_path / "f_*.pgm"))
+    files = scan_frames(str(tmp_path / "f_*.pgm"))
+    D, paths = files.columns(0, files.n_frames), files.paths
     # The former fill: each frame divided straight into its matrix column.
     expected = np.empty((15, n_frames))
     for j, path in enumerate(paths):
@@ -336,7 +340,7 @@ def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
     # A chunk that starts on a 16-bit frame makes its uint8 buffer at its
     # first 8-bit frame, if it has one.
     if n_frames > 4:
-        tail = scan_frames(str(tmp_path / "f_*.pgm")).columns(3, n_frames).data
+        tail = files.columns(3, n_frames).data
         assert tail.tobytes() == expected[:, 3:].copy().tobytes()
 
 
@@ -397,7 +401,8 @@ def test_frames_hold_one_copy_of_the_video(tmp_path):
                      rng.integers(0, maxval + 1, size=(48, 64)), maxval)
         tracemalloc.start()
         try:
-            D, _ = load_frames(str(tmp_path / f"f{maxval}_*.pgm"))
+            files = scan_frames(str(tmp_path / f"f{maxval}_*.pgm"))
+            D = files.columns(0, files.n_frames)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -428,7 +433,8 @@ def test_a_chunk_keeps_its_rasters_only_for_the_network_anchor(tmp_path, case):
     for t in range(n_frames):
         maxval = maxvals[t % len(maxvals)]
         save_pgm(str(tmp_path / f"f_{t:02d}.pgm"), rng.integers(0, maxval + 1, size=shape), maxval)
-    D, _ = load_frames(str(tmp_path / "f_*.pgm"))
+    files = scan_frames(str(tmp_path / "f_*.pgm"))
+    D = files.columns(0, files.n_frames)
     assert hasattr(D, "_rasters") == kept
     expected = np.median(D.data[:, :-1], axis=1)
     assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()

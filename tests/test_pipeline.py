@@ -24,7 +24,6 @@ from dmdmotion.cli import main
 from dmdmotion.dmd import SnapshotMatrix, rdmd
 from dmdmotion.errors import DegenerateDataError
 from dmdmotion.io_formats import (
-    load_frames,
     load_masks,
     load_matrix,
     load_pgm,
@@ -678,7 +677,8 @@ def test_chunks_match_standalone_decompositions():
 def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, monkeypatch):
     D, _ = generate_synthetic(SQUARE)
     paths = save_frames(str(tmp_path / "frames"), D)
-    video, _ = load_frames(str(tmp_path / "frames" / "*.pgm"))
+    files = io_formats.scan_frames(str(tmp_path / "frames" / "*.pgm"))
+    video = files.columns(0, files.n_frames)
     checked, chunks, frames, scans, reads = [], [], [], [], []
     post_init, decompose = SnapshotMatrix.__post_init__, pipeline.rdmd
     as_matrix = linalg._as_matrix
