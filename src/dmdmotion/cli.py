@@ -169,7 +169,7 @@ def _cmd_eval(args) -> int:
         f"recall={rates['recall']:.6f} precision={rates['precision']:.6f} "
         f"specificity={rates['specificity']:.6f} f_measure={rates['f_measure']:.6f}"
     )
-    if c.undefined_rates:
+    if 0 in (c.tp + c.fn, c.tp + c.fp, c.tn + c.fp):
         print("note: at least one rate had a zero denominator and was reported as 0")
     if args.out:
         ev.write_metrics_csv(args.out, [float("nan")], [[c.tp, c.fp, c.tn, c.fn]])

@@ -2,14 +2,14 @@
 
 Counts are pooled over all frames before any rate is formed, so frames with
 no true foreground contribute to the totals without producing divide-by-zero
-frames of their own. Rates with a zero denominator are reported as 0 and
-flagged.
+frames of their own. Every rate is formed by rates, for one row of counts
+or for an array of rows; a rate with a zero denominator is reported as 0.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,19 +47,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
 
-    @property
-    def undefined_rates(self) -> bool:
-        """True when a rate has a zero denominator, which rates reports as 0."""
-        return 0 in (self.tp + self.fn, self.tp + self.fp, self.tn + self.fp)
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.tn + other.tn,
-            self.fn + other.fn,
-        )
-
 
 @dataclass(frozen=True)
 class RocCurve:
@@ -93,15 +80,17 @@ class RocCurve:
         area comes from the trapezoidal rule.
         """
         unique, first = np.unique(np.asarray(taus, dtype=np.float64), return_index=True)
-        tp, fp, tn, fn = counts[first[::-1]].T
+        rows = counts[first[::-1]]
+        tp, fp, tn, fn = rows.T
         if unique.size and tp[0] + fn[0] == 0:
             raise ValueError("truth contains no foreground pixels")
         if unique.size and tn[0] + fp[0] == 0:
             raise ValueError("truth contains no background pixels")
         if unique.size < 2:
             raise ValueError(f"need at least 2 distinct thresholds, got {unique.size}")
-        fpr = np.concatenate([[0.0], 1.0 - tn / (tn + fp), [1.0]])
-        tpr = np.concatenate([[0.0], tp / (tp + fn), [1.0]])
+        r = rates(rows)
+        fpr = np.concatenate([[0.0], 1.0 - r["specificity"], [1.0]])
+        tpr = np.concatenate([[0.0], r["recall"], [1.0]])
         taus = np.concatenate([[np.inf], unique[::-1], [-np.inf]])
         return cls(taus, fpr, tpr, float(np.trapezoid(tpr, fpr)))
 
@@ -124,23 +113,24 @@ def confusion(
     return ConfusionCounts(tp, n_p - tp, p.size - n_p - n_t + tp, n_t - tp)
 
 
-def _rate(num: int, den: int) -> float:
-    return num / den if den else 0.0
+def rates(counts) -> dict:
+    """Recall, precision, specificity and F of counts; a zero-denominator rate is 0.
 
-
-def rates(c: ConfusionCounts) -> dict[str, float]:
-    """Recall, precision, specificity and F; a zero-denominator rate is 0.
-
-    F is the harmonic mean of recall and precision, 0 when both vanish.
+    counts is a ConfusionCounts or one (tp, fp, tn, fn) row, whose rates are
+    floats, or a 2-D array of such rows, whose rates are float64 arrays with
+    one entry per row. F is the harmonic mean of recall and precision, 0
+    when both vanish.
     """
-    r = _rate(c.tp, c.tp + c.fn)
-    p = _rate(c.tp, c.tp + c.fp)
-    return {
-        "recall": r,
-        "precision": p,
-        "specificity": _rate(c.tn, c.tn + c.fp),
-        "f_measure": 2.0 * r * p / (r + p) if r + p else 0.0,
-    }
+    if isinstance(counts, ConfusionCounts):
+        counts = astuple(counts)
+    counts = np.asarray(counts, dtype=np.int64)
+    tp, fp, tn, fn = counts.T
+    den = np.array([tp + fn, tp + fp, tn + fp], dtype=np.float64)
+    r, p, s = np.divide([tp, tp, tn], den, out=np.zeros_like(den), where=den != 0)
+    den = r + p
+    f = np.divide(2.0 * r * p, den, out=np.zeros_like(den), where=den != 0)
+    out = {"recall": r, "precision": p, "specificity": s, "f_measure": f}
+    return {k: float(v) for k, v in out.items()} if counts.ndim == 1 else out
 
 
 def tau_grid(top: float) -> np.ndarray:
@@ -297,13 +287,12 @@ def sweep_counts(
 
 def best_f_from_counts(taus: Sequence[float], counts: np.ndarray) -> tuple[float, float]:
     """(tau, F) maximizing F over rows of sweep_counts' counts; ties keep the smallest tau."""
-    best_tau, best_f = 0.0, -1.0
     unique, first = np.unique(np.asarray(taus, dtype=np.float64), return_index=True)
-    for tau, row in zip(unique.tolist(), counts[first].tolist()):
-        f = rates(ConfusionCounts(*row))["f_measure"]
-        if f > best_f:
-            best_tau, best_f = tau, f
-    return best_tau, best_f
+    if not unique.size:
+        return 0.0, -1.0
+    f = rates(counts[first])["f_measure"]
+    best = int(np.argmax(f))
+    return float(unique[best]), float(f[best])
 
 
 def write_roc_csv(path: str, curve: RocCurve) -> None:
@@ -322,6 +311,6 @@ def write_metrics_csv(path: str, taus: Sequence[float], counts) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for tau, row in zip(taus, np.asarray(counts).tolist()):
-            values = [float(tau), *row, *rates(ConfusionCounts(*row)).values()]
-            writer.writerow([repr(v) for v in values])
+        rate_columns = (v.tolist() for v in rates(counts).values())
+        for tau, row, *values in zip(taus, np.asarray(counts).tolist(), *rate_columns):
+            writer.writerow([repr(v) for v in (float(tau), *row, *values)])

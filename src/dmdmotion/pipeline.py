@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -248,6 +248,28 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
             f"anchor frame {cfg.anchor} outside [0, {shortest - 1}) of the "
             f"shortest chunk ({shortest} frames)"
         )
+    # Each subspace iteration is two passes over a chunk. At most one per
+    # snapshot pair bounds the sketch of n frames of m pixels at about
+    # 2 m n^2 (k+p) multiply-adds, where an unbounded q would never end.
+    if cfg.q > shortest - 1:
+        raise ValueError(
+            f"q = {cfg.q} subspace iterations exceed the {shortest - 1} snapshot pairs "
+            f"of the shortest chunk ({shortest} frames)"
+        )
+    # A sweep's median network holds kernel**2 rank frames and an intp key
+    # per pixel for a block of at least one frame (see sweep_counts). The run
+    # holds one chunk's float64 matrix at a time, so a one-frame network
+    # larger than the longest chunk's matrix is refused.
+    if cfg.tau is None:
+        rank_bytes = np.min_scalar_type(ev.TAU_GRID_SIZE).itemsize
+        network = n_pixels * (cfg.median_kernel**2 * rank_bytes + np.dtype(np.intp).itemsize)
+        matrix = 8 * n_pixels * max(stop - start for start, stop in bounds)
+        if network > matrix:
+            raise ValueError(
+                f"median_kernel {cfg.median_kernel} needs a {network}-byte median network "
+                f"per frame in a sweep, more than the {matrix}-byte float64 matrix of "
+                f"the longest chunk"
+            )
     # A sweep's curve needs both truth classes. Chunk outputs are written as
     # each chunk runs, so this is checked before the first one.
     if cfg.tau is None and not truth.masks.any():
@@ -266,13 +288,13 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
     at that tau: thresholded as the residual is formed over the chunk's
     frames, filtered in place and scored. With an output directory, the
     chunk's chunk_NNN/ and, at a fixed tau, its mask files are then written.
-    Returns the chunk records, the counts of the fixed-tau masks against the
-    truth and, when the run needs the tau grid, each chunk that ran with its
-    background factors and largest residual.
+    Returns the chunk records, the (tp, fp, tn, fn) row of the fixed-tau
+    masks against the truth and, when the run needs the tau grid, each
+    chunk that ran with its background factors and largest residual.
     """
     need_grid = truth is not None and (cfg.tau is None or cfg.output_dir is not None)
     chunks: list[ChunkResult] = []
-    counts = ev.ConfusionCounts(0, 0, 0, 0)
+    counts = np.zeros(4, dtype=np.int64)
     ran = []
     for i, (start, stop) in enumerate(bounds):
         c = ChunkResult(index=i, start=start, stop=stop, seed=cfg.seed + i)
@@ -303,7 +325,8 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
         if seq is not None:
             bg.filter_masks(seq, cfg.median_kernel, out=seq.masks)
             if truth is not None:
-                counts += ev.confusion(seq, bg.ForegroundMaskSequence(truth.masks[start:stop]))
+                chunk_truth = bg.ForegroundMaskSequence(truth.masks[start:stop])
+                counts += astuple(ev.confusion(seq, chunk_truth))
             timer.mark(i, "masks")
         if cfg.output_dir is not None:
             from .io_formats import save_decomposition, save_masks, save_matrix
@@ -403,7 +426,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         # chunk's ranks are 0, so its masks stay empty.
         j = int(np.searchsorted(taus, tau, side="left"))
         np.greater(masks.view(np.uint8), j, out=masks)
-        counts = ev.ConfusionCounts(*filtered[j].tolist())
+        counts = filtered[j]
         timer.mark("run", "masks")
     any_ok = any(c.ok for c in chunks)
     if any_ok and truth is not None:

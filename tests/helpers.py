@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy.ndimage
@@ -404,8 +404,8 @@ def reference_run(cfg) -> None:
             masks[c.start:c.stop] = [median_filter(frame, cfg.median_kernel)
                                      for frame in threshold_mask(S, tau).masks]
         if truth is not None:
-            counts = sum((ev.confusion(bg.ForegroundMaskSequence(masks[c.start:c.stop]),
-                                       truth_of(c)) for c, _ in ran), ev.ConfusionCounts(0, 0, 0, 0))
+            counts = sum(np.array(astuple(ev.confusion(
+                bg.ForegroundMaskSequence(masks[c.start:c.stop]), truth_of(c)))) for c, _ in ran)
             summary = {**(summary or {}), **ev.rates(counts)}
         masks = bg.ForegroundMaskSequence(masks, tau=tau)
     report = pipeline.RunReport(cfg, D.frame_height, D.frame_width, D.n_frames, tuple(chunks),

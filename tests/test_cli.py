@@ -7,14 +7,17 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
 from numpy.linalg import lapack_lite
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dmdmotion
@@ -599,6 +602,24 @@ def test_eval_disjoint_masks_warns_on_zero_denominator(tmp_path, capsys):
     assert "zero denominator" in out
 
 
+@pytest.mark.parametrize("predicted, truth, noted", [
+    ("zeros", "half", True),   # tp + fp = 0: precision
+    ("ones", "zeros", True),   # tp + fn = 0: recall
+    ("ones", "ones", True),    # tn + fp = 0: specificity
+    ("half", "half", False),
+])
+def test_eval_notes_each_zero_denominator(tmp_path, capsys, predicted, truth, noted):
+    fills = {"zeros": np.zeros((4, 4)), "ones": np.ones((4, 4)),
+             "half": np.repeat([[0], [1]], 2, axis=0) * np.ones((1, 4))}
+    for name, fill in (("a", predicted), ("b", truth)):
+        os.makedirs(tmp_path / name)
+        save_pgm(str(tmp_path / name / "m_0.pgm"), (fills[fill] * 255).astype(np.uint8))
+    code = main(["eval", "--masks", str(tmp_path / "a" / "*.pgm"),
+                 "--truth", str(tmp_path / "b" / "*.pgm")])
+    assert code == 0
+    assert ("zero denominator" in capsys.readouterr().out) == noted
+
+
 @pytest.mark.parametrize("args, reason", [
     (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--tau", "abc"],
      "argument --tau: invalid float value: 'abc'"),
@@ -695,6 +716,50 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
         "error (out of memory): Unable to allocate 149. GiB for an array with shape "
         "(10000000000, 2) and data type float64\n")
     assert not (tmp_path / "vid").exists()
+
+
+@pytest.fixture(scope="module")
+def video_48x64x120(tmp_path_factory):
+    """Frames and truth globs of a 48x64, 120-frame synthetic video."""
+    out = tmp_path_factory.mktemp("video_48x64x120")
+    assert main(["synth", "--out", str(out), "--height", "48", "--width", "64",
+                 "--frames", "120", "--noise", "0.03", "--rect", "10,2,8,8,0.8,0,0.5",
+                 "--seed", "7"]) == 0
+    return str(out / "frames" / "*.pgm"), str(out / "truth" / "*.pgm")
+
+
+@pytest.mark.parametrize("kernel", [99999, 23])
+def test_sweep_refuses_a_median_network_larger_than_a_chunk(tmp_path, capsys, video_48x64x120,
+                                                            kernel):
+    # One frame's network, 48*64*(kernel**2 + 8) bytes, against the float64
+    # matrix of a 60-frame chunk, 8*48*64*60 = 1474560 bytes: refused before
+    # the first chunk, so nothing is written.
+    frames, truth = video_48x64x120
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["bgsub", "--frames", frames, "--truth", truth, "--out", str(tmp_path / "run"),
+                 "--chunk-length", "60", "--median-kernel", str(kernel), "--seed", "5"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    network = 48 * 64 * (kernel**2 + 8)
+    assert capsys.readouterr().err == (
+        f"error (invalid input): median_kernel {kernel} needs a {network}-byte median "
+        f"network per frame in a sweep, more than the 1474560-byte float64 matrix of the "
+        f"longest chunk\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kernel, tau", [(21, None), (23, "0.2")])
+def test_sweep_kernel_bound_admits_a_network_within_a_chunk(tmp_path, video_48x64x120, kernel,
+                                                            tau):
+    # 48*64*(21**2 + 8) = 1379328 bytes fit a 60-frame chunk's matrix; a
+    # fixed tau builds no network, so its kernel is not bounded by it.
+    frames, truth = video_48x64x120
+    code = main(["bgsub", "--frames", frames, "--truth", truth, "--out", str(tmp_path / "run"),
+                 "--chunk-length", "60", "--median-kernel", str(kernel), "--seed", "5",
+                 *([] if tau is None else ["--tau", tau])])
+    assert code == 0
+    assert len(os.listdir(tmp_path / "run" / "masks")) == 120
 
 
 @st.composite
@@ -815,3 +880,123 @@ def test_svd_benchmark_csv(tmp_path, capsys, svd_experiment):
     assert [(r["rows"], r["cols"], r["k"], r["q"]) for r in rows] == [
         ("80", "40", "5", "0"), ("80", "40", "5", "1"), ("80", "40", "5", "2")
     ]
+
+
+@pytest.mark.parametrize("q, code", [(11, 0), (12, 2)])
+def test_subspace_iterations_are_bounded_by_the_snapshot_pairs(tmp_path, capsys, q, code):
+    # Chunks of 12 frames have 11 snapshot pairs; one more iteration is
+    # refused before the first chunk, so nothing is written.
+    main(synth_args(tmp_path / "vid"))
+    assert main(["bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+                 "--out", str(tmp_path / "run"), "--chunk-length", "12", "--tau", "0.2",
+                 "--k", "4", "--p", "2", "--q", str(q), "--seed", "3"]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"error (invalid input): q = {q} subspace iterations exceed the 11 snapshot "
+            f"pairs of the shortest chunk (12 frames)\n")
+        assert not (tmp_path / "run").exists()
+
+
+# Boundary values of every option: none of them makes a large array, since
+# 2**63 frames or pixels cannot be allocated at all. An option may also take
+# one of its listed choices, such as an input's glob.
+FUZZ_VALUES = ["0", "1", "-1", str(2**63), "nan", "inf", "", "abc"]
+FUZZ_OPTIONS = {
+    "synth": {"--out": ["<fresh>"], "--seed": ["0", "1"], "--height": [], "--width": [],
+              "--frames": [], "--base-level": [], "--noise": [], "--texture-amplitude": [],
+              "--texture-period": [], "--rect": []},
+    "bgsub": {"--frames": ["<frames>", "<bad frames>"], "--truth": ["<truth>", "<bad truth>"],
+              "--out": ["<fresh>"], "--seed": ["0", "1"], "--chunk-length": [], "--k": [],
+              "--p": [], "--q": [], "--n-background": [], "--anchor": ["first", "median"],
+              "--tau": [], "--median-kernel": [], "--save-residuals": None},
+    "eval": {"--masks": ["<truth>", "<bad truth>", "<frames>"],
+             "--truth": ["<truth>", "<bad truth>"], "--out": ["<fresh>"]},
+}
+# Given in every example, so that most of them get past the parser.
+FUZZ_REQUIRED = {"synth": 2, "bgsub": 4, "eval": 2}
+
+
+class _Timeout(BaseException):
+    """Raised on SIGALRM; main catches only Exception subclasses, so it escapes."""
+
+
+def _raise_timeout(signum, frame):
+    raise _Timeout
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Globs of a 16x16x40 video, its truth, and copies with one file mutated."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(synth_args(root, frames=40)) == 0
+    shutil.copytree(root / "frames", root / "bad_frames")
+    shutil.copytree(root / "truth", root / "bad_truth")
+    raster = np.full((16, 16), 100, dtype=np.uint8).tobytes()
+    (root / "bad_frames" / "frame_00017.pgm").write_bytes(b"P5\n16 x\n255\n" + raster)
+    (root / "bad_truth" / "frame_00023.pgm").write_bytes(b"P5\n16 16\n255\n" + raster)
+    return {f"<{name.replace('_', ' ')}>": str(root / name / "*.pgm")
+            for name in ("frames", "truth", "bad_frames", "bad_truth")}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand, its first FUZZ_REQUIRED options and up to three more, with values.
+
+    An option with choices takes one of them three times in four.
+    """
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    options = list(FUZZ_OPTIONS[command])
+    required, optional = options[:FUZZ_REQUIRED[command]], options[FUZZ_REQUIRED[command]:]
+    argv = [command]
+    value = st.sampled_from(FUZZ_VALUES)
+    for option in required + draw(st.lists(st.sampled_from(optional), max_size=3, unique=True)):
+        inputs = FUZZ_OPTIONS[command][option]
+        if inputs is None:
+            argv.append(option)
+        elif option == "--rect" and draw(st.booleans()):
+            argv += [option, ",".join(draw(value) for _ in range(7))]
+        elif inputs and draw(st.integers(0, 3)) < 3:
+            argv += [option, draw(st.sampled_from(inputs))]
+        else:
+            argv += [option, draw(value)]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(fuzzed_argv())
+@example(["bgsub", "--frames", "<frames>", "--truth", "<truth>", "--out", "<fresh>", "--seed", "0"])
+@example(["bgsub", "--frames", "<frames>", "--out", "<fresh>", "--seed", "1", "--tau", "0",
+          "--median-kernel", "1", "--save-residuals"])
+@example(["bgsub", "--frames", "<frames>", "--truth", "<truth>", "--out", "<fresh>",
+          "--seed", str(2**63), "--q", str(2**63), "--chunk-length", str(2**63)])
+@example(["bgsub", "--frames", "<frames>", "--truth", "<truth>", "--out", "<fresh>",
+          "--seed", "0", "--median-kernel", str(2**63 + 1)])
+@example(["bgsub", "--frames", "<frames>", "--out", "<fresh>", "--seed", "0", "--tau", "1",
+          "--median-kernel", str(2**63 + 1)])
+def test_fuzzed_options_end_in_a_documented_exit_within_10_seconds(fuzz_inputs, argv):
+    # Whatever the values, each call returns a documented exit code within
+    # 10 s, with at most one stderr line and no warning, and no exception
+    # escapes main. Relative outputs land in the example's own directory.
+    # The explicit examples are a sweep and a fixed tau that succeed, and the
+    # largest values of the options that set a loop's length; the kernel
+    # 2**63 + 1 is the odd neighbour of 2**63, which is refused as even.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [{**fuzz_inputs, "<fresh>": os.path.join(tmp, "out")}.get(a, a) for a in argv]
+        err = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                signal.alarm(10)
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4, 5), argv
+    assert len(err.getvalue().splitlines()) <= 1, argv
+    assert not caught, (argv, [str(w.message) for w in caught])

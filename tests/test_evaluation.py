@@ -104,8 +104,6 @@ def test_roc_curve_rejects_points_or_area_off_the_unit_square(fields, reason):
 def test_confusion_counts_validation():
     with pytest.raises(ValueError):
         ConfusionCounts(1, -1, 0, 0)
-    total = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(5, 0, 0, 1)
-    assert (total.tp, total.fp, total.tn, total.fn) == (6, 2, 3, 5)
 
 
 # ---------------------------------------------------------------- rates
@@ -129,11 +127,38 @@ def test_f_measure_published_value():
 
 def test_zero_denominators_flagged():
     empty = masks_of(np.zeros((1, 2, 2)))
-    c = confusion(empty, empty)
-    r = rates(c)
+    r = rates(confusion(empty, empty))
     assert r["recall"] == 0.0 and r["precision"] == 0.0
     assert r["specificity"] == 1.0
-    assert c.undefined_rates is True
+    assert r["f_measure"] == 0.0
+
+
+def float_rates(tp, fp, tn, fn):
+    """The four rates in Python float arithmetic; a zero-denominator rate is 0."""
+
+    def rate(num, den):
+        return num / den if den else 0.0
+
+    r, p = rate(tp, tp + fn), rate(tp, tp + fp)
+    return {"recall": r, "precision": p, "specificity": rate(tn, tn + fp),
+            "f_measure": 2.0 * r * p / (r + p) if r + p else 0.0}
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2**40))] * 4),
+                min_size=1, max_size=12))
+def test_rates_of_rows_equal_python_float_rates_of_each_row(rows):
+    # Zero denominators, equal counts and counts of 2**40 alike: the float64
+    # arrays of a 2-D array and the floats of one row or of a ConfusionCounts
+    # are, bit for bit, the rates in Python float arithmetic.
+    arrays = rates(np.array(rows, dtype=np.int64))
+    assert list(arrays) == ["recall", "precision", "specificity", "f_measure"]
+    for i, row in enumerate(rows):
+        expected = float_rates(*row)
+        assert rates(row) == rates(ConfusionCounts(*row)) == expected
+        assert all(type(v) is float for v in rates(row).values())
+        assert {k: v[i] for k, v in arrays.items()} == expected
+    assert all(v.dtype == np.float64 and v.shape == (len(rows),) for v in arrays.values())
 
 
 @settings(deadline=None, max_examples=50)
@@ -265,6 +290,10 @@ def test_best_f_tie_takes_smallest_tau():
     tau, f = sweep_best_f(S, truth, [0.2, 0.5, 0.8])
     assert f == pytest.approx(1.0)
     assert tau == 0.2
+
+
+def test_best_f_of_no_taus():
+    assert best_f_from_counts([], np.zeros((0, 4), dtype=np.int64)) == (0.0, -1.0)
 
 
 # ---------------------------------------------------------------- sweep counts
