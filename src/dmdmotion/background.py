@@ -201,6 +201,12 @@ def factor_residual(
     return _unscanned(ResidualSequence, values, D.frame_height, D.frame_width)
 
 
+def _check_kernel(kernel: int, name: str = "kernel") -> None:
+    """ValueError unless kernel is odd and in [1, 2**32), where box sums of kernel**2 fit uint64."""
+    if not (1 <= kernel < 2**32 and kernel % 2):
+        raise ValueError(f"{name} must be odd, >= 1 and < 2**32, got {kernel}")
+
+
 def _box_sum(src: np.ndarray, out: np.ndarray, radius: int) -> None:
     """out = sum of src over [x - radius, x + radius] along the last axis.
 
@@ -237,8 +243,7 @@ def filter_masks(
     which is then filtered in place. Without it a kernel of 1 returns seq
     itself.
     """
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
+    _check_kernel(kernel)
     if kernel == 1 and out is None:
         return seq
     masks = np.empty(seq.masks.shape, dtype=bool) if out is None else out

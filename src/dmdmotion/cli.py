@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import evaluation as ev
-from .dmd import _check_anchor
+from .dmd import _parse_anchor
 from .errors import DegenerateDataError
 from .io_formats import load_masks, save_frames, save_masks
 from .pipeline import RunConfig, render_report, run_bgsub
@@ -31,18 +31,6 @@ EXIT_BAD_ARGS = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
-
-
-def _parse_anchor(value: str):
-    try:
-        anchor = int(value)
-    except ValueError:
-        anchor = value
-    try:
-        _check_anchor(anchor)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return anchor
 
 
 def _parse_rect(value: str) -> tuple:

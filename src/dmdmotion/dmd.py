@@ -109,11 +109,22 @@ def _block_length(item_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(item_bytes, 1))
 
 
-def _check_anchor(anchor) -> None:
-    """ValueError unless anchor names an anchor rule or is a frame index >= 0."""
+def _parse_anchor(text: str) -> str | int:
+    """The anchor that bgsub --anchor or a manifest spells: int(text) if it parses, else text."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _check_anchor(anchor, n_left: int | None = None) -> None:
+    """ValueError unless anchor is an anchor rule or a frame index >= 0, below n_left if given."""
     if anchor not in (FIRST_FRAME, MEDIAN_FRAME) and not (_is_integer(anchor) and anchor >= 0):
         raise ValueError(f"anchor must be {FIRST_FRAME!r}, {MEDIAN_FRAME!r} or a frame index "
                          f">= 0, got {anchor!r}")
+    if n_left is not None and _is_integer(anchor) and anchor >= n_left:
+        raise ValueError(f"anchor frame {anchor} outside [0, {n_left}) of a chunk of "
+                         f"{n_left + 1} frames")
 
 
 @dataclass(frozen=True)
@@ -279,6 +290,7 @@ def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
     """
     X = D.data[:, :-1]
     rasters = vars(D).pop("_rasters", None)
+    _check_anchor(anchor, X.shape[1])
     if anchor == FIRST_FRAME:
         return X[:, 0]
     if anchor == MEDIAN_FRAME:
@@ -303,12 +315,7 @@ def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
             else:
                 out[start:stop] = (P[:, :mid].max(axis=1) + P[:, mid]) / 2
         return out
-    if _is_integer(anchor):
-        idx = int(anchor)
-        if not 0 <= idx < X.shape[1]:
-            raise ValueError(f"anchor frame {idx} outside [0, {X.shape[1]})")
-        return X[:, idx]
-    raise ValueError(f"unknown amplitude anchor {anchor!r}")
+    return X[:, anchor]
 
 
 def _background_first_order(lam: np.ndarray) -> np.ndarray:

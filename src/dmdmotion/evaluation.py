@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import ForegroundMaskSequence, ResidualSequence
+from .background import ForegroundMaskSequence, ResidualSequence, _check_kernel
 from .dmd import _block_length, _exchanged
 
 # Bytes _rank holds per entry at its peak: the float64 guess, the intp rank
@@ -140,6 +140,12 @@ def tau_grid(top: float) -> np.ndarray:
     return np.linspace(0.0, top, TAU_GRID_SIZE)
 
 
+def _network_bytes(n_pixels: int, kernel: int, n_taus: int = TAU_GRID_SIZE) -> int:
+    """Bytes of a sweep's median network for one frame: kernel**2 rank frames, an intp key."""
+    rank_bytes = np.min_scalar_type(n_taus).itemsize
+    return n_pixels * (kernel * kernel * rank_bytes + np.dtype(np.intp).itemsize)
+
+
 def _window_medians(frames: np.ndarray, kernel: int) -> np.ndarray:
     """Median of every pixel's kernel x kernel window in each of frames (b, h, w).
 
@@ -235,8 +241,7 @@ def sweep_counts(
     At kernel 1 it holds the ranks themselves. Without one, a kernel above
     1 holds the ranks of the whole of S.
     """
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
+    _check_kernel(kernel)
     n, h, w = shape = (S.n_frames, S.frame_height, S.frame_width)
     if truth.masks.shape != shape:
         raise ValueError(f"mask shapes differ: {shape} vs {truth.masks.shape}")
@@ -269,11 +274,9 @@ def sweep_counts(
     # A rank is monotone in the residual, so the window median of the ranks
     # is the rank of the window median. The majority of [S > tau] over a
     # window is [window median of S > tau] (threshold decomposition), so one
-    # median filter of the ranks serves every threshold. A block's network
-    # holds kernel**2 rank frames and its histogram key one intp per pixel.
+    # median filter of the ranks serves every threshold.
     filtered = np.zeros_like(raw)
-    frame_bytes = m * (kernel * kernel * ranks.itemsize + np.dtype(np.intp).itemsize)
-    block = _block_length(frame_bytes)
+    block = _block_length(_network_bytes(m, kernel, taus.size))
     for start in range(0, n, block):
         # A window lies within its frame, so no later block reads these ranks.
         frames = ranks[start : start + block]

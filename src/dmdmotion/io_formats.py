@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ForegroundMaskSequence
-from .dmd import DmdDecomposition, SnapshotMatrix
+from .dmd import DmdDecomposition, SnapshotMatrix, _parse_anchor
 from .linalg import _unscanned
 
 __all__ = [
@@ -377,14 +377,8 @@ def load_decomposition(directory: str) -> DmdDecomposition:
     rank = counts.pop("rank")
     if rank != eigenvalues.size:
         raise ValueError(f"{directory}: manifest rank {rank} but {eigenvalues.size} eigenvalues")
-    anchor: str | int = fields["anchor"]
     try:
-        anchor = int(anchor)
-    except ValueError:
-        pass
-    try:
-        return DmdDecomposition(
-            modes=modes, eigenvalues=eigenvalues, amplitudes=amplitudes, anchor=anchor, **counts
-        )
+        return DmdDecomposition(modes=modes, eigenvalues=eigenvalues, amplitudes=amplitudes,
+                                anchor=_parse_anchor(fields["anchor"]), **counts)
     except ValueError as exc:
         raise ValueError(f"{directory}: {exc}") from None

@@ -29,7 +29,7 @@ from . import background as bg
 from . import evaluation as ev
 from .dmd import MEDIAN_FRAME, _check_anchor, rdmd
 from .errors import DegenerateDataError
-from .linalg import SketchConfig, _check_integers, _is_integer
+from .linalg import SketchConfig, _check_integers
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = [
@@ -110,8 +110,7 @@ class RunConfig:
                 raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
             # report.txt spells tau by repr, which would spell out its type.
             object.__setattr__(self, "tau", float(self.tau))
-        if self.median_kernel < 1 or self.median_kernel % 2 == 0:
-            raise ValueError("median_kernel must be odd and >= 1")
+        bg._check_kernel(self.median_kernel, "median_kernel")
         _check_anchor(self.anchor)
 
 
@@ -209,6 +208,7 @@ def _load_input(cfg: RunConfig, timer: _StageTimer):
         video, truth = generate_synthetic(cfg.synthetic)
         timer.mark("run", "ingest")
         return video, truth, [f"mask_{t:05d}" for t in range(video.n_frames)]
+    # Here, not at the top: `import dmdmotion` stays without io_formats.
     from .io_formats import load_masks, scan_frames
 
     video = scan_frames(cfg.frames)
@@ -243,11 +243,7 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     # An integer anchor addresses a frame of each chunk's left sequence, which
     # is one frame shorter than the chunk.
     shortest = min(stop - start for start, stop in bounds)
-    if _is_integer(cfg.anchor) and cfg.anchor >= shortest - 1:
-        raise ValueError(
-            f"anchor frame {cfg.anchor} outside [0, {shortest - 1}) of the "
-            f"shortest chunk ({shortest} frames)"
-        )
+    _check_anchor(cfg.anchor, shortest - 1)
     # Each subspace iteration is two passes over a chunk. At most one per
     # snapshot pair bounds the sketch of n frames of m pixels at about
     # 2 m n^2 (k+p) multiply-adds, where an unbounded q would never end.
@@ -256,13 +252,11 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
             f"q = {cfg.q} subspace iterations exceed the {shortest - 1} snapshot pairs "
             f"of the shortest chunk ({shortest} frames)"
         )
-    # A sweep's median network holds kernel**2 rank frames and an intp key
-    # per pixel for a block of at least one frame (see sweep_counts). The run
-    # holds one chunk's float64 matrix at a time, so a one-frame network
-    # larger than the longest chunk's matrix is refused.
+    # A sweep's median network takes a block of at least one frame (see
+    # sweep_counts). The run holds one chunk's float64 matrix at a time, so a
+    # one-frame network larger than the longest chunk's matrix is refused.
     if cfg.tau is None:
-        rank_bytes = np.min_scalar_type(ev.TAU_GRID_SIZE).itemsize
-        network = n_pixels * (cfg.median_kernel**2 * rank_bytes + np.dtype(np.intp).itemsize)
+        network = ev._network_bytes(n_pixels, cfg.median_kernel)
         matrix = 8 * n_pixels * max(stop - start for start, stop in bounds)
         if network > matrix:
             raise ValueError(
@@ -329,6 +323,7 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
                 counts += astuple(ev.confusion(seq, chunk_truth))
             timer.mark(i, "masks")
         if cfg.output_dir is not None:
+            # Here, not at the top: `import dmdmotion` stays without io_formats.
             from .io_formats import save_decomposition, save_masks, save_matrix
 
             chunk_dir = os.path.join(cfg.output_dir, f"chunk_{i:03d}")
@@ -446,6 +441,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         return report
     # The masks of a sweep (cfg.tau; tau holds the chosen one) and of failed
     # chunks, then timings.csv last, whose run row books these writes.
+    # Here, not at the top: `import dmdmotion` stays without io_formats.
     from .io_formats import save_masks
 
     out = cfg.output_dir

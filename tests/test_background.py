@@ -1,5 +1,6 @@
 """Frequency partition, background model, residuals, masks, filtering."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -630,6 +631,15 @@ def test_filter_masks_into_a_slice_equals_the_fresh_masks(monkeypatch, kernel):
 def test_filter_masks_rejects_even_kernel():
     with pytest.raises(ValueError, match="odd"):
         filter_masks(ForegroundMaskSequence(np.zeros((1, 4, 4), dtype=bool)), 2)
+
+
+@pytest.mark.parametrize("kernel", [0, -1, 2**32 + 1])
+def test_filter_masks_rejects_a_kernel_outside_1_to_2_to_the_32(kernel):
+    # At 2**32 + 1, kernel**2 votes outgrow uint64 and the box sums would
+    # run on Python ints.
+    reason = f"kernel must be odd, >= 1 and < 2**32, got {kernel}"
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        filter_masks(ForegroundMaskSequence(np.zeros((1, 4, 4), dtype=bool)), kernel)
 
 
 # Radii below, at and past each axis of the frames below, as far as a count

@@ -251,6 +251,14 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_loads_neither_io_formats_nor_cli():
+    # pipeline imports io_formats inside the functions that read or write, so
+    # that a fresh `import dmdmotion` compiles neither module.
+    out = run_python("import sys, dmdmotion; print(sorted(set(sys.modules) & "
+                     "{'dmdmotion.io_formats', 'dmdmotion.cli'}))")
+    assert out.strip() == "[]"
+
+
 def filtered_sweep_args(vid, out):
     return [
         "bgsub", "--frames", str(vid / "frames" / "*.pgm"),
@@ -298,12 +306,16 @@ def test_bgsub_options_reach_run_config(tmp_path, monkeypatch):
                  "--chunk-length", "15", "--k", "4", "--p", "1", "--q", "2",
                  "--n-background", "2", "--anchor", "first", "--median-kernel", "5",
                  "--save-residuals", "--seed", "6"]) == 0
+    assert main(["bgsub", "--frames", frames, "--tau", "0.3", "--out", str(tmp_path / "c"),
+                 "--anchor", "5", "--seed", "5"]) == 0
     assert configs == [
         RunConfig(frames=frames, tau=0.3, output_dir=str(tmp_path / "a"), seed=5),
         RunConfig(frames=frames, truth=truth, output_dir=str(tmp_path / "b"),
                   chunk_length=15, k=4, p=1, q=2, n_background=2, anchor="first",
                   median_kernel=5, save_residuals=True, seed=6),
+        RunConfig(frames=frames, tau=0.3, output_dir=str(tmp_path / "c"), anchor=5, seed=5),
     ]
+    assert type(configs[2].anchor) is int
     assert (tmp_path / "b" / "chunk_001" / "residual.mat").exists()
 
 
@@ -629,10 +641,11 @@ def test_eval_notes_each_zero_denominator(tmp_path, capsys, predicted, truth, no
      "the following arguments are required: --out"),
     (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--bogus"],
      "unrecognized arguments: --bogus"),
+    # RunConfig checks the anchor, before the frames are scanned.
     (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--anchor", "last"],
-     "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got 'last'"),
-    (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--anchor", "-1"],
-     "argument --anchor: anchor must be 'first', 'median' or a frame index >= 0, got -1"),
+     "anchor must be 'first', 'median' or a frame index >= 0, got 'last'"),
+    (["bgsub", "--frames", "f/*.pgm", "--out", "out", "--seed", "5", "--anchor", "-1"],
+     "anchor must be 'first', 'median' or a frame index >= 0, got -1"),
     (["synth", "--out", "out", "--seed", "7", "--rect=1,2,x,3,1.0,0,0"],
      "argument --rect: bad rect '1,2,x,3,1.0,0,0'"),
 ])
@@ -760,6 +773,31 @@ def test_sweep_kernel_bound_admits_a_network_within_a_chunk(tmp_path, video_48x6
                  *([] if tau is None else ["--tau", tau])])
     assert code == 0
     assert len(os.listdir(tmp_path / "run" / "masks")) == 120
+
+
+@pytest.mark.parametrize("kernel, tau, code", [
+    (2**32 + 1, "0.2", 2), (2**32 + 1, None, 2), (2**32 - 1, "0.2", 0),
+])
+def test_median_kernel_is_bounded_below_2_to_the_32(tmp_path, capsys, kernel, tau, code):
+    # Below 2**32 the box sums of a fixed tau count kernel**2 votes in a
+    # uint64; above it they would run on Python ints, about 10 us per pixel
+    # of every frame. The refusal comes before the frames are scanned.
+    main(synth_args(tmp_path / "vid", frames=30))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["bgsub", "--frames", str(tmp_path / "vid" / "frames" / "*.pgm"),
+                 "--truth", str(tmp_path / "vid" / "truth" / "*.pgm"),
+                 "--out", str(tmp_path / "run"), "--chunk-length", "30", "--k", "4",
+                 "--median-kernel", str(kernel), "--seed", "5",
+                 *([] if tau is None else ["--tau", tau])]) == code
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"error (invalid input): median_kernel must be odd, >= 1 and < 2**32, "
+                       f"got {kernel}\n")
+        assert not (tmp_path / "run").exists()
+    else:
+        assert err == "" and len(os.listdir(tmp_path / "run" / "masks")) == 30
 
 
 @st.composite
@@ -908,7 +946,8 @@ FUZZ_OPTIONS = {
     "bgsub": {"--frames": ["<frames>", "<bad frames>"], "--truth": ["<truth>", "<bad truth>"],
               "--out": ["<fresh>"], "--seed": ["0", "1"], "--chunk-length": [], "--k": [],
               "--p": [], "--q": [], "--n-background": [], "--anchor": ["first", "median"],
-              "--tau": [], "--median-kernel": [], "--save-residuals": None},
+              "--tau": [], "--median-kernel": [str(2**32 - 1), str(2**32 + 1)],
+              "--save-residuals": None},
     "eval": {"--masks": ["<truth>", "<bad truth>", "<frames>"],
              "--truth": ["<truth>", "<bad truth>"], "--out": ["<fresh>"]},
 }
@@ -974,13 +1013,18 @@ def fuzzed_argv(draw):
           "--seed", "0", "--median-kernel", str(2**63 + 1)])
 @example(["bgsub", "--frames", "<frames>", "--out", "<fresh>", "--seed", "0", "--tau", "1",
           "--median-kernel", str(2**63 + 1)])
+@example(["bgsub", "--frames", "<frames>", "--out", "<fresh>", "--seed", "0", "--tau", "1",
+          "--median-kernel", str(2**32 + 1)])
+@example(["bgsub", "--frames", "<frames>", "--out", "<fresh>", "--seed", "0", "--tau", "1",
+          "--median-kernel", str(2**32 - 1)])
 def test_fuzzed_options_end_in_a_documented_exit_within_10_seconds(fuzz_inputs, argv):
     # Whatever the values, each call returns a documented exit code within
     # 10 s, with at most one stderr line and no warning, and no exception
     # escapes main. Relative outputs land in the example's own directory.
     # The explicit examples are a sweep and a fixed tau that succeed, and the
     # largest values of the options that set a loop's length; the kernel
-    # 2**63 + 1 is the odd neighbour of 2**63, which is refused as even.
+    # 2**63 + 1 is the odd neighbour of 2**63, which is refused as even, and
+    # 2**32 - 1 and 2**32 + 1 are the kernels on either side of its bound.
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         argv = [{**fuzz_inputs, "<fresh>": os.path.join(tmp, "out")}.get(a, a) for a in argv]

@@ -489,6 +489,28 @@ def test_the_anchor_consumes_the_rasters_a_chunk_carries():
         assert getattr(with_rasters, name).tobytes() == getattr(rdmd(D, cfg), name).tobytes()
 
 
+@pytest.mark.parametrize("text, anchor", [
+    ("first", "first"), ("median", "median"), ("last", "last"), ("", ""),
+    ("0", 0), ("5", 5), ("-1", -1), ("1.5", "1.5"),
+])
+def test_parse_anchor_gives_an_index_or_the_text(text, anchor):
+    parsed = dmd._parse_anchor(text)
+    assert parsed == anchor and type(parsed) is type(anchor)
+
+
+@pytest.mark.parametrize("anchor, n_left, reason", [
+    (19, 19, "anchor frame 19 outside [0, 19) of a chunk of 20 frames"),
+    (np.int64(4), 3, "anchor frame 4 outside [0, 3) of a chunk of 4 frames"),
+    (-1, 19, "anchor must be 'first', 'median' or a frame index >= 0, got -1"),
+])
+def test_check_anchor_bounds_an_index_by_the_left_frames(anchor, n_left, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        dmd._check_anchor(anchor, n_left)
+    for ok in ("first", "median", 0, n_left - 1):
+        dmd._check_anchor(ok, n_left)
+    dmd._check_anchor(2**63)  # without a length, any index >= 0
+
+
 def test_amplitudes_anchor_bounds():
     D = static_video()
     # The left sequence has 19 frames, 0..18; a bool is not a frame index.

@@ -529,6 +529,8 @@ def test_sweep_counts_rejects_mismatched_truth_and_even_kernel():
         sweep_counts(S, masks_of(np.zeros((2, 2, 3))), [0.5])
     with pytest.raises(ValueError, match="odd"):
         sweep_counts(S, masks_of(np.zeros((2, 2, 2))), [0.5], kernel=2)
+    with pytest.raises(ValueError, match="< 2\\*\\*32"):
+        sweep_counts(S, masks_of(np.zeros((2, 2, 2))), [0.5], kernel=2**32 + 1)
 
 
 # ---------------------------------------------------------------- csv + sweep

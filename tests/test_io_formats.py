@@ -536,13 +536,13 @@ def test_masks_pair_with_their_frames_by_number(tmp_path, monkeypatch):
 
 # ------------------------------------------------------------------ decompositions
 
-def fitted_decomposition():
+def fitted_decomposition(anchor=MEDIAN_FRAME):
     spec = SyntheticSpec(frame_height=8, frame_width=8, n_frames=24,
                          objects=(MovingRect(2.0, 1.0, 3, 3, 1.0, (0.0, 0.2)),),
                          noise_sigma=0.02, seed=5)
     D, _ = generate_synthetic(spec)
     return rdmd(D, SketchConfig(rank=4, oversampling=2, subspace_iters=1, seed=6),
-                anchor=MEDIAN_FRAME)
+                anchor=anchor)
 
 
 def test_decomposition_round_trip(tmp_path):
@@ -556,6 +556,14 @@ def test_decomposition_round_trip(tmp_path):
     assert (back.frame_height, back.frame_width) == (8, 8)
     assert back.anchor == dec.anchor
     assert back.seed == dec.seed
+
+
+@pytest.mark.parametrize("anchor", ["first", "median", 0, 5])
+def test_decomposition_round_trips_each_anchor_kind(tmp_path, anchor):
+    save_decomposition(str(tmp_path), fitted_decomposition(anchor))
+    assert f"\nanchor {anchor}\n" in (tmp_path / "manifest.txt").read_text()
+    back = load_decomposition(str(tmp_path)).anchor
+    assert back == anchor and type(back) is type(anchor)
 
 
 def test_decomposition_rejects_spans_manifest(tmp_path):

@@ -148,6 +148,10 @@ def test_rank_collapsed_chunk_clamps_its_background_modes():
 def test_config_rejects_even_kernel():
     with pytest.raises(ValueError, match="odd"):
         RunConfig(synthetic=SQUARE, median_kernel=4)
+    with pytest.raises(ValueError, match=re.escape(
+            f"median_kernel must be odd, >= 1 and < 2**32, got {2**32 + 1}")):
+        RunConfig(synthetic=SQUARE, median_kernel=2**32 + 1)
+    assert RunConfig(synthetic=SQUARE, median_kernel=2**32 - 1).median_kernel == 2**32 - 1
     for kernel in (3.0, False):
         with pytest.raises(ValueError, match=f"median_kernel must be an integer, got {kernel!r}"):
             RunConfig(synthetic=SQUARE, median_kernel=kernel)
