@@ -130,6 +130,11 @@ def _cmd_synth(args) -> int:
         objects=tuple(MovingRect(*rect) for rect in args.rect),
         seed=args.seed,
     )
+    # Frames of another video left there would splice into this one.
+    for sub in ("frames", "truth"):
+        path = os.path.join(args.out, sub)
+        if os.path.isdir(path) and os.listdir(path):
+            raise ValueError(f"{path} already holds files")
     D, truth = generate_synthetic(spec)
     frame_paths = save_frames(os.path.join(args.out, "frames"), D)
     mask_paths = save_masks(os.path.join(args.out, "truth"), truth)
@@ -142,8 +147,11 @@ def _cmd_bgsub(args) -> int:
     cfg = RunConfig(output_dir=args.out, **opts)
     report = run_bgsub(cfg)
     sys.stdout.write(render_report(report))
-    failed = [c for c in report.chunks if not c.ok]
-    if len(failed) == len(report.chunks):
+    if report.masks is None:
+        if any(c.ok for c in report.chunks):
+            raise DegenerateDataError(
+                "the chunks that ran hold only one truth class, so the sweep has no curve; "
+                "see the report")
         raise DegenerateDataError("every chunk failed; see the report for diagnostics")
     return 0
 

@@ -399,14 +399,14 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
             filtered += chunk_filtered
             timer.mark(c.index, "grid")
         # A curve needs both truth classes in the chunks that ran. Without
-        # one, a sweep fails in from_counts and a fixed-tau run writes no
-        # roc.csv.
+        # one, the run writes no roc.csv and a sweep chooses no tau.
         tp, fp, tn, fn = raw[0].tolist()
-        if tau is None or (tp + fn > 0 and tn + fp > 0):
+        if tp + fn > 0 and tn + fp > 0:
             roc = ev.RocCurve.from_counts(taus, raw)
-    # A sweep in which every chunk failed has no counts; its report keeps
-    # tau, masks and summary None and still lists each chunk's reason.
-    if tau is None and raw is not None:
+    # A sweep without a curve (every chunk failed, or the chunks that ran
+    # hold one truth class) keeps tau, masks and summary None; its report
+    # still lists each chunk's reason.
+    if tau is None and roc is not None:
         best_tau, best_f = ev.best_f_from_counts(taus, raw)
         tau, filt_f = ev.best_f_from_counts(taus, filtered)
         summary = {
@@ -423,8 +423,8 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         np.greater(masks.view(np.uint8), j, out=masks)
         counts = filtered[j]
         timer.mark("run", "masks")
-    any_ok = any(c.ok for c in chunks)
-    if any_ok and truth is not None:
+    masked = tau is not None and any(c.ok for c in chunks)
+    if masked and truth is not None:
         summary = {**(summary or {}), **ev.rates(counts)}
 
     report = RunReport(
@@ -434,7 +434,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         n_frames=video.n_frames,
         chunks=tuple(chunks),
         tau=tau,
-        masks=bg.ForegroundMaskSequence(masks, tau=tau) if any_ok else None,
+        masks=bg.ForegroundMaskSequence(masks, tau=tau) if masked else None,
         summary=summary,
     )
     if cfg.output_dir is None:
@@ -448,7 +448,7 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(render_report(report))
-    if any_ok:
+    if masked:
         for c in chunks:
             if cfg.tau is None or not c.ok:
                 save_masks(os.path.join(out, "masks"),

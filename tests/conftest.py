@@ -11,17 +11,28 @@ from helpers import planted_linear_snapshots
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def load_script(name):
+    """scripts/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def svd_experiment(monkeypatch):
     """scripts/svd_experiment.py with its grid cut to 80x40, k 5, 1 repeat."""
-    spec = importlib.util.spec_from_file_location(
-        "svd_experiment", ROOT / "scripts" / "svd_experiment.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("svd_experiment")
     monkeypatch.setattr(module, "SHAPE", (80, 40))
     monkeypatch.setattr(module, "RANK", 5)
     monkeypatch.setattr(module, "REPEATS", 1)
     return module
+
+
+@pytest.fixture
+def moving_square_experiment():
+    """scripts/moving_square_experiment.py, at its full size."""
+    return load_script("moving_square_experiment")
 
 
 @pytest.fixture(scope="session")

@@ -68,6 +68,38 @@ def test_synth_rect_with_negative_corner(tmp_path):
                 tmp_path / "b" / sub / name).read_bytes()
 
 
+def test_synth_into_a_used_out_exits_2_and_changes_nothing(tmp_path, capsys):
+    # A shorter video over a longer one would leave the longer one's last
+    # frames and masks beside it, and a later bgsub would decompose both.
+    small = ["--height", "16", "--width", "16"]
+    out = tmp_path / "v"
+    assert main(["synth", "--out", str(out), *small, "--frames", "40", "--seed", "1"]) == 0
+    capsys.readouterr()
+
+    def files():
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    before = files()
+    assert len(before) == 80
+    assert main(["synth", "--out", str(out), *small, "--frames", "30", "--seed", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error (invalid input): {out / 'frames'} already holds files\n")
+    assert files() == before
+    # Either directory holding an entry is refused; empty ones are written.
+    (tmp_path / "w" / "frames").mkdir(parents=True)
+    (tmp_path / "w" / "truth").mkdir()
+    (tmp_path / "w" / "truth" / "stray").write_bytes(b"")
+    assert main(["synth", "--out", str(tmp_path / "w"), *small, "--frames", "30",
+                 "--seed", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error (invalid input): {tmp_path / 'w' / 'truth'} already holds files\n")
+    assert os.listdir(tmp_path / "w" / "frames") == []
+    (tmp_path / "w" / "truth" / "stray").unlink()
+    for fresh in (tmp_path / "w", tmp_path / "fresh"):
+        assert main(["synth", "--out", str(fresh), *small, "--frames", "30", "--seed", "2"]) == 0
+        assert len(os.listdir(fresh / "frames")) == len(os.listdir(fresh / "truth")) == 30
+
+
 def test_one_chunk_bgsub_writes_manifest_and_table(tmp_path, capsys):
     # A run of one chunk over every frame writes the whole video's
     # decomposition to chunk_000/ and prints its eigenvalue table.
@@ -84,10 +116,35 @@ def test_one_chunk_bgsub_writes_manifest_and_table(tmp_path, capsys):
     assert sorted(os.listdir(chunk)) == [
         "amplitudes.cpx", "eigenvalues.cpx", "manifest.txt", "modes.cpx"]
     dec = load_decomposition(str(chunk))
-    assert dec.rank >= 1
-    assert (dec.n_frames, dec.seed) == (24, 3)
+    assert 1 <= dec.rank <= 4
+    assert (dec.n_pixels, dec.n_frames, dec.seed, dec.anchor) == (256, 24, 3, "median")
     assert f"chunk 0: frames [0, 24), seed 3, rank {dec.rank}," in out
     assert not (tmp_path / "run" / "chunk_001").exists()
+
+
+@pytest.mark.parametrize("kind", ["16-bit", "8-bit and 16-bit"])
+def test_16_bit_and_mixed_maxval_frames_run_to_masks_and_a_decomposition(tmp_path, capsys,
+                                                                          kind):
+    # Frames at maxval 1000, all of them or every other one, take the float64
+    # partition to the median anchor instead of the 8-bit exchange network.
+    main(synth_args(tmp_path / "vid", frames=30))
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for t, path in enumerate(sorted((tmp_path / "vid" / "frames").iterdir())):
+        if kind == "16-bit" or t % 2:
+            img, _ = load_pgm(str(path))
+            save_pgm(str(frames / path.name), (img.astype(int) * 1000 + 127) // 255, 1000)
+        else:
+            shutil.copy(path, frames / path.name)
+    for chunk_length in ("15", "30"):
+        out = tmp_path / f"run{chunk_length}"
+        assert main(["bgsub", "--frames", str(frames / "*.pgm"), "--out", str(out),
+                     "--chunk-length", chunk_length, "--tau", "0.2", "--k", "4",
+                     "--seed", "5"]) == 0
+        assert len(os.listdir(out / "masks")) == 30
+    dec = load_decomposition(str(tmp_path / "run30" / "chunk_000"))
+    assert (dec.n_pixels, dec.n_frames, dec.anchor) == (256, 30, "median")
+    assert 1 <= dec.rank <= 4
 
 
 def test_bgsub_fixed_tau(tmp_path, capsys):
@@ -401,6 +458,37 @@ def test_bgsub_sweep_all_chunks_failed_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "masks").exists()
 
 
+def test_a_sweep_whose_chunks_that_ran_hold_one_truth_class_exits_3(tmp_path, capsys):
+    # Chunk 0 is all black, so it fails, and holds the truth's only moving
+    # square; chunk 1 runs, but its truth is all background. Its counts give
+    # no curve to choose a tau from, so the run ends as one whose every
+    # chunk failed: its report, metrics and timings, but no masks or roc.csv.
+    for name, extra in (("a", ["--base-level", "0", "--rect", "5,1,4,4,0.0,0,0.25",
+                               "--seed", "7"]),
+                        ("b", ["--noise", "0.03", "--seed", "8"])):
+        assert main(["synth", "--out", str(tmp_path / name), "--height", "16",
+                     "--width", "16", "--frames", "30", *extra]) == 0
+    for sub in ("frames", "truth"):
+        os.makedirs(tmp_path / "mixed" / sub)
+        for name in ("a", "b"):
+            for path in (tmp_path / name / sub).iterdir():
+                shutil.copy(path, tmp_path / "mixed" / sub / f"{name}_{path.name}")
+    capsys.readouterr()
+    frames, truth = (str(tmp_path / "mixed" / sub / "*.pgm") for sub in ("frames", "truth"))
+    out = tmp_path / "out"
+    assert main(["bgsub", "--frames", frames, "--truth", truth, "--out", str(out),
+                 "--chunk-length", "30", "--k", "4", "--seed", "5"]) == 3
+    text, err = capsys.readouterr()
+    assert err == ("error (degenerate data): the chunks that ran hold only one truth class, "
+                   "so the sweep has no curve; see the report\n")
+    assert text == (out / "report.txt").read_text()
+    assert "chunk 0: frames [0, 30) FAILED DegenerateDataError" in text
+    assert sorted(os.listdir(out)) == ["chunk_001", "metrics.csv", "report.txt", "timings.csv"]
+    report = run_bgsub(RunConfig(frames=frames, truth=truth, chunk_length=30, k=4, seed=5))
+    assert [c.ok for c in report.chunks] == [False, True]
+    assert report.tau is None and report.masks is None and report.summary is None
+
+
 @pytest.mark.parametrize("extra, reason", [
     (["--seed", "-1", "--tau", "0.2"], "seed must be >= 0, got -1"),
     (["--seed", "-5"], "seed must be >= 0, got -5"),
@@ -596,7 +684,7 @@ def test_eval_self_comparison(tmp_path, capsys):
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
-    assert rows[0]["fn"] == "0"
+    assert rows[0]["fn"] == "0" and rows[0]["tau"] == "nan"
 
 
 def test_eval_disjoint_masks_warns_on_zero_denominator(tmp_path, capsys):
@@ -918,6 +1006,20 @@ def test_svd_benchmark_csv(tmp_path, capsys, svd_experiment):
     assert [(r["rows"], r["cols"], r["k"], r["q"]) for r in rows] == [
         ("80", "40", "5", "0"), ("80", "40", "5", "1"), ("80", "40", "5", "2")
     ]
+
+
+def test_moving_square_experiment_csv(tmp_path, capsys, moving_square_experiment):
+    # One CSV row per noise level of scripts/moving_square_experiment.py.
+    path = tmp_path / "square.csv"
+    assert moving_square_experiment.main(["--out", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {path}\n")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["sigma", "best_f_raw", "best_f_filtered", "auc", "best_tau_raw",
+                             "seconds"]
+    assert [float(r["sigma"]) for r in rows] == list(moving_square_experiment.SIGMAS)
+    for r in rows:
+        assert all(0 <= float(r[key]) <= 1 for key in ("best_f_raw", "best_f_filtered", "auc"))
 
 
 @pytest.mark.parametrize("q, code", [(11, 0), (12, 2)])

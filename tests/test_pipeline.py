@@ -865,6 +865,7 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
 @pytest.mark.parametrize("fault, reason", [
     ("truncated raster", "truncated PGM raster"),
     ("pixel above maxval", "pixel value exceeds maxval 200"),
+    ("16-bit pixel above maxval", "pixel value exceeds maxval 1000"),
     ("geometry change", "frame geometry (24, 23) differs from first frame (24, 24)"),
     ("non-numeric header", "invalid PGM header"),
 ])
@@ -878,6 +879,10 @@ def test_a_bad_last_frame_exits_2_before_any_chunk_runs(tmp_path, capsys, fault,
         raster = np.full(576, 100, dtype=np.uint8)
         raster[300] = 201
         open(last, "wb").write(b"P5\n24 24\n200\n" + raster.tobytes())
+    elif fault == "16-bit pixel above maxval":
+        raster = np.full(576, 100, dtype=">u2")
+        raster[300] = 1001
+        open(last, "wb").write(b"P5\n24 24\n1000\n" + raster.tobytes())
     elif fault == "non-numeric header":
         open(last, "wb").write(b"P5 24 x 255\n" + bytes(576))
     else:
@@ -1011,6 +1016,7 @@ def test_failed_chunk_is_contained(tmp_path):
         assert not report.masks.masks[:30].any()  # failed chunk yields empty masks
         assert report.masks.masks[30:].any()
         assert "FAILED" in (out / "report.txt").read_text()
+        assert len(os.listdir(out / "masks")) == 60
         # the final rates score only the frames of the chunks that ran
         rates = ev.rates(ev.confusion(ForegroundMaskSequence(report.masks.masks[30:]), truth))
         for key in ("recall", "precision", "specificity", "f_measure"):
