@@ -6,9 +6,10 @@ each with an output directory that is removed after the call. Linux carries
 a process's peak RSS across exec, so the calls' child starts from this small
 process, not from the one that rendered the video.
 Prints the median and quartiles of every stage of the timed calls'
-timings.csv total rows and of the whole calls, frames per second at the
-median call against the 30 of real-time video, and the child's ru_maxrss
-after the warm-up call. The last stdout line is the same as JSON.
+timings.csv total rows, of the whole calls and of each call's minor page
+faults (its ru_minflt delta in the child), frames per second at the median
+call against the 30 of real-time video, and the child's ru_maxrss after the
+warm-up call. The last stdout line is the same as JSON.
 
 Usage, from the repository root:
 
@@ -68,8 +69,9 @@ def render_frames(spec, directory: str) -> None:
 def _child(params: dict) -> None:
     """Write the inputs, or run the warm-up and the calls.
 
-    The calls print one JSON line each: call seconds, and the seconds of
-    every stage that timings.csv has a *_seconds column for.
+    The calls print one JSON line each: call seconds, minor page faults,
+    and the seconds of every stage that timings.csv has a *_seconds column
+    for.
     """
     import resource
 
@@ -91,9 +93,11 @@ def _child(params: dict) -> None:
     for i in range(params["calls"] + 1):
         cfg = RunConfig(frames=params["frames"], truth=params["truth"], output_dir=out,
                         **params["run"])
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         run_bgsub(cfg)
-        record = {"call": time.perf_counter() - t0}
+        record = {"call": time.perf_counter() - t0,
+                  "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
         with open(os.path.join(out, "timings.csv")) as fh:
             total = [row for row in csv.DictReader(fh) if row["chunk"] == "total"][0]
         record["stages"] = {name.removesuffix("_seconds"): float(value)
@@ -143,6 +147,7 @@ def measure(workload, seed: int, calls: int) -> dict:
         "stages": {stage: _summary([r["stages"][stage] for r in records])
                    for stage in records[0]["stages"]},
         "call": call,
+        "minflt": _summary([r["minflt"] for r in records]),
         "frames_per_s": workload.n_frames / call["median"],
         "ru_maxrss_mb": warm_up["ru_maxrss_mb"],
     }
@@ -165,6 +170,9 @@ def main(argv: list[str] | None = None) -> None:
           f"{result['blas_threads']} BLAS threads: median [q1, q3] seconds")
     for name, s in [*result["stages"].items(), ("call", result["call"])]:
         print(f"  {name:<10s} {s['median']:.4f} [{s['q1']:.4f}, {s['q3']:.4f}]")
+    faults = result["minflt"]
+    print(f"  minflt     {faults['median']:.0f} [{faults['q1']:.0f}, {faults['q3']:.0f}] "
+          "minor page faults per call")
     print(f"  frames/s   {result['frames_per_s']:.1f} against {REAL_TIME_FPS} for real time")
     print(f"  ru_maxrss  {result['ru_maxrss_mb']:.1f} MB after the warm-up call")
     print(json.dumps(result))

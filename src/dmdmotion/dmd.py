@@ -95,14 +95,6 @@ class SnapshotMatrix:
         """Frame t as a (height, width) image."""
         return self.data[:, t].reshape(self.frame_height, self.frame_width)
 
-    def columns(self, start: int, stop: int) -> "SnapshotMatrix":
-        """Frames [start, stop) as a fresh contiguous matrix, checked like any other.
-
-        The copy is the caller's own, which may overwrite it (as the
-        pipeline does with each chunk's residual) and leave this one intact.
-        """
-        return SnapshotMatrix(self.data[:, start:stop].copy(), self.frame_height, self.frame_width)
-
 
 def _block_length(item_bytes: int) -> int:
     """Items per block of a pass that holds item_bytes per item: at least 1."""
@@ -281,15 +273,14 @@ def _network_median(raw: np.ndarray, maxval: int) -> np.ndarray:
     return out
 
 
-def _anchor_frame(D: SnapshotMatrix, anchor: str | int) -> np.ndarray:
+def _anchor_frame(D: SnapshotMatrix, anchor: str | int, rasters=None) -> np.ndarray:
     """The amplitude fit's target: the first, the per-pixel median or an indexed left frame.
 
-    A chunk that ingest read from 8-bit rasters of one maxval carries them
-    as (raw, maxval) in its private _rasters; they are taken from it here,
-    whatever the anchor, and the median is _network_median's.
+    rasters, when given, are D's frames as (raw, maxval), the (n, m) uint8
+    rasters of one maxval that ingest read them from; the median is then
+    _network_median's, which consumes raw.
     """
     X = D.data[:, :-1]
-    rasters = vars(D).pop("_rasters", None)
     _check_anchor(anchor, X.shape[1])
     if anchor == FIRST_FRAME:
         return X[:, 0]
@@ -328,13 +319,9 @@ def _background_first_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((lam.imag, key))
 
 
-def _decompose(
-    D: SnapshotMatrix,
-    factors: SvdFactors,
-    anchor: str | int,
-    seed: int,
-) -> DmdDecomposition:
-    """The decomposition of D from its left sequence's factors.
+def _decompose(D: SnapshotMatrix, factors: SvdFactors, anchor: str | int, seed: int,
+               rasters=None) -> DmdDecomposition:
+    """The decomposition of D from its left sequence's factors; rasters go to _anchor_frame.
 
     Phi is scanned once, before the amplitude fit, and the decomposition is
     built without a second scan.
@@ -352,7 +339,8 @@ def _decompose(
     if not _all_finite(Phi):
         raise DegenerateDataError("modes contain non-finite entries")
     # Least squares on the anchor frame; a degenerate Phi gets the minimum-norm fit.
-    b = np.linalg.lstsq(Phi, _anchor_frame(D, anchor).astype(np.complex128), rcond=None)[0]
+    target = _anchor_frame(D, anchor, rasters).astype(np.complex128)
+    b = np.linalg.lstsq(Phi, target, rcond=None)[0]
     return _unscanned(DmdDecomposition, Phi, lam, b, D.n_frames, D.frame_height,
                       D.frame_width, anchor, seed)
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .background import ForegroundMaskSequence
 from .dmd import DmdDecomposition, SnapshotMatrix, _parse_anchor
-from .linalg import _unscanned
 
 __all__ = [
     "MAGIC_REAL",
@@ -160,12 +159,7 @@ def save_pgm(path: str, img: np.ndarray, maxval: int = 255) -> None:
 
 @dataclass(frozen=True)
 class FrameFiles:
-    """PGM frames that scan_frames has checked, read a chunk at a time.
-
-    Frames are taken in the order of paths. columns reads frames
-    [start, stop) into a fresh contiguous matrix, as SnapshotMatrix.columns
-    copies them out of an in-memory video.
-    """
+    """PGM frames that scan_frames has checked, in the order of paths, read a chunk at a time."""
 
     paths: tuple[str, ...]
     frame_height: int
@@ -175,25 +169,17 @@ class FrameFiles:
     def n_frames(self) -> int:
         return len(self.paths)
 
-    def columns(self, start: int, stop: int) -> SnapshotMatrix:
-        """Frames [start, stop), each flattened row-major and divided by its maxval.
+    def _fill(self, start: int, stop: int, data: np.ndarray, rows) -> tuple | None:
+        """Frames [start, stop) into data, a C-contiguous (m, n) matrix, each over its maxval.
 
-        The rasters are read through one frame-major uint8 buffer, a row per
-        frame, made at the chunk's first 8-bit frame, so it adds at most 1/8
-        of the matrix: an 8-bit frame fills its row, and a 16-bit frame is
-        cast straight into its own matrix column. Each run of frames that
-        share a maxval is then divided in place by it, after one transposed
-        cast of its buffer rows for an 8-bit run, which gives each entry
-        float64(x) / float64(maxval). A frame's raster was checked against its
-        maxval when it was read, so the entries are not scanned again. When
-        every frame is 8-bit with one maxval, the buffer stays with the matrix
-        for its median anchor to consume.
+        An 8-bit frame goes through its row of rows(n), (n, m) uint8 rasters,
+        which are returned with the maxval when every frame is 8-bit with one
+        maxval; a 16-bit one is cast into its column. Each run of one maxval
+        is divided in place, so each entry is float64(x) / float64(maxval).
         """
         paths = self.paths[start:stop]
         n = len(paths)
         geometry = (self.frame_height, self.frame_width)
-        data = np.empty((self.frame_height * self.frame_width, n))
-        raw = None  # uint8 rasters, a row per frame, made at the first 8-bit one
         maxvals = []
         for j, p in enumerate(paths):
             shape, maxval, img = _read_pgm(p)
@@ -202,21 +188,18 @@ class FrameFiles:
             if maxval > 255:
                 data[:, j] = img.reshape(-1)
             else:
-                if raw is None:
-                    raw = np.empty((n, data.shape[0]), dtype=np.uint8)
-                raw[j] = img.reshape(-1)
+                rows(n)[j] = img.reshape(-1)
             maxvals.append(maxval)
         run = 0  # the first frame of the run of equal maxval
         for j in range(1, n + 1):
             if j == n or maxvals[j] != maxvals[run]:
                 if maxvals[run] <= 255:
-                    data[:, run:j] = raw[run:j].T
+                    data[:, run:j] = rows(n)[run:j].T
                 data[:, run:j] /= maxvals[run]
                 run = j
-        D = _unscanned(SnapshotMatrix, data, *geometry)
         if maxvals[0] <= 255 and len(set(maxvals)) == 1:
-            object.__setattr__(D, "_rasters", (raw, maxvals[0]))
-        return D
+            return rows(n), maxvals[0]
+        return None
 
 
 def scan_frames(pattern: str) -> FrameFiles:

@@ -8,11 +8,11 @@ masks; the other chunks proceed.
 
 run_bgsub reads top to bottom: load the input, check it, the chunk pass, the
 tau-grid loop (when a sweep or metrics.csv needs the grid over the run's
-largest residual), choose tau, build the report, write. PGM frames are read
-one chunk at a time, and the grid loop reads each chunk again and rebuilds
-its residual from the background factors that the chunk pass kept. A fixed
-tau masks each chunk in the chunk pass. A sweep's grid loop writes each
-chunk's median-filtered ranks into the bytes of the run's masks, which
+largest residual), choose tau, build the report, write. Both passes read a
+chunk at a time into one _ChunkReader's buffers, and the grid loop rebuilds
+each chunk's residual from the background factors that the chunk pass kept.
+A fixed tau masks each chunk in the chunk pass. A sweep's grid loop writes
+each chunk's median-filtered ranks into the bytes of the run's masks, which
 become the masks in one pass once the best tau is chosen.
 """
 
@@ -27,9 +27,9 @@ import numpy as np
 
 from . import background as bg
 from . import evaluation as ev
-from .dmd import MEDIAN_FRAME, _check_anchor, rdmd
+from .dmd import MEDIAN_FRAME, SnapshotMatrix, _check_anchor, _decompose
 from .errors import DegenerateDataError
-from .linalg import SketchConfig, _check_integers
+from .linalg import SketchConfig, _check_integers, _unscanned, rsvd
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = [
@@ -201,8 +201,7 @@ def _load_input(cfg: RunConfig, timer: _StageTimer):
 
     PGM frames come back as io_formats.FrameFiles, every file checked and
     read a chunk at a time, their masks named after the frame files;
-    synthetic frames as their SnapshotMatrix, their masks mask_NNNNN. Both
-    give a chunk's frames through columns(start, stop).
+    synthetic frames as their SnapshotMatrix, their masks mask_NNNNN.
     """
     if cfg.synthetic is not None:
         video, truth = generate_synthetic(cfg.synthetic)
@@ -223,6 +222,33 @@ def _load_input(cfg: RunConfig, timer: _StageTimer):
         stems[stem] = path
     timer.mark("run", "ingest")
     return video, truth, list(stems)
+
+
+class _ChunkReader:
+    """Reads each chunk into buffers sized for the longest chunk, which each read overwrites.
+
+    A chunk of n frames of m pixels is the first m n float64 entries, a
+    C-contiguous (m, n) matrix: a column slice's strides could change bytes.
+    """
+
+    def __init__(self, video, bounds: list[tuple[int, int]]) -> None:
+        self.video, self.raw = video, None
+        self.m, self.longest = video.frame_height * video.frame_width, max(b - a for a, b in bounds)
+        self.frames = np.empty(self.m * self.longest)
+
+    def _rows(self, n: int) -> np.ndarray:
+        if self.raw is None:
+            self.raw = np.empty((self.longest, self.m), dtype=np.uint8)
+        return self.raw[:n]
+
+    def read(self, start: int, stop: int):
+        """Frames [start, stop) as a SnapshotMatrix, and the rasters of FrameFiles._fill or None."""
+        video, data = self.video, self.frames[: self.m * (stop - start)].reshape(self.m, -1)
+        D = _unscanned(SnapshotMatrix, data, video.frame_height, video.frame_width)
+        if isinstance(video, SnapshotMatrix):
+            data[...] = video.data[:, start:stop]
+            return D, None
+        return D, video._fill(start, stop, data, self._rows)
 
 
 def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
@@ -273,7 +299,7 @@ def _check_inputs(cfg: RunConfig, video, truth) -> list[tuple[int, int]]:
     return bounds
 
 
-def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _StageTimer):
+def _chunk_pass(cfg, reader, truth, bounds, masks: np.ndarray, stems, timer: _StageTimer):
     """Read, decompose and model each chunk, and write its outputs.
 
     A chunk that fails on its data (DegenerateDataError or LinAlgError; any
@@ -293,12 +319,13 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
     for i, (start, stop) in enumerate(bounds):
         c = ChunkResult(index=i, start=start, stop=stop, seed=cfg.seed + i)
         seq = None if cfg.tau is None else bg.ForegroundMaskSequence(masks[start:stop], cfg.tau)
-        D = video.columns(start, stop)
+        D, rasters = reader.read(start, stop)
         timer.mark(i, "ingest")
         try:
             sketch = SketchConfig(rank=cfg.k, oversampling=cfg.p, subspace_iters=cfg.q,
                                   seed=c.seed)
-            dec = rdmd(D, sketch, anchor=cfg.anchor)
+            svd = rsvd(D.data[:, :-1], sketch, check_finite=False)  # checked as it was read
+            dec = _decompose(D, svd, cfg.anchor, c.seed, rasters)
             omega = bg.fourier_modes(dec)
             # A near-static chunk can retain fewer usable modes than requested;
             # take what is there rather than failing the chunk (none fails it).
@@ -311,7 +338,7 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
         except (DegenerateDataError, np.linalg.LinAlgError) as exc:
             timer.mark(i, "decompose")
             chunks.append(replace(c, error=f"{type(exc).__name__}: {exc}"))
-            D = dec = factors = None  # it may have failed after rdmd returned
+            D = rasters = dec = factors = None  # it may have failed after _decompose returned
             continue
         c = replace(c, retained_rank=dec.rank, eigenvalues=dec.eigenvalues, omega=omega,
                     background_indices=background_indices)
@@ -335,20 +362,21 @@ def _chunk_pass(cfg, video, truth, bounds, masks: np.ndarray, stems, timer: _Sta
             timer.mark(i, "write")
         if need_grid:
             ran.append((c, factors, float(S.values.max())))
-        del D, S, dec, factors  # before the next chunk is read
+        del D, rasters, S, dec, factors  # before the next chunk is read
     return chunks, counts, ran
 
 
 def run_bgsub(cfg: RunConfig) -> RunReport:
     """Decompose, model, threshold and evaluate; see the module docstring.
 
-    Memory is one chunk's frames, residual and decomposition at a time, each
-    dropped before the next chunk is read, plus one byte per pixel of the
-    video for the masks and one for the truth, plus each chunk's background
-    factors when the run needs the tau grid. A sweep's masks hold its
-    chunks' filtered ranks until the best tau is chosen and are then
-    ranks > j, in place, for the index j of that tau: the masks that its
-    filtered counts scored, which give its summary rates.
+    Memory is one buffer of the longest chunk's frames, which each chunk's
+    residual overwrites, one chunk's decomposition at a time, dropped before
+    the next chunk is read, one byte per pixel of the video for the masks
+    and one for the truth, and each chunk's background factors when the run
+    needs the tau grid. A sweep's masks hold its chunks' filtered ranks
+    until the best tau is chosen and are then ranks > j, in place, for the
+    index j of that tau: the masks that its filtered counts scored, which
+    give its summary rates.
 
     With an output directory, the run writes each chunk's chunk_NNN/ and,
     at a fixed tau, its mask files as soon as that chunk's outputs are
@@ -372,7 +400,8 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
     video, truth, stems = _load_input(cfg, timer)
     bounds = _check_inputs(cfg, video, truth)
     masks = np.zeros((video.n_frames, video.frame_height, video.frame_width), dtype=bool)
-    chunks, counts, ran = _chunk_pass(cfg, video, truth, bounds, masks, stems, timer)
+    reader = _ChunkReader(video, bounds)
+    chunks, counts, ran = _chunk_pass(cfg, reader, truth, bounds, masks, stems, timer)
     tau = cfg.tau
 
     # The tau grid spans the run's largest residual. Each chunk's frames are
@@ -387,14 +416,14 @@ def run_bgsub(cfg: RunConfig) -> RunReport:
         raw = np.zeros((taus.size, 4), dtype=np.int64)
         filtered = np.zeros_like(raw)
         for c, factors, _ in ran:
-            D = video.columns(c.start, c.stop)
+            D, _ = reader.read(c.start, c.stop)
             timer.mark(c.index, "ingest")
             S = bg.factor_residual(D, *factors, out=D.data)
             timer.mark(c.index, "residual")
             ranks = masks[c.start : c.stop].view(np.uint8) if tau is None else None
             chunk_truth = bg.ForegroundMaskSequence(truth.masks[c.start : c.stop])
             chunk_raw, chunk_filtered = ev.sweep_counts(S, chunk_truth, taus, kernel, ranks)
-            del D, S  # S is D's frames: free them before the next chunk is read
+            del D, S  # S is D's frames, which the next read overwrites
             raw += chunk_raw
             filtered += chunk_filtered
             timer.mark(c.index, "grid")

@@ -327,16 +327,68 @@ def searchsorted_ranks(S, taus) -> np.ndarray:
         np.min_scalar_type(len(taus)))
 
 
-def reference_run(cfg) -> None:
-    """run_bgsub as it ran with the whole video in memory; writes cfg.output_dir.
+def reference_chunk(files, start: int, stop: int):
+    """Frames [start, stop) of io_formats.FrameFiles, each chunk in its own memory.
 
-    Every chunk is a copy of the loaded video's frames, its residual is
-    reference_residual, formed from the whole complex background and held
-    until the tau grid
-    is known, the counts are partition_sweep_counts and the masks the
-    per-frame median_filter of [S > tau]. Chunks are decomposed by
-    pipeline.rdmd, so a test that patches it patches both runs. Every
-    output but timings.csv is written, for a byte comparison with the
+    The ingest oracle of the run's chunk reader, which reuses its buffers:
+    a fresh float64 matrix per chunk and, at the chunk's first 8-bit frame,
+    a fresh uint8 buffer of a row per frame. Returns the SnapshotMatrix and
+    (raw, maxval) when every frame is 8-bit with one maxval, else None.
+    """
+    from dmdmotion.io_formats import _read_pgm
+
+    paths = files.paths[start:stop]
+    n = len(paths)
+    geometry = (files.frame_height, files.frame_width)
+    data = np.empty((files.frame_height * files.frame_width, n))
+    raw = None  # uint8 rasters, a row per frame, made at the first 8-bit one
+    maxvals = []
+    for j, p in enumerate(paths):
+        shape, maxval, img = _read_pgm(p)
+        if shape != geometry:
+            raise ValueError(f"{p}: frame geometry {shape} differs from first frame {geometry}")
+        if maxval > 255:
+            data[:, j] = img.reshape(-1)
+        else:
+            if raw is None:
+                raw = np.empty((n, data.shape[0]), dtype=np.uint8)
+            raw[j] = img.reshape(-1)
+        maxvals.append(maxval)
+    run = 0  # the first frame of the run of equal maxval
+    for j in range(1, n + 1):
+        if j == n or maxvals[j] != maxvals[run]:
+            if maxvals[run] <= 255:
+                data[:, run:j] = raw[run:j].T
+            data[:, run:j] /= maxvals[run]
+            run = j
+    D = _unscanned(SnapshotMatrix, data, *geometry)
+    if maxvals[0] <= 255 and len(set(maxvals)) == 1:
+        return D, (raw, maxvals[0])
+    return D, None
+
+
+def read_chunk(video, start: int = 0, stop: int | None = None):
+    """Frames [start, stop) of video, the whole of it by default, as a run reads them.
+
+    A SnapshotMatrix and its rasters (raw, maxval) or None, from the
+    pipeline's chunk reader over that one chunk.
+    """
+    from dmdmotion.pipeline import _ChunkReader
+
+    stop = video.n_frames if stop is None else stop
+    return _ChunkReader(video, [(start, stop)]).read(start, stop)
+
+
+def reference_run(cfg) -> None:
+    """run_bgsub with each chunk in its own memory; writes cfg.output_dir.
+
+    Every chunk is a fresh copy of its frames, read by reference_chunk, its
+    residual is reference_residual, formed from the whole complex background
+    and held until the tau grid is known, the counts are
+    partition_sweep_counts and the masks the per-frame median_filter of
+    [S > tau]. Chunks are sketched by pipeline.rsvd and decomposed by
+    pipeline._decompose, so a test that patches either patches both runs.
+    Every output but timings.csv is written, for a byte comparison with the
     pipeline's.
     """
     from dmdmotion import background as bg
@@ -350,20 +402,27 @@ def reference_run(cfg) -> None:
 
     stems = None
     if cfg.synthetic is not None:
-        D, truth = generate_synthetic(cfg.synthetic)
+        video, truth = generate_synthetic(cfg.synthetic)
+
+        def chunk(start, stop):
+            sub = video.data[:, start:stop].copy()
+            return SnapshotMatrix(sub, video.frame_height, video.frame_width), None
     else:
-        files = scan_frames(cfg.frames)
-        D, paths = files.columns(0, files.n_frames), files.paths
+        video = scan_frames(cfg.frames)
         truth = load_masks(cfg.truth) if cfg.truth is not None else None
-        stems = [os.path.splitext(os.path.basename(p))[0] + "_mask" for p in paths]
+        stems = [os.path.splitext(os.path.basename(p))[0] + "_mask" for p in video.paths]
+
+        def chunk(start, stop):
+            return reference_chunk(video, start, stop)
     chunks, ran = [], []
     for i, (start, stop) in enumerate(
-            pipeline.chunk_bounds(D.n_frames, cfg.chunk_length, cfg.k + cfg.p + 1)):
-        sub = D.columns(start, stop)
+            pipeline.chunk_bounds(video.n_frames, cfg.chunk_length, cfg.k + cfg.p + 1)):
+        sub, rasters = chunk(start, stop)
         try:
-            dec = pipeline.rdmd(sub, SketchConfig(rank=cfg.k, oversampling=cfg.p,
-                                                  subspace_iters=cfg.q, seed=cfg.seed + i),
-                                anchor=cfg.anchor)
+            sketch = SketchConfig(rank=cfg.k, oversampling=cfg.p, subspace_iters=cfg.q,
+                                  seed=cfg.seed + i)
+            factors = pipeline.rsvd(sub.data[:, :-1], sketch, check_finite=False)
+            dec = pipeline._decompose(sub, factors, cfg.anchor, cfg.seed + i, rasters)
             omega = bg.fourier_modes(dec)
             part = bg.partition_modes(omega, min(cfg.n_background,
                                                  np.count_nonzero(np.isfinite(omega))))
@@ -399,7 +458,7 @@ def reference_run(cfg) -> None:
                    "best_tau_filtered": tau, "best_f_filtered": filt_f, "auc": roc.auc}
     masks = None
     if ran and tau is not None:
-        masks = np.zeros((D.n_frames, D.frame_height, D.frame_width), dtype=bool)
+        masks = np.zeros((video.n_frames, video.frame_height, video.frame_width), dtype=bool)
         for c, S in ran:
             masks[c.start:c.stop] = [median_filter(frame, cfg.median_kernel)
                                      for frame in threshold_mask(S, tau).masks]
@@ -408,8 +467,8 @@ def reference_run(cfg) -> None:
                 bg.ForegroundMaskSequence(masks[c.start:c.stop]), truth_of(c)))) for c, _ in ran)
             summary = {**(summary or {}), **ev.rates(counts)}
         masks = bg.ForegroundMaskSequence(masks, tau=tau)
-    report = pipeline.RunReport(cfg, D.frame_height, D.frame_width, D.n_frames, tuple(chunks),
-                                tau, masks, summary)
+    report = pipeline.RunReport(cfg, video.frame_height, video.frame_width, video.n_frames,
+                                tuple(chunks), tau, masks, summary)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "report.txt"), "w") as fh:
         fh.write(pipeline.render_report(report))

@@ -36,6 +36,7 @@ from helpers import (
     box_sum_by_shifts,
     deterministic_dmd,
     median_filter,
+    read_chunk,
     reference_residual,
     threshold_mask,
 )
@@ -232,7 +233,7 @@ def test_mask_sequence_rejects_masks_that_are_not_3d(shape):
 
 
 def test_public_constructors_scan_what_the_package_builds_unscanned(tmp_path):
-    # factor_residual and FrameFiles.columns build entries that are valid by
+    # factor_residual and the chunk reader build entries that are valid by
     # construction and skip the scan; the public constructors still scan a
     # NaN out, here in a residual and in frames the package built.
     dec = pair_decomposition(6, 5)
@@ -245,7 +246,7 @@ def test_public_constructors_scan_what_the_package_builds_unscanned(tmp_path):
     for t in range(2):
         save_pgm(str(tmp_path / f"f_{t}.pgm"), np.full((2, 3), 7, dtype=np.uint8))
     files = scan_frames(str(tmp_path / "f_*.pgm"))
-    data = files.columns(0, files.n_frames).data
+    data = read_chunk(files)[0].data
     data[3, 1] = np.nan
     with pytest.raises(ValueError, match="snapshot data contains non-finite entries"):
         SnapshotMatrix(data, 2, 3)
@@ -366,8 +367,8 @@ def test_every_blocked_pass_holds_a_bounded_multiple_of_the_block_budget(n_frame
     for n_left in (n_frames - 1, n_frames - 2):
         raw = rng.integers(0, 256, size=(n_left + 1, m), dtype=np.uint8)
         D8 = SnapshotMatrix(raw.T / 255, h, w)
-        object.__setattr__(D8, "_rasters", (raw, 255))
-        assert scratch(lambda: dmd._anchor_frame(D8, MEDIAN_FRAME)) - 8 * m / dmd.BLOCK_BYTES <= 1.1
+        held = scratch(lambda: dmd._anchor_frame(D8, MEDIAN_FRAME, (raw, 255)))
+        assert held - 8 * m / dmd.BLOCK_BYTES <= 1.1
     assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data)) <= 1.1
     half = ForegroundMaskSequence(masks, 0.5)
     assert scratch(lambda: factor_residual(D, modes, temporal, out=D.data, masks=half)) <= 1.1

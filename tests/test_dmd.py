@@ -470,21 +470,20 @@ def test_network_median_equals_the_partition_anchor(n_frames, maxval, kind):
 
 
 def test_the_anchor_consumes_the_rasters_a_chunk_carries():
-    # The rasters are taken from the chunk whatever the anchor, so a second
-    # decomposition of the same chunk goes through the partition, and gets
-    # the same bytes.
+    # A chunk's rasters go to its anchor whatever the anchor: the first
+    # frame leaves them, the median consumes them in its network, and a
+    # decomposition with them has the bytes of one through the partition.
     raw = _rasters(41, 600, 255, "uniform")
     D = SnapshotMatrix(raw.T / 255, 20, 30)
     expected = np.median(D.data[:, :-1], axis=1)
-    for anchor in (FIRST_FRAME, MEDIAN_FRAME):
-        object.__setattr__(D, "_rasters", (raw.copy(), 255))
-        dmd._anchor_frame(D, anchor)
-        assert not hasattr(D, "_rasters")
-    object.__setattr__(D, "_rasters", (raw.copy(), 255))
+    rasters = (raw.copy(), 255)
+    assert dmd._anchor_frame(D, FIRST_FRAME, rasters).tobytes() == D.data[:, 0].tobytes()
+    assert np.array_equal(rasters[0], raw)
+    assert dmd._anchor_frame(D, MEDIAN_FRAME, rasters).tobytes() == expected.tobytes()
+    assert not np.array_equal(rasters[0], raw)
     cfg = SketchConfig(rank=4, seed=2)
-    with_rasters = rdmd(D, cfg)
-    assert not hasattr(D, "_rasters")
-    assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
+    factors = linalg.rsvd(D.data[:, :-1], cfg)
+    with_rasters = dmd._decompose(D, factors, MEDIAN_FRAME, cfg.seed, (raw.copy(), 255))
     for name in ("modes", "eigenvalues", "amplitudes"):
         assert getattr(with_rasters, name).tobytes() == getattr(rdmd(D, cfg), name).tobytes()
 

@@ -29,6 +29,8 @@ from dmdmotion.io_formats import (
 from dmdmotion.linalg import SketchConfig
 from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
 
+from helpers import read_chunk
+
 
 # ------------------------------------------------------------------ matrices
 
@@ -251,7 +253,7 @@ def test_frames_round_trip_is_exact(tmp_path):
     D, _ = generate_synthetic(spec)
     save_frames(str(tmp_path), D, maxval=255)
     files = scan_frames(str(tmp_path / "frame_*.pgm"))
-    loaded = files.columns(0, files.n_frames)
+    loaded, _ = read_chunk(files)
     assert loaded.frame_height == 6 and loaded.frame_width == 8
     assert loaded.n_frames == 5
     # one quantization error of at most half a gray level per pixel
@@ -269,7 +271,7 @@ def test_frames_lexicographic_order(tmp_path):
         save_pgm(str(tmp_path / f"frame_{t:05d}.pgm"),
                  np.full((2, 2), t * 10, dtype=np.uint8))
     files = scan_frames(str(tmp_path / "frame_*.pgm"))
-    D, paths = files.columns(0, files.n_frames), files.paths
+    (D, _), paths = read_chunk(files), files.paths
     assert np.allclose(D.data[0], np.array([0.0, 10.0, 20.0]) / 255)
     assert paths == tuple(str(tmp_path / f"frame_{t:05d}.pgm") for t in range(3))
 
@@ -292,7 +294,7 @@ def test_frames_maxval_normalization(tmp_path):
     save_pgm(str(tmp_path / "n_0.pgm"), img, maxval=100)
     save_pgm(str(tmp_path / "n_1.pgm"), img, maxval=100)
     files = scan_frames(str(tmp_path / "n_*.pgm"))
-    D = files.columns(0, files.n_frames)
+    D, _ = read_chunk(files)
     assert D.data.max() == 1.0
     assert D.data[1, 0] == 0.5
 
@@ -305,7 +307,7 @@ def test_frames_fill_matches_stacked_columns(tmp_path, maxval):
     for t, img in enumerate(imgs):
         save_pgm(str(tmp_path / f"f_{t}.pgm"), img, maxval)
     files = scan_frames(str(tmp_path / "f_*.pgm"))
-    D = files.columns(0, files.n_frames)
+    D, _ = read_chunk(files)
     stacked = np.stack([img.reshape(-1).astype(np.float64) / maxval for img in imgs], axis=1)
     assert D.data.flags.c_contiguous
     assert D.data.shape == stacked.shape and D.data.tobytes() == stacked.tobytes()
@@ -329,7 +331,7 @@ def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
         maxval = maxvals[t % 6]
         save_pgm(str(tmp_path / f"f_{t:05d}.pgm"), rng.integers(0, maxval + 1, size=(3, 5)), maxval)
     files = scan_frames(str(tmp_path / "f_*.pgm"))
-    D, paths = files.columns(0, files.n_frames), files.paths
+    (D, _), paths = read_chunk(files), files.paths
     # The former fill: each frame divided straight into its matrix column.
     expected = np.empty((15, n_frames))
     for j, path in enumerate(paths):
@@ -340,7 +342,7 @@ def test_frames_equal_the_per_column_fill(tmp_path, n_frames):
     # A chunk that starts on a 16-bit frame makes its uint8 buffer at its
     # first 8-bit frame, if it has one.
     if n_frames > 4:
-        tail = files.columns(3, n_frames).data
+        tail = read_chunk(files, 3, n_frames)[0].data
         assert tail.tobytes() == expected[:, 3:].copy().tobytes()
 
 
@@ -361,7 +363,7 @@ def test_scan_reads_a_header_that_runs_past_its_first_read(tmp_path, pad):
     write(1, 100)
     files = scan_frames(str(tmp_path / "f_*.pgm"))
     assert (files.frame_height, files.frame_width) == (2, 3)
-    assert files.columns(0, 2).data.tobytes() == np.repeat(
+    assert read_chunk(files)[0].data.tobytes() == np.repeat(
         raster.reshape(-1, 1) / 100, 2, axis=1).tobytes()
     write(1, 4)
     with pytest.raises(ValueError, match=r"f_1\.pgm: pixel value exceeds maxval 4"):
@@ -370,7 +372,7 @@ def test_scan_reads_a_header_that_runs_past_its_first_read(tmp_path, pad):
 
 @pytest.mark.parametrize("maxval", [200, 1000])
 def test_a_frame_rewritten_after_its_scan_is_checked_when_read(tmp_path, maxval):
-    # columns does not scan the matrix it builds: each raster is checked
+    # A chunk's matrix is not scanned when it is read: each raster is checked
     # against its maxval and the scanned geometry as it is read, so a frame
     # that gained a pixel above its maxval, or another geometry, after
     # scan_frames still fails, naming its file.
@@ -382,12 +384,12 @@ def test_a_frame_rewritten_after_its_scan_is_checked_when_read(tmp_path, maxval)
     (tmp_path / "f_1.pgm").write_bytes(data.replace(str(maxval + 1).encode(), str(maxval).encode(), 1))
     path = re.escape(str(tmp_path / "f_1.pgm"))
     with pytest.raises(ValueError, match=f"^{path}: pixel value exceeds maxval {maxval}$"):
-        files.columns(0, 3)
+        read_chunk(files)
     save_pgm(str(tmp_path / "f_1.pgm"), np.full((3, 2), 1, dtype=np.uint16), maxval)
     with pytest.raises(
         ValueError, match=f"^{path}: frame geometry \\(3, 2\\) differs from first frame \\(2, 3\\)$"
     ):
-        files.columns(0, 3)
+        read_chunk(files)
 
 
 def test_frames_hold_one_copy_of_the_video(tmp_path):
@@ -402,10 +404,11 @@ def test_frames_hold_one_copy_of_the_video(tmp_path):
         tracemalloc.start()
         try:
             files = scan_frames(str(tmp_path / f"f{maxval}_*.pgm"))
-            D = files.columns(0, files.n_frames)
+            D, rasters = read_chunk(files)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert (rasters is None) == (maxval > 255)
         assert peak <= 1.15 * D.data.nbytes
 
 
@@ -425,20 +428,20 @@ CHUNKS = {
 
 @pytest.mark.parametrize("case", CHUNKS)
 def test_a_chunk_keeps_its_rasters_only_for_the_network_anchor(tmp_path, case):
-    # A chunk carries its rasters for the median anchor exactly when every
-    # frame is 8-bit with one maxval, whatever its length or frame size; the
-    # anchor consumes them and gives the partition's bytes.
+    # A chunk is read with its rasters for the median anchor exactly when
+    # every frame is 8-bit with one maxval, whatever its length or frame
+    # size; the anchor consumes them and gives the partition's bytes.
     shape, maxvals, n_frames, kept = CHUNKS[case]
     rng = np.random.default_rng(n_frames)
     for t in range(n_frames):
         maxval = maxvals[t % len(maxvals)]
         save_pgm(str(tmp_path / f"f_{t:02d}.pgm"), rng.integers(0, maxval + 1, size=shape), maxval)
     files = scan_frames(str(tmp_path / "f_*.pgm"))
-    D = files.columns(0, files.n_frames)
-    assert hasattr(D, "_rasters") == kept
+    D, rasters = read_chunk(files)
+    assert (rasters is not None) == kept
     expected = np.median(D.data[:, :-1], axis=1)
-    assert dmd._anchor_frame(D, MEDIAN_FRAME).tobytes() == expected.tobytes()
-    assert not hasattr(D, "_rasters")
+    assert dmd._anchor_frame(D, MEDIAN_FRAME, rasters).tobytes() == expected.tobytes()
+    assert sorted(vars(D)) == ["data", "frame_height", "frame_width"]
 
 
 # ------------------------------------------------------------------ masks

@@ -39,6 +39,8 @@ from helpers import (
     median_filter,
     output_files,
     partition_sweep_counts,
+    read_chunk,
+    reference_chunk,
     reference_run,
     searchsorted_ranks,
     threshold_mask,
@@ -220,10 +222,10 @@ def test_static_video_fixed_tau_gives_empty_masks(tmp_path):
 def test_sweep_with_single_class_truth_rejected(tmp_path, monkeypatch):
     # Truth of one class gives no ROC to sweep. The run is rejected before any
     # chunk is decomposed, so it writes nothing.
-    def no_rdmd(*args, **kwargs):
+    def no_decompose(*args):
         raise AssertionError("a chunk was decomposed")
 
-    monkeypatch.setattr(pipeline, "rdmd", no_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", no_decompose)
     # A static video's truth has no foreground.
     cfg = RunConfig(
         synthetic=SyntheticSpec(frame_height=12, frame_width=12, n_frames=40, seed=0),
@@ -355,15 +357,15 @@ def test_only_a_fixed_tau_run_filters_masks(monkeypatch):
                                      median_kernel=kernel))
         assert report.summary["f_measure"] == report.summary["best_f_filtered"]
 
-    def rdmd_failing_chunk_1(D, sketch, anchor):
-        if sketch.seed == 1:
+    def decompose_failing_chunk_1(D, factors, anchor, seed, rasters):
+        if seed == 1:
             raise DegenerateDataError("chunk 1 fails")
-        return rdmd(D, sketch, anchor=anchor)
+        return dmd._decompose(D, factors, anchor, seed, rasters)
 
     calls = []
     monkeypatch.setattr(pipeline.bg, "filter_masks",
                         lambda seq, kernel=3, out=None: calls.append(kernel) or seq)
-    monkeypatch.setattr(pipeline, "rdmd", rdmd_failing_chunk_1)
+    monkeypatch.setattr(pipeline, "_decompose", decompose_failing_chunk_1)
     report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, p=2, q=1, chunk_length=20, tau=0.2))
     assert [c.ok for c in report.chunks] == [True, False, True]
     assert calls == [3, 3]
@@ -463,13 +465,13 @@ def test_a_lapack_failure_fails_its_chunk_and_the_run_continues(monkeypatch):
 
     failing.__name__ = "dgeqrf"
 
-    def rdmd_failing_chunk_1(D, sketch, anchor):
+    def rsvd_failing_chunk_1(A, sketch, **kwargs):
         with monkeypatch.context() as patch:
             if sketch.seed == 1:
                 patch.setattr(lapack_lite, "dgeqrf", failing)
-            return rdmd(D, sketch, anchor=anchor)
+            return linalg.rsvd(A, sketch, **kwargs)
 
-    monkeypatch.setattr(pipeline, "rdmd", rdmd_failing_chunk_1)
+    monkeypatch.setattr(pipeline, "rsvd", rsvd_failing_chunk_1)
     report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=0.3))
     assert [c.ok for c in report.chunks] == [True, False, True]
     assert report.chunks[1].error == "LinAlgError: dgeqrf returns 1"
@@ -482,13 +484,13 @@ def test_each_decomposition_is_freed_once_it_is_written(tmp_path, monkeypatch):
     # when a chunk is decomposed every earlier decomposition is dead.
     refs = []
 
-    def tracked_rdmd(*args, **kwargs):
+    def tracked_decompose(*args):
         assert all(ref() is None for ref in refs)
-        dec = rdmd(*args, **kwargs)
+        dec = dmd._decompose(*args)
         refs.append(weakref.ref(dec))
         return dec
 
-    monkeypatch.setattr(pipeline, "rdmd", tracked_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", tracked_decompose)
     cfg = RunConfig(synthetic=SQUARE, k=5, p=2, q=1, chunk_length=20,
                     output_dir=str(tmp_path), save_residuals=True)
     report = run_bgsub(cfg)
@@ -560,11 +562,11 @@ def test_fixed_tau_drops_each_residual_before_the_next_chunk(tmp_path, monkeypat
         expected = run_bgsub(replace(cfg, output_dir=str(tmp_path / "reference")))
     refs = track_residuals(monkeypatch)
 
-    def checked_rdmd(*args, **kwargs):
+    def checked_decompose(*args):
         assert all(ref() is None for ref in refs)
-        return rdmd(*args, **kwargs)
+        return dmd._decompose(*args)
 
-    monkeypatch.setattr(pipeline, "rdmd", checked_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", checked_decompose)
     report = run_bgsub(cfg)
     assert len(refs) == 3 and all(c.ok for c in report.chunks)
     assert all(ref() is None for ref in refs)
@@ -575,13 +577,14 @@ def test_fixed_tau_drops_each_residual_before_the_next_chunk(tmp_path, monkeypat
 @pytest.mark.parametrize("tau", [None, 0.3])
 def test_each_chunk_is_freed_before_the_next_is_read(monkeypatch, tau):
     # Without an output directory nothing holds a chunk's frames or
-    # decomposition past its turn, not even a chunk that fails after rdmd
-    # returned: both are dead when the next chunk is decomposed.
+    # decomposition past its turn, not even a chunk that fails after its
+    # decomposition returned: both are dead when the next chunk is
+    # decomposed.
     refs = []
 
-    def tracked_rdmd(D, *args, **kwargs):
+    def tracked_decompose(D, *args):
         assert all(ref() is None for ref in refs)
-        dec = rdmd(D, *args, **kwargs)
+        dec = dmd._decompose(D, *args)
         refs.extend([weakref.ref(D), weakref.ref(dec)])
         return dec
 
@@ -592,7 +595,7 @@ def test_each_chunk_is_freed_before_the_next_is_read(monkeypatch, tau):
             raise DegenerateDataError("chunk 0 fails")
         return factors_of(dec, indices)
 
-    monkeypatch.setattr(pipeline, "rdmd", tracked_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", tracked_decompose)
     monkeypatch.setattr(pipeline.bg, "background_factors", failing_chunk_0)
     report = run_bgsub(RunConfig(synthetic=SQUARE, k=5, chunk_length=20, tau=tau))
     assert [c.ok for c in report.chunks] == [False, True, True]
@@ -682,9 +685,9 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
     D, _ = generate_synthetic(SQUARE)
     paths = save_frames(str(tmp_path / "frames"), D)
     files = io_formats.scan_frames(str(tmp_path / "frames" / "*.pgm"))
-    video = files.columns(0, files.n_frames)
+    video, _ = reference_chunk(files, 0, files.n_frames)
     checked, chunks, frames, scans, reads = [], [], [], [], []
-    post_init, decompose = SnapshotMatrix.__post_init__, pipeline.rdmd
+    post_init = SnapshotMatrix.__post_init__
     as_matrix = linalg._as_matrix
     read_pgm = io_formats._read_pgm
 
@@ -692,10 +695,10 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
         checked.append(self.data.shape)
         post_init(self)
 
-    def recorded_rdmd(sub, *args, **kwargs):
+    def recorded_decompose(sub, *args):
         chunks.append(sub)
         frames.append(sub.data.tobytes())
-        return decompose(sub, *args, **kwargs)
+        return dmd._decompose(sub, *args)
 
     def counted_as_matrix(A):
         scans.append(np.shape(A))
@@ -706,26 +709,119 @@ def test_pgm_run_checks_each_chunk_once_and_chunks_share_no_memory(tmp_path, mon
         return read_pgm(path, check_only)
 
     monkeypatch.setattr(SnapshotMatrix, "__post_init__", counted_post_init)
-    monkeypatch.setattr(pipeline, "rdmd", recorded_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", recorded_decompose)
     monkeypatch.setattr(linalg, "_as_matrix", counted_as_matrix)
     monkeypatch.setattr(io_formats, "_read_pgm", counted_read_pgm)
     report = run_bgsub(RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
                                  k=5, chunk_length=20, tau=0.3))
     assert len(report.chunks) == 3 and all(c.ok for c in report.chunks)
     # Each frame's header is checked by the scan, and its raster against its
-    # maxval as its chunk is read into its own contiguous matrix. Neither
-    # that matrix nor rdmd's sketch scans the chunk for finiteness again,
-    # and the eigensolver gets the reduced operator unscanned.
+    # maxval as its chunk is read. Neither the chunk's matrix nor its sketch
+    # scans the chunk for finiteness again, and the eigensolver gets the
+    # reduced operator unscanned.
     assert reads == [(p, True) for p in paths] + [(p, False) for p in paths]
     assert checked == []
+    # Every chunk is a C-contiguous prefix of one buffer, which each chunk
+    # reads over.
+    base = chunks[0].data.base
     for c, sub, data in zip(report.chunks, chunks, frames):
         assert sub.data.flags.c_contiguous
+        assert sub.data.base is base and sub.data.ctypes.data == base.ctypes.data
         assert data == np.ascontiguousarray(video.data[:, c.start:c.stop]).tobytes()
         assert (sub.frame_height, sub.frame_width) == (24, 24)
-    for i, a in enumerate(chunks):
-        for b in chunks[i + 1:]:
-            assert not np.shares_memory(a.data, b.data)
     assert scans == []
+
+
+def test_the_chunk_reader_equals_the_ingest_oracle_through_every_reuse(tmp_path):
+    # 8-bit, 16-bit, mixed-maxval and 8-bit chunks, the last one merged and
+    # the longest, read as a run reads them: the chunk pass, each chunk's
+    # rasters consumed by its anchor and its frames overwritten by its
+    # residual, then the grid pass, whose first chunk is shorter than the
+    # last one read. Each read leaves stale uint8 rows and a stale residual
+    # in the buffers for the next.
+    rng = np.random.default_rng(9)
+    maxvals = [255] * 10 + [1000] * 10 + [255, 100, 255, 65535] * 2 + [100, 255] + [200] * 13
+    for t, maxval in enumerate(maxvals):
+        save_pgm(str(tmp_path / f"f_{t:02d}.pgm"), rng.integers(0, maxval + 1, size=(6, 7)),
+                 maxval)
+    files = io_formats.scan_frames(str(tmp_path / "f_*.pgm"))
+    video = SnapshotMatrix(rng.uniform(size=(42, 43)), 6, 7)
+    bounds = chunk_bounds(files.n_frames, 10, 4)
+    assert bounds == [(0, 10), (10, 20), (20, 30), (30, 43)]
+    kept = []
+    for source in (files, video):
+        reader = pipeline._ChunkReader(source, bounds)
+        for start, stop in bounds + bounds:
+            D, rasters = reader.read(start, stop)
+            if source is files:
+                expected, expected_rasters = reference_chunk(files, start, stop)
+            else:
+                expected = SnapshotMatrix(video.data[:, start:stop].copy(), 6, 7)
+                expected_rasters = None
+            assert D.data.flags.c_contiguous and D.data.base is reader.frames
+            assert D.data.tobytes() == expected.data.tobytes()
+            assert (rasters is None) == (expected_rasters is None)
+            if rasters is not None:
+                raw, maxval = rasters
+                assert (raw.tobytes(), maxval) == (expected_rasters[0].tobytes(),
+                                                   expected_rasters[1])
+                dmd._network_median(raw, maxval)
+                kept.append(maxval)
+            D.data[...] = rng.uniform(size=D.data.shape)
+    assert kept == [255, 200] * 2
+
+
+@pytest.mark.parametrize("source", ["pgm", "synthetic"])
+def test_a_six_chunk_run_allocates_one_chunk_matrix(tmp_path, monkeypatch, source):
+    # Each chunk that the run reads is held here past its turn. Had each
+    # read made its own matrix, the sixth would find five more held.
+    spec = replace(SQUARE, frame_height=48, frame_width=64, n_frames=600)
+    cfg = RunConfig(synthetic=spec, chunk_length=100, tau=0.3)
+    if source == "pgm":
+        save_frames(str(tmp_path), generate_synthetic(spec)[0])
+        cfg = replace(cfg, synthetic=None, frames=str(tmp_path / "*.pgm"))
+    read = pipeline._ChunkReader.read
+    held, traced = [], []
+
+    def held_read(self, start, stop):
+        held.append(read(self, start, stop))
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return held[-1]
+
+    monkeypatch.setattr(pipeline._ChunkReader, "read", held_read)
+    tracemalloc.start()
+    try:
+        report = run_bgsub(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 6 and all(c.ok for c in report.chunks)
+    matrix = held[0][0].data.nbytes
+    assert matrix == 8 * 48 * 64 * 100
+    assert traced[-1] - traced[0] < matrix / 2
+
+
+def test_every_snapshot_matrix_of_a_run_holds_only_its_fields(tmp_path, monkeypatch):
+    # The rasters reach the anchor as an argument, never as an attribute of
+    # the chunk, in the chunk pass or in the grid pass.
+    D, truth = generate_synthetic(SQUARE)
+    save_frames(str(tmp_path / "frames"), D)
+    save_masks(str(tmp_path / "truth"), truth)
+    built = []
+    check_shape = SnapshotMatrix._check_shape
+
+    def recorded(self):
+        built.append(self)
+        check_shape(self)
+
+    monkeypatch.setattr(SnapshotMatrix, "_check_shape", recorded)
+    for cfg in (RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
+                          truth=str(tmp_path / "truth" / "*.pgm"), k=5, chunk_length=20),
+                RunConfig(synthetic=SQUARE, k=5, chunk_length=20)):
+        assert all(c.ok for c in run_bgsub(cfg).chunks)
+    # Each run's three chunks in each pass, and the synthetic video.
+    assert len(built) == 13
+    for D in built:
+        assert sorted(vars(D)) == ["data", "frame_height", "frame_width"]
 
 
 def test_non_finite_reduced_operator_fails_its_chunk(monkeypatch):
@@ -748,13 +844,13 @@ def test_non_finite_reduced_operator_fails_its_chunk(monkeypatch):
 
 
 def exact_background(level):
-    """An rdmd stand-in whose background is level in every pixel and frame, exactly."""
-    def decompose(D, sketch, anchor):
+    """A _decompose stand-in whose background is level in every pixel and frame, exactly."""
+    def decompose(D, factors, anchor, seed, rasters):
         return dmdmotion.DmdDecomposition(
             modes=np.full((D.n_pixels, 1), level + 0j), eigenvalues=np.array([1.0 + 0j]),
             amplitudes=np.ones(1, dtype=np.complex128), n_frames=D.n_frames,
             frame_height=D.frame_height, frame_width=D.frame_width, anchor=anchor,
-            seed=sketch.seed)
+            seed=seed)
     return decompose
 
 
@@ -776,7 +872,7 @@ def test_outputs_equal_the_whole_video_reference_run(tmp_path, monkeypatch, case
         # Every residual is exactly zero, so the grid spans [0, 1].
         D = SnapshotMatrix(np.full(D.data.shape, 0.5), 24, 24)
         maxval = 2
-        monkeypatch.setattr(pipeline, "rdmd", exact_background(0.5))
+        monkeypatch.setattr(pipeline, "_decompose", exact_background(0.5))
     elif case == "failed chunk":
         D = SnapshotMatrix(np.concatenate([np.zeros((576, 20)), D.data[:, 20:]], axis=1),
                            24, 24)
@@ -784,7 +880,7 @@ def test_outputs_equal_the_whole_video_reference_run(tmp_path, monkeypatch, case
         # Residuals k/50 against a zero background: most lie on the grid j/50.
         D = SnapshotMatrix(np.random.default_rng(3).integers(0, 51, D.data.shape) / 50, 24, 24)
         maxval = 50
-        monkeypatch.setattr(pipeline, "rdmd", exact_background(0.0))
+        monkeypatch.setattr(pipeline, "_decompose", exact_background(0.0))
     save_frames(str(tmp_path / "frames"), D, maxval=maxval)
     save_masks(str(tmp_path / "truth"), ForegroundMaskSequence(masks))
     cfg = RunConfig(frames=str(tmp_path / "frames" / "*.pgm"),
@@ -814,9 +910,9 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
     tmp_path, monkeypatch, chunk_length, threshold
 ):
     # 8-bit frames whose median anchor goes through the float64 partition,
-    # with the rasters dropped from each chunk that ingest reads, then
-    # through the exchange network. Chunks of 20 frames have left sequences
-    # of 19; chunks of 21, 21 and 18 have 20 and 17.
+    # with no rasters passed to the decomposition of each chunk that ingest
+    # reads, then through the exchange network. Chunks of 20 frames have
+    # left sequences of 19; chunks of 21, 21 and 18 have 20 and 17.
     D, truth = generate_synthetic(SQUARE)
     save_frames(str(tmp_path / "frames"), D)
     save_masks(str(tmp_path / "truth"), truth)
@@ -832,18 +928,24 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
         calls.append(raw.shape)
         return network(raw, maxval)
 
-    columns = io_formats.FrameFiles.columns
+    read = pipeline._ChunkReader.read
     reads = {"partition": [], "network": []}
+    passed = {"partition": [], "network": []}
 
-    def read(self, start, stop):
-        D = columns(self, start, stop)
+    def recorded_read(self, start, stop):
+        D, rasters = read(self, start, stop)
+        reads[side].append(rasters)
+        return D, rasters
+
+    def decompose(D, factors, anchor, seed, rasters):
+        passed[side].append(rasters)
         if side == "partition":
-            del vars(D)["_rasters"]
-        reads[side].append(D)
-        return D
+            rasters = None
+        return dmd._decompose(D, factors, anchor, seed, rasters)
 
     monkeypatch.setattr(dmd, "_network_median", counted)
-    monkeypatch.setattr(io_formats.FrameFiles, "columns", read)
+    monkeypatch.setattr(pipeline._ChunkReader, "read", recorded_read)
+    monkeypatch.setattr(pipeline, "_decompose", decompose)
     outputs = {}
     for side in reads:
         report = run_bgsub(replace(cfg, output_dir=str(tmp_path / side), save_residuals=True))
@@ -851,12 +953,14 @@ def test_outputs_are_equal_on_both_sides_of_the_network_rule(
         outputs[side] = output_files(tmp_path / side)
     bounds = chunk_bounds(60, chunk_length, 7)
     assert calls == [(stop - start, 576) for start, stop in bounds]
-    # Every chunk that the chunk pass read has given up its rasters; each
-    # read again by the grid pass keeps them until it is freed.
-    for side, chunks in reads.items():
-        assert len(chunks) == 2 * len(bounds)
-        assert not any(hasattr(D, "_rasters") for D in chunks[: len(bounds)])
-    assert all(hasattr(D, "_rasters") for D in reads["network"][len(bounds):])
+    # The chunk pass passes each chunk's rasters to its decomposition, and
+    # the grid pass reads each chunk again with its rasters, which nothing
+    # takes.
+    for side in reads:
+        assert len(reads[side]) == 2 * len(bounds)
+        assert all(rasters[1] == 255 for rasters in reads[side])
+        assert len(passed[side]) == len(bounds)
+        assert all(p is r for p, r in zip(passed[side], reads[side]))
     assert sorted(outputs["network"]) == sorted(outputs["partition"])
     for name, data in outputs["partition"].items():
         assert outputs["network"][name] == data, name
@@ -953,16 +1057,16 @@ def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch, tmp_pat
         run_bgsub(cfg if out is None else replace(cfg, output_dir=str(tmp_path / "warm-up")))
         entries, kept = [], []
 
-        def traced_rdmd(*args, **kwargs):
+        def traced_decompose(*args):
             entries.append(tracemalloc.get_traced_memory()[0])
-            return rdmd(*args, **kwargs)
+            return dmd._decompose(*args)
 
         def traced_factors(*args):
             factors = factors_of(*args)
             kept.append(sum(f.nbytes for f in factors))
             return factors
 
-        monkeypatch.setattr(pipeline, "rdmd", traced_rdmd)
+        monkeypatch.setattr(pipeline, "_decompose", traced_decompose)
         monkeypatch.setattr(pipeline.bg, "background_factors", traced_factors)
         tracemalloc.start()
         try:
@@ -975,15 +1079,16 @@ def test_fixed_tau_carries_nothing_of_a_chunk_into_the_next(monkeypatch, tmp_pat
             assert entries[i] - entries[0] < keeps * sum(kept[:i]) + 16 * 1024
 
 
-def test_snapshot_columns_rejects_a_single_frame():
-    # A chunk is its own contiguous copy, which its residual may overwrite.
+def test_a_synthetic_chunk_is_a_copy_and_rejects_a_single_frame():
+    # A chunk is a copy of the video's frames, which its residual may
+    # overwrite.
     D, _ = generate_synthetic(SQUARE)
-    chunk = D.columns(10, 12)
-    assert chunk.n_frames == 2
-    assert chunk.data.flags.c_contiguous and chunk.data.flags.owndata
+    chunk, rasters = read_chunk(D, 10, 12)
+    assert chunk.n_frames == 2 and rasters is None
+    assert chunk.data.flags.c_contiguous
     assert not np.shares_memory(chunk.data, D.data)
     with pytest.raises(ValueError, match="at least 2 frames"):
-        D.columns(10, 11)
+        read_chunk(D, 10, 11)
 
 
 def test_failed_chunk_is_contained(tmp_path):
@@ -1066,13 +1171,13 @@ def test_mask_files_named_after_input_frames(tmp_path):
 
 def test_frames_of_one_name_in_two_directories_are_rejected(tmp_path, monkeypatch):
     # cams/a and cams/b hold frames of one set of names; their masks would share files.
-    def no_rdmd(*args, **kwargs):
+    def no_decompose(*args):
         raise AssertionError("a chunk was decomposed")
 
-    monkeypatch.setattr(pipeline, "rdmd", no_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", no_decompose)
     D, _ = generate_synthetic(SQUARE)
-    save_frames(str(tmp_path / "cams" / "a"), D.columns(0, 30))
-    save_frames(str(tmp_path / "cams" / "b"), D.columns(30, 60))
+    save_frames(str(tmp_path / "cams" / "a"), SnapshotMatrix(D.data[:, :30], 24, 24))
+    save_frames(str(tmp_path / "cams" / "b"), SnapshotMatrix(D.data[:, 30:], 24, 24))
     code = main(["bgsub", "--frames", str(tmp_path / "cams" / "*" / "*.pgm"),
                  "--out", str(tmp_path / "out"), "--chunk-length", "30",
                  "--k", "4", "--tau", "0.2", "--seed", "0"])
@@ -1090,10 +1195,10 @@ def test_a_configuration_error_inside_a_chunk_exits_2(tmp_path, monkeypatch, cap
     # Only data errors fail a chunk; a ValueError ends the run with exit 2
     # rather than being recorded as FAILED (which exits 3 once every chunk
     # has failed).
-    def misconfigured_rdmd(*args, **kwargs):
+    def misconfigured_decompose(*args):
         raise ValueError("a configuration error")
 
-    monkeypatch.setattr(pipeline, "rdmd", misconfigured_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", misconfigured_decompose)
     D, _ = generate_synthetic(SQUARE)
     save_frames(str(tmp_path / "frames"), D)
     code = main(["bgsub", "--frames", str(tmp_path / "frames" / "*.pgm"),
@@ -1108,13 +1213,13 @@ def test_a_configuration_error_inside_a_chunk_exits_2(tmp_path, monkeypatch, cap
     (0.0, "no usable modes: every eigenvalue is near zero"),
 ])
 def test_chunk_with_an_unusable_spectrum_fails_on_its_data(monkeypatch, eigenvalue, reason):
-    def spectrum_rdmd(D, cfg, anchor):
+    def spectrum_decompose(D, factors, anchor, seed, rasters):
         return dmdmotion.DmdDecomposition(
             modes=np.full((D.n_pixels, 1), 0.1 + 0j), eigenvalues=np.array([eigenvalue + 0j]),
             amplitudes=np.ones(1, dtype=np.complex128), n_frames=D.n_frames,
             frame_height=D.frame_height, frame_width=D.frame_width)
 
-    monkeypatch.setattr(pipeline, "rdmd", spectrum_rdmd)
+    monkeypatch.setattr(pipeline, "_decompose", spectrum_decompose)
     spec = SyntheticSpec(frame_height=6, frame_width=6, n_frames=200, seed=0)
     report = run_bgsub(RunConfig(synthetic=spec, k=3, p=2, q=1, tau=0.2))
     assert len(report.chunks) == 1

@@ -49,9 +49,13 @@ def test_every_stage_that_ran_reads_above_zero(monkeypatch, capsys, name):
     for stage, s in result["stages"].items():
         assert (s["median"] > 0) == (stage in ran), stage
         assert s["q1"] <= s["median"] <= s["q3"]
+    faults = result["minflt"]
+    assert 0 <= faults["q1"] <= faults["median"] <= faults["q3"]
+    assert f"  minflt     {faults['median']:.0f} [{faults['q1']:.0f}, {faults['q3']:.0f}] " \
+        "minor page faults per call" in lines
     assert result["frames_per_s"] == pytest.approx(60 / result["call"]["median"])
     assert result["ru_maxrss_mb"] > 0
-    assert len(lines) == 2 + len(stages) + 3
+    assert len(lines) == 2 + len(stages) + 4
 
 
 def test_rendered_frames_are_the_bytes_of_the_whole_video(tmp_path):
