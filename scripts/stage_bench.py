@@ -1,10 +1,11 @@
 """Per-stage timings of run_bgsub on a benchmark workload, read from timings.csv.
 
-Writes the workload's seeded frames in one short-lived child process, then
-runs one warm-up call and C timed calls of run_bgsub on them in a second,
-each with an output directory that is removed after the call. Linux carries
-a process's peak RSS across exec, so the calls' child starts from this small
-process, not from the one that rendered the video.
+Writes the workload's seeded frames in one short-lived child process (a
+run without truth saves each frame as it is drawn), then runs one warm-up
+call and C timed calls of run_bgsub on them in a second, each with an output
+directory that is removed after the call. Linux carries a process's peak RSS
+across exec, so the calls' child starts from this small process, not from
+the one that wrote the video.
 Prints the median and quartiles of every stage of the timed calls'
 timings.csv total rows, of the whole calls and of each call's minor page
 faults (its ru_minflt delta in the child), frames per second at the median
@@ -35,13 +36,11 @@ import tempfile
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
 
-from dmdmotion.io_formats import save_pgm  # noqa: E402
+from dmdmotion.io_formats import save_frames  # noqa: E402
 from dmdmotion.synthetic import _frames  # noqa: E402
 from workloads import WORKLOADS, Workload, synthetic_spec, write_inputs  # noqa: E402
 
@@ -51,19 +50,6 @@ HD = Workload(name="hd", height=720, width=1280, n_frames=300, rect_size=(120, 1
               intensities=(0.85,), noise_sigma=0.03, truth_to_program=False,
               write_outputs=True, f_floor=0.3, run={"tau": 0.18, "chunk_length": 100})
 REAL_TIME_FPS = 30
-
-
-def render_frames(spec, directory: str) -> None:
-    """Write the files of save_frames(directory, generate_synthetic(spec)[0]), a frame at a time.
-
-    The frames are generate_synthetic's own, each saved as it is drawn, so
-    the video is never held: the hd one would take 2.5 GB in
-    generate_synthetic.
-    """
-    os.makedirs(directory, exist_ok=True)
-    for t, (frame, _) in enumerate(_frames(spec)):
-        save_pgm(os.path.join(directory, f"frame_{t:05d}.pgm"),
-                 np.rint(frame * 255).astype(np.uint32))
 
 
 def _child(params: dict) -> None:
@@ -78,14 +64,14 @@ def _child(params: dict) -> None:
     from dmdmotion.pipeline import RunConfig, run_bgsub
 
     if "workload" in params:
-        # A run without truth needs only its frames, which render a frame at
-        # a time; write_inputs holds the whole video and its truth.
+        # write_inputs holds the whole video and its truth, which only a
+        # run with truth needs.
         workload, directory = Workload(**params["workload"]), params["directory"]
         if workload.truth_to_program:
             inputs = write_inputs(workload, params["seed"], directory)
         else:
-            render_frames(synthetic_spec(workload, params["seed"]),
-                          os.path.join(directory, "frames"))
+            spec = synthetic_spec(workload, params["seed"])
+            save_frames(os.path.join(directory, "frames"), (frame for frame, _ in _frames(spec)))
             inputs = {"frames": os.path.join(directory, "frames", "*.pgm"), "truth": None}
         print(json.dumps(inputs))
         return

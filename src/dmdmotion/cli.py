@@ -19,11 +19,12 @@ import sys
 import numpy as np
 
 from . import evaluation as ev
+from .background import ForegroundMaskSequence
 from .dmd import _parse_anchor
 from .errors import DegenerateDataError
 from .io_formats import load_masks, save_frames, save_masks
 from .pipeline import RunConfig, render_report, run_bgsub
-from .synthetic import MovingRect, SyntheticSpec, generate_synthetic
+from .synthetic import MovingRect, SyntheticSpec, _frames
 
 __all__ = ["main"]
 
@@ -135,9 +136,11 @@ def _cmd_synth(args) -> int:
         path = os.path.join(args.out, sub)
         if os.path.isdir(path) and os.listdir(path):
             raise ValueError(f"{path} already holds files")
-    D, truth = generate_synthetic(spec)
-    frame_paths = save_frames(os.path.join(args.out, "frames"), D)
-    mask_paths = save_masks(os.path.join(args.out, "truth"), truth)
+    # Frames are written as drawn; each one's truth goes to truth[t], the only part kept.
+    truth = np.empty((spec.n_frames, spec.frame_height, spec.frame_width), dtype=bool)
+    frames = (frame for t, (frame, truth[t]) in enumerate(_frames(spec)))
+    frame_paths = save_frames(os.path.join(args.out, "frames"), frames)
+    mask_paths = save_masks(os.path.join(args.out, "truth"), ForegroundMaskSequence(truth))
     print(f"wrote {len(frame_paths)} frames and {len(mask_paths)} truth masks to {args.out}")
     return 0
 

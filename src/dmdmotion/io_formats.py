@@ -223,12 +223,22 @@ def scan_frames(pattern: str) -> FrameFiles:
     return FrameFiles(tuple(paths), *geometry)
 
 
-def save_frames(directory: str, D: SnapshotMatrix, maxval: int = 255) -> list[str]:
-    """Quantize each frame to [0, maxval] and write numbered PGM files."""
-    os.makedirs(directory, exist_ok=True)
+def save_frames(directory: str, frames, maxval: int = 255) -> list[str]:
+    """Quantize each frame to [0, maxval] and write numbered PGM files.
+
+    frames is a SnapshotMatrix or an iterable of (height, width) frames, each
+    checked finite and in [0, 1] and written as it arrives; the first makes the directory.
+    """
+    if isinstance(frames, SnapshotMatrix):
+        frames = map(frames.frame, range(frames.n_frames))
     paths = []
-    for t in range(D.n_frames):
-        img = np.rint(D.frame(t) * maxval).astype(np.uint32)
+    for t, frame in enumerate(frames):
+        # NaN fails both comparisons.
+        if not (frame.min() >= 0.0 and frame.max() <= 1.0):
+            raise ValueError(f"frame {t} holds a value that is not finite or outside [0, 1]")
+        if not paths:
+            os.makedirs(directory, exist_ok=True)
+        img = np.rint(frame * maxval).astype(np.uint32)
         path = os.path.join(directory, f"frame_{t:05d}.pgm")
         save_pgm(path, img, maxval)
         paths.append(path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple, dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.ndimage
@@ -193,6 +194,26 @@ def reference_synthetic(spec):
     data = frames.reshape(n, h * w).T.copy()
     snapshots = SnapshotMatrix(data=data, frame_height=h, frame_width=w)
     return snapshots, ForegroundMaskSequence(masks=truth, tau=None)
+
+
+def reference_synth(spec, out) -> None:
+    """synth's files from the whole video: generate_synthetic, save_frames, save_masks.
+
+    The oracle of synth, which writes each frame as it is drawn and keeps
+    only the truth.
+    """
+    from dmdmotion.io_formats import save_frames, save_masks
+    from dmdmotion.synthetic import generate_synthetic
+
+    D, truth = generate_synthetic(spec)
+    save_frames(os.path.join(out, "frames"), D)
+    save_masks(os.path.join(out, "truth"), truth)
+
+
+def tree_bytes(root) -> dict:
+    """{path relative to root: bytes} of every file under root."""
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def reference_range_finder(A: np.ndarray, l: int, q: int, seed: int) -> np.ndarray:

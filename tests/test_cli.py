@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ from dmdmotion import cli, io_formats
 from dmdmotion.cli import main
 from dmdmotion.io_formats import load_decomposition, load_masks, load_pgm, save_pgm
 from dmdmotion.pipeline import RunConfig, run_bgsub
+from dmdmotion.synthetic import MovingRect, SyntheticSpec
+from helpers import reference_synth, tree_bytes
 
 
 def synth_args(out, frames=24, extra=()):
@@ -98,6 +101,47 @@ def test_synth_into_a_used_out_exits_2_and_changes_nothing(tmp_path, capsys):
     for fresh in (tmp_path / "w", tmp_path / "fresh"):
         assert main(["synth", "--out", str(fresh), *small, "--frames", "30", "--seed", "2"]) == 0
         assert len(os.listdir(fresh / "frames")) == len(os.listdir(fresh / "truth")) == 30
+
+
+@pytest.mark.parametrize("args, spec", [
+    (["--height", "24", "--width", "32", "--frames", "41", "--base-level", "0.4",
+      "--texture-amplitude", "0.2", "--texture-period", "5", "--noise", "0.1",
+      "--rect", "-2,3,5,4,0.9,1.3,1.7", "--rect", "6,-1.5,3,30,0.05,0,0.5", "--seed", "11"],
+     SyntheticSpec(24, 32, 41, base_level=0.4, texture_amplitude=0.2, texture_period=5.0,
+                   noise_sigma=0.1, objects=(MovingRect(-2.0, 3.0, 5, 4, 0.9, (1.3, 1.7)),
+                                             MovingRect(6.0, -1.5, 3, 30, 0.05, (0.0, 0.5))),
+                   seed=11)),
+    (["--height", "16", "--width", "16", "--frames", "30", "--base-level", "0",
+      "--rect", "5,1,4,4,0.0,0,0.25", "--seed", "7"],
+     SyntheticSpec(16, 16, 30, base_level=0.0,
+                   objects=(MovingRect(5.0, 1.0, 4, 4, 0.0, (0.0, 0.25)),), seed=7)),
+    (["--height", "64", "--width", "64", "--frames", "200", "--noise", "0.05",
+      "--rect", "26,4,10,10,0.8,0,0.25", "--seed", "123"],
+     SyntheticSpec(64, 64, 200, noise_sigma=0.05,
+                   objects=(MovingRect(26.0, 4.0, 10, 10, 0.8, (0.0, 0.25)),), seed=123)),
+], ids=["texture_noise_clipped", "all_black", "readme"])
+def test_synth_writes_the_files_of_the_whole_video(tmp_path, args, spec):
+    # Frames written as they are drawn, and the truth kept for its masks,
+    # give the files of the video drawn whole and then saved.
+    assert main(["synth", "--out", str(tmp_path / "synth"), *args]) == 0
+    reference_synth(spec, tmp_path / "whole")
+    ours, whole = tree_bytes(tmp_path / "synth"), tree_bytes(tmp_path / "whole")
+    assert len(whole) == 2 * spec.n_frames
+    assert ours == whole
+
+
+def test_synth_holds_the_truth_but_not_the_video(tmp_path):
+    # 1 byte of truth per pixel-frame is kept; a drawn frame is freed once
+    # its file is written. The whole video took 9 bytes per pixel-frame.
+    tracemalloc.start()
+    try:
+        assert main(["synth", "--out", str(tmp_path / "vid"), "--height", "48", "--width", "64",
+                     "--frames", "400", "--noise", "0.03", "--rect", "10,2,8,8,0.8,0,0.5",
+                     "--seed", "7"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 48 * 64 * 400, peak / (48 * 64 * 400)
 
 
 def test_one_chunk_bgsub_writes_manifest_and_table(tmp_path, capsys):
@@ -199,7 +243,7 @@ def test_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, 
     def no_frames(*args, **kwargs):
         raise AssertionError("frames were read or drawn")
 
-    for name in ("generate_synthetic", "run_bgsub"):
+    for name in ("_frames", "run_bgsub"):
         monkeypatch.setattr(cli, name, no_frames)
     frames = str(tmp_path / "vid" / "frames" / "*.pgm")
     assert main([a.format(frames=frames) for a in args] + ["--out", ""]) == 2
@@ -803,15 +847,17 @@ def test_synth_non_finite_or_out_of_range_values_exit_2(tmp_path, capsys, option
 
 
 def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
-    # A video too large to hold: the allocation's MemoryError, raised here
-    # without allocating, is reported like any other bad configuration.
-    def generate_synthetic(spec):
+    # An allocation too large to make: its MemoryError, raised here by the
+    # first frame's drawing without allocating, is reported like any other
+    # bad configuration, and no file or directory is made.
+    def frames(spec):
         raise MemoryError("Unable to allocate 149. GiB for an array with shape "
                           "(10000000000, 2) and data type float64")
+        yield  # a generator: the error comes with the first frame
 
-    monkeypatch.setattr(cli, "generate_synthetic", generate_synthetic)
-    code = main(["synth", "--out", str(tmp_path / "vid"), "--height", "100000",
-                 "--width", "100000", "--frames", "2", "--seed", "1"])
+    monkeypatch.setattr(cli, "_frames", frames)
+    code = main(["synth", "--out", str(tmp_path / "vid"), "--height", "100",
+                 "--width", "100", "--frames", "2", "--seed", "1"])
     assert code == 2
     assert capsys.readouterr().err == (
         "error (out of memory): Unable to allocate 149. GiB for an array with shape "

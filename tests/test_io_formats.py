@@ -27,9 +27,9 @@ from dmdmotion.io_formats import (
     scan_frames,
 )
 from dmdmotion.linalg import SketchConfig
-from dmdmotion.synthetic import MovingRect, SyntheticSpec, generate_synthetic
+from dmdmotion.synthetic import MovingRect, SyntheticSpec, _frames, generate_synthetic
 
-from helpers import read_chunk
+from helpers import read_chunk, tree_bytes
 
 
 # ------------------------------------------------------------------ matrices
@@ -264,6 +264,35 @@ def test_frames_round_trip_is_exact(tmp_path):
         a = open(tmp_path / f"frame_{t:05d}.pgm", "rb").read()
         b = open(tmp_path / "again" / f"frame_{t:05d}.pgm", "rb").read()
         assert a == b
+
+
+@pytest.mark.parametrize("maxval", [255, 1000])
+def test_drawn_frames_are_saved_as_the_matrix_is(tmp_path, maxval):
+    # Frames taken as they are drawn give the files of the whole video's
+    # matrix, at 8 and at 16 bits.
+    spec = SyntheticSpec(frame_height=13, frame_width=17, n_frames=9, base_level=0.4,
+                         texture_amplitude=0.2, texture_period=5.0, noise_sigma=0.1,
+                         objects=(MovingRect(-2.0, 3.0, 5, 4, 0.9, (1.3, 1.7)),), seed=11)
+    drawn = save_frames(str(tmp_path / "drawn"), (f for f, _ in _frames(spec)), maxval)
+    whole = save_frames(str(tmp_path / "whole"), generate_synthetic(spec)[0], maxval)
+    assert [Path(p).name for p in drawn] == [Path(p).name for p in whole]
+    assert len(drawn) == 9
+    assert tree_bytes(tmp_path / "drawn") == tree_bytes(tmp_path / "whole")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.01, 1.01])
+def test_a_drawn_frame_not_finite_or_outside_0_1_is_refused_before_its_file(tmp_path, bad):
+    # Cast to uint32, a NaN pixel would silently become 0.
+    good = np.full((3, 4), 0.5)
+    broken = good.copy()
+    broken[1, 2] = bad
+    with pytest.raises(ValueError, match=r"^frame 1 holds a value that is not finite or "
+                                         r"outside \[0, 1\]$"):
+        save_frames(str(tmp_path / "late"), iter([good, broken, good]))
+    assert [p.name for p in (tmp_path / "late").iterdir()] == ["frame_00000.pgm"]
+    with pytest.raises(ValueError, match=r"^frame 0 "):
+        save_frames(str(tmp_path / "first"), iter([broken, good]))
+    assert not (tmp_path / "first").exists()
 
 
 def test_frames_lexicographic_order(tmp_path):
